@@ -10,6 +10,7 @@ from .errors import (
     DegreeMismatchError,
     FlagkeError,
     InputError,
+    InternalError,
     NoKahlerEinsteinError,
     SingularConfigurationError,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "FlagkeError",
     "FutakiReport",
     "InputError",
+    "InternalError",
     "InvariantComplexStructure",
     "LieAlgebraSpec",
     "NoKahlerEinsteinError",

@@ -16,9 +16,11 @@ f(t) is recovered from the first integral
     u(f) = (f')^2 = -2 * [integral_0^f P(v)(v - m1) dv] / P(f),
 
 inverted through the quadrature t(f) = integral_0^f ds / sqrt(u(s)).  The
-inverse-square-root behaviour of the integrand at both ends is removed
-analytically by the substitutions s = w^2 and (m1+m2) - s = w^2 applied to the
-exactly deflated polynomials, so all numeric integrands here are smooth.
+inverse-square-root behaviour of the integrand at an end is removed
+analytically by the substitution s = w^2 applied to the exactly deflated
+polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
+segment (Z2, -Z, m2, m1), so one end chart serves both ends and all numeric
+integrands here are smooth.
 """
 
 from __future__ import annotations
@@ -34,14 +36,13 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from . import linalg
-from .errors import DegreeMismatchError, InputError, NoKahlerEinsteinError, SingularConfigurationError
+from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from .flag import FlagData, InvariantComplexStructure, ricci_invariant
 from .model import AdmissibleSegment, CenterLine, analyze_segment, make_base
 from .polys import (
     Poly,
     p_add,
     p_antideriv,
-    p_compose_linear,
     p_deriv,
     p_eval,
     p_eval_float,
@@ -146,8 +147,75 @@ class RootFactor:
     zk: Scalar  # alpha(Z_kappa)
 
 
+class EndChart:
+    """The end v = 0 of a segment polynomial P that vanishes there to order m - 1.
+
+    Holds the exactly deflated p = P[m-1:] and q = Q[m:], with
+    Q(x) = integral_0^x P(v)(v - m) dv, and their float twins.  Near the end
+    u = -2Q/P = -2 x q/p, and in the chart x = w^2 the integrand of t is the
+    smooth 2/sqrt(-2q/p).  The right end of a segment is the left end of its
+    reversed polynomial, so one chart type serves both ends.
+    """
+
+    def __init__(self, coeffs: Sequence[Scalar], m: int, exact: bool, where: str = "0"):
+        q_coeffs = _first_integral(coeffs, m)
+        low_order = p_low_order if exact else _float_low_order
+        lp = low_order(coeffs)
+        if lp != m - 1:
+            raise DegreeMismatchError("P vanishes to order %d at %s, expected %d" % (lp, where, m - 1))
+        lq = low_order(q_coeffs)
+        if lq < m:
+            raise DegreeMismatchError("Q vanishes to order %d at %s, expected %d" % (lq, where, m))
+        self.m = m
+        self.p, self.q = list(coeffs[m - 1:]), list(q_coeffs[m:])
+        self.p_f, self.q_f = p_to_float(self.p), p_to_float(self.q)
+        self.dp_f = p_to_float(p_deriv(self.p))
+
+    def u(self, x: float) -> float:
+        """u at distance x from the end."""
+        den = p_eval_float(self.p_f, x)
+        if den == 0:
+            raise SingularConfigurationError("P vanishes at distance %g from the end" % x)
+        return x * (-2.0) * p_eval_float(self.q_f, x) / den
+
+    def uf(self, x: float) -> float:
+        """The term u F of f'' = u F - x + m at distance x, in p and q."""
+        pt = p_eval_float(self.p_f, x)
+        qt = p_eval_float(self.q_f, x)
+        dpt = p_eval_float(self.dp_f, x)
+        return qt * ((self.m - 1) * pt + x * dpt) / (pt * pt)
+
+    def series_u(self) -> Tuple[float, float, float]:
+        """Taylor data (u1, u2, u3) at the end: u = u1 x + u2 x^2 + u3 x^3."""
+        p, q = self.p_f, self.q_f
+        p0 = p[0]
+        p1 = p[1] if len(p) > 1 else 0.0
+        p2 = p[2] if len(p) > 2 else 0.0
+        q0 = q[0]
+        q1 = q[1] if len(q) > 1 else 0.0
+        q2 = q[2] if len(q) > 2 else 0.0
+        # g = -2 q / p expanded to second order
+        g0 = -2 * q0 / p0
+        g1 = -2 * (q1 - q0 * p1 / p0) / p0
+        g2 = -2 * (q2 - q1 * p1 / p0 + q0 * ((p1 / p0) ** 2 - p2 / p0)) / p0
+        return g0, g1, g2
+
+    def integrand(self, w):
+        """dt/dw = 2/sqrt(-2q/p) at x = w^2; it tends to sqrt(2) at the end."""
+        W = np.asarray(w, dtype=float) ** 2
+        ratio = -2.0 * p_eval_float(self.q_f, W) / p_eval_float(self.p_f, W)
+        if np.any(ratio <= 0):
+            raise NoKahlerEinsteinError("first integral not positive on the open segment")
+        return 2.0 / np.sqrt(ratio)
+
+
+def _first_integral(coeffs: Sequence[Scalar], m: int) -> Poly:
+    """Q(x) = integral_0^x P(v)(v - m) dv."""
+    return p_antideriv(p_mul(coeffs, [-Fraction(m), Fraction(1)]))
+
+
 class SegmentPolynomial:
-    """P(v) = prod alpha(Z1 - v Z) with exact derivatives and deflations.
+    """P(v) = prod alpha(Z1 - v Z) with exact derivatives and end charts.
 
     Attributes ending in ``_f`` are float coefficient arrays for numerics;
     everything else is exact when the inputs are exact.  Instances are
@@ -181,74 +249,40 @@ class SegmentPolynomial:
             poly = p_mul(poly, [f.a, -f.k])
         self.coeffs = p_trim(poly)
         self.d_coeffs = p_deriv(self.coeffs)
-        self.d2_coeffs = p_deriv(self.d_coeffs)
         # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
-        self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
+        self.q_coeffs = _first_integral(self.coeffs, m1)
 
         self.coeffs_f = p_to_float(self.coeffs)
         self.q_coeffs_f = p_to_float(self.q_coeffs)
         self.a_f = np.array([float(f.a) for f in self.factors])
         self.k_f = np.array([float(f.k) for f in self.factors])
         self.zk_f = np.array([float(f.zk) for f in self.factors])
-        self._deflations: Optional[tuple] = None
+        self._deflations: Optional[object] = None
 
     @property
-    def deflations(self) -> tuple:
-        """(p_left, q_left, p_right, q_right) and float twins, built on demand.
+    def deflations(self) -> Tuple[EndChart, EndChart]:
+        """The (left, right) end charts, built on demand.
 
-        The right-end deflation certifies the vanishing of the obstruction
-        integral, so non-Einstein segment polynomials stay constructible and
-        only the profile machinery trips this check.
+        The right chart is the left chart of the reversed polynomial; then
+        Q(m1+m2) = 0 certifies the vanishing of the obstruction integral.  So
+        non-Einstein segment polynomials stay constructible and only the
+        profile machinery trips these checks.  A failed build is cached and
+        its exception re-raised.
         """
         if self._deflations is None:
-            pl, ql = self._deflate_left()
-            pr, qr = self._deflate_right()
-            self._deflations = (
-                pl, ql, pr, qr,
-                p_to_float(pl), p_to_float(ql), p_to_float(pr), p_to_float(qr),
-                p_to_float(p_deriv(pl)), p_to_float(p_deriv(pr)),
-            )
+            try:
+                left = EndChart(self.coeffs, self.m1, self.exact)
+                right = EndChart(self.reversed().coeffs, self.m2, self.exact, where="the right end")
+                q_end = p_eval(self.q_coeffs, self.f_delta)
+                tol = 0.0 if self.exact else 1e-9 * max([abs(float(q_end))] + [abs(c) for c in right.q_f])
+                if not scalar_is_zero(q_end, tol):
+                    raise NoKahlerEinsteinError("obstruction integral does not vanish: Q(m1+m2) = %s" % (q_end,))
+                self._deflations = (left, right)
+            except (NoKahlerEinsteinError, DegreeMismatchError) as exc:
+                self._deflations = exc
+        if isinstance(self._deflations, Exception):
+            raise self._deflations.with_traceback(None)
         return self._deflations
-
-    @property
-    def p_left(self) -> Poly:
-        return self.deflations[0]
-
-    @property
-    def q_left(self) -> Poly:
-        return self.deflations[1]
-
-    @property
-    def p_right(self) -> Poly:
-        return self.deflations[2]
-
-    @property
-    def q_right(self) -> Poly:
-        return self.deflations[3]
-
-    @property
-    def p_left_f(self) -> np.ndarray:
-        return self.deflations[4]
-
-    @property
-    def q_left_f(self) -> np.ndarray:
-        return self.deflations[5]
-
-    @property
-    def p_right_f(self) -> np.ndarray:
-        return self.deflations[6]
-
-    @property
-    def q_right_f(self) -> np.ndarray:
-        return self.deflations[7]
-
-    @property
-    def dp_left_f(self) -> np.ndarray:
-        return self.deflations[8]
-
-    @property
-    def dp_right_f(self) -> np.ndarray:
-        return self.deflations[9]
 
     # -- constructors ------------------------------------------------------
 
@@ -262,38 +296,14 @@ class SegmentPolynomial:
         ]
         return SegmentPolynomial(factors, m1, m2, validate_degrees=validate_degrees)
 
-    # -- deflations ----------------------------------------------------------
+    def reversed(self) -> "SegmentPolynomial":
+        """The segment run backwards: (Z2, -Z, m2, m1), so P_rev(x) = P(m1+m2 - x).
 
-    def _deflate_left(self) -> Tuple[Poly, Poly]:
-        lp = p_low_order(self.coeffs) if self.exact else _float_low_order(self.coeffs, self.m1 - 1)
-        if lp != self.m1 - 1:
-            raise DegreeMismatchError("P vanishes to order %d at 0, expected %d" % (lp, self.m1 - 1))
-        lq = p_low_order(self.q_coeffs) if self.exact else _float_low_order(self.q_coeffs, self.m1)
-        if lq < self.m1:
-            raise DegreeMismatchError("Q vanishes to order %d at 0, expected %d" % (lq, self.m1))
-        return list(self.coeffs[self.m1 - 1:]), list(self.q_coeffs[self.m1:])
-
-    def _deflate_right(self) -> Tuple[Poly, Poly]:
-        # compose with v = f_delta - x; valid profiles need Q(f_delta) = 0
-        pr = p_compose_linear(self.coeffs, self.f_delta, Fraction(-1))
-        qr = p_compose_linear(self.q_coeffs, self.f_delta, Fraction(-1))
-        lo = p_low_order(pr) if self.exact else _float_low_order(pr, self.m2 - 1)
-        if lo != self.m2 - 1:
-            raise DegreeMismatchError("P vanishes to order %d at the right end, expected %d" % (lo, self.m2 - 1))
-        if self.exact:
-            lq = p_low_order(qr)
-        else:
-            qr = list(qr)
-            scale = max(abs(float(c)) for c in qr) or 1.0
-            for i in range(self.m2):
-                if abs(float(qr[i])) <= 1e-9 * scale:
-                    qr[i] = Fraction(0)
-            lq = p_low_order(qr)
-        if lq < self.m2:
-            raise NoKahlerEinsteinError(
-                "obstruction integral does not vanish: Q(m1+m2) = %s" % (p_eval(self.q_coeffs, self.f_delta),)
-            )
-        return list(pr[self.m2 - 1:]), list(qr[self.m2:])
+        Its walls are those of this polynomial, swapped; they are not
+        re-validated.
+        """
+        factors = [RootFactor(f.root, f.a - f.k * self.f_delta, -f.k, f.zk) for f in self.factors]
+        return SegmentPolynomial(factors, self.m2, self.m1, validate_degrees=False)
 
     # -- pointwise data ------------------------------------------------------
 
@@ -308,30 +318,23 @@ class SegmentPolynomial:
         return -2 * num / den
 
     def u_float(self, f: float) -> float:
-        """u(f) evaluated through the endpoint-deflated forms, stable at walls.
+        """u(f) evaluated through the end charts, stable at walls.
 
+        Past the midpoint this is the reversed polynomial's u at m1+m2 - f.
         Segment polynomials without a valid profile (nonvanishing obstruction
-        or mismatched walls) have no deflations; they fall back to the direct
+        or mismatched walls) have no charts; they fall back to the direct
         ratio, valid on the open interval away from walls.
         """
         f = float(f)
         fd = float(self.f_delta)
         try:
-            if f <= fd / 2:
-                den = p_eval_float(self.p_left_f, f)
-                if den == 0:
-                    raise SingularConfigurationError("P vanishes at f = %g" % f)
-                return f * (-2.0) * p_eval_float(self.q_left_f, f) / den
-            x = fd - f
-            den = p_eval_float(self.p_right_f, x)
-            if den == 0:
-                raise SingularConfigurationError("P vanishes at f = %g" % f)
-            return x * (-2.0) * p_eval_float(self.q_right_f, x) / den
+            left, right = self.deflations
         except (NoKahlerEinsteinError, DegreeMismatchError):
             den = p_eval_float(self.coeffs_f, f)
             if den == 0:
                 raise SingularConfigurationError("P vanishes at f = %g" % f)
             return -2.0 * p_eval_float(self.q_coeffs_f, f) / den
+        return left.u(f) if f <= fd / 2 else right.u(fd - f)
 
     def log_deriv_sums(self, f: float) -> Tuple[float, float]:
         """(s1, s2) with s1 = sum k/(a - k f), s2 = sum k^2/(a - k f)^2.
@@ -348,39 +351,23 @@ class SegmentPolynomial:
         return s1, s2
 
     def fpp_float(self, f: float) -> float:
-        """f'' from the closed form u*F - f + m1, stable at both endpoints."""
+        """f'' from the closed form u*F - f + m1, stable at both endpoints.
+
+        Past the midpoint u*F is minus the reversed segment's at m1+m2 - f:
+        the reversed profile m1+m2 - f(delta - t) has f'' negated.
+        """
         f = float(f)
         fd = float(self.f_delta)
-        if f <= fd / 2:
-            pt = p_eval_float(self.p_left_f, f)
-            qt = p_eval_float(self.q_left_f, f)
-            dpt = p_eval_float(self.dp_left_f, f) if len(self.p_left) > 1 else 0.0
-            uf_term = qt * ((self.m1 - 1) * pt + f * dpt) / (pt * pt)
-        else:
-            x = fd - f
-            pt = p_eval_float(self.p_right_f, x)
-            qt = p_eval_float(self.q_right_f, x)
-            dpt = p_eval_float(self.dp_right_f, x) if len(self.p_right) > 1 else 0.0
-            uf_term = -qt * ((self.m2 - 1) * pt + x * dpt) / (pt * pt)
-        return uf_term - f + self.m1
+        left, right = self.deflations
+        uf = left.uf(f) if f <= fd / 2 else -right.uf(fd - f)
+        return uf - f + self.m1
 
-    def series_u(self, side: str) -> Tuple[float, float, float]:
-        """Taylor data (u1, u2, u3) of u at an end: u = u1 x + u2 x^2 + u3 x^3."""
-        p, q = (self.p_left, self.q_left) if side == "left" else (self.p_right, self.q_right)
-        p0 = float(p[0])
-        p1 = float(p[1]) if len(p) > 1 else 0.0
-        p2 = float(p[2]) if len(p) > 2 else 0.0
-        q0 = float(q[0])
-        q1 = float(q[1]) if len(q) > 1 else 0.0
-        q2 = float(q[2]) if len(q) > 2 else 0.0
-        # g = -2 q / p expanded to second order
-        g0 = -2 * q0 / p0
-        g1 = -2 * (q1 - q0 * p1 / p0) / p0
-        g2 = -2 * (q2 - q1 * p1 / p0 + q0 * ((p1 / p0) ** 2 - p2 / p0)) / p0
-        return g0, g1, g2
+    def series_u(self) -> Tuple[float, float, float]:
+        """Taylor data (u1, u2, u3) of u at f = 0: u = u1 f + u2 f^2 + u3 f^3."""
+        return self.deflations[0].series_u()
 
 
-def _float_low_order(coeffs: Sequence[Scalar], expected: int, rel_tol: float = 1e-9) -> int:
+def _float_low_order(coeffs: Sequence[Scalar], rel_tol: float = 1e-9) -> int:
     scale = max(abs(float(c)) for c in coeffs) or 1.0
     for k, c in enumerate(coeffs):
         if abs(float(c)) > rel_tol * scale:
@@ -426,11 +413,61 @@ def first_integral_identity_numerator(sp: SegmentPolynomial) -> Poly:
 # the profile map t <-> f
 
 
+def _gauss_panel(g: Callable, a: float, b: float, gx: np.ndarray, gw: np.ndarray) -> float:
+    """Gauss-Legendre rule for integral_a^b g(w) dw on one panel."""
+    if b <= a:
+        return 0.0
+    mid, half = (a + b) / 2, (b - a) / 2
+    return float(np.dot(g(mid + half * gx), gw) * half)
+
+
+class _HalfTable:
+    """Cumulative composite Gauss-Legendre table of t over one end chart.
+
+    Panels are uniform in w on [0, w_max], where x = w^2 is the distance
+    from the chart's end and the integrand dt/dw is smooth.
+    """
+
+    def __init__(self, chart: EndChart, w_max: float, n_panels: int, gx: np.ndarray, gw: np.ndarray):
+        self.g = chart.integrand
+        self.w_max = w_max
+        self._gx, self._gw = gx, gw
+        self.edges = np.linspace(0.0, w_max, n_panels + 1)
+        mid = (self.edges[1:] + self.edges[:-1]) / 2
+        half = (self.edges[1:] - self.edges[:-1]) / 2
+        nodes = mid[:, None] + half[:, None] * gx[None, :]
+        vals = self.g(nodes.ravel()).reshape(nodes.shape)
+        panels = (vals * gw[None, :]).sum(axis=1) * half
+        self.cum = np.concatenate([[0.0], np.cumsum(panels)])
+
+    def t_of_w(self, w: float) -> float:
+        i = int(np.searchsorted(self.edges, w, side="right")) - 1
+        i = max(0, min(i, len(self.edges) - 2))
+        tail = _gauss_panel(self.g, self.edges[i], min(w, self.edges[-1]), self._gx, self._gw)
+        return float(self.cum[i] + tail)
+
+    def w_of_t(self, t: float) -> float:
+        i = int(np.searchsorted(self.cum, t, side="right")) - 1
+        i = max(0, min(i, len(self.edges) - 2))
+        lo, hi = float(self.edges[i]), float(self.edges[i + 1])
+
+        def h(w: float) -> float:
+            return self.cum[i] + _gauss_panel(self.g, lo, w, self._gx, self._gw) - t
+
+        if h(hi) < 0:  # guard against cumulative rounding at panel edges
+            hi = float(self.edges[-1])
+        return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+    def quad(self) -> Tuple[float, float]:
+        """Total and error estimate by adaptive quadrature, as a cross-check."""
+        return quad(lambda w: float(self.g(w)), 0.0, self.w_max, epsabs=1e-12, epsrel=1e-12)[:2]
+
+
 class ProfileMap:
     """Invertible map between arclength t and the profile value f.
 
-    Built once per segment polynomial: composite Gauss-Legendre tables in the
-    square-root variables w = sqrt(f) (left) and w = sqrt(m1+m2-f) (right),
+    Built once per segment polynomial: one cumulative table per end chart,
+    in w = sqrt(f) up to the midpoint and w = sqrt(m1+m2-f) beyond it,
     where the integrand of t(f) is smooth.
     """
 
@@ -439,49 +476,10 @@ class ProfileMap:
         self.fd = float(sp.f_delta)
         self.fm = self.fd / 2.0
         gx, gw = np.polynomial.legendre.leggauss(gauss_order)
-        self._gx, self._gw = gx, gw
-
-        self._wl_max = math.sqrt(self.fm)
-        self._wr_max = math.sqrt(self.fd - self.fm)
-        self._edges_l = np.linspace(0.0, self._wl_max, n_panels + 1)
-        self._edges_r = np.linspace(0.0, self._wr_max, n_panels + 1)
-        self._cum_l = self._cumulative(self._integrand_left, self._edges_l)
-        self._cum_r = self._cumulative(self._integrand_right, self._edges_r)
-        self.delta = float(self._cum_l[-1] + self._cum_r[-1])
-
-    # integrands 2/sqrt(ratio(w^2)); both tend to sqrt(2) at the ends
-    def _integrand_left(self, w):
-        W = np.asarray(w, dtype=float) ** 2
-        ratio = -2.0 * p_eval_float(self.sp.q_left_f, W) / p_eval_float(self.sp.p_left_f, W)
-        if np.any(ratio <= 0):
-            raise NoKahlerEinsteinError("first integral not positive on the open segment")
-        return 2.0 / np.sqrt(ratio)
-
-    def _integrand_right(self, w):
-        W = np.asarray(w, dtype=float) ** 2
-        ratio = -2.0 * p_eval_float(self.sp.q_right_f, W) / p_eval_float(self.sp.p_right_f, W)
-        if np.any(ratio <= 0):
-            raise NoKahlerEinsteinError("first integral not positive on the open segment")
-        return 2.0 / np.sqrt(ratio)
-
-    def _cumulative(self, g: Callable, edges: np.ndarray) -> np.ndarray:
-        mid = (edges[1:] + edges[:-1]) / 2
-        half = (edges[1:] - edges[:-1]) / 2
-        nodes = mid[:, None] + half[:, None] * self._gx[None, :]
-        vals = g(nodes.ravel()).reshape(nodes.shape)
-        panels = (vals * self._gw[None, :]).sum(axis=1) * half
-        return np.concatenate([[0.0], np.cumsum(panels)])
-
-    def _partial(self, g: Callable, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        mid, half = (a + b) / 2, (b - a) / 2
-        return float(np.dot(g(mid + half * self._gx), self._gw) * half)
-
-    def _side_value(self, g, edges, cum, w: float) -> float:
-        i = int(np.searchsorted(edges, w, side="right")) - 1
-        i = max(0, min(i, len(edges) - 2))
-        return float(cum[i] + self._partial(g, edges[i], min(w, edges[-1])))
+        left, right = sp.deflations
+        self._left = _HalfTable(left, math.sqrt(self.fm), n_panels, gx, gw)
+        self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), n_panels, gx, gw)
+        self.delta = float(self._left.cum[-1] + self._right.cum[-1])
 
     def t_of_f(self, f: float) -> float:
         """t(f) = integral_0^f ds/sqrt(u(s)), via the smooth substitutions."""
@@ -491,10 +489,8 @@ class ProfileMap:
         if f >= self.fd:
             return self.delta
         if f <= self.fm:
-            return self._side_value(self._integrand_left, self._edges_l, self._cum_l, math.sqrt(f))
-        return self.delta - self._side_value(
-            self._integrand_right, self._edges_r, self._cum_r, math.sqrt(self.fd - f)
-        )
+            return self._left.t_of_w(math.sqrt(f))
+        return self.delta - self._right.t_of_w(math.sqrt(self.fd - f))
 
     def f_of_t(self, t: float) -> float:
         t = float(t)
@@ -502,32 +498,16 @@ class ProfileMap:
             return 0.0
         if t >= self.delta:
             return self.fd
-        left_total = float(self._cum_l[-1])
-        if t <= left_total:
-            edges, cum, g = self._edges_l, self._cum_l, self._integrand_left
-            target = t
-        else:
-            edges, cum, g = self._edges_r, self._cum_r, self._integrand_right
-            target = self.delta - t
-        i = int(np.searchsorted(cum, target, side="right")) - 1
-        i = max(0, min(i, len(edges) - 2))
-        lo, hi = float(edges[i]), float(edges[i + 1])
-
-        def h(w: float) -> float:
-            return cum[i] + self._partial(g, lo, w) - target
-
-        if h(hi) < 0:  # guard against cumulative rounding at panel edges
-            hi = float(edges[-1])
-        w = brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        f = w * w
-        return f if t <= left_total else self.fd - f
+        if t <= float(self._left.cum[-1]):
+            w = self._left.w_of_t(t)
+            return w * w
+        w = self._right.w_of_t(self.delta - t)
+        return self.fd - w * w
 
     def quad_error_estimate(self) -> float:
         """Compare the table totals against adaptive quadrature."""
-        il, el = quad(lambda w: float(self._integrand_left(w)), 0.0, self._wl_max,
-                      epsabs=1e-12, epsrel=1e-12, full_output=False)[:2]
-        ir, er = quad(lambda w: float(self._integrand_right(w)), 0.0, self._wr_max,
-                      epsabs=1e-12, epsrel=1e-12, full_output=False)[:2]
+        il, el = self._left.quad()
+        ir, er = self._right.quad()
         return abs(il + ir - self.delta) + el + er
 
 
@@ -543,8 +523,9 @@ def profile_delta_by_ode(sp: SegmentPolynomial, eps_frac: float = 1e-4) -> float
     sliver before the far end, which is crossed with the mirrored series; this
     is the independent route used to cross-check the quadrature of t(f).
     """
-    u1, u2, u3 = sp.series_u("left")
-    assert abs(u1 - 2.0) < 1e-9, "first integral must open with slope 2"
+    u1, u2, u3 = sp.series_u()
+    if not abs(u1 - 2.0) < 1e-9:
+        raise InternalError("first integral must open with slope 2")
     c4, c6 = u2 / 24.0, u2 * u2 / 720.0 + u3 / 80.0
     fd = float(sp.f_delta)
     t0 = 1e-2 * min(1.0, fd)
@@ -563,14 +544,9 @@ def profile_delta_by_ode(sp: SegmentPolynomial, eps_frac: float = 1e-4) -> float
     if sol.t_events[0].size == 0:
         raise NoKahlerEinsteinError("profile never reaches the far endpoint")
     t_event = float(sol.t_events[0][0])
-    # analytic tail: integral over the last sliver in the substituted variable
+    # analytic tail: integral over the last sliver in the right end chart
     gx, gw = np.polynomial.legendre.leggauss(16)
-    wmax = math.sqrt(eps)
-    mid, half = wmax / 2, wmax / 2
-    w = mid + half * gx
-    W = w ** 2
-    ratio = -2.0 * p_eval_float(sp.q_right_f, W) / p_eval_float(sp.p_right_f, W)
-    tail = float(np.dot(2.0 / np.sqrt(ratio), gw) * half)
+    tail = _gauss_panel(sp.deflations[1].integrand, 0.0, math.sqrt(eps), gx, gw)
     return t_event + tail
 
 
@@ -615,8 +591,10 @@ def profile_solve(sp: SegmentPolynomial, grid_size: int = 512) -> ProfileSolutio
         "max_ode_residual": float(np.max(np.abs(ode_res))) if ode_res.size else 0.0,
         "quad_error_estimate": pmap.quad_error_estimate(),
     }
-    assert abs(diagnostics["fpp0"] - 1.0) < 1e-6, "f''(0) limit drifted from 1"
-    assert abs(diagnostics["fpp_delta"] + 1.0) < 1e-6, "f''(delta) limit drifted from -1"
+    if not abs(diagnostics["fpp0"] - 1.0) < 1e-6:
+        raise InternalError("f''(0) limit drifted from 1")
+    if not abs(diagnostics["fpp_delta"] + 1.0) < 1e-6:
+        raise InternalError("f''(delta) limit drifted from -1")
     return ProfileSolution(
         delta=pmap.delta, t=t, f=f, fp=fp, fpp=fpp, m1=sp.m1, m2=sp.m2, map=pmap, sp=sp,
         diagnostics=diagnostics,
@@ -862,7 +840,7 @@ def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FL
         rep = futaki(flag, j, zf, 1, 1, tol=tol)
         zkf = CartanVector(tuple(float(v) for v in ricci_invariant(flag, j).values))
         z1 = zkf + zf.scale(1.0)
-        base_f = CenterLine(flag=flag, j=j, z=zf, orientation=1, period_scale=base.period_scale)
+        base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
         seg = analyze_segment(base_f, z1, 2.0, tol=1e-9)
         candidates.append(DiameterCandidate(zf.values, rep, seg, confirmed_exact=False))
 
@@ -1045,7 +1023,7 @@ def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) ->
                 rep = futaki(flag, j, z, m1, m2)
                 if not rep.vanishes:
                     continue
-                cand_base = CenterLine(flag=flag, j=j, z=z, orientation=1, period_scale=base.period_scale)
+                cand_base = CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale)
                 z1, _ = ke_endpoints(zk, z, m1, m2)
                 seg = analyze_segment(cand_base, z1, Fraction(m1 + m2))
                 if seg.candidate.m1 != m1 or seg.candidate.m2 != m2:

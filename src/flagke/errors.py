@@ -23,3 +23,7 @@ class SingularConfigurationError(FlagkeError):
 
 class NoKahlerEinsteinError(FlagkeError):
     """The Einstein first integral is not positive on the open segment."""
+
+
+class InternalError(FlagkeError):
+    """An internal invariant failed: a bug, not a property of the input."""

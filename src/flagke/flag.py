@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, InternalError
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
 
@@ -91,7 +91,8 @@ def default_complex_structure(flag: FlagData) -> InvariantComplexStructure:
     """R_m+ = roots of R_m positive in the standard simple-root order."""
     j = InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
     verdict = validate_complex_structure(flag, j)
-    assert verdict.ok, "standard order failed parabolic closure: %s" % (verdict.violations,)
+    if not verdict.ok:
+        raise InternalError("standard order failed parabolic closure: %s" % (verdict.violations,))
     return j
 
 
@@ -156,11 +157,6 @@ def chamber_position(
     if walls:
         return ChamberPosition("boundary", tuple(sorted(walls)))
     return ChamberPosition("interior")
-
-
-def in_center(flag: FlagData, x: CartanVector, tol: float = 1e-12) -> bool:
-    simple = flag.rs.simple_roots()
-    return all(scalar_sign(evaluate(simple[i], x), tol) == 0 for i in flag.painted)
 
 
 def center_coordinates(flag: FlagData, x: CartanVector) -> Optional[List[Fraction]]:

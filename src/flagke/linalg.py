@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from .errors import InternalError
+
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
@@ -47,7 +49,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, List[int]]:
 def nullspace(rows: Sequence[Sequence], n_cols: Optional[int] = None) -> List[Vector]:
     """Basis of {x : A x = 0}, exact.  Handles the zero-row matrix."""
     if not rows:
-        assert n_cols is not None, "need column count for an empty system"
+        if n_cols is None:
+            raise InternalError("need column count for an empty system")
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
     red, pivots = rref(rows)
     n_cols = len(red[0])

@@ -27,14 +27,12 @@ class CenterLine:
 
     ``z`` is normalized so that E(Z, Z) equals ``period_scale`` squared
     (default 1); for a rational input direction the normalized values live in
-    an exact quadratic extension.  ``orientation`` records the sign of the
-    input direction relative to the stored z.
+    an exact quadratic extension.
     """
 
     flag: FlagData
     j: InvariantComplexStructure
     z: CartanVector
-    orientation: int = 1
     period_scale: Fraction = Fraction(1)
 
 
@@ -63,7 +61,7 @@ def make_base(
         z = z_direction.scale(1 / scale)
     else:
         z = z_direction.scale(float(period_scale) / float(norm_sq) ** 0.5)
-    return CenterLine(flag=flag, j=j, z=z, orientation=1, period_scale=Fraction(period_scale))
+    return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 
 @dataclass(frozen=True)

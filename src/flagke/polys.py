@@ -63,13 +63,8 @@ def p_eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
     return out
 
 
-def p_integrate(a: Sequence[Scalar], lo: Scalar, hi: Scalar) -> Scalar:
-    anti = p_antideriv(a)
-    return p_eval(anti, hi) - p_eval(anti, lo)
-
-
 def p_compose_linear(a: Sequence[Scalar], c0: Scalar, c1: Scalar) -> Poly:
-    """Exact composition p(c0 + c1*x), by Horner over polynomials."""
+    """Exact composition p(c0 + c1*x) by Horner; the test oracle for reversed segments."""
     out: Poly = []
     lin: Poly = [c0, c1]
     for coeff in reversed(list(a)):

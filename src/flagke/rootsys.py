@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, InternalError
 from .scalars import Scalar
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -115,9 +115,6 @@ class Root:
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
 
-    def height(self) -> int:
-        return sum(self.coords)
-
 
 @dataclass(frozen=True)
 class CartanVector:
@@ -195,10 +192,12 @@ def _solve_integer_coords(simples: List[List[Fraction]], vec: List[Fraction]) ->
     # Euclidean model; roots always have integer coordinates
     cols = list(zip(*simples))
     sol = linalg.solve([list(row) for row in cols], vec)
-    assert sol is not None, "root outside the simple-root lattice"
+    if sol is None:
+        raise InternalError("root outside the simple-root lattice")
     out = []
     for c in sol:
-        assert c.denominator == 1, "non-integer root coordinate"
+        if c.denominator != 1:
+            raise InternalError("non-integer root coordinate")
         out.append(int(c))
     return tuple(out)
 
@@ -313,7 +312,8 @@ def _component_positive_coords(family: str, rank: int) -> List[Tuple[int, ...]]:
         if sum(c) < 0:
             c = tuple(-x for x in c)
         out.append(c)
-    assert len(set(out)) == len(out), "duplicate roots generated"
+    if len(set(out)) != len(out):
+        raise InternalError("duplicate roots generated")
     return out
 
 
@@ -387,7 +387,8 @@ def _validate(rs: RootSystem) -> None:
             aa = sum(c * v for c, v in zip(a.coords, ha))
             for b in group:
                 n_ab = 2 * sum(c * v for c, v in zip(b.coords, ha)) / aa
-                assert n_ab.denominator == 1, "non-integer Cartan pairing"
+                if n_ab.denominator != 1:
+                    raise InternalError("non-integer Cartan pairing")
                 refl = tuple(bc - int(n_ab) * ac for bc, ac in zip(b.coords, a.coords))
                 if refl not in rset:
                     raise InputError("root system not reflection-closed at %s, %s" % (a, b))

@@ -242,10 +242,6 @@ def scalar_sign(x: Scalar, tol: float = 0.0) -> int:
     return (x > 0) - (x < 0)
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def format_scalar(x: Scalar) -> str:
     """Render a scalar for reports: exact values as exact strings."""
     if isinstance(x, Quad):

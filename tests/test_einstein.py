@@ -166,7 +166,7 @@ def test_u_nonzero_at_far_end_when_obstruction_nonzero():
     # oracle: the shifted integral equals the obstruction value, nonzero
     assert p_eval(sp.q_coeffs, sp.f_delta) == ein.futaki(flag, j, base.z, 1, 1).value != 0
     with pytest.raises(DegreeMismatchError):
-        _ = sp.p_right
+        _ = sp.deflations
 
     # wall-free non-vanishing configuration: u stays away from 0 at the far end
     flag4, j4 = _flag_j("A2xA2", (1, 3))
@@ -175,7 +175,7 @@ def test_u_nonzero_at_far_end_when_obstruction_nonzero():
     sp4 = ein.SegmentPolynomial.from_base(base4, 1, 1, validate_degrees=True)
     assert p_eval(sp4.q_coeffs, sp4.f_delta) == ein.futaki(flag4, j4, base4.z, 1, 1).value != 0
     with pytest.raises(NoKahlerEinsteinError):
-        _ = sp4.p_right
+        _ = sp4.deflations
     assert abs(sp4.u_exact(Fraction(1999, 1000))) > Fraction(1, 100)
 
 

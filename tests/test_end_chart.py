@@ -1,0 +1,118 @@
+"""End charts: the right end of a segment is the left end of the reversed one."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from flagke import einstein as ein
+from flagke.errors import DegreeMismatchError, NoKahlerEinsteinError
+from flagke.flag import build_flag, default_complex_structure
+from flagke.model import make_base
+from flagke.polys import p_compose_linear
+from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector
+
+# a float winner of search_diameters on A2xA2xA2 [1, 3, 5], n_grid = 720
+D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
+
+
+def _sp(group, painted, z, m1, m2, period_scale=Fraction(1), validate_degrees=True):
+    flag = build_flag(build_root_system(LieAlgebraSpec.parse(group)), painted)
+    j = default_complex_structure(flag)
+    base = make_base(flag, j, CartanVector(tuple(z)), period_scale=period_scale)
+    return ein.SegmentPolynomial.from_base(base, m1, m2, validate_degrees=validate_degrees)
+
+
+def _a2xa2_diameter():
+    return _sp("A2xA2", [1, 3], [Fraction(1), Fraction(0), Fraction(-1), Fraction(0)], 1, 1)
+
+
+def _walled_a2():
+    # Z = -Zk/3: a full wall at Z1, admissible only at period scale 1/3
+    return _sp("A2", [1], [Fraction(-1, 6), Fraction(0)], 3, 1, period_scale=Fraction(1, 3))
+
+
+def _float_d3_winner():
+    return _sp("A2xA2xA2", [1, 3, 5], D3_WINNER_Z, 1, 1)
+
+
+EXACT_CASES = [_a2xa2_diameter, _walled_a2]
+
+
+@pytest.mark.parametrize("make", EXACT_CASES)
+def test_reversed_left_chart_is_composed_right_end(make):
+    sp = make()
+    assert sp.exact
+    rev = sp.reversed()
+    assert (rev.m1, rev.m2) == (sp.m2, sp.m1)
+    chart = rev.deflations[0]
+    p_right = p_compose_linear(sp.coeffs, sp.f_delta, Fraction(-1))
+    q_right = p_compose_linear(sp.q_coeffs, sp.f_delta, Fraction(-1))
+    assert chart.p == p_right[sp.m2 - 1:]
+    assert chart.q == q_right[sp.m2:]
+    right = sp.deflations[1]
+    assert (right.p, right.q) == (chart.p, chart.q)
+    twice = rev.reversed()
+    assert twice.coeffs == sp.coeffs and twice.q_coeffs == sp.q_coeffs
+
+
+def test_reversed_float_winner_matches_composition():
+    # float coefficients: the composition and the reversed product round
+    # differently, so they agree to rounding, not bit for bit
+    sp = _float_d3_winner()
+    assert not sp.exact
+    chart = sp.reversed().deflations[0]
+    p_right = p_compose_linear(sp.coeffs, sp.f_delta, Fraction(-1))[sp.m2 - 1:]
+    q_right = p_compose_linear(sp.q_coeffs, sp.f_delta, Fraction(-1))[sp.m2:]
+    for got, want in ((chart.p, p_right), (chart.q, q_right)):
+        assert len(got) == len(want)
+        scale = max(abs(c) for c in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale
+    twice = sp.reversed().reversed()
+    for got, want in ((twice.coeffs, sp.coeffs), (twice.q_coeffs, sp.q_coeffs)):
+        scale = max(abs(c) for c in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale
+
+
+def test_walled_profile_is_the_projective_space_metric():
+    # the (3, 1) segment is CP^3 over CP^2: delta = pi * sqrt(2)
+    sp = _walled_a2()
+    assert (sp.m1, sp.m2) == (3, 1)
+    prof = ein.profile_solve(sp)
+    assert abs(prof.delta - math.pi * math.sqrt(2)) < 1e-12
+    d = prof.diagnostics
+    assert d["f_delta_error"] < 1e-8
+    assert abs(d["fpp0"] - 1.0) < 1e-4 and abs(d["fpp_delta"] + 1.0) < 1e-4
+    assert d["max_ode_residual"] < 1e-8
+    res = ein.verify_profile(sp, prof)
+    assert res["max_tangential_residual"] < 1e-6
+    assert res["max_normal_residual"] < 1e-6
+    assert res["normal_two_route_gap"] < 1e-6
+    assert res["delta_ode_gap"] < 1e-6
+    assert res["roundtrip_error"] < 1e-8
+
+
+def test_failed_chart_build_is_cached():
+    # nonvanishing obstruction: the same exception object every time, and
+    # u_float falls back to the direct ratio
+    sp = _sp("A2xA2", [1, 3], [Fraction(1), Fraction(0), Fraction(1), Fraction(0)], 1, 1)
+    with pytest.raises(NoKahlerEinsteinError) as first:
+        sp.deflations
+    with pytest.raises(NoKahlerEinsteinError) as second:
+        sp.deflations
+    assert first.value is second.value
+    for f in (Fraction(1, 7), Fraction(1), Fraction(3, 2), Fraction(19, 10)):
+        exact = float(sp.u_exact(f))
+        assert abs(sp.u_float(float(f)) - exact) < 1e-12 * max(1.0, abs(exact))
+
+
+def test_failed_degree_check_is_cached():
+    flag = build_flag(build_root_system(LieAlgebraSpec.parse("A1xA1")), [])
+    j = default_complex_structure(flag)
+    h1, h2 = (coroot_vector(flag.rs, a) for a in flag.rs.simple_roots())
+    sp = ein.SegmentPolynomial.from_base(make_base(flag, j, h1 + h2), 1, 1, validate_degrees=False)
+    with pytest.raises(DegreeMismatchError) as first:
+        sp.deflations
+    with pytest.raises(DegreeMismatchError) as second:
+        sp.deflations
+    assert first.value is second.value

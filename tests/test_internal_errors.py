@@ -1,0 +1,52 @@
+"""Internal faults are typed errors, never bare asserts."""
+
+import ast
+import contextlib
+import glob
+import io
+import json
+import os
+
+import pytest
+
+from flagke import einstein as ein
+from flagke.cli import main
+from flagke.errors import FlagkeError, InternalError
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "flagke")
+A2XA2_SOLVE = ["solve", "--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0", "--m1", "1", "--m2", "1"]
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips asserts, and an AssertionError escapes the CLI as a
+    # traceback; raise InternalError instead
+    files = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert files
+    found = []
+    for path in files:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not found, "bare assert in src/flagke: %s" % ", ".join(found)
+
+
+@pytest.fixture
+def drifted_end_curvature(monkeypatch):
+    fpp = ein.SegmentPolynomial.fpp_float
+    monkeypatch.setattr(ein.SegmentPolynomial, "fpp_float", lambda self, f: fpp(self, f) + 1e-3)
+
+
+def test_end_curvature_drift_raises_internal_error(ke_base, drifted_end_curvature):
+    assert issubclass(InternalError, FlagkeError)
+    sp = ein.build_segment_polynomial(ke_base, 1, 1)
+    with pytest.raises(InternalError, match="f''\\(0\\)"):
+        ein.profile_solve(sp)
+
+
+def test_internal_error_reaches_cli_as_exit_one(drifted_end_curvature):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(A2XA2_SOLVE)
+    assert code == 1
+    report = json.loads(buf.getvalue())
+    assert report["error"].startswith("internal: f''(0)")
