@@ -42,6 +42,8 @@ from .scalars import format_scalar
 
 MODES = ("roots", "flag-info", "futaki", "check-segment", "solve", "verify", "search")
 FLOAT_FMT = "%.12e"  # all exported floats carry 12 significant digits
+# profile inversion holds grid x gauss_order floats per Newton step
+MAX_GRID = 65536
 
 
 @dataclass
@@ -82,7 +84,7 @@ def _resolve_structure(flag: FlagData, choice) -> InvariantComplexStructure:
         return default_complex_structure(flag)
     if not isinstance(choice, (list, tuple)):
         raise InputError("complex_structure must be 'default' or a list of root coordinate vectors")
-    roots = tuple(sorted(Root(tuple(int(c) for c in coords)) for coords in choice))
+    roots = tuple(sorted(Root(tuple(_convert("complex_structure", coords, _int_list))) for coords in choice))
     j = InvariantComplexStructure(roots)
     verdict = validate_complex_structure(flag, j)
     if not verdict.ok:
@@ -286,13 +288,11 @@ def _solve_pipeline(job: JobSpec):
 
 
 def _residual_columns(sp, profile):
-    n = len(profile.t)
-    res_tan = np.full(n, np.nan)
-    res_norm = np.full(n, np.nan)
-    for i in range(1, n - 1):
-        f, fp, fpp = profile.f[i], profile.fp[i], profile.fpp[i]
-        res_tan[i] = float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp))))
-        res_norm[i] = ein.ricci_normal_state(sp, f, fp, fpp) - 1.0
+    res_tan = np.full(len(profile.t), np.nan)
+    res_norm = np.full(len(profile.t), np.nan)
+    state = (profile.f[1:-1], profile.fp[1:-1], profile.fpp[1:-1])
+    res_tan[1:-1] = np.max(np.abs(ein.tangential_residuals_state(sp, *state)), axis=-1)
+    res_norm[1:-1] = ein.ricci_normal_state(sp, *state) - 1.0
     return res_tan, res_norm
 
 
@@ -479,27 +479,28 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.job:
         with open(args.job) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise InputError("job file must hold a JSON object")
         if "mode" in data and data["mode"] != args.mode:
             raise InputError("job file mode %r conflicts with subcommand %r" % (data["mode"], args.mode))
     job = JobSpec(mode=args.mode)
     if "group" in data:
-        group = data["group"]
-        job.group = "x".join("%s%d" % (g["family"], g["rank"]) for g in group) if isinstance(group, list) else str(group)
-    job.painted = list(data.get("painted", []))
+        job.group = _convert("group", data["group"], _group_name)
+    job.painted = _convert("painted", data.get("painted", []), _int_list)
     job.complex_structure = data.get("complex_structure", "default")
     job.z_direction = data.get("z_direction")
-    job.m1 = data.get("m1")
-    job.m2 = data.get("m2")
+    job.m1 = None if data.get("m1") is None else _convert("m1", data["m1"], int)
+    job.m2 = None if data.get("m2") is None else _convert("m2", data["m2"], int)
     job.tau = str(data.get("tau", "1"))
-    job.tol = float(data.get("tol", 1e-12))
-    job.grid = int(data.get("grid", 512))
+    job.tol = _convert("tol", data.get("tol", 1e-12), float)
+    job.grid = _convert("grid", data.get("grid", 512), int)
     job.arithmetic = data.get("arithmetic", "exact")
     job.out = data.get("out")
 
     if args.group:
         job.group = args.group
     if args.painted is not None:
-        job.painted = [int(p) for p in args.painted.split(",") if p.strip()]
+        job.painted = _convert("painted", [p for p in args.painted.split(",") if p.strip()], _int_list)
     if args.jsigns:
         job.complex_structure = "default" if args.jsigns == "default" else json.loads(args.jsigns)
     if args.z:
@@ -518,7 +519,29 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         job.arithmetic = args.arithmetic
     if args.out:
         job.out = args.out
+    if job.grid > MAX_GRID:
+        raise InputError("grid must have at most %d points, got %d" % (MAX_GRID, job.grid))
     return job
+
+
+def _convert(name: str, value, convert):
+    """convert(value), with a failure reported as bad input for the named field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise InputError("job field %r: cannot use %r (%s)" % (name, value, exc)) from exc
+
+
+def _int_list(value) -> List[int]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list of integers")
+    return [int(v) for v in value]
+
+
+def _group_name(group) -> str:
+    if isinstance(group, list):
+        return "x".join("%s%d" % (g["family"], int(g["rank"])) for g in group)
+    return str(group)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from flagke import einstein as ein
 from flagke.cli import main
 
 
@@ -55,7 +57,7 @@ def test_check_segment_reports_degree_mismatch(capsys):
     assert {"root": [0, 1], "alpha_z1": "0"} in seg["walls_z1"]
 
 
-def test_solve_writes_profile_table(tmp_path, capsys):
+def test_solve_writes_profile_table(tmp_path, capsys, ke_base):
     out = tmp_path / "profile.csv"
     code, rep = _capture(
         capsys,
@@ -80,6 +82,15 @@ def test_solve_writes_profile_table(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "profile.csv.json").read_text())
     assert sidecar["grid_size"] == 48
     assert sidecar["diagnostics"]["f_delta_error"] < 1e-8
+
+    # the residual columns are the scalar state functions, row by row
+    sp = ein.build_segment_polynomial(ke_base, 1, 1)
+    prof = ein.profile_solve(sp, grid_size=48)
+    assert np.isnan(data[0, 4:]).all() and np.isnan(data[-1, 4:]).all()
+    for i in range(1, 47):
+        f, fp, fpp = float(prof.f[i]), float(prof.fp[i]), float(prof.fpp[i])
+        assert abs(data[i, 4] - float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp))))) <= 1e-13
+        assert abs(data[i, 5] - (ein.ricci_normal_state(sp, f, fp, fpp) - 1.0)) <= 1e-13
 
 
 def test_verify_mode_all_pass(capsys):
@@ -200,6 +211,28 @@ def test_export_io_failure_reported(tmp_path, capsys):
     )
     assert code == 1
     assert "i/o failure" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"grid": "abc"},
+        {"tol": "x"},
+        {"painted": "1,3"},
+        {"m1": "x"},
+        {"m2": [1]},
+        {"grid": 10 ** 12},
+    ],
+    ids=["grid-not-int", "tol-not-float", "painted-string", "m1-not-int", "m2-list", "grid-above-max"],
+)
+def test_bad_job_file_value_is_exit_two(tmp_path, capsys, field):
+    job = {"group": "A2xA2", "painted": [1, 3], "z_direction": "1,0,-1,0", "m1": 1, "m2": 1, "grid": 48}
+    job.update(field)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, rep = _capture(capsys, ["solve", "--job", str(path)])
+    assert code == 2
+    assert isinstance(rep["error"], str) and rep["error"]
 
 
 def test_report_determinism(capsys):

@@ -281,6 +281,13 @@ def test_ricci_tangential_and_normal_residuals(ke_profile):
     assert prof.diagnostics["max_ode_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("n_check", [0, -3])
+def test_verify_profile_rejects_fewer_than_one_check(ke_profile, n_check):
+    sp, prof = ke_profile
+    with pytest.raises(InputError, match="at least one check"):
+        ein.verify_profile(sp, prof, n_check=n_check)
+
+
 def test_ricci_single_root_evaluation(ke_profile):
     sp, prof = ke_profile
     t = prof.delta / 3
