@@ -521,6 +521,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         job.out = args.out
     if job.grid > MAX_GRID:
         raise InputError("grid must have at most %d points, got %d" % (MAX_GRID, job.grid))
+    if job.arithmetic not in ("exact", "float"):
+        raise InputError("arithmetic must be 'exact' or 'float', got %r" % (job.arithmetic,))
     return job
 
 

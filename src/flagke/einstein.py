@@ -32,8 +32,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from . import linalg
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
@@ -519,6 +517,8 @@ class _HalfTable:
 
     def quad(self) -> Tuple[float, float]:
         """Total and error estimate by adaptive quadrature, as a cross-check."""
+        from scipy.integrate import quad
+
         return quad(lambda w: float(self.g(w)), 0.0, self.w_max, epsabs=1e-12, epsrel=1e-12)[:2]
 
 
@@ -585,6 +585,8 @@ def profile_delta_by_ode(sp: SegmentPolynomial, eps_frac: float = 1e-4) -> float
     sliver before the far end, which is crossed with the mirrored series; this
     is the independent route used to cross-check the quadrature of t(f).
     """
+    from scipy.integrate import solve_ivp
+
     u1, u2, u3 = sp.series_u()
     if not abs(u1 - 2.0) < 1e-9:
         raise InternalError("first integral must open with slope 2")
@@ -819,9 +821,9 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure) -> SphereChe
         raise InputError("flag has no transverse roots; paint fewer simple roots")
     rs = flag.rs
     zk = ricci_invariant(flag, j)
-    gram_c = [
-        [Fraction(killing(rs, b1, b2)) for b2 in flag.center_basis] for b1 in flag.center_basis
-    ]
+    gram_c_inv = linalg.invert(
+        [[killing(rs, b1, b2) for b2 in flag.center_basis] for b1 in flag.center_basis]
+    )
     best = None
     best_center = None
     binding = None
@@ -829,8 +831,9 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure) -> SphereChe
         az = Fraction(evaluate(alpha, zk))
         full = az * az / rs.dual_pairing(alpha.coords, alpha.coords)
         rhs = [Fraction(evaluate(alpha, b)) for b in flag.center_basis]
-        coeffs = linalg.solve(gram_c, rhs)
-        norm_center = sum((c * r for c, r in zip(coeffs, rhs)), Fraction(0))
+        norm_center = sum(
+            (ri * gij * rj for ri, row in zip(rhs, gram_c_inv) for gij, rj in zip(row, rhs)), Fraction(0)
+        )
         center = az * az / norm_center
         if best is None or full < best:
             best, binding = full, alpha
@@ -950,6 +953,8 @@ def _futaki_fast(flag: FlagData, j: InvariantComplexStructure):
 
 
 def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, tol: float, offset=0.0):
+    from scipy.optimize import brentq
+
     thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
     step = 2 * math.pi / n_grid
 

@@ -1,14 +1,14 @@
 """Exact rational linear algebra on small dense matrices.
 
 Matrices are lists of lists of ``Fraction``.  Sizes here are tiny (at most the
-total rank of the Lie algebra), so plain fraction-free-ish Gaussian
-elimination is both fast enough and exact.
+total rank of the Lie algebra), so plain Gaussian elimination is both fast
+enough and exact.  Integer matrices get fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError
 
@@ -101,32 +101,27 @@ def mat_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
     return [sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
 
 
-def leading_minors_positive(rows: Sequence[Sequence]) -> bool:
-    """Sylvester test for positive definiteness, exact."""
-    m = _as_matrix(rows)
-    n = len(m)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in m[:k]]
-        if _det(sub) <= 0:
-            return False
-    return True
+def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], Optional[List[List[int]]]]:
+    """Leading principal minors and adjugate of a square integer matrix.
 
-
-def _det(m: Matrix) -> Fraction:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    of ``[M | I]`` without row exchanges: the k-th pivot is the k-th leading
+    principal minor, every division is exact, and the right half ends as
+    ``adj(M) = det(M) * M^-1``.  Stops at the first zero pivot, returning the
+    minors so far and no adjugate.
+    """
+    n = len(rows)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    minors: List[int] = []
+    prev = 1
+    for k in range(n):
+        piv = m[k][k]
+        if piv == 0:
+            return minors, None
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        minors.append(piv)
+        prev = piv
+    return minors, [row[n:] for row in m]

@@ -10,15 +10,33 @@ the positive-definite form on the real Cartan that the Killing form induces
 (up to sign) on a compact algebra.  In coordinates E(H, H') = v^T M v' with
 M = sum of outer products of root coordinate vectors, and the coroot of alpha
 is H_alpha = M^{-1} alpha, characterized by E(H_alpha, .) = alpha(.).
+
+Each simple factor's positive roots come from its integer Cartan matrix by
+root strings, in Bourbaki numbering (painted indices depend on it):
+
+    A_n      chain 1-2-...-n
+    B_n      chain, node n short
+    C_n      chain, node n long
+    D_n      chain 1-...-(n-1), and node n attached to n-2
+    E_6,7,8  edges 1-3, 3-4, 4-5, 2-4, then a chain 5-6-...-r
+    F_4      chain, nodes 1, 2 long and 3, 4 short
+    G_2      alpha_1 short, alpha_2 long
+
+Every built system is validated: the classical root count, no duplicates,
+definite signs, support inside one simple factor, a positive-definite M, and
+closure under the reflection s_a of every root a, checked per factor in
+integers with the adjugate of M (see `_check_block_closure`).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from . import linalg
 from .errors import InputError, InternalError
@@ -184,136 +202,60 @@ class RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# positive-root generation, one simple family at a time
+# positive roots from Cartan matrices
 
 
-def _solve_integer_coords(simples: List[List[Fraction]], vec: List[Fraction]) -> Tuple[int, ...]:
-    # coordinates c with sum_i c[i] * simple[i] = vec, solved in the ambient
-    # Euclidean model; roots always have integer coordinates
-    cols = list(zip(*simples))
-    sol = linalg.solve([list(row) for row in cols], vec)
-    if sol is None:
-        raise InternalError("root outside the simple-root lattice")
-    out = []
-    for c in sol:
-        if c.denominator != 1:
-            raise InternalError("non-integer root coordinate")
-        out.append(int(c))
-    return tuple(out)
+def cartan_matrix(family: str, rank: int) -> List[List[int]]:
+    """A[i][j] = <alpha_i, alpha_j^v> = 2(alpha_i, alpha_j)/(alpha_j, alpha_j), Bourbaki numbering.
 
-
-def _euclid_positive_roots(family: str, rank: int):
-    """(simple roots, positive roots) as exact vectors in a Euclidean model."""
-    F = Fraction
-
-    def e(i: int, dim: int, val=1) -> List[Fraction]:
-        v = [F(0)] * dim
-        v[i] = F(val)
-        return v
-
-    def add(u, v):
-        return [a + b for a, b in zip(u, v)]
-
-    def sub(u, v):
-        return [a - b for a, b in zip(u, v)]
-
-    if family == "A":
-        dim = rank + 1
-        simples = [sub(e(i, dim), e(i + 1, dim)) for i in range(rank)]
-        pos = [sub(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        return simples, pos
-
+    Built from the Dynkin diagram: its edges and each node's squared length
+    (1 short, 2 or 3 long), so an edge i-j gives A[i][j] = -max(len)/len_j.
+    """
+    chain = [(i, i + 1) for i in range(rank - 1)]
+    lengths = [1] * rank
     if family == "B":
-        dim = rank
-        simples = [sub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)] + [e(rank - 1, dim)]
-        pos = [sub(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        pos += [add(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        pos += [e(i, dim) for i in range(dim)]
-        return simples, pos
-
-    if family == "C":
-        dim = rank
-        simples = [sub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)] + [e(rank - 1, dim, 2)]
-        pos = [sub(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        pos += [add(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        pos += [e(i, dim, 2) for i in range(dim)]
-        return simples, pos
-
-    if family == "D":
-        dim = rank
-        simples = [sub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        simples.append(add(e(rank - 2, dim), e(rank - 1, dim)))
-        pos = [sub(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        pos += [add(e(i, dim), e(j, dim)) for i in range(dim) for j in range(i + 1, dim)]
-        return simples, pos
-
-    if family == "F":
-        dim = 4
-        simples = [
-            sub(e(1, dim), e(2, dim)),
-            sub(e(2, dim), e(3, dim)),
-            e(3, dim),
-            [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)],
-        ]
-        pos = [e(i, dim) for i in range(4)]
-        pos += [sub(e(i, dim), e(j, dim)) for i in range(4) for j in range(i + 1, 4)]
-        pos += [add(e(i, dim), e(j, dim)) for i in range(4) for j in range(i + 1, 4)]
-        for signs in itertools.product((F(1, 2), F(-1, 2)), repeat=3):
-            pos.append([F(1, 2), *signs])
-        return simples, pos
-
-    if family == "E":
-        # Bourbaki E8; E6 and E7 are cut out downstream by simple-root support
-        dim = 8
-        simples = [
-            [F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), F(1, 2)],
-            add(e(0, dim), e(1, dim)),
-            sub(e(1, dim), e(0, dim)),
-            sub(e(2, dim), e(1, dim)),
-            sub(e(3, dim), e(2, dim)),
-            sub(e(4, dim), e(3, dim)),
-            sub(e(5, dim), e(4, dim)),
-            sub(e(6, dim), e(5, dim)),
-        ]
-        pos = []
-        for j in range(8):
-            for i in range(j):
-                pos.append(add(e(i, dim), e(j, dim)))
-                pos.append(sub(e(j, dim), e(i, dim)))
-        for signs in itertools.product((1, -1), repeat=7):
-            if (sum(signs) + 1) % 4 == 0:  # even number of minus signs overall
-                pos.append([F(1, 2)] + [F(s, 2) for s in signs[:6]] + [F(signs[6], 2)])
-        # keep only vectors with positive pairing against the fundamental coweight
-        # of the chosen simple system: here positivity is encoded instead by
-        # integer coordinates below, so return the raw candidates.
-        return simples, pos
-
-    raise InputError("no Euclidean model for family %r" % family)
+        lengths = [2] * (rank - 1) + [1]
+    elif family == "C":
+        lengths = [1] * (rank - 1) + [2]
+    elif family == "D":
+        chain = chain[:-1] + ([(rank - 3, rank - 1)] if rank > 2 else [])
+    elif family == "E":
+        chain = [(0, 2), (2, 3), (3, 4), (1, 3)] + chain[4:]
+    elif family == "F":
+        lengths = [2, 2, 1, 1]
+    elif family == "G":
+        lengths = [1, 3]
+    a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in chain:
+        top = max(lengths[i], lengths[j])
+        a[i][j], a[j][i] = -top // lengths[j], -top // lengths[i]
+    return a
 
 
-def _component_positive_coords(family: str, rank: int) -> List[Tuple[int, ...]]:
-    if family == "G":
-        # alpha1 short, alpha2 long
-        return [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+def positive_roots(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Positive roots by root strings, level by level (Humphreys, GTM 9, 10.2).
 
-    if family == "E" and rank in (6, 7):
-        full = _component_positive_coords("E", 8)
-        keep = rank  # Bourbaki numbering: E_r spans the first r simple roots
-        out = []
-        for c in full:
-            if all(v == 0 for v in c[keep:]):
-                out.append(c[:keep])
-        return out
-
-    simples, pos = _euclid_positive_roots(family, rank)
-    out = []
-    for v in pos:
-        c = _solve_integer_coords(simples, v)
-        if sum(c) < 0:
-            c = tuple(-x for x in c)
-        out.append(c)
-    if len(set(out)) != len(out):
-        raise InternalError("duplicate roots generated")
+    A root beta of height h plus alpha_i is a root iff q > 0 in the alpha_i
+    string beta - p alpha_i, ..., beta + q alpha_i, where p - q = <beta, alpha_i^v>
+    and p is read off the roots of lower height, which are all known.
+    """
+    n = len(cartan)
+    level = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    found, out = set(level), list(level)
+    while level:
+        above = []
+        for beta in level:
+            for i in range(n):
+                p, down = 0, list(beta)
+                down[i] -= 1
+                while tuple(down) in found:
+                    p, down[i] = p + 1, down[i] - 1
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if p > sum(c * row[i] for c, row in zip(beta, cartan)) and up not in found:
+                    found.add(up)
+                    above.append(up)
+        out += above
+        level = above
     return out
 
 
@@ -325,30 +267,19 @@ def _component_positive_coords(family: str, rank: int) -> List[Tuple[int, ...]]:
 def build_root_system(spec: LieAlgebraSpec) -> RootSystem:
     """All roots plus the Gram matrix M of E and its exact inverse."""
     n = spec.rank
-    blocks = spec.blocks()
-    coords: List[Tuple[int, ...]] = []
-    for (fam, rank), (start, stop) in zip(spec.components, blocks):
-        for c in _component_positive_coords(fam, rank):
-            padded = [0] * n
-            padded[start:stop] = c
-            coords.append(tuple(padded))
-    roots = [Root(c) for c in coords] + [Root(tuple(-x for x in c)) for c in coords]
-
-    gram = [[0] * n for _ in range(n)]
-    for r in roots:
-        c = r.coords
-        for i in range(n):
-            if c[i]:
-                for j in range(n):
-                    if c[j]:
-                        gram[i][j] += c[i] * c[j]
-    gram_t = tuple(tuple(row) for row in gram)
-    inv = linalg.invert(gram)
+    pos = []
+    for (fam, rank), (start, stop) in zip(spec.components, spec.blocks()):
+        pos += [(0,) * start + c + (0,) * (n - stop) for c in positive_roots(cartan_matrix(fam, rank))]
+    arr = np.array(pos, dtype=np.int64)
+    gram = tuple(tuple(int(x) for x in row) for row in 2 * arr.T @ arr)
+    minors, adj = linalg.bareiss(gram)
+    if adj is None:
+        raise InternalError("Gram matrix of %s is singular" % spec)
     rs = RootSystem(
         spec=spec,
-        roots=tuple(sorted(roots)),
-        gram=gram_t,
-        gram_inverse=tuple(tuple(row) for row in inv),
+        roots=tuple(sorted([Root(c) for c in pos] + [Root(tuple(-x for x in c)) for c in pos])),
+        gram=gram,
+        gram_inverse=tuple(tuple(Fraction(x, minors[-1]) for x in row) for row in adj),
     )
     _validate(rs)
     return rs
@@ -368,30 +299,47 @@ def _validate(rs: RootSystem) -> None:
         sup = r.support()
         if not any(start <= sup[0] and sup[-1] < stop for start, stop in blocks):
             raise InputError("root crosses component blocks: %s" % (r.coords,))
-    if not linalg.leading_minors_positive([list(row) for row in rs.gram]):
+    minors, adj = linalg.bareiss(rs.gram)
+    if adj is None or min(minors) <= 0:
         raise InputError("Gram matrix not positive definite")
-    # closure under Weyl reflections, using only Gram data
-    rset = rs.root_set()
+    every = np.array([r.coords for r in rs.roots], dtype=np.int64)
+    for start, stop in blocks:
+        _check_block_closure(every[every[:, start:stop].any(axis=1), start:stop],
+                             [row[start:stop] for row in adj[start:stop]])
 
-    def block_of(root: Root) -> int:
-        lead = root.support()[0]
-        return next(k for k, (s, t) in enumerate(blocks) if s <= lead < t)
 
-    by_block: dict = {}
-    for r in rs.roots:
-        by_block.setdefault(block_of(r), []).append(r)
-    coroots = {r: linalg.mat_vec([list(row) for row in rs.gram_inverse], list(r.coords)) for r in rs.roots}
-    for group in by_block.values():
-        for a in group:
-            ha = coroots[a]
-            aa = sum(c * v for c, v in zip(a.coords, ha))
-            for b in group:
-                n_ab = 2 * sum(c * v for c, v in zip(b.coords, ha)) / aa
-                if n_ab.denominator != 1:
-                    raise InternalError("non-integer Cartan pairing")
-                refl = tuple(bc - int(n_ab) * ac for bc, ac in zip(b.coords, a.coords))
-                if refl not in rset:
-                    raise InputError("root system not reflection-closed at %s, %s" % (a, b))
+def _check_block_closure(roots: np.ndarray, adj: List[List[int]]) -> None:
+    """s_a(b) = b - n_ab a lies in the block's roots for every pair of roots a, b.
+
+    n_ab = 2 (b . K a) / (a . K a) with K = adj(M_block) divided by its content,
+    an integer multiple of M_block^-1, so every product is an exact int64 once
+    the magnitude checks below hold.  s_a = s_-a, so a runs over positive roots;
+    reflected vectors are matched to roots by mixed-radix keys, one a at a time.
+    """
+    g = math.gcd(*(x for row in adj for x in row))
+    k = np.array([[x // g for x in row] for row in adj], dtype=np.int64)
+    c = int(np.abs(roots).max())
+    l1 = int(np.abs(roots).sum(axis=1).max())
+    radix = 2 * c + 1
+    # |b . K a| <= max|K| l1^2 bounds the pairings, the n_ab and every entry of s_a(b)
+    if radix ** roots.shape[1] >= 2 ** 62 or 2 * int(np.abs(k).max()) * l1 * l1 * (c + 1) >= 2 ** 62:
+        raise InternalError("root block too large for int64 closure check")
+    weights = radix ** np.arange(roots.shape[1], dtype=np.int64)
+    keys = np.sort((roots + c) @ weights)
+    positive = roots[roots.sum(axis=1) > 0]
+    ka = positive @ k
+    norms = (ka * positive).sum(axis=1)
+    pairs = 2 * roots @ ka.T
+    if (pairs % norms).any():
+        raise InternalError("non-integer Cartan pairing")
+    for col, a in enumerate(positive):
+        refl = roots - np.outer(pairs[:, col] // norms[col], a)
+        key = (refl + c) @ weights
+        hit = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
+        bad = ~(hit & (np.abs(refl) <= c).all(axis=1))
+        if bad.any():
+            raise InputError("root system not reflection-closed at %s, %s"
+                             % (tuple(a.tolist()), tuple(roots[bad.argmax()].tolist())))
 
 
 def evaluate(root: Root, h: CartanVector) -> Scalar:

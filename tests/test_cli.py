@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -222,8 +223,10 @@ def test_export_io_failure_reported(tmp_path, capsys):
         {"m1": "x"},
         {"m2": [1]},
         {"grid": 10 ** 12},
+        {"arithmetic": "flaot"},
     ],
-    ids=["grid-not-int", "tol-not-float", "painted-string", "m1-not-int", "m2-list", "grid-above-max"],
+    ids=["grid-not-int", "tol-not-float", "painted-string", "m1-not-int", "m2-list", "grid-above-max",
+         "arithmetic-unknown"],
 )
 def test_bad_job_file_value_is_exit_two(tmp_path, capsys, field):
     job = {"group": "A2xA2", "painted": [1, 3], "z_direction": "1,0,-1,0", "m1": 1, "m2": 1, "grid": 48}
@@ -251,3 +254,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["root_count"] == 2
+
+
+_SCIPY_PROBE = """
+import json, sys
+import flagke, flagke.cli
+lazy = ("scipy.integrate", "scipy.optimize")
+after_import = [m for m in lazy if m in sys.modules]
+code = flagke.cli.main(["roots", "--group", "E8"])
+sys.stderr.write(json.dumps([code, after_import, [m for m in lazy if m in sys.modules]]))
+"""
+
+
+def test_import_and_roots_leave_scipy_solvers_unloaded():
+    # quad, solve_ivp and brentq are imported only by the routes that use them
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=env)
+    code, after_import, after_roots = json.loads(proc.stderr)
+    assert code == 0 and json.loads(proc.stdout)["root_count"] == 240
+    assert after_import == [] and after_roots == []

@@ -1,13 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from flagke.errors import InputError
+from flagke import linalg
+from flagke.errors import InputError, InternalError
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
+    Root,
+    _validate,
     build_root_system,
+    cartan_matrix,
     classical_root_count,
     coroot_vector,
     evaluate,
@@ -173,3 +178,50 @@ def test_product_block_structure():
     for root in system.roots:
         sup = root.support()
         assert (max(sup) < 2) or (min(sup) >= 2)
+
+
+def test_cartan_matrices_in_bourbaki_numbering():
+    assert cartan_matrix("B", 3) == [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+    assert cartan_matrix("C", 3) == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    assert cartan_matrix("D", 4) == [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    assert cartan_matrix("G", 2) == [[2, -1], [-3, 2]]
+    assert cartan_matrix("F", 4) == [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    e8 = cartan_matrix("E", 8)
+    edges = {(i + 1, j + 1) for i in range(8) for j in range(i + 1, 8) if e8[i][j]}
+    assert edges == {(1, 3), (3, 4), (4, 5), (2, 4), (5, 6), (6, 7), (7, 8)}
+    assert cartan_matrix("E", 6) == [row[:6] for row in e8[:6]]
+
+
+def _with_roots(system, positive):
+    """The system with new roots (both signs) and the Gram data they imply."""
+    coords = [tuple(c) for c in positive]
+    n = system.rank
+    gram = [[sum(2 * c[i] * c[j] for c in coords) for j in range(n)] for i in range(n)]
+    return dataclasses.replace(
+        system,
+        roots=tuple(sorted([Root(c) for c in coords] + [Root(tuple(-x for x in c)) for c in coords])),
+        gram=tuple(tuple(row) for row in gram),
+        gram_inverse=tuple(tuple(row) for row in linalg.invert(gram)),
+    )
+
+
+@pytest.mark.parametrize("text,block", [("F4", 0), ("E8", 0), ("B3xG2", 0), ("B3xG2", 1)])
+def test_closure_check_rejects_a_raised_highest_root(text, block):
+    # theta + alpha_i is never a root; swapping it for the highest root theta of
+    # one factor keeps count, signs, blocks and a definite Gram, so only the
+    # reflection closure can reject the set
+    system = rs(text)
+    start, stop = system.spec.blocks()[block]
+    positive = [list(r.coords) for r in system.positive_roots]
+    top = max((c for c in positive if any(c[start:stop])), key=sum)
+    _validate(_with_roots(system, positive))
+    for i in range(start, stop):
+        raised = [c if c is not top else c[:i] + [c[i] + 1] + c[i + 1:] for c in positive]
+        with pytest.raises((InputError, InternalError), match="reflection-closed|Cartan pairing"):
+            _validate(_with_roots(system, raised))
+
+
+@pytest.mark.parametrize("gram", [((4, 2), (2, 1)), ((1, 2), (2, 1)), ((0, 1), (1, 4)), ((-4, -2), (-2, -4))])
+def test_gram_that_is_not_positive_definite_raises(gram):
+    with pytest.raises(InputError, match="positive definite"):
+        _validate(dataclasses.replace(rs("A2"), gram=gram))
