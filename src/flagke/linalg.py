@@ -111,7 +111,7 @@ def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], Optional[List[Lis
     minors so far and no adjugate.
     """
     n = len(rows)
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     minors: List[int] = []
     prev = 1
     for k in range(n):

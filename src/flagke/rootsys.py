@@ -211,28 +211,28 @@ def cartan_matrix(family: str, rank: int) -> List[List[int]]:
     Built from the Dynkin diagram: its edges and each node's squared length
     (1 short, 2 or 3 long), so an edge i-j gives A[i][j] = -max(len)/len_j.
     """
-    chain = [(i, i + 1) for i in range(rank - 1)]
+    edges = [(i, i + 1) for i in range(rank - 1)]
     lengths = [1] * rank
     if family == "B":
         lengths = [2] * (rank - 1) + [1]
     elif family == "C":
         lengths = [1] * (rank - 1) + [2]
     elif family == "D":
-        chain = chain[:-1] + ([(rank - 3, rank - 1)] if rank > 2 else [])
+        edges = edges[:-1] + ([(rank - 3, rank - 1)] if rank > 2 else [])
     elif family == "E":
-        chain = [(0, 2), (2, 3), (3, 4), (1, 3)] + chain[4:]
+        edges = [(0, 2), (2, 3), (3, 4), (1, 3)] + edges[4:]
     elif family == "F":
         lengths = [2, 2, 1, 1]
     elif family == "G":
         lengths = [1, 3]
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
-    for i, j in chain:
+    for i, j in edges:
         top = max(lengths[i], lengths[j])
         a[i][j], a[j][i] = -top // lengths[j], -top // lengths[i]
     return a
 
 
-def positive_roots(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+def _positive_roots(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     """Positive roots by root strings, level by level (Humphreys, GTM 9, 10.2).
 
     A root beta of height h plus alpha_i is a root iff q > 0 in the alpha_i
@@ -269,7 +269,7 @@ def build_root_system(spec: LieAlgebraSpec) -> RootSystem:
     n = spec.rank
     pos = []
     for (fam, rank), (start, stop) in zip(spec.components, spec.blocks()):
-        pos += [(0,) * start + c + (0,) * (n - stop) for c in positive_roots(cartan_matrix(fam, rank))]
+        pos += [(0,) * start + c + (0,) * (n - stop) for c in _positive_roots(cartan_matrix(fam, rank))]
     arr = np.array(pos, dtype=np.int64)
     gram = tuple(tuple(int(x) for x in row) for row in 2 * arr.T @ arr)
     minors, adj = linalg.bareiss(gram)
@@ -314,7 +314,8 @@ def _check_block_closure(roots: np.ndarray, adj: List[List[int]]) -> None:
     n_ab = 2 (b . K a) / (a . K a) with K = adj(M_block) divided by its content,
     an integer multiple of M_block^-1, so every product is an exact int64 once
     the magnitude checks below hold.  s_a = s_-a, so a runs over positive roots;
-    reflected vectors are matched to roots by mixed-radix keys, one a at a time.
+    reflected vectors are matched to roots by mixed-radix keys, one a at a time;
+    a key names a unique vector only inside the box |coordinate| <= c.
     """
     g = math.gcd(*(x for row in adj for x in row))
     k = np.array([[x // g for x in row] for row in adj], dtype=np.int64)

@@ -225,3 +225,22 @@ def test_closure_check_rejects_a_raised_highest_root(text, block):
 def test_gram_that_is_not_positive_definite_raises(gram):
     with pytest.raises(InputError, match="positive definite"):
         _validate(dataclasses.replace(rs("A2"), gram=gram))
+
+
+@pytest.mark.parametrize("text,old,new", [("B3xG2", (0, 0, 1, 0, 0), (0, 0, 2, 0, 0)), ("A3", (0, 0, 1), (1, 0, 1))])
+def test_reflection_test_alone_rejects_a_stray_vector(text, old, new):
+    # under the true Gram matrix every pairing with the stray vector is an
+    # integer, so the integrality check passes and only membership can fail
+    system = rs(text)
+    positive = [new if r.coords == old else r.coords for r in system.positive_roots]
+    stray = dataclasses.replace(system, roots=tuple(sorted([Root(c) for c in positive] + [-Root(c) for c in positive])))
+    with pytest.raises(InputError, match="reflection-closed"):
+        _validate(stray)
+
+
+def test_non_integer_pairing_is_an_internal_error():
+    system = rs("F4")
+    positive = [list(r.coords) for r in system.positive_roots]
+    positive[positive.index([2, 3, 4, 2])] = [3, 3, 4, 2]
+    with pytest.raises(InternalError, match="non-integer Cartan pairing"):
+        _validate(_with_roots(system, positive))
