@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,16 +41,20 @@ from .flag import FlagData, InvariantComplexStructure, ricci_invariant
 from .model import AdmissibleSegment, CenterLine, analyze_segment, make_base
 from .polys import (
     Poly,
+    int_linear_product,
     p_add,
     p_antideriv,
     p_deriv,
     p_eval,
     p_eval_float,
+    p_linear_product,
     p_low_order,
     p_mul,
     p_scale,
     p_to_float,
     p_trim,
+    pair_scalar,
+    split_exact,
 )
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Scalar, is_exact, scalar_is_zero
@@ -90,22 +96,21 @@ def futaki(
 ) -> FutakiReport:
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
-    The integrand y * prod alpha(Z_kappa - y z) is expanded term by term and
-    integrated as a polynomial; on the float path a crude roundoff bound
+    On exact inputs Zk and Z are split once into integer vectors over one
+    denominator, R_m+ is grouped into isotropy modules (alpha(Zk), alpha(Z))
+    -> d, and y * prod alpha(Zk - y Z) is expanded and integrated in
+    integers; one Fraction or Quad is built, for the value.  On the float
+    path the integrand is expanded term by term and a crude roundoff bound
     accompanies the value.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
     zk = ricci_invariant(flag, j)
-    poly: Poly = [Fraction(1)]
-    for alpha in j.positive:
-        poly = p_mul(poly, [evaluate(alpha, zk), -evaluate(alpha, z)])
-    poly = [Fraction(0)] + list(poly)  # multiply by y
-    exact = all(is_exact(c) for c in poly)
-    lo, hi = -Fraction(m1), Fraction(m2)
-    if exact:
-        value = _poly_integral(poly, lo, hi)
+    if z.kind != "float":
+        value = _futaki_exact(zk, z, j, m1, m2)
         return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
+    poly = [Fraction(0)] + p_linear_product((evaluate(alpha, zk), evaluate(alpha, z)) for alpha in j.positive)
+    lo, hi = -Fraction(m1), Fraction(m2)
     val = 0.0
     bound = 0.0
     big = float(max(m1, m2))
@@ -118,20 +123,29 @@ def futaki(
     return FutakiReport(value=val, vanishes=abs(val) <= max(tol, bound), exact=False, tol=tol, error_bound=bound)
 
 
-def _poly_integral(poly: Sequence[Scalar], lo: Scalar, hi: Scalar) -> Scalar:
-    out: Scalar = Fraction(0)
-    for k, c in enumerate(poly):
-        if scalar_is_zero(c):
-            continue
-        out = out + c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-    return out
+def _futaki_exact(zk: CartanVector, z: CartanVector, j: InvariantComplexStructure, m1: int, m2: int) -> Scalar:
+    """integral_{-m1}^{m2} y * sum_n c_n y^n dy with c_n from integer module products."""
+    n = len(zk.values)
+    u, v, den, r = split_exact(zk.values + z.values)
+    y, zr, zs = u[:n], u[n:], v[n:]
+    modules = Counter(
+        (sum(map(mul, c, y)), 0, sum(map(mul, c, zr)), sum(map(mul, c, zs))) for c in (a.coords for a in j.positive)
+    )
+    us, vs = int_linear_product(modules, r)
+    # integral of y^(i+1) is (m2^(i+2) - (-m1)^(i+2)) / (i+2); lcm(1..) makes every weight an integer
+    scale = math.lcm(*range(1, len(us) + 2))
+    weights = [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(len(us))]
+    total = scale * den ** len(j.positive)
+    return pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
 
 
 def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
     """integral_0^{m1+m2} P(v)(v - m1) dv computed from the segment polynomial.
 
     Equal to the obstruction integral after y = v - m1; kept as a separate
-    computation path so the change of variables can be asserted exactly.
+    computation path so the change of variables can be asserted exactly.  It
+    shares the integer product with `futaki`, so the tests also check both
+    against a per-root Fraction/Quad product.
     """
     sp = SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False)
     return p_eval(sp.q_coeffs, Fraction(m1 + m2))
@@ -150,7 +164,7 @@ class RootFactor:
 
 
 class EndChart:
-    """The end v = 0 of a segment polynomial P that vanishes there to order m - 1.
+    """The end v = 0 of a segment polynomial P, which vanishes there to order m - 1 with m = m1.
 
     Holds the exactly deflated p = P[m-1:] and q = Q[m:], with
     Q(x) = integral_0^x P(v)(v - m) dv, and their float twins.  Near the end
@@ -159,9 +173,9 @@ class EndChart:
     reversed polynomial, so one chart type serves both ends.
     """
 
-    def __init__(self, coeffs: Sequence[Scalar], m: int, exact: bool, where: str = "0"):
-        q_coeffs = _first_integral(coeffs, m)
-        low_order = p_low_order if exact else _float_low_order
+    def __init__(self, sp: "SegmentPolynomial", where: str = "0"):
+        coeffs, q_coeffs, m = sp.coeffs, sp.q_coeffs, sp.m1
+        low_order = p_low_order if sp.exact else _float_low_order
         lp = low_order(coeffs)
         if lp != m - 1:
             raise DegreeMismatchError("P vanishes to order %d at %s, expected %d" % (lp, where, m - 1))
@@ -211,11 +225,6 @@ class EndChart:
         return 2.0 / np.sqrt(ratio)
 
 
-def _first_integral(coeffs: Sequence[Scalar], m: int) -> Poly:
-    """Q(x) = integral_0^x P(v)(v - m) dv."""
-    return p_antideriv(p_mul(coeffs, [-Fraction(m), Fraction(1)]))
-
-
 class SegmentPolynomial:
     """P(v) = prod alpha(Z1 - v Z) with exact derivatives and end charts.
 
@@ -246,13 +255,10 @@ class SegmentPolynomial:
                 },
             )
 
-        poly: Poly = [Fraction(1)]
-        for f in self.factors:
-            poly = p_mul(poly, [f.a, -f.k])
-        self.coeffs = p_trim(poly)
+        self.coeffs = p_linear_product((f.a, f.k) for f in self.factors)
         self.d_coeffs = p_deriv(self.coeffs)
         # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
-        self.q_coeffs = _first_integral(self.coeffs, m1)
+        self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
 
         self.coeffs_f = p_to_float(self.coeffs)
         self.q_coeffs_f = p_to_float(self.q_coeffs)
@@ -273,8 +279,8 @@ class SegmentPolynomial:
         """
         if self._deflations is None:
             try:
-                left = EndChart(self.coeffs, self.m1, self.exact)
-                right = EndChart(self.reversed().coeffs, self.m2, self.exact, where="the right end")
+                left = EndChart(self)
+                right = EndChart(self.reversed(), where="the right end")
                 q_end = p_eval(self.q_coeffs, self.f_delta)
                 tol = 0.0 if self.exact else 1e-9 * max([abs(float(q_end))] + [abs(c) for c in right.q_f])
                 if not scalar_is_zero(q_end, tol):
@@ -701,11 +707,6 @@ def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
     if np.any(g == 0):
         raise SingularConfigurationError("metric eigenvalue vanishes at f = %g" % _first(f, np.any(g == 0, axis=-1)))
     return r / g - 1.0
-
-
-def tangential_residuals(sp: SegmentPolynomial, profile: ProfileSolution, t: float) -> np.ndarray:
-    """r_alpha/g_alpha - 1 for every positive root at time t."""
-    return tangential_residuals_state(sp, *_state_at(sp, profile, t))
 
 
 def _factor_index(sp: SegmentPolynomial, alpha: Root) -> int:

@@ -123,12 +123,15 @@ def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> 
 
 
 def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVector:
-    """Z_kappa = sum over alpha in R_m+ of the coroot H_alpha; exact rational."""
-    vals = [Fraction(0)] * flag.rs.rank
+    """Z_kappa = sum over alpha in R_m+ of the coroot H_alpha; exact rational.
+
+    H_alpha = M^{-1} alpha is linear in alpha, so this is the one coroot
+    vector of the summed root coordinates.
+    """
+    total = [0] * flag.rs.rank
     for alpha in j.positive:
-        h = coroot_vector(flag.rs, alpha)
-        vals = [a + b for a, b in zip(vals, h.values)]
-    return CartanVector(tuple(vals))
+        total = [t + c for t, c in zip(total, alpha.coords)]
+    return coroot_vector(flag.rs, Root(tuple(total)))
 
 
 def wall_roots(flag: FlagData, x: CartanVector, tol: float = 1e-12) -> Tuple[Root, ...]:

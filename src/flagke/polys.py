@@ -3,16 +3,24 @@
 Coefficients are stored ascending (c[k] multiplies x**k) and may be any exact
 scalar (Fraction or Quad).  These helpers stay exact end to end; callers
 convert to numpy float arrays only at the numerics boundary.
+
+Products of linear factors prod (a - k x), the segment polynomial and the
+obstruction integrand, are formed in Python integers: equal factors are
+grouped into modules (a, k) -> d, one common denominator is cleared, and each
+coefficient is carried as a pair (u, v) meaning u + v sqrt(R) (see
+`int_linear_product`).
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Scalar, scalar_is_zero
+from .scalars import Quad, Scalar, is_exact, scalar_is_zero
 
 Poly = List[Scalar]
 
@@ -63,15 +71,6 @@ def p_eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
     return out
 
 
-def p_compose_linear(a: Sequence[Scalar], c0: Scalar, c1: Scalar) -> Poly:
-    """Exact composition p(c0 + c1*x) by Horner; the test oracle for reversed segments."""
-    out: Poly = []
-    lin: Poly = [c0, c1]
-    for coeff in reversed(list(a)):
-        out = p_add(p_mul(out, lin), [coeff])
-    return out
-
-
 def p_low_order(a: Sequence[Scalar]) -> int:
     """Order of vanishing at 0 (exact); len(a) for the zero polynomial."""
     for k, c in enumerate(a):
@@ -90,3 +89,80 @@ def p_eval_float(coeffs: np.ndarray, x):
     for c in coeffs[::-1]:
         out = out * x + c
     return out
+
+
+# ---------------------------------------------------------------------------
+# products of linear factors
+
+
+def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Optional[Fraction]]:
+    """Write exact values of Q or of one field Q(sqrt r) as x_i = (u_i + v_i sqrt(R)) / den.
+
+    Returns (u, v, den, r) with one common denominator den.  R is the integer
+    r.numerator * r.denominator, so sqrt(r) = sqrt(R) / r.denominator; r is
+    None and every v_i is 0 when all values are rational.
+    """
+    r: Optional[Fraction] = None
+    parts = []
+    for x in values:
+        if isinstance(x, Quad):
+            if r is None:
+                r = x.r
+            elif x.r != r:
+                raise ValueError("mixed radicands %s and %s" % (r, x.r))
+            parts.append((x.a, x.b / r.denominator))
+        else:
+            parts.append((Fraction(x), ZERO))
+    den = math.lcm(*(p.denominator for pair in parts for p in pair))
+    u = [p.numerator * (den // p.denominator) for p, _ in parts]
+    v = [q.numerator * (den // q.denominator) for _, q in parts]
+    return u, v, den, r
+
+
+def pair_scalar(u: int, v: int, den: int, r: Optional[Fraction]) -> Scalar:
+    """(u + v sqrt(R)) / den as a Fraction, or as a Quad when v != 0; inverts `split_exact`."""
+    if v == 0:
+        return Fraction(u, den)
+    return Quad(Fraction(u, den), Fraction(v * r.denominator, den), r)
+
+
+def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optional[Fraction]) -> Tuple[List[int], List[int]]:
+    """Integer coefficient pairs of prod ((a0 + a1 sqrt(R)) - (k0 + k1 sqrt(R)) x)^d.
+
+    ``modules`` maps keys (a0, a1, k0, k1) of `split_exact` integers for the
+    field Q(sqrt r) to multiplicities d; r is None for Q, where every a1 and
+    k1 is 0.  Returns (u, v) with the product equal to
+    sum (u_n + v_n sqrt(R)) x^n.  Each factor is one pass of integer
+    multiply-adds over the coefficient pairs.
+    """
+    R = 0 if r is None else r.numerator * r.denominator
+    us, vs = [1], [0]
+    for (a0, a1, k0, k1), d in modules.items():
+        ra1, rk1 = R * a1, R * k1
+        for _ in range(d):
+            u0, v0, u1, v1 = us + [0], vs + [0], [0] + us, [0] + vs
+            us = [a0 * u + ra1 * v - k0 * x - rk1 * y for u, v, x, y in zip(u0, v0, u1, v1)]
+            vs = [a0 * v + a1 * u - k0 * y - k1 * x for u, v, x, y in zip(u0, v0, u1, v1)]
+    return us, vs
+
+
+def p_linear_product(factors: Iterable[Tuple[Scalar, Scalar]]) -> Poly:
+    """Coefficients of prod (a - k x) over the factors (a, k), trimmed.
+
+    Exact factors, in Q or in one field Q(sqrt r), are grouped into modules
+    (a, k) -> d and multiplied in integers over one common denominator; the
+    Fraction or Quad coefficients are built once, at the end.  Any float
+    factor sends the whole product, root by root, through `p_mul`.
+    """
+    factors = list(factors)
+    if not all(is_exact(a) and is_exact(k) for a, k in factors):
+        poly: Poly = [Fraction(1)]
+        for a, k in factors:
+            poly = p_mul(poly, [a, -k])
+        return poly
+    modules = Counter(factors)
+    u, v, den, r = split_exact([x for key in modules for x in key])
+    keyed = {(u[i], v[i], u[i + 1], v[i + 1]): d for i, d in zip(range(0, len(u), 2), modules.values())}
+    us, vs = int_linear_product(keyed, r)
+    total = den ** sum(modules.values())
+    return p_trim([pair_scalar(x, y, total, r) for x, y in zip(us, vs)])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from flagke import einstein as ein
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure, ricci_invariant
 from flagke.model import CenterLine, make_base
-from flagke.polys import p_deriv, p_eval, p_trim
+from flagke.polys import p_deriv, p_eval, p_linear_product, p_mul, p_trim
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -19,7 +20,7 @@ from flagke.rootsys import (
     evaluate,
     killing,
 )
-from flagke.scalars import Quad
+from flagke.scalars import Quad, scalar_is_zero
 
 
 def rs(text):
@@ -43,6 +44,45 @@ def _simpson_oracle(flag, j, z_float, m1, m2, panels=10 ** 6):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.dot(w, vals) * h / 3.0)
+
+
+@lru_cache(maxsize=32)
+def _per_root_product(factors):
+    """prod (a - k x) one root at a time in Fraction/Quad arithmetic.
+
+    The oracle for the integer module kernel `polys.p_linear_product`;
+    ``factors`` is a tuple of (a, k) pairs.
+    """
+    poly = [Fraction(1)]
+    for a, k in factors:
+        poly = p_mul(poly, [a, -k])
+    return p_trim(poly)
+
+
+def _futaki_oracle(flag, j, z, m1, m2):
+    """integral_{-m1}^{m2} y * prod alpha(Zk - y Z) dy, term by term from the per-root product."""
+    zk = ricci_invariant(flag, j)
+    poly = [Fraction(0)] + _per_root_product(tuple((evaluate(a, zk), evaluate(a, z)) for a in j.positive))
+    lo, hi = -Fraction(m1), Fraction(m2)
+    out = Fraction(0)
+    for k, c in enumerate(poly):
+        if not scalar_is_zero(c):
+            out = out + c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+    return out
+
+
+def _assert_identical(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+def _assert_matches_oracle(flag, j, z, degrees):
+    """futaki and the segment polynomial of (flag, j, z) against the per-root oracle, bit for bit."""
+    base = CenterLine(flag=flag, j=j, z=z)
+    for m1, m2 in degrees:
+        _assert_identical(ein.futaki(flag, j, z, m1, m2).value, _futaki_oracle(flag, j, z, m1, m2))
+        sp = ein.SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False)
+        for poly in (sp, sp.reversed()):
+            _assert_identical(poly.coeffs, _per_root_product(tuple((f.a, f.k) for f in poly.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +171,111 @@ def test_change_of_variable_equivalence_random_configs():
         base = CenterLine(flag=flag, j=j, z=z)
         rhs = ein.futaki_shifted(base, m1, m2)
         assert lhs == rhs, (fam, rank, painted, m1, m2)
+        _assert_matches_oracle(flag, j, z, [(m1, m2)])
         done += 1
+
+
+# the groups of the benchmark's `decide` workload, and its antisymmetric G x G factors
+DECIDE_GROUPS = ["A2", "A4", "A6", "A8", "B3", "B5", "C4", "C6", "D4", "D6",
+                 "G2", "F4", "E6", "E7", "E8", "A1xA1", "A2xA2", "B2xG2"]
+ANTISYMMETRIC = ["A2", "A5", "B3", "D4", "G2", "F4"]
+ALL_DEGREES = [(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("group", DECIDE_GROUPS)
+def test_integer_kernel_matches_per_root_oracle_on_quadratic_directions(group):
+    rng = random.Random(group)
+    system = rs(group)
+    big = len(system.positive_roots) > 60  # E7, E8: the end node alone keeps |R_m+| and the oracle small
+    while True:
+        unpainted = [system.rank - 1] if big else rng.sample(range(system.rank), min(2, system.rank))
+        flag = build_flag(system, [i for i in range(system.rank) if i not in unpainted])
+        j = default_complex_structure(flag)
+        z = [Fraction(rng.randint(-2, 2)) if i in unpainted else Fraction(0) for i in range(system.rank)]
+        if any(z):
+            base = make_base(flag, j, CartanVector(tuple(z)))
+            if base.z.kind == "quadratic":
+                break
+    _assert_matches_oracle(flag, j, base.z, ALL_DEGREES)
+
+
+@pytest.mark.parametrize("g", ANTISYMMETRIC)
+def test_integer_kernel_matches_per_root_oracle_on_antisymmetric_diameters(g):
+    n = LieAlgebraSpec.parse(g).rank
+    node = random.Random(g).randrange(n)
+    flag, j = _flag_j("%sx%s" % (g, g), [i for i in range(2 * n) if i not in (node, n + node)])
+    z = [Fraction(0)] * (2 * n)
+    z[node], z[n + node] = Fraction(1), Fraction(-1)
+    base = make_base(flag, j, CartanVector(tuple(z)))
+    assert ein.futaki(flag, j, base.z, 1, 1).value == 0
+    _assert_matches_oracle(flag, j, base.z, ALL_DEGREES)
+
+
+def test_integer_kernel_matches_oracle_with_rational_and_sqrt_parts():
+    # an unnormalised center direction whose entries have both parts, as
+    # search_walled produces them
+    flag, j = _flag_j("A2xA2", (1, 3))
+    z = CartanVector((Quad(Fraction(1), Fraction(1), Fraction(2)), Fraction(0),
+                      Quad(Fraction(1, 3), Fraction(-2, 5), Fraction(2)), Fraction(0)))
+    _assert_matches_oracle(flag, j, z, ALL_DEGREES)
+    assert isinstance(ein.futaki(flag, j, z, 1, 2).value, Quad)
+
+
+def test_linear_product_kernel_on_hand_built_factors():
+    half = Fraction(3, 2)  # a non-integer radicand: sqrt(3/2) = sqrt(6)/2
+    factors = (
+        (Quad(Fraction(1, 2), Fraction(-3, 7), half), Quad(Fraction(2), Fraction(5, 3), half)),
+        (Fraction(4, 9), Quad(Fraction(0), Fraction(1, 4), half)),
+        (Quad(Fraction(1, 2), Fraction(-3, 7), half), Quad(Fraction(2), Fraction(5, 3), half)),
+        (Fraction(-1), Fraction(0)),
+        (Fraction(0), Fraction(7, 2)),
+    )
+    _assert_identical(p_linear_product(factors), _per_root_product(factors))
+    _assert_identical(p_linear_product(factors[3:]), _per_root_product(factors[3:]))
+    _assert_identical(p_linear_product([]), [Fraction(1)])
+    _assert_identical(p_linear_product([(Fraction(0), Fraction(0)), factors[1]]), [])
+    floats = [(0.5, -1.25), (Fraction(1, 3), 2.0), (0.5, -1.25)]
+    _assert_identical(p_linear_product(floats), _per_root_product(tuple(floats)))
+    with pytest.raises(ValueError, match="mixed radicands"):
+        p_linear_product([factors[1], (Quad(Fraction(1), Fraction(1), Fraction(5)), Fraction(1))])
+
+
+def _count_quads(monkeypatch, fn):
+    """The number of Quad constructions fn() makes."""
+    count = [0]
+    init = Quad.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Quad, "__init__", counting)
+    fn()
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_exact_obstruction_builds_at_most_one_quad(monkeypatch):
+    flag, j = _flag_j("E8", [i for i in range(8) if i != 1])
+    base = make_base(flag, j, flag.center_basis[0])
+    assert base.z.kind == "quadratic"
+    reports = []
+    n_quads = _count_quads(monkeypatch, lambda: reports.append(ein.futaki(flag, j, base.z, 1, 2)))
+    assert n_quads <= 1  # the per-root product built 9530
+    assert isinstance(reports[0].value, Quad)
+
+
+def test_segment_polynomial_quad_count_is_linear_in_roots(monkeypatch):
+    # the E6 x E6 antisymmetric diameter at node 3
+    flag, j = _flag_j("E6xE6", [i for i in range(12) if i not in (3, 9)])
+    z = [Fraction(0)] * 12
+    z[3], z[9] = Fraction(1), Fraction(-1)
+    base = make_base(flag, j, CartanVector(tuple(z)))
+
+    def build():
+        ein.build_segment_polynomial(base, 1, 1).deflations
+
+    assert _count_quads(monkeypatch, build) <= 20 * len(j.positive)  # 14362 for 58 roots with per-root products
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,19 @@ from flagke import einstein as ein
 from flagke.errors import DegreeMismatchError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
-from flagke.polys import p_compose_linear
+from flagke.polys import p_add, p_mul
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5], n_grid = 720
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
+
+
+def p_compose_linear(a, c0, c1):
+    """Exact composition p(c0 + c1*x) by Horner; the oracle for reversed segments."""
+    out = []
+    for coeff in reversed(list(a)):
+        out = p_add(p_mul(out, [c0, c1]), [coeff])
+    return out
 
 
 def _sp(group, painted, z, m1, m2, period_scale=Fraction(1), validate_degrees=True):

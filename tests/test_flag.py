@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 from fractions import Fraction
+
+import pytest
 
 from flagke.flag import (
     build_flag,
@@ -15,9 +19,13 @@ from flagke.rootsys import (
     LieAlgebraSpec,
     Root,
     build_root_system,
+    coroot_vector,
     evaluate,
     zero_vector,
 )
+
+with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
+    GOLDEN_SPECS = sorted(json.load(_fh))
 
 
 def rs(text):
@@ -160,3 +168,15 @@ def test_reversing_structure_negates_ricci_invariant():
         j = default_complex_structure(flag)
         assert validate_complex_structure(flag, j.reversed()).ok
         assert ricci_invariant(flag, j.reversed()).values == (-ricci_invariant(flag, j)).values
+
+
+@pytest.mark.parametrize("text", GOLDEN_SPECS)
+def test_ricci_invariant_equals_per_root_coroot_sum_on_full_flags(text):
+    flag = build_flag(rs(text), [])
+    j = default_complex_structure(flag)
+    vals = [Fraction(0)] * flag.rs.rank
+    for alpha in j.positive:
+        vals = [a + b for a, b in zip(vals, coroot_vector(flag.rs, alpha).values)]
+    zk = ricci_invariant(flag, j)
+    assert zk.values == tuple(vals)
+    assert repr(zk.values) == repr(tuple(vals))
