@@ -127,7 +127,7 @@ def _futaki_exact(zk: CartanVector, z: CartanVector, j: InvariantComplexStructur
     """integral_{-m1}^{m2} y * sum_n c_n y^n dy with c_n from integer module products."""
     n = len(zk.values)
     u, v, den, r = split_exact(zk.values + z.values)
-    y, zr, zs = u[:n], u[n:], v[n:]
+    y, zr, zs = u[:n], u[n:], v[n:]  # Zk is rational: its sqrt parts v[:n] are 0
     modules = Counter(
         (sum(map(mul, c, y)), 0, sum(map(mul, c, zr)), sum(map(mul, c, zs))) for c in (a.coords for a in j.positive)
     )
