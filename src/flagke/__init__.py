@@ -49,7 +49,6 @@ from .einstein import (
     futaki,
     ke_endpoints,
     profile_solve,
-    profile_t_of_f,
     ricci_normal,
     ricci_tangential,
     search_diameters,
@@ -93,7 +92,6 @@ __all__ = [
     "killing",
     "make_base",
     "profile_solve",
-    "profile_t_of_f",
     "ricci_invariant",
     "ricci_normal",
     "ricci_tangential",

@@ -25,13 +25,14 @@ integrands here are smooth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +65,10 @@ FUTAKI_FLOAT_TOL = 1e-10
 # point still moving after the cap (bisection alone needs ~55) is a fault
 NEWTON_RTOL = 4 * np.finfo(float).eps
 NEWTON_MAX_ITER = 80
+# scan roots: the bracket width at which the root finder stops, and the
+# number of steps that must halve the bracket before it bisects instead
+SCAN_XTOL = 1e-14
+SCAN_HALVING = 3
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +206,6 @@ class EndChart:
         dpt = p_eval_float(self.dp_f, x)
         return qt * ((self.m - 1) * pt + x * dpt) / (pt * pt)
 
-    def series_u(self) -> Tuple[float, float, float]:
-        """Taylor data (u1, u2, u3) at the end: u = u1 x + u2 x^2 + u3 x^3."""
-        p, q = self.p_f, self.q_f
-        p0 = p[0]
-        p1 = p[1] if len(p) > 1 else 0.0
-        p2 = p[2] if len(p) > 2 else 0.0
-        q0 = q[0]
-        q1 = q[1] if len(q) > 1 else 0.0
-        q2 = q[2] if len(q) > 2 else 0.0
-        # g = -2 q / p expanded to second order
-        g0 = -2 * q0 / p0
-        g1 = -2 * (q1 - q0 * p1 / p0) / p0
-        g2 = -2 * (q2 - q1 * p1 / p0 + q0 * ((p1 / p0) ** 2 - p2 / p0)) / p0
-        return g0, g1, g2
-
     def integrand(self, w):
         """dt/dw = 2/sqrt(-2q/p) at x = w^2; it tends to sqrt(2) at the end."""
         W = np.asarray(w, dtype=float) ** 2
@@ -351,7 +341,7 @@ class SegmentPolynomial:
         its deflated p.
         """
         fd = float(self.f_delta)
-        if isinstance(f, float):  # the per-step calls of the ODE cross-check
+        if isinstance(f, float):  # a scalar f, as from u_eval
             return left_fn(f) if f <= fd / 2 else right_fn(fd - f)
         near_left = f <= fd / 2
         out = np.empty_like(f)
@@ -383,10 +373,6 @@ class SegmentPolynomial:
         f = _floats(f)
         left, right = self.deflations
         return self._by_end(f, left.uf, lambda x: -right.uf(x)) - f + self.m1
-
-    def series_u(self) -> Tuple[float, float, float]:
-        """Taylor data (u1, u2, u3) of u at f = 0: u = u1 f + u2 f^2 + u3 f^3."""
-        return self.deflations[0].series_u()
 
 
 def _float_low_order(coeffs: Sequence[Scalar], rel_tol: float = 1e-9) -> int:
@@ -450,12 +436,30 @@ def first_integral_identity_numerator(sp: SegmentPolynomial) -> Poly:
 # the profile map t <-> f
 
 
-def _gauss_panel(g: Callable, a: float, b: float, gx: np.ndarray, gw: np.ndarray) -> float:
-    """Gauss-Legendre rule for integral_a^b g(w) dw on one panel."""
-    if b <= a:
-        return 0.0
-    mid, half = (a + b) / 2, (b - a) / 2
-    return float(np.dot(g(mid + half * gx), gw) * half)
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only, built once per order."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
+def _tanh_sinh_rule(s_max: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of integral_0^1 g(x) dx ~ sum w g(x) (Takahasi-Mori, Publ. RIMS 9, 1974).
+
+    x = (1 - tanh y)/2 with y = (pi/2) sinh s, s on a uniform grid of step h
+    in [-s_max, s_max].  The nodes are formed as 1/(1 + e^(2y)), so a node
+    next to x = 0 carries its full relative precision and no caller has to
+    subtract it from anything.
+    """
+    s = np.arange(-round(s_max / h), round(s_max / h) + 1) * h
+    y = (np.pi / 2) * np.sinh(s)
+    return 1.0 / (1.0 + np.exp(2 * y)), h * (np.pi / 4) * np.cosh(s) / np.cosh(y) ** 2
+
+
+# the smallest node is ~1e-62, so the mass of an end's 1/sqrt(2x) left
+# outside the rule is far below rounding
+_TS_X, _TS_W = _tanh_sinh_rule(4.5, 1.0 / 16)
 
 
 class _HalfTable:
@@ -468,15 +472,18 @@ class _HalfTable:
 
     def __init__(self, chart: EndChart, w_max: float, n_panels: int, gx: np.ndarray, gw: np.ndarray):
         self.g = chart.integrand
-        self.w_max = w_max
         self._gx, self._gw = gx, gw
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
+        self.panels = self._panel_sums(gx, gw)
+        self.cum = np.concatenate([[0.0], np.cumsum(self.panels)])
+
+    def _panel_sums(self, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
+        """Every panel's Gauss sum of g under the rule (gx, gw), from one integrand call."""
         mid = (self.edges[1:] + self.edges[:-1]) / 2
         half = (self.edges[1:] - self.edges[:-1]) / 2
         nodes = mid[:, None] + half[:, None] * gx[None, :]
         vals = self.g(nodes.ravel()).reshape(nodes.shape)
-        panels = (vals * gw[None, :]).sum(axis=1) * half
-        self.cum = np.concatenate([[0.0], np.cumsum(panels)])
+        return (vals * gw[None, :]).sum(axis=1) * half
 
     def _panel(self, x: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Index of the panel holding each x, by the table of panel starts."""
@@ -521,11 +528,9 @@ class _HalfTable:
                 return w
         raise InternalError("profile inversion did not converge in %d Newton steps" % NEWTON_MAX_ITER)
 
-    def quad(self) -> Tuple[float, float]:
-        """Total and error estimate by adaptive quadrature, as a cross-check."""
-        from scipy.integrate import quad
-
-        return quad(lambda w: float(self.g(w)), 0.0, self.w_max, epsabs=1e-12, epsrel=1e-12)[:2]
+    def error_estimate(self, gx: np.ndarray, gw: np.ndarray) -> float:
+        """Summed |G' - G| over the panels, G' their sums under a higher-order rule (gx, gw)."""
+        return float(np.sum(np.abs(self._panel_sums(gx, gw) - self.panels)))
 
 
 class ProfileMap:
@@ -540,7 +545,7 @@ class ProfileMap:
         self.sp = sp
         self.fd = float(sp.f_delta)
         self.fm = self.fd / 2.0
-        gx, gw = np.polynomial.legendre.leggauss(gauss_order)
+        gx, gw = _gauss_rule(gauss_order)
         left, right = sp.deflations
         self._left = _HalfTable(left, math.sqrt(self.fm), n_panels, gx, gw)
         self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), n_panels, gx, gw)
@@ -573,51 +578,27 @@ class ProfileMap:
         return _like(t, f.reshape(t.shape))
 
     def quad_error_estimate(self) -> float:
-        """Compare the table totals against adaptive quadrature."""
-        il, el = self._left.quad()
-        ir, er = self._right.quad()
-        return abs(il + ir - self.delta) + el + er
+        """The tables' error, estimated by re-summing every panel with a 24-node Gauss rule."""
+        gx, gw = _gauss_rule(24)
+        return self._left.error_estimate(gx, gw) + self._right.error_estimate(gx, gw)
 
 
-def profile_t_of_f(sp: SegmentPolynomial) -> ProfileMap:
-    """The monotone map t(f) with its inverse; fails if no profile exists."""
-    return ProfileMap(sp)
+def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
+    """delta = integral_0^(m1+m2) df/sqrt(u(f)) by tanh-sinh quadrature.
 
-
-def profile_delta_by_ode(sp: SegmentPolynomial, eps_frac: float = 1e-4) -> float:
-    """delta recomputed by integrating f' = sqrt(u(f)) in time.
-
-    Starts on the exact series f = t^2/2 + c4 t^4 + c6 t^6 near 0 and stops a
-    sliver before the far end, which is crossed with the mirrored series; this
-    is the independent route used to cross-check the quadrature of t(f).
+    Each half is integrated in x, the distance to its own end, through that
+    end's chart u; the double-exponential nodes absorb the 1/sqrt(2x)
+    singularity at the end.  It shares no table, variable or rule with
+    ProfileMap, only the charts, so it cross-checks the quadrature of t(f).
     """
-    from scipy.integrate import solve_ivp
-
-    u1, u2, u3 = sp.series_u()
-    if not abs(u1 - 2.0) < 1e-9:
-        raise InternalError("first integral must open with slope 2")
-    c4, c6 = u2 / 24.0, u2 * u2 / 720.0 + u3 / 80.0
-    fd = float(sp.f_delta)
-    t0 = 1e-2 * min(1.0, fd)
-    f0 = 0.5 * t0 * t0 + c4 * t0 ** 4 + c6 * t0 ** 6
-    eps = eps_frac * max(1.0, fd)
-
-    def rhs(_t, y):
-        return [math.sqrt(max(sp.u_float(y[0]), 0.0))]
-
-    def hit_end(_t, y):
-        return y[0] - (fd - eps)
-
-    hit_end.terminal = True
-    hit_end.direction = 1.0
-    sol = solve_ivp(rhs, (t0, 1e4), [f0], rtol=1e-11, atol=1e-13, events=hit_end, max_step=0.05)
-    if sol.t_events[0].size == 0:
-        raise NoKahlerEinsteinError("profile never reaches the far endpoint")
-    t_event = float(sol.t_events[0][0])
-    # analytic tail: integral over the last sliver in the right end chart
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    tail = _gauss_panel(sp.deflations[1].integrand, 0.0, math.sqrt(eps), gx, gw)
-    return t_event + tail
+    half = float(sp.f_delta) / 2
+    total = 0.0
+    for chart in sp.deflations:
+        u = chart.u(half * _TS_X)
+        if np.any(u <= 0):
+            raise NoKahlerEinsteinError("first integral not positive on the open segment")
+        total += half * float(_TS_W @ (1.0 / np.sqrt(u)))
+    return total
 
 
 @dataclass(frozen=True)
@@ -737,29 +718,21 @@ def ricci_normal(profile: ProfileSolution, sp: SegmentPolynomial, t: float) -> f
 _STENCIL = np.array([0.0, -2.0, -1.0, 1.0, 2.0])
 
 
-def _stencil_states(sp: SegmentPolynomial, profile: ProfileSolution, t: np.ndarray, h: Optional[float] = None):
+def _stencil_states(sp: SegmentPolynomial, profile: ProfileSolution, t: np.ndarray):
     """The state at the times t, and the stencil route to r(xi, xi) there.
 
-    One inversion covers every t and its four stencil points t - 2h, t - h,
-    t + h, t + 2h, with h shrunk near the ends to keep them interior.
+    The route is -(1/f') d/dt [f'' - (f')^2/2 sum k/(a - k f)], the bracket
+    evaluated through the full numeric chain and differentiated with a
+    five-point stencil, so it genuinely cross-checks the closed form.  One
+    inversion covers every t and its four stencil points t - 2h, t - h,
+    t + h, t + 2h, with h = delta/400 shrunk near the ends to keep them
+    interior.
     """
-    if h is None:
-        h = profile.delta / 400.0
-    h = np.minimum(np.minimum(h, t / 3.0), (profile.delta - t) / 3.0)
+    h = np.minimum(np.minimum(profile.delta / 400.0, t / 3.0), (profile.delta - t) / 3.0)
     f, fp, fpp = _state_at(sp, profile, t[..., None] + h[..., None] * _STENCIL)
     q = _ricci_q(sp, f, fp, fpp)
     dq = (q[..., 1] - 8 * q[..., 2] + 8 * q[..., 3] - q[..., 4]) / (12 * h)
     return (f[..., 0], fp[..., 0], fpp[..., 0]), -dq / fp[..., 0]
-
-
-def ricci_normal_fd(profile: ProfileSolution, sp: SegmentPolynomial, t: float, h: Optional[float] = None) -> float:
-    """r(xi, xi) via -(1/f') d/dt [f'' - (f')^2/4 sum k/(h - f k)].
-
-    The bracket is evaluated through the full numeric chain (inversion of
-    t(f) at stencil points) and differentiated with a five-point stencil, so
-    this route genuinely cross-checks the closed form.
-    """
-    return float(_stencil_states(sp, profile, np.asarray(t, dtype=float), h)[1])
 
 
 def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int = 64) -> Dict[str, float]:
@@ -778,7 +751,8 @@ def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int
         "max_normal_residual": float(np.max(np.abs(rn - 1.0))),
         "normal_two_route_gap": float(np.max(np.abs(rn - rn_fd))),
         "roundtrip_error": float(np.max(np.abs(profile.map.t_of_f(state[0]) - ts))),
-        "delta_ode_gap": abs(profile_delta_by_ode(sp) - profile.delta),
+        # a stable report key (CLI, benchmarks); the second route is tanh-sinh
+        "delta_ode_gap": abs(profile_delta_tanh_sinh(sp) - profile.delta),
     }
 
 
@@ -954,8 +928,6 @@ def _futaki_fast(flag: FlagData, j: InvariantComplexStructure):
 
 
 def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, tol: float, offset=0.0):
-    from scipy.optimize import brentq
-
     thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
     step = 2 * math.pi / n_grid
 
@@ -972,14 +944,55 @@ def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, 
         if a * b < 0:
             # re-evaluate at the actual bracket end: th_a + step is not
             # bit-identical to the next grid node, and a crossing within
-            # float noise of a node would hand brentq an invalid bracket
+            # float noise of a node would hand the root finder an invalid bracket
             th_b = th_a + step
             fb = fut_at(vec(th_b))
             if a * fb > 0:
                 consider(vec(th_b))
                 continue
-            theta0 = brentq(lambda th: fut_at(vec(th)), th_a, th_b, xtol=1e-14)
-            consider(vec(theta0))
+            consider(vec(_bracketed_root(lambda th: fut_at(vec(th)), th_a, th_b, a, fb)))
+
+
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float = SCAN_XTOL) -> float:
+    """A zero of f between a and b, given fa = f(a) and fb = f(b) of opposite signs or zero.
+
+    Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971): each step takes
+    the secant point of the bracket ends and keeps the end where f has the
+    other sign; an end kept twice in a row has its value halved.  A secant
+    point within xtol/2 of the last point moves xtol/2 into the bracket, so
+    that a root that close is bracketed at once.  A secant point not strictly
+    inside the bracket, or SCAN_HALVING steps that together did not halve
+    it, make the next point the midpoint instead.  Stops when the bracket is
+    no wider than xtol and returns the last point evaluated.
+    """
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise InternalError("root bracket [%r, %r] has f of one sign" % (a, b))
+    widths = [math.inf] * SCAN_HALVING
+    # every SCAN_HALVING + 1 steps at least halve the bracket, which bounds the steps
+    halvings = math.ceil(math.log2(max(abs(b - a), xtol) / xtol))
+    for _ in range((SCAN_HALVING + 1) * (halvings + 1)):
+        width = abs(b - a)
+        if width <= xtol:
+            return b
+        c = b - fb * (b - a) / (fb - fa)
+        if abs(c - b) < xtol / 2:
+            c = b + math.copysign(xtol / 2, a - b)
+        if width > widths[-SCAN_HALVING] / 2 or not min(a, b) < c < max(a, b):
+            c = (a + b) / 2
+        widths.append(width)
+        fc = f(c)
+        if fc == 0:
+            return c
+        if (fc > 0) == (fb > 0):
+            fa /= 2
+        else:
+            a, fa = b, fb
+        b, fb = c, fc
+    raise InternalError("scan root did not converge on [%r, %r]" % (a, b))
 
 
 def _direction_key(values: Sequence[float]) -> Tuple[int, ...]:

@@ -178,19 +178,24 @@ def test_criterion_4_profile_solver_on_searched_configuration(searched_configura
     )
 
 
+def _ricci_normal_fd(profile, sp, t):
+    """r(xi, xi) at one time t by the five-point stencil route of verify_profile."""
+    return float(ein._stencil_states(sp, profile, np.asarray(t, dtype=float))[1])
+
+
 def test_criterion_5_two_route_agreements(searched_configuration):
     base, _ = searched_configuration
     sp = ein.build_segment_polynomial(base, 1, 1)
     profile = ein.profile_solve(sp, grid_size=192)
-    delta_gap = abs(ein.profile_delta_by_ode(sp) - profile.delta)
+    delta_gap = abs(ein.profile_delta_tanh_sinh(sp) - profile.delta)
     norm_gap = 0.0
     for t in np.linspace(0.0, profile.delta, 34)[1:-1]:
         a = ein.ricci_normal(profile, sp, t)
-        b = ein.ricci_normal_fd(profile, sp, t)
+        b = _ricci_normal_fd(profile, sp, t)
         norm_gap = max(norm_gap, abs(a - b))
     ok = delta_gap < 1e-6 and norm_gap < 1e-6
     assert _report(
-        5, ok, "delta quadrature vs flow gap %.2e; normal Ricci two-route gap %.2e" % (delta_gap, norm_gap)
+        5, ok, "delta Gauss tables vs tanh-sinh gap %.2e; normal Ricci two-route gap %.2e" % (delta_gap, norm_gap)
     )
 
 

@@ -257,20 +257,43 @@ def test_console_entry_point_runs():
 
 
 _SCIPY_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import flagke, flagke.cli
-lazy = ("scipy.integrate", "scipy.optimize")
-after_import = [m for m in lazy if m in sys.modules]
-code = flagke.cli.main(["roots", "--group", "E8"])
-sys.stderr.write(json.dumps([code, after_import, [m for m in lazy if m in sys.modules]]))
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+runs = {"import": [None, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = flagke.cli.main(argv)
+    runs[name] = [code, scipy_modules(), json.loads(out.getvalue())]
+sys.stdout.write(json.dumps(runs))
 """
+
+_A2XA2 = ["--group", "A2xA2", "--painted", "1,3"]
+_SCIPY_FREE_RUNS = {
+    "roots": ["roots", "--group", "E8"],
+    "solve": ["solve"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1"],
+    "verify": ["verify"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1"],
+    "diameter search": ["search"] + _A2XA2,
+    "walled search": ["search", "--group", "A2", "--painted", "1", "--m1", "3", "--m2", "1", "--tau", "1/3"],
+}
 
 
 def test_import_and_roots_leave_scipy_solvers_unloaded():
-    # quad, solve_ivp and brentq are imported only by the routes that use them
+    # the runtime needs only numpy; scipy is a test-only oracle
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=env)
-    code, after_import, after_roots = json.loads(proc.stderr)
-    assert code == 0 and json.loads(proc.stdout)["root_count"] == 240
-    assert after_import == [] and after_roots == []
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(_SCIPY_FREE_RUNS)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert runs.pop("import") == [None, []]
+    assert runs["roots"][2]["root_count"] == 240
+    assert runs["verify"][2]["all_pass"] and runs["solve"][2]["verdict"] == "kahler_einstein"
+    assert any(c["ke_ok"] for c in runs["diameter search"][2]["candidates"])
+    assert runs["walled search"][2]["candidates"]
+    for name, (code, loaded, _) in runs.items():
+        assert (name, code, loaded) == (name, 0, [])

@@ -5,9 +5,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from flagke import einstein as ein
-from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
+from flagke.errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure, ricci_invariant
 from flagke.model import CenterLine, make_base
 from flagke.polys import p_deriv, p_eval, p_linear_product, p_mul, p_trim
@@ -373,17 +375,49 @@ def test_log_derivative_identities():
 # the profile on the exact Einstein configuration
 
 
+def _delta_by_ode(sp, eps_frac=1e-4):
+    """delta by integrating the flow f' = sqrt(u(f)) in time, a third route.
+
+    Starts on the series f = t^2/2 + c4 t^4 + c6 t^6 near 0, from the Taylor
+    data of u = u1 f + u2 f^2 + u3 f^3 in the left chart, and stops a sliver
+    before the far end, which is crossed in the right end chart.
+    """
+    chart = sp.deflations[0]
+    p, q = (list(c) + [0.0, 0.0] for c in (chart.p_f, chart.q_f))
+    u1 = -2 * q[0] / p[0]
+    u2 = -2 * (q[1] - q[0] * p[1] / p[0]) / p[0]
+    u3 = -2 * (q[2] - q[1] * p[1] / p[0] + q[0] * ((p[1] / p[0]) ** 2 - p[2] / p[0])) / p[0]
+    assert abs(u1 - 2.0) < 1e-9
+    c4, c6 = u2 / 24.0, u2 * u2 / 720.0 + u3 / 80.0
+    fd = float(sp.f_delta)
+    t0 = 1e-2 * min(1.0, fd)
+    f0 = 0.5 * t0 * t0 + c4 * t0 ** 4 + c6 * t0 ** 6
+    eps = eps_frac * max(1.0, fd)
+
+    def hit_end(_t, y):
+        return y[0] - (fd - eps)
+
+    hit_end.terminal = True
+    hit_end.direction = 1.0
+    rhs = lambda _t, y: [math.sqrt(max(sp.u_float(y[0]), 0.0))]
+    sol = solve_ivp(rhs, (t0, 1e4), [f0], rtol=1e-11, atol=1e-13, events=hit_end, max_step=0.05)
+    tail = quad(lambda w: float(sp.deflations[1].integrand(w)), 0.0, math.sqrt(eps), epsabs=1e-14)[0]
+    return float(sol.t_events[0][0]) + tail
+
+
 def test_profile_map_consistency(ke_base):
     sp = ein.build_segment_polynomial(ke_base, 1, 1)
-    pmap = ein.profile_t_of_f(sp)
+    pmap = ein.ProfileMap(sp)
     assert pmap.t_of_f(0.0) == 0.0
     # dt/df = 1 / sqrt(u(f)) at 20 interior points, via central differences
     for f in np.linspace(0.1, 1.9, 20):
         h = 1e-5
         fd = (pmap.t_of_f(f + h) - pmap.t_of_f(f - h)) / (2 * h)
         assert abs(fd - 1.0 / math.sqrt(sp.u_float(f))) < 1e-6
-    # two-method delta
-    assert abs(ein.profile_delta_by_ode(sp) - pmap.delta) < 1e-6
+    # three-route delta: the tables, tanh-sinh quadrature and the flow
+    ts = ein.profile_delta_tanh_sinh(sp)
+    assert abs(ts - pmap.delta) < 1e-14
+    assert abs(_delta_by_ode(sp) - ts) < 1e-6
 
 
 def test_profile_solution_boundary_and_symmetry(ke_profile):
@@ -543,6 +577,64 @@ def test_search_diameters_triple_product_exact_zeros(ke_profile):
     prof = ein.profile_solve(sp, grid_size=128)
     _, pair_profile = ke_profile
     assert abs(prof.delta - pair_profile.delta) < 1e-10
+
+
+def _brentq_root(f, a, b, fa, fb):
+    """The scan's root finder before it took the bracket values, as the oracle."""
+    return brentq(f, a, b, xtol=1e-14)
+
+
+def _float_winners(res):
+    return [c.z_values for c in res.candidates if c.ke_ok and not c.confirmed_exact]
+
+
+def test_scan_roots_match_brentq_on_a2_cubed(monkeypatch):
+    flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
+    base = make_base(flag, j, flag.center_basis[0])
+    real, brackets = ein._bracketed_root, []
+
+    def recorded(f, a, b, fa, fb):
+        brackets.append((f, a, b, fa, fb))
+        return real(f, a, b, fa, fb)
+
+    monkeypatch.setattr(ein, "_bracketed_root", recorded)
+    got = _float_winners(ein.search_diameters(base))
+    assert brackets
+    for f, a, b, fa, fb in brackets:
+        assert abs(real(f, a, b, fa, fb) - brentq(f, a, b, xtol=1e-14)) <= 1e-13
+    monkeypatch.setattr(ein, "_bracketed_root", _brentq_root)
+    want = _float_winners(ein.search_diameters(base))
+    assert len(got) == len(want) > 0
+    for z in got:
+        assert min(max(abs(x - y) for x, y in zip(z, w)) for w in want) <= 1e-12
+
+
+def test_scan_root_finder_keeps_the_exact_winner(ke_base, monkeypatch):
+    got = ein.search_diameters(ke_base)
+    monkeypatch.setattr(ein, "_bracketed_root", _brentq_root)
+    want = ein.search_diameters(ke_base)
+    exact = [[c.z_values for c in res.candidates if c.ke_ok and c.confirmed_exact] for res in (got, want)]
+    assert exact[0] == exact[1] and len(exact[0]) == 1
+
+
+def test_bracketed_root_on_hand_built_brackets():
+    root = ein._bracketed_root
+    # a zero one ulp inside either end
+    for x0, a, b in [(math.nextafter(1.0, 0.0), 0.0, 1.0), (math.nextafter(1.0, 2.0), 1.0, 2.0)]:
+        f = lambda x: x - x0
+        got = root(f, a, b, f(a), f(b))
+        assert abs(got - x0) <= 1e-14 and abs(got - brentq(f, a, b, xtol=1e-14)) <= 1e-13
+    # a zero at an end is returned as it is, without an evaluation
+    never = lambda x: pytest.fail("evaluated at %r" % x)
+    assert root(never, 0.25, 1.0, 0.0, 3.0) == 0.25
+    assert root(never, 0.25, 1.0, -3.0, 0.0) == 1.0
+    # a stiff zero and a triple one, where plain regula falsi stalls on one side
+    f = lambda x: math.exp(20 * x) - 2.0
+    assert abs(root(f, 0.0, 1.0, f(0.0), f(1.0)) - math.log(2.0) / 20) <= 1e-14
+    f = lambda x: (x - 0.375) ** 3
+    assert abs(root(f, 0.0, 2.0, f(0.0), f(2.0)) - 0.375) <= 1e-14
+    with pytest.raises(InternalError, match="one sign"):
+        root(never, 0.0, 1.0, 1.0, 2.0)
 
 
 def test_search_diameters_rejects_large_centers():

@@ -1,14 +1,17 @@
-"""Batched profile inversion against the scalar brentq oracle.
+"""Batched profile inversion against the scalar brentq oracle, and delta at 30 digits.
 
 ``ProfileMap.f_of_t``/``t_of_f`` invert whole arrays by safeguarded Newton on
 the panel tables, and ``verify_profile`` evaluates all its checks in one
 batch.  The oracle below is the per-point path they replaced: one ``brentq``
 per time on the partial-panel Gauss sum, and one Gauss sum per ``t(f)``.
+Both routes to delta, the tables and tanh-sinh quadrature, are checked
+against ``mpmath.quad`` on the end charts' exact coefficients.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -18,6 +21,7 @@ from flagke.errors import InternalError
 from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system
+from flagke.scalars import Quad
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5], n_grid = 720
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -55,10 +59,18 @@ def case(request):
 # the scalar oracle
 
 
+def _gauss_panel(g, a, b, gx, gw):
+    """Gauss-Legendre rule for integral_a^b g(w) dw on one panel."""
+    if b <= a:
+        return 0.0
+    mid, half = (a + b) / 2, (b - a) / 2
+    return float(np.dot(g(mid + half * gx), gw) * half)
+
+
 def _oracle_t_of_w(table, w):
     i = int(np.searchsorted(table.edges, w, side="right")) - 1
     i = max(0, min(i, len(table.edges) - 2))
-    return float(table.cum[i] + ein._gauss_panel(table.g, table.edges[i], min(w, table.edges[-1]), table._gx, table._gw))
+    return float(table.cum[i] + _gauss_panel(table.g, table.edges[i], min(w, table.edges[-1]), table._gx, table._gw))
 
 
 def _oracle_w_of_t(table, t):
@@ -67,7 +79,7 @@ def _oracle_w_of_t(table, t):
     lo, hi = float(table.edges[i]), float(table.edges[i + 1])
 
     def h(w):
-        return table.cum[i] + ein._gauss_panel(table.g, lo, w, table._gx, table._gw) - t
+        return table.cum[i] + _gauss_panel(table.g, lo, w, table._gx, table._gw) - t
 
     if h(hi) < 0:  # cumulative rounding at a panel edge
         hi = float(table.edges[-1])
@@ -134,8 +146,38 @@ def _sample_times(pmap):
     ])
 
 
+def _mp(c):
+    """An exact coefficient (Fraction, Quad or float) as a 30-digit mpf."""
+    if isinstance(c, Quad):
+        return _mp(c.a) + _mp(c.b) * mpmath.sqrt(_mp(c.r))
+    if isinstance(c, Fraction):
+        return mpmath.mpf(c.numerator) / c.denominator
+    return mpmath.mpf(c)
+
+
+def _mp_delta(sp):
+    """delta at 30 digits: per end chart, integral_0^sqrt(half) 2/sqrt(-2q/p)(w^2) dw."""
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        for chart in sp.deflations:
+            p = [_mp(c) for c in reversed(chart.p)]
+            q = [_mp(c) for c in reversed(chart.q)]
+            g = lambda w: 2 / mpmath.sqrt(-2 * mpmath.polyval(q, w * w) / mpmath.polyval(p, w * w))
+            total += mpmath.quad(g, [0, mpmath.sqrt(_mp(sp.f_delta) / 2)])
+        return total
+
+
 # ---------------------------------------------------------------------------
 # tests
+
+
+def test_delta_routes_match_mpmath_oracle(case):
+    sp, profile = case
+    want = _mp_delta(sp)
+    for got in (ein.profile_delta_tanh_sinh(sp), profile.map.delta):
+        assert abs(got - want) <= 1e-14 * want
+    assert profile.diagnostics["quad_error_estimate"] < 1e-12
+
 
 
 def test_f_of_t_matches_brentq_oracle(case):
