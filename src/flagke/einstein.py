@@ -452,9 +452,14 @@ def _tanh_sinh_rule(s_max: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
     next to x = 0 carries its full relative precision and no caller has to
     subtract it from anything.
     """
-    s = np.arange(-round(s_max / h), round(s_max / h) + 1) * h
-    y = (np.pi / 2) * np.sinh(s)
-    return 1.0 / (1.0 + np.exp(2 * y)), h * (np.pi / 4) * np.cosh(s) / np.cosh(y) ** 2
+    x, w = [], []
+    # math, not numpy: numpy's transcendental loops would cost every import
+    # of flagke about 0.4 MB of resident memory
+    for k in range(-round(s_max / h), round(s_max / h) + 1):
+        y = (math.pi / 2) * math.sinh(k * h)
+        x.append(1.0 / (1.0 + math.exp(2 * y)))
+        w.append(h * (math.pi / 4) * math.cosh(k * h) / math.cosh(y) ** 2)
+    return np.array(x), np.array(w)
 
 
 # the smallest node is ~1e-62, so the mass of an end's 1/sqrt(2x) left
@@ -953,17 +958,17 @@ def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, 
             consider(vec(_bracketed_root(lambda th: fut_at(vec(th)), th_a, th_b, a, fb)))
 
 
-def _bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float = SCAN_XTOL) -> float:
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
     """A zero of f between a and b, given fa = f(a) and fb = f(b) of opposite signs or zero.
 
     Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971): each step takes
     the secant point of the bracket ends and keeps the end where f has the
     other sign; an end kept twice in a row has its value halved.  A secant
-    point within xtol/2 of the last point moves xtol/2 into the bracket, so
-    that a root that close is bracketed at once.  A secant point not strictly
-    inside the bracket, or SCAN_HALVING steps that together did not halve
-    it, make the next point the midpoint instead.  Stops when the bracket is
-    no wider than xtol and returns the last point evaluated.
+    point closer than SCAN_XTOL/2 to the last point moves that far into the
+    bracket, so that a root that close is bracketed at once.  A secant point
+    not strictly inside the bracket, or SCAN_HALVING steps that together did
+    not halve it, make the next point the midpoint instead.  Stops when the
+    bracket is no wider than SCAN_XTOL and returns the last point evaluated.
     """
     if fa == 0:
         return a
@@ -973,14 +978,14 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float = S
         raise InternalError("root bracket [%r, %r] has f of one sign" % (a, b))
     widths = [math.inf] * SCAN_HALVING
     # every SCAN_HALVING + 1 steps at least halve the bracket, which bounds the steps
-    halvings = math.ceil(math.log2(max(abs(b - a), xtol) / xtol))
+    halvings = math.ceil(math.log2(max(abs(b - a), SCAN_XTOL) / SCAN_XTOL))
     for _ in range((SCAN_HALVING + 1) * (halvings + 1)):
         width = abs(b - a)
-        if width <= xtol:
+        if width <= SCAN_XTOL:
             return b
         c = b - fb * (b - a) / (fb - fa)
-        if abs(c - b) < xtol / 2:
-            c = b + math.copysign(xtol / 2, a - b)
+        if abs(c - b) < SCAN_XTOL / 2:
+            c = b + math.copysign(SCAN_XTOL / 2, a - b)
         if width > widths[-SCAN_HALVING] / 2 or not min(a, b) < c < max(a, b):
             c = (a + b) / 2
         widths.append(width)
