@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -49,6 +48,7 @@ from .polys import (
     p_eval,
     p_eval_float,
     p_linear_product,
+    p_linear_product_float,
     p_low_order,
     p_mul,
     p_scale,
@@ -101,47 +101,67 @@ def futaki(
 ) -> FutakiReport:
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
-    On exact inputs Zk and Z are split once into integer vectors over one
-    denominator, R_m+ is grouped into isotropy modules (alpha(Zk), alpha(Z))
-    -> d, and y * prod alpha(Zk - y Z) is expanded and integrated in
-    integers; one Fraction or Quad is built, for the value.  On the float
-    path the integrand is expanded term by term and a crude roundoff bound
+    On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
+    integers over the isotropy modules of `_modules`; one Fraction or Quad is
+    built, for the value.  On the float path the integrand is the
+    np.convolve chain of `_float_obstruction`, and a crude roundoff bound
     accompanies the value.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
     zk = ricci_invariant(flag, j)
-    if z.kind != "float":
-        value = _futaki_exact(zk, z, j, m1, m2)
-        return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
-    poly = [Fraction(0)] + p_linear_product((evaluate(alpha, zk), evaluate(alpha, z)) for alpha in j.positive)
-    lo, hi = -Fraction(m1), Fraction(m2)
-    val = 0.0
-    bound = 0.0
-    big = float(max(m1, m2))
-    for k, c in enumerate(poly):
-        c = float(c)
-        term = c * (float(hi) ** (k + 1) - float(lo) ** (k + 1)) / (k + 1)
-        val += term
-        bound += abs(c) * big ** (k + 1) * 2.0 / (k + 1)
-    bound *= len(poly) * np.finfo(float).eps * 8
-    return FutakiReport(value=val, vanishes=abs(val) <= max(tol, bound), exact=False, tol=tol, error_bound=bound)
-
-
-def _futaki_exact(zk: CartanVector, z: CartanVector, j: InvariantComplexStructure, m1: int, m2: int) -> Scalar:
-    """integral_{-m1}^{m2} y * sum_n c_n y^n dy with c_n from integer module products."""
-    n = len(zk.values)
-    u, v, den, r = split_exact(zk.values + z.values)
-    y, zr, zs = u[:n], u[n:], v[n:]  # Zk is rational: its sqrt parts v[:n] are 0
-    modules = Counter(
-        (sum(map(mul, c, y)), 0, sum(map(mul, c, zr)), sum(map(mul, c, zs))) for c in (a.coords for a in j.positive)
-    )
-    us, vs = int_linear_product(modules, r)
+    if z.kind == "float":
+        value, poly = _float_obstruction(j, zk, m1, m2)(z.values)
+        powers = np.arange(2, len(poly) + 2, dtype=float)
+        scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
+        bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
+        return FutakiReport(value=value, vanishes=abs(value) <= max(tol, bound), exact=False, tol=tol, error_bound=bound)
+    table, den, r = _modules(j, zk, z)
+    us, vs = int_linear_product({(y, 0, k0, k1): len(roots) for (y, k0, k1), roots in table.items()}, r)
     # integral of y^(i+1) is (m2^(i+2) - (-m1)^(i+2)) / (i+2); lcm(1..) makes every weight an integer
     scale = math.lcm(*range(1, len(us) + 2))
     weights = [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(len(us))]
     total = scale * den ** len(j.positive)
-    return pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
+    value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
+    return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
+
+
+def _modules(j: InvariantComplexStructure, zk: CartanVector, z: CartanVector):
+    """The isotropy modules of R_m+ under exact (Zk, Z): ({(y, k0, k1): roots}, den, r).
+
+    Zk and Z are split once into integer vectors over one denominator den,
+    so that alpha(Zk) = y/den and alpha(Z) = (k0 + k1 sqrt(R))/den with R and
+    r as in `polys.split_exact`; roots with equal values share one key, in
+    the order of R_m+.
+    """
+    n = len(zk.values)
+    u, v, den, r = split_exact(zk.values + z.values)
+    y, zr, zs = u[:n], u[n:], v[n:]  # Zk is rational: its sqrt parts v[:n] are 0
+    table: Dict[Tuple[int, int, int], List[Root]] = {}
+    for alpha in j.positive:
+        c = alpha.coords
+        table.setdefault((sum(map(mul, c, y)), sum(map(mul, c, zr)), sum(map(mul, c, zs))), []).append(alpha)
+    return table, den, r
+
+
+def _float_obstruction(j: InvariantComplexStructure, zk: CartanVector, m1: int, m2: int):
+    """The float obstruction integral as a function of Z's values: z -> (value, c).
+
+    c holds the coefficients c_i of prod alpha(Zk - y Z), the
+    `p_linear_product_float` chain over R_m+; the integrand is
+    sum c_i y^(i+1).  The root coordinates, the alpha(Zk) and the
+    integration weights are built once, for every Z of a scan.
+    """
+    coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
+    zk_f = np.array([float(evaluate(a, zk)) for a in j.positive])
+    powers = np.arange(2, len(zk_f) + 3, dtype=float)
+    weights = (float(m2) ** powers - float(-m1) ** powers) / powers
+
+    def at(z_values) -> Tuple[float, np.ndarray]:
+        poly = p_linear_product_float(zk_f, coords @ np.asarray(z_values, dtype=float))
+        return float(poly @ weights[:len(poly)]), poly
+
+    return at
 
 
 def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
@@ -158,14 +178,6 @@ def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # the segment polynomial
-
-
-@dataclass(frozen=True)
-class RootFactor:
-    root: Root
-    a: Scalar  # alpha(Z1)
-    k: Scalar  # alpha(Z)
-    zk: Scalar  # alpha(Z_kappa)
 
 
 class EndChart:
@@ -218,43 +230,48 @@ class EndChart:
 class SegmentPolynomial:
     """P(v) = prod alpha(Z1 - v Z) with exact derivatives and end charts.
 
-    Attributes ending in ``_f`` are float coefficient arrays for numerics;
-    everything else is exact when the inputs are exact.  Instances are
-    immutable after construction.
+    ``modules`` maps each value (alpha(Z1), alpha(Z), alpha(Zk)) taken on
+    R_m+ to the tuple of roots taking it: an isotropy module, whose size is
+    its multiplicity.  Distinct modules differ in (alpha(Z1), alpha(Z)),
+    which fix alpha(Zk) = alpha(Z1) - m1 alpha(Z).  Attributes ending in
+    ``_f`` are float arrays for numerics, one entry per module; everything
+    else is exact when the inputs are exact.  Instances are immutable after
+    construction.
     """
 
-    def __init__(self, factors: Sequence[RootFactor], m1: int, m2: int, validate_degrees: bool = True):
-        self.factors = tuple(factors)
+    def __init__(self, modules: Dict[Tuple[Scalar, Scalar, Scalar], Sequence[Root]], m1: int, m2: int,
+                 validate_degrees: bool = True):
+        self.modules = {key: tuple(roots) for key, roots in modules.items()}
         self.m1, self.m2 = int(m1), int(m2)
         self.f_delta = Fraction(m1 + m2)
-        self.exact = all(is_exact(f.a) and is_exact(f.k) for f in self.factors)
+        self.exact = all(is_exact(a) and is_exact(k) for a, k, _ in self.modules)
+        if validate_degrees:
+            walls: Tuple[list, list] = ([], [])
+            for (a, k, _), roots in self.modules.items():
+                for side, value in enumerate((a, a - k * self.f_delta)):
+                    if scalar_is_zero(value, 1e-12):
+                        walls[side].extend(r.coords for r in roots)
+            computed = (len(walls[0]) + 1, len(walls[1]) + 1)
+            if computed != (self.m1, self.m2):
+                raise DegreeMismatchError(
+                    "wall order %s disagrees with declared degrees %s" % (computed, (self.m1, self.m2)),
+                    details={"computed": computed, "declared": (self.m1, self.m2),
+                             "walls_at_z1": walls[0], "walls_at_z2": walls[1]},
+                )
 
-        n_wall1 = sum(1 for f in self.factors if scalar_is_zero(f.a, 1e-12))
-        n_wall2 = sum(1 for f in self.factors if scalar_is_zero(f.a - f.k * self.f_delta, 1e-12))
-        if validate_degrees and (n_wall1 != m1 - 1 or n_wall2 != m2 - 1):
-            raise DegreeMismatchError(
-                "wall order (%d, %d) disagrees with declared degrees (%d, %d)"
-                % (n_wall1 + 1, n_wall2 + 1, m1, m2),
-                details={
-                    "computed": (n_wall1 + 1, n_wall2 + 1),
-                    "declared": (m1, m2),
-                    "walls_at_z1": [f.root.coords for f in self.factors if scalar_is_zero(f.a, 1e-12)],
-                    "walls_at_z2": [
-                        f.root.coords for f in self.factors if scalar_is_zero(f.a - f.k * self.f_delta, 1e-12)
-                    ],
-                },
-            )
-
-        self.coeffs = p_linear_product((f.a, f.k) for f in self.factors)
+        d = [len(roots) for roots in self.modules.values()]
+        self.a_f, self.k_f, self.zk_f = (np.array([float(key[i]) for key in self.modules]) for i in range(3))
+        self.d_f = np.array(d, dtype=float)
+        if self.exact:
+            self.coeffs = p_linear_product({(a, k): n for (a, k, _), n in zip(self.modules, d)})
+        else:
+            self.coeffs = p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()
         self.d_coeffs = p_deriv(self.coeffs)
         # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
         self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
 
         self.coeffs_f = p_to_float(self.coeffs)
         self.q_coeffs_f = p_to_float(self.q_coeffs)
-        self.a_f = np.array([float(f.a) for f in self.factors])
-        self.k_f = np.array([float(f.k) for f in self.factors])
-        self.zk_f = np.array([float(f.zk) for f in self.factors])
         self._deflations: Optional[object] = None
 
     @property
@@ -286,13 +303,26 @@ class SegmentPolynomial:
 
     @staticmethod
     def from_base(base: CenterLine, m1: int, m2: int, validate_degrees: bool = True) -> "SegmentPolynomial":
+        """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
+
+        Exact module values are built once per module from the integers of
+        `_modules`; a float Z is evaluated root by root.
+        """
+        if m1 < 1 or m2 < 1:
+            raise InputError("degrees must be >= 1")
         zk = ricci_invariant(base.flag, base.j)
-        z1, _ = ke_endpoints(zk, base.z, m1, m2)
-        factors = [
-            RootFactor(root=a, a=evaluate(a, z1), k=evaluate(a, base.z), zk=evaluate(a, zk))
-            for a in base.j.positive
-        ]
-        return SegmentPolynomial(factors, m1, m2, validate_degrees=validate_degrees)
+        modules: Dict[Tuple[Scalar, Scalar, Scalar], List[Root]] = {}
+        if base.z.kind == "float":
+            z1 = zk + base.z.scale(m1)
+            for alpha in base.j.positive:
+                key = (evaluate(alpha, z1), evaluate(alpha, base.z), evaluate(alpha, zk))
+                modules.setdefault(key, []).append(alpha)
+        else:
+            table, den, r = _modules(base.j, zk, base.z)
+            for (y, k0, k1), roots in table.items():
+                a = pair_scalar(y + m1 * k0, m1 * k1, den, r)  # alpha(Z1) = alpha(Zk) + m1 alpha(Z)
+                modules[a, pair_scalar(k0, k1, den, r), Fraction(y, den)] = roots
+        return SegmentPolynomial(modules, m1, m2, validate_degrees=validate_degrees)
 
     def reversed(self) -> "SegmentPolynomial":
         """The segment run backwards: (Z2, -Z, m2, m1), so P_rev(x) = P(m1+m2 - x).
@@ -300,8 +330,8 @@ class SegmentPolynomial:
         Its walls are those of this polynomial, swapped; they are not
         re-validated.
         """
-        factors = [RootFactor(f.root, f.a - f.k * self.f_delta, -f.k, f.zk) for f in self.factors]
-        return SegmentPolynomial(factors, self.m2, self.m1, validate_degrees=False)
+        modules = {(a - k * self.f_delta, -k, zk): roots for (a, k, zk), roots in self.modules.items()}
+        return SegmentPolynomial(modules, self.m2, self.m1, validate_degrees=False)
 
     # -- pointwise data ------------------------------------------------------
 
@@ -352,16 +382,17 @@ class SegmentPolynomial:
     def log_deriv_sums(self, f):
         """(s1, s2) with s1 = sum k/(a - k f), s2 = sum k^2/(a - k f)^2.
 
-        These are -P'/P and (P'/P)^2 - P''/P, summed per positive root; the
-        doubled real basis carries each root twice, which cancels everywhere
-        these sums are used.  ``f`` may be a float or an array.
+        These are -P'/P and (P'/P)^2 - P''/P, summed over R_m+ as modules
+        weighted by their multiplicities; the doubled real basis carries each
+        root twice, which cancels everywhere these sums are used.  ``f`` may
+        be a float or an array.
         """
         f = _floats(f)
         g = self.a_f - np.multiply.outer(f, self.k_f)
         if np.any(g == 0):
             raise SingularConfigurationError("metric eigenvalue vanishes at f = %g" % _first(f, np.any(g == 0, axis=-1)))
         kg = self.k_f / g
-        return np.sum(kg, axis=-1), np.sum(kg ** 2, axis=-1)
+        return kg @ self.d_f, kg ** 2 @ self.d_f
 
     def fpp_float(self, f):
         """f'' from the closed form u*F - f + m1, stable at both endpoints.
@@ -673,19 +704,30 @@ def _ricci_q(sp: SegmentPolynomial, f, fp, fpp):
 
 
 def ricci_tangential(sp: SegmentPolynomial, profile: ProfileSolution, alpha: Root, t: float) -> float:
-    """Per-root Ricci eigenvalue r_alpha(t) = alpha(Zk) + q(t) alpha(Z)."""
-    idx = _factor_index(sp, alpha)
+    """Per-root Ricci eigenvalue r_alpha(t) = alpha(Zk) + q(t) alpha(Z), read off alpha's module."""
+    idx = _module_index(sp, alpha)
     q = _ricci_q(sp, *_state_at(sp, profile, t))
     return float(sp.zk_f[idx] + q * sp.k_f[idx])
 
 
 def metric_eigenvalue(sp: SegmentPolynomial, alpha: Root, f: float) -> float:
-    idx = _factor_index(sp, alpha)
+    idx = _module_index(sp, alpha)
     return float(sp.a_f[idx] - sp.k_f[idx] * f)
 
 
+def _module_index(sp: SegmentPolynomial, alpha: Root) -> int:
+    idx = next((i for i, roots in enumerate(sp.modules.values()) if alpha in roots), None)
+    if idx is None:
+        raise InputError("root %s is not a positive root of the configuration" % (alpha.coords,))
+    return idx
+
+
 def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
-    """r_alpha/g_alpha - 1, roots on the last axis, for states of any shape."""
+    """r_alpha/g_alpha - 1, modules on the last axis, for states of any shape.
+
+    Every root of a module has its module's residual, so maxima over modules
+    are maxima over R_m+.
+    """
     f = np.asarray(f, dtype=float)
     q = np.asarray(_ricci_q(sp, f, fp, fpp))
     r = sp.zk_f + q[..., None] * sp.k_f
@@ -693,13 +735,6 @@ def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
     if np.any(g == 0):
         raise SingularConfigurationError("metric eigenvalue vanishes at f = %g" % _first(f, np.any(g == 0, axis=-1)))
     return r / g - 1.0
-
-
-def _factor_index(sp: SegmentPolynomial, alpha: Root) -> int:
-    for i, fac in enumerate(sp.factors):
-        if fac.root == alpha:
-            return i
-    raise InputError("root %s is not a positive root of the configuration" % (alpha.coords,))
 
 
 def ricci_normal_state(sp: SegmentPolynomial, f, fp, fpp):
@@ -767,14 +802,9 @@ def scaled_ricci_control(base: CenterLine, m1: int, m2: int, lam: Fraction) -> S
     The Ricci data keeps the true Z_kappa, so for lam != 1 the tangential
     Einstein residuals are bounded away from zero: the negative control.
     """
-    zk = ricci_invariant(base.flag, base.j)
-    zk_scaled = zk.scale(Fraction(lam))
-    z1 = zk_scaled + base.z.scale(m1)
-    factors = [
-        RootFactor(root=a, a=evaluate(a, z1), k=evaluate(a, base.z), zk=evaluate(a, zk))
-        for a in base.j.positive
-    ]
-    return SegmentPolynomial(factors, m1, m2, validate_degrees=True)
+    modules = SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False).modules
+    scaled = {(lam * zk + m1 * k, k, zk): roots for (_, k, zk), roots in modules.items()}
+    return SegmentPolynomial(scaled, m1, m2, validate_degrees=True)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +928,11 @@ def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FL
         consider_exact([-v for v in flag.center_basis[0].values])
     else:
         onb = _orthonormal_center_basis(base)
-        fut_at = _futaki_fast(flag, j)
+        obstruction = _float_obstruction(j, ricci_invariant(flag, j), 1, 1)
+
+        def fut_at(z_values: np.ndarray) -> float:
+            return obstruction(z_values)[0]
+
         if d == 2:
             _circle_scan(onb[0], onb[1], fut_at, consider_float, n_grid, tol)
         else:
@@ -911,25 +945,6 @@ def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FL
     order = {True: 0, False: 1}
     candidates.sort(key=lambda c: (order[c.confirmed_exact], tuple(float(v) for v in c.z_values)))
     return DiameterSearchResult(hypothesis=hypothesis, candidates=tuple(candidates))
-
-
-def _futaki_fast(flag: FlagData, j: InvariantComplexStructure):
-    """Float evaluator of the obstruction integral, for sign-change scans."""
-    zk = ricci_invariant(flag, j)
-    coords = np.array([a.coords for a in j.positive], dtype=float)
-    zk_vals = coords @ np.array([float(v) for v in zk.values])
-    lo, hi = -1.0, 1.0
-
-    def fut(z_values: np.ndarray) -> float:
-        k_vals = coords @ np.asarray(z_values, dtype=float)
-        poly = np.array([1.0])
-        for a, k in zip(zk_vals, k_vals):
-            poly = np.convolve(poly, np.array([a, -k]))
-        # integral of y * poly(y) over [-1, 1]
-        ks = np.arange(2, len(poly) + 2, dtype=float)
-        return float(np.sum(poly * (hi ** ks - lo ** ks) / ks))
-
-    return fut
 
 
 def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, tol: float, offset=0.0):

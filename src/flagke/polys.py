@@ -5,22 +5,22 @@ scalar (Fraction or Quad).  These helpers stay exact end to end; callers
 convert to numpy float arrays only at the numerics boundary.
 
 Products of linear factors prod (a - k x), the segment polynomial and the
-obstruction integrand, are formed in Python integers: equal factors are
-grouped into modules (a, k) -> d, one common denominator is cleared, and each
-coefficient is carried as a pair (u, v) meaning u + v sqrt(R) (see
-`int_linear_product`).
+obstruction integrand, take their factors as isotropy modules (a, k) -> d.
+Exact products are formed in Python integers: one common denominator is
+cleared, and each coefficient is carried as a pair (u, v) meaning
+u + v sqrt(R) (see `int_linear_product`).  Float products are one
+np.convolve chain (`p_linear_product_float`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Quad, Scalar, is_exact, scalar_is_zero
+from .scalars import Quad, Scalar, scalar_is_zero
 
 Poly = List[Scalar]
 
@@ -146,23 +146,30 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
     return us, vs
 
 
-def p_linear_product(factors: Iterable[Tuple[Scalar, Scalar]]) -> Poly:
-    """Coefficients of prod (a - k x) over the factors (a, k), trimmed.
+def p_linear_product(modules: Dict[Tuple[Scalar, Scalar], int]) -> Poly:
+    """Coefficients of prod (a - k x)^d over exact modules (a, k) -> d, trimmed.
 
-    Exact factors, in Q or in one field Q(sqrt r), are grouped into modules
-    (a, k) -> d and multiplied in integers over one common denominator; the
-    Fraction or Quad coefficients are built once, at the end.  Any float
-    factor sends the whole product, root by root, through `p_mul`.
+    The factors, in Q or in one field Q(sqrt r), are multiplied in integers
+    over one common denominator; the Fraction or Quad coefficients are built
+    once, at the end.
     """
-    factors = list(factors)
-    if not all(is_exact(a) and is_exact(k) for a, k in factors):
-        poly: Poly = [Fraction(1)]
-        for a, k in factors:
-            poly = p_mul(poly, [a, -k])
-        return poly
-    modules = Counter(factors)
     u, v, den, r = split_exact([x for key in modules for x in key])
     keyed = {(u[i], v[i], u[i + 1], v[i + 1]): d for i, d in zip(range(0, len(u), 2), modules.values())}
     us, vs = int_linear_product(keyed, r)
     total = den ** sum(modules.values())
     return p_trim([pair_scalar(x, y, total, r) for x, y in zip(us, vs)])
+
+
+def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Ascending float coefficients of prod (a_i - k_i x), trimmed.
+
+    One np.convolve per factor, in the order given; each coefficient is the
+    same two-product sum as `p_mul`'s, so the chain matches it bit for bit.
+    """
+    poly = np.ones(1)
+    for ai, ki in zip(a, k):
+        poly = np.convolve(poly, [ai, -ki])
+    n = len(poly)
+    while n and poly[n - 1] == 0:  # np.trim_zeros costs more than a scan step
+        n -= 1
+    return poly[:n]

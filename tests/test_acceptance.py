@@ -121,12 +121,12 @@ def test_criterion_3_first_integral_polynomial_identity():
     for _ in range(20):
         n = rng.randint(1, 7)
         m1 = rng.randint(1, 3)
-        factors = []
+        modules = {}
         for i in range(n):
             a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
             k = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
-            factors.append(ein.RootFactor(Root((i,)), a, k, a))
-        sp = ein.SegmentPolynomial(factors, m1, 1, validate_degrees=False)
+            modules.setdefault((a, k, a), []).append(Root((i,)))
+        sp = ein.SegmentPolynomial(modules, m1, 1, validate_degrees=False)
         numerator = ein.first_integral_identity_numerator(sp)
         assert numerator == [], "nonzero identity numerator"
     assert _report(3, True, "20 random segment polynomials satisfy the flow identity exactly")

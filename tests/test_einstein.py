@@ -12,7 +12,7 @@ from flagke import einstein as ein
 from flagke.errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure, ricci_invariant
 from flagke.model import CenterLine, make_base
-from flagke.polys import p_deriv, p_eval, p_linear_product, p_mul, p_trim
+from flagke.polys import p_deriv, p_eval, p_linear_product, p_linear_product_float, p_mul, p_trim
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -61,6 +61,25 @@ def _per_root_product(factors):
     return p_trim(poly)
 
 
+def _float_futaki_per_root(flag, j, z, m1, m2):
+    """The float obstruction as futaki formed it root by root: a p_mul chain, then term by term.
+
+    Returns the value, the roundoff bound futaki reported with it, and the
+    sum of the terms' magnitudes, the scale on which rounding acts.
+    """
+    zk = ricci_invariant(flag, j)
+    poly = [Fraction(0)] + _per_root_product(tuple((evaluate(a, zk), evaluate(a, z)) for a in j.positive))
+    lo, hi, big = -Fraction(m1), Fraction(m2), float(max(m1, m2))
+    val = bound = scale = 0.0
+    for k, c in enumerate(poly):
+        c = float(c)
+        term = c * (float(hi) ** (k + 1) - float(lo) ** (k + 1)) / (k + 1)
+        val += term
+        scale += abs(term)
+        bound += abs(c) * big ** (k + 1) * 2.0 / (k + 1)
+    return val, bound * len(poly) * np.finfo(float).eps * 8, scale
+
+
 def _futaki_oracle(flag, j, z, m1, m2):
     """integral_{-m1}^{m2} y * prod alpha(Zk - y Z) dy, term by term from the per-root product."""
     zk = ricci_invariant(flag, j)
@@ -78,13 +97,27 @@ def _assert_identical(got, want):
 
 
 def _assert_matches_oracle(flag, j, z, degrees):
-    """futaki and the segment polynomial of (flag, j, z) against the per-root oracle, bit for bit."""
+    """futaki and the segment polynomial of (flag, j, z) against per-root `evaluate` values, bit for bit.
+
+    Every root of R_m+ sits in exactly one module, whose key is that root's
+    (alpha(Z1), alpha(Z), alpha(Zk)); the coefficients of the polynomial and
+    of its reversal are the per-root products of (alpha(Z1), alpha(Z)) and
+    (alpha(Z2), -alpha(Z)).
+    """
     base = CenterLine(flag=flag, j=j, z=z)
+    zk = ricci_invariant(flag, j)
     for m1, m2 in degrees:
         _assert_identical(ein.futaki(flag, j, z, m1, m2).value, _futaki_oracle(flag, j, z, m1, m2))
         sp = ein.SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False)
-        for poly in (sp, sp.reversed()):
-            _assert_identical(poly.coeffs, _per_root_product(tuple((f.a, f.k) for f in poly.factors)))
+        z1, z2 = ein.ke_endpoints(zk, z, m1, m2)
+        assert sum(len(roots) for roots in sp.modules.values()) == len(j.positive)
+        assert sorted(a for roots in sp.modules.values() for a in roots) == sorted(j.positive)
+        for key, roots in sp.modules.items():
+            for alpha in roots:
+                assert (evaluate(alpha, z1), evaluate(alpha, z), evaluate(alpha, zk)) == key
+        for poly, end, k in ((sp, z1, z), (sp.reversed(), z2, -z)):
+            per_root = tuple((evaluate(a, end), evaluate(a, k)) for a in j.positive)
+            _assert_identical(poly.coeffs, _per_root_product(per_root))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +256,14 @@ def test_integer_kernel_matches_oracle_with_rational_and_sqrt_parts():
     assert isinstance(ein.futaki(flag, j, z, 1, 2).value, Quad)
 
 
+def _multiplicities(factors):
+    """{(a, k): d} from per-root factors, equal factors merged."""
+    modules = {}
+    for key in factors:
+        modules[key] = modules.get(key, 0) + 1
+    return modules
+
+
 def test_linear_product_kernel_on_hand_built_factors():
     half = Fraction(3, 2)  # a non-integer radicand: sqrt(3/2) = sqrt(6)/2
     factors = (
@@ -232,14 +273,75 @@ def test_linear_product_kernel_on_hand_built_factors():
         (Fraction(-1), Fraction(0)),
         (Fraction(0), Fraction(7, 2)),
     )
-    _assert_identical(p_linear_product(factors), _per_root_product(factors))
-    _assert_identical(p_linear_product(factors[3:]), _per_root_product(factors[3:]))
-    _assert_identical(p_linear_product([]), [Fraction(1)])
-    _assert_identical(p_linear_product([(Fraction(0), Fraction(0)), factors[1]]), [])
+    assert len(_multiplicities(factors)) == 4
+    _assert_identical(p_linear_product(_multiplicities(factors)), _per_root_product(factors))
+    _assert_identical(p_linear_product(_multiplicities(factors[3:])), _per_root_product(factors[3:]))
+    _assert_identical(p_linear_product({}), [Fraction(1)])
+    _assert_identical(p_linear_product(_multiplicities([(Fraction(0), Fraction(0)), factors[1]])), [])
     floats = [(0.5, -1.25), (Fraction(1, 3), 2.0), (0.5, -1.25)]
-    _assert_identical(p_linear_product(floats), _per_root_product(tuple(floats)))
+    a, k = (np.array([float(f[i]) for f in floats]) for i in range(2))
+    assert p_linear_product_float(a, k).tolist() == _per_root_product(tuple(floats))
     with pytest.raises(ValueError, match="mixed radicands"):
-        p_linear_product([factors[1], (Quad(Fraction(1), Fraction(1), Fraction(5)), Fraction(1))])
+        p_linear_product({factors[1]: 1, (Quad(Fraction(1), Fraction(1), Fraction(5)), Fraction(1)): 1})
+
+
+def test_float_product_kernel_is_the_p_mul_chain_bit_for_bit():
+    rng = random.Random(2101)
+    for _ in range(2000):
+        n = rng.randint(0, 24)
+        a = [rng.choice([0.0, rng.uniform(-4, 4)]) for _ in range(n)]
+        k = [rng.choice([0.0, rng.uniform(-4, 4), 2.0 ** rng.randint(-40, 40)]) for _ in range(n)]
+        poly = [Fraction(1)]
+        for ai, ki in zip(a, k):
+            poly = p_mul(poly, [ai, -ki])
+        got = p_linear_product_float(np.array(a), np.array(k)).tolist()
+        assert got == [float(c) for c in p_trim(poly)]
+
+
+@pytest.mark.parametrize("group, painted", [("A2xA2", (1, 3)), ("A2xA3", (1, 3, 4)), ("A2xA2xA2", (1, 3, 5)),
+                                            ("B3", (1,)), ("E6", (0, 1, 2, 3, 4)), ("A1xA1xA1", ())])
+def test_float_futaki_matches_the_per_root_loop(group, painted):
+    # the np.convolve chain of the scan against futaki's former p_mul chain
+    # and term-by-term sum: values agree to rounding on the terms' scale
+    flag, j = _flag_j(group, painted)
+    rng = random.Random(group)
+    for _ in range(10):
+        z = [0.0] * flag.rs.rank
+        for b in flag.center_basis:
+            c = rng.uniform(-1, 1)
+            z = [x + c * float(y) for x, y in zip(z, b.values)]
+        z = CartanVector(tuple(z))
+        for m1, m2 in ((1, 1), (1, 2), (3, 2)):
+            rep = ein.futaki(flag, j, z, m1, m2)
+            value, bound, scale = _float_futaki_per_root(flag, j, z, m1, m2)
+            assert not rep.exact and rep.tol == ein.FUTAKI_FLOAT_TOL
+            assert abs(rep.value - value) <= 1e-15 * scale
+            assert abs(rep.error_bound - bound) <= 1e-15 * bound
+            assert rep.vanishes == (abs(value) <= max(ein.FUTAKI_FLOAT_TOL, bound))
+
+
+def test_log_deriv_sums_match_per_root_sums():
+    # module sums weighted by multiplicity against sums over R_m+, root by
+    # root; s1 cancels on antisymmetric data, so it is measured on sum |k/g|
+    bases = []
+    for g in ANTISYMMETRIC + ["E6"]:
+        n = LieAlgebraSpec.parse(g).rank
+        node = 3 if g == "E6" else 0
+        flag, j = _flag_j("%sx%s" % (g, g), [i for i in range(2 * n) if i not in (node, n + node)])
+        z = [Fraction(0)] * (2 * n)
+        z[node], z[n + node] = Fraction(1), Fraction(-1)
+        bases.append(make_base(flag, j, CartanVector(tuple(z))))
+    flag, j = _flag_j("A2xA3", (1, 3, 4))
+    bases.append(CenterLine(flag=flag, j=j, z=CartanVector((0.3, 0.0, -0.2, 0.0, 0.0))))  # float modules
+    f = np.linspace(0.01, 1.99, 199)
+    for base in bases:
+        sp = ein.SegmentPolynomial.from_base(base, 1, 1, validate_degrees=False)
+        z1, _ = ein.ke_endpoints(ricci_invariant(base.flag, base.j), base.z, 1, 1)
+        a, k = (np.array([float(evaluate(alpha, x)) for alpha in base.j.positive]) for x in (z1, base.z))
+        kg = k / (a - np.multiply.outer(f, k))
+        s1, s2 = sp.log_deriv_sums(f)
+        assert np.all(np.abs(s1 - kg.sum(axis=-1)) <= 1e-15 * np.abs(kg).sum(axis=-1))
+        assert np.all(np.abs(s2 - (kg ** 2).sum(axis=-1)) <= 1e-15 * (kg ** 2).sum(axis=-1))
 
 
 def _count_quads(monkeypatch, fn):
@@ -278,6 +380,8 @@ def test_segment_polynomial_quad_count_is_linear_in_roots(monkeypatch):
         ein.build_segment_polynomial(base, 1, 1).deflations
 
     assert _count_quads(monkeypatch, build) <= 20 * len(j.positive)  # 14362 for 58 roots with per-root products
+    # one alpha(Z1) and one alpha(Z) per isotropy module: 520 with per-root values
+    assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) <= 50
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +390,11 @@ def test_segment_polynomial_quad_count_is_linear_in_roots(monkeypatch):
 
 def _toy_sp():
     # P(v) = (1 - v/2)(v/2): factors with a wall at v = 0
-    fac = [
-        ein.RootFactor(Root((1, 0)), Fraction(1), Fraction(1, 2), Fraction(1, 2)),
-        ein.RootFactor(Root((0, 1)), Fraction(0), Fraction(-1, 2), Fraction(1, 2)),
-    ]
-    return ein.SegmentPolynomial(fac, 1, 1, validate_degrees=False)
+    modules = {
+        (Fraction(1), Fraction(1, 2), Fraction(1, 2)): [Root((1, 0))],
+        (Fraction(0), Fraction(-1, 2), Fraction(1, 2)): [Root((0, 1))],
+    }
+    return ein.SegmentPolynomial(modules, 1, 1, validate_degrees=False)
 
 
 def test_u_eval_worked_example():
@@ -346,6 +450,14 @@ def test_degree_mismatch_raises():
     assert err.value.details["computed"] == (2, 2)
 
 
+def _module_dict(factors):
+    """{(a, k, zk): roots} from (root, (a, k, zk)) pairs, with equal keys merged."""
+    modules = {}
+    for root, key in factors:
+        modules.setdefault(key, []).append(root)
+    return modules
+
+
 def test_first_integral_identity_on_random_polynomials():
     rng = random.Random(99)
     for _ in range(20):
@@ -355,8 +467,8 @@ def test_first_integral_identity_on_random_polynomials():
         for i in range(n):
             a = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             k = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            fac.append(ein.RootFactor(Root((i,)), a, k, a))
-        sp = ein.SegmentPolynomial(fac, m1, 1, validate_degrees=False)
+            fac.append((Root((i,)), (a, k, a)))
+        sp = ein.SegmentPolynomial(_module_dict(fac), m1, 1, validate_degrees=False)
         assert ein.first_integral_identity_numerator(sp) == []
 
 
@@ -466,18 +578,20 @@ def test_verify_profile_rejects_fewer_than_one_check(ke_profile, n_check):
         ein.verify_profile(sp, prof, n_check=n_check)
 
 
-def test_ricci_single_root_evaluation(ke_profile):
+def test_ricci_single_root_evaluation(ke_profile, ke_base):
     sp, prof = ke_profile
     t = prof.delta / 3
-    alpha = sp.factors[0].root
-    r = ein.ricci_tangential(sp, prof, alpha, t)
     f = prof.map.f_of_t(t)
-    g = ein.metric_eigenvalue(sp, alpha, f)
-    assert abs(r / g - 1.0) < 1e-6
+    z1, _ = ein.ke_endpoints(ricci_invariant(ke_base.flag, ke_base.j), ke_base.z, 1, 1)
+    for alpha in ke_base.j.positive:
+        r = ein.ricci_tangential(sp, prof, alpha, t)
+        g = ein.metric_eigenvalue(sp, alpha, f)
+        assert g == float(evaluate(alpha, z1)) - float(evaluate(alpha, ke_base.z)) * f
+        assert abs(r / g - 1.0) < 1e-6
     with pytest.raises(InputError):
         ein.ricci_tangential(sp, prof, Root((9, 9, 9, 9)), t)
     with pytest.raises(InputError):
-        ein.ricci_tangential(sp, prof, alpha, prof.delta * 2)
+        ein.ricci_tangential(sp, prof, ke_base.j.positive[0], prof.delta * 2)
 
 
 def test_q_odd_about_midpoint_for_symmetric_data(ke_profile):
