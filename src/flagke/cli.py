@@ -42,7 +42,7 @@ from .scalars import format_scalar
 
 MODES = ("roots", "flag-info", "futaki", "check-segment", "solve", "verify", "search")
 FLOAT_FMT = "%.12e"  # all exported floats carry 12 significant digits
-# profile inversion holds grid x gauss_order floats per Newton step
+# profile inversion holds grid x einstein.PROFILE_GAUSS_ORDER floats per Newton step
 MAX_GRID = 65536
 
 
@@ -327,13 +327,11 @@ def export_profile(profile, sp, path: str, diagnostics: Optional[Dict] = None) -
 def _run_solve(job: JobSpec) -> Dict:
     spec, base, sp, profile, out = _solve_pipeline(job)
     out["mode"] = "solve"
-    if profile is not None and job.out:
+    if profile is not None:
         res = ein.verify_profile(sp, profile, n_check=32)
         out["residual_maxima"] = {k: float(v) for k, v in res.items()}
-        out["files"] = export_profile(profile, sp, job.out, {"residual_maxima": out["residual_maxima"]})
-    elif profile is not None:
-        res = ein.verify_profile(sp, profile, n_check=32)
-        out["residual_maxima"] = {k: float(v) for k, v in res.items()}
+        if job.out:
+            out["files"] = export_profile(profile, sp, job.out, {"residual_maxima": out["residual_maxima"]})
     return out
 
 

@@ -61,6 +61,9 @@ from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Scalar, is_exact, scalar_is_zero
 
 FUTAKI_FLOAT_TOL = 1e-10
+# the profile tables: panels per end chart and Gauss-Legendre nodes per panel
+PROFILE_PANELS = 192
+PROFILE_GAUSS_ORDER = 16
 # profile inversion: a Newton step this small relative to w is rounding; a
 # point still moving after the cap (bisection alone needs ~55) is a fault
 NEWTON_RTOL = 4 * np.finfo(float).eps
@@ -91,14 +94,7 @@ class FutakiReport:
     error_bound: Optional[float] = None
 
 
-def futaki(
-    flag: FlagData,
-    j: InvariantComplexStructure,
-    z: CartanVector,
-    m1: int,
-    m2: int,
-    tol: float = FUTAKI_FLOAT_TOL,
-) -> FutakiReport:
+def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int) -> FutakiReport:
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
@@ -115,7 +111,8 @@ def futaki(
         powers = np.arange(2, len(poly) + 2, dtype=float)
         scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
         bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
-        return FutakiReport(value=value, vanishes=abs(value) <= max(tol, bound), exact=False, tol=tol, error_bound=bound)
+        vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
+        return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
     table, den, r = _modules(j, zk, z)
     us, vs = int_linear_product({(y, 0, k0, k1): len(roots) for (y, k0, k1), roots in table.items()}, r)
     # integral of y^(i+1) is (m2^(i+2) - (-m1)^(i+2)) / (i+2); lcm(1..) makes every weight an integer
@@ -577,14 +574,14 @@ class ProfileMap:
     where the integrand of t(f) is smooth.
     """
 
-    def __init__(self, sp: SegmentPolynomial, n_panels: int = 192, gauss_order: int = 16):
+    def __init__(self, sp: SegmentPolynomial):
         self.sp = sp
         self.fd = float(sp.f_delta)
         self.fm = self.fd / 2.0
-        gx, gw = _gauss_rule(gauss_order)
+        gx, gw = _gauss_rule(PROFILE_GAUSS_ORDER)
         left, right = sp.deflations
-        self._left = _HalfTable(left, math.sqrt(self.fm), n_panels, gx, gw)
-        self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), n_panels, gx, gw)
+        self._left = _HalfTable(left, math.sqrt(self.fm), PROFILE_PANELS, gx, gw)
+        self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), PROFILE_PANELS, gx, gw)
         self.delta = float(self._left.cum[-1] + self._right.cum[-1])
 
     def t_of_f(self, f):
@@ -870,7 +867,7 @@ class DiameterSearchResult:
     candidates: Tuple[DiameterCandidate, ...]
 
 
-def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FLOAT_TOL) -> DiameterSearchResult:
+def search_diameters(base: CenterLine, n_grid: int = 720) -> DiameterSearchResult:
     """Zeros of the obstruction on the unit sphere of the center, m1 = m2 = 1.
 
     The sphere-in-chamber hypothesis is evaluated exactly and reported; the
@@ -895,7 +892,7 @@ def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FL
         key = _direction_key([float(v) for v in cand_base.z.values])
         if key in seen:
             return
-        rep = futaki(flag, j, cand_base.z, 1, 1, tol=tol)
+        rep = futaki(flag, j, cand_base.z, 1, 1)
         if not rep.vanishes:
             return
         seen.add(key)
@@ -916,7 +913,7 @@ def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FL
                 return
         seen.add(key)
         zf = CartanVector(tuple(float(v) for v in values))
-        rep = futaki(flag, j, zf, 1, 1, tol=tol)
+        rep = futaki(flag, j, zf, 1, 1)
         zkf = CartanVector(tuple(float(v) for v in ricci_invariant(flag, j).values))
         z1 = zkf + zf.scale(1.0)
         base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
@@ -934,20 +931,20 @@ def search_diameters(base: CenterLine, n_grid: int = 720, tol: float = FUTAKI_FL
             return obstruction(z_values)[0]
 
         if d == 2:
-            _circle_scan(onb[0], onb[1], fut_at, consider_float, n_grid, tol)
+            _circle_scan(onb[0], onb[1], fut_at, consider_float, n_grid)
         else:
             n_lat = max(8, n_grid // 24)
             for phi in np.linspace(0.0, math.pi, n_lat + 2)[1:-1]:
                 axis = math.cos(phi) * onb[2]
                 r = math.sin(phi)
-                _circle_scan(r * onb[0], r * onb[1], fut_at, consider_float, n_grid, tol, offset=axis)
+                _circle_scan(r * onb[0], r * onb[1], fut_at, consider_float, n_grid, offset=axis)
 
     order = {True: 0, False: 1}
     candidates.sort(key=lambda c: (order[c.confirmed_exact], tuple(float(v) for v in c.z_values)))
     return DiameterSearchResult(hypothesis=hypothesis, candidates=tuple(candidates))
 
 
-def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, tol: float, offset=0.0):
+def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, offset=0.0):
     thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
     step = 2 * math.pi / n_grid
 
@@ -958,7 +955,7 @@ def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, 
     for i in range(n_grid):
         a, b = vals[i], vals[(i + 1) % n_grid]
         th_a = thetas[i]
-        if abs(a) <= tol:
+        if abs(a) <= FUTAKI_FLOAT_TOL:
             consider(vec(th_a))
             continue
         if a * b < 0:
