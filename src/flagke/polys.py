@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Quad, Scalar, scalar_is_zero
+from .scalars import Quad, Scalar, rescale_sqrt, scalar_is_zero
 
 Poly = List[Scalar]
 
@@ -100,7 +100,9 @@ def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Op
 
     Returns (u, v, den, r) with one common denominator den.  R is the integer
     r.numerator * r.denominator, so sqrt(r) = sqrt(R) / r.denominator; r is
-    None and every v_i is 0 when all values are rational.
+    None and every v_i is 0 when all values are rational.  A radicand of the
+    same field as r, whose product with r is a rational square, is rescaled
+    to r (`scalars.rescale_sqrt`).
     """
     r: Optional[Fraction] = None
     parts = []
@@ -108,9 +110,7 @@ def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Op
         if isinstance(x, Quad):
             if r is None:
                 r = x.r
-            elif x.r != r:
-                raise ValueError("mixed radicands %s and %s" % (r, x.r))
-            parts.append((x.a, x.b / r.denominator))
+            parts.append((x.a, rescale_sqrt(x.b, x.r, r) / r.denominator))
         else:
             parts.append((Fraction(x), ZERO))
     den = math.lcm(*(p.denominator for pair in parts for p in pair))

@@ -64,12 +64,31 @@ def exact_sqrt(q: Union[int, Fraction]) -> Union[Fraction, "Quad"]:
     return Quad(Fraction(0), Fraction(s, q.denominator), Fraction(d))
 
 
+def rescale_sqrt(b: Fraction, r: Fraction, r_to: Fraction) -> Fraction:
+    """The coefficient b' with b*sqrt(r) = b'*sqrt(r_to).
+
+    Two radicands name one field exactly when their product is a rational
+    square s^2, and then sqrt(r) = (s / r_to) sqrt(r_to).  Radicands past the
+    trial-division limit are not canonical, so this test, not r == r_to,
+    decides whether two Quads share a field.  Different fields raise.
+    """
+    if r == r_to:
+        return b
+    prod = r * r_to
+    num, den = math.isqrt(prod.numerator), math.isqrt(prod.denominator)
+    if num * num != prod.numerator or den * den != prod.denominator:
+        raise ValueError("mixed radicands %s and %s" % (r_to, r))
+    return b * Fraction(num, den) / r_to
+
+
 class Quad:
     """Exact number a + b*sqrt(r), with a, b rational and r a non-square > 1.
 
     Instances always have b != 0; operations collapsing to a rational return a
-    plain ``Fraction``.  Mixing two different radicands is rejected: a single
-    configuration only ever lives in one quadratic field.
+    plain ``Fraction``.  Mixing two different fields is rejected: a single
+    configuration only ever lives in one quadratic field.  Radicands of one
+    field, which may differ by a square factor, are rescaled to the left
+    operand's.
     """
 
     __slots__ = ("a", "b", "r")
@@ -89,9 +108,7 @@ class Quad:
 
     def _coerce(self, other) -> Union[tuple, None]:
         if isinstance(other, Quad):
-            if other.r != self.r:
-                raise ValueError("mixed radicands %s and %s" % (self.r, other.r))
-            return other.a, other.b
+            return other.a, rescale_sqrt(other.b, other.r, self.r)
         if isinstance(other, (int, Fraction)):
             return Fraction(other), Fraction(0)
         return None
@@ -178,9 +195,13 @@ class Quad:
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
+    def _key(self) -> tuple:
+        """(a, b|b| r): the same for every representation of one number."""
+        return self.a, self.b * abs(self.b) * self.r
+
     def __eq__(self, other):
         if isinstance(other, Quad):
-            return self.r == other.r and self.a == other.a and self.b == other.b
+            return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return False  # b != 0 makes this irrational
         if isinstance(other, float):
@@ -188,7 +209,7 @@ class Quad:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.r))
+        return hash(self._key())
 
     def _cmp(self, other) -> int:
         diff = self - other

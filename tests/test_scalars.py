@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagke.polys import pair_scalar, split_exact
 from flagke.scalars import Quad, exact_sqrt, format_scalar, scalar_is_zero, scalar_sign
 
 
@@ -58,6 +59,20 @@ def test_quad_sign_and_order():
 def test_quad_mixed_radicands_rejected():
     with pytest.raises(ValueError):
         Quad(Fraction(0), Fraction(1), Fraction(2)) + Quad(Fraction(0), Fraction(1), Fraction(3))
+
+
+def test_quad_radicands_past_the_trial_limit_share_their_field():
+    # 20011 is a prime above the trial-division limit, so its square stays in
+    # the radicand: two radicands of one field, told apart by no factoring
+    big, small = exact_sqrt(20011 ** 2 * 20021), exact_sqrt(20021)
+    assert big.r != small.r
+    assert big == 20011 * small and hash(big) == hash(20011 * small)
+    assert big + small == 20012 * small and small - big == -20010 * small
+    assert big * small == 20011 * 20021 and big / small == 20011
+    u, v, den, r = split_exact([big, small, Fraction(1, 3)])
+    assert r == big.r and [pair_scalar(x, y, den, r) for x, y in zip(u, v)] == [big, small, Fraction(1, 3)]
+    with pytest.raises(ValueError, match="mixed radicands"):
+        split_exact([small, exact_sqrt(20023)])
 
 
 def test_scalar_helpers():
