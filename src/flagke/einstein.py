@@ -40,9 +40,7 @@ from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEins
 from .flag import FlagData, InvariantComplexStructure, ricci_invariant
 from .model import AdmissibleSegment, CenterLine, analyze_segment, make_base
 from .polys import (
-    Poly,
     int_linear_product,
-    p_add,
     p_antideriv,
     p_deriv,
     p_eval,
@@ -51,9 +49,7 @@ from .polys import (
     p_linear_product_float,
     p_low_order,
     p_mul,
-    p_scale,
     p_to_float,
-    p_trim,
     pair_scalar,
     split_exact,
 )
@@ -438,28 +434,6 @@ def u_eval(sp: SegmentPolynomial, f: Scalar) -> Scalar:
     return sp.u_exact(f)
 
 
-def first_integral_identity_numerator(sp: SegmentPolynomial) -> Poly:
-    """Numerator polynomial of (1/2)u' - u*F + H over a common denominator.
-
-    With u = A/B, A = -2Q, B = P, F = -P'/(2P) and H = f - m1, the unreduced
-    numerator over 2 B^2 (2P) is N = (A'B - A B')(2P) - 4 A C B/2 ... computed
-    below by cross-multiplication.  For a genuine first integral N is the zero
-    polynomial, exactly.
-    """
-    A = p_scale(sp.q_coeffs, Fraction(-2))
-    B = list(sp.coeffs)
-    C = p_scale(sp.d_coeffs, Fraction(-1))
-    D = p_scale(B, Fraction(2))
-    H: Poly = [-Fraction(sp.m1), Fraction(1)]
-    Ap = p_deriv(A)
-    Bp = p_deriv(B)
-    # (1/2) (A'B - AB')/B^2 - AC/(BD) + H  over the denominator 2 B^2 D
-    term1 = p_mul(p_add(p_mul(Ap, B), p_scale(p_mul(A, Bp), Fraction(-1))), D)
-    term2 = p_scale(p_mul(p_mul(A, C), B), Fraction(-2))
-    term3 = p_scale(p_mul(H, p_mul(p_mul(B, B), D)), Fraction(2))
-    return p_trim(p_add(p_add(term1, term2), term3))
-
-
 # ---------------------------------------------------------------------------
 # the profile map t <-> f
 
@@ -702,21 +676,11 @@ def _ricci_q(sp: SegmentPolynomial, f, fp, fpp):
 
 def ricci_tangential(sp: SegmentPolynomial, profile: ProfileSolution, alpha: Root, t: float) -> float:
     """Per-root Ricci eigenvalue r_alpha(t) = alpha(Zk) + q(t) alpha(Z), read off alpha's module."""
-    idx = _module_index(sp, alpha)
-    q = _ricci_q(sp, *_state_at(sp, profile, t))
-    return float(sp.zk_f[idx] + q * sp.k_f[idx])
-
-
-def metric_eigenvalue(sp: SegmentPolynomial, alpha: Root, f: float) -> float:
-    idx = _module_index(sp, alpha)
-    return float(sp.a_f[idx] - sp.k_f[idx] * f)
-
-
-def _module_index(sp: SegmentPolynomial, alpha: Root) -> int:
     idx = next((i for i, roots in enumerate(sp.modules.values()) if alpha in roots), None)
     if idx is None:
         raise InputError("root %s is not a positive root of the configuration" % (alpha.coords,))
-    return idx
+    q = _ricci_q(sp, *_state_at(sp, profile, t))
+    return float(sp.zk_f[idx] + q * sp.k_f[idx])
 
 
 def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
@@ -791,17 +755,6 @@ def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int
         # a stable report key (CLI, benchmarks); the second route is tanh-sinh
         "delta_ode_gap": abs(profile_delta_tanh_sinh(sp) - profile.delta),
     }
-
-
-def scaled_ricci_control(base: CenterLine, m1: int, m2: int, lam: Fraction) -> SegmentPolynomial:
-    """Segment polynomial with the metric endpoint built from lam * Z_kappa.
-
-    The Ricci data keeps the true Z_kappa, so for lam != 1 the tangential
-    Einstein residuals are bounded away from zero: the negative control.
-    """
-    modules = SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False).modules
-    scaled = {(lam * zk + m1 * k, k, zk): roots for (_, k, zk), roots in modules.items()}
-    return SegmentPolynomial(scaled, m1, m2, validate_degrees=True)
 
 
 # ---------------------------------------------------------------------------

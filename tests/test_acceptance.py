@@ -23,6 +23,7 @@ from flagke.rootsys import (
     build_root_system,
 )
 from flagke.scalars import Quad
+from segment_checks import first_integral_identity_numerator, scaled_ricci_control
 
 
 def rs(text):
@@ -127,7 +128,7 @@ def test_criterion_3_first_integral_polynomial_identity():
             k = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
             modules.setdefault((a, k, a), []).append(Root((i,)))
         sp = ein.SegmentPolynomial(modules, m1, 1, validate_degrees=False)
-        numerator = ein.first_integral_identity_numerator(sp)
+        numerator = first_integral_identity_numerator(sp)
         assert numerator == [], "nonzero identity numerator"
     assert _report(3, True, "20 random segment polynomials satisfy the flow identity exactly")
 
@@ -202,7 +203,7 @@ def test_criterion_5_two_route_agreements(searched_configuration):
 def test_criterion_6_negative_controls(searched_configuration):
     base, _ = searched_configuration
     # (a) scaling the Ricci element by 1.1 must break the residual bound
-    sp_scaled = ein.scaled_ricci_control(base, 1, 1, Fraction(11, 10))
+    sp_scaled = scaled_ricci_control(base, 1, 1, Fraction(11, 10))
     profile = ein.profile_solve(sp_scaled, grid_size=130)
     max_tan = 0.0
     for i in range(1, len(profile.t) - 1):
