@@ -248,9 +248,10 @@ def test_report_determinism(capsys):
 
 
 def test_console_entry_point_runs():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-m", "flagke.cli", "roots", "--group", "A1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["root_count"] == 2
