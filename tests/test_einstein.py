@@ -381,7 +381,7 @@ def test_segment_polynomial_quad_count_is_linear_in_roots(monkeypatch):
         ein.build_segment_polynomial(base, 1, 1).deflations
 
     assert _count_quads(monkeypatch, build) <= 20 * len(j.positive)  # 14362 for 58 roots with per-root products
-    # one alpha(Z1) and one alpha(Z) per isotropy module: 520 with per-root values
+    # one alpha(Z1) and one alpha(Z) per isotropy module: 504 with per-root values
     assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) <= 50
 
 
