@@ -451,25 +451,17 @@ def test_degree_mismatch_raises():
     assert err.value.details["computed"] == (2, 2)
 
 
-def _module_dict(factors):
-    """{(a, k, zk): roots} from (root, (a, k, zk)) pairs, with equal keys merged."""
-    modules = {}
-    for root, key in factors:
-        modules.setdefault(key, []).append(root)
-    return modules
-
-
 def test_first_integral_identity_on_random_polynomials():
     rng = random.Random(99)
     for _ in range(20):
         n = rng.randint(1, 6)
         m1 = rng.randint(1, 3)
-        fac = []
+        modules = {}
         for i in range(n):
             a = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             k = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            fac.append((Root((i,)), (a, k, a)))
-        sp = ein.SegmentPolynomial(_module_dict(fac), m1, 1, validate_degrees=False)
+            modules.setdefault((a, k, a), []).append(Root((i,)))  # equal keys merge into one module
+        sp = ein.SegmentPolynomial(modules, m1, 1, validate_degrees=False)
         assert first_integral_identity_numerator(sp) == []
 
 
