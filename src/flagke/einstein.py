@@ -64,10 +64,12 @@ PROFILE_GAUSS_ORDER = 16
 # point still moving after the cap (bisection alone needs ~55) is a fault
 NEWTON_RTOL = 4 * np.finfo(float).eps
 NEWTON_MAX_ITER = 80
-# scan roots: the bracket width at which the root finder stops, and the
-# number of steps that must halve the bracket before it bisects instead
-SCAN_XTOL = 1e-14
-SCAN_HALVING = 3
+# diameter search: the latitude circles of a 3-dimensional center; an
+# eigenvalue this close to the unit circle is a zero of its circle (rounding
+# splits a double zero by about sqrt(eps)); Newton steps that polish the zeros
+SEARCH_LATITUDES = 30
+SEARCH_UNIT_TOL = 1e-6
+SEARCH_NEWTON_STEPS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +97,18 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
     integers over the isotropy modules of `_modules`; one Fraction or Quad is
-    built, for the value.  On the float path the integrand is the
-    np.convolve chain of `_float_obstruction`, and a crude roundoff bound
-    accompanies the value.
+    built, for the value.  On the float path the integrand's coefficients
+    are the `p_linear_product_float` chain over R_m+, and a crude roundoff
+    bound accompanies the value.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
     zk = ricci_invariant(flag, j)
     if z.kind == "float":
-        value, poly = _float_obstruction(j, zk, m1, m2)(z.values)
+        coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
+        poly = p_linear_product_float([float(evaluate(a, zk)) for a in j.positive], coords @ np.array(z.values))
         powers = np.arange(2, len(poly) + 2, dtype=float)
+        value = float(poly @ ((float(m2) ** powers - float(-m1) ** powers) / powers))
         scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
         bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
         vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
@@ -135,26 +139,6 @@ def _modules(j: InvariantComplexStructure, zk: CartanVector, z: CartanVector):
         c = alpha.coords
         table.setdefault((sum(map(mul, c, y)), sum(map(mul, c, zr)), sum(map(mul, c, zs))), []).append(alpha)
     return table, den, r
-
-
-def _float_obstruction(j: InvariantComplexStructure, zk: CartanVector, m1: int, m2: int):
-    """The float obstruction integral as a function of Z's values: z -> (value, c).
-
-    c holds the coefficients c_i of prod alpha(Zk - y Z), the
-    `p_linear_product_float` chain over R_m+; the integrand is
-    sum c_i y^(i+1).  The root coordinates, the alpha(Zk) and the
-    integration weights are built once, for every Z of a scan.
-    """
-    coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
-    zk_f = np.array([float(evaluate(a, zk)) for a in j.positive])
-    powers = np.arange(2, len(zk_f) + 3, dtype=float)
-    weights = (float(m2) ** powers - float(-m1) ** powers) / powers
-
-    def at(z_values) -> Tuple[float, np.ndarray]:
-        poly = p_linear_product_float(zk_f, coords @ np.asarray(z_values, dtype=float))
-        return float(poly @ weights[:len(poly)]), poly
-
-    return at
 
 
 def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
@@ -820,19 +804,23 @@ class DiameterSearchResult:
     candidates: Tuple[DiameterCandidate, ...]
 
 
-def search_diameters(base: CenterLine, n_grid: int = 720) -> DiameterSearchResult:
+def search_diameters(base: CenterLine) -> DiameterSearchResult:
     """Zeros of the obstruction on the unit sphere of the center, m1 = m2 = 1.
 
     The sphere-in-chamber hypothesis is evaluated exactly and reported; the
-    sign-change search runs regardless, since the hypothesis is sufficient
-    but not necessary for admissible diameters.  Float zeros are confirmed
-    exactly whenever the direction rationalizes.
+    search runs regardless, since the hypothesis is sufficient but not
+    necessary for admissible diameters.  A 2-dimensional center is one scan
+    circle and a 3-dimensional one SEARCH_LATITUDES latitude circles; every
+    zero of every circle comes from `_circle_zeros`.  Float zeros are
+    confirmed exactly whenever the direction rationalizes.
     """
     flag, j = base.flag, base.j
     d = flag.center_dim
     if d < 1 or d > 3:
         raise InputError("diameter search supports center dimension 1..3, got %d" % d)
     hypothesis = sphere_in_chamber(flag, j)
+    zk = ricci_invariant(flag, j)
+    zkf = CartanVector(tuple(float(v) for v in zk.values))
 
     candidates: List[DiameterCandidate] = []
     seen: set = set()
@@ -849,7 +837,6 @@ def search_diameters(base: CenterLine, n_grid: int = 720) -> DiameterSearchResul
         if not rep.vanishes:
             return
         seen.add(key)
-        zk = ricci_invariant(flag, j)
         z1, _ = ke_endpoints(zk, cand_base.z, 1, 1)
         seg = analyze_segment(cand_base, z1, Fraction(2))
         candidates.append(DiameterCandidate(cand_base.z.values, rep, seg, confirmed_exact=True))
@@ -867,7 +854,6 @@ def search_diameters(base: CenterLine, n_grid: int = 720) -> DiameterSearchResul
         seen.add(key)
         zf = CartanVector(tuple(float(v) for v in values))
         rep = futaki(flag, j, zf, 1, 1)
-        zkf = CartanVector(tuple(float(v) for v in ricci_invariant(flag, j).values))
         z1 = zkf + zf.scale(1.0)
         base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
         seg = analyze_segment(base_f, z1, 2.0, tol=1e-9)
@@ -878,91 +864,92 @@ def search_diameters(base: CenterLine, n_grid: int = 720) -> DiameterSearchResul
         consider_exact([-v for v in flag.center_basis[0].values])
     else:
         onb = _orthonormal_center_basis(base)
-        obstruction = _float_obstruction(j, ricci_invariant(flag, j), 1, 1)
-
-        def fut_at(z_values: np.ndarray) -> float:
-            return obstruction(z_values)[0]
-
         if d == 2:
-            _circle_scan(onb[0], onb[1], fut_at, consider_float, n_grid)
+            b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, len(onb[0])))
         else:
-            n_lat = max(8, n_grid // 24)
-            for phi in np.linspace(0.0, math.pi, n_lat + 2)[1:-1]:
-                axis = math.cos(phi) * onb[2]
-                r = math.sin(phi)
-                _circle_scan(r * onb[0], r * onb[1], fut_at, consider_float, n_grid, offset=axis)
+            phi = np.linspace(0.0, math.pi, SEARCH_LATITUDES + 2)[1:-1, None]
+            b1, b2, offset = np.sin(phi) * onb[0], np.sin(phi) * onb[1], np.cos(phi) * onb[2]
+        obstruction = _diameter_obstruction(j, zk, flag.center_basis)
+
+        def directions(circle: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            return np.cos(theta)[:, None] * b1[circle] + np.sin(theta)[:, None] * b2[circle] + offset[circle]
+
+        zeros = _circle_zeros(lambda c, t: obstruction(directions(c, t)), len(b1), len(j.positive))
+        for values in directions(*zeros):
+            consider_float(values)
 
     order = {True: 0, False: 1}
     candidates.sort(key=lambda c: (order[c.confirmed_exact], tuple(float(v) for v in c.z_values)))
     return DiameterSearchResult(hypothesis=hypothesis, candidates=tuple(candidates))
 
 
-def _circle_scan(b1: np.ndarray, b2: np.ndarray, fut_at, consider, n_grid: int, offset=0.0):
-    thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
-    step = 2 * math.pi / n_grid
+def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center_basis: Sequence[CartanVector]):
+    """The m1 = m2 = 1 obstruction of center directions, batched: z (n, rank) -> (n,).
 
-    def vec(theta: float) -> np.ndarray:
-        return math.cos(theta) * b1 + math.sin(theta) * b2 + offset
-
-    vals = np.array([fut_at(vec(th)) for th in thetas])
-    for i in range(n_grid):
-        a, b = vals[i], vals[(i + 1) % n_grid]
-        th_a = thetas[i]
-        if abs(a) <= FUTAKI_FLOAT_TOL:
-            consider(vec(th_a))
-            continue
-        if a * b < 0:
-            # re-evaluate at the actual bracket end: th_a + step is not
-            # bit-identical to the next grid node, and a crossing within
-            # float noise of a node would hand the root finder an invalid bracket
-            th_b = th_a + step
-            fb = fut_at(vec(th_b))
-            if a * fb > 0:
-                consider(vec(th_b))
-                continue
-            consider(vec(_bracketed_root(lambda th: fut_at(vec(th)), th_a, th_b, a, fb)))
-
-
-def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A zero of f between a and b, given fa = f(a) and fb = f(b) of opposite signs or zero.
-
-    Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971): each step takes
-    the secant point of the bracket ends and keeps the end where f has the
-    other sign; an end kept twice in a row has its value halved.  A secant
-    point closer than SCAN_XTOL/2 to the last point moves that far into the
-    bracket, so that a root that close is bracketed at once.  A secant point
-    not strictly inside the bracket, or SCAN_HALVING steps that together did
-    not halve it, make the next point the midpoint instead.  Stops when the
-    bracket is no wider than SCAN_XTOL and returns the last point evaluated.
+    Zk lies in the center, so roots with one restriction to the center form
+    one module with one alpha(Zk).  The integrand y * prod (alpha(Zk) - y
+    alpha(Z)) has degree |R_m+| + 1 in y, which ceil((|R_m+| + 2)/2)
+    Gauss-Legendre nodes integrate exactly: one directions x nodes x modules
+    product.
     """
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise InternalError("root bracket [%r, %r] has f of one sign" % (a, b))
-    widths = [math.inf] * SCAN_HALVING
-    # every SCAN_HALVING + 1 steps at least halve the bracket, which bounds the steps
-    halvings = math.ceil(math.log2(max(abs(b - a), SCAN_XTOL) / SCAN_XTOL))
-    for _ in range((SCAN_HALVING + 1) * (halvings + 1)):
-        width = abs(b - a)
-        if width <= SCAN_XTOL:
-            return b
-        c = b - fb * (b - a) / (fb - fa)
-        if abs(c - b) < SCAN_XTOL / 2:
-            c = b + math.copysign(SCAN_XTOL / 2, a - b)
-        if width > widths[-SCAN_HALVING] / 2 or not min(a, b) < c < max(a, b):
-            c = (a + b) / 2
-        widths.append(width)
-        fc = f(c)
-        if fc == 0:
-            return c
-        if (fc > 0) == (fb > 0):
-            fa /= 2
+    table: Dict[Tuple[Scalar, ...], List[Root]] = {}
+    for alpha in j.positive:
+        table.setdefault(tuple(evaluate(alpha, b) for b in center_basis), []).append(alpha)
+    coords = np.array([roots[0].coords for roots in table.values()], dtype=float)
+    a = np.array([float(evaluate(roots[0], zk)) for roots in table.values()])
+    mult = np.array([len(roots) for roots in table.values()])
+    gx, gw = _gauss_rule((len(j.positive) + 3) // 2)
+
+    def at(z: np.ndarray) -> np.ndarray:
+        factors = a - gx[:, None] * (z @ coords.T)[:, None, :]
+        return np.prod(factors ** mult, axis=2) @ (gw * gx)
+
+    return at
+
+
+def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every zero of F on each circle, as arrays (circle, theta) in (circle, theta from 0) order.
+
+    values_at(circle, theta) evaluates F at the angles theta of the circles
+    `circle`, batched; on each circle F is a trigonometric polynomial of
+    degree at most `degree`.  Its DFT coefficients c_k from M = 2 degree + 1
+    equispaced samples make w^degree F(w) a polynomial in w = e^(i theta),
+    whose unit-modulus roots, the eigenvalues of its companion matrix
+    (Boyd, J. Eng. Math. 56, 2006), are the zeros of F.  Coefficients at
+    rounding level are dropped from the top first: the degree bound need not
+    be attained (the obstruction keeps only odd powers of y, so for even
+    |R_m+| its top coefficient is pure rounding).  The zeros of all
+    circles are polished together by Newton steps on values_at with the
+    interpolant's exact derivative, and those with |F| <= FUTAKI_FLOAT_TOL
+    are returned.  A circle whose samples are all exactly 0 returns its M
+    sample angles.
+    """
+    m = 2 * degree + 1
+    nodes = 2 * math.pi * np.arange(m) / m
+    samples = values_at(np.repeat(np.arange(n_circles), m), np.tile(nodes, n_circles)).reshape(n_circles, m)
+    k = np.arange(-degree, degree + 1)
+    coeffs = samples @ np.exp(-1j * np.outer(nodes, k)) / m  # c_k, k = -degree .. degree
+    circles, thetas = [], []
+    for c in range(n_circles):
+        if not samples[c].any():
+            found = nodes
         else:
-            a, fa = b, fb
-        b, fb = c, fc
-    raise InternalError("scan root did not converge on [%r, %r]" % (a, b))
+            big = np.abs(coeffs[c]) > 8 * m * np.finfo(float).eps * np.abs(coeffs[c]).max()
+            top = int(np.abs(k[big]).max())
+            roots = np.roots(coeffs[c, degree - top:degree + top + 1][::-1])
+            found = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= SEARCH_UNIT_TOL])
+        circles.append(np.full(len(found), c))
+        thetas.append(found)
+    circle, theta = np.concatenate(circles), np.concatenate(thetas)
+    slope = coeffs[circle] * (1j * k)
+    for _ in range(SEARCH_NEWTON_STEPS):
+        df = np.real(np.sum(slope * np.exp(1j * np.outer(theta, k)), axis=1))
+        theta = theta - np.divide(values_at(circle, theta), df, out=np.zeros_like(df), where=df != 0)
+    keep = np.abs(values_at(circle, theta)) <= FUTAKI_FLOAT_TOL
+    circle, theta = circle[keep], np.mod(theta[keep], 2 * math.pi)
+    theta[theta == 2 * math.pi] = 0.0  # a tiny negative angle wraps to 2 pi in rounding
+    order = np.lexsort((theta, circle))
+    return circle[order], theta[order]
 
 
 def _direction_key(values: Sequence[float]) -> Tuple[int, ...]:

@@ -87,8 +87,8 @@ class Quad:
     Instances always have b != 0; operations collapsing to a rational return a
     plain ``Fraction``.  Mixing two different fields is rejected: a single
     configuration only ever lives in one quadratic field.  Radicands of one
-    field, which may differ by a square factor, are rescaled to the left
-    operand's.
+    field, which may differ by a square factor, are rescaled to the smaller
+    of the two, so a result prints the same in either operand order.
     """
 
     __slots__ = ("a", "b", "r")
@@ -107,10 +107,12 @@ class Quad:
         return Fraction(a) if b == 0 else Quad(a, b, r)
 
     def _coerce(self, other) -> Union[tuple, None]:
+        """(a, b, c, d, r) with self = a + b sqrt(r) and other = c + d sqrt(r); None for floats."""
         if isinstance(other, Quad):
-            return other.a, rescale_sqrt(other.b, other.r, self.r)
+            r = min(self.r, other.r)
+            return self.a, rescale_sqrt(self.b, self.r, r), other.a, rescale_sqrt(other.b, other.r, r), r
         if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+            return self.a, self.b, Fraction(other), Fraction(0), self.r
         return None
 
     # -- ring operations -------------------------------------------------
@@ -119,7 +121,8 @@ class Quad:
         co = self._coerce(other)
         if co is None:
             return float(self) + other if isinstance(other, float) else NotImplemented
-        return Quad.make(self.a + co[0], self.b + co[1], self.r)
+        a, b, c, d, r = co
+        return Quad.make(a + c, b + d, r)
 
     __radd__ = __add__
 
@@ -130,7 +133,8 @@ class Quad:
         co = self._coerce(other)
         if co is None:
             return float(self) - other if isinstance(other, float) else NotImplemented
-        return Quad.make(self.a - co[0], self.b - co[1], self.r)
+        a, b, c, d, r = co
+        return Quad.make(a - c, b - d, r)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -139,8 +143,8 @@ class Quad:
         co = self._coerce(other)
         if co is None:
             return float(self) * other if isinstance(other, float) else NotImplemented
-        c, d = co
-        return Quad.make(self.a * c + self.b * d * self.r, self.a * d + self.b * c, self.r)
+        a, b, c, d, r = co
+        return Quad.make(a * c + b * d * r, a * d + b * c, r)
 
     __rmul__ = __mul__
 
@@ -148,23 +152,17 @@ class Quad:
         co = self._coerce(other)
         if co is None:
             return float(self) / other if isinstance(other, float) else NotImplemented
-        c, d = co
-        den = c * c - d * d * self.r
+        a, b, c, d, r = co
+        den = c * c - d * d * r
         if den == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        num = self * Quad.make(c, -d, self.r)
-        if isinstance(num, Fraction):
-            return num / den
-        return Quad.make(num.a / den, num.b / den, self.r)
+        return Quad.make((a * c - b * d * r) / den, (b * c - a * d) / den, r)
 
     def __rtruediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        if not isinstance(other, (int, Fraction)):  # a Quad numerator is handled by its __truediv__
             return other / float(self) if isinstance(other, float) else NotImplemented
         den = self.a * self.a - self.b * self.b * self.r
-        conj = Quad.make(self.a, -self.b, self.r)
-        inv = Quad.make(conj.a / den, conj.b / den, self.r) if isinstance(conj, Quad) else conj / den
-        return inv * Fraction(co[0]) if co[1] == 0 else inv * Quad.make(*co, self.r)
+        return Quad.make(other * self.a / den, -other * self.b / den, self.r)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

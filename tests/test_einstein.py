@@ -661,20 +661,23 @@ def test_search_diameters_three_dimensional_center():
     # the zero locus is a curve on the 2-sphere; the latitude scan samples it
     flag, j = _flag_j("A1xA1xA1")
     base = make_base(flag, j, flag.center_basis[0])
-    with_default = ein.search_diameters(base, n_grid=240)
+    with_default = ein.search_diameters(base)
     assert flag.center_dim == 3
     assert with_default.candidates  # crossings exist away from the walls
     # per the sign analysis, none of the sampled zeros is chamber-admissible
     assert all(not c.ke_ok for c in with_default.candidates)
 
 
-def test_search_diameters_triple_product_exact_zeros(ke_profile):
+def test_search_diameters_triple_product_exact_zeros(ke_profile, monkeypatch):
     # on the triple product the zero locus is a surface containing the three
     # pairwise-difference directions; all three rationalize and recertify,
-    # and the inert factor cancels from u, reproducing the pair profile
+    # and the inert factor cancels from u, reproducing the pair profile.
+    # They lie at polar angles pi/4, pi/2 and 3pi/4: on the latitudes
+    # k pi/16 of 15 circles, but on none of the default k pi/31
+    monkeypatch.setattr(ein, "SEARCH_LATITUDES", 15)
     flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
     base = make_base(flag, j, flag.center_basis[0])
-    res = ein.search_diameters(base, n_grid=360)
+    res = ein.search_diameters(base)
     exact_ke = [c for c in res.candidates if c.ke_ok and c.confirmed_exact]
     assert len(exact_ke) == 3
     c = exact_ke[0]
@@ -685,62 +688,102 @@ def test_search_diameters_triple_product_exact_zeros(ke_profile):
     assert abs(prof.delta - pair_profile.delta) < 1e-10
 
 
-def _brentq_root(f, a, b, fa, fb):
-    """The scan's root finder before it took the bracket values, as the oracle."""
-    return brentq(f, a, b, xtol=1e-14)
+def _scan_oracle(values_at, n_circles, degree, n_grid=720):
+    """The 720-point sign-change scan that `_circle_zeros` replaced, with brentq, as the oracle.
+
+    A grid node with |F| <= FUTAKI_FLOAT_TOL is a zero; a sign change
+    between two nodes is bracketed afresh at the computed end and refined
+    by brentq.  Misses zeros of even multiplicity and zeros closer than a
+    grid step.
+    """
+    thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
+    step = 2 * math.pi / n_grid
+    vals = values_at(np.repeat(np.arange(n_circles), n_grid), np.tile(thetas, n_circles)).reshape(n_circles, n_grid)
+    out = []
+    for c in range(n_circles):
+        f = lambda th: float(values_at(np.array([c]), np.array([th]))[0])
+        for i in range(n_grid):
+            a, b = vals[c, i], vals[c, (i + 1) % n_grid]
+            if abs(a) <= ein.FUTAKI_FLOAT_TOL:
+                out.append((c, thetas[i]))
+            elif a * b < 0:
+                th_b = thetas[i] + step
+                fb = f(th_b)
+                out.append((c, th_b if a * fb > 0 else brentq(f, thetas[i], th_b, xtol=1e-14)))
+    return np.array([c for c, _ in out], dtype=int), np.array([t for _, t in out])
 
 
-def _float_winners(res):
-    return [c.z_values for c in res.candidates if c.ke_ok and not c.confirmed_exact]
-
-
-def test_scan_roots_match_brentq_on_a2_cubed(monkeypatch):
-    flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
+@pytest.mark.parametrize("text, painted", [("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", ()), ("A2", ())])
+def test_circle_zeros_match_the_scan_oracle(text, painted, monkeypatch):
+    flag, j = _flag_j(text, painted)
     base = make_base(flag, j, flag.center_basis[0])
-    real, brackets = ein._bracketed_root, []
-
-    def recorded(f, a, b, fa, fb):
-        brackets.append((f, a, b, fa, fb))
-        return real(f, a, b, fa, fb)
-
-    monkeypatch.setattr(ein, "_bracketed_root", recorded)
-    got = _float_winners(ein.search_diameters(base))
-    assert brackets
-    for f, a, b, fa, fb in brackets:
-        assert abs(real(f, a, b, fa, fb) - brentq(f, a, b, xtol=1e-14)) <= 1e-13
-    monkeypatch.setattr(ein, "_bracketed_root", _brentq_root)
-    want = _float_winners(ein.search_diameters(base))
+    got = ein.search_diameters(base).candidates
+    monkeypatch.setattr(ein, "_circle_zeros", _scan_oracle)
+    want = ein.search_diameters(base).candidates
     assert len(got) == len(want) > 0
-    for z in got:
-        assert min(max(abs(x - y) for x, y in zip(z, w)) for w in want) <= 1e-12
+    assert [c.z_values for c in got if c.confirmed_exact] == [c.z_values for c in want if c.confirmed_exact]
+    floats = [c for c in want if not c.confirmed_exact]
+    for c in got:
+        if not c.confirmed_exact:
+            twin = min(floats, key=lambda w: max(abs(x - y) for x, y in zip(c.z_values, w.z_values)))
+            assert max(abs(x - y) for x, y in zip(c.z_values, twin.z_values)) <= 1e-12
+            assert c.ke_ok == twin.ke_ok
+    assert [c.ke_ok for c in got] == [c.ke_ok for c in want]
 
 
-def test_scan_root_finder_keeps_the_exact_winner(ke_base, monkeypatch):
-    got = ein.search_diameters(ke_base)
-    monkeypatch.setattr(ein, "_bracketed_root", _brentq_root)
-    want = ein.search_diameters(ke_base)
-    exact = [[c.z_values for c in res.candidates if c.ke_ok and c.confirmed_exact] for res in (got, want)]
-    assert exact[0] == exact[1] and len(exact[0]) == 1
+def _on_one_circle(fn):
+    return lambda circle, theta: fn(theta)
 
 
-def test_bracketed_root_on_hand_built_brackets():
-    root = ein._bracketed_root
-    # a zero one ulp inside either end
-    for x0, a, b in [(math.nextafter(1.0, 0.0), 0.0, 1.0), (math.nextafter(1.0, 2.0), 1.0, 2.0)]:
-        f = lambda x: x - x0
-        got = root(f, a, b, f(a), f(b))
-        assert abs(got - x0) <= 1e-14 and abs(got - brentq(f, a, b, xtol=1e-14)) <= 1e-13
-    # a zero at an end is returned as it is, without an evaluation
-    never = lambda x: pytest.fail("evaluated at %r" % x)
-    assert root(never, 0.25, 1.0, 0.0, 3.0) == 0.25
-    assert root(never, 0.25, 1.0, -3.0, 0.0) == 1.0
-    # a stiff zero and a triple one, where plain regula falsi stalls on one side
-    f = lambda x: math.exp(20 * x) - 2.0
-    assert abs(root(f, 0.0, 1.0, f(0.0), f(1.0)) - math.log(2.0) / 20) <= 1e-14
-    f = lambda x: (x - 0.375) ** 3
-    assert abs(root(f, 0.0, 2.0, f(0.0), f(2.0)) - 0.375) <= 1e-14
-    with pytest.raises(InternalError, match="one sign"):
-        root(never, 0.0, 1.0, 1.0, 2.0)
+def _circle_distance(x, y):
+    return abs(math.remainder(x - y, 2 * math.pi))
+
+
+def test_circle_zeros_finds_a_double_zero_off_the_grid():
+    f = _on_one_circle(lambda th: 1.0 - np.cos(th - 0.1234))
+    circle, theta = ein._circle_zeros(f, 1, 1)
+    assert len(theta) > 0 and all(c == 0 for c in circle)
+    assert max(_circle_distance(t, 0.1234) for t in theta) <= 1e-7
+    assert len(_scan_oracle(f, 1, 1)[1]) == 0
+
+
+def test_circle_zeros_separates_two_zeros_closer_than_a_grid_step():
+    half = 0.5e-3
+    f = _on_one_circle(lambda th: np.cos(th - 0.3) - math.cos(half))
+    _, theta = ein._circle_zeros(f, 1, 1)
+    assert len(theta) == 2
+    assert _circle_distance(theta[0], 0.3 - half) <= 1e-12 and _circle_distance(theta[1], 0.3 + half) <= 1e-12
+    assert len(_scan_oracle(f, 1, 1)[1]) == 0
+
+
+def test_circle_zeros_finds_a_zero_at_theta_zero():
+    # sin(th)(2 + cos(3 th)): simple zeros at 0 and pi only, degree 4
+    f = _on_one_circle(lambda th: np.sin(th) * (2.0 + np.cos(3 * th)))
+    _, theta = ein._circle_zeros(f, 1, 4)
+    assert len(theta) == 2
+    assert _circle_distance(theta[0], 0.0) <= 1e-15 and _circle_distance(theta[1], math.pi) <= 1e-15
+
+
+def test_circle_zeros_orders_circles_and_hands_over_a_vanishing_circle():
+    # circle 0 vanishes identically, circle 1 is cos(th): its M = 3 nodes, then pi/2 and 3 pi/2
+    f = lambda circle, theta: np.where(circle == 1, np.cos(theta), 0.0)
+    circle, theta = ein._circle_zeros(f, 2, 1)
+    assert circle.tolist() == [0, 0, 0, 1, 1]
+    assert np.array_equal(theta[:3], 2 * math.pi * np.arange(3) / 3)
+    assert abs(theta[3] - math.pi / 2) <= 1e-15 and abs(theta[4] - 3 * math.pi / 2) <= 1e-15
+
+
+@pytest.mark.parametrize("text, painted", [("A2xA3", (1, 3, 4)), ("A2xA2xA2", (1, 3, 5)), ("B3xB3", (1, 4))])
+def test_diameter_obstruction_matches_the_float_futaki(text, painted):
+    flag, j = _flag_j(text, painted)
+    obstruction = ein._diameter_obstruction(j, ricci_invariant(flag, j), flag.center_basis)
+    gen = np.random.default_rng(7)
+    basis = np.array([[float(v) for v in b.values] for b in flag.center_basis])
+    z = gen.normal(size=(5, len(basis))) @ basis
+    got = obstruction(z)
+    for zi, gi in zip(z, got):
+        rep = ein.futaki(flag, j, CartanVector(tuple(zi)), 1, 1)
+        assert abs(gi - rep.value) <= 1e-12 * max(1.0, abs(rep.value))
 
 
 def test_search_diameters_rejects_large_centers():

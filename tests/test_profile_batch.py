@@ -23,7 +23,7 @@ from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system
 from flagke.scalars import Quad
 
-# a float winner of search_diameters on A2xA2xA2 [1, 3, 5], n_grid = 720
+# a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
 
 

@@ -75,6 +75,16 @@ def test_quad_radicands_past_the_trial_limit_share_their_field():
         split_exact([small, exact_sqrt(20023)])
 
 
+def test_quad_arithmetic_keeps_the_smaller_radicand():
+    # one field, two radicands: a result carries the smaller, so it prints the same in either order
+    big, small = exact_sqrt(20011 ** 2 * 20021), exact_sqrt(20021)
+    assert big + small == small + big == 20012 * small
+    assert format_scalar(big + small) == format_scalar(small + big) == "0 + 20012*sqrt(20021)"
+    for x, y in [(big, small), (small, big)]:
+        assert (x - y).r == (x * (y + 1)).r == (x / (y + 1)).r == small.r
+        assert x / (y + 1) * (y + 1) == x and 1 / (x + 1) * (x + 1) == 1
+
+
 def test_scalar_helpers():
     assert scalar_is_zero(Fraction(0))
     assert not scalar_is_zero(Quad(Fraction(0), Fraction(1), Fraction(2)))
