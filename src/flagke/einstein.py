@@ -889,8 +889,9 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
     Zk lies in the center, so roots with one restriction to the center form
     one module with one alpha(Zk).  The integrand y * prod (alpha(Zk) - y
     alpha(Z)) has degree |R_m+| + 1 in y, which ceil((|R_m+| + 2)/2)
-    Gauss-Legendre nodes integrate exactly: one directions x nodes x modules
-    product.
+    Gauss-Legendre nodes integrate exactly: a directions x nodes product,
+    accumulated one module at a time so that memory stays at one
+    directions x nodes array.
     """
     table: Dict[Tuple[Scalar, ...], List[Root]] = {}
     for alpha in j.positive:
@@ -901,8 +902,10 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
     gx, gw = _gauss_rule((len(j.positive) + 3) // 2)
 
     def at(z: np.ndarray) -> np.ndarray:
-        factors = a - gx[:, None] * (z @ coords.T)[:, None, :]
-        return np.prod(factors ** mult, axis=2) @ (gw * gx)
+        out = np.ones((len(z), len(gx)))
+        for ai, ki, di in zip(a, (z @ coords.T).T, mult):
+            out *= (ai - np.outer(ki, gx)) ** di
+        return out @ (gw * gx)
 
     return at
 
