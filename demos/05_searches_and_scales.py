@@ -43,8 +43,8 @@ base_third = make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3
 found = search_walled(base_third, 3, 1)
 for cand in found:
     print("scale 1/3 candidate: Z =", [str(v) for v in cand.z_values],
-          "obstruction =", cand.futaki.value,
-          "degrees =", (cand.segment.candidate.m1, cand.segment.candidate.m2))
+          "obstruction =", cand.verdict.futaki.value,
+          "degrees =", cand.verdict.degrees)
 
 # the same manifold through a different group: symmetric (2,2) walls on the
 # product of two SU(2), found at scale 1/2, with the identical profile

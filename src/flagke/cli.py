@@ -29,7 +29,7 @@ from .flag import (
     ricci_invariant,
     validate_complex_structure,
 )
-from .model import CenterLine, analyze_segment, check_parametrization, make_base
+from .model import CenterLine, check_parametrization, make_base
 from .rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -169,7 +169,7 @@ def _run_flag_info(job: JobSpec) -> Dict:
         "ricci_invariant_position": chamber_position(flag, j, zk).position,
     }
     if j.positive:
-        chk = ein.sphere_in_chamber(flag, j)
+        chk = ein.sphere_in_chamber(flag, j, zk=zk)
         out["sphere_in_chamber"] = {
             "ok": chk.ok,
             "min_wall_distance_sq": str(chk.min_distance_sq),
@@ -189,14 +189,15 @@ def _run_futaki(job: JobSpec) -> Dict:
     spec, rs, flag, j = _build_context(job)
     m1, m2 = _degrees(job)
     base = _base_from_job(job, flag, j)
-    rep = ein.futaki(flag, j, base.z, m1, m2)
+    zk = ricci_invariant(flag, j)
+    rep = ein.futaki(flag, j, base.z, m1, m2, zk=zk)
     return {
         "mode": "futaki",
         "config": _echo(job, spec),
         "m1": m1,
         "m2": m2,
         "z_unit": _vector_report(base.z),
-        "ricci_invariant": _vector_report(ricci_invariant(flag, j)),
+        "ricci_invariant": _vector_report(zk),
         "value": _fmt(rep.value),
         "value_float": float(rep.value),
         "vanishes": rep.vanishes,
@@ -206,16 +207,21 @@ def _run_futaki(job: JobSpec) -> Dict:
     }
 
 
-def _segment_report(base: CenterLine, flag, j, m1: int, m2: int) -> Dict:
-    zk = ricci_invariant(flag, j)
-    z1, z2 = ein.ke_endpoints(zk, base.z, m1, m2)
-    seg = analyze_segment(base, z1, Fraction(m1 + m2) if base.z.kind != "float" else float(m1 + m2))
-    mismatch = seg.candidate.m1 != m1 or seg.candidate.m2 != m2
-    report = {
-        "ricci_invariant": _vector_report(zk),
-        "declared_degrees": [m1, m2],
-        "computed_degrees": [seg.candidate.m1, seg.candidate.m2],
-        "degree_mismatch": mismatch,
+def _verdict(job: JobSpec):
+    spec, rs, flag, j = _build_context(job)
+    m1, m2 = _degrees(job)
+    base = _base_from_job(job, flag, j)
+    return spec, ein.ke_verdict(base, ricci_invariant(flag, j), m1, m2)
+
+
+def _segment_report(verdict: ein.KEVerdict) -> Dict:
+    seg = verdict.segment
+    z1, z2 = verdict.endpoints
+    return {
+        "ricci_invariant": _vector_report(verdict.zk),
+        "declared_degrees": [verdict.m1, verdict.m2],
+        "computed_degrees": list(verdict.degrees),
+        "degree_mismatch": not verdict.degrees_match,
         "z1": _vector_report(z1),
         "z2": _vector_report(z2),
         "walls_z1": [
@@ -227,50 +233,42 @@ def _segment_report(base: CenterLine, flag, j, m1: int, m2: int) -> Dict:
         "chamber_ok": seg.chamber_ok,
         "degrees_ok": seg.degrees_ok,
         "projection_ok": seg.projection_ok,
-        "overall_ok": seg.overall_ok and not mismatch,
-        "failures": list(seg.failures),
+        "overall_ok": verdict.admissible,
+        "failures": list(verdict.failures),
     }
-    if mismatch:
-        report["failures"] = report["failures"] + [
-            "degree mismatch: declared (%d, %d), walls give (%d, %d)"
-            % (m1, m2, seg.candidate.m1, seg.candidate.m2)
-        ]
-    return report
+
+
+def _futaki_report(rep: ein.FutakiReport) -> Dict:
+    return {"value": _fmt(rep.value), "vanishes": rep.vanishes, "exact": rep.exact}
 
 
 def _run_check_segment(job: JobSpec) -> Dict:
-    spec, rs, flag, j = _build_context(job)
-    m1, m2 = _degrees(job)
-    base = _base_from_job(job, flag, j)
-    rep = ein.futaki(flag, j, base.z, m1, m2)
+    spec, verdict = _verdict(job)
     return {
         "mode": "check-segment",
         "config": _echo(job, spec),
-        "z_unit": _vector_report(base.z),
-        "segment": _segment_report(base, flag, j, m1, m2),
-        "futaki": {"value": _fmt(rep.value), "vanishes": rep.vanishes, "exact": rep.exact},
+        "z_unit": _vector_report(verdict.base.z),
+        "segment": _segment_report(verdict),
+        "futaki": _futaki_report(verdict.futaki),
     }
 
 
 def _solve_pipeline(job: JobSpec):
-    spec, rs, flag, j = _build_context(job)
-    m1, m2 = _degrees(job)
-    base = _base_from_job(job, flag, j)
-    seg_report = _segment_report(base, flag, j, m1, m2)
-    rep = ein.futaki(flag, j, base.z, m1, m2)
+    spec, verdict = _verdict(job)
+    base = verdict.base
     out = {
         "config": _echo(job, spec),
-        "m1": m1,
-        "m2": m2,
+        "m1": verdict.m1,
+        "m2": verdict.m2,
         "z_unit": _vector_report(base.z),
-        "segment": seg_report,
-        "futaki": {"value": _fmt(rep.value), "vanishes": rep.vanishes, "exact": rep.exact},
+        "segment": _segment_report(verdict),
+        "futaki": _futaki_report(verdict.futaki),
     }
-    if not seg_report["overall_ok"] or not rep.vanishes:
+    if not verdict.ok:
         out["verdict"] = "no_kahler_einstein"
-        out["reason"] = "segment inadmissible" if not seg_report["overall_ok"] else "obstruction integral nonzero"
+        out["reason"] = "segment inadmissible" if not verdict.admissible else "obstruction integral nonzero"
         return spec, base, None, None, out
-    sp = ein.build_segment_polynomial(base, m1, m2)
+    sp = ein.SegmentPolynomial.from_base(base, verdict.m1, verdict.m2, zk=verdict.zk)
     profile = ein.profile_solve(sp, grid_size=job.grid)
     out["verdict"] = "kahler_einstein"
     out["einstein_constant"] = profile.einstein_constant
@@ -382,8 +380,8 @@ def _run_search(job: JobSpec) -> Dict:
                     "z": [_fmt(v) for v in c.z_values],
                     "w1": [list(r.coords) for r in c.w1],
                     "w2": [list(r.coords) for r in c.w2],
-                    "futaki": _fmt(c.futaki.value),
-                    "admissible": c.segment.overall_ok,
+                    "futaki": _fmt(c.verdict.futaki.value),
+                    "admissible": c.verdict.segment.overall_ok,
                 }
                 for c in candidates
             ],
@@ -402,11 +400,11 @@ def _run_search(job: JobSpec) -> Dict:
         "candidates": [
             {
                 "z": [_fmt(v) for v in c.z_values],
-                "futaki": _fmt(c.futaki.value),
-                "futaki_exact": c.futaki.exact,
+                "futaki": _fmt(c.verdict.futaki.value),
+                "futaki_exact": c.verdict.futaki.exact,
                 "confirmed_exact": c.confirmed_exact,
-                "admissible": c.segment.overall_ok,
-                "degrees": [c.segment.candidate.m1, c.segment.candidate.m2],
+                "admissible": c.verdict.segment.overall_ok,
+                "degrees": list(c.verdict.degrees),
                 "ke_ok": c.ke_ok,
             }
             for c in result.candidates

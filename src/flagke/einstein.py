@@ -92,18 +92,20 @@ class FutakiReport:
     error_bound: Optional[float] = None
 
 
-def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int) -> FutakiReport:
+def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int,
+           zk: Optional[CartanVector] = None) -> FutakiReport:
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
     integers over the isotropy modules of `_modules`; one Fraction or Quad is
     built, for the value.  On the float path the integrand's coefficients
     are the `p_linear_product_float` chain over R_m+, and a crude roundoff
-    bound accompanies the value.
+    bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
+    when the caller has it.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
-    zk = ricci_invariant(flag, j)
+    zk = ricci_invariant(flag, j) if zk is None else zk
     if z.kind == "float":
         coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
         poly = p_linear_product_float([float(evaluate(a, zk)) for a in j.positive], coords @ np.array(z.values))
@@ -139,6 +141,65 @@ def _modules(j: InvariantComplexStructure, zk: CartanVector, z: CartanVector):
         c = alpha.coords
         table.setdefault((sum(map(mul, c, y)), sum(map(mul, c, zr)), sum(map(mul, c, zs))), []).append(alpha)
     return table, den, r
+
+
+@dataclass(frozen=True)
+class KEVerdict:
+    """Whether the direction of ``base`` carries a Kahler-Einstein metric with degrees (m1, m2).
+
+    The one place where the obstruction, the admissibility of the segment
+    between the Einstein endpoints and the degrees of its walls are put
+    together.  The segment is classified on first read, so a caller that
+    stops at a nonvanishing obstruction never classifies it.
+    """
+
+    base: CenterLine
+    zk: CartanVector
+    m1: int
+    m2: int
+    futaki: FutakiReport
+
+    @functools.cached_property
+    def endpoints(self) -> Tuple[CartanVector, CartanVector]:
+        return ke_endpoints(self.zk, self.base.z, self.m1, self.m2)
+
+    @functools.cached_property
+    def segment(self) -> AdmissibleSegment:
+        length = self.m1 + self.m2
+        return analyze_segment(self.base, self.endpoints[0],
+                               float(length) if self.base.z.kind == "float" else Fraction(length))
+
+    @property
+    def degrees(self) -> Tuple[int, int]:
+        """The degrees (m1, m2) that the walls of the segment give."""
+        return self.segment.candidate.m1, self.segment.candidate.m2
+
+    @property
+    def degrees_match(self) -> bool:
+        return self.degrees == (self.m1, self.m2)
+
+    @property
+    def admissible(self) -> bool:
+        """The segment is admissible and its walls give the declared degrees."""
+        return self.segment.overall_ok and self.degrees_match
+
+    @property
+    def ok(self) -> bool:
+        """The obstruction vanishes and the segment is admissible."""
+        return self.futaki.vanishes and self.admissible
+
+    @property
+    def failures(self) -> Tuple[str, ...]:
+        """Why the segment is not admissible, the degree mismatch last."""
+        if self.degrees_match:
+            return self.segment.failures
+        return self.segment.failures + ("degree mismatch: declared (%d, %d), walls give (%d, %d)"
+                                        % ((self.m1, self.m2) + self.degrees),)
+
+
+def ke_verdict(base: CenterLine, zk: CartanVector, m1: int, m2: int) -> KEVerdict:
+    """The Kahler-Einstein verdict of base's direction; zk is the Ricci element of (base.flag, base.j)."""
+    return KEVerdict(base, zk, m1, m2, futaki(base.flag, base.j, base.z, m1, m2, zk=zk))
 
 
 def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
@@ -279,15 +340,17 @@ class SegmentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_base(base: CenterLine, m1: int, m2: int, validate_degrees: bool = True) -> "SegmentPolynomial":
+    def from_base(base: CenterLine, m1: int, m2: int, validate_degrees: bool = True,
+                  zk: Optional[CartanVector] = None) -> "SegmentPolynomial":
         """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
 
         Exact module values are built once per module from the integers of
-        `_modules`; a float Z is evaluated root by root.
+        `_modules`; a float Z is evaluated root by root.  ``zk`` is the Ricci
+        element when the caller has it.
         """
         if m1 < 1 or m2 < 1:
             raise InputError("degrees must be >= 1")
-        zk = ricci_invariant(base.flag, base.j)
+        zk = ricci_invariant(base.flag, base.j) if zk is None else zk
         modules: Dict[Tuple[Scalar, Scalar, Scalar], List[Root]] = {}
         if base.z.kind == "float":
             z1 = zk + base.z.scale(m1)
@@ -755,16 +818,17 @@ class SphereCheck:
     binding_root: Root
 
 
-def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure) -> SphereCheck:
+def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional[CartanVector] = None) -> SphereCheck:
     """min over R_m+ of alpha(Zk)^2 / |alpha|^2, exactly, both norm variants.
 
     The restricted variant measures the distance inside the center of k,
     where the sphere actually lives; both minima agree on a full flag.
+    ``zk`` is the Ricci element of (flag, j) when the caller has it.
     """
     if not j.positive:
         raise InputError("flag has no transverse roots; paint fewer simple roots")
     rs = flag.rs
-    zk = ricci_invariant(flag, j)
+    zk = ricci_invariant(flag, j) if zk is None else zk
     gram_c_inv = linalg.invert(
         [[killing(rs, b1, b2) for b2 in flag.center_basis] for b1 in flag.center_basis]
     )
@@ -788,14 +852,15 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure) -> SphereChe
 
 @dataclass(frozen=True)
 class DiameterCandidate:
+    """A zero of the obstruction on the sphere, with its verdict for degrees (1, 1)."""
+
     z_values: Tuple[Scalar, ...]
-    futaki: FutakiReport
-    segment: AdmissibleSegment
+    verdict: KEVerdict
     confirmed_exact: bool
 
     @property
     def ke_ok(self) -> bool:
-        return self.futaki.vanishes and self.segment.overall_ok
+        return self.verdict.ok
 
 
 @dataclass(frozen=True)
@@ -818,9 +883,8 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     d = flag.center_dim
     if d < 1 or d > 3:
         raise InputError("diameter search supports center dimension 1..3, got %d" % d)
-    hypothesis = sphere_in_chamber(flag, j)
     zk = ricci_invariant(flag, j)
-    zkf = CartanVector(tuple(float(v) for v in zk.values))
+    hypothesis = sphere_in_chamber(flag, j, zk=zk)
 
     candidates: List[DiameterCandidate] = []
     seen: set = set()
@@ -833,13 +897,11 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         key = _direction_key([float(v) for v in cand_base.z.values])
         if key in seen:
             return
-        rep = futaki(flag, j, cand_base.z, 1, 1)
-        if not rep.vanishes:
+        verdict = ke_verdict(cand_base, zk, 1, 1)
+        if not verdict.futaki.vanishes:
             return
         seen.add(key)
-        z1, _ = ke_endpoints(zk, cand_base.z, 1, 1)
-        seg = analyze_segment(cand_base, z1, Fraction(2))
-        candidates.append(DiameterCandidate(cand_base.z.values, rep, seg, confirmed_exact=True))
+        candidates.append(DiameterCandidate(cand_base.z.values, verdict, confirmed_exact=True))
 
     def consider_float(values: np.ndarray) -> None:
         key = _direction_key(values)
@@ -853,11 +915,8 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
                 return
         seen.add(key)
         zf = CartanVector(tuple(float(v) for v in values))
-        rep = futaki(flag, j, zf, 1, 1)
-        z1 = zkf + zf.scale(1.0)
         base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
-        seg = analyze_segment(base_f, z1, 2.0, tol=1e-9)
-        candidates.append(DiameterCandidate(zf.values, rep, seg, confirmed_exact=False))
+        candidates.append(DiameterCandidate(zf.values, ke_verdict(base_f, zk, 1, 1), confirmed_exact=False))
 
     if d == 1:
         consider_exact(flag.center_basis[0].values)
@@ -1005,8 +1064,7 @@ class WalledCandidate:
     w1: Tuple[Root, ...]
     w2: Tuple[Root, ...]
     z_values: Tuple[Scalar, ...]
-    futaki: FutakiReport
-    segment: AdmissibleSegment
+    verdict: KEVerdict
 
 
 def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) -> Tuple[WalledCandidate, ...]:
@@ -1014,8 +1072,8 @@ def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) ->
 
     Enumerates wall sets W1, W2 in R_m+ of sizes m1-1 and m2-1, solves the
     exact linear system pinning Z, intersects with the unit-norm condition
-    (solution lines give quadratic-field solutions), and keeps candidates
-    passing admissibility and the vanishing of the obstruction.  Affine
+    (solution lines give quadratic-field solutions), and keeps the
+    directions whose `ke_verdict` is ok.  Affine
     solution spaces of dimension two or more are skipped: they are
     continuous families, not isolated candidates.
     """
@@ -1036,24 +1094,18 @@ def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) ->
     if n_pairs > max_pairs:
         raise InputError("wall enumeration too large (%d pairs)" % n_pairs)
 
+    # each root's center row and alpha(Zk); a wall at Z1 = Zk + m1 Z or Z2 = Zk - m2 Z pins alpha(Z)
+    rows = [[Fraction(evaluate(alpha, b)) for b in basis] for alpha in pos]
+    at_zk = [Fraction(evaluate(alpha, zk)) for alpha in pos]
     out: List[WalledCandidate] = []
     seen: set = set()
-    for w1 in itertools.combinations(pos, m1 - 1):
-        for w2 in itertools.combinations(pos, m2 - 1):
-            rows: List[List[Fraction]] = []
-            rhs: List[Fraction] = []
-            for alpha in w1:
-                rows.append([Fraction(evaluate(alpha, b)) for b in basis])
-                rhs.append(Fraction(-Fraction(evaluate(alpha, zk)), m1))
-            for alpha in w2:
-                rows.append([Fraction(evaluate(alpha, b)) for b in basis])
-                rhs.append(Fraction(Fraction(evaluate(alpha, zk)), m2))
-            if not rows:
-                continue
-            sol = linalg.solve(rows, rhs)
+    for w1 in itertools.combinations(range(len(pos)), m1 - 1):
+        for w2 in itertools.combinations(range(len(pos)), m2 - 1):
+            system = [rows[i] for i in w1 + w2]
+            sol = linalg.solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2])
             if sol is None:
                 continue
-            null = linalg.nullspace(rows, n_cols=d)
+            null = linalg.nullspace(system, n_cols=d)
             if len(null) >= 2:
                 continue  # continuous family; out of enumeration scope
             for coeffs in _unit_norm_solutions(sol, null, gram_c, ps2):
@@ -1065,17 +1117,9 @@ def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) ->
                 if key in seen:
                     continue
                 seen.add(key)
-                rep = futaki(flag, j, z, m1, m2)
-                if not rep.vanishes:
-                    continue
-                cand_base = CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale)
-                z1, _ = ke_endpoints(zk, z, m1, m2)
-                seg = analyze_segment(cand_base, z1, Fraction(m1 + m2))
-                if seg.candidate.m1 != m1 or seg.candidate.m2 != m2:
-                    continue
-                if not seg.overall_ok:
-                    continue
-                out.append(WalledCandidate(tuple(w1), tuple(w2), z.values, rep, seg))
+                verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
+                if verdict.ok:
+                    out.append(WalledCandidate(tuple(pos[i] for i in w1), tuple(pos[i] for i in w2), z.values, verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
 

@@ -20,6 +20,9 @@ from .flag import FlagData, InvariantComplexStructure, validate_complex_structur
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_sign
 
+# a float alpha(Z) this close to zero puts a wall at that end of a segment
+FLOAT_WALL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CenterLine:
@@ -88,58 +91,44 @@ class AdmissibleSegment:
         return self.chamber_ok and self.degrees_ok and self.projection_ok
 
 
-def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar, tol: float = 1e-12) -> AdmissibleSegment:
+def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> AdmissibleSegment:
     """Classify the segment from Z1 to Z2 = Z1 - C*Z.
 
-    All verdicts are exact on exact inputs.  A root vanishing at both
-    endpoints would vanish on the whole segment, which the chamber test
-    reports as a failure rather than a wall.
+    All verdicts are exact on exact inputs; a float value within
+    FLOAT_WALL_TOL of zero is a wall.  A root vanishing at both endpoints
+    would vanish on the whole segment, which the chamber test reports as a
+    failure rather than a wall.
     """
-    if scalar_sign(length, tol) <= 0:
+    if scalar_sign(length, FLOAT_WALL_TOL) <= 0:
         raise InputError("segment length must be positive")
     flag, j = base.flag, base.j
     z2 = z1 - base.z.scale(length)
+    signs = [tuple(scalar_sign(evaluate(alpha, z), FLOAT_WALL_TOL) for z in (z1, z2)) for alpha in j.positive]
     failures: List[str] = []
-
-    chamber_ok = True
-    w1: List[Root] = []
-    w2: List[Root] = []
-    for alpha in j.positive:
-        s1 = scalar_sign(evaluate(alpha, z1), tol)
-        s2 = scalar_sign(evaluate(alpha, z2), tol)
-        if s1 < 0 or s2 < 0:
-            chamber_ok = False
+    for alpha, s in zip(j.positive, signs):
+        if min(s) < 0:
             failures.append("chamber: alpha=%s negative at an endpoint" % (alpha.coords,))
-            continue
-        if s1 == 0 and s2 == 0:
-            chamber_ok = False
+        elif max(s) == 0:
             failures.append("chamber: alpha=%s vanishes on the whole segment" % (alpha.coords,))
-            continue
-        if s1 == 0:
-            w1.extend([alpha, -alpha])
-        if s2 == 0:
-            w2.extend([alpha, -alpha])
-    w1.sort()
-    w2.sort()
-    m1 = len(w1) // 2 + 1
-    m2 = len(w2) // 2 + 1
+    chamber_ok = not failures
 
-    deg1, fail1 = _projective_space_test(flag, tuple(w1))
-    deg2, fail2 = _projective_space_test(flag, tuple(w2))
-    degrees_ok = deg1 and deg2
-    failures.extend("endpoint 1 %s" % f for f in fail1)
-    failures.extend("endpoint 2 %s" % f for f in fail2)
-
-    proj_ok = True
-    for tag, walls in (("endpoint 1", frozenset(r.coords for r in w1)),
-                       ("endpoint 2", frozenset(r.coords for r in w2))):
-        bad = _projection_violation(flag, j, walls)
+    # a wall of one end is a root vanishing there and positive at the other
+    walls = tuple(
+        tuple(sorted(r for alpha, s in zip(j.positive, signs) if s[end] == 0 < s[1 - end] for r in (alpha, -alpha)))
+        for end in (0, 1)
+    )
+    degree_failures: List[str] = []
+    projection_failures: List[str] = []
+    for tag, w in zip(("endpoint 1", "endpoint 2"), walls):
+        degree_failures += ["%s %s" % (tag, f) for f in _projective_space_test(flag, w)]
+        bad = _projection_violation(flag, j, frozenset(r.coords for r in w))
         if bad is not None:
-            proj_ok = False
-            failures.append("%s holomorphic projection fails at %s + %s" % (tag, bad[0], bad[1]))
+            projection_failures.append("%s holomorphic projection fails at %s + %s" % (tag, bad[0], bad[1]))
+    failures += degree_failures + projection_failures
 
-    cand = SegmentCandidate(z1=z1, length=length, z2=z2, w1=tuple(w1), w2=tuple(w2), m1=m1, m2=m2)
-    return AdmissibleSegment(cand, chamber_ok, degrees_ok, proj_ok, tuple(failures))
+    w1, w2 = walls
+    cand = SegmentCandidate(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=len(w1) // 2 + 1, m2=len(w2) // 2 + 1)
+    return AdmissibleSegment(cand, chamber_ok, not degree_failures, not projection_failures, tuple(failures))
 
 
 def _projection_violation(flag: FlagData, j: InvariantComplexStructure, walls: frozenset):
@@ -155,8 +144,8 @@ def _projection_violation(flag: FlagData, j: InvariantComplexStructure, walls: f
     return None
 
 
-def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> Tuple[bool, List[str]]:
-    """Decide whether the endpoint centralizer fibers over K as CP^m.
+def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> List[str]:
+    """Why the endpoint centralizer does not fiber over K as CP^m; empty when it does.
 
     Builds the closed subsystem R_K u W, extracts its simple system, and
     checks the textbook characterization: exactly one component meets the
@@ -164,7 +153,7 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> Tuple[boo
     one terminal node lands on painted roots only.
     """
     if not walls:
-        return True, []
+        return []
     rs = flag.rs
     wall_pos = sorted({r.coords for r in walls if r.is_positive})
     sub_pos = sorted({r.coords for r in flag.r_k if r.is_positive} | set(wall_pos))
@@ -210,7 +199,7 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> Tuple[boo
     meet = sorted({comp_id[i] for i in range(m) if nodes[i] in wall_set})
     if len(meet) != 1:
         failures.append("wall roots spread over %d simple components" % len(meet))
-        return False, failures
+        return failures
     comp_nodes = [i for i in range(m) if comp_id[i] == meet[0]]
     for i in range(m):
         if comp_id[i] != meet[0] and nodes[i] not in painted_coords:
@@ -247,7 +236,7 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> Tuple[boo
     for w in wall_pos:
         if not {t for t, c in enumerate(w) if c != 0} <= comp_support:
             failures.append("wall root %s escapes the component span" % (w,))
-    return not failures, failures
+    return failures
 
 
 # ---------------------------------------------------------------------------

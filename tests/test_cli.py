@@ -116,6 +116,65 @@ def test_search_mode(capsys):
     assert len(kes) == 1 and kes[0]["confirmed_exact"]
 
 
+def _rational_direction(z):
+    """A rational --z along an exact unit vector of a report.
+
+    A unit vector is a rational direction divided by the square root of its
+    norm, so its entries are all rational or all of the form 0 + q*sqrt(r)
+    (or 0); the q are the direction.
+    """
+    parts = []
+    for v in z:
+        if "sqrt" in v:
+            rational, irrational = v.split(" + ")
+            assert rational == "0"
+            v = irrational.split("*sqrt")[0]
+        parts.append(v)
+    return ",".join(parts)
+
+
+@pytest.mark.parametrize("group, painted", [("A1xA1", ""), ("A1xA1xA1", "2"), ("A2xA2", "1,3")])
+def test_search_ke_ok_is_the_solve_verdict(capsys, group, painted):
+    code, rep = _capture(capsys, ["search", "--group", group, "--painted", painted])
+    assert code == 0
+    exact = [c for c in rep["candidates"] if c["confirmed_exact"]]
+    assert exact
+    for c in exact:
+        code, solved = _capture(capsys, ["solve", "--group", group, "--painted", painted,
+                                         "--z=" + _rational_direction(c["z"]), "--m1", "1", "--m2", "1"])
+        assert code == 0
+        assert solved["z_unit"] == c["z"]
+        assert c["ke_ok"] == (solved["verdict"] == "kahler_einstein")
+    if group == "A1xA1":
+        # the SU(2) x SU(2) diameter: its walls give degrees (2, 2), not the declared (1, 1)
+        assert [(c["z"], c["degrees"], c["ke_ok"]) for c in exact] == [(["-1/2", "1/2"], [2, 2], False)]
+
+
+_FLOAT_PATH_DIRECTIONS = {
+    "A2xA2 diameter": ["--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0"],
+    "A1xA1 product": ["--group", "A1xA1", "--z", "1,-1"],
+}
+
+
+@pytest.mark.parametrize("mode", ["check-segment", "solve"])
+@pytest.mark.parametrize("direction", sorted(_FLOAT_PATH_DIRECTIONS))
+def test_float_path_gives_the_exact_verdict(capsys, mode, direction):
+    argv = [mode] + _FLOAT_PATH_DIRECTIONS[direction] + ["--m1", "1", "--m2", "1", "--grid", "48"]
+    reports = []
+    for arithmetic in ("--exact", "--float"):
+        code, rep = _capture(capsys, argv + [arithmetic])
+        assert code == 0
+        seg = rep["segment"]
+        reports.append((
+            rep.get("verdict"), seg["overall_ok"], rep["futaki"]["vanishes"], seg["computed_degrees"],
+            [w["root"] for w in seg["walls_z1"]], [w["root"] for w in seg["walls_z2"]],
+        ))
+    exact, flt = reports
+    assert flt == exact
+    assert exact[0] == {"solve": "kahler_einstein" if direction == "A2xA2 diameter" else "no_kahler_einstein",
+                        "check-segment": None}[mode]
+
+
 def test_no_ke_solve_is_exit_zero(capsys):
     # the rank-one diameter overshoots the chamber wall: inadmissible
     code, rep = _capture(

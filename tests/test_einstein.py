@@ -642,8 +642,8 @@ def test_search_diameters_finds_exact_product_zero(ke_base):
     winners = [c for c in res.candidates if c.ke_ok]
     assert len(winners) == 1
     c = winners[0]
-    assert c.confirmed_exact and c.futaki.exact and c.futaki.value == 0
-    assert c.segment.candidate.m1 == 1 and c.segment.candidate.m2 == 1
+    assert c.confirmed_exact and c.verdict.futaki.exact and c.verdict.futaki.value == 0
+    assert c.verdict.degrees == (1, 1)
     # the exact direction is (e1 - e2)/sqrt(2) up to overall sign
     mags = [abs(float(v)) for v in c.z_values]
     assert abs(mags[0] - math.sqrt(2) / 4) < 1e-12 and mags[1] == 0
@@ -849,9 +849,9 @@ def test_asymmetric_product_numeric_zero_diameter():
     winners = [c for c in res.candidates if c.ke_ok]
     assert winners
     cand = winners[0]
-    assert not cand.confirmed_exact and not cand.futaki.exact
-    assert abs(float(cand.futaki.value)) < 1e-10
-    assert cand.futaki.error_bound is not None
+    assert not cand.confirmed_exact and not cand.verdict.futaki.exact
+    assert abs(float(cand.verdict.futaki.value)) < 1e-10
+    assert cand.verdict.futaki.error_bound is not None
 
     b = CenterLine(flag=flag, j=j, z=CartanVector(cand.z_values))
     sp = ein.SegmentPolynomial.from_base(b, 1, 1)
@@ -876,7 +876,7 @@ def test_projective_space_profile_same_metric_from_product_realization():
     cand = found[0]
     assert cand.z_values == (Fraction(1, 4), Fraction(-1, 4)) or cand.z_values == (
         Fraction(-1, 4), Fraction(1, 4))
-    assert cand.futaki.value == 0 and cand.segment.overall_ok
+    assert cand.verdict.futaki.value == 0 and cand.verdict.segment.overall_ok
 
     b = CenterLine(flag=flag, j=j, z=CartanVector(cand.z_values), period_scale=Fraction(1, 2))
     sp = ein.build_segment_polynomial(b, 2, 2)
@@ -929,8 +929,8 @@ def test_search_walled_fixed_point_case_under_period_scale():
     found = ein.search_walled(base3, 3, 1)
     assert len(found) == 1
     cand = found[0]
-    assert cand.futaki.value == 0
-    assert cand.segment.candidate.m1 == 3 and cand.segment.candidate.m2 == 1
-    assert cand.segment.overall_ok
+    assert cand.verdict.futaki.value == 0
+    assert cand.verdict.degrees == (3, 1)
+    assert cand.verdict.segment.overall_ok
     zk = ricci_invariant(flag, j)
     assert CartanVector(cand.z_values).scale(-3).values == zk.values
