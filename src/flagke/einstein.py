@@ -304,7 +304,6 @@ class SegmentPolynomial:
             self.coeffs = p_linear_product({(a, k): n for (a, k, _), n in zip(self.modules, d)})
         else:
             self.coeffs = p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()
-        self.d_coeffs = p_deriv(self.coeffs)
         # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
         self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
 
@@ -374,9 +373,6 @@ class SegmentPolynomial:
         return SegmentPolynomial(modules, self.m2, self.m1, validate_degrees=False)
 
     # -- pointwise data ------------------------------------------------------
-
-    def p_eval(self, v: Scalar) -> Scalar:
-        return p_eval(self.coeffs, v)
 
     def u_exact(self, f: Scalar) -> Scalar:
         num = p_eval(self.q_coeffs, f)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError, InternalError
@@ -161,10 +161,3 @@ def chamber_position(
         return ChamberPosition("boundary", tuple(sorted(walls)))
     return ChamberPosition("interior")
 
-
-def center_coordinates(flag: FlagData, x: CartanVector) -> Optional[List[Fraction]]:
-    """Exact coordinates of a rational X in the center basis, or None."""
-    if x.kind != "rational":
-        raise InputError("exact center coordinates need a rational vector")
-    rows = [[b.values[i] for b in flag.center_basis] for i in range(flag.rs.rank)]
-    return linalg.solve(rows, list(x.values))

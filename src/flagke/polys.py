@@ -34,15 +34,6 @@ def p_trim(p: Sequence[Scalar]) -> Poly:
     return out
 
 
-def p_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
-    n = max(len(a), len(b))
-    return p_trim([(a[k] if k < len(a) else ZERO) + (b[k] if k < len(b) else ZERO) for k in range(n)])
-
-
-def p_scale(a: Sequence[Scalar], s: Scalar) -> Poly:
-    return p_trim([s * c for c in a])
-
-
 def p_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
     if not a or not b:
         return []

@@ -368,19 +368,7 @@ def killing(rs: RootSystem, h1: CartanVector, h2: CartanVector) -> Scalar:
     return out
 
 
-def killing_brute(rs: RootSystem, h1: CartanVector, h2: CartanVector) -> Scalar:
-    """E(H1, H2) summed root by root; the independent oracle for `killing`."""
-    out: Scalar = Fraction(0)
-    for beta in rs.roots:
-        out = out + evaluate(beta, h1) * evaluate(beta, h2)
-    return out
-
-
 def coroot_vector(rs: RootSystem, alpha: Root) -> CartanVector:
     """H_alpha with E(H_alpha, H) = alpha(H) for every H; exact rational."""
     vals = linalg.mat_vec([list(row) for row in rs.gram_inverse], list(alpha.coords))
     return CartanVector(tuple(vals))
-
-
-def zero_vector(rs: RootSystem) -> CartanVector:
-    return CartanVector(tuple(Fraction(0) for _ in range(rs.rank)))

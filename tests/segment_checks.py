@@ -1,13 +1,23 @@
 """Constructions on segment polynomials that only the tests use.
 
 The first-integral identity and the scaled-Ricci negative control, shared
-by `test_einstein.py` and `test_acceptance.py`.
+by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
+sum and scaling they are built from.
 """
 
 from fractions import Fraction
 
 from flagke import einstein as ein
-from flagke.polys import p_add, p_deriv, p_mul, p_scale, p_trim
+from flagke.polys import ZERO, p_deriv, p_mul, p_trim
+
+
+def p_add(a, b):
+    n = max(len(a), len(b))
+    return p_trim([(a[k] if k < len(a) else ZERO) + (b[k] if k < len(b) else ZERO) for k in range(n)])
+
+
+def p_scale(a, s):
+    return p_trim([s * c for c in a])
 
 
 def first_integral_identity_numerator(sp):
@@ -20,7 +30,7 @@ def first_integral_identity_numerator(sp):
     """
     A = p_scale(sp.q_coeffs, Fraction(-2))
     B = list(sp.coeffs)
-    C = p_scale(sp.d_coeffs, Fraction(-1))
+    C = p_scale(p_deriv(sp.coeffs), Fraction(-1))
     D = p_scale(B, Fraction(2))
     H = [-Fraction(sp.m1), Fraction(1)]
     term1 = p_mul(p_add(p_mul(p_deriv(A), B), p_scale(p_mul(A, p_deriv(B)), Fraction(-1))), D)

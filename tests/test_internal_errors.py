@@ -30,6 +30,39 @@ def test_no_bare_assert_in_package():
     assert not found, "bare assert in src/flagke: %s" % ", ".join(found)
 
 
+def _parse(paths):
+    for path in paths:
+        with open(path) as fh:
+            yield path, ast.parse(fh.read(), filename=path)
+
+
+def test_every_top_level_name_outside_all_has_a_caller():
+    # a function or class of the package that is neither exported nor used by
+    # the package, the benchmark or the demos is dead code, or a test helper
+    # that belongs under tests/
+    import flagke
+
+    root = os.path.join(SRC, os.pardir, os.pardir)
+    defined = {}
+    for path, tree in _parse(glob.glob(os.path.join(SRC, "*.py"))):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = "%s:%d" % (os.path.basename(path), node.lineno)
+    used = set()
+    users = [os.path.join(root, d, "*.py") for d in ("src/flagke", "benchmarks", "demos")]
+    for _, tree in _parse(sorted(p for pattern in users for p in glob.glob(pattern))):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    unused = sorted("%s (%s)" % (name, where) for name, where in defined.items()
+                    if name not in flagke.__all__ and name not in used)
+    assert not unused, "no caller in src/flagke, benchmarks or demos: %s" % ", ".join(unused)
+
+
 @pytest.fixture
 def drifted_end_curvature(monkeypatch):
     fpp = ein.SegmentPolynomial.fpp_float

@@ -17,8 +17,15 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
     killing,
-    killing_brute,
 )
+
+
+def killing_brute(system, h1, h2):
+    """E(H1, H2) summed root by root; the independent oracle for `killing`."""
+    out = Fraction(0)
+    for beta in system.roots:
+        out = out + evaluate(beta, h1) * evaluate(beta, h2)
+    return out
 
 
 def rs(text):
