@@ -40,10 +40,29 @@ from .rootsys import (
 )
 from .scalars import format_scalar
 
-MODES = ("roots", "flag-info", "futaki", "check-segment", "solve", "verify", "search")
 FLOAT_FMT = "%.12e"  # all exported floats carry 12 significant digits
 # profile inversion holds grid x einstein.PROFILE_GAUSS_ORDER floats per Newton step
 MAX_GRID = 65536
+# the tolerances a solve report states, and which of them each verify check is held to
+TOLERANCES = {
+    "f_delta_error": 1e-8,
+    "fpp_endpoints": 1e-4,
+    "max_ode_residual": 1e-8,
+    "einstein_residuals": 1e-6,
+    "two_route_gaps": 1e-6,
+    "roundtrip_error": 1e-8,
+}
+CHECK_TOLERANCES = {
+    "f_delta": "f_delta_error",
+    "fpp0_minus_1": "fpp_endpoints",
+    "fpp_delta_plus_1": "fpp_endpoints",
+    "ode_residual": "max_ode_residual",
+    "tangential_residual": "einstein_residuals",
+    "normal_residual": "einstein_residuals",
+    "normal_two_route_gap": "two_route_gaps",
+    "delta_two_route_gap": "two_route_gaps",
+    "roundtrip": "roundtrip_error",
+}
 
 
 @dataclass
@@ -274,14 +293,7 @@ def _solve_pipeline(job: JobSpec):
     out["einstein_constant"] = profile.einstein_constant
     out["delta"] = profile.delta
     out["diagnostics"] = {k: float(v) for k, v in profile.diagnostics.items()}
-    out["tolerances"] = {
-        "f_delta_error": 1e-8,
-        "fpp_endpoints": 1e-4,
-        "max_ode_residual": 1e-8,
-        "einstein_residuals": 1e-6,
-        "two_route_gaps": 1e-6,
-        "roundtrip_error": 1e-8,
-    }
+    out["tolerances"] = dict(TOLERANCES)
     return spec, base, sp, profile, out
 
 
@@ -340,19 +352,21 @@ def _run_verify(job: JobSpec) -> Dict:
         return out
     res = ein.verify_profile(sp, profile, n_check=64)
     pv = check_parametrization(profile.t, profile.f, profile.delta, float(sp.f_delta))
-    checks = {
-        "f_delta": {"value": float(profile.diagnostics["f_delta_error"]), "tol": 1e-8},
-        "fpp0_minus_1": {"value": abs(pv.fpp0 - 1.0), "tol": 1e-4},
-        "fpp_delta_plus_1": {"value": abs(pv.fpp_delta + 1.0), "tol": 1e-4},
-        "ode_residual": {"value": float(profile.diagnostics["max_ode_residual"]), "tol": 1e-8},
-        "tangential_residual": {"value": res["max_tangential_residual"], "tol": 1e-6},
-        "normal_residual": {"value": res["max_normal_residual"], "tol": 1e-6},
-        "normal_two_route_gap": {"value": res["normal_two_route_gap"], "tol": 1e-6},
-        "delta_two_route_gap": {"value": res["delta_ode_gap"], "tol": 1e-6},
-        "roundtrip": {"value": res["roundtrip_error"], "tol": 1e-8},
+    values = {
+        "f_delta": profile.diagnostics["f_delta_error"],
+        "fpp0_minus_1": abs(pv.fpp0 - 1.0),
+        "fpp_delta_plus_1": abs(pv.fpp_delta + 1.0),
+        "ode_residual": profile.diagnostics["max_ode_residual"],
+        "tangential_residual": res["max_tangential_residual"],
+        "normal_residual": res["max_normal_residual"],
+        "normal_two_route_gap": res["normal_two_route_gap"],
+        "delta_two_route_gap": res["delta_ode_gap"],
+        "roundtrip": res["roundtrip_error"],
     }
-    for c in checks.values():
-        c["pass"] = bool(c["value"] < c["tol"])
+    checks = {}
+    for name, value in values.items():
+        tol = TOLERANCES[CHECK_TOLERANCES[name]]
+        checks[name] = {"value": float(value), "tol": tol, "pass": bool(value < tol)}
     out["checks"] = checks
     out["all_pass"] = all(c["pass"] for c in checks.values())
     out["parametrization"] = {
@@ -421,6 +435,7 @@ _HANDLERS = {
     "verify": _run_verify,
     "search": _run_search,
 }
+MODES = tuple(_HANDLERS)
 
 
 def run(job: JobSpec) -> Dict:
@@ -462,7 +477,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--m1", type=int)
         p.add_argument("--m2", type=int)
         p.add_argument("--tau", help="period scale, rational (default 1)")
-        p.add_argument("--tol", type=float, help="float-path tolerance (default 1e-12)")
+        p.add_argument("--tol", type=float,
+                       help="tolerance of the test that --z lies in the center, for a float direction (default 1e-12)")
         p.add_argument("--grid", type=int, help="profile grid size (default 512)")
         p.add_argument("--exact", dest="arithmetic", action="store_const", const="exact")
         p.add_argument("--float", dest="arithmetic", action="store_const", const="float")
@@ -471,6 +487,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
+    """JobSpec's defaults, overridden by the job file's fields, then by the flags that are given."""
     data: Dict = {}
     if args.job:
         with open(args.job) as fh:
@@ -479,42 +496,16 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
             raise InputError("job file must hold a JSON object")
         if "mode" in data and data["mode"] != args.mode:
             raise InputError("job file mode %r conflicts with subcommand %r" % (data["mode"], args.mode))
-    job = JobSpec(mode=args.mode)
-    if "group" in data:
-        job.group = _convert("group", data["group"], _group_name)
-    job.painted = _convert("painted", data.get("painted", []), _int_list)
-    job.complex_structure = data.get("complex_structure", "default")
-    job.z_direction = data.get("z_direction")
-    job.m1 = None if data.get("m1") is None else _convert("m1", data["m1"], int)
-    job.m2 = None if data.get("m2") is None else _convert("m2", data["m2"], int)
-    job.tau = str(data.get("tau", "1"))
-    job.tol = _convert("tol", data.get("tol", 1e-12), float)
-    job.grid = _convert("grid", data.get("grid", 512), int)
-    job.arithmetic = data.get("arithmetic", "exact")
-    job.out = data.get("out")
-
-    if args.group:
-        job.group = args.group
+    flags = {name: getattr(args, flag) for name, (flag, _) in _FIELDS.items()}
     if args.painted is not None:
-        job.painted = _convert("painted", [p for p in args.painted.split(",") if p.strip()], _int_list)
-    if args.jsigns:
-        job.complex_structure = "default" if args.jsigns == "default" else json.loads(args.jsigns)
-    if args.z:
-        job.z_direction = args.z if args.z != "search" else "search"
-    if args.m1 is not None:
-        job.m1 = args.m1
-    if args.m2 is not None:
-        job.m2 = args.m2
-    if args.tau:
-        job.tau = args.tau
-    if args.tol is not None:
-        job.tol = args.tol
-    if args.grid is not None:
-        job.grid = args.grid
-    if args.arithmetic:
-        job.arithmetic = args.arithmetic
-    if args.out:
-        job.out = args.out
+        flags["painted"] = [p for p in args.painted.split(",") if p.strip()]
+    if args.jsigns not in (None, "default"):
+        flags["complex_structure"] = json.loads(args.jsigns)
+    job = JobSpec(mode=args.mode)
+    for source in (data, flags):
+        for name, (_, convert) in _FIELDS.items():
+            if source.get(name) is not None:
+                setattr(job, name, source[name] if convert is None else _convert(name, source[name], convert))
     if job.grid > MAX_GRID:
         raise InputError("grid must have at most %d points, got %d" % (MAX_GRID, job.grid))
     if job.arithmetic not in ("exact", "float"):
@@ -540,6 +531,22 @@ def _group_name(group) -> str:
     if isinstance(group, list):
         return "x".join("%s%d" % (g["family"], int(g["rank"])) for g in group)
     return str(group)
+
+
+# JobSpec field: (its command-line flag, the conversion of its value, or None)
+_FIELDS = {
+    "group": ("group", _group_name),
+    "painted": ("painted", _int_list),
+    "complex_structure": ("jsigns", None),
+    "z_direction": ("z", None),
+    "m1": ("m1", int),
+    "m2": ("m2", int),
+    "tau": ("tau", str),
+    "tol": ("tol", float),
+    "grid": ("grid", int),
+    "arithmetic": ("arithmetic", None),
+    "out": ("out", None),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flagke import einstein as ein
-from flagke.cli import main
+from flagke.cli import CHECK_TOLERANCES, main
 
 
 def _capture(capsys, argv):
@@ -173,6 +173,16 @@ def test_float_path_gives_the_exact_verdict(capsys, mode, direction):
     assert flt == exact
     assert exact[0] == {"solve": "kahler_einstein" if direction == "A2xA2 diameter" else "no_kahler_einstein",
                         "check-segment": None}[mode]
+
+
+def test_verify_check_tolerances_are_the_solve_report_tolerances(capsys):
+    argv = ["--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0", "--m1", "1", "--m2", "1", "--grid", "96"]
+    _, solved = _capture(capsys, ["solve"] + argv)
+    _, verified = _capture(capsys, ["verify"] + argv)
+    assert set(verified["checks"]) == set(CHECK_TOLERANCES)
+    assert set(CHECK_TOLERANCES.values()) == set(solved["tolerances"])
+    for name, check in verified["checks"].items():
+        assert check["tol"] == solved["tolerances"][CHECK_TOLERANCES[name]], name
 
 
 def test_no_ke_solve_is_exit_zero(capsys):
