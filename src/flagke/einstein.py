@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from .flag import FlagData, InvariantComplexStructure, ricci_invariant
-from .model import AdmissibleSegment, CenterLine, analyze_segment, make_base
+from .model import FLOAT_WALL_TOL, AdmissibleSegment, CenterLine, analyze_segment, make_base
 from .polys import (
     int_linear_product,
     p_antideriv,
@@ -287,7 +287,7 @@ class SegmentPolynomial:
             walls: Tuple[list, list] = ([], [])
             for (a, k, _), roots in self.modules.items():
                 for side, value in enumerate((a, a - k * self.f_delta)):
-                    if scalar_is_zero(value, 1e-12):
+                    if scalar_is_zero(value, FLOAT_WALL_TOL):
                         walls[side].extend(r.coords for r in roots)
             computed = (len(walls[0]) + 1, len(walls[1]) + 1)
             if computed != (self.m1, self.m2):

@@ -175,6 +175,17 @@ def test_float_path_gives_the_exact_verdict(capsys, mode, direction):
                         "check-segment": None}[mode]
 
 
+def test_float_walls_of_the_verdict_and_the_profile_agree(capsys):
+    # alpha(Z1) and alpha(Z2) of the walls are 5e-12 here: walls for the verdict
+    # and for the segment polynomial alike, so the (2, 2) metric is solved
+    argv = ["solve", "--group", "A1xA1", "--z=1.00000000002,-1", "--m1", "2", "--m2", "2", "--tau", "1/2",
+            "--float", "--grid", "48"]
+    code, rep = _capture(capsys, argv)
+    assert code == 0
+    assert rep["segment"]["computed_degrees"] == [2, 2]
+    assert rep["verdict"] == "kahler_einstein"
+
+
 def test_verify_check_tolerances_are_the_solve_report_tolerances(capsys):
     argv = ["--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0", "--m1", "1", "--m2", "1", "--grid", "96"]
     _, solved = _capture(capsys, ["solve"] + argv)
