@@ -49,8 +49,6 @@ from .einstein import (
     futaki,
     ke_endpoints,
     profile_solve,
-    ricci_normal,
-    ricci_tangential,
     search_diameters,
     search_walled,
     sphere_in_chamber,
@@ -93,8 +91,6 @@ __all__ = [
     "make_base",
     "profile_solve",
     "ricci_invariant",
-    "ricci_normal",
-    "ricci_tangential",
     "search_diameters",
     "search_walled",
     "sphere_in_chamber",

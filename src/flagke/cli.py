@@ -395,7 +395,7 @@ def _run_search(job: JobSpec) -> Dict:
                     "w1": [list(r.coords) for r in c.w1],
                     "w2": [list(r.coords) for r in c.w2],
                     "futaki": _fmt(c.verdict.futaki.value),
-                    "admissible": c.verdict.segment.overall_ok,
+                    "admissible": c.verdict.admissible,
                 }
                 for c in candidates
             ],
@@ -417,7 +417,7 @@ def _run_search(job: JobSpec) -> Dict:
                 "futaki": _fmt(c.verdict.futaki.value),
                 "futaki_exact": c.verdict.futaki.exact,
                 "confirmed_exact": c.confirmed_exact,
-                "admissible": c.verdict.segment.overall_ok,
+                "admissible": c.verdict.admissible,
                 "degrees": list(c.verdict.degrees),
                 "ke_ok": c.ke_ok,
             }

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
-from .flag import FlagData, InvariantComplexStructure, ricci_invariant
-from .model import FLOAT_WALL_TOL, AdmissibleSegment, CenterLine, analyze_segment, make_base
+from .flag import FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, ricci_invariant
+from .model import AdmissibleSegment, CenterLine, analyze_segment, isotropy_modules, make_base, module_values
 from .polys import (
     int_linear_product,
     p_antideriv,
@@ -51,7 +51,6 @@ from .polys import (
     p_mul,
     p_to_float,
     pair_scalar,
-    split_exact,
 )
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Scalar, is_exact, scalar_is_zero
@@ -70,6 +69,12 @@ NEWTON_MAX_ITER = 80
 SEARCH_LATITUDES = 30
 SEARCH_UNIT_TOL = 1e-6
 SEARCH_NEWTON_STEPS = 4
+# a float zero is tried as the rational direction with denominators up to this
+RATIONALIZE_MAX_DEN = 10 ** 6
+# walled search: the most wall-set pairs it enumerates
+MAX_WALL_PAIRS = 20000
+# a float coefficient below this share of the largest one is a zero of the order test
+FLOAT_ORDER_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +102,10 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
-    integers over the isotropy modules of `_modules`; one Fraction or Quad is
-    built, for the value.  On the float path the integrand's coefficients
-    are the `p_linear_product_float` chain over R_m+, and a crude roundoff
-    bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
+    integers over the isotropy modules of `model.isotropy_modules` under
+    (Zk, Z); one Fraction or Quad is built, for the value.  On the float
+    path the integrand's coefficients are the `p_linear_product_float` chain
+    over R_m+, and a crude roundoff bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
     when the caller has it.
     """
     if m1 < 1 or m2 < 1:
@@ -115,32 +120,14 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
         bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
         vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
         return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
-    table, den, r = _modules(j, zk, z)
-    us, vs = int_linear_product({(y, 0, k0, k1): len(roots) for (y, k0, k1), roots in table.items()}, r)
+    table, den, r = isotropy_modules(j, zk, z)
+    us, vs = int_linear_product({key: len(roots) for key, roots in table.items()}, r)
     # integral of y^(i+1) is (m2^(i+2) - (-m1)^(i+2)) / (i+2); lcm(1..) makes every weight an integer
     scale = math.lcm(*range(1, len(us) + 2))
     weights = [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(len(us))]
     total = scale * den ** len(j.positive)
     value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
     return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
-
-
-def _modules(j: InvariantComplexStructure, zk: CartanVector, z: CartanVector):
-    """The isotropy modules of R_m+ under exact (Zk, Z): ({(y, k0, k1): roots}, den, r).
-
-    Zk and Z are split once into integer vectors over one denominator den,
-    so that alpha(Zk) = y/den and alpha(Z) = (k0 + k1 sqrt(R))/den with R and
-    r as in `polys.split_exact`; roots with equal values share one key, in
-    the order of R_m+.
-    """
-    n = len(zk.values)
-    u, v, den, r = split_exact(zk.values + z.values)
-    y, zr, zs = u[:n], u[n:], v[n:]  # Zk is rational: its sqrt parts v[:n] are 0
-    table: Dict[Tuple[int, int, int], List[Root]] = {}
-    for alpha in j.positive:
-        c = alpha.coords
-        table.setdefault((sum(map(mul, c, y)), sum(map(mul, c, zr)), sum(map(mul, c, zs))), []).append(alpha)
-    return table, den, r
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,7 @@ def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
     shares the integer product with `futaki`, so the tests also check both
     against a per-root Fraction/Quad product.
     """
-    sp = SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False)
+    sp = SegmentPolynomial.from_base(base, m1, m2)
     return p_eval(sp.q_coeffs, Fraction(m1 + m2))
 
 
@@ -277,25 +264,11 @@ class SegmentPolynomial:
     construction.
     """
 
-    def __init__(self, modules: Dict[Tuple[Scalar, Scalar, Scalar], Sequence[Root]], m1: int, m2: int,
-                 validate_degrees: bool = True):
+    def __init__(self, modules: Dict[Tuple[Scalar, Scalar, Scalar], Sequence[Root]], m1: int, m2: int):
         self.modules = {key: tuple(roots) for key, roots in modules.items()}
         self.m1, self.m2 = int(m1), int(m2)
         self.f_delta = Fraction(m1 + m2)
         self.exact = all(is_exact(a) and is_exact(k) for a, k, _ in self.modules)
-        if validate_degrees:
-            walls: Tuple[list, list] = ([], [])
-            for (a, k, _), roots in self.modules.items():
-                for side, value in enumerate((a, a - k * self.f_delta)):
-                    if scalar_is_zero(value, FLOAT_WALL_TOL):
-                        walls[side].extend(r.coords for r in roots)
-            computed = (len(walls[0]) + 1, len(walls[1]) + 1)
-            if computed != (self.m1, self.m2):
-                raise DegreeMismatchError(
-                    "wall order %s disagrees with declared degrees %s" % (computed, (self.m1, self.m2)),
-                    details={"computed": computed, "declared": (self.m1, self.m2),
-                             "walls_at_z1": walls[0], "walls_at_z2": walls[1]},
-                )
 
         d = [len(roots) for roots in self.modules.values()]
         self.a_f, self.k_f, self.zk_f = (np.array([float(key[i]) for key in self.modules]) for i in range(3))
@@ -339,38 +312,43 @@ class SegmentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_base(base: CenterLine, m1: int, m2: int, validate_degrees: bool = True,
+    def from_base(base: CenterLine, m1: int, m2: int, validate_degrees: bool = False,
                   zk: Optional[CartanVector] = None) -> "SegmentPolynomial":
         """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
 
-        Exact module values are built once per module from the integers of
-        `_modules`; a float Z is evaluated root by root.  ``zk`` is the Ricci
+        Its modules are those of `model.isotropy_modules` under (Z1, Z):
+        exact values are built once per module, float ones are evaluated
+        root by root.  ``validate_degrees`` is `build_segment_polynomial`'s
+        check that the walls give the degrees (m1, m2).  ``zk`` is the Ricci
         element when the caller has it.
         """
         if m1 < 1 or m2 < 1:
             raise InputError("degrees must be >= 1")
         zk = ricci_invariant(base.flag, base.j) if zk is None else zk
-        modules: Dict[Tuple[Scalar, Scalar, Scalar], List[Root]] = {}
-        if base.z.kind == "float":
-            z1 = zk + base.z.scale(m1)
-            for alpha in base.j.positive:
-                key = (evaluate(alpha, z1), evaluate(alpha, base.z), evaluate(alpha, zk))
-                modules.setdefault(key, []).append(alpha)
-        else:
-            table, den, r = _modules(base.j, zk, base.z)
-            for (y, k0, k1), roots in table.items():
-                a = pair_scalar(y + m1 * k0, m1 * k1, den, r)  # alpha(Z1) = alpha(Zk) + m1 alpha(Z)
-                modules[a, pair_scalar(k0, k1, den, r), Fraction(y, den)] = roots
-        return SegmentPolynomial(modules, m1, m2, validate_degrees=validate_degrees)
+        table, den, rad = isotropy_modules(base.j, zk + base.z.scale(m1), base.z)
+        modules = {module_values(key, den, rad) + (evaluate(roots[0], zk),): roots for key, roots in table.items()}
+        sp = SegmentPolynomial(modules, m1, m2)
+        if validate_degrees:
+            # a module is a wall of the end where its factor a - k v of P vanishes: v = 0 or v = m1 + m2
+            ends = [(a, a - k * sp.f_delta) for a, k, _ in modules]
+            walls = [[r.coords for e, roots in zip(ends, modules.values()) if scalar_is_zero(e[side], FLOAT_WALL_TOL)
+                      for r in roots] for side in (0, 1)]
+            computed = (len(walls[0]) + 1, len(walls[1]) + 1)
+            if computed != (m1, m2):
+                raise DegreeMismatchError(
+                    "wall order %s disagrees with declared degrees %s" % (computed, (m1, m2)),
+                    details={"computed": computed, "declared": (m1, m2),
+                             "walls_at_z1": walls[0], "walls_at_z2": walls[1]},
+                )
+        return sp
 
     def reversed(self) -> "SegmentPolynomial":
         """The segment run backwards: (Z2, -Z, m2, m1), so P_rev(x) = P(m1+m2 - x).
 
-        Its walls are those of this polynomial, swapped; they are not
-        re-validated.
+        Its walls are those of this polynomial, swapped.
         """
         modules = {(a - k * self.f_delta, -k, zk): roots for (a, k, zk), roots in self.modules.items()}
-        return SegmentPolynomial(modules, self.m2, self.m1, validate_degrees=False)
+        return SegmentPolynomial(modules, self.m2, self.m1)
 
     # -- pointwise data ------------------------------------------------------
 
@@ -442,10 +420,10 @@ class SegmentPolynomial:
         return self._by_end(f, left.uf, lambda x: -right.uf(x)) - f + self.m1
 
 
-def _float_low_order(coeffs: Sequence[Scalar], rel_tol: float = 1e-9) -> int:
+def _float_low_order(coeffs: Sequence[Scalar]) -> int:
     scale = max(abs(float(c)) for c in coeffs) or 1.0
     for k, c in enumerate(coeffs):
-        if abs(float(c)) > rel_tol * scale:
+        if abs(float(c)) > FLOAT_ORDER_RTOL * scale:
             return k
     return len(coeffs)
 
@@ -717,15 +695,6 @@ def _ricci_q(sp: SegmentPolynomial, f, fp, fpp):
     return fpp - (fp * fp) * s1 / 2.0
 
 
-def ricci_tangential(sp: SegmentPolynomial, profile: ProfileSolution, alpha: Root, t: float) -> float:
-    """Per-root Ricci eigenvalue r_alpha(t) = alpha(Zk) + q(t) alpha(Z), read off alpha's module."""
-    idx = next((i for i, roots in enumerate(sp.modules.values()) if alpha in roots), None)
-    if idx is None:
-        raise InputError("root %s is not a positive root of the configuration" % (alpha.coords,))
-    q = _ricci_q(sp, *_state_at(sp, profile, t))
-    return float(sp.zk_f[idx] + q * sp.k_f[idx])
-
-
 def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
     """r_alpha/g_alpha - 1, modules on the last axis, for states of any shape.
 
@@ -751,11 +720,6 @@ def ricci_normal_state(sp: SegmentPolynomial, f, fp, fpp):
     if np.any(np.asarray(fp) == 0):
         raise SingularConfigurationError("f' vanishes in the interior")
     return -fppp / fp + fpp * s1 + 0.5 * u * s2
-
-
-def ricci_normal(profile: ProfileSolution, sp: SegmentPolynomial, t: float) -> float:
-    """r(xi, xi) by the closed form with f''' from the differentiated flow."""
-    return ricci_normal_state(sp, *_state_at(sp, profile, t))
 
 
 # offsets of the five-point stencil, the centre first
@@ -1035,7 +999,7 @@ def _orthonormal_center_basis(base: CenterLine) -> List[np.ndarray]:
     return out
 
 
-def _rationalize_direction(flag: FlagData, values: Sequence[float], max_den: int = 10 ** 6) -> Optional[List[Fraction]]:
+def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[List[Fraction]]:
     """Rebuild a float direction as an exact rational center vector, if close."""
     basis = [np.array([float(v) for v in b.values]) for b in flag.center_basis]
     B = np.stack(basis, axis=1)
@@ -1044,7 +1008,7 @@ def _rationalize_direction(flag: FlagData, values: Sequence[float], max_den: int
     if scale == 0:
         return None
     coeffs = coeffs / scale
-    rat = [Fraction(c).limit_denominator(max_den) for c in coeffs]
+    rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
     if all(r == 0 for r in rat):
         return None
     if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > 1e-7:
@@ -1063,7 +1027,7 @@ class WalledCandidate:
     verdict: KEVerdict
 
 
-def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) -> Tuple[WalledCandidate, ...]:
+def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, ...]:
     """Walled Kahler-Einstein candidates for declared degrees (m1, m2).
 
     Enumerates wall sets W1, W2 in R_m+ of sizes m1-1 and m2-1, solves the
@@ -1087,7 +1051,7 @@ def search_walled(base: CenterLine, m1: int, m2: int, max_pairs: int = 20000) ->
     gram_c = [[Fraction(killing(rs, b1, b2)) for b2 in basis] for b1 in basis]
 
     n_pairs = math.comb(len(pos), m1 - 1) * math.comb(len(pos), m2 - 1)
-    if n_pairs > max_pairs:
+    if n_pairs > MAX_WALL_PAIRS:
         raise InputError("wall enumeration too large (%d pairs)" % n_pairs)
 
     # each root's center row and alpha(Zk); a wall at Z1 = Zk + m1 Z or Z2 = Zk - m2 Z pins alpha(Z)

@@ -20,6 +20,9 @@ from .errors import InputError, InternalError
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
 
+# a float alpha(X) this close to zero puts X on the wall of alpha
+FLOAT_WALL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FlagData:
@@ -134,25 +137,20 @@ def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVecto
     return coroot_vector(flag.rs, Root(tuple(total)))
 
 
-def wall_roots(flag: FlagData, x: CartanVector, tol: float = 1e-12) -> Tuple[Root, ...]:
+def wall_roots(flag: FlagData, x: CartanVector) -> Tuple[Root, ...]:
     """Roots of R_m vanishing on X; X is regular iff this is empty."""
     out = []
     for alpha in flag.r_m:
-        if scalar_sign(evaluate(alpha, x), tol) == 0:
+        if scalar_sign(evaluate(alpha, x), FLOAT_WALL_TOL) == 0:
             out.append(alpha)
     return tuple(out)
 
 
-def chamber_position(
-    flag: FlagData,
-    j: InvariantComplexStructure,
-    x: CartanVector,
-    tol: float = 1e-12,
-) -> ChamberPosition:
+def chamber_position(flag: FlagData, j: InvariantComplexStructure, x: CartanVector) -> ChamberPosition:
     """Locate X relative to the positive chamber {alpha > 0 on R_m+}."""
     walls = []
     for alpha in j.positive:
-        s = scalar_sign(evaluate(alpha, x), tol)
+        s = scalar_sign(evaluate(alpha, x), FLOAT_WALL_TOL)
         if s < 0:
             return ChamberPosition("outside")
         if s == 0:

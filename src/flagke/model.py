@@ -4,24 +4,28 @@ A ``CenterLine`` fixes the flag data, an invariant complex structure and a
 unit direction Z inside the center of k.  Candidate segments Z1 - [0, C] * Z
 are then classified exactly: the chamber condition, the endpoint wall sets
 and degrees, the projective-space test at each singular endpoint, and the
-holomorphic-projection closure condition.
+holomorphic-projection closure condition.  The roots of R_m+ enter through
+their isotropy modules, built here once for the segment, the obstruction
+and the segment polynomial alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .flag import FlagData, InvariantComplexStructure, validate_complex_structure
+from .flag import FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, validate_complex_structure
+from .polys import pair_scalar, split_exact
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_sign
 
-# a float alpha(Z) this close to zero puts a wall at that end of a segment
-FLOAT_WALL_TOL = 1e-9
+# check_parametrization: the bound on each boundary, symmetry and curvature check
+PARAMETRIZATION_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -91,30 +95,64 @@ class AdmissibleSegment:
         return self.chamber_ok and self.degrees_ok and self.projection_ok
 
 
+def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVector):
+    """The isotropy modules of R_m+ under the pair (X, Z): ({key: roots}, den, r).
+
+    Roots with equal (alpha(X), alpha(Z)) form one module; the keys are in
+    the order of R_m+.  Exact X and Z, rational or in one field Q(sqrt r),
+    are split once into integer vectors over one denominator den, so that
+    the key (x0, x1, z0, z1) means alpha(X) = (x0 + x1 sqrt(R))/den and
+    alpha(Z) = (z0 + z1 sqrt(R))/den, with R and r as in
+    `polys.split_exact`.  On a float X or Z the key is the pair
+    (alpha(X), alpha(Z)) evaluated root by root, and den is None.
+    `module_values` reads (alpha(X), alpha(Z)) off a key of either kind.
+    """
+    table: Dict[tuple, List[Root]] = {}
+    if x.kind == "float" or z.kind == "float":
+        for alpha in j.positive:
+            table.setdefault((evaluate(alpha, x), evaluate(alpha, z)), []).append(alpha)
+        return table, None, None
+    n = len(x.values)
+    u, v, den, r = split_exact(x.values + z.values)
+    parts = (u[:n], v[:n], u[n:], v[n:])
+    for alpha in j.positive:
+        c = alpha.coords
+        table.setdefault(tuple(sum(map(mul, c, w)) for w in parts), []).append(alpha)
+    return table, den, r
+
+
+def module_values(key: tuple, den: Optional[int], r: Optional[Fraction]) -> Tuple[Scalar, Scalar]:
+    """(alpha(X), alpha(Z)) of a module key of `isotropy_modules`."""
+    if den is None:
+        return key
+    return pair_scalar(key[0], key[1], den, r), pair_scalar(key[2], key[3], den, r)
+
+
 def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> AdmissibleSegment:
     """Classify the segment from Z1 to Z2 = Z1 - C*Z.
 
     All verdicts are exact on exact inputs; a float value within
     FLOAT_WALL_TOL of zero is a wall.  A root vanishing at both endpoints
     would vanish on the whole segment, which the chamber test reports as a
-    failure rather than a wall.
+    failure rather than a wall.  Roots with equal (alpha(Z1), alpha(Z2))
+    form one isotropy module, signed once at each end.
     """
     if scalar_sign(length, FLOAT_WALL_TOL) <= 0:
         raise InputError("segment length must be positive")
     flag, j = base.flag, base.j
     z2 = z1 - base.z.scale(length)
-    signs = [tuple(scalar_sign(evaluate(alpha, z), FLOAT_WALL_TOL) for z in (z1, z2)) for alpha in j.positive]
-    failures: List[str] = []
-    for alpha, s in zip(j.positive, signs):
-        if min(s) < 0:
-            failures.append("chamber: alpha=%s negative at an endpoint" % (alpha.coords,))
-        elif max(s) == 0:
-            failures.append("chamber: alpha=%s vanishes on the whole segment" % (alpha.coords,))
+    table, den, rad = isotropy_modules(j, z1, z2)
+    signs = {key: tuple(scalar_sign(x, FLOAT_WALL_TOL) for x in module_values(key, den, rad)) for key in table}
+    # roots outside the chamber: True when negative at an end, False when vanishing at both
+    outside = {alpha: min(s) < 0 for key, s in signs.items() if min(s) < 0 or max(s) == 0 for alpha in table[key]}
+    failures = [("chamber: alpha=%s negative at an endpoint" if outside[alpha] else
+                 "chamber: alpha=%s vanishes on the whole segment") % (alpha.coords,)
+                for alpha in j.positive if alpha in outside]
     chamber_ok = not failures
 
-    # a wall of one end is a root vanishing there and positive at the other
+    # a wall of one end is a module vanishing there and positive at the other
     walls = tuple(
-        tuple(sorted(r for alpha, s in zip(j.positive, signs) if s[end] == 0 < s[1 - end] for r in (alpha, -alpha)))
+        tuple(sorted(r for key, s in signs.items() if s[end] == 0 < s[1 - end] for a in table[key] for r in (a, -a)))
         for end in (0, 1)
     )
     degree_failures: List[str] = []
@@ -255,20 +293,14 @@ class ParametrizationVerdict:
     details: Tuple[str, ...]
 
 
-def check_parametrization(
-    t: Sequence[float],
-    f: Sequence[float],
-    delta: float,
-    length: float,
-    tol: float = 1e-4,
-) -> ParametrizationVerdict:
+def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, length: float) -> ParametrizationVerdict:
     """Validate a sampled profile f on a grid over [0, delta].
 
     Checks boundary values f(0) = 0 and f(delta) = C, strict monotonicity,
     evenness about both ends (first one-sided derivatives vanish to second
     order), and the curvature normalization f''(0) = 1 = -f''(delta), each
-    within ``tol``.  Uses one-sided Richardson stencils, so the grid must
-    resolve the ends: at least 16 points.
+    within PARAMETRIZATION_TOL.  Uses one-sided Richardson stencils, so the
+    grid must resolve the ends: at least 16 points.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -276,6 +308,7 @@ def check_parametrization(
         raise InputError("grid resolution must be at least 16 points")
     details: List[str] = []
 
+    tol = PARAMETRIZATION_TOL
     boundary_ok = abs(f[0]) <= tol and abs(f[-1] - length) <= tol
     if not boundary_ok:
         details.append("boundary values f(0)=%g f(delta)=%g" % (f[0], f[-1]))

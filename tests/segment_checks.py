@@ -1,14 +1,21 @@
-"""Constructions on segment polynomials that only the tests use.
+"""Constructions on segments and segment polynomials that only the tests use.
 
 The first-integral identity and the scaled-Ricci negative control, shared
 by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
-sum and scaling they are built from.
+sum and scaling they are built from; the Ricci evaluations at one time;
+and the per-root segment classification, the oracle of
+`model.analyze_segment`.
 """
 
 from fractions import Fraction
 
 from flagke import einstein as ein
+from flagke.errors import InputError
+from flagke.flag import FLOAT_WALL_TOL
+from flagke.model import AdmissibleSegment, SegmentCandidate, _projection_violation, _projective_space_test
 from flagke.polys import ZERO, p_deriv, p_mul, p_trim
+from flagke.rootsys import evaluate
+from flagke.scalars import scalar_sign
 
 
 def p_add(a, b):
@@ -47,6 +54,48 @@ def scaled_ricci_control(base, m1, m2, lam):
     for lam != 1 the tangential Einstein residuals are bounded away from
     zero: the negative control.
     """
-    modules = ein.SegmentPolynomial.from_base(base, m1, m2, validate_degrees=False).modules
+    modules = ein.SegmentPolynomial.from_base(base, m1, m2).modules
     scaled = {(lam * zk + m1 * k, k, zk): roots for (_, k, zk), roots in modules.items()}
-    return ein.SegmentPolynomial(scaled, m1, m2, validate_degrees=True)
+    return ein.SegmentPolynomial(scaled, m1, m2)
+
+
+def ricci_tangential(sp, profile, alpha, t):
+    """Per-root Ricci eigenvalue r_alpha(t) = alpha(Zk) + q(t) alpha(Z), read off alpha's module."""
+    idx = next((i for i, roots in enumerate(sp.modules.values()) if alpha in roots), None)
+    if idx is None:
+        raise InputError("root %s is not a positive root of the configuration" % (alpha.coords,))
+    q = ein._ricci_q(sp, *ein._state_at(sp, profile, t))
+    return float(sp.zk_f[idx] + q * sp.k_f[idx])
+
+
+def ricci_normal(profile, sp, t):
+    """r(xi, xi) at one time t by the closed form with f''' from the differentiated flow."""
+    return ein.ricci_normal_state(sp, *ein._state_at(sp, profile, t))
+
+
+def per_root_segment(base, z1, length):
+    """`model.analyze_segment` with alpha(Z1) and alpha(Z2) evaluated and signed root by root."""
+    flag, j = base.flag, base.j
+    z2 = z1 - base.z.scale(length)
+    signs = [tuple(scalar_sign(evaluate(alpha, z), FLOAT_WALL_TOL) for z in (z1, z2)) for alpha in j.positive]
+    failures = []
+    for alpha, s in zip(j.positive, signs):
+        if min(s) < 0:
+            failures.append("chamber: alpha=%s negative at an endpoint" % (alpha.coords,))
+        elif max(s) == 0:
+            failures.append("chamber: alpha=%s vanishes on the whole segment" % (alpha.coords,))
+    chamber_ok = not failures
+    walls = tuple(
+        tuple(sorted(r for alpha, s in zip(j.positive, signs) if s[end] == 0 < s[1 - end] for r in (alpha, -alpha)))
+        for end in (0, 1)
+    )
+    degree_failures, projection_failures = [], []
+    for tag, w in zip(("endpoint 1", "endpoint 2"), walls):
+        degree_failures += ["%s %s" % (tag, f) for f in _projective_space_test(flag, w)]
+        bad = _projection_violation(flag, j, frozenset(r.coords for r in w))
+        if bad is not None:
+            projection_failures.append("%s holomorphic projection fails at %s + %s" % (tag, bad[0], bad[1]))
+    w1, w2 = walls
+    cand = SegmentCandidate(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=len(w1) // 2 + 1, m2=len(w2) // 2 + 1)
+    return AdmissibleSegment(cand, chamber_ok, not degree_failures, not projection_failures,
+                             tuple(failures + degree_failures + projection_failures))

@@ -145,6 +145,7 @@ def test_search_ke_ok_is_the_solve_verdict(capsys, group, painted):
         assert code == 0
         assert solved["z_unit"] == c["z"]
         assert c["ke_ok"] == (solved["verdict"] == "kahler_einstein")
+        assert c["admissible"] == solved["segment"]["overall_ok"]
     if group == "A1xA1":
         # the SU(2) x SU(2) diameter: its walls give degrees (2, 2), not the declared (1, 1)
         assert [(c["z"], c["degrees"], c["ke_ok"]) for c in exact] == [(["-1/2", "1/2"], [2, 2], False)]
@@ -227,6 +228,9 @@ def test_invalid_input_is_exit_two(capsys):
     code, rep = _capture(capsys, ["futaki", "--group", "A2", "--painted", "0",
                                   "--z", "1,0", "--m1", "1", "--m2", "1"])
     assert code == 2  # direction not in the center
+
+    code, rep = _capture(capsys, ["search", "--group", "E6", "--painted", "0,2,3,4", "--m1", "3", "--m2", "3"])
+    assert code == 2 and rep["error"] == "wall enumeration too large (105625 pairs)"
 
 
 def test_job_file_with_flag_override(tmp_path, capsys):

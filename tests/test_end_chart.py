@@ -25,11 +25,11 @@ def p_compose_linear(a, c0, c1):
     return out
 
 
-def _sp(group, painted, z, m1, m2, period_scale=Fraction(1), validate_degrees=True):
+def _sp(group, painted, z, m1, m2, period_scale=Fraction(1)):
     flag = build_flag(build_root_system(LieAlgebraSpec.parse(group)), painted)
     j = default_complex_structure(flag)
     base = make_base(flag, j, CartanVector(tuple(z)), period_scale=period_scale)
-    return ein.SegmentPolynomial.from_base(base, m1, m2, validate_degrees=validate_degrees)
+    return ein.build_segment_polynomial(base, m1, m2)
 
 
 def _a2xa2_diameter():
@@ -119,7 +119,7 @@ def test_failed_degree_check_is_cached():
     flag = build_flag(build_root_system(LieAlgebraSpec.parse("A1xA1")), [])
     j = default_complex_structure(flag)
     h1, h2 = (coroot_vector(flag.rs, a) for a in flag.rs.simple_roots())
-    sp = ein.SegmentPolynomial.from_base(make_base(flag, j, h1 + h2), 1, 1, validate_degrees=False)
+    sp = ein.SegmentPolynomial.from_base(make_base(flag, j, h1 + h2), 1, 1)
     with pytest.raises(DegreeMismatchError) as first:
         sp.deflations
     with pytest.raises(DegreeMismatchError) as second:

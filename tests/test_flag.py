@@ -112,6 +112,16 @@ def test_chamber_position_examples():
     assert sorted(r.coords for r in pos.walls) == [(0, -1), (0, 1)]
 
 
+def test_float_walls_use_the_segment_wall_tolerance():
+    # alpha_1(X) = 5e-12 is a wall for the segment verdict (FLOAT_WALL_TOL), so it is one here too
+    prod = build_flag(rs("A1xA1"), [])
+    x = CartanVector((5e-12, 1.0))
+    assert sorted(r.coords for r in wall_roots(prod, x)) == [(-1, 0), (1, 0)]
+    pos = chamber_position(prod, default_complex_structure(prod), x)
+    assert pos.position == "boundary"
+    assert sorted(r.coords for r in pos.walls) == [(-1, 0), (1, 0)]
+
+
 def _all_flags_up_to_rank(max_rank):
     specs = ["A%d" % r for r in range(1, max_rank + 1)]
     specs += ["B%d" % r for r in range(2, max_rank + 1)]

@@ -63,6 +63,51 @@ def test_every_top_level_name_outside_all_has_a_caller():
     assert not unused, "no caller in src/flagke, benchmarks or demos: %s" % ", ".join(unused)
 
 
+def _called_name(node):
+    """The name a call or a function reference uses: f, or the attribute of obj.f."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a default that no call in the package, the benchmark or the demos
+    # overrides is a constant in disguise; only the console entry point
+    # cli.main(argv) is exempt.  A call passes a parameter by keyword or by
+    # position; a function handed to a call, as in tr.call(label, f, *args),
+    # receives the arguments that follow it
+    root = os.path.join(SRC, os.pardir, os.pardir)
+    params = {}  # (name called, parameter) -> (positional index or None, where)
+    for path, tree in _parse(sorted(glob.glob(os.path.join(SRC, "*.py")))):
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+        for scope in scopes:
+            for fn in ast.iter_child_nodes(scope):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                called = scope.name if fn.name == "__init__" else fn.name
+                positional = fn.args.posonlyargs + fn.args.args
+                skip = isinstance(scope, ast.ClassDef) and not any(
+                    _called_name(d) == "staticmethod" for d in fn.decorator_list)
+                where = "%s:%d %s" % (os.path.basename(path), fn.lineno, fn.name)
+                first = len(positional) - len(fn.args.defaults)
+                for index, arg in enumerate(positional[first:], start=first - skip):
+                    params[called, arg.arg] = (index, where)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        params[called, arg.arg] = (None, where)
+    params.pop(("main", "argv"))
+    passed = set()
+    users = [os.path.join(root, d, "*.py") for d in ("src/flagke", "benchmarks", "demos")]
+    for _, tree in _parse(sorted(p for pattern in users for p in glob.glob(pattern))):
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            targets = [(_called_name(call.func), call.args)]
+            targets += [(_called_name(a), call.args[i + 1:]) for i, a in enumerate(call.args)]
+            for name, args in targets:
+                passed.update((name, kw.arg) for kw in call.keywords)
+                passed.update((name, i) for i in range(len(args)))
+    unset = sorted("%s(%s)" % (where, param) for (name, param), (index, where) in params.items()
+                   if (name, param) not in passed and (name, index) not in passed)
+    assert not unset, "defaulted parameters that no caller sets: %s" % ", ".join(unset)
+
+
 @pytest.fixture
 def drifted_end_curvature(monkeypatch):
     fpp = ein.SegmentPolynomial.fpp_float

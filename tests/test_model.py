@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from flagke.flag import build_flag, default_complex_structure, ricci_invariant
 from flagke.model import analyze_segment, check_parametrization, make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector, evaluate, killing
 from flagke.scalars import Quad
+from segment_checks import per_root_segment
 
 
 def rs(text):
@@ -104,6 +106,33 @@ def test_analyze_segment_swap_symmetry():
         assert seg_rev.candidate.z2.values == z1.values
         assert (seg.candidate.m1, seg.candidate.m2) == (seg_rev.candidate.m2, seg_rev.candidate.m1)
         assert seg.overall_ok == seg_rev.overall_ok
+
+
+def test_analyze_segment_matches_the_per_root_oracle():
+    # every flag of each group, the center-basis directions and their negatives, exact and float,
+    # at the Einstein endpoints Z1 = Zk + m1 Z of four degree pairs
+    counts = {"rows": 0, "walls": 0, "failures": 0}
+    for text in ("A1xA1", "A2", "B2", "G2", "A2xA2", "A1xA1xA1", "B3"):
+        rank = rs(text).rank
+        for painted in (p for k in range(rank) for p in itertools.combinations(range(rank), k)):
+            flag, j = _flag_j(text, painted)
+            zk = ricci_invariant(flag, j)
+            for b in flag.center_basis:
+                for d in (b.values, tuple(-v for v in b.values)):
+                    for direction in (CartanVector(d), CartanVector(tuple(float(v) for v in d))):
+                        base = make_base(flag, j, direction)
+                        for m1, m2 in ((1, 1), (1, 2), (2, 2), (3, 1)):
+                            z1 = zk + base.z.scale(m1)
+                            length = float(m1 + m2) if base.z.kind == "float" else Fraction(m1 + m2)
+                            got, want = analyze_segment(base, z1, length), per_root_segment(base, z1, length)
+                            assert (got.chamber_ok, got.degrees_ok, got.projection_ok, got.failures) == (
+                                want.chamber_ok, want.degrees_ok, want.projection_ok, want.failures)
+                            c, w = got.candidate, want.candidate
+                            assert (c.w1, c.w2, c.m1, c.m2) == (w.w1, w.w2, w.m1, w.m2)
+                            counts["rows"] += 1
+                            counts["walls"] += bool(c.w1 or c.w2)
+                            counts["failures"] += bool(got.failures)
+    assert counts["walls"] > 0 and counts["failures"] > 0, counts
 
 
 def test_projective_space_test_through_full_wall():
