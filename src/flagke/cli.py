@@ -378,11 +378,9 @@ def _run_verify(job: JobSpec) -> Dict:
 
 def _run_search(job: JobSpec) -> Dict:
     spec, rs, flag, j = _build_context(job)
-    tau = _parse_fraction(job.tau)
-    if job.m1 is not None and job.m2 is not None and job.m1 + job.m2 >= 3:
-        direction = flag.center_basis[0]
-        base = make_base(flag, j, direction, period_scale=tau)
-        candidates = ein.search_walled(base, int(job.m1), int(job.m2))
+    base = make_base(flag, j, flag.center_basis[0], period_scale=_parse_fraction(job.tau))
+    if (job.m1, job.m2) not in ((None, None), (1, 1)):  # degrees (1, 1) are the diameters
+        candidates = ein.search_walled(base, *_degrees(job))
         return {
             "mode": "search",
             "kind": "walled",
@@ -400,7 +398,6 @@ def _run_search(job: JobSpec) -> Dict:
                 for c in candidates
             ],
         }
-    base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
     result = ein.search_diameters(base)
     return {
         "mode": "search",

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +53,7 @@ from .polys import (
     pair_scalar,
 )
 from .rootsys import CartanVector, Root, evaluate, killing
-from .scalars import Scalar, is_exact, scalar_is_zero
+from .scalars import Scalar, exact_sqrt, is_exact, scalar_is_zero
 
 FUTAKI_FLOAT_TOL = 1e-10
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel
@@ -71,8 +71,6 @@ SEARCH_UNIT_TOL = 1e-6
 SEARCH_NEWTON_STEPS = 4
 # a float zero is tried as the rational direction with denominators up to this
 RATIONALIZE_MAX_DEN = 10 ** 6
-# walled search: the most wall-set pairs it enumerates
-MAX_WALL_PAIRS = 20000
 # a float coefficient below this share of the largest one is a zero of the order test
 FLOAT_ORDER_RTOL = 1e-9
 
@@ -849,8 +847,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     candidates: List[DiameterCandidate] = []
     seen: set = set()
 
-    def consider_exact(direction_values: Sequence[Fraction]) -> None:
-        vec = CartanVector(tuple(Fraction(v) for v in direction_values))
+    def consider_exact(vec: CartanVector) -> None:
         if vec.is_zero:
             return
         cand_base = make_base(flag, j, vec, period_scale=base.period_scale)
@@ -879,8 +876,8 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         candidates.append(DiameterCandidate(zf.values, ke_verdict(base_f, zk, 1, 1), confirmed_exact=False))
 
     if d == 1:
-        consider_exact(flag.center_basis[0].values)
-        consider_exact([-v for v in flag.center_basis[0].values])
+        consider_exact(flag.center_basis[0])
+        consider_exact(-flag.center_basis[0])
     else:
         onb = _orthonormal_center_basis(base)
         if d == 2:
@@ -912,9 +909,7 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
     accumulated one module at a time so that memory stays at one
     directions x nodes array.
     """
-    table: Dict[Tuple[Scalar, ...], List[Root]] = {}
-    for alpha in j.positive:
-        table.setdefault(tuple(evaluate(alpha, b) for b in center_basis), []).append(alpha)
+    table = _center_modules(j, center_basis)
     coords = np.array([roots[0].coords for roots in table.values()], dtype=float)
     a = np.array([float(evaluate(roots[0], zk)) for roots in table.values()])
     mult = np.array([len(roots) for roots in table.values()])
@@ -927,6 +922,14 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
         return out @ (gw * gx)
 
     return at
+
+
+def _center_modules(j: InvariantComplexStructure, center_basis: Sequence[CartanVector]) -> Dict[tuple, List[Root]]:
+    """The roots of R_m+ by their restriction to the center, (alpha(b) for b in the basis), in R_m+ order."""
+    table: Dict[tuple, List[Root]] = {}
+    for alpha in j.positive:
+        table.setdefault(tuple(evaluate(alpha, b) for b in center_basis), []).append(alpha)
+    return table
 
 
 def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -999,7 +1002,12 @@ def _orthonormal_center_basis(base: CenterLine) -> List[np.ndarray]:
     return out
 
 
-def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[List[Fraction]]:
+def _center_vector(basis: Sequence[CartanVector], coeffs: Sequence[Scalar]) -> CartanVector:
+    """The center vector with coordinates coeffs in the center basis."""
+    return functools.reduce(add, (b.scale(c) for b, c in zip(basis, coeffs)))
+
+
+def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[CartanVector]:
     """Rebuild a float direction as an exact rational center vector, if close."""
     basis = [np.array([float(v) for v in b.values]) for b in flag.center_basis]
     B = np.stack(basis, axis=1)
@@ -1013,10 +1021,7 @@ def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[
         return None
     if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > 1e-7:
         return None
-    vals = [Fraction(0)] * flag.rs.rank
-    for r, b in zip(rat, flag.center_basis):
-        vals = [x + r * y for x, y in zip(vals, b.values)]
-    return vals
+    return _center_vector(flag.center_basis, rat)
 
 
 @dataclass(frozen=True)
@@ -1030,56 +1035,63 @@ class WalledCandidate:
 def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, ...]:
     """Walled Kahler-Einstein candidates for declared degrees (m1, m2).
 
-    Enumerates wall sets W1, W2 in R_m+ of sizes m1-1 and m2-1, solves the
-    exact linear system pinning Z, intersects with the unit-norm condition
-    (solution lines give quadratic-field solutions), and keeps the
-    directions whose `ke_verdict` is ok.  Affine
-    solution spaces of dimension two or more are skipped: they are
-    continuous families, not isolated candidates.
+    Roots with one restriction rho to the center form a center module and
+    share one alpha(Zk).  So a wall at Z1 = Zk + m1 Z is one of the module
+    hyperplanes rho(Z) = -alpha(Zk)/m1, and a wall at Z2 = Zk - m2 Z one of
+    rho(Z) = alpha(Zk)/m2.  Each line cut out by d - 1 of these 2M
+    hyperplanes is intersected with the sphere E(Z, Z) = period_scale^2,
+    exactly (solution lines give quadratic-field solutions).  A point whose
+    modules give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2 goes to
+    `ke_verdict`, and the ok ones are returned, with the walls of the
+    verdict in R_m+ order.  Candidates on no such line lie in continuous
+    families and are out of scope.  For m1 = m2 the direction -Z is the
+    segment of Z reversed and is skipped after Z.
     """
+    if m1 < 1 or m2 < 1:
+        raise InputError("degrees must be >= 1")
     if m1 + m2 < 3:
         raise InputError("walled search needs m1 + m2 >= 3; use search_diameters")
     flag, j = base.flag, base.j
-    rs = flag.rs
-    pos = list(j.positive)
-    if m1 - 1 > len(pos) or m2 - 1 > len(pos):
-        return ()
     zk = ricci_invariant(flag, j)
     basis = flag.center_basis
     d = len(basis)
     ps2 = Fraction(base.period_scale) ** 2
-    gram_c = [[Fraction(killing(rs, b1, b2)) for b2 in basis] for b1 in basis]
+    gram_c = [[Fraction(killing(flag.rs, b1, b2)) for b2 in basis] for b1 in basis]
+    # the wall hyperplanes (end, multiplicity, rho, rho(Z)); with those of Z1 first, of a pair
+    # Z, -Z (m1 = m2, d >= 2) the one met first has the earlier first Z1 wall in R_m+
+    modules = [(rho, len(roots), evaluate(roots[0], zk)) for rho, roots in _center_modules(j, basis).items()]
+    planes = [(end, mult, rho, a / m2 if end else -a / m1) for end in (0, 1) for rho, mult, a in modules]
 
-    n_pairs = math.comb(len(pos), m1 - 1) * math.comb(len(pos), m2 - 1)
-    if n_pairs > MAX_WALL_PAIRS:
-        raise InputError("wall enumeration too large (%d pairs)" % n_pairs)
+    def walls(hit) -> List[int]:
+        count = [0, 0]
+        for end, mult, _, _ in hit:
+            count[end] += mult
+        return count
 
-    # each root's center row and alpha(Zk); a wall at Z1 = Zk + m1 Z or Z2 = Zk - m2 Z pins alpha(Z)
-    rows = [[Fraction(evaluate(alpha, b)) for b in basis] for alpha in pos]
-    at_zk = [Fraction(evaluate(alpha, zk)) for alpha in pos]
     out: List[WalledCandidate] = []
     seen: set = set()
-    for w1 in itertools.combinations(range(len(pos)), m1 - 1):
-        for w2 in itertools.combinations(range(len(pos)), m2 - 1):
-            system = [rows[i] for i in w1 + w2]
-            sol = linalg.solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2])
-            if sol is None:
+    for subset in itertools.combinations(planes, d - 1):
+        if any(n >= m for n, m in zip(walls(subset), (m1, m2))):
+            continue  # more walls at one end than its degree allows
+        rows = [p[2] for p in subset]
+        null = linalg.nullspace(rows, n_cols=d)
+        if len(null) != 1:
+            continue
+        sol = linalg.solve(rows, [p[3] for p in subset]) if rows else [Fraction(0)] * d
+        for coeffs in _unit_norm_solutions(sol, null, gram_c, ps2):
+            if tuple(coeffs) in seen:
                 continue
-            null = linalg.nullspace(system, n_cols=d)
-            if len(null) >= 2:
-                continue  # continuous family; out of enumeration scope
-            for coeffs in _unit_norm_solutions(sol, null, gram_c, ps2):
-                vals = [Fraction(0)] * rs.rank
-                for c, b in zip(coeffs, basis):
-                    vals = [x + c * y for x, y in zip(vals, b.values)]
-                z = CartanVector(tuple(vals))
-                key = _direction_key([float(v) for v in z.values])
-                if key in seen:
-                    continue
-                seen.add(key)
-                verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
-                if verdict.ok:
-                    out.append(WalledCandidate(tuple(pos[i] for i in w1), tuple(pos[i] for i in w2), z.values, verdict))
+            seen.add(tuple(coeffs))
+            if m1 == m2:
+                seen.add(tuple(-c for c in coeffs))
+            if walls(p for p in planes if sum(map(mul, p[2], coeffs)) == p[3]) != [m1 - 1, m2 - 1]:
+                continue
+            z = _center_vector(basis, coeffs)
+            verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
+            if verdict.ok:
+                seg = verdict.segment.candidate
+                w1, w2 = (tuple(a for a in j.positive if a in w) for w in (seg.w1, seg.w2))
+                out.append(WalledCandidate(w1, w2, z.values, verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
 
@@ -1104,8 +1116,6 @@ def _unit_norm_solutions(sol: List[Fraction], null: List[List[Fraction]], gram_c
     disc = b * b - 4 * a * c
     if disc < 0:
         return
-    from .scalars import exact_sqrt
-
     root = exact_sqrt(disc)
     for sgn in (1, -1):
         s = (-b + sgn * root) / (2 * a)

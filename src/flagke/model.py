@@ -34,7 +34,8 @@ class CenterLine:
 
     ``z`` is normalized so that E(Z, Z) equals ``period_scale`` squared
     (default 1); for a rational input direction the normalized values live in
-    an exact quadratic extension.
+    an exact quadratic extension.  ``j`` is a validated complex structure:
+    `make_base` checks it, and the segment classification relies on it.
     """
 
     flag: FlagData
@@ -51,6 +52,8 @@ def make_base(
     tol: float = 1e-12,
 ) -> CenterLine:
     """Normalize a nonzero center direction to E(Z, Z) = period_scale**2."""
+    if period_scale <= 0:
+        raise InputError("period scale must be positive")
     verdict = validate_complex_structure(flag, j)
     if not verdict.ok:
         raise InputError("invalid complex structure: %s" % (verdict.violations,))
@@ -170,7 +173,13 @@ def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> Admis
 
 
 def _projection_violation(flag: FlagData, j: InvariantComplexStructure, walls: frozenset):
-    """First pair (alpha, beta) violating (R_m+ \\ W) + (R_K u W) closure."""
+    """First pair (alpha, beta) violating (R_m+ \\ W) + (R_K u W) closure.
+
+    With no walls this is the closure of R_m+ under R_K, which a validated
+    complex structure has, so an empty wall set returns None at once.
+    """
+    if not walls:
+        return None
     all_roots = flag.rs.root_set()
     pos_nonwall = frozenset(r.coords for r in j.positive) - walls
     h_roots = [r.coords for r in flag.r_k] + sorted(walls)

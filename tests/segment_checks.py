@@ -4,17 +4,20 @@ The first-integral identity and the scaled-Ricci negative control, shared
 by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
 sum and scaling they are built from; the Ricci evaluations at one time;
 and the per-root segment classification, the oracle of
-`model.analyze_segment`.
+`model.analyze_segment`; and the walled search over root subsets, the
+oracle of `einstein.search_walled`.
 """
 
+import itertools
 from fractions import Fraction
 
 from flagke import einstein as ein
+from flagke import linalg
 from flagke.errors import InputError
-from flagke.flag import FLOAT_WALL_TOL
-from flagke.model import AdmissibleSegment, SegmentCandidate, _projection_violation, _projective_space_test
+from flagke.flag import FLOAT_WALL_TOL, ricci_invariant
+from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projection_violation, _projective_space_test
 from flagke.polys import ZERO, p_deriv, p_mul, p_trim
-from flagke.rootsys import evaluate
+from flagke.rootsys import CartanVector, evaluate, killing
 from flagke.scalars import scalar_sign
 
 
@@ -99,3 +102,49 @@ def per_root_segment(base, z1, length):
     cand = SegmentCandidate(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=len(w1) // 2 + 1, m2=len(w2) // 2 + 1)
     return AdmissibleSegment(cand, chamber_ok, not degree_failures, not projection_failures,
                              tuple(failures + degree_failures + projection_failures))
+
+
+def root_subset_walled(base, m1, m2):
+    """`einstein.search_walled` by enumerating the wall sets themselves.
+
+    Every pair of root subsets W1, W2 of R_m+ with sizes m1 - 1 and m2 - 1
+    pins Z by the linear system alpha(Z1) = 0 on W1 and alpha(Z2) = 0 on
+    W2; a point or line of solutions is intersected with the sphere and
+    each new direction, with Z and -Z folded together, goes to `ke_verdict`.
+    The work grows as C(|R_m+|, m1 - 1) C(|R_m+|, m2 - 1).
+    """
+    flag, j = base.flag, base.j
+    pos = list(j.positive)
+    if m1 - 1 > len(pos) or m2 - 1 > len(pos):
+        return ()
+    zk = ricci_invariant(flag, j)
+    basis = flag.center_basis
+    ps2 = Fraction(base.period_scale) ** 2
+    gram_c = [[Fraction(killing(flag.rs, b1, b2)) for b2 in basis] for b1 in basis]
+    rows = [[Fraction(evaluate(alpha, b)) for b in basis] for alpha in pos]
+    at_zk = [Fraction(evaluate(alpha, zk)) for alpha in pos]
+    out, seen = [], set()
+    for w1 in itertools.combinations(range(len(pos)), m1 - 1):
+        for w2 in itertools.combinations(range(len(pos)), m2 - 1):
+            system = [rows[i] for i in w1 + w2]
+            sol = linalg.solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2])
+            if sol is None:
+                continue
+            null = linalg.nullspace(system, n_cols=len(basis))
+            if len(null) >= 2:
+                continue
+            for coeffs in ein._unit_norm_solutions(sol, null, gram_c, ps2):
+                vals = [Fraction(0)] * flag.rs.rank
+                for c, b in zip(coeffs, basis):
+                    vals = [x + c * y for x, y in zip(vals, b.values)]
+                z = CartanVector(tuple(vals))
+                key = ein._direction_key([float(v) for v in z.values])
+                if key in seen:
+                    continue
+                seen.add(key)
+                verdict = ein.ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
+                if verdict.ok:
+                    out.append(ein.WalledCandidate(tuple(pos[i] for i in w1), tuple(pos[i] for i in w2), z.values,
+                                                   verdict))
+    out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
+    return tuple(out)

@@ -229,8 +229,34 @@ def test_invalid_input_is_exit_two(capsys):
                                   "--z", "1,0", "--m1", "1", "--m2", "1"])
     assert code == 2  # direction not in the center
 
-    code, rep = _capture(capsys, ["search", "--group", "E6", "--painted", "0,2,3,4", "--m1", "3", "--m2", "3"])
-    assert code == 2 and rep["error"] == "wall enumeration too large (105625 pairs)"
+
+@pytest.mark.parametrize("degrees, error", [
+    (["--m1", "0", "--m2", "3"], "degrees must be >= 1"),
+    (["--m1", "-1", "--m2", "5"], "degrees must be >= 1"),
+    (["--m1", "2"], "mode 'search' needs --m1 and --m2"),
+    (["--m2", "2"], "mode 'search' needs --m1 and --m2"),
+])
+def test_walled_search_degrees_are_checked_input(capsys, degrees, error):
+    code, rep = _capture(capsys, ["search", "--group", "A2", "--painted", "1"] + degrees)
+    assert (code, rep) == (2, {"error": error})
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-segment", "--group", "A1xA1", "--z", "1,-1", "--m1", "1", "--m2", "1", "--tau", "0"],
+    ["solve", "--group", "A1xA1", "--z", "1,-1", "--m1", "1", "--m2", "1", "--tau", "0", "--float"],
+    ["search", "--group", "A2", "--painted", "1", "--m1", "3", "--m2", "1", "--tau=-1/3"],
+])
+def test_period_scale_must_be_positive(capsys, argv):
+    code, rep = _capture(capsys, argv)
+    assert (code, rep) == (2, {"error": "period scale must be positive"})
+
+
+@pytest.mark.parametrize("group, painted, m1, m2", [("E6", "0,2,3,4", "3", "3"), ("E7", "1,2,3,4,5", "4", "2")])
+def test_walled_search_has_no_size_cap(capsys, group, painted, m1, m2):
+    # C(|R_m+|, m1 - 1) C(|R_m+|, m2 - 1) root-subset pairs (105 625 and 530 663) are no
+    # measure of the work: the center modules give a handful of wall lines
+    code, rep = _capture(capsys, ["search", "--group", group, "--painted", painted, "--m1", m1, "--m2", m2])
+    assert code == 0 and rep["kind"] == "walled" and rep["candidates"] == []
 
 
 def test_job_file_with_flag_override(tmp_path, capsys):

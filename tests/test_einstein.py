@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from flagke.rootsys import (
     killing,
 )
 from flagke.scalars import Quad, scalar_is_zero
-from segment_checks import first_integral_identity_numerator, ricci_tangential, scaled_ricci_control
+from segment_checks import first_integral_identity_numerator, ricci_tangential, root_subset_walled, scaled_ricci_control
 
 
 def rs(text):
@@ -812,6 +813,27 @@ def test_search_walled_rejects_diameter_case():
     base = make_base(flag, j, h1 - coroot_vector(flag.rs, flag.rs.simple_roots()[1]))
     with pytest.raises(InputError):
         ein.search_walled(base, 1, 1)
+    for m1, m2 in [(0, 3), (3, 0), (-1, 5)]:
+        with pytest.raises(InputError, match="degrees must be >= 1"):
+            ein.search_walled(base, m1, m2)
+
+
+def test_search_walled_matches_the_root_subset_oracle():
+    # every flag of six small groups: the periods 1/3 and 1/2 give all 42
+    # candidates, among them (2, 2) ones whose Z and -Z are one segment reversed
+    found = 0
+    for group in ["A1xA1", "A2", "B2", "G2", "A2xA2", "A1xA1xA1"]:
+        system = rs(group)
+        for painted in (p for k in range(system.rank) for p in itertools.combinations(range(system.rank), k)):
+            flag, j = _flag_j(group, painted)
+            for tau in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
+                for m1, m2 in [(2, 1), (3, 1), (1, 3), (2, 2)]:
+                    got, want = (tuple((c.z_values, c.w1, c.w2, c.verdict.ok) for c in search(base, m1, m2))
+                                 for search in (ein.search_walled, root_subset_walled))
+                    assert got == want, (group, painted, tau, m1, m2)
+                    found += len(got)
+    assert found == 42
 
 
 def test_projective_space_profile_matches_closed_form():
