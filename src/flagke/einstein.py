@@ -71,6 +71,8 @@ SEARCH_UNIT_TOL = 1e-6
 SEARCH_NEWTON_STEPS = 4
 # a float zero is tried as the rational direction with denominators up to this
 RATIONALIZE_MAX_DEN = 10 ** 6
+# walled search: the most lines, each cut out by d - 1 wall hyperplanes, it solves
+MAX_WALL_SYSTEMS = 20000
 # a float coefficient below this share of the largest one is a zero of the order test
 FLOAT_ORDER_RTOL = 1e-9
 
@@ -848,8 +850,6 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     seen: set = set()
 
     def consider_exact(vec: CartanVector) -> None:
-        if vec.is_zero:
-            return
         cand_base = make_base(flag, j, vec, period_scale=base.period_scale)
         key = _direction_key([float(v) for v in cand_base.z.values])
         if key in seen:
@@ -1017,8 +1017,6 @@ def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[
         return None
     coeffs = coeffs / scale
     rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
-    if all(r == 0 for r in rat):
-        return None
     if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > 1e-7:
         return None
     return _center_vector(flag.center_basis, rat)
@@ -1039,13 +1037,15 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     share one alpha(Zk).  So a wall at Z1 = Zk + m1 Z is one of the module
     hyperplanes rho(Z) = -alpha(Zk)/m1, and a wall at Z2 = Zk - m2 Z one of
     rho(Z) = alpha(Zk)/m2.  Each line cut out by d - 1 of these 2M
-    hyperplanes is intersected with the sphere E(Z, Z) = period_scale^2,
-    exactly (solution lines give quadratic-field solutions).  A point whose
-    modules give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2 goes to
-    `ke_verdict`, and the ok ones are returned, with the walls of the
-    verdict in R_m+ order.  Candidates on no such line lie in continuous
-    families and are out of scope.  For m1 = m2 the direction -Z is the
-    segment of Z reversed and is skipped after Z.
+    hyperplanes whose modules give at most m1 - 1 walls at Z1 and m2 - 1 at
+    Z2 is intersected with the sphere E(Z, Z) = period_scale^2, exactly
+    (solution lines give quadratic-field solutions).  A point whose modules
+    give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2 goes to `ke_verdict`,
+    and the ok ones are returned, with the walls of the verdict in R_m+
+    order.  Candidates on no such line lie in continuous families and are
+    out of scope.  For m1 = m2 the direction -Z is the segment of Z reversed
+    and is skipped after Z.  More than MAX_WALL_SYSTEMS lines is an
+    InputError.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
@@ -1061,18 +1061,12 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     # Z, -Z (m1 = m2, d >= 2) the one met first has the earlier first Z1 wall in R_m+
     modules = [(rho, len(roots), evaluate(roots[0], zk)) for rho, roots in _center_modules(j, basis).items()]
     planes = [(end, mult, rho, a / m2 if end else -a / m1) for end in (0, 1) for rho, mult, a in modules]
-
-    def walls(hit) -> List[int]:
-        count = [0, 0]
-        for end, mult, _, _ in hit:
-            count[end] += mult
-        return count
-
+    systems = list(itertools.islice(_wall_subsets(planes, d - 1, (m1 - 1, m2 - 1)), MAX_WALL_SYSTEMS + 1))
+    if len(systems) > MAX_WALL_SYSTEMS:
+        raise InputError("walled search too large (more than %d wall systems)" % MAX_WALL_SYSTEMS)
     out: List[WalledCandidate] = []
     seen: set = set()
-    for subset in itertools.combinations(planes, d - 1):
-        if any(n >= m for n, m in zip(walls(subset), (m1, m2))):
-            continue  # more walls at one end than its degree allows
+    for subset in systems:
         rows = [p[2] for p in subset]
         null = linalg.nullspace(rows, n_cols=d)
         if len(null) != 1:
@@ -1084,7 +1078,8 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
             seen.add(tuple(coeffs))
             if m1 == m2:
                 seen.add(tuple(-c for c in coeffs))
-            if walls(p for p in planes if sum(map(mul, p[2], coeffs)) == p[3]) != [m1 - 1, m2 - 1]:
+            hit = [sum(p[1] for p in planes if p[0] == end and sum(map(mul, p[2], coeffs)) == p[3]) for end in (0, 1)]
+            if hit != [m1 - 1, m2 - 1]:
                 continue
             z = _center_vector(basis, coeffs)
             verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
@@ -1094,6 +1089,23 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
                 out.append(WalledCandidate(w1, w2, z.values, verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
+
+
+def _wall_subsets(planes, size: int, budget: Tuple[int, int], start: int = 0):
+    """The size-subsets of planes[start:] within a wall budget, in `itertools.combinations` order.
+
+    A subset's planes at end e carry at most budget[e] wall roots.  Every
+    plane carries at least one, so a branch is cut as soon as the budget
+    left cannot take the planes still to choose.
+    """
+    if size == 0:
+        yield ()
+        return
+    for i in range(start, len(planes) - size + 1):
+        left = tuple(b - planes[i][1] * (end == planes[i][0]) for end, b in enumerate(budget))
+        if min(left) >= 0 and sum(left) >= size - 1:
+            for rest in _wall_subsets(planes, size - 1, left, i + 1):
+                yield (planes[i],) + rest
 
 
 def _unit_norm_solutions(sol: List[Fraction], null: List[List[Fraction]], gram_c, ps2: Fraction):

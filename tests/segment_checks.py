@@ -4,7 +4,7 @@ The first-integral identity and the scaled-Ricci negative control, shared
 by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
 sum and scaling they are built from; the Ricci evaluations at one time;
 and the per-root segment classification, the oracle of
-`model.analyze_segment`; and the walled search over root subsets, the
+`model.analyze_segment`, with its own closure test at every end; and the walled search over root subsets, the
 oracle of `einstein.search_walled`.
 """
 
@@ -15,7 +15,7 @@ from flagke import einstein as ein
 from flagke import linalg
 from flagke.errors import InputError
 from flagke.flag import FLOAT_WALL_TOL, ricci_invariant
-from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projection_violation, _projective_space_test
+from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test
 from flagke.polys import ZERO, p_deriv, p_mul, p_trim
 from flagke.rootsys import CartanVector, evaluate, killing
 from flagke.scalars import scalar_sign
@@ -76,6 +76,24 @@ def ricci_normal(profile, sp, t):
     return ein.ricci_normal_state(sp, *ein._state_at(sp, profile, t))
 
 
+def closure_violation(flag, j, walls):
+    """`model._projection_violation` without its shortcut for an empty wall set.
+
+    The first pair (alpha, beta) with alpha in R_m+ minus the walls, beta in
+    R_K or the walls, whose sum is a root outside R_m+ minus the walls; with
+    no walls, a failure of the closure of R_m+ under R_K.
+    """
+    all_roots = flag.rs.root_set()
+    pos_nonwall = frozenset(r.coords for r in j.positive) - walls
+    h_roots = [r.coords for r in flag.r_k] + sorted(walls)
+    for a in sorted(pos_nonwall):
+        for b in h_roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in all_roots and s not in pos_nonwall:
+                return a, b
+    return None
+
+
 def per_root_segment(base, z1, length):
     """`model.analyze_segment` with alpha(Z1) and alpha(Z2) evaluated and signed root by root."""
     flag, j = base.flag, base.j
@@ -95,7 +113,7 @@ def per_root_segment(base, z1, length):
     degree_failures, projection_failures = [], []
     for tag, w in zip(("endpoint 1", "endpoint 2"), walls):
         degree_failures += ["%s %s" % (tag, f) for f in _projective_space_test(flag, w)]
-        bad = _projection_violation(flag, j, frozenset(r.coords for r in w))
+        bad = closure_violation(flag, j, frozenset(r.coords for r in w))
         if bad is not None:
             projection_failures.append("%s holomorphic projection fails at %s + %s" % (tag, bad[0], bad[1]))
     w1, w2 = walls

@@ -251,12 +251,21 @@ def test_period_scale_must_be_positive(capsys, argv):
     assert (code, rep) == (2, {"error": "period scale must be positive"})
 
 
-@pytest.mark.parametrize("group, painted, m1, m2", [("E6", "0,2,3,4", "3", "3"), ("E7", "1,2,3,4,5", "4", "2")])
-def test_walled_search_has_no_size_cap(capsys, group, painted, m1, m2):
+@pytest.mark.parametrize("group, painted, m1, m2", [
+    ("E6", "0,2,3,4", "3", "3"), ("E7", "1,2,3,4,5", "4", "2"), ("E8", "", "2", "1"), ("E7", "", "3", "1"),
+])
+def test_walled_search_counts_wall_systems_not_root_subsets(capsys, group, painted, m1, m2):
     # C(|R_m+|, m1 - 1) C(|R_m+|, m2 - 1) root-subset pairs (105 625 and 530 663) are no
-    # measure of the work: the center modules give a handful of wall lines
+    # measure of the work: the center modules give a handful of wall lines; with nothing
+    # painted, d - 1 = 7 and 6 walls do not fit in m1 + m2 - 2 = 1 and 2, so no system is solved
     code, rep = _capture(capsys, ["search", "--group", group, "--painted", painted, "--m1", m1, "--m2", m2])
     assert code == 0 and rep["kind"] == "walled" and rep["candidates"] == []
+
+
+def test_walled_search_with_too_many_wall_systems_is_exit_two(capsys):
+    # B5 with nothing painted at (3, 3): 90 000 lines, each cut out by 2 walls at Z1 and 2 at Z2
+    code, rep = _capture(capsys, ["search", "--group", "B5", "--painted", "", "--m1", "3", "--m2", "3"])
+    assert (code, rep) == (2, {"error": "walled search too large (more than 20000 wall systems)"})
 
 
 def test_job_file_with_flag_override(tmp_path, capsys):

@@ -836,6 +836,20 @@ def test_search_walled_matches_the_root_subset_oracle():
     assert found == 42
 
 
+@pytest.mark.parametrize("group", ["A2xA2", "B3", "A1xA1xA1"])
+def test_wall_subsets_are_the_combinations_within_the_degrees(group):
+    # nothing painted, so every plane has multiplicity 1 and d - 1 = rank - 1; the order is
+    # the order of itertools.combinations, which decides the kept one of Z and -Z for m1 = m2
+    flag, j = _flag_j(group, ())
+    modules = ein._center_modules(j, flag.center_basis)
+    planes = [(end, len(roots), rho, 0) for end in (0, 1) for rho, roots in modules.items()]
+    for budget in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 3)]:
+        want = [s for s in itertools.combinations(planes, flag.center_dim - 1)
+                if all(sum(p[1] for p in s if p[0] == end) <= budget[end] for end in (0, 1))]
+        assert list(ein._wall_subsets(planes, flag.center_dim - 1, budget)) == want, budget
+    assert list(ein._wall_subsets(planes, 0, (0, 0))) == [()]
+
+
 def test_projective_space_profile_matches_closed_form():
     # degrees (3, 1) on the painted-A2 flag at period scale 1/3: the segment
     # polynomial is P(v) = v^2/36, so u = -2 [v^4/144 - v^3/36]/(v^2/36)

@@ -111,7 +111,7 @@ def test_analyze_segment_swap_symmetry():
 def test_analyze_segment_matches_the_per_root_oracle():
     # every flag of each group, the center-basis directions and their negatives, exact and float,
     # at the Einstein endpoints Z1 = Zk + m1 Z of four degree pairs
-    counts = {"rows": 0, "walls": 0, "failures": 0}
+    counts = {"rows": 0, "walls": 0, "failures": 0, "wall_free_ends": 0}
     for text in ("A1xA1", "A2", "B2", "G2", "A2xA2", "A1xA1xA1", "B3"):
         rank = rs(text).rank
         for painted in (p for k in range(rank) for p in itertools.combinations(range(rank), k)):
@@ -131,8 +131,10 @@ def test_analyze_segment_matches_the_per_root_oracle():
                             assert (c.w1, c.w2, c.m1, c.m2) == (w.w1, w.w2, w.m1, w.m2)
                             counts["rows"] += 1
                             counts["walls"] += bool(c.w1 or c.w2)
+                            counts["wall_free_ends"] += (not c.w1) + (not c.w2)
                             counts["failures"] += bool(got.failures)
-    assert counts["walls"] > 0 and counts["failures"] > 0, counts
+    # the oracle tests the closure at a wall-free end, where analyze_segment relies on j's validation
+    assert counts["walls"] > 0 and counts["failures"] > 0 and counts["wall_free_ends"] > 0, counts
 
 
 def test_projective_space_test_through_full_wall():
