@@ -51,6 +51,7 @@ from .polys import (
     p_mul,
     p_to_float,
     pair_scalar,
+    split_exact,
 )
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Scalar, exact_sqrt, is_exact, scalar_is_zero
@@ -122,12 +123,46 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
         return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
     table, den, r = isotropy_modules(j, zk, z)
     us, vs = int_linear_product({key: len(roots) for key, roots in table.items()}, r)
-    # integral of y^(i+1) is (m2^(i+2) - (-m1)^(i+2)) / (i+2); lcm(1..) makes every weight an integer
-    scale = math.lcm(*range(1, len(us) + 2))
-    weights = [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(len(us))]
+    weights, scale = _integral_weights(len(us), m1, m2)
     total = scale * den ** len(j.positive)
     value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
     return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
+
+
+def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
+    """Integer weights w_i and a scale with integral_{-m1}^{m2} y^(i+1) dy = w_i / scale, i < n.
+
+    The integral is (m2^(i+2) - (-m1)^(i+2)) / (i+2); scale = lcm(1..n+1)
+    makes every weight an integer.
+    """
+    scale = math.lcm(*range(1, n + 2))
+    return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
+
+
+def _homogenized_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector, q: CartanVector,
+                             period_scale: Fraction) -> Fraction:
+    """F_h(q), the m1 = m2 = 1 obstruction at the direction of a nonzero rational q, homogenized.
+
+    With c_i(q) the coefficient of y^i in prod alpha(Zk - y q), e = E(q, q) /
+    period_scale^2 and J the largest odd i <= |R_m+|,
+
+        F_h(q) = sum over odd i of 2/(i+2) c_i(q) e^((J-i)/2) = e^(J/2) F(q / sqrt(e)),
+
+    where F(q / sqrt(e)) is the obstruction `futaki` gives at q normalized to
+    E(Z, Z) = period_scale^2.  So F_h(q) is rational, has the sign of that
+    obstruction and vanishes exactly when it does, and no square root is
+    taken.  The c_i come from the integer product of `futaki`; the sum is
+    formed in integers, over one positive denominator.
+    """
+    table, den, _ = isotropy_modules(j, zk, q)
+    us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
+    weights, scale = _integral_weights(len(us), 1, 1)
+    e = Fraction(killing(flag.rs, q, q)) / (period_scale * period_scale)
+    top = (len(us) - 2) // 2  # (J - 1) / 2
+    # times e.denominator^top, the term of odd i = 2k + 1 carries e.numerator^(top-k) e.denominator^k
+    total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
+                for k, i in enumerate(range(1, len(us), 2)))
+    return Fraction(total, scale * den ** len(j.positive) * e.denominator ** top)
 
 
 @dataclass(frozen=True)
@@ -783,30 +818,41 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
 
     The restricted variant measures the distance inside the center of k,
     where the sphere actually lives; both minima agree on a full flag.
-    ``zk`` is the Ricci element of (flag, j) when the caller has it.
+    ``zk`` is the Ricci element of (flag, j) when the caller has it.  Zk lies
+    in the center, so a center module (`_center_modules`) has one alpha(Zk)
+    and one restricted norm, each formed once; |alpha|^2 comes per root from
+    the integer multiple of the dual form M^-1.  Everything is an integer up
+    to the two minima.  The binding root is the first root of R_m+ at the
+    minimum of the full variant.
     """
     if not j.positive:
         raise InputError("flag has no transverse roots; paint fewer simple roots")
     rs = flag.rs
     zk = ricci_invariant(flag, j) if zk is None else zk
-    gram_c_inv = linalg.invert(
-        [[killing(rs, b1, b2) for b2 in flag.center_basis] for b1 in flag.center_basis]
-    )
-    best = None
+    table, cols, _ = _center_modules(j, flag.center_basis)
+    z_int, _, z_den, _ = split_exact(zk.values)
+    # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den for the integer entries in dual
+    dual_den = math.lcm(*(x.denominator for row in rs.gram_inverse for x in row))
+    dual = [(i, k, int(x * dual_den)) for i, row in enumerate(rs.gram_inverse) for k, x in enumerate(row) if x]
+    # the restricted norm of rho (alpha(b) = rho_b / den) is rho^T adj rho / det, where
+    # den^2 E(b, b') is the integer matrix gram_c, adj its adjugate and det its determinant
+    mc = [[sum(map(mul, row, w)) for row in rs.gram] for w in cols]
+    minors, adj = linalg.bareiss([[sum(map(mul, v, w)) for w in cols] for v in mc])
+    a_sq = {}
     best_center = None
-    binding = None
-    for alpha in j.positive:
-        az = Fraction(evaluate(alpha, zk))
-        full = az * az / rs.dual_pairing(alpha.coords, alpha.coords)
-        rhs = [Fraction(evaluate(alpha, b)) for b in flag.center_basis]
-        norm_center = sum(
-            (ri * gij * rj for ri, row in zip(rhs, gram_c_inv) for gij, rj in zip(row, rhs)), Fraction(0)
-        )
-        center = az * az / norm_center
-        if best is None or full < best:
-            best, binding = full, alpha
-        if best_center is None or center < best_center:
-            best_center = center
+    for rho, roots in table.items():
+        a = sum(map(mul, roots[0].coords, z_int))  # z_den * alpha(Zk)
+        center = Fraction(a * a, sum(ri * sum(map(mul, row, rho)) for ri, row in zip(rho, adj)))
+        best_center = center if best_center is None else min(best_center, center)
+        a_sq.update((alpha, a * a) for alpha in roots)
+
+    def full(alpha: Root) -> Fraction:
+        c = alpha.coords
+        return Fraction(a_sq[alpha], sum(w * c[i] * c[k] for i, k, w in dual))
+
+    binding = min(j.positive, key=full)
+    best = full(binding) * Fraction(dual_den, z_den * z_den)
+    best_center *= Fraction(minors[-1], z_den * z_den)
     return SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center, binding_root=binding)
 
 
@@ -837,7 +883,9 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     necessary for admissible diameters.  A 2-dimensional center is one scan
     circle and a 3-dimensional one SEARCH_LATITUDES latitude circles; every
     zero of every circle comes from `_circle_zeros`.  Float zeros are
-    confirmed exactly whenever the direction rationalizes.
+    confirmed exactly whenever the direction rationalizes: a rational
+    direction is first tested by the sign of `_homogenized_obstruction`,
+    and only a direction where it vanishes is normalized and given a verdict.
     """
     flag, j = base.flag, base.j
     d = flag.center_dim
@@ -850,6 +898,8 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     seen: set = set()
 
     def consider_exact(vec: CartanVector) -> None:
+        if _homogenized_obstruction(flag, j, zk, vec, base.period_scale) != 0:
+            return
         cand_base = make_base(flag, j, vec, period_scale=base.period_scale)
         key = _direction_key([float(v) for v in cand_base.z.values])
         if key in seen:
@@ -864,7 +914,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         key = _direction_key(values)
         if key in seen:
             return
-        exact_dir = _rationalize_direction(flag, values)
+        exact_dir = _rationalize_direction(flag.center_basis, basis_f, values)
         if exact_dir is not None:
             before = len(candidates)
             consider_exact(exact_dir)
@@ -880,6 +930,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         consider_exact(-flag.center_basis[0])
     else:
         onb = _orthonormal_center_basis(base)
+        basis_f = np.stack([np.array([float(v) for v in b.values]) for b in flag.center_basis], axis=1)
         if d == 2:
             b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, len(onb[0])))
         else:
@@ -909,7 +960,7 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
     accumulated one module at a time so that memory stays at one
     directions x nodes array.
     """
-    table = _center_modules(j, center_basis)
+    table = _center_modules(j, center_basis)[0]
     coords = np.array([roots[0].coords for roots in table.values()], dtype=float)
     a = np.array([float(evaluate(roots[0], zk)) for roots in table.values()])
     mult = np.array([len(roots) for roots in table.values()])
@@ -924,12 +975,20 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
     return at
 
 
-def _center_modules(j: InvariantComplexStructure, center_basis: Sequence[CartanVector]) -> Dict[tuple, List[Root]]:
-    """The roots of R_m+ by their restriction to the center, (alpha(b) for b in the basis), in R_m+ order."""
+def _center_modules(j: InvariantComplexStructure, center_basis: Sequence[CartanVector]):
+    """The roots of R_m+ by their restriction to the center, in R_m+ order: (table, cols, den).
+
+    The basis is split once into integer vectors over one denominator,
+    b = cols[b] / den (`polys.split_exact`), so the key rho of a module,
+    formed in integers, means alpha(b) = rho_b / den for b in the basis.
+    """
+    rank = len(center_basis[0].values) if center_basis else 0
+    u, _, den, _ = split_exact([x for b in center_basis for x in b.values])
+    cols = [u[i * rank:(i + 1) * rank] for i in range(len(center_basis))]
     table: Dict[tuple, List[Root]] = {}
     for alpha in j.positive:
-        table.setdefault(tuple(evaluate(alpha, b) for b in center_basis), []).append(alpha)
-    return table
+        table.setdefault(tuple(sum(map(mul, alpha.coords, w)) for w in cols), []).append(alpha)
+    return table, cols, den
 
 
 def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1007,11 +1066,13 @@ def _center_vector(basis: Sequence[CartanVector], coeffs: Sequence[Scalar]) -> C
     return functools.reduce(add, (b.scale(c) for b, c in zip(basis, coeffs)))
 
 
-def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[CartanVector]:
-    """Rebuild a float direction as an exact rational center vector, if close."""
-    basis = [np.array([float(v) for v in b.values]) for b in flag.center_basis]
-    B = np.stack(basis, axis=1)
-    coeffs, *_ = np.linalg.lstsq(B, np.array([float(v) for v in values]), rcond=None)
+def _rationalize_direction(basis: Sequence[CartanVector], basis_f: np.ndarray,
+                           values: Sequence[float]) -> Optional[CartanVector]:
+    """Rebuild a float direction as an exact rational center vector, if close.
+
+    ``basis_f`` is the float matrix whose columns are the center basis vectors.
+    """
+    coeffs, *_ = np.linalg.lstsq(basis_f, np.array([float(v) for v in values]), rcond=None)
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         return None
@@ -1019,7 +1080,7 @@ def _rationalize_direction(flag: FlagData, values: Sequence[float]) -> Optional[
     rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
     if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > 1e-7:
         return None
-    return _center_vector(flag.center_basis, rat)
+    return _center_vector(basis, rat)
 
 
 @dataclass(frozen=True)
@@ -1040,7 +1101,8 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     hyperplanes whose modules give at most m1 - 1 walls at Z1 and m2 - 1 at
     Z2 is intersected with the sphere E(Z, Z) = period_scale^2, exactly
     (solution lines give quadratic-field solutions).  A point whose modules
-    give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2 goes to `ke_verdict`,
+    give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2, counted once per line
+    by `_line_walls`, goes to `ke_verdict`,
     and the ok ones are returned, with the walls of the verdict in R_m+
     order.  Candidates on no such line lie in continuous families and are
     out of scope.  For m1 = m2 the direction -Z is the segment of Z reversed
@@ -1057,10 +1119,14 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     d = len(basis)
     ps2 = Fraction(base.period_scale) ** 2
     gram_c = [[Fraction(killing(flag.rs, b1, b2)) for b2 in basis] for b1 in basis]
-    # the wall hyperplanes (end, multiplicity, rho, rho(Z)); with those of Z1 first, of a pair
-    # Z, -Z (m1 = m2, d >= 2) the one met first has the earlier first Z1 wall in R_m+
-    modules = [(rho, len(roots), evaluate(roots[0], zk)) for rho, roots in _center_modules(j, basis).items()]
-    planes = [(end, mult, rho, a / m2 if end else -a / m1) for end in (0, 1) for rho, mult, a in modules]
+    # the center modules (rho, multiplicity, rho(Z) on their walls at Z1 and at Z2), and the wall
+    # hyperplanes (end, multiplicity, rho, rho(Z)); with those of Z1 first, of a pair Z, -Z
+    # (m1 = m2, d >= 2) the one met first has the earlier first Z1 wall in R_m+
+    table, _, den = _center_modules(j, basis)
+    at_zk = [evaluate(roots[0], zk) for roots in table.values()]
+    modules = [(tuple(Fraction(x, den) for x in rho), len(roots), (-a / m1, a / m2))
+               for (rho, roots), a in zip(table.items(), at_zk)]
+    planes = [(end, mult, rho, values[end]) for end in (0, 1) for rho, mult, values in modules]
     systems = list(itertools.islice(_wall_subsets(planes, d - 1, (m1 - 1, m2 - 1)), MAX_WALL_SYSTEMS + 1))
     if len(systems) > MAX_WALL_SYSTEMS:
         raise InputError("walled search too large (more than %d wall systems)" % MAX_WALL_SYSTEMS)
@@ -1072,13 +1138,15 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
         if len(null) != 1:
             continue
         sol = linalg.solve(rows, [p[3] for p in subset]) if rows else [Fraction(0)] * d
+        walls = None
         for coeffs in _unit_norm_solutions(sol, null, gram_c, ps2):
             if tuple(coeffs) in seen:
                 continue
             seen.add(tuple(coeffs))
             if m1 == m2:
                 seen.add(tuple(-c for c in coeffs))
-            hit = [sum(p[1] for p in planes if p[0] == end and sum(map(mul, p[2], coeffs)) == p[3]) for end in (0, 1)]
+            walls = walls or _line_walls(modules, sol, null[0])
+            hit = walls(coeffs)
             if hit != [m1 - 1, m2 - 1]:
                 continue
             z = _center_vector(basis, coeffs)
@@ -1089,6 +1157,30 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
                 out.append(WalledCandidate(w1, w2, z.values, verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
+
+
+def _line_walls(modules, sol: List[Fraction], v: List[Fraction]):
+    """The wall count of the points of the line sol + s v: coeffs -> [walls at Z1, walls at Z2].
+
+    ``modules`` holds (rho, multiplicity, (value at Z1, value at Z2)), the
+    two wall planes of each center module.  On the line rho(Z) = rho(sol) +
+    s rho(v), both rational.  A plane with rho(v) = 0 holds the whole line
+    or none of it.  Any other plane meets the line at the one rational s =
+    (value - rho(sol)) / rho(v), named by the coordinate x_k there, for a
+    fixed k with v_k != 0.  So each module costs two rational dot products
+    per line, and a point, rational or not, one lookup of its x_k.
+    """
+    k = next(i for i, x in enumerate(v) if x)
+    on_line = [0, 0]
+    meets: Dict[Fraction, List[int]] = {}
+    for rho, mult, values in modules:
+        at_sol, slope = sum(map(mul, rho, sol)), sum(map(mul, rho, v))
+        for end, value in enumerate(values):
+            if slope:
+                meets.setdefault(sol[k] + (value - at_sol) / slope * v[k], [0, 0])[end] += mult
+            elif at_sol == value:
+                on_line[end] += mult
+    return lambda coeffs: list(map(add, on_line, meets.get(coeffs[k], (0, 0))))
 
 
 def _wall_subsets(planes, size: int, budget: Tuple[int, int], start: int = 0):

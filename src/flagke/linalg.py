@@ -86,17 +86,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     return x
 
 
-def invert(rows: Sequence[Sequence]) -> Matrix:
-    """Exact inverse of a square nonsingular matrix."""
-    m = _as_matrix(rows)
-    n = len(m)
-    aug = [m[i] + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
 def mat_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
     return [sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
 

@@ -4,8 +4,10 @@ The first-integral identity and the scaled-Ricci negative control, shared
 by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
 sum and scaling they are built from; the Ricci evaluations at one time;
 and the per-root segment classification, the oracle of
-`model.analyze_segment`, with its own closure test at every end; and the walled search over root subsets, the
-oracle of `einstein.search_walled`.
+`model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
+oracle of `einstein.search_walled`; and the root-by-root sphere-in-chamber
+check, the oracle of `einstein.sphere_in_chamber`, with the exact matrix
+inverse it uses.
 """
 
 import itertools
@@ -166,3 +168,39 @@ def root_subset_walled(base, m1, m2):
                                                    verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
+
+
+def invert(rows):
+    """Exact inverse of a square nonsingular matrix, by Gauss-Jordan elimination of [M | I]."""
+    n = len(rows)
+    red, pivots = linalg.rref([list(row) + [Fraction(i == k) for k in range(n)] for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def per_root_sphere_in_chamber(flag, j):
+    """`einstein.sphere_in_chamber` root by root, in Fraction arithmetic.
+
+    For every root of R_m+: alpha(Zk), the full dual norm |alpha|^2 from
+    `RootSystem.dual_pairing`, and the norm restricted to the center from
+    the inverse Gram matrix of the center basis; the binding root is the
+    first strict minimizer of the full variant.
+    """
+    rs = flag.rs
+    zk = ricci_invariant(flag, j)
+    gram_c_inv = invert([[killing(rs, b1, b2) for b2 in flag.center_basis] for b1 in flag.center_basis])
+    best = best_center = binding = None
+    for alpha in j.positive:
+        az = Fraction(evaluate(alpha, zk))
+        full = az * az / rs.dual_pairing(alpha.coords, alpha.coords)
+        rhs = [Fraction(evaluate(alpha, b)) for b in flag.center_basis]
+        norm_center = sum((ri * gij * rj for ri, row in zip(rhs, gram_c_inv) for gij, rj in zip(row, rhs)),
+                          Fraction(0))
+        center = az * az / norm_center
+        if best is None or full < best:
+            best, binding = full, alpha
+        if best_center is None or center < best_center:
+            best_center = center
+    return ein.SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center,
+                           binding_root=binding)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
@@ -23,8 +24,14 @@ from flagke.rootsys import (
     evaluate,
     killing,
 )
-from flagke.scalars import Quad, scalar_is_zero
-from segment_checks import first_integral_identity_numerator, ricci_tangential, root_subset_walled, scaled_ricci_control
+from flagke.scalars import Quad, exact_sqrt, scalar_is_zero, scalar_sign
+from segment_checks import (
+    first_integral_identity_numerator,
+    per_root_sphere_in_chamber,
+    ricci_tangential,
+    root_subset_walled,
+    scaled_ricci_control,
+)
 
 
 def rs(text):
@@ -629,6 +636,17 @@ def test_sphere_check_cp3_flag_center_norm():
     assert chk.min_distance_sq_center == Fraction(3, 2)  # measured inside the center
 
 
+@pytest.mark.parametrize("text, flags", [
+    (text, None) for text in ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA2", "A1xA1xA1", "B4", "F4"]
+] + [("E6", [(0, 2, 3, 4)]), ("E7", [(1, 2, 3, 4, 5)]), ("E8", [(0, 1, 2, 3, 4), (2,)])])
+def test_sphere_in_chamber_over_center_modules_matches_the_per_root_oracle(text, flags):
+    # every painted flag of the small groups, and the large flags that flag-info is run on
+    rank = rs(text).rank
+    for painted in flags or itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank)):
+        flag, j = _flag_j(text, painted)
+        assert ein.sphere_in_chamber(flag, j) == per_root_sphere_in_chamber(flag, j), painted
+
+
 def test_search_diameters_d1_no_candidates():
     flag, j = _flag_j("A2", (1,))
     base = make_base(flag, j, flag.center_basis[0])
@@ -687,6 +705,93 @@ def test_search_diameters_triple_product_exact_zeros(ke_profile, monkeypatch):
     prof = ein.profile_solve(sp, grid_size=128)
     _, pair_profile = ke_profile
     assert abs(prof.delta - pair_profile.delta) < 1e-10
+
+
+# groups of rank <= 6 for the homogenized obstruction; those of rank <= 3 also as G x G
+_HOMOGENIZED_GROUPS = ["A1", "A2", "A3", "A4", "A6", "B2", "B3", "B5", "C3", "C6", "D4", "D5", "D6", "G2", "F4", "E6",
+                       "A1xA1", "A1xA1xA1", "A2xA2", "A2xG2", "B2xA1", "A3xA3", "B3xB3", "A2xA2xA2"]
+
+
+def _homogenized_cases(n, seed=13):
+    """n random (flag, j, q, tau): a painted flag of rank <= 6 with d in {1, 2, 3} and a rational center q.
+
+    Every third case is an antisymmetric diameter q = c + (-c) on G x G with
+    both factors painted alike and d = 2, where the obstruction vanishes.
+    """
+    gen = random.Random(seed)
+    rational = lambda: Fraction(gen.randint(-6, 6), gen.randint(1, 4))
+    for i in range(n):
+        tau = gen.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)])
+        if i % 3 == 2:
+            text = gen.choice(["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+            rank = rs(text).rank
+            keep = gen.randrange(rank)
+            painted = [k for k in range(rank) if k != keep]
+            flag, j = _flag_j("%sx%s" % (text, text), painted + [k + rank for k in painted])
+            c = _flag_j(text, painted)[0].center_basis[0].scale(rational() or Fraction(1))
+            yield flag, j, CartanVector(c.values + tuple(-x for x in c.values)), tau
+            continue
+        text = gen.choice(_HOMOGENIZED_GROUPS)
+        rank = rs(text).rank
+        d = gen.randint(1, min(3, rank))
+        flag, j = _flag_j(text, sorted(gen.sample(range(rank), rank - d)))
+        coeffs = [rational() for _ in flag.center_basis]
+        if not any(coeffs):
+            coeffs[0] = Fraction(1)
+        yield flag, j, ein._center_vector(flag.center_basis, coeffs), tau
+
+
+def test_homogenized_obstruction_decides_the_exact_futaki_sign():
+    # the normalized obstruction through make_base and futaki is the oracle: F_h(q) has its
+    # sign, vanishes exactly with it, and is e^(J/2) times it, e = E(q, q)/tau^2
+    vanishing = 0
+    for flag, j, q, tau in _homogenized_cases(60):
+        zk = ricci_invariant(flag, j)
+        fh = ein._homogenized_obstruction(flag, j, zk, q, tau)
+        rep = ein.futaki(flag, j, make_base(flag, j, q, period_scale=tau).z, 1, 1, zk=zk)
+        assert isinstance(fh, Fraction)
+        assert (fh > 0) - (fh < 0) == scalar_sign(rep.value)
+        assert (fh == 0) == rep.vanishes
+        e = killing(flag.rs, q, q) / (tau * tau)
+        top = (len(j.positive) - 1) // 2  # (J - 1) / 2
+        assert fh == rep.value * e ** top * exact_sqrt(e)
+        vanishing += rep.vanishes
+    assert vanishing >= 20
+
+
+def test_homogenized_obstruction_on_the_cp2_product():
+    flag, j = _flag_j("A2xA2", (1, 3))
+    zk = ricci_invariant(flag, j)
+    at = lambda *q: ein._homogenized_obstruction(flag, j, zk, CartanVector(tuple(map(Fraction, q))), Fraction(1))
+    assert at(1, 0, -1, 0) == 0
+    assert at(2, 0, -1, 0) < 0
+    assert at(-2, 0, 1, 0) > 0  # F_h is odd
+
+
+_PREFILTER_FLAGS = [("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", (0,)), ("G2", ()), ("A3", (1,)),
+                    ("B3", (0,))]
+
+
+@pytest.mark.parametrize("text, painted", _PREFILTER_FLAGS)
+def test_homogenized_prefilter_keeps_every_candidate(text, painted, monkeypatch):
+    # with the prefilter passing every direction, each rational direction is normalized and
+    # given its exact verdict, as before the prefilter existed
+    flag, j = _flag_j(text, painted)
+    base = make_base(flag, j, flag.center_basis[0])
+    got = ein.search_diameters(base)
+    monkeypatch.setattr(ein, "_homogenized_obstruction", lambda *args: Fraction(0))
+    want = ein.search_diameters(base)
+    assert got == want
+
+
+@pytest.mark.parametrize("text, painted, calls", [("A2xA2xA2", (1, 3, 5), 0), ("A2xA2", (1, 3), 1)])
+def test_search_diameters_normalizes_only_exact_zeros(text, painted, calls, monkeypatch):
+    flag, j = _flag_j(text, painted)
+    base = make_base(flag, j, flag.center_basis[0])
+    seen = []
+    monkeypatch.setattr(ein, "make_base", lambda *args, **kw: seen.append(args) or make_base(*args, **kw))
+    res = ein.search_diameters(base)
+    assert len(seen) == calls == sum(c.confirmed_exact for c in res.candidates)
 
 
 def _scan_oracle(values_at, n_circles, degree, n_grid=720):
@@ -836,12 +941,38 @@ def test_search_walled_matches_the_root_subset_oracle():
     assert found == 42
 
 
+def test_line_walls_count_the_walls_of_each_point(monkeypatch):
+    # every point whose walls the search counts is counted again plane by plane in its own field
+    checked = []
+
+    def checking(modules, sol, v):
+        count = line_walls(modules, sol, v)
+
+        def at(coeffs):
+            want = [sum(mult for rho, mult, values in modules if sum(map(mul, rho, coeffs)) == values[end])
+                    for end in (0, 1)]
+            assert count(coeffs) == want
+            checked.append(any(isinstance(x, Quad) for x in coeffs))
+            return want
+        return at
+
+    line_walls = ein._line_walls
+    monkeypatch.setattr(ein, "_line_walls", checking)
+    for group, painted in [("A2xA2", ()), ("A1xA1xA1", ()), ("B3", ()), ("A2", (1,)), ("G2", ())]:
+        flag, j = _flag_j(group, painted)
+        for tau in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
+            for m1, m2 in [(2, 1), (3, 1), (2, 2), (3, 3)]:
+                ein.search_walled(base, m1, m2)
+    assert len(checked) > 100 and any(checked) and not all(checked)
+
+
 @pytest.mark.parametrize("group", ["A2xA2", "B3", "A1xA1xA1"])
 def test_wall_subsets_are_the_combinations_within_the_degrees(group):
     # nothing painted, so every plane has multiplicity 1 and d - 1 = rank - 1; the order is
     # the order of itertools.combinations, which decides the kept one of Z and -Z for m1 = m2
     flag, j = _flag_j(group, ())
-    modules = ein._center_modules(j, flag.center_basis)
+    modules = ein._center_modules(j, flag.center_basis)[0]
     planes = [(end, len(roots), rho, 0) for end in (0, 1) for rho, roots in modules.items()]
     for budget in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 3)]:
         want = [s for s in itertools.combinations(planes, flag.center_dim - 1)

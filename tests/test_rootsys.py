@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from flagke import linalg
 from flagke.errors import InputError, InternalError
 from flagke.rootsys import (
     CartanVector,
@@ -18,6 +17,7 @@ from flagke.rootsys import (
     evaluate,
     killing,
 )
+from segment_checks import invert
 
 
 def killing_brute(system, h1, h2):
@@ -208,7 +208,7 @@ def _with_roots(system, positive):
         system,
         roots=tuple(sorted([Root(c) for c in coords] + [Root(tuple(-x for x in c)) for c in coords])),
         gram=tuple(tuple(row) for row in gram),
-        gram_inverse=tuple(tuple(row) for row in linalg.invert(gram)),
+        gram_inverse=tuple(tuple(row) for row in invert(gram)),
     )
 
 
