@@ -834,8 +834,8 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
     # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den for the integer entries in dual
     dual_den = math.lcm(*(x.denominator for row in rs.gram_inverse for x in row))
     dual = [(i, k, int(x * dual_den)) for i, row in enumerate(rs.gram_inverse) for k, x in enumerate(row) if x]
-    # the restricted norm of rho (alpha(b) = rho_b / den) is rho^T adj rho / det, where
-    # den^2 E(b, b') is the integer matrix gram_c, adj its adjugate and det its determinant
+    # the restricted norm of rho (alpha(b) = rho_b / den) is rho^T adj rho / det, where adj and
+    # det = minors[-1] are the adjugate and determinant of the integer matrix den^2 E(b, b')
     mc = [[sum(map(mul, row, w)) for row in rs.gram] for w in cols]
     minors, adj = linalg.bareiss([[sum(map(mul, v, w)) for w in cols] for v in mc])
     a_sq = {}
