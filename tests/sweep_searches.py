@@ -1,0 +1,137 @@
+"""Sweep the CLI `search` over the flags whose verdicts a change to the searches may move.
+
+    PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
+    PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
+
+``--out`` writes the `search` report of 1 400 runs, keyed by their command
+line: the diameter search on every flag with a 2- or 3-dimensional center
+of the 25 sweep groups, and the walled search on every flag of the groups up
+to rank 3 at the degrees of WALLED_DEGREES; each at the period scales 1 and
+1/3.  ``--compare`` sorts the runs of two such files into identical ones,
+ones that differ only in floats within FLOAT_RTOL, and changed ones, and
+lists the last two kinds.  Floats are compared relative to the larger
+magnitude, or absolutely below 1: the float obstruction of a float
+candidate is a zero at rounding level, whose relative change means
+nothing.  Run it on the source tree to be swept: a second checkout's
+``src`` on PYTHONPATH sweeps that checkout.
+"""
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import sys
+
+from flagke import cli
+from flagke.rootsys import LieAlgebraSpec
+
+GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4",
+          "A1xA1", "A1xA1xA1", "A1xA2", "A1xB2", "A1xG2", "A2xA2", "A1xA3", "A2xB2", "B2xG2", "A2xA3",
+          "A1xA2xA2", "B2xB2"]
+WALLED_DEGREES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)]
+TAUS = ["1", "1/3"]
+FLOAT_RTOL = 1e-12
+
+
+def paintings(group: str):
+    """Every painted set of the group's simple roots, by size and then lexicographically."""
+    rank = LieAlgebraSpec.parse(group).rank
+    return itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank + 1))
+
+
+def sweep_argvs():
+    """The command lines of the sweep: diameter runs first, then walled ones."""
+    out = []
+    for group in GROUPS:
+        rank = LieAlgebraSpec.parse(group).rank
+        for painted in paintings(group):
+            if rank - len(painted) in (2, 3):
+                out += [_argv(group, painted, tau) for tau in TAUS]
+    for group in GROUPS:
+        rank = LieAlgebraSpec.parse(group).rank
+        if rank > 3:
+            continue
+        for painted in paintings(group):
+            if len(painted) < rank:
+                out += [_argv(group, painted, tau, degrees) for degrees in WALLED_DEGREES for tau in TAUS]
+    return out
+
+
+def _argv(group, painted, tau, degrees=None):
+    argv = ["search", "--group", group, "--painted", ",".join(map(str, painted)), "--tau", tau]
+    if degrees is not None:
+        argv += ["--m1", str(degrees[0]), "--m2", str(degrees[1])]
+    return argv
+
+
+def sweep(argvs):
+    """{command line: the JSON report the CLI prints for it}, run in this process."""
+    record = {}
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.main(argv)
+        record[" ".join(argv)] = json.loads(buf.getvalue())
+    return record
+
+
+def float_gap(a, b):
+    """The largest difference between the floats of a and b, relative to max(|a|, |b|, 1), or None if
+    they differ elsewhere."""
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) / max(abs(a), abs(b), 1.0)
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        a, b = [a[k] for k in a], [b[k] for k in a]
+    if isinstance(a, list) and isinstance(b, list):
+        gaps = [float_gap(x, y) for x, y in zip(a, b)]
+        return None if len(a) != len(b) or None in gaps else max(gaps, default=0.0)
+    return 0.0 if type(a) is type(b) and a == b else None
+
+
+def compare(before, after):
+    """The run keys of two sweep records, over the keys of either, as (identical, floats only, changed),
+    and the largest float difference (`float_gap`) of the floats-only runs."""
+    identical, floats_only, changed, worst = [], [], [], 0.0
+    for key in sorted(before.keys() | after.keys()):
+        a, b = before.get(key), after.get(key)
+        gap = float_gap(a, b)
+        if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+            identical.append(key)
+        elif gap is not None and gap <= FLOAT_RTOL:
+            floats_only.append(key)
+            worst = max(worst, gap)
+        else:
+            changed.append(key)
+    return identical, floats_only, changed, worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="write the sweep to this JSON file")
+    action.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"), help="compare two sweep files")
+    args = parser.parse_args(argv)
+    if args.out:
+        record = sweep(sweep_argvs())
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+        print("%d runs written to %s" % (len(record), args.out))
+        return 0
+    records = []
+    for path in args.compare:
+        with open(path) as fh:
+            records.append(json.load(fh))
+    identical, floats_only, changed, worst = compare(*records)
+    print("%d runs identical, %d differ only in floats (by at most %.2g), %d changed"
+          % (len(identical), len(floats_only), worst, len(changed)))
+    for tag, keys in (("floats", floats_only), ("changed", changed)):
+        for key in keys:
+            print("%s: %s" % (tag, key))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

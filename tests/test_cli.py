@@ -417,3 +417,32 @@ def test_import_and_roots_leave_scipy_solvers_unloaded():
     assert runs["walled search"][2]["candidates"]
     for name, (code, loaded, _) in runs.items():
         assert (name, code, loaded) == (name, 0, [])
+
+
+def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsys):
+    import sweep_searches as sweep
+
+    argvs = [["search", "--group", "A2xA2", "--painted", "1,3", "--tau", "1"],
+             ["search", "--group", "A2", "--painted", "1", "--tau", "1/3", "--m1", "3", "--m2", "1"]]
+    assert all(argv in sweep.sweep_argvs() for argv in argvs)
+    monkeypatch.setattr(sweep, "sweep_argvs", lambda: argvs)
+    path = tmp_path / "sweep.json"
+    assert sweep.main(["--out", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("2 runs written")
+    record = json.loads(path.read_text())
+    for argv in argvs:
+        assert record[" ".join(argv)] == _capture(capsys, argv)[1]
+    walled = " ".join(argvs[1])
+    assert [c["z"] for c in record[walled]["candidates"]] == [["-1/6", "0"]]
+
+    assert sweep.main(["--compare", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.startswith("2 runs identical, 0 differ only in floats")
+    moved = json.loads(path.read_text())
+    moved[walled]["candidates"][0]["admissible"] = False
+    moved["float run"] = {"z": [0.5, 1.0 + 4e-16]}
+    record["float run"] = {"z": [0.5, 1.0]}
+    identical, floats_only, changed, worst = sweep.compare(record, moved)
+    assert (identical, floats_only, changed) == ([" ".join(argvs[0])], ["float run"], [walled])
+    assert 0 < worst <= 1e-15
+    assert sweep.float_gap({"z": [1.0]}, {"z": [1.0 + 1e-9]}) > sweep.FLOAT_RTOL
+    assert sweep.float_gap({"z": [1.0]}, {"y": [1.0]}) is None
