@@ -53,7 +53,7 @@ from .polys import (
     pair_scalar,
     split_exact,
 )
-from .rootsys import CartanVector, Root, evaluate, killing
+from .rootsys import CartanVector, Root, evaluate
 from .scalars import Scalar, exact_sqrt, is_exact, scalar_is_zero
 
 FUTAKI_FLOAT_TOL = 1e-10
@@ -152,12 +152,14 @@ def _homogenized_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: C
     E(Z, Z) = period_scale^2.  So F_h(q) is rational, has the sign of that
     obstruction and vanishes exactly when it does, and no square root is
     taken.  The c_i come from the integer product of `futaki`; the sum is
-    formed in integers, over one positive denominator.
+    formed in integers, over one positive denominator.  q lies in the center,
+    so E(q, q) is read off its unpainted values.
     """
     table, den, _ = isotropy_modules(j, zk, q)
     us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
     weights, scale = _integral_weights(len(us), 1, 1)
-    e = Fraction(killing(flag.rs, q, q)) / (period_scale * period_scale)
+    qc = [q.values[i] for i in flag.unpainted]
+    e = Fraction(_form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
     top = (len(us) - 2) // 2  # (J - 1) / 2
     # times e.denominator^top, the term of odd i = 2k + 1 carries e.numerator^(top-k) e.denominator^k
     total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
@@ -818,30 +820,27 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
 
     The restricted variant measures the distance inside the center of k,
     where the sphere actually lives; both minima agree on a full flag.
-    ``zk`` is the Ricci element of (flag, j) when the caller has it.  Zk lies
-    in the center, so a center module (`_center_modules`) has one alpha(Zk)
-    and one restricted norm, each formed once; |alpha|^2 comes per root from
-    the integer multiple of the dual form M^-1.  Everything is an integer up
-    to the two minima.  The binding root is the first root of R_m+ at the
-    minimum of the full variant.
+    ``zk`` is the Ricci element of (flag, j) when the caller has it.  A
+    center module (`_center_modules`) has one alpha(Zk) and one restricted
+    norm, each formed once; |alpha|^2 comes per root from the integer
+    multiple of the dual form M^-1.  Everything is an integer up to the two
+    minima.  The binding root is the first root of R_m+ at the minimum of
+    the full variant.
     """
     if not j.positive:
         raise InputError("flag has no transverse roots; paint fewer simple roots")
     rs = flag.rs
     zk = ricci_invariant(flag, j) if zk is None else zk
-    table, cols, _ = _center_modules(j, flag.center_basis)
-    z_int, _, z_den, _ = split_exact(zk.values)
+    table, at_zk, z_den = _center_modules(flag, j, zk)
     # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den for the integer entries in dual
     dual_den = math.lcm(*(x.denominator for row in rs.gram_inverse for x in row))
     dual = [(i, k, int(x * dual_den)) for i, row in enumerate(rs.gram_inverse) for k, x in enumerate(row) if x]
-    # the restricted norm of rho (alpha(b) = rho_b / den) is rho^T adj rho / det, where adj and
-    # det = minors[-1] are the adjugate and determinant of the integer matrix den^2 E(b, b')
-    mc = [[sum(map(mul, row, w)) for row in rs.gram] for w in cols]
-    minors, adj = linalg.bareiss([[sum(map(mul, v, w)) for w in cols] for v in mc])
+    # the restricted norm of rho is rho^T adj rho / det, where adj and det = minors[-1] are the
+    # adjugate and determinant of the integer center Gram matrix
+    minors, adj = linalg.bareiss(_center_gram(flag))
     a_sq = {}
     best_center = None
-    for rho, roots in table.items():
-        a = sum(map(mul, roots[0].coords, z_int))  # z_den * alpha(Zk)
+    for (rho, roots), a in zip(table.items(), at_zk):
         center = Fraction(a * a, sum(ri * sum(map(mul, row, rho)) for ri, row in zip(rho, adj)))
         best_center = center if best_center is None else min(best_center, center)
         a_sq.update((alpha, a * a) for alpha in roots)
@@ -881,11 +880,12 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     The sphere-in-chamber hypothesis is evaluated exactly and reported; the
     search runs regardless, since the hypothesis is sufficient but not
     necessary for admissible diameters.  A 2-dimensional center is one scan
-    circle and a 3-dimensional one SEARCH_LATITUDES latitude circles; every
-    zero of every circle comes from `_circle_zeros`.  Float zeros are
-    confirmed exactly whenever the direction rationalizes: a rational
-    direction is first tested by the sign of `_homogenized_obstruction`,
-    and only a direction where it vanishes is normalized and given a verdict.
+    circle and a 3-dimensional one SEARCH_LATITUDES latitude circles, in
+    center coordinates (the unpainted values); every zero of every circle
+    comes from `_circle_zeros`.  Float zeros are confirmed exactly whenever
+    the direction rationalizes: a rational direction is first tested by the
+    sign of `_homogenized_obstruction`, and only a direction where it
+    vanishes is normalized and given a verdict.
     """
     flag, j = base.flag, base.j
     d = flag.center_dim
@@ -910,11 +910,13 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         seen.add(key)
         candidates.append(DiameterCandidate(cand_base.z.values, verdict, confirmed_exact=True))
 
-    def consider_float(values: np.ndarray) -> None:
+    def consider_float(coords: np.ndarray) -> None:
+        values = np.zeros(flag.rs.rank)
+        values[list(flag.unpainted)] = coords
         key = _direction_key(values)
         if key in seen:
             return
-        exact_dir = _rationalize_direction(flag.center_basis, basis_f, values)
+        exact_dir = _rationalize_direction(flag.center_basis, coords)
         if exact_dir is not None:
             before = len(candidates)
             consider_exact(exact_dir)
@@ -929,40 +931,39 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         consider_exact(flag.center_basis[0])
         consider_exact(-flag.center_basis[0])
     else:
-        onb = _orthonormal_center_basis(base)
-        basis_f = np.stack([np.array([float(v) for v in b.values]) for b in flag.center_basis], axis=1)
+        onb = _orthonormal_center_basis(flag)
         if d == 2:
-            b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, len(onb[0])))
+            b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, d))
         else:
             phi = np.linspace(0.0, math.pi, SEARCH_LATITUDES + 2)[1:-1, None]
             b1, b2, offset = np.sin(phi) * onb[0], np.sin(phi) * onb[1], np.cos(phi) * onb[2]
-        obstruction = _diameter_obstruction(j, zk, flag.center_basis)
+        obstruction = _diameter_obstruction(flag, j, zk)
 
         def directions(circle: np.ndarray, theta: np.ndarray) -> np.ndarray:
             return np.cos(theta)[:, None] * b1[circle] + np.sin(theta)[:, None] * b2[circle] + offset[circle]
 
         zeros = _circle_zeros(lambda c, t: obstruction(directions(c, t)), len(b1), len(j.positive))
-        for values in directions(*zeros):
-            consider_float(values)
+        for coords in directions(*zeros):
+            consider_float(coords)
 
     order = {True: 0, False: 1}
     candidates.sort(key=lambda c: (order[c.confirmed_exact], tuple(float(v) for v in c.z_values)))
     return DiameterSearchResult(hypothesis=hypothesis, candidates=tuple(candidates))
 
 
-def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center_basis: Sequence[CartanVector]):
-    """The m1 = m2 = 1 obstruction of center directions, batched: z (n, rank) -> (n,).
+def _diameter_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
+    """The m1 = m2 = 1 obstruction of center directions, batched: z (n, d) -> (n,), in center coordinates.
 
-    Zk lies in the center, so roots with one restriction to the center form
-    one module with one alpha(Zk).  The integrand y * prod (alpha(Zk) - y
+    Roots with one restriction to the center form one module with one
+    alpha(Zk) (`_center_modules`).  The integrand y * prod (alpha(Zk) - y
     alpha(Z)) has degree |R_m+| + 1 in y, which ceil((|R_m+| + 2)/2)
     Gauss-Legendre nodes integrate exactly: a directions x nodes product,
     accumulated one module at a time so that memory stays at one
     directions x nodes array.
     """
-    table = _center_modules(j, center_basis)[0]
-    coords = np.array([roots[0].coords for roots in table.values()], dtype=float)
-    a = np.array([float(evaluate(roots[0], zk)) for roots in table.values()])
+    table, at_zk, z_den = _center_modules(flag, j, zk)
+    coords = np.array(list(table), dtype=float)
+    a = np.array([x / z_den for x in at_zk])
     mult = np.array([len(roots) for roots in table.values()])
     gx, gw = _gauss_rule((len(j.positive) + 3) // 2)
 
@@ -975,20 +976,30 @@ def _diameter_obstruction(j: InvariantComplexStructure, zk: CartanVector, center
     return at
 
 
-def _center_modules(j: InvariantComplexStructure, center_basis: Sequence[CartanVector]):
-    """The roots of R_m+ by their restriction to the center, in R_m+ order: (table, cols, den).
+def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
+    """The roots of R_m+ by their restriction to the center, in R_m+ order: (table, at_zk, z_den).
 
-    The basis is split once into integer vectors over one denominator,
-    b = cols[b] / den (`polys.split_exact`), so the key rho of a module,
-    formed in integers, means alpha(b) = rho_b / den for b in the basis.
+    The center basis is the unit vectors of the unpainted nodes, so the key
+    rho of a module, a root's restriction to the center, is its tuple of
+    unpainted coordinates.  Zk lies in the center, so a module has one
+    alpha(Zk) = at_zk[i] / z_den, integers over one denominator
+    (`polys.split_exact`), in table order.
     """
-    rank = len(center_basis[0].values) if center_basis else 0
-    u, _, den, _ = split_exact([x for b in center_basis for x in b.values])
-    cols = [u[i * rank:(i + 1) * rank] for i in range(len(center_basis))]
+    z_int, _, z_den, _ = split_exact(zk.values)
     table: Dict[tuple, List[Root]] = {}
     for alpha in j.positive:
-        table.setdefault(tuple(sum(map(mul, alpha.coords, w)) for w in cols), []).append(alpha)
-    return table, cols, den
+        table.setdefault(tuple(alpha.coords[i] for i in flag.unpainted), []).append(alpha)
+    return table, [sum(map(mul, roots[0].coords, z_int)) for roots in table.values()], z_den
+
+
+def _center_gram(flag: FlagData) -> List[List[int]]:
+    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
+    return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]
+
+
+def _form(gram, u, v):
+    """u^T gram v."""
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram))
 
 
 def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1048,16 +1059,14 @@ def _direction_key(values: Sequence[float]) -> Tuple[int, ...]:
     return tuple(int(round(x * 10 ** 7)) for x in arr)
 
 
-def _orthonormal_center_basis(base: CenterLine) -> List[np.ndarray]:
-    rs = base.flag.rs
-    gram = np.array([[float(x) for x in row] for row in rs.gram])
-    vecs = [np.array([float(v) for v in b.values]) for b in base.flag.center_basis]
+def _orthonormal_center_basis(flag: FlagData) -> List[np.ndarray]:
+    """An E-orthonormal basis of the center in center coordinates, by Gram-Schmidt on the unit vectors."""
+    gram = np.array(_center_gram(flag), dtype=float)
     out: List[np.ndarray] = []
-    for v in vecs:
+    for v in np.eye(len(gram)):
         for u in out:
             v = v - (u @ gram @ v) * u
-        v = v / math.sqrt(float(v @ gram @ v))
-        out.append(v)
+        out.append(v / math.sqrt(float(v @ gram @ v)))
     return out
 
 
@@ -1066,17 +1075,12 @@ def _center_vector(basis: Sequence[CartanVector], coeffs: Sequence[Scalar]) -> C
     return functools.reduce(add, (b.scale(c) for b, c in zip(basis, coeffs)))
 
 
-def _rationalize_direction(basis: Sequence[CartanVector], basis_f: np.ndarray,
-                           values: Sequence[float]) -> Optional[CartanVector]:
-    """Rebuild a float direction as an exact rational center vector, if close.
-
-    ``basis_f`` is the float matrix whose columns are the center basis vectors.
-    """
-    coeffs, *_ = np.linalg.lstsq(basis_f, np.array([float(v) for v in values]), rcond=None)
-    scale = np.max(np.abs(coeffs))
+def _rationalize_direction(basis: Sequence[CartanVector], coords: np.ndarray) -> Optional[CartanVector]:
+    """Rebuild a float direction, given by its center coordinates, as an exact rational center vector, if close."""
+    scale = np.max(np.abs(coords))
     if scale == 0:
         return None
-    coeffs = coeffs / scale
+    coeffs = coords / scale
     rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
     if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > 1e-7:
         return None
@@ -1115,16 +1119,14 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
         raise InputError("walled search needs m1 + m2 >= 3; use search_diameters")
     flag, j = base.flag, base.j
     zk = ricci_invariant(flag, j)
-    basis = flag.center_basis
-    d = len(basis)
+    d = flag.center_dim
     ps2 = Fraction(base.period_scale) ** 2
-    gram_c = [[Fraction(killing(flag.rs, b1, b2)) for b2 in basis] for b1 in basis]
+    gram = _center_gram(flag)
     # the center modules (rho, multiplicity, rho(Z) on their walls at Z1 and at Z2), and the wall
     # hyperplanes (end, multiplicity, rho, rho(Z)); with those of Z1 first, of a pair Z, -Z
     # (m1 = m2, d >= 2) the one met first has the earlier first Z1 wall in R_m+
-    table, _, den = _center_modules(j, basis)
-    at_zk = [evaluate(roots[0], zk) for roots in table.values()]
-    modules = [(tuple(Fraction(x, den) for x in rho), len(roots), (-a / m1, a / m2))
+    table, at_zk, z_den = _center_modules(flag, j, zk)
+    modules = [(rho, len(roots), (Fraction(-a, z_den * m1), Fraction(a, z_den * m2)))
                for (rho, roots), a in zip(table.items(), at_zk)]
     planes = [(end, mult, rho, values[end]) for end in (0, 1) for rho, mult, values in modules]
     systems = list(itertools.islice(_wall_subsets(planes, d - 1, (m1 - 1, m2 - 1)), MAX_WALL_SYSTEMS + 1))
@@ -1139,7 +1141,7 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
             continue
         sol = linalg.solve(rows, [p[3] for p in subset]) if rows else [Fraction(0)] * d
         walls = None
-        for coeffs in _unit_norm_solutions(sol, null, gram_c, ps2):
+        for coeffs in _unit_norm_solutions(sol, null, gram, ps2):
             if tuple(coeffs) in seen:
                 continue
             seen.add(tuple(coeffs))
@@ -1149,7 +1151,7 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
             hit = walls(coeffs)
             if hit != [m1 - 1, m2 - 1]:
                 continue
-            z = _center_vector(basis, coeffs)
+            z = _center_vector(flag.center_basis, coeffs)
             verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
             if verdict.ok:
                 seg = verdict.segment.candidate
@@ -1200,23 +1202,22 @@ def _wall_subsets(planes, size: int, budget: Tuple[int, int], start: int = 0):
                 yield (planes[i],) + rest
 
 
-def _unit_norm_solutions(sol: List[Fraction], null: List[List[Fraction]], gram_c, ps2: Fraction):
-    """Solutions of E(Z, Z) = ps2 on the affine line sol + s * null[0]."""
+def _unit_norm_solutions(sol: List[Fraction], null: List[List[Fraction]], gram, ps2: Fraction):
+    """Solutions of E(Z, Z) = ps2 on the affine line sol + s * null[0], with gram the integer center Gram.
 
-    def dot(u, v):
-        return sum(
-            (ui * sum((gram_c[i][k] * vk for k, vk in enumerate(v)), Fraction(0)) for i, ui in enumerate(u)),
-            Fraction(0),
-        )
-
+    sol and null[0] are each split once over one denominator, so the line's
+    Gram products are integer.
+    """
+    s_int, _, s_den, _ = split_exact(sol)
     if not null:
-        if dot(sol, sol) == ps2:
+        if Fraction(_form(gram, s_int, s_int), s_den * s_den) == ps2:
             yield [Fraction(c) for c in sol]
         return
     v = null[0]
-    a = dot(v, v)
-    b = 2 * dot(sol, v)
-    c = dot(sol, sol) - ps2
+    v_int, _, v_den, _ = split_exact(v)
+    a = Fraction(_form(gram, v_int, v_int), v_den * v_den)
+    b = Fraction(2 * _form(gram, s_int, v_int), s_den * v_den)
+    c = Fraction(_form(gram, s_int, s_int), s_den * s_den) - ps2
     disc = b * b - 4 * a * c
     if disc < 0:
         return

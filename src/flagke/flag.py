@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Sequence, Tuple
 
-from . import linalg
 from .errors import InputError, InternalError
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
@@ -35,6 +34,11 @@ class FlagData:
     @property
     def center_dim(self) -> int:
         return len(self.center_basis)
+
+    @property
+    def unpainted(self) -> Tuple[int, ...]:
+        """The unpainted nodes, whose unit vectors are the center basis: center coordinates are values here."""
+        return tuple(i for i in range(self.rs.rank) if i not in self.painted)
 
     def r_m_set(self) -> frozenset:
         return frozenset(r.coords for r in self.r_m)
@@ -68,9 +72,9 @@ class ChamberPosition:
 def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
     """Split R into R_K and R_m and compute the center of k.
 
-    In simple-root coordinates, span_Z(painted) consists of the vectors
-    supported on painted indices, and the center {H : alpha(H) = 0 for all
-    painted alpha} is an exact null space in the values representation.
+    In the values representation (values[i] = alpha_i(H)) the center {H :
+    alpha(H) = 0 for all painted alpha} is the coordinate subspace of the
+    unpainted nodes; its basis is their unit vectors, in node order.
     """
     painted_set = frozenset(int(i) for i in painted)
     for i in painted_set:
@@ -79,8 +83,8 @@ def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
     r_k, r_m = [], []
     for r in rs.roots:
         (r_k if set(r.support()) <= painted_set else r_m).append(r)
-    rows = [[Fraction(int(j == i)) for j in range(rs.rank)] for i in sorted(painted_set)]
-    basis = [CartanVector(tuple(v)) for v in linalg.nullspace(rows, n_cols=rs.rank)]
+    basis = [CartanVector(tuple(Fraction(int(k == i)) for k in range(rs.rank)))
+             for i in range(rs.rank) if i not in painted_set]
     return FlagData(
         rs=rs,
         painted=painted_set,

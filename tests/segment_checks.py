@@ -5,9 +5,11 @@ by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
 sum and scaling they are built from; the Ricci evaluations at one time;
 and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
-oracle of `einstein.search_walled`; and the root-by-root sphere-in-chamber
+oracle of `einstein.search_walled`; the root-by-root sphere-in-chamber
 check, the oracle of `einstein.sphere_in_chamber`, with the exact matrix
-inverse it uses.
+inverse it uses; the center of k computed for a general basis, the oracle
+of the unpainted-coordinate frame of `flag.build_flag` and the searches; and
+the flags these oracles are run on.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from flagke.errors import InputError
 from flagke.flag import FLOAT_WALL_TOL, ricci_invariant
 from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test
 from flagke.polys import ZERO, p_deriv, p_mul, p_trim
-from flagke.rootsys import CartanVector, evaluate, killing
+from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import scalar_sign
 
 
@@ -204,3 +206,32 @@ def per_root_sphere_in_chamber(flag, j):
             best_center = center
     return ein.SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center,
                            binding_root=binding)
+
+
+# every painted flag of the small groups, and the large flags that flag-info is run on: (group, flags or None)
+CENTER_FLAGS = [(text, None) for text in ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA2", "A1xA1xA1", "B4", "F4"]] + [
+    ("E6", [(0, 2, 3, 4)]), ("E7", [(1, 2, 3, 4, 5)]), ("E8", [(0, 1, 2, 3, 4), (2,)])]
+
+
+def center_flags(text, flags):
+    """The painted sets of a CENTER_FLAGS entry: the given ones, or every one with a nonzero center."""
+    rank = LieAlgebraSpec.parse(text).rank
+    return flags or itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank))
+
+
+def general_basis_center(flag, j, zk):
+    """The center of k for a general rational basis: (basis, modules, alpha(Zk) per module, Gram matrix).
+
+    The basis is the exact null space of the painted unit rows; the modules
+    group R_m+ by (alpha(b) for b in flag.center_basis), in R_m+ order, each
+    with its alpha(Zk); the Gram matrix is E(b, b') by `killing`.
+    """
+    rs = flag.rs
+    rows = [[Fraction(int(k == i)) for k in range(rs.rank)] for i in sorted(flag.painted)]
+    basis = tuple(CartanVector(tuple(v)) for v in linalg.nullspace(rows, n_cols=rs.rank))
+    modules = {}
+    for alpha in j.positive:
+        modules.setdefault(tuple(evaluate(alpha, b) for b in flag.center_basis), []).append(alpha)
+    at_zk = [evaluate(roots[0], zk) for roots in modules.values()]
+    gram = [[killing(rs, b1, b2) for b2 in flag.center_basis] for b1 in flag.center_basis]
+    return basis, modules, at_zk, gram

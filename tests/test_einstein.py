@@ -26,7 +26,10 @@ from flagke.rootsys import (
 )
 from flagke.scalars import Quad, exact_sqrt, scalar_is_zero, scalar_sign
 from segment_checks import (
+    CENTER_FLAGS,
+    center_flags,
     first_integral_identity_numerator,
+    general_basis_center,
     per_root_sphere_in_chamber,
     ricci_tangential,
     root_subset_walled,
@@ -636,15 +639,26 @@ def test_sphere_check_cp3_flag_center_norm():
     assert chk.min_distance_sq_center == Fraction(3, 2)  # measured inside the center
 
 
-@pytest.mark.parametrize("text, flags", [
-    (text, None) for text in ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA2", "A1xA1xA1", "B4", "F4"]
-] + [("E6", [(0, 2, 3, 4)]), ("E7", [(1, 2, 3, 4, 5)]), ("E8", [(0, 1, 2, 3, 4), (2,)])])
+@pytest.mark.parametrize("text, flags", CENTER_FLAGS)
 def test_sphere_in_chamber_over_center_modules_matches_the_per_root_oracle(text, flags):
-    # every painted flag of the small groups, and the large flags that flag-info is run on
-    rank = rs(text).rank
-    for painted in flags or itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank)):
+    for painted in center_flags(text, flags):
         flag, j = _flag_j(text, painted)
         assert ein.sphere_in_chamber(flag, j) == per_root_sphere_in_chamber(flag, j), painted
+
+
+@pytest.mark.parametrize("text, flags", CENTER_FLAGS)
+def test_center_frame_matches_the_general_basis_oracle(text, flags):
+    # the unit vectors of the unpainted nodes, their coordinate modules and the integer Gram
+    # submatrix are the null-space basis, the modules over it and its Killing Gram matrix
+    for painted in center_flags(text, flags):
+        flag, j = _flag_j(text, painted)
+        zk = ricci_invariant(flag, j)
+        basis, modules, at_zk, gram = general_basis_center(flag, j, zk)
+        table, got_zk, z_den = ein._center_modules(flag, j, zk)
+        assert flag.center_basis == basis, painted
+        assert list(table.items()) == list(modules.items()), painted
+        assert [Fraction(a, z_den) for a in got_zk] == at_zk, painted
+        assert ein._center_gram(flag) == gram, painted
 
 
 def test_search_diameters_d1_no_candidates():
@@ -880,11 +894,12 @@ def test_circle_zeros_orders_circles_and_hands_over_a_vanishing_circle():
 @pytest.mark.parametrize("text, painted", [("A2xA3", (1, 3, 4)), ("A2xA2xA2", (1, 3, 5)), ("B3xB3", (1, 4))])
 def test_diameter_obstruction_matches_the_float_futaki(text, painted):
     flag, j = _flag_j(text, painted)
-    obstruction = ein._diameter_obstruction(j, ricci_invariant(flag, j), flag.center_basis)
+    obstruction = ein._diameter_obstruction(flag, j, ricci_invariant(flag, j))
     gen = np.random.default_rng(7)
     basis = np.array([[float(v) for v in b.values] for b in flag.center_basis])
-    z = gen.normal(size=(5, len(basis))) @ basis
-    got = obstruction(z)
+    coords = gen.normal(size=(5, len(basis)))
+    z = coords @ basis
+    got = obstruction(coords)
     for zi, gi in zip(z, got):
         rep = ein.futaki(flag, j, CartanVector(tuple(zi)), 1, 1)
         assert abs(gi - rep.value) <= 1e-12 * max(1.0, abs(rep.value))
@@ -972,7 +987,7 @@ def test_wall_subsets_are_the_combinations_within_the_degrees(group):
     # nothing painted, so every plane has multiplicity 1 and d - 1 = rank - 1; the order is
     # the order of itertools.combinations, which decides the kept one of Z and -Z for m1 = m2
     flag, j = _flag_j(group, ())
-    modules = ein._center_modules(j, flag.center_basis)[0]
+    modules = ein._center_modules(flag, j, ricci_invariant(flag, j))[0]
     planes = [(end, len(roots), rho, 0) for end in (0, 1) for rho, roots in modules.items()]
     for budget in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 3)]:
         want = [s for s in itertools.combinations(planes, flag.center_dim - 1)
