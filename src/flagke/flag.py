@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Sequence, Tuple
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
 
@@ -95,12 +95,14 @@ def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
 
 
 def default_complex_structure(flag: FlagData) -> InvariantComplexStructure:
-    """R_m+ = roots of R_m positive in the standard simple-root order."""
-    j = InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
-    verdict = validate_complex_structure(flag, j)
-    if not verdict.ok:
-        raise InternalError("standard order failed parabolic closure: %s" % (verdict.violations,))
-    return j
+    """R_m+ = roots of R_m positive in the standard simple-root order.
+
+    It needs no check: a root of R_m+ has a positive unpainted coefficient,
+    and adding a root of R_K (no unpainted coefficient) or of R_m+
+    (nonnegative ones) keeps that coefficient positive, so a sum that is a
+    root is a positive root of R_m.
+    """
+    return InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
 
 
 def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> StructureVerdict:
@@ -117,12 +119,13 @@ def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> 
     if pos | neg != rm:
         violations.append("positive and negative halves do not cover R_m")
     all_roots = flag.rs.root_set()
-    for p in sorted(pos):
-        for q in sorted(k.coords for k in flag.r_k):
+    r_k, pos_sorted = sorted(k.coords for k in flag.r_k), sorted(pos)
+    for p in pos_sorted:
+        for q in r_k:
             s = tuple(a + b for a, b in zip(p, q))
             if s in all_roots and s not in pos:
                 violations.append("closure under R_K fails: %s + %s" % (p, q))
-        for q in sorted(pos):
+        for q in pos_sorted:
             s = tuple(a + b for a, b in zip(p, q))
             if s in all_roots and s not in pos:
                 violations.append("closure under R_m+ fails: %s + %s" % (p, q))

@@ -34,10 +34,11 @@ class CenterLine:
 
     ``z`` is normalized so that E(Z, Z) equals ``period_scale`` squared
     (default 1); for a rational input direction the normalized values live in
-    an exact quadratic extension.  ``j`` is a validated complex structure:
-    `make_base` checks it, `default_complex_structure` only returns a checked
-    one, and the segment classification relies on it (a wall-free end skips
-    the closure test), so build a CenterLine directly only from such a ``j``.
+    an exact quadratic extension.  ``j`` is a valid complex structure:
+    `make_base` checks it, `default_complex_structure` returns one that is
+    parabolic by construction, and the segment classification relies on it
+    (a wall-free end skips the closure test), so build a CenterLine directly
+    only from such a ``j``.
     """
 
     flag: FlagData

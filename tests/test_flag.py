@@ -23,6 +23,7 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
 )
+from segment_checks import CENTER_FLAGS, center_flags
 
 with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
     GOLDEN_SPECS = sorted(json.load(_fh))
@@ -52,6 +53,15 @@ def test_default_complex_structure_examples():
 
     a2 = build_flag(rs("A2"), [])
     assert sorted(r.coords for r in default_complex_structure(a2).positive) == [(0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("text, flags", CENTER_FLAGS)
+def test_default_complex_structure_passes_validation(text, flags):
+    # default_complex_structure does not check itself: the standard order is parabolic on every flag
+    for painted in center_flags(text, flags):
+        flag = build_flag(rs(text), painted)
+        verdict = validate_complex_structure(flag, default_complex_structure(flag))
+        assert verdict.ok and verdict.violations == (), painted
 
 
 def test_validate_complex_structure_examples():
