@@ -875,7 +875,7 @@ class DiameterSearchResult:
 
 
 def search_diameters(base: CenterLine) -> DiameterSearchResult:
-    """Zeros of the obstruction on the unit sphere of the center, m1 = m2 = 1.
+    """Zeros of the obstruction on the sphere E(Z, Z) = period_scale^2 of the center, m1 = m2 = 1.
 
     The sphere-in-chamber hypothesis is evaluated exactly and reported; the
     search runs regardless, since the hypothesis is sufficient but not
@@ -931,7 +931,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         consider_exact(flag.center_basis[0])
         consider_exact(-flag.center_basis[0])
     else:
-        onb = _orthonormal_center_basis(flag)
+        onb = [float(base.period_scale) * u for u in _orthonormal_center_basis(flag)]
         if d == 2:
             b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, d))
         else:

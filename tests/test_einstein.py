@@ -905,6 +905,20 @@ def test_diameter_obstruction_matches_the_float_futaki(text, painted):
         assert abs(gi - rep.value) <= 1e-12 * max(1.0, abs(rep.value))
 
 
+@pytest.mark.parametrize("text, painted", [("A1xA1xA1", ()), ("G2", ()), ("A2xA2xA2", (1, 3, 5))])
+def test_search_diameters_scans_the_sphere_of_the_period_scale(text, painted):
+    # every candidate lies on E(Z, Z) = tau^2, where exact zeros are normalized, and a float one is a zero there
+    flag, j = _flag_j(text, painted)
+    tau = Fraction(1, 3)
+    res = ein.search_diameters(make_base(flag, j, flag.center_basis[0], period_scale=tau))
+    assert res.candidates
+    for c in res.candidates:
+        z = CartanVector(tuple(float(v) for v in c.z_values))
+        assert abs(killing(flag.rs, z, z) - float(tau) ** 2) <= 1e-12
+        if not c.confirmed_exact:
+            assert ein.futaki(flag, j, z, 1, 1).vanishes
+
+
 def test_search_diameters_rejects_large_centers():
     flag, j = _flag_j("A1xA1xA1xA1")
     base = make_base(flag, j, flag.center_basis[0])
