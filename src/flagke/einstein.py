@@ -841,7 +841,7 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
     a_sq = {}
     best_center = None
     for (rho, roots), a in zip(table.items(), at_zk):
-        center = Fraction(a * a, sum(ri * sum(map(mul, row, rho)) for ri, row in zip(rho, adj)))
+        center = Fraction(a * a, _form(adj, rho, rho))
         best_center = center if best_center is None else min(best_center, center)
         a_sq.update((alpha, a * a) for alpha in roots)
 

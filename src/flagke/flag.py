@@ -37,7 +37,8 @@ class FlagData:
 
     @property
     def unpainted(self) -> Tuple[int, ...]:
-        """The unpainted nodes, whose unit vectors are the center basis: center coordinates are values here."""
+        """The unpainted nodes in order; the center basis is their unit vectors, so the coordinates of a
+        center vector are its values at these nodes."""
         return tuple(i for i in range(self.rs.rank) if i not in self.painted)
 
     def r_m_set(self) -> frozenset:

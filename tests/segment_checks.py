@@ -209,8 +209,8 @@ def per_root_sphere_in_chamber(flag, j):
 
 
 # every painted flag of the small groups, and the large flags that flag-info is run on: (group, flags or None)
-CENTER_FLAGS = [(text, None) for text in ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA2", "A1xA1xA1", "B4", "F4"]] + [
-    ("E6", [(0, 2, 3, 4)]), ("E7", [(1, 2, 3, 4, 5)]), ("E8", [(0, 1, 2, 3, 4), (2,)])]
+CENTER_FLAGS = [(text, None) for text in ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A2xA2", "A1xA1xA1", "B4", "F4"]]
+CENTER_FLAGS += [("E6", [(0, 2, 3, 4)]), ("E7", [(1, 2, 3, 4, 5)]), ("E8", [(0, 1, 2, 3, 4), (2,)])]
 
 
 def center_flags(text, flags):
