@@ -26,8 +26,8 @@ from .flag import (
     build_flag,
     chamber_position,
     default_complex_structure,
+    require_complex_structure,
     ricci_invariant,
-    validate_complex_structure,
 )
 from .model import CenterLine, check_parametrization, make_base
 from .rootsys import (
@@ -105,9 +105,7 @@ def _resolve_structure(flag: FlagData, choice) -> InvariantComplexStructure:
         raise InputError("complex_structure must be 'default' or a list of root coordinate vectors")
     roots = tuple(sorted(Root(tuple(_convert("complex_structure", coords, _int_list))) for coords in choice))
     j = InvariantComplexStructure(roots)
-    verdict = validate_complex_structure(flag, j)
-    if not verdict.ok:
-        raise InputError("invalid complex structure: %s" % "; ".join(verdict.violations))
+    require_complex_structure(flag, j)
     return j
 
 

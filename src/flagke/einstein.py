@@ -159,7 +159,7 @@ def _homogenized_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: C
     us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
     weights, scale = _integral_weights(len(us), 1, 1)
     qc = [q.values[i] for i in flag.unpainted]
-    e = Fraction(_form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
+    e = Fraction(linalg.form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
     top = (len(us) - 2) // 2  # (J - 1) / 2
     # times e.denominator^top, the term of odd i = 2k + 1 carries e.numerator^(top-k) e.denominator^k
     total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
@@ -822,32 +822,29 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
     where the sphere actually lives; both minima agree on a full flag.
     ``zk`` is the Ricci element of (flag, j) when the caller has it.  A
     center module (`_center_modules`) has one alpha(Zk) and one restricted
-    norm, each formed once; |alpha|^2 comes per root from the integer
-    multiple of the dual form M^-1.  Everything is an integer up to the two
+    norm, each formed once; |alpha|^2 comes per root from the integer dual
+    form `RootSystem.dual_form`.  Everything is an integer up to the two
     minima.  The binding root is the first root of R_m+ at the minimum of
     the full variant.
     """
     if not j.positive:
         raise InputError("flag has no transverse roots; paint fewer simple roots")
-    rs = flag.rs
     zk = ricci_invariant(flag, j) if zk is None else zk
     table, at_zk, z_den = _center_modules(flag, j, zk)
-    # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den for the integer entries in dual
-    dual_den = math.lcm(*(x.denominator for row in rs.gram_inverse for x in row))
-    dual = [(i, k, int(x * dual_den)) for i, row in enumerate(rs.gram_inverse) for k, x in enumerate(row) if x]
+    # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den
+    dual, dual_den = flag.rs.dual_form
     # the restricted norm of rho is rho^T adj rho / det, where adj and det = minors[-1] are the
     # adjugate and determinant of the integer center Gram matrix
     minors, adj = linalg.bareiss(_center_gram(flag))
     a_sq = {}
     best_center = None
     for (rho, roots), a in zip(table.items(), at_zk):
-        center = Fraction(a * a, _form(adj, rho, rho))
+        center = Fraction(a * a, linalg.form(adj, rho, rho))
         best_center = center if best_center is None else min(best_center, center)
         a_sq.update((alpha, a * a) for alpha in roots)
 
     def full(alpha: Root) -> Fraction:
-        c = alpha.coords
-        return Fraction(a_sq[alpha], sum(w * c[i] * c[k] for i, k, w in dual))
+        return Fraction(a_sq[alpha], linalg.form(dual, alpha.coords, alpha.coords))
 
     binding = min(j.positive, key=full)
     best = full(binding) * Fraction(dual_den, z_den * z_den)
@@ -995,11 +992,6 @@ def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVect
 def _center_gram(flag: FlagData) -> List[List[int]]:
     """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
     return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]
-
-
-def _form(gram, u, v):
-    """u^T gram v."""
-    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram))
 
 
 def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1210,14 +1202,14 @@ def _unit_norm_solutions(sol: List[Fraction], null: List[List[Fraction]], gram, 
     """
     s_int, _, s_den, _ = split_exact(sol)
     if not null:
-        if Fraction(_form(gram, s_int, s_int), s_den * s_den) == ps2:
+        if Fraction(linalg.form(gram, s_int, s_int), s_den * s_den) == ps2:
             yield [Fraction(c) for c in sol]
         return
     v = null[0]
     v_int, _, v_den, _ = split_exact(v)
-    a = Fraction(_form(gram, v_int, v_int), v_den * v_den)
-    b = Fraction(2 * _form(gram, s_int, v_int), s_den * v_den)
-    c = Fraction(_form(gram, s_int, s_int), s_den * s_den) - ps2
+    a = Fraction(linalg.form(gram, v_int, v_int), v_den * v_den)
+    b = Fraction(2 * linalg.form(gram, s_int, v_int), s_den * v_den)
+    c = Fraction(linalg.form(gram, s_int, s_int), s_den * s_den) - ps2
     disc = b * b - 4 * a * c
     if disc < 0:
         return

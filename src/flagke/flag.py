@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .errors import InputError
@@ -107,30 +108,49 @@ def default_complex_structure(flag: FlagData) -> InvariantComplexStructure:
 
 
 def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> StructureVerdict:
-    """Check that R_m+ halves R_m and is closed under R_K- and self-addition."""
+    """Check that R_m+ halves R_m and is closed under R_K- and self-addition.
+
+    A half is closed exactly when its Ricci element Zk, the sum of its
+    coroots, lies in the center of k and is positive on R_m+.  Zk is the
+    first Chern class of the structure (Koszul), positive exactly when the
+    structure is integrable (Borel-Hirzebruch, Amer. J. Math. 80, 1958):
+    if both hold, a sum alpha + beta with alpha in R_m+ and beta in R_K or
+    R_m+ is positive on Zk, so it is not in R_K or -R_m+; conversely the
+    closed set R_K + R_m+ contains a positive system (Bourbaki, Lie Groups
+    VI 1.7 Prop. 20), against which 2 rho of R_m+ vanishes on R_K and is at
+    least 2 on every other simple coroot.  Both conditions are read in
+    integers: w = D (sum of R_m+), with M^-1 = D / den from
+    `RootSystem.dual_form`, gives alpha(Zk) = alpha . w / den.
+    """
     rm = flag.r_m_set()
     pos = j.positive_set()
-    violations: List[str] = []
     if not pos <= rm:
-        violations.append("positive set not contained in R_m")
-        return StructureVerdict(False, tuple(violations))
+        return StructureVerdict(False, ("positive set not contained in R_m",))
     neg = {tuple(-c for c in p) for p in pos}
+    violations: List[str] = []
     if pos & neg:
         violations.append("some root and its negative both declared positive")
     if pos | neg != rm:
         violations.append("positive and negative halves do not cover R_m")
-    all_roots = flag.rs.root_set()
-    r_k, pos_sorted = sorted(k.coords for k in flag.r_k), sorted(pos)
-    for p in pos_sorted:
-        for q in r_k:
-            s = tuple(a + b for a, b in zip(p, q))
-            if s in all_roots and s not in pos:
-                violations.append("closure under R_K fails: %s + %s" % (p, q))
-        for q in pos_sorted:
-            s = tuple(a + b for a, b in zip(p, q))
-            if s in all_roots and s not in pos:
-                violations.append("closure under R_m+ fails: %s + %s" % (p, q))
+    if violations:
+        return StructureVerdict(False, tuple(violations))
+    dual, den = flag.rs.dual_form
+    total = [sum(c) for c in zip(*pos)]
+    w = [sum(map(mul, row, total)) for row in dual]
+    violations = ["closure fails: Zk is off the center of k, alpha_%d(Zk) = %s" % (i, Fraction(w[i], den))
+                  for i in sorted(flag.painted) if w[i]]
+    for p in sorted(pos):
+        at = sum(map(mul, p, w))
+        if at <= 0:
+            violations.append("closure fails: alpha(Zk) = %s <= 0 at %s" % (Fraction(at, den), p))
     return StructureVerdict(not violations, tuple(violations))
+
+
+def require_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> None:
+    """Raise InputError naming the violations unless j is a valid complex structure on the flag."""
+    verdict = validate_complex_structure(flag, j)
+    if not verdict.ok:
+        raise InputError("invalid complex structure: %s" % "; ".join(verdict.violations))
 
 
 def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVector:
@@ -139,10 +159,7 @@ def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVecto
     H_alpha = M^{-1} alpha is linear in alpha, so this is the one coroot
     vector of the summed root coordinates.
     """
-    total = [0] * flag.rs.rank
-    for alpha in j.positive:
-        total = [t + c for t, c in zip(total, alpha.coords)]
-    return coroot_vector(flag.rs, Root(tuple(total)))
+    return coroot_vector(flag.rs, Root(tuple(sum(c) for c in zip(*(alpha.coords for alpha in j.positive)))))
 
 
 def wall_roots(flag: FlagData, x: CartanVector) -> Tuple[Root, ...]:

@@ -8,6 +8,7 @@ enough and exact.  Integer matrices get fraction-free Bareiss elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError
@@ -86,8 +87,9 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     return x
 
 
-def mat_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
-    return [sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
+def form(rows: Sequence[Sequence], u: Sequence, v: Sequence):
+    """u^T A v for the matrix A given by its rows."""
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, rows))
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], Optional[List[List[int]]]]:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .flag import FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, validate_complex_structure
+from .flag import FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, require_complex_structure
 from .polys import pair_scalar, split_exact
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_sign
@@ -57,9 +57,7 @@ def make_base(
     """Normalize a nonzero center direction to E(Z, Z) = period_scale**2."""
     if period_scale <= 0:
         raise InputError("period scale must be positive")
-    verdict = validate_complex_structure(flag, j)
-    if not verdict.ok:
-        raise InputError("invalid complex structure: %s" % (verdict.violations,))
+    require_complex_structure(flag, j)
     if z_direction.is_zero:
         raise InputError("zero direction for Z")
     simple = flag.rs.simple_roots()

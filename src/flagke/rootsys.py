@@ -9,7 +9,9 @@ The bilinear form used throughout is
 the positive-definite form on the real Cartan that the Killing form induces
 (up to sign) on a compact algebra.  In coordinates E(H, H') = v^T M v' with
 M = sum of outer products of root coordinate vectors, and the coroot of alpha
-is H_alpha = M^{-1} alpha, characterized by E(H_alpha, .) = alpha(.).
+is H_alpha = M^{-1} alpha, characterized by E(H_alpha, .) = alpha(.).  Every
+product with M^{-1} is read from one integer form, M^{-1} = D / den
+(`RootSystem.dual_form`).
 
 Each simple factor's positive roots come from its integer Cartan matrix by
 root strings, in Bourbaki numbering (painted indices depend on it):
@@ -33,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -191,14 +194,17 @@ class RootSystem:
         n = self.rank
         return tuple(Root(tuple(int(i == j) for j in range(n))) for i in range(n))
 
+    @cached_property
+    def dual_form(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """(D, den) with D an integer matrix and M^-1 = D / den, den the lcm of the denominators of
+        gram_inverse; every product with M^-1 is read from it."""
+        den = math.lcm(*(x.denominator for row in self.gram_inverse for x in row))
+        return tuple(tuple(int(x * den) for x in row) for row in self.gram_inverse), den
+
     def dual_pairing(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
         """E*(a, b) = a^T M^{-1} b for covectors in simple-root coordinates."""
-        mi = self.gram_inverse
-        return sum(
-            (Fraction(ai) * sum((Fraction(bj) * mi[i][j] for j, bj in enumerate(b)), Fraction(0))
-             for i, ai in enumerate(a)),
-            Fraction(0),
-        )
+        dual, den = self.dual_form
+        return Fraction(linalg.form(dual, a, b), den)
 
 
 # ---------------------------------------------------------------------------
@@ -370,5 +376,5 @@ def killing(rs: RootSystem, h1: CartanVector, h2: CartanVector) -> Scalar:
 
 def coroot_vector(rs: RootSystem, alpha: Root) -> CartanVector:
     """H_alpha with E(H_alpha, H) = alpha(H) for every H; exact rational."""
-    vals = linalg.mat_vec([list(row) for row in rs.gram_inverse], list(alpha.coords))
-    return CartanVector(tuple(vals))
+    dual, den = rs.dual_form
+    return CartanVector(tuple(Fraction(sum(map(mul, row, alpha.coords)), den) for row in dual))

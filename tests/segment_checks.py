@@ -3,7 +3,8 @@
 The first-integral identity and the scaled-Ricci negative control, shared
 by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
 sum and scaling they are built from; the Ricci evaluations at one time;
-and the per-root segment classification, the oracle of
+the pairwise closure scan of a complex structure, the oracle of
+`flag.validate_complex_structure`; and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
 oracle of `einstein.search_walled`; the root-by-root sphere-in-chamber
 check, the oracle of `einstein.sphere_in_chamber`, with the exact matrix
@@ -78,6 +79,26 @@ def ricci_tangential(sp, profile, alpha, t):
 def ricci_normal(profile, sp, t):
     """r(xi, xi) at one time t by the closed form with f''' from the differentiated flow."""
     return ein.ricci_normal_state(sp, *ein._state_at(sp, profile, t))
+
+
+def pairwise_closure(flag, j):
+    """Whether R_m+ halves R_m and is closed under R_K and itself, by the pairwise scan of every sum.
+
+    The oracle of the Ricci criterion of `flag.validate_complex_structure`:
+    each sum of a root of R_m+ and a root of R_K or R_m+ that is a root must
+    lie in R_m+.
+    """
+    pos = j.positive_set()
+    neg = {tuple(-c for c in p) for p in pos}
+    if not pos <= flag.r_m_set() or pos & neg or pos | neg != flag.r_m_set():
+        return False
+    all_roots = flag.rs.root_set()
+    for p in pos:
+        for q in [k.coords for k in flag.r_k] + list(pos):
+            s = tuple(a + b for a, b in zip(p, q))
+            if s in all_roots and s not in pos:
+                return False
+    return True
 
 
 def closure_violation(flag, j, walls):

@@ -1,13 +1,15 @@
-"""Sweep the CLI `search` over the flags whose verdicts a change to the searches may move.
+"""Sweep the CLI `search` and `flag-info` over the flags whose reports a change to the searches may move.
 
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the `search` report of 1 400 runs, keyed by their command
-line: the diameter search on every flag with a 2- or 3-dimensional center
-of the 25 sweep groups, and the walled search on every flag of the groups up
-to rank 3 at the degrees of WALLED_DEGREES; each at the period scales 1 and
-1/3.  ``--compare`` sorts the runs of two such files into identical ones,
+``--out`` writes the report of 1 765 runs, keyed by their command line: the
+diameter search on every flag with a 2- or 3-dimensional center of the 25
+sweep groups, and the walled search on every flag of the groups up to rank
+3 at the degrees of WALLED_DEGREES, each at the period scales 1 and 1/3;
+then `flag-info` (Zk, its chamber position and the sphere check) on every
+flag of the 25 groups and on the exceptional flags of FLAG_INFO_EXTRA.
+``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds.  Floats are compared relative to the larger
 magnitude, or absolutely below 1: the float obstruction of a float
@@ -31,6 +33,7 @@ GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2"
           "A1xA2xA2", "B2xB2"]
 WALLED_DEGREES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)]
 TAUS = ["1", "1/3"]
+FLAG_INFO_EXTRA = [("E6", (0, 2, 3, 4)), ("E7", (0, 1, 2, 3)), ("E8", (0, 1, 2, 3, 4)), ("E8", (2,)), ("E8", ())]
 FLOAT_RTOL = 1e-12
 
 
@@ -41,7 +44,7 @@ def paintings(group: str):
 
 
 def sweep_argvs():
-    """The command lines of the sweep: diameter runs first, then walled ones."""
+    """The command lines of the sweep: diameter runs first, then walled ones, then flag-info."""
     out = []
     for group in GROUPS:
         rank = LieAlgebraSpec.parse(group).rank
@@ -55,7 +58,8 @@ def sweep_argvs():
         for painted in paintings(group):
             if len(painted) < rank:
                 out += [_argv(group, painted, tau, degrees) for degrees in WALLED_DEGREES for tau in TAUS]
-    return out
+    flags = [(group, painted) for group in GROUPS for painted in paintings(group)] + FLAG_INFO_EXTRA
+    return out + [["flag-info", "--group", group, "--painted", ",".join(map(str, painted))] for group, painted in flags]
 
 
 def _argv(group, painted, tau, degrees=None):

@@ -307,6 +307,24 @@ def test_explicit_complex_structure_flag(capsys):
     assert code == 2  # not a valid half of R_m
 
 
+def test_invalid_structure_is_one_input_error(capsys):
+    # make_base and the CLI reject the A2 structure with (-1,-1) by the same error
+    from fractions import Fraction
+
+    from flagke.errors import InputError
+    from flagke.flag import InvariantComplexStructure, build_flag
+    from flagke.model import make_base
+    from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system
+
+    flag = build_flag(build_root_system(LieAlgebraSpec.parse("A2")), [])
+    bad = InvariantComplexStructure((Root((-1, -1)), Root((0, 1)), Root((1, 0))))
+    with pytest.raises(InputError) as exc:
+        make_base(flag, bad, CartanVector((Fraction(1), Fraction(1))))
+    assert str(exc.value).startswith("invalid complex structure: closure fails")
+    code, rep = _capture(capsys, ["futaki", "--group", "A2", "--jsigns", "[[1,0],[0,1],[-1,-1]]", "--z", "1,1"])
+    assert code == 2 and rep == {"error": str(exc.value)}
+
+
 def test_search_walled_cli_with_period_scale(capsys):
     code, rep = _capture(
         capsys, ["search", "--group", "A2", "--painted", "1", "--m1", "3", "--m2", "1"]
@@ -423,26 +441,31 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     import sweep_searches as sweep
 
     argvs = [["search", "--group", "A2xA2", "--painted", "1,3", "--tau", "1"],
-             ["search", "--group", "A2", "--painted", "1", "--tau", "1/3", "--m1", "3", "--m2", "1"]]
-    assert all(argv in sweep.sweep_argvs() for argv in argvs)
+             ["search", "--group", "A2", "--painted", "1", "--tau", "1/3", "--m1", "3", "--m2", "1"],
+             ["flag-info", "--group", "E8", "--painted", "2"]]
+    everything = sweep.sweep_argvs()
+    assert all(argv in everything for argv in argvs)
+    assert len(everything) == 1765 and sum(argv[0] == "flag-info" for argv in everything) == 365
     monkeypatch.setattr(sweep, "sweep_argvs", lambda: argvs)
     path = tmp_path / "sweep.json"
     assert sweep.main(["--out", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("2 runs written")
+    assert capsys.readouterr().out.startswith("3 runs written")
     record = json.loads(path.read_text())
     for argv in argvs:
         assert record[" ".join(argv)] == _capture(capsys, argv)[1]
-    walled = " ".join(argvs[1])
+    walled, info = " ".join(argvs[1]), " ".join(argvs[2])
     assert [c["z"] for c in record[walled]["candidates"]] == [["-1/6", "0"]]
+    assert record[info]["ricci_invariant_position"] == "interior"
 
     assert sweep.main(["--compare", str(path), str(path)]) == 0
-    assert capsys.readouterr().out.startswith("2 runs identical, 0 differ only in floats")
+    assert capsys.readouterr().out.startswith("3 runs identical, 0 differ only in floats")
     moved = json.loads(path.read_text())
     moved[walled]["candidates"][0]["admissible"] = False
+    moved[info]["sphere_in_chamber"]["binding_root"] = [0] * 8
     moved["float run"] = {"z": [0.5, 1.0 + 4e-16]}
     record["float run"] = {"z": [0.5, 1.0]}
     identical, floats_only, changed, worst = sweep.compare(record, moved)
-    assert (identical, floats_only, changed) == ([" ".join(argvs[0])], ["float run"], [walled])
+    assert (identical, floats_only, changed) == ([" ".join(argvs[0])], ["float run"], sorted([walled, info]))
     assert 0 < worst <= 1e-15
     assert sweep.float_gap({"z": [1.0]}, {"z": [1.0 + 1e-9]}) > sweep.FLOAT_RTOL
     assert sweep.float_gap({"z": [1.0]}, {"y": [1.0]}) is None

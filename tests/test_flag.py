@@ -23,7 +23,7 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
 )
-from segment_checks import CENTER_FLAGS, center_flags
+from segment_checks import CENTER_FLAGS, center_flags, pairwise_closure
 
 with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
     GOLDEN_SPECS = sorted(json.load(_fh))
@@ -60,8 +60,10 @@ def test_default_complex_structure_passes_validation(text, flags):
     # default_complex_structure does not check itself: the standard order is parabolic on every flag
     for painted in center_flags(text, flags):
         flag = build_flag(rs(text), painted)
-        verdict = validate_complex_structure(flag, default_complex_structure(flag))
+        j = default_complex_structure(flag)
+        verdict = validate_complex_structure(flag, j)
         assert verdict.ok and verdict.violations == (), painted
+        assert pairwise_closure(flag, j), painted
 
 
 def test_validate_complex_structure_examples():
@@ -77,6 +79,43 @@ def test_validate_complex_structure_examples():
     prod = build_flag(rs("A1xA1"), [])
     mixed = InvariantComplexStructure((Root((1, 0)), Root((0, -1))))
     assert validate_complex_structure(prod, mixed).ok
+
+
+ORACLE_GROUPS = ["A1xA1", "A1xA1xA1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA2", "B2xG2"]
+
+
+def test_ricci_criterion_matches_the_pairwise_closure_scan():
+    # every sign choice of R_m+ on every flag with |R_m+| <= 8, and two non-halving sets per flag
+    structures = valid = 0
+    decisive = {"halving": 0, "center": 0, "positivity": 0}
+    for text in ORACLE_GROUPS:
+        system = rs(text)
+        for k in range(system.rank + 1):
+            for painted in itertools.combinations(range(system.rank), k):
+                flag = build_flag(system, painted)
+                half = default_complex_structure(flag).positive
+                if len(half) > 8:
+                    continue
+                for signs in itertools.product((1, -1), repeat=len(half)):
+                    j = InvariantComplexStructure(tuple(sorted(r if s > 0 else -r for r, s in zip(half, signs))))
+                    verdict = validate_complex_structure(flag, j)
+                    assert verdict.ok == pairwise_closure(flag, j), (text, painted, j)
+                    structures += 1
+                    valid += verdict.ok
+                    center = any("off the center" in v for v in verdict.violations)
+                    positivity = any("<= 0 at" in v for v in verdict.violations)
+                    decisive["center"] += center and not positivity
+                    decisive["positivity"] += positivity and not center
+                if not half:
+                    continue
+                for j, violation in [(half[1:], "positive and negative halves do not cover R_m"),
+                                     (half + (-half[0],), "some root and its negative both declared positive")]:
+                    verdict = validate_complex_structure(flag, InvariantComplexStructure(j))
+                    assert verdict.violations == (violation,) and not verdict.ok
+                    assert not pairwise_closure(flag, InvariantComplexStructure(j))
+                    decisive["halving"] += 1
+    assert (structures, valid) == (5136, 318)
+    assert all(decisive.values()), decisive
 
 
 def test_ricci_invariant_examples():
@@ -195,6 +234,7 @@ def test_reversing_structure_negates_ricci_invariant():
         flag = build_flag(rs(text), painted)
         j = default_complex_structure(flag)
         assert validate_complex_structure(flag, j.reversed()).ok
+        assert pairwise_closure(flag, j.reversed())
         assert ricci_invariant(flag, j.reversed()).values == (-ricci_invariant(flag, j)).values
 
 
@@ -208,3 +248,29 @@ def test_ricci_invariant_equals_per_root_coroot_sum_on_full_flags(text):
     zk = ricci_invariant(flag, j)
     assert zk.values == tuple(vals)
     assert repr(zk.values) == repr(tuple(vals))
+
+
+def _fraction_inverse_product(system, v):
+    """M^-1 v as Fractions, row by row from gram_inverse."""
+    return [sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in system.gram_inverse]
+
+
+@pytest.mark.parametrize("text", GOLDEN_SPECS)
+def test_dual_form_products_equal_the_fraction_inverse_products(text):
+    # pairs of positive roots only: E*(-a, b) = -E*(a, b) on both sides, and all pairs take four times as long
+    system = rs(text)
+    for b in system.roots:
+        h_b = _fraction_inverse_product(system, b.coords)
+        values = coroot_vector(system, b).values
+        assert (values, repr(values)) == (tuple(h_b), repr(tuple(h_b)))
+        if b.is_positive:
+            for a in system.positive_roots:
+                pairing = sum((Fraction(x) * h for x, h in zip(a.coords, h_b)), Fraction(0))
+                value = system.dual_pairing(a.coords, b.coords)
+                assert (value, repr(value)) == (pairing, repr(pairing))
+    flag = build_flag(system, [])
+    j = default_complex_structure(flag)
+    total = [sum(c) for c in zip(*(r.coords for r in j.positive))]
+    zk = ricci_invariant(flag, j)
+    assert zk.values == tuple(_fraction_inverse_product(system, total))
+    assert repr(zk.values) == repr(tuple(_fraction_inverse_product(system, total)))
