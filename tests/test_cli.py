@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flagke import einstein as ein
 from flagke.cli import CHECK_TOLERANCES, main
+from flagke.errors import InputError
+from flagke.flag import InvariantComplexStructure, build_flag
+from flagke.model import make_base
+from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system
 
 
 def _capture(capsys, argv):
@@ -309,13 +314,6 @@ def test_explicit_complex_structure_flag(capsys):
 
 def test_invalid_structure_is_one_input_error(capsys):
     # make_base and the CLI reject the A2 structure with (-1,-1) by the same error
-    from fractions import Fraction
-
-    from flagke.errors import InputError
-    from flagke.flag import InvariantComplexStructure, build_flag
-    from flagke.model import make_base
-    from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system
-
     flag = build_flag(build_root_system(LieAlgebraSpec.parse("A2")), [])
     bad = InvariantComplexStructure((Root((-1, -1)), Root((0, 1)), Root((1, 0))))
     with pytest.raises(InputError) as exc:
