@@ -14,8 +14,7 @@ from flagke import (
     make_base,
     ricci_invariant,
 )
-from flagke.rootsys import CartanVector
-from flagke.einstein import evaluate
+from flagke.rootsys import CartanVector, evaluate
 
 # rank one: the obstruction never vanishes, value -sqrt(2)/3
 a1 = build_root_system(LieAlgebraSpec.parse("A1"))

@@ -4,6 +4,11 @@ The pipeline: build an exact root system, paint simple roots to fix a flag
 manifold with an invariant complex structure, pick a unit direction in the
 center of the isotropy algebra, test the obstruction integral and segment
 admissibility, then solve and verify the Einstein metric profile numerically.
+
+The exact layers (`rootsys`, `flag`, `model`, `polys`, `linalg`, `scalars`)
+import no numpy.  The float layer, `einstein`, is loaded on the first use of
+one of its names: `profile_solve`, `search_diameters` and the rest resolve
+through the module `__getattr__` below (PEP 562).
 """
 
 from .errors import (
@@ -31,29 +36,19 @@ from .flag import (
     chamber_position,
     default_complex_structure,
     ricci_invariant,
+    sphere_in_chamber,
     validate_complex_structure,
     wall_roots,
 )
 from .model import (
     AdmissibleSegment,
     CenterLine,
+    FutakiReport,
     analyze_segment,
     check_parametrization,
-    make_base,
-)
-from .einstein import (
-    FutakiReport,
-    ProfileSolution,
-    SegmentPolynomial,
-    build_segment_polynomial,
     futaki,
     ke_endpoints,
-    profile_solve,
-    search_diameters,
-    search_walled,
-    sphere_in_chamber,
-    u_eval,
-    verify_profile,
+    make_base,
 )
 
 __version__ = "0.1.0"
@@ -99,3 +94,12 @@ __all__ = [
     "verify_profile",
     "wall_roots",
 ]
+
+
+def __getattr__(name):
+    """A public name of `einstein`, loaded with it on first use."""
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import einstein
+
+    return getattr(einstein, name)

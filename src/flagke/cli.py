@@ -4,7 +4,10 @@ Subcommands: roots, flag-info, futaki, check-segment, solve, verify, search.
 A job can be given as a JSON file (--job) with individual flags overriding
 its fields; reports are printed as deterministic JSON.  Mathematical
 negatives ("no Einstein metric here") exit 0; only malformed input or
-internal failures exit nonzero.
+internal failures exit nonzero.  The exact commands (roots, flag-info,
+futaki, check-segment) load no numpy unless given a --float direction;
+solve, verify and search import the float layer `einstein`, and numpy with
+it, when they run.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from . import einstein as ein
 from .errors import DegreeMismatchError, FlagkeError, InputError, NoKahlerEinsteinError
 from .flag import (
     FlagData,
@@ -28,8 +28,9 @@ from .flag import (
     default_complex_structure,
     require_complex_structure,
     ricci_invariant,
+    sphere_in_chamber,
 )
-from .model import CenterLine, check_parametrization, make_base
+from .model import CenterLine, FutakiReport, KEVerdict, check_parametrization, futaki, ke_verdict, make_base
 from .rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -186,7 +187,7 @@ def _run_flag_info(job: JobSpec) -> Dict:
         "ricci_invariant_position": chamber_position(flag, j, zk).position,
     }
     if j.positive:
-        chk = ein.sphere_in_chamber(flag, j, zk=zk)
+        chk = sphere_in_chamber(flag, j, zk=zk)
         out["sphere_in_chamber"] = {
             "ok": chk.ok,
             "min_wall_distance_sq": str(chk.min_distance_sq),
@@ -207,7 +208,7 @@ def _run_futaki(job: JobSpec) -> Dict:
     m1, m2 = _degrees(job)
     base = _base_from_job(job, flag, j)
     zk = ricci_invariant(flag, j)
-    rep = ein.futaki(flag, j, base.z, m1, m2, zk=zk)
+    rep = futaki(flag, j, base.z, m1, m2, zk=zk)
     return {
         "mode": "futaki",
         "config": _echo(job, spec),
@@ -228,10 +229,10 @@ def _verdict(job: JobSpec):
     spec, rs, flag, j = _build_context(job)
     m1, m2 = _degrees(job)
     base = _base_from_job(job, flag, j)
-    return spec, ein.ke_verdict(base, ricci_invariant(flag, j), m1, m2)
+    return spec, ke_verdict(base, ricci_invariant(flag, j), m1, m2)
 
 
-def _segment_report(verdict: ein.KEVerdict) -> Dict:
+def _segment_report(verdict: KEVerdict) -> Dict:
     seg = verdict.segment
     z1, z2 = verdict.endpoints
     return {
@@ -255,7 +256,7 @@ def _segment_report(verdict: ein.KEVerdict) -> Dict:
     }
 
 
-def _futaki_report(rep: ein.FutakiReport) -> Dict:
+def _futaki_report(rep: FutakiReport) -> Dict:
     return {"value": _fmt(rep.value), "vanishes": rep.vanishes, "exact": rep.exact}
 
 
@@ -271,6 +272,8 @@ def _run_check_segment(job: JobSpec) -> Dict:
 
 
 def _solve_pipeline(job: JobSpec):
+    from . import einstein as ein
+
     spec, verdict = _verdict(job)
     base = verdict.base
     out = {
@@ -296,6 +299,10 @@ def _solve_pipeline(job: JobSpec):
 
 
 def _residual_columns(sp, profile):
+    import numpy as np
+
+    from . import einstein as ein
+
     res_tan = np.full(len(profile.t), np.nan)
     res_norm = np.full(len(profile.t), np.nan)
     state = (profile.f[1:-1], profile.fp[1:-1], profile.fpp[1:-1])
@@ -333,6 +340,8 @@ def export_profile(profile, sp, path: str, diagnostics: Optional[Dict] = None) -
 
 
 def _run_solve(job: JobSpec) -> Dict:
+    from . import einstein as ein
+
     spec, base, sp, profile, out = _solve_pipeline(job)
     out["mode"] = "solve"
     if profile is not None:
@@ -344,6 +353,8 @@ def _run_solve(job: JobSpec) -> Dict:
 
 
 def _run_verify(job: JobSpec) -> Dict:
+    from . import einstein as ein
+
     spec, base, sp, profile, out = _solve_pipeline(job)
     out["mode"] = "verify"
     if profile is None:
@@ -375,6 +386,8 @@ def _run_verify(job: JobSpec) -> Dict:
 
 
 def _run_search(job: JobSpec) -> Dict:
+    from . import einstein as ein
+
     spec, rs, flag, j = _build_context(job)
     base = make_base(flag, j, flag.center_basis[0], period_scale=_parse_fraction(job.tau))
     if (job.m1, job.m2) not in ((None, None), (1, 1)):  # degrees (1, 1) are the diameters

@@ -1,4 +1,4 @@
-"""Einstein conditions, the obstruction integral, and the metric profile.
+"""The float layer: the metric profile, its verification and the searches.
 
 For a segment with endpoints Z1 = m1*Z + Z_kappa and Z2 = -m2*Z + Z_kappa the
 whole Einstein problem reduces to the polynomial
@@ -10,8 +10,10 @@ its antiderivative data, and the scalar obstruction
     I = integral_{-m1}^{m2} y * prod alpha(Z_kappa - y*Z) dy,
 
 which is the same integral as integral_0^{m1+m2} P(v)(v - m1) dv after the
-shift y = v - m1.  When I vanishes and the segment is admissible, the profile
-f(t) is recovered from the first integral
+shift y = v - m1.  The exact verdict, I and the admissibility of the
+segment, is `model.ke_verdict`; this module is the part that needs numpy.
+When I vanishes and the segment is admissible, the profile f(t) is
+recovered from the first integral
 
     u(f) = (f')^2 = -2 * [integral_0^f P(v)(v - m1) dv] / P(f),
 
@@ -20,7 +22,10 @@ inverse-square-root behaviour of the integrand at an end is removed
 analytically by the substitution s = w^2 applied to the exactly deflated
 polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
 segment (Z2, -Z, m2, m1), so one end chart serves both ends and all numeric
-integrands here are smooth.
+integrands here are smooth.  The diameter and walled searches look for
+directions whose verdict is a yes.  The float twins of `polys`' helpers
+live here too, and `flagke` loads this module only on first use of one of
+its names.
 """
 
 from __future__ import annotations
@@ -37,26 +42,15 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
-from .flag import FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, ricci_invariant
-from .model import AdmissibleSegment, CenterLine, analyze_segment, isotropy_modules, make_base, module_values
-from .polys import (
-    int_linear_product,
-    p_antideriv,
-    p_deriv,
-    p_eval,
-    p_eval_float,
-    p_linear_product,
-    p_linear_product_float,
-    p_low_order,
-    p_mul,
-    p_to_float,
-    pair_scalar,
-    split_exact,
-)
+from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
+                   ricci_invariant, sphere_in_chamber)
+from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstruction, isotropy_modules, ke_verdict,
+                    make_base, module_values)
+from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
+from .polys import p_antideriv, p_deriv, p_eval, p_linear_product, p_low_order, p_mul, split_exact
 from .rootsys import CartanVector, Root, evaluate
 from .scalars import Scalar, exact_sqrt, is_exact, scalar_is_zero
 
-FUTAKI_FLOAT_TOL = 1e-10
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel
 PROFILE_PANELS = 192
 PROFILE_GAUSS_ORDER = 16
@@ -79,151 +73,39 @@ FLOAT_ORDER_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# endpoints and the obstruction integral
+# float polynomials
 
 
-def ke_endpoints(zk: CartanVector, z: CartanVector, m1: int, m2: int) -> Tuple[CartanVector, CartanVector]:
-    """Endpoints forced by the Einstein condition: Z1 = m1*Z + Zk, Z2 = -m2*Z + Zk."""
-    if m1 < 1 or m2 < 1:
-        raise InputError("degrees must be >= 1")
-    return zk + z.scale(m1), zk + z.scale(-m2)
+def p_to_float(a: Sequence[Scalar]) -> np.ndarray:
+    return np.array([float(c) for c in a], dtype=float)
 
 
-@dataclass(frozen=True)
-class FutakiReport:
-    value: Scalar
-    vanishes: bool
-    exact: bool
-    tol: float
-    error_bound: Optional[float] = None
+def p_eval_float(coeffs: np.ndarray, x):
+    """Horner evaluation of ascending float coefficients, numpy-vectorized."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
 
 
-def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int,
-           zk: Optional[CartanVector] = None) -> FutakiReport:
-    """The obstruction integral over [-m1, m2], exact on exact inputs.
+def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Ascending float coefficients of prod (a_i - k_i x), trimmed.
 
-    On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
-    integers over the isotropy modules of `model.isotropy_modules` under
-    (Zk, Z); one Fraction or Quad is built, for the value.  On the float
-    path the integrand's coefficients are the `p_linear_product_float` chain
-    over R_m+, and a crude roundoff bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
-    when the caller has it.
+    One np.convolve per factor, in the order given; each coefficient is the
+    same two-product sum as `polys.p_mul`'s, so the chain matches it bit for
+    bit.
     """
-    if m1 < 1 or m2 < 1:
-        raise InputError("degrees must be >= 1")
-    zk = ricci_invariant(flag, j) if zk is None else zk
-    if z.kind == "float":
-        coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
-        poly = p_linear_product_float([float(evaluate(a, zk)) for a in j.positive], coords @ np.array(z.values))
-        powers = np.arange(2, len(poly) + 2, dtype=float)
-        value = float(poly @ ((float(m2) ** powers - float(-m1) ** powers) / powers))
-        scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
-        bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
-        vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
-        return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
-    table, den, r = isotropy_modules(j, zk, z)
-    us, vs = int_linear_product({key: len(roots) for key, roots in table.items()}, r)
-    weights, scale = _integral_weights(len(us), m1, m2)
-    total = scale * den ** len(j.positive)
-    value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
-    return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
+    poly = np.ones(1)
+    for ai, ki in zip(a, k):
+        poly = np.convolve(poly, [ai, -ki])
+    n = len(poly)
+    while n and poly[n - 1] == 0:  # np.trim_zeros costs more than a scan step
+        n -= 1
+    return poly[:n]
 
 
-def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
-    """Integer weights w_i and a scale with integral_{-m1}^{m2} y^(i+1) dy = w_i / scale, i < n.
-
-    The integral is (m2^(i+2) - (-m1)^(i+2)) / (i+2); scale = lcm(1..n+1)
-    makes every weight an integer.
-    """
-    scale = math.lcm(*range(1, n + 2))
-    return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
-
-
-def _homogenized_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector, q: CartanVector,
-                             period_scale: Fraction) -> Fraction:
-    """F_h(q), the m1 = m2 = 1 obstruction at the direction of a nonzero rational q, homogenized.
-
-    With c_i(q) the coefficient of y^i in prod alpha(Zk - y q), e = E(q, q) /
-    period_scale^2 and J the largest odd i <= |R_m+|,
-
-        F_h(q) = sum over odd i of 2/(i+2) c_i(q) e^((J-i)/2) = e^(J/2) F(q / sqrt(e)),
-
-    where F(q / sqrt(e)) is the obstruction `futaki` gives at q normalized to
-    E(Z, Z) = period_scale^2.  So F_h(q) is rational, has the sign of that
-    obstruction and vanishes exactly when it does, and no square root is
-    taken.  The c_i come from the integer product of `futaki`; the sum is
-    formed in integers, over one positive denominator.  q lies in the center,
-    so E(q, q) is read off its unpainted values.
-    """
-    table, den, _ = isotropy_modules(j, zk, q)
-    us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
-    weights, scale = _integral_weights(len(us), 1, 1)
-    qc = [q.values[i] for i in flag.unpainted]
-    e = Fraction(linalg.form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
-    top = (len(us) - 2) // 2  # (J - 1) / 2
-    # times e.denominator^top, the term of odd i = 2k + 1 carries e.numerator^(top-k) e.denominator^k
-    total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
-                for k, i in enumerate(range(1, len(us), 2)))
-    return Fraction(total, scale * den ** len(j.positive) * e.denominator ** top)
-
-
-@dataclass(frozen=True)
-class KEVerdict:
-    """Whether the direction of ``base`` carries a Kahler-Einstein metric with degrees (m1, m2).
-
-    The one place where the obstruction, the admissibility of the segment
-    between the Einstein endpoints and the degrees of its walls are put
-    together.  The segment is classified on first read, so a caller that
-    stops at a nonvanishing obstruction never classifies it.
-    """
-
-    base: CenterLine
-    zk: CartanVector
-    m1: int
-    m2: int
-    futaki: FutakiReport
-
-    @functools.cached_property
-    def endpoints(self) -> Tuple[CartanVector, CartanVector]:
-        return ke_endpoints(self.zk, self.base.z, self.m1, self.m2)
-
-    @functools.cached_property
-    def segment(self) -> AdmissibleSegment:
-        length = self.m1 + self.m2
-        return analyze_segment(self.base, self.endpoints[0],
-                               float(length) if self.base.z.kind == "float" else Fraction(length))
-
-    @property
-    def degrees(self) -> Tuple[int, int]:
-        """The degrees (m1, m2) that the walls of the segment give."""
-        return self.segment.candidate.m1, self.segment.candidate.m2
-
-    @property
-    def degrees_match(self) -> bool:
-        return self.degrees == (self.m1, self.m2)
-
-    @property
-    def admissible(self) -> bool:
-        """The segment is admissible and its walls give the declared degrees."""
-        return self.segment.overall_ok and self.degrees_match
-
-    @property
-    def ok(self) -> bool:
-        """The obstruction vanishes and the segment is admissible."""
-        return self.futaki.vanishes and self.admissible
-
-    @property
-    def failures(self) -> Tuple[str, ...]:
-        """Why the segment is not admissible, the degree mismatch last."""
-        if self.degrees_match:
-            return self.segment.failures
-        return self.segment.failures + ("degree mismatch: declared (%d, %d), walls give (%d, %d)"
-                                        % ((self.m1, self.m2) + self.degrees),)
-
-
-def ke_verdict(base: CenterLine, zk: CartanVector, m1: int, m2: int) -> KEVerdict:
-    """The Kahler-Einstein verdict of base's direction; zk is the Ricci element of (base.flag, base.j)."""
-    return KEVerdict(base, zk, m1, m2, futaki(base.flag, base.j, base.z, m1, m2, zk=zk))
+# ---------------------------------------------------------------------------
+# the change of variables of the obstruction integral
 
 
 def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
@@ -806,53 +688,6 @@ def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int
 
 
 @dataclass(frozen=True)
-class SphereCheck:
-    """Exact test of the sphere-in-chamber hypothesis for diameter segments."""
-
-    ok: bool
-    min_distance_sq: Fraction  # full dual norm, as specified
-    min_distance_sq_center: Fraction  # dual norm restricted to the center
-    binding_root: Root
-
-
-def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional[CartanVector] = None) -> SphereCheck:
-    """min over R_m+ of alpha(Zk)^2 / |alpha|^2, exactly, both norm variants.
-
-    The restricted variant measures the distance inside the center of k,
-    where the sphere actually lives; both minima agree on a full flag.
-    ``zk`` is the Ricci element of (flag, j) when the caller has it.  A
-    center module (`_center_modules`) has one alpha(Zk) and one restricted
-    norm, each formed once; |alpha|^2 comes per root from the integer dual
-    form `RootSystem.dual_form`.  Everything is an integer up to the two
-    minima.  The binding root is the first root of R_m+ at the minimum of
-    the full variant.
-    """
-    if not j.positive:
-        raise InputError("flag has no transverse roots; paint fewer simple roots")
-    zk = ricci_invariant(flag, j) if zk is None else zk
-    table, at_zk, z_den = _center_modules(flag, j, zk)
-    # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den
-    dual, dual_den = flag.rs.dual_form
-    # the restricted norm of rho is rho^T adj rho / det, where adj and det = minors[-1] are the
-    # adjugate and determinant of the integer center Gram matrix
-    minors, adj = linalg.bareiss(_center_gram(flag))
-    a_sq = {}
-    best_center = None
-    for (rho, roots), a in zip(table.items(), at_zk):
-        center = Fraction(a * a, linalg.form(adj, rho, rho))
-        best_center = center if best_center is None else min(best_center, center)
-        a_sq.update((alpha, a * a) for alpha in roots)
-
-    def full(alpha: Root) -> Fraction:
-        return Fraction(a_sq[alpha], linalg.form(dual, alpha.coords, alpha.coords))
-
-    binding = min(j.positive, key=full)
-    best = full(binding) * Fraction(dual_den, z_den * z_den)
-    best_center *= Fraction(minors[-1], z_den * z_den)
-    return SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center, binding_root=binding)
-
-
-@dataclass(frozen=True)
 class DiameterCandidate:
     """A zero of the obstruction on the sphere, with its verdict for degrees (1, 1)."""
 
@@ -971,27 +806,6 @@ def _diameter_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: Cart
         return out @ (gw * gx)
 
     return at
-
-
-def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
-    """The roots of R_m+ by their restriction to the center, in R_m+ order: (table, at_zk, z_den).
-
-    The center basis is the unit vectors of the unpainted nodes, so the key
-    rho of a module, a root's restriction to the center, is its tuple of
-    unpainted coordinates.  Zk lies in the center, so a module has one
-    alpha(Zk) = at_zk[i] / z_den, integers over one denominator
-    (`polys.split_exact`), in table order.
-    """
-    z_int, _, z_den, _ = split_exact(zk.values)
-    table: Dict[tuple, List[Root]] = {}
-    for alpha in j.positive:
-        table.setdefault(tuple(alpha.coords[i] for i in flag.unpainted), []).append(alpha)
-    return table, [sum(map(mul, roots[0].coords, z_int)) for roots in table.values()], z_den
-
-
-def _center_gram(flag: FlagData) -> List[List[int]]:
-    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
-    return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]
 
 
 def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:

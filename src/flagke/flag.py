@@ -5,18 +5,22 @@ semisimple part is generated by the painted roots, so the root system splits
 as R = R_K + R_m with R_K the roots supported on painted indices.  An
 invariant complex structure is a choice of positive half R_m+ of R_m closed
 under addition of R_K and of itself (a parabolic choice).  The module also
-computes the center of k, wall roots, chamber membership and the Ricci
-element Z_kappa = sum of coroots over R_m+.
+computes the center of k, wall roots, chamber membership, the Ricci
+element Z_kappa = sum of coroots over R_m+, and the exact sphere-in-chamber
+test of diameter segments, all in exact arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .errors import InputError
+from .polys import split_exact
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
 
@@ -108,7 +112,7 @@ def default_complex_structure(flag: FlagData) -> InvariantComplexStructure:
 
 
 def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> StructureVerdict:
-    """Check that R_m+ halves R_m and is closed under R_K- and self-addition.
+    """Check that R_m+ halves R_m, names no root twice, and is closed under R_K- and self-addition.
 
     A half is closed exactly when its Ricci element Zk, the sum of its
     coroots, lies in the center of k and is positive on R_m+.  Zk is the
@@ -127,7 +131,8 @@ def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> 
     if not pos <= rm:
         return StructureVerdict(False, ("positive set not contained in R_m",))
     neg = {tuple(-c for c in p) for p in pos}
-    violations: List[str] = []
+    counts = Counter(r.coords for r in j.positive)
+    violations = ["root %s declared positive more than once" % (c,) for c in sorted(c for c in counts if counts[c] > 1)]
     if pos & neg:
         violations.append("some root and its negative both declared positive")
     if pos | neg != rm:
@@ -184,3 +189,70 @@ def chamber_position(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
         return ChamberPosition("boundary", tuple(sorted(walls)))
     return ChamberPosition("interior")
 
+
+@dataclass(frozen=True)
+class SphereCheck:
+    """Exact test of the sphere-in-chamber hypothesis for diameter segments."""
+
+    ok: bool
+    min_distance_sq: Fraction  # full dual norm, as specified
+    min_distance_sq_center: Fraction  # dual norm restricted to the center
+    binding_root: Root
+
+
+def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional[CartanVector] = None) -> SphereCheck:
+    """min over R_m+ of alpha(Zk)^2 / |alpha|^2, exactly, both norm variants.
+
+    The restricted variant measures the distance inside the center of k,
+    where the sphere actually lives; both minima agree on a full flag.
+    ``zk`` is the Ricci element of (flag, j) when the caller has it.  A
+    center module (`_center_modules`) has one alpha(Zk) and one restricted
+    norm, each formed once; |alpha|^2 comes per root from the integer dual
+    form `RootSystem.dual_form`.  Everything is an integer up to the two
+    minima.  The binding root is the first root of R_m+ at the minimum of
+    the full variant.
+    """
+    if not j.positive:
+        raise InputError("flag has no transverse roots; paint fewer simple roots")
+    zk = ricci_invariant(flag, j) if zk is None else zk
+    table, at_zk, z_den = _center_modules(flag, j, zk)
+    # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den
+    dual, dual_den = flag.rs.dual_form
+    # the restricted norm of rho is rho^T adj rho / det, where adj and det = minors[-1] are the
+    # adjugate and determinant of the integer center Gram matrix
+    minors, adj = linalg.bareiss(_center_gram(flag))
+    a_sq = {}
+    best_center = None
+    for (rho, roots), a in zip(table.items(), at_zk):
+        center = Fraction(a * a, linalg.form(adj, rho, rho))
+        best_center = center if best_center is None else min(best_center, center)
+        a_sq.update((alpha, a * a) for alpha in roots)
+
+    def full(alpha: Root) -> Fraction:
+        return Fraction(a_sq[alpha], linalg.form(dual, alpha.coords, alpha.coords))
+
+    binding = min(j.positive, key=full)
+    best = full(binding) * Fraction(dual_den, z_den * z_den)
+    best_center *= Fraction(minors[-1], z_den * z_den)
+    return SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center, binding_root=binding)
+
+
+def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
+    """The roots of R_m+ by their restriction to the center, in R_m+ order: (table, at_zk, z_den).
+
+    The center basis is the unit vectors of the unpainted nodes, so the key
+    rho of a module, a root's restriction to the center, is its tuple of
+    unpainted coordinates.  Zk lies in the center, so a module has one
+    alpha(Zk) = at_zk[i] / z_den, integers over one denominator
+    (`polys.split_exact`), in table order.
+    """
+    z_int, _, z_den, _ = split_exact(zk.values)
+    table: Dict[tuple, List[Root]] = {}
+    for alpha in j.positive:
+        table.setdefault(tuple(alpha.coords[i] for i in flag.unpainted), []).append(alpha)
+    return table, [sum(map(mul, roots[0].coords, z_int)) for roots in table.values()], z_den
+
+
+def _center_gram(flag: FlagData) -> List[List[int]]:
+    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
+    return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]

@@ -1,4 +1,4 @@
-"""Segment geometry in the center of k: bases, admissibility, parametrizations.
+"""Segment geometry in the center of k and the exact Kahler-Einstein verdict.
 
 A ``CenterLine`` fixes the flag data, an invariant complex structure and a
 unit direction Z inside the center of k.  Candidate segments Z1 - [0, C] * Z
@@ -7,25 +7,36 @@ and degrees, the projective-space test at each singular endpoint, and the
 holomorphic-projection closure condition.  The roots of R_m+ enter through
 their isotropy modules, built here once for the segment, the obstruction
 and the segment polynomial alike.
+
+The verdict for degrees (m1, m2) puts together the Einstein endpoints
+Z1 = m1 Z + Zk and Z2 = -m2 Z + Zk, the obstruction integral
+integral_{-m1}^{m2} y prod alpha(Zk - y Z) dy (`futaki`) and the
+admissibility of the segment between them (`ke_verdict`).  This module
+imports no numpy: only the float branch of `futaki` loads it.  The sampled
+profile check `check_parametrization` works on plain floats.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import linalg
 from .errors import InputError
-from .flag import FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, require_complex_structure
-from .polys import pair_scalar, split_exact
+from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, require_complex_structure,
+                   ricci_invariant)
+from .polys import int_linear_product, pair_scalar, split_exact
 from .rootsys import CartanVector, Root, evaluate, killing
-from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_sign
+from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_is_zero, scalar_sign
 
 # check_parametrization: the bound on each boundary, symmetry and curvature check
 PARAMETRIZATION_TOL = 1e-4
+# a float obstruction at most this large (or at most its roundoff bound) vanishes
+FUTAKI_FLOAT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -288,6 +299,159 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> List[str]
 
 
 # ---------------------------------------------------------------------------
+# endpoints, the obstruction integral and the verdict
+
+
+def ke_endpoints(zk: CartanVector, z: CartanVector, m1: int, m2: int) -> Tuple[CartanVector, CartanVector]:
+    """Endpoints forced by the Einstein condition: Z1 = m1*Z + Zk, Z2 = -m2*Z + Zk."""
+    if m1 < 1 or m2 < 1:
+        raise InputError("degrees must be >= 1")
+    return zk + z.scale(m1), zk + z.scale(-m2)
+
+
+@dataclass(frozen=True)
+class FutakiReport:
+    value: Scalar
+    vanishes: bool
+    exact: bool
+    tol: float
+    error_bound: Optional[float] = None
+
+
+def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int,
+           zk: Optional[CartanVector] = None) -> FutakiReport:
+    """The obstruction integral over [-m1, m2], exact on exact inputs.
+
+    On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
+    integers over the isotropy modules of `isotropy_modules` under (Zk, Z);
+    one Fraction or Quad is built, for the value.  On the float path, the
+    only one that loads numpy, the integrand's coefficients are the
+    `einstein.p_linear_product_float` chain over R_m+, and a crude roundoff
+    bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
+    when the caller has it.
+    """
+    if m1 < 1 or m2 < 1:
+        raise InputError("degrees must be >= 1")
+    zk = ricci_invariant(flag, j) if zk is None else zk
+    if z.kind == "float":
+        import numpy as np
+
+        from .einstein import p_linear_product_float
+
+        coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
+        poly = p_linear_product_float([float(evaluate(a, zk)) for a in j.positive], coords @ np.array(z.values))
+        powers = np.arange(2, len(poly) + 2, dtype=float)
+        value = float(poly @ ((float(m2) ** powers - float(-m1) ** powers) / powers))
+        scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
+        bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
+        vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
+        return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
+    table, den, r = isotropy_modules(j, zk, z)
+    us, vs = int_linear_product({key: len(roots) for key, roots in table.items()}, r)
+    weights, scale = _integral_weights(len(us), m1, m2)
+    total = scale * den ** len(j.positive)
+    value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
+    return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
+
+
+def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
+    """Integer weights w_i and a scale with integral_{-m1}^{m2} y^(i+1) dy = w_i / scale, i < n.
+
+    The integral is (m2^(i+2) - (-m1)^(i+2)) / (i+2); scale = lcm(1..n+1)
+    makes every weight an integer.
+    """
+    scale = math.lcm(*range(1, n + 2))
+    return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
+
+
+def _homogenized_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector, q: CartanVector,
+                             period_scale: Fraction) -> Fraction:
+    """F_h(q), the m1 = m2 = 1 obstruction at the direction of a nonzero rational q, homogenized.
+
+    With c_i(q) the coefficient of y^i in prod alpha(Zk - y q), e = E(q, q) /
+    period_scale^2 and J the largest odd i <= |R_m+|,
+
+        F_h(q) = sum over odd i of 2/(i+2) c_i(q) e^((J-i)/2) = e^(J/2) F(q / sqrt(e)),
+
+    where F(q / sqrt(e)) is the obstruction `futaki` gives at q normalized to
+    E(Z, Z) = period_scale^2.  So F_h(q) is rational, has the sign of that
+    obstruction and vanishes exactly when it does, and no square root is
+    taken.  The c_i come from the integer product of `futaki`; the sum is
+    formed in integers, over one positive denominator.  q lies in the center,
+    so E(q, q) is read off its unpainted values.
+    """
+    table, den, _ = isotropy_modules(j, zk, q)
+    us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
+    weights, scale = _integral_weights(len(us), 1, 1)
+    qc = [q.values[i] for i in flag.unpainted]
+    e = Fraction(linalg.form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
+    top = (len(us) - 2) // 2  # (J - 1) / 2
+    # times e.denominator^top, the term of odd i = 2k + 1 carries e.numerator^(top-k) e.denominator^k
+    total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
+                for k, i in enumerate(range(1, len(us), 2)))
+    return Fraction(total, scale * den ** len(j.positive) * e.denominator ** top)
+
+
+@dataclass(frozen=True)
+class KEVerdict:
+    """Whether the direction of ``base`` carries a Kahler-Einstein metric with degrees (m1, m2).
+
+    The one place where the obstruction, the admissibility of the segment
+    between the Einstein endpoints and the degrees of its walls are put
+    together.  The segment is classified on first read, so a caller that
+    stops at a nonvanishing obstruction never classifies it.
+    """
+
+    base: CenterLine
+    zk: CartanVector
+    m1: int
+    m2: int
+    futaki: FutakiReport
+
+    @functools.cached_property
+    def endpoints(self) -> Tuple[CartanVector, CartanVector]:
+        return ke_endpoints(self.zk, self.base.z, self.m1, self.m2)
+
+    @functools.cached_property
+    def segment(self) -> AdmissibleSegment:
+        length = self.m1 + self.m2
+        return analyze_segment(self.base, self.endpoints[0],
+                               float(length) if self.base.z.kind == "float" else Fraction(length))
+
+    @property
+    def degrees(self) -> Tuple[int, int]:
+        """The degrees (m1, m2) that the walls of the segment give."""
+        return self.segment.candidate.m1, self.segment.candidate.m2
+
+    @property
+    def degrees_match(self) -> bool:
+        return self.degrees == (self.m1, self.m2)
+
+    @property
+    def admissible(self) -> bool:
+        """The segment is admissible and its walls give the declared degrees."""
+        return self.segment.overall_ok and self.degrees_match
+
+    @property
+    def ok(self) -> bool:
+        """The obstruction vanishes and the segment is admissible."""
+        return self.futaki.vanishes and self.admissible
+
+    @property
+    def failures(self) -> Tuple[str, ...]:
+        """Why the segment is not admissible, the degree mismatch last."""
+        if self.degrees_match:
+            return self.segment.failures
+        return self.segment.failures + ("degree mismatch: declared (%d, %d), walls give (%d, %d)"
+                                        % ((self.m1, self.m2) + self.degrees),)
+
+
+def ke_verdict(base: CenterLine, zk: CartanVector, m1: int, m2: int) -> KEVerdict:
+    """The Kahler-Einstein verdict of base's direction; zk is the Ricci element of (base.flag, base.j)."""
+    return KEVerdict(base, zk, m1, m2, futaki(base.flag, base.j, base.z, m1, m2, zk=zk))
+
+
+# ---------------------------------------------------------------------------
 # profile parametrization checks
 
 
@@ -312,10 +476,9 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
     within PARAMETRIZATION_TOL.  Uses one-sided Richardson stencils, so the
     grid must resolve the ends: at least 16 points.
     """
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
     if len(t) < 16:
         raise InputError("grid resolution must be at least 16 points")
+    f = list(map(float, f))
     details: List[str] = []
 
     tol = PARAMETRIZATION_TOL
@@ -323,11 +486,11 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
     if not boundary_ok:
         details.append("boundary values f(0)=%g f(delta)=%g" % (f[0], f[-1]))
 
-    monotone_ok = bool(np.all(np.diff(f) > 0))
+    monotone_ok = all(b - a > 0 for a, b in zip(f, f[1:]))
     if not monotone_ok:
         details.append("profile not strictly increasing")
 
-    h = t[1] - t[0]
+    h = float(t[1]) - float(t[0])
     # evenness about 0 and delta: odd first derivative must vanish
     fp0 = (4 * f[1] - f[2] - 3 * f[0]) / (2 * h)
     fpd = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
@@ -345,7 +508,4 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
         details.append("end curvature f''(0)=%g f''(delta)=%g" % (fpp0, fppd))
 
     ok = boundary_ok and monotone_ok and symmetry_ok and curvature_ok
-    return ParametrizationVerdict(
-        bool(ok), bool(boundary_ok), bool(monotone_ok), bool(symmetry_ok), bool(curvature_ok),
-        float(fpp0), float(fppd), tuple(details),
-    )
+    return ParametrizationVerdict(ok, boundary_ok, monotone_ok, symmetry_ok, curvature_ok, fpp0, fppd, tuple(details))

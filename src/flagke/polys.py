@@ -1,15 +1,15 @@
 """Dense univariate polynomials over the exact scalar tower.
 
 Coefficients are stored ascending (c[k] multiplies x**k) and may be any exact
-scalar (Fraction or Quad).  These helpers stay exact end to end; callers
-convert to numpy float arrays only at the numerics boundary.
+scalar (Fraction or Quad).  These helpers stay exact end to end and import no
+numpy; the float twins of these polynomials live in `einstein`, the float
+layer.
 
 Products of linear factors prod (a - k x), the segment polynomial and the
 obstruction integrand, take their factors as isotropy modules (a, k) -> d.
 Exact products are formed in Python integers: one common denominator is
 cleared, and each coefficient is carried as a pair (u, v) meaning
-u + v sqrt(R) (see `int_linear_product`).  Float products are one
-np.convolve chain (`p_linear_product_float`).
+u + v sqrt(R) (see `int_linear_product`).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .scalars import Quad, Scalar, rescale_sqrt, scalar_is_zero
 
@@ -68,18 +66,6 @@ def p_low_order(a: Sequence[Scalar]) -> int:
         if not scalar_is_zero(c):
             return k
     return len(a)
-
-
-def p_to_float(a: Sequence[Scalar]) -> np.ndarray:
-    return np.array([float(c) for c in a], dtype=float)
-
-
-def p_eval_float(coeffs: np.ndarray, x):
-    """Horner evaluation of ascending float coefficients, numpy-vectorized."""
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +135,3 @@ def p_linear_product(modules: Dict[Tuple[Scalar, Scalar], int]) -> Poly:
     us, vs = int_linear_product(keyed, r)
     total = den ** sum(modules.values())
     return p_trim([pair_scalar(x, y, total, r) for x, y in zip(us, vs)])
-
-
-def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Ascending float coefficients of prod (a_i - k_i x), trimmed.
-
-    One np.convolve per factor, in the order given; each coefficient is the
-    same two-product sum as `p_mul`'s, so the chain matches it bit for bit.
-    """
-    poly = np.ones(1)
-    for ai, ki in zip(a, k):
-        poly = np.convolve(poly, [ai, -ki])
-    n = len(poly)
-    while n and poly[n - 1] == 0:  # np.trim_zeros costs more than a scan step
-        n -= 1
-    return poly[:n]

@@ -26,8 +26,9 @@ root strings, in Bourbaki numbering (painted indices depend on it):
 
 Every built system is validated: the classical root count, no duplicates,
 definite signs, support inside one simple factor, a positive-definite M, and
-closure under the reflection s_a of every root a, checked per factor in
-integers with the adjugate of M (see `_check_block_closure`).
+then that the set S is W.Pi, a reduced root system with simple roots Pi
+(`_validate`).  All of it is plain integer arithmetic; this module, like
+every exact layer of the package, imports no numpy.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from . import linalg
 from .errors import InputError, InternalError
@@ -271,13 +270,13 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def build_root_system(spec: LieAlgebraSpec) -> RootSystem:
-    """All roots plus the Gram matrix M of E and its exact inverse."""
+    """All roots plus the Gram matrix M = 2 A^T A of E, A the positive roots as rows, and its exact inverse."""
     n = spec.rank
     pos = []
     for (fam, rank), (start, stop) in zip(spec.components, spec.blocks()):
         pos += [(0,) * start + c + (0,) * (n - stop) for c in _positive_roots(cartan_matrix(fam, rank))]
-    arr = np.array(pos, dtype=np.int64)
-    gram = tuple(tuple(int(x) for x in row) for row in 2 * arr.T @ arr)
+    cols = list(zip(*pos))
+    gram = tuple(tuple(2 * sum(map(mul, a, b)) for b in cols) for a in cols)
     minors, adj = linalg.bareiss(gram)
     if adj is None:
         raise InternalError("Gram matrix of %s is singular" % spec)
@@ -292,6 +291,17 @@ def build_root_system(spec: LieAlgebraSpec) -> RootSystem:
 
 
 def _validate(rs: RootSystem) -> None:
+    """Check that the roots of rs form the reduced root system W.Pi of its simple roots Pi.
+
+    After the count, sign, block and definiteness checks, three clauses
+    (Bourbaki, Lie Groups VI 1.5): S is closed under the simple reflections
+    s_i(b) = b - n_bi alpha_i, n_bi = 2 (b . K e_i) / (e_i . K e_i) an
+    integer, with K = adj(M) a positive multiple of M^-1; S contains Pi;
+    and no root is k alpha_i with |k| >= 2.  Then S contains W.Pi, since the
+    s_i generate W, and S lies in W.Pi by induction on height: a positive b
+    outside Pi has (b, alpha_i) > 0 for some i with b_i > 0, as (b, b) > 0,
+    and s_i(b) is a lower positive root of S.
+    """
     count = sum(classical_root_count(f, r) for f, r in rs.spec.components)
     if len(rs.roots) != count:
         raise InputError("root count %d != classical %d for %s" % (len(rs.roots), count, rs.spec))
@@ -308,45 +318,21 @@ def _validate(rs: RootSystem) -> None:
     minors, adj = linalg.bareiss(rs.gram)
     if adj is None or min(minors) <= 0:
         raise InputError("Gram matrix not positive definite")
-    every = np.array([r.coords for r in rs.roots], dtype=np.int64)
-    for start, stop in blocks:
-        _check_block_closure(every[every[:, start:stop].any(axis=1), start:stop],
-                             [row[start:stop] for row in adj[start:stop]])
-
-
-def _check_block_closure(roots: np.ndarray, adj: List[List[int]]) -> None:
-    """s_a(b) = b - n_ab a lies in the block's roots for every pair of roots a, b.
-
-    n_ab = 2 (b . K a) / (a . K a) with K = adj(M_block) divided by its content,
-    an integer multiple of M_block^-1, so every product is an exact int64 once
-    the magnitude checks below hold.  s_a = s_-a, so a runs over positive roots;
-    reflected vectors are matched to roots by mixed-radix keys, one a at a time;
-    a key names a unique vector only inside the box |coordinate| <= c.
-    """
-    g = math.gcd(*(x for row in adj for x in row))
-    k = np.array([[x // g for x in row] for row in adj], dtype=np.int64)
-    c = int(np.abs(roots).max())
-    l1 = int(np.abs(roots).sum(axis=1).max())
-    radix = 2 * c + 1
-    # |b . K a| <= max|K| l1^2 bounds the pairings, the n_ab and every entry of s_a(b)
-    if radix ** roots.shape[1] >= 2 ** 62 or 2 * int(np.abs(k).max()) * l1 * l1 * (c + 1) >= 2 ** 62:
-        raise InternalError("root block too large for int64 closure check")
-    weights = radix ** np.arange(roots.shape[1], dtype=np.int64)
-    keys = np.sort((roots + c) @ weights)
-    positive = roots[roots.sum(axis=1) > 0]
-    ka = positive @ k
-    norms = (ka * positive).sum(axis=1)
-    pairs = 2 * roots @ ka.T
-    if (pairs % norms).any():
+    roots = rs.root_set()
+    # adj is symmetric: row i is K e_i, and its entry i is e_i . K e_i
+    pairs = [(b, [2 * sum(map(mul, b, row)) for row in adj]) for b in sorted(roots)]
+    if any(p % adj[i][i] for _, row in pairs for i, p in enumerate(row)):
         raise InternalError("non-integer Cartan pairing")
-    for col, a in enumerate(positive):
-        refl = roots - np.outer(pairs[:, col] // norms[col], a)
-        key = (refl + c) @ weights
-        hit = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
-        bad = ~(hit & (np.abs(refl) <= c).all(axis=1))
-        if bad.any():
-            raise InputError("root system not reflection-closed at %s, %s"
-                             % (tuple(a.tolist()), tuple(roots[bad.argmax()].tolist())))
+    for b, row in pairs:
+        for i, p in enumerate(row):
+            if b[:i] + (b[i] - p // adj[i][i],) + b[i + 1:] not in roots:
+                raise InputError("root system not reflection-closed at alpha_%d, %s" % (i, b))
+    for i in range(rs.rank):
+        if tuple(int(k == i) for k in range(rs.rank)) not in roots:
+            raise InputError("root system lacks the simple root alpha_%d" % i)
+    for b in roots:
+        if sum(map(bool, b)) == 1 and max(map(abs, b)) > 1:
+            raise InputError("root system not reduced: %s is a multiple of a simple root" % (b,))
 
 
 def evaluate(root: Root, h: CartanVector) -> Scalar:

@@ -7,20 +7,22 @@ the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
 oracle of `einstein.search_walled`; the root-by-root sphere-in-chamber
-check, the oracle of `einstein.sphere_in_chamber`, with the exact matrix
+check, the oracle of `flag.sphere_in_chamber`, with the exact matrix
 inverse it uses; the center of k computed for a general basis, the oracle
-of the unpainted-coordinate frame of `flag.build_flag` and the searches; and
-the flags these oracles are run on.
+of the unpainted-coordinate frame of `flag.build_flag` and the searches;
+the flags these oracles are run on; and the reflection check of every pair
+of roots, the oracle of the simple-reflection check of `rootsys._validate`.
 """
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from flagke import einstein as ein
 from flagke import linalg
 from flagke.errors import InputError
-from flagke.flag import FLOAT_WALL_TOL, ricci_invariant
-from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test
+from flagke.flag import FLOAT_WALL_TOL, SphereCheck, ricci_invariant
+from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test, ke_verdict
 from flagke.polys import ZERO, p_deriv, p_mul, p_trim
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import scalar_sign
@@ -185,7 +187,7 @@ def root_subset_walled(base, m1, m2):
                 if key in seen:
                     continue
                 seen.add(key)
-                verdict = ein.ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
+                verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
                 if verdict.ok:
                     out.append(ein.WalledCandidate(tuple(pos[i] for i in w1), tuple(pos[i] for i in w2), z.values,
                                                    verdict))
@@ -203,7 +205,7 @@ def invert(rows):
 
 
 def per_root_sphere_in_chamber(flag, j):
-    """`einstein.sphere_in_chamber` root by root, in Fraction arithmetic.
+    """`flag.sphere_in_chamber` root by root, in Fraction arithmetic.
 
     For every root of R_m+: alpha(Zk), the full dual norm |alpha|^2 from
     `RootSystem.dual_pairing`, and the norm restricted to the center from
@@ -225,7 +227,7 @@ def per_root_sphere_in_chamber(flag, j):
             best, binding = full, alpha
         if best_center is None or center < best_center:
             best_center = center
-    return ein.SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center,
+    return SphereCheck(ok=bool(best > 1), min_distance_sq=best, min_distance_sq_center=best_center,
                            binding_root=binding)
 
 
@@ -256,3 +258,21 @@ def general_basis_center(flag, j, zk):
     at_zk = [evaluate(roots[0], zk) for roots in modules.values()]
     gram = [[killing(rs, b1, b2) for b2 in flag.center_basis] for b1 in flag.center_basis]
     return basis, modules, at_zk, gram
+
+
+def all_pairs_reflection_closed(rs):
+    """Whether s_a(b) = b - n_ab a is a root, with n_ab = 2 (b, a) / (a, a) an integer, for all roots a, b.
+
+    Pairings are read in integers from the dual form D of M^-1 = D / den
+    (`RootSystem.dual_form`); s_a = s_-a, so a runs over the positive roots.
+    """
+    roots = rs.root_set()
+    dual, _ = rs.dual_form
+    for a in (r.coords for r in rs.positive_roots):
+        ka = [sum(map(mul, row, a)) for row in dual]
+        aa = sum(map(mul, a, ka))
+        for b in roots:
+            n, rem = divmod(2 * sum(map(mul, b, ka)), aa)
+            if rem or tuple(x - n * y for x, y in zip(b, a)) not in roots:
+                return False
+    return True

@@ -1,14 +1,17 @@
-"""Sweep the CLI `search` and `flag-info` over the flags whose reports a change to the searches may move.
+"""Sweep the CLI over the flags whose reports a change to the searches or the exact verdict may move.
 
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the report of 1 765 runs, keyed by their command line: the
+``--out`` writes the report of 2 159 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
 sweep groups, and the walled search on every flag of the groups up to rank
 3 at the degrees of WALLED_DEGREES, each at the period scales 1 and 1/3;
 then `flag-info` (Zk, its chamber position and the sphere check) on every
-flag of the 25 groups and on the exceptional flags of FLAG_INFO_EXTRA.
+flag of the 25 groups and on the exceptional flags of FLAG_INFO_EXTRA;
+`roots` on the 25 groups and on E6, E7 and E8; and `check-segment` at the
+degrees of SEGMENT_DEGREES, exact and with --float, along the first center
+basis vector of every flag of the walled-search groups.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds.  Floats are compared relative to the larger
@@ -34,6 +37,7 @@ GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2"
 WALLED_DEGREES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)]
 TAUS = ["1", "1/3"]
 FLAG_INFO_EXTRA = [("E6", (0, 2, 3, 4)), ("E7", (0, 1, 2, 3)), ("E8", (0, 1, 2, 3, 4)), ("E8", (2,)), ("E8", ())]
+SEGMENT_DEGREES = [(1, 1), (1, 2), (2, 1)]
 FLOAT_RTOL = 1e-12
 
 
@@ -44,22 +48,28 @@ def paintings(group: str):
 
 
 def sweep_argvs():
-    """The command lines of the sweep: diameter runs first, then walled ones, then flag-info."""
+    """The command lines of the sweep: diameter runs first, then walled ones, flag-info, roots and check-segment."""
     out = []
     for group in GROUPS:
         rank = LieAlgebraSpec.parse(group).rank
         for painted in paintings(group):
             if rank - len(painted) in (2, 3):
                 out += [_argv(group, painted, tau) for tau in TAUS]
-    for group in GROUPS:
-        rank = LieAlgebraSpec.parse(group).rank
-        if rank > 3:
-            continue
-        for painted in paintings(group):
-            if len(painted) < rank:
-                out += [_argv(group, painted, tau, degrees) for degrees in WALLED_DEGREES for tau in TAUS]
+    walled = [(group, painted) for group in GROUPS if LieAlgebraSpec.parse(group).rank <= 3
+              for painted in paintings(group) if len(painted) < LieAlgebraSpec.parse(group).rank]
+    for group, painted in walled:
+        out += [_argv(group, painted, tau, degrees) for degrees in WALLED_DEGREES for tau in TAUS]
     flags = [(group, painted) for group in GROUPS for painted in paintings(group)] + FLAG_INFO_EXTRA
-    return out + [["flag-info", "--group", group, "--painted", ",".join(map(str, painted))] for group, painted in flags]
+    out += [["flag-info", "--group", group, "--painted", ",".join(map(str, painted))] for group, painted in flags]
+    out += [["roots", "--group", group] for group in GROUPS + ["E6", "E7", "E8"]]
+    for group, painted in walled:
+        rank = LieAlgebraSpec.parse(group).rank
+        first = min(set(range(rank)) - set(painted))
+        z = ",".join(str(int(i == first)) for i in range(rank))
+        for (m1, m2), arithmetic in itertools.product(SEGMENT_DEGREES, ([], ["--float"])):
+            out.append(["check-segment", "--group", group, "--painted", ",".join(map(str, painted)), "--z", z,
+                        "--m1", str(m1), "--m2", str(m2)] + arithmetic)
+    return out
 
 
 def _argv(group, painted, tau, degrees=None):

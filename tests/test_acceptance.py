@@ -14,8 +14,8 @@ import pytest
 
 from flagke import einstein as ein
 from flagke.cli import JobSpec, run
-from flagke.flag import build_flag, default_complex_structure, ricci_invariant
-from flagke.model import CenterLine, check_parametrization, make_base
+from flagke.flag import build_flag, default_complex_structure, ricci_invariant, sphere_in_chamber
+from flagke.model import CenterLine, check_parametrization, futaki, make_base
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -53,7 +53,7 @@ def _simpson(zk_vals, k_vals, m1, m2, panels=10 ** 6):
 def _futaki_with_simpson(text, painted, direction, m1, m2):
     flag, j = _flag_j(text, painted)
     base = make_base(flag, j, CartanVector(tuple(Fraction(c) for c in direction)))
-    rep = ein.futaki(flag, j, base.z, m1, m2)
+    rep = futaki(flag, j, base.z, m1, m2)
     zk = ricci_invariant(flag, j)
     zkv = np.array([float(ein.evaluate(a, zk)) for a in j.positive])
     kv = np.array([float(ein.evaluate(a, base.z)) for a in j.positive])
@@ -109,7 +109,7 @@ def test_criterion_2_change_of_variable_equivalence():
         if z.is_zero:
             continue
         m1, m2 = rng.randint(1, 3), rng.randint(1, 3)
-        lhs = ein.futaki(flag, j, z, m1, m2).value
+        lhs = futaki(flag, j, z, m1, m2).value
         rhs = ein.futaki_shifted(CenterLine(flag=flag, j=j, z=z), m1, m2)
         assert lhs == rhs, (fam, rank, painted, m1, m2)
         done += 1
@@ -228,7 +228,7 @@ def test_criterion_6_negative_controls(searched_configuration):
 
 def test_criterion_7a_product_hypothesis_fails_exactly():
     flag, j = _flag_j("A1xA1")
-    chk = ein.sphere_in_chamber(flag, j)
+    chk = sphere_in_chamber(flag, j)
     ok = (not chk.ok) and chk.min_distance_sq == Fraction(1, 2)
     assert _report(
         "7a", ok, "product of SU(2): wall distance sqrt(1/2) = 0.707 < 1, exact value 1/2"
@@ -271,7 +271,7 @@ def test_criterion_7b_some_higher_rank_full_flag_passes():
     distances = {}
     for text in specs:
         flag, j = _flag_j(text)
-        chk = ein.sphere_in_chamber(flag, j)
+        chk = sphere_in_chamber(flag, j)
         zk = ricci_invariant(flag, j)
         norms = {a: flag.rs.dual_pairing(a.coords, a.coords) for a in flag.rs.simple_roots()}
         h_dual, lacing = _DUAL_COXETER_AND_LACING[text[0]](int(text[1:]))

@@ -323,6 +323,15 @@ def test_invalid_structure_is_one_input_error(capsys):
     assert code == 2 and rep == {"error": str(exc.value)}
 
 
+def test_repeated_root_is_exit_two(capsys):
+    # with (1, 0) named twice the obstruction would read 67/648; named once it vanishes
+    argv = ["futaki", "--group", "A2", "--jsigns", "[[1,0],[1,0],[0,1],[1,1]]", "--z", "1,-1", "--m1", "1", "--m2", "1"]
+    code, rep = _capture(capsys, argv)
+    assert code == 2 and rep == {"error": "invalid complex structure: root (1, 0) declared positive more than once"}
+    code, rep = _capture(capsys, argv[:4] + ["[[1,0],[0,1],[1,1]]"] + argv[5:])
+    assert code == 0 and rep["value"] == "0"
+
+
 def test_search_walled_cli_with_period_scale(capsys):
     code, rep = _capture(
         capsys, ["search", "--group", "A2", "--painted", "1", "--m1", "3", "--m2", "1"]
@@ -435,6 +444,34 @@ def test_import_and_roots_leave_scipy_solvers_unloaded():
         assert (name, code, loaded) == (name, 0, [])
 
 
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import flagke, flagke.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = flagke.cli.main(sys.argv[1:]) if sys.argv[1:] else None
+loaded = [m for m in ("numpy", "flagke.einstein") if m in sys.modules]
+sys.stdout.write(json.dumps([code, loaded, flagke.profile_solve.__module__]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["roots", "--group", "E8"],
+    ["flag-info", "--group", "E8", "--painted", "2"],
+    ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "1", "--m2", "2"],
+    ["check-segment"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1"],
+], ids=["import", "roots", "flag-info", "futaki", "check-segment"])
+def test_exact_commands_leave_numpy_and_the_float_layer_unloaded(argv):
+    # the exact layers import no numpy; einstein, and numpy with it, loads on first use of its names
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE] + argv, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, home = json.loads(proc.stdout)
+    assert (code, loaded, home) == (None if not argv else 0, [], "flagke.einstein")
+
+
 def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsys):
     import sweep_searches as sweep
 
@@ -443,7 +480,9 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
              ["flag-info", "--group", "E8", "--painted", "2"]]
     everything = sweep.sweep_argvs()
     assert all(argv in everything for argv in argvs)
-    assert len(everything) == 1765 and sum(argv[0] == "flag-info" for argv in everything) == 365
+    modes = [argv[0] for argv in everything]
+    assert len(everything) == 2159 and (modes.count("flag-info"), modes.count("roots")) == (365, 28)
+    assert modes.count("check-segment") == 366 and sum("--float" in argv for argv in everything) == 183
     monkeypatch.setattr(sweep, "sweep_argvs", lambda: argvs)
     path = tmp_path / "sweep.json"
     assert sweep.main(["--out", str(path)]) == 0

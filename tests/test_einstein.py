@@ -12,9 +12,11 @@ from scipy.optimize import brentq
 
 from flagke import einstein as ein
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
-from flagke.flag import build_flag, default_complex_structure, ricci_invariant
-from flagke.model import CenterLine, make_base
-from flagke.polys import p_deriv, p_eval, p_linear_product, p_linear_product_float, p_mul, p_trim
+from flagke.einstein import p_linear_product_float
+from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
+                         sphere_in_chamber)
+from flagke.model import FUTAKI_FLOAT_TOL, CenterLine, _homogenized_obstruction, futaki, ke_endpoints, make_base
+from flagke.polys import p_deriv, p_eval, p_linear_product, p_mul, p_trim
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -119,9 +121,9 @@ def _assert_matches_oracle(flag, j, z, degrees):
     base = CenterLine(flag=flag, j=j, z=z)
     zk = ricci_invariant(flag, j)
     for m1, m2 in degrees:
-        _assert_identical(ein.futaki(flag, j, z, m1, m2).value, _futaki_oracle(flag, j, z, m1, m2))
+        _assert_identical(futaki(flag, j, z, m1, m2).value, _futaki_oracle(flag, j, z, m1, m2))
         sp = ein.SegmentPolynomial.from_base(base, m1, m2)
-        z1, z2 = ein.ke_endpoints(zk, z, m1, m2)
+        z1, z2 = ke_endpoints(zk, z, m1, m2)
         assert sum(len(roots) for roots in sp.modules.values()) == len(j.positive)
         assert sorted(a for roots in sp.modules.values() for a in roots) == sorted(j.positive)
         for key, roots in sp.modules.items():
@@ -142,7 +144,7 @@ def test_ke_endpoints_midpoint_identity():
     h2 = coroot_vector(flag.rs, flag.rs.simple_roots()[1])
     base = make_base(flag, j, h1 - h2)
     zk = ricci_invariant(flag, j)
-    z1, z2 = ein.ke_endpoints(zk, base.z, 1, 1)
+    z1, z2 = ke_endpoints(zk, base.z, 1, 1)
     assert (z1 - z2).values == base.z.scale(2).values
     mid = (z1 + z2).scale(Fraction(1, 2))
     assert mid.values == zk.values
@@ -151,7 +153,7 @@ def test_ke_endpoints_midpoint_identity():
 
     la1, lj1 = _flag_j("A1")
     b1 = make_base(la1, lj1, coroot_vector(la1.rs, la1.rs.simple_roots()[0]))
-    z1a, _ = ein.ke_endpoints(ricci_invariant(la1, lj1), b1.z, 1, 1)
+    z1a, _ = ke_endpoints(ricci_invariant(la1, lj1), b1.z, 1, 1)
     assert evaluate(la1.rs.simple_roots()[0], z1a) == Fraction(1, 2) + Quad(Fraction(0), Fraction(1, 2), Fraction(2))
 
     norm = killing(flag.rs, z1 - z2, z1 - z2)
@@ -161,7 +163,7 @@ def test_ke_endpoints_midpoint_identity():
 def test_futaki_su2_exact_value():
     flag, j = _flag_j("A1")
     base = make_base(flag, j, coroot_vector(flag.rs, flag.rs.simple_roots()[0]))
-    rep = ein.futaki(flag, j, base.z, 1, 1)
+    rep = futaki(flag, j, base.z, 1, 1)
     assert rep.exact
     assert rep.value == Quad(Fraction(0), Fraction(-1, 3), Fraction(2))
     assert not rep.vanishes
@@ -171,9 +173,9 @@ def test_futaki_product_values():
     flag, j = _flag_j("A1xA1")
     h1 = coroot_vector(flag.rs, flag.rs.simple_roots()[0])
     h2 = coroot_vector(flag.rs, flag.rs.simple_roots()[1])
-    rep_minus = ein.futaki(flag, j, make_base(flag, j, h1 - h2).z, 1, 1)
+    rep_minus = futaki(flag, j, make_base(flag, j, h1 - h2).z, 1, 1)
     assert rep_minus.value == 0 and rep_minus.vanishes
-    rep_plus = ein.futaki(flag, j, make_base(flag, j, h1 + h2).z, 1, 1)
+    rep_plus = futaki(flag, j, make_base(flag, j, h1 + h2).z, 1, 1)
     assert rep_plus.value == Fraction(-1, 3) and not rep_plus.vanishes
 
 
@@ -181,13 +183,13 @@ def test_futaki_simpson_oracle_agreement():
     flag, j = _flag_j("A1")
     base = make_base(flag, j, coroot_vector(flag.rs, flag.rs.simple_roots()[0]))
     simpson = _simpson_oracle(flag, j, [float(v) for v in base.z.values], 1, 1)
-    assert abs(simpson - float(ein.futaki(flag, j, base.z, 1, 1).value)) < 1e-9
+    assert abs(simpson - float(futaki(flag, j, base.z, 1, 1).value)) < 1e-9
 
 
 def test_futaki_float_path_reports_bound():
     flag, j = _flag_j("A1xA1")
     z = CartanVector((0.5, -0.5))
-    rep = ein.futaki(flag, j, z, 1, 1)
+    rep = futaki(flag, j, z, 1, 1)
     assert not rep.exact
     assert rep.error_bound is not None and rep.error_bound < 1e-12
     assert rep.vanishes  # odd integrand, zero to roundoff
@@ -214,7 +216,7 @@ def test_change_of_variable_equivalence_random_configs():
         if z.is_zero:
             continue
         m1, m2 = rng.randint(1, 3), rng.randint(1, 3)
-        lhs = ein.futaki(flag, j, z, m1, m2).value
+        lhs = futaki(flag, j, z, m1, m2).value
         base = CenterLine(flag=flag, j=j, z=z)
         rhs = ein.futaki_shifted(base, m1, m2)
         assert lhs == rhs, (fam, rank, painted, m1, m2)
@@ -254,7 +256,7 @@ def test_integer_kernel_matches_per_root_oracle_on_antisymmetric_diameters(g):
     z = [Fraction(0)] * (2 * n)
     z[node], z[n + node] = Fraction(1), Fraction(-1)
     base = make_base(flag, j, CartanVector(tuple(z)))
-    assert ein.futaki(flag, j, base.z, 1, 1).value == 0
+    assert futaki(flag, j, base.z, 1, 1).value == 0
     _assert_matches_oracle(flag, j, base.z, ALL_DEGREES)
 
 
@@ -265,7 +267,7 @@ def test_integer_kernel_matches_oracle_with_rational_and_sqrt_parts():
     z = CartanVector((Quad(Fraction(1), Fraction(1), Fraction(2)), Fraction(0),
                       Quad(Fraction(1, 3), Fraction(-2, 5), Fraction(2)), Fraction(0)))
     _assert_matches_oracle(flag, j, z, ALL_DEGREES)
-    assert isinstance(ein.futaki(flag, j, z, 1, 2).value, Quad)
+    assert isinstance(futaki(flag, j, z, 1, 2).value, Quad)
 
 
 def _multiplicities(factors):
@@ -324,12 +326,12 @@ def test_float_futaki_matches_the_per_root_loop(group, painted):
             z = [x + c * float(y) for x, y in zip(z, b.values)]
         z = CartanVector(tuple(z))
         for m1, m2 in ((1, 1), (1, 2), (3, 2)):
-            rep = ein.futaki(flag, j, z, m1, m2)
+            rep = futaki(flag, j, z, m1, m2)
             value, bound, scale = _float_futaki_per_root(flag, j, z, m1, m2)
-            assert not rep.exact and rep.tol == ein.FUTAKI_FLOAT_TOL
+            assert not rep.exact and rep.tol == FUTAKI_FLOAT_TOL
             assert abs(rep.value - value) <= 1e-15 * scale
             assert abs(rep.error_bound - bound) <= 1e-15 * bound
-            assert rep.vanishes == (abs(value) <= max(ein.FUTAKI_FLOAT_TOL, bound))
+            assert rep.vanishes == (abs(value) <= max(FUTAKI_FLOAT_TOL, bound))
 
 
 def test_log_deriv_sums_match_per_root_sums():
@@ -348,7 +350,7 @@ def test_log_deriv_sums_match_per_root_sums():
     f = np.linspace(0.01, 1.99, 199)
     for base in bases:
         sp = ein.SegmentPolynomial.from_base(base, 1, 1)
-        z1, _ = ein.ke_endpoints(ricci_invariant(base.flag, base.j), base.z, 1, 1)
+        z1, _ = ke_endpoints(ricci_invariant(base.flag, base.j), base.z, 1, 1)
         a, k = (np.array([float(evaluate(alpha, x)) for alpha in base.j.positive]) for x in (z1, base.z))
         kg = k / (a - np.multiply.outer(f, k))
         s1, s2 = sp.log_deriv_sums(f)
@@ -376,7 +378,7 @@ def test_exact_obstruction_builds_at_most_one_quad(monkeypatch):
     base = make_base(flag, j, flag.center_basis[0])
     assert base.z.kind == "quadratic"
     reports = []
-    n_quads = _count_quads(monkeypatch, lambda: reports.append(ein.futaki(flag, j, base.z, 1, 2)))
+    n_quads = _count_quads(monkeypatch, lambda: reports.append(futaki(flag, j, base.z, 1, 2)))
     assert n_quads <= 1  # the per-root product built 9530
     assert isinstance(reports[0].value, Quad)
 
@@ -426,7 +428,7 @@ def test_u_nonzero_at_far_end_when_obstruction_nonzero():
     base = make_base(flag, j, h1 + h2)
     sp = ein.SegmentPolynomial.from_base(base, 1, 1)
     # oracle: the shifted integral equals the obstruction value, nonzero
-    assert p_eval(sp.q_coeffs, sp.f_delta) == ein.futaki(flag, j, base.z, 1, 1).value != 0
+    assert p_eval(sp.q_coeffs, sp.f_delta) == futaki(flag, j, base.z, 1, 1).value != 0
     with pytest.raises(DegreeMismatchError):
         _ = sp.deflations
 
@@ -435,7 +437,7 @@ def test_u_nonzero_at_far_end_when_obstruction_nonzero():
     direction = CartanVector((Fraction(1), Fraction(0), Fraction(1), Fraction(0)))
     base4 = make_base(flag4, j4, direction)
     sp4 = ein.build_segment_polynomial(base4, 1, 1)
-    assert p_eval(sp4.q_coeffs, sp4.f_delta) == ein.futaki(flag4, j4, base4.z, 1, 1).value != 0
+    assert p_eval(sp4.q_coeffs, sp4.f_delta) == futaki(flag4, j4, base4.z, 1, 1).value != 0
     with pytest.raises(NoKahlerEinsteinError):
         _ = sp4.deflations
     assert abs(sp4.u_exact(Fraction(1999, 1000))) > Fraction(1, 100)
@@ -586,7 +588,7 @@ def test_ricci_single_root_evaluation(ke_profile, ke_base):
     sp, prof = ke_profile
     t = prof.delta / 3
     f = prof.map.f_of_t(t)
-    z1, _ = ein.ke_endpoints(ricci_invariant(ke_base.flag, ke_base.j), ke_base.z, 1, 1)
+    z1, _ = ke_endpoints(ricci_invariant(ke_base.flag, ke_base.j), ke_base.z, 1, 1)
     for alpha in ke_base.j.positive:
         r = ricci_tangential(sp, prof, alpha, t)
         g = float(evaluate(alpha, z1)) - float(evaluate(alpha, ke_base.z)) * f  # the metric eigenvalue alpha(Z1 - f Z)
@@ -626,7 +628,7 @@ def test_scaled_ricci_control_breaks_tangential_only(ke_base):
 
 def test_sphere_check_product_of_su2():
     flag, j = _flag_j("A1xA1")
-    chk = ein.sphere_in_chamber(flag, j)
+    chk = sphere_in_chamber(flag, j)
     assert not chk.ok
     assert chk.min_distance_sq == Fraction(1, 2)  # (1/2)^2 / (1/2)
     assert chk.min_distance_sq_center == Fraction(1, 2)
@@ -634,7 +636,7 @@ def test_sphere_check_product_of_su2():
 
 def test_sphere_check_cp3_flag_center_norm():
     flag, j = _flag_j("A3", (1, 2))
-    chk = ein.sphere_in_chamber(flag, j)
+    chk = sphere_in_chamber(flag, j)
     assert chk.min_distance_sq == 1  # full dual norm formula
     assert chk.min_distance_sq_center == Fraction(3, 2)  # measured inside the center
 
@@ -643,7 +645,7 @@ def test_sphere_check_cp3_flag_center_norm():
 def test_sphere_in_chamber_over_center_modules_matches_the_per_root_oracle(text, flags):
     for painted in center_flags(text, flags):
         flag, j = _flag_j(text, painted)
-        assert ein.sphere_in_chamber(flag, j) == per_root_sphere_in_chamber(flag, j), painted
+        assert sphere_in_chamber(flag, j) == per_root_sphere_in_chamber(flag, j), painted
 
 
 @pytest.mark.parametrize("text, flags", CENTER_FLAGS)
@@ -654,11 +656,11 @@ def test_center_frame_matches_the_general_basis_oracle(text, flags):
         flag, j = _flag_j(text, painted)
         zk = ricci_invariant(flag, j)
         basis, modules, at_zk, gram = general_basis_center(flag, j, zk)
-        table, got_zk, z_den = ein._center_modules(flag, j, zk)
+        table, got_zk, z_den = _center_modules(flag, j, zk)
         assert flag.center_basis == basis, painted
         assert list(table.items()) == list(modules.items()), painted
         assert [Fraction(a, z_den) for a in got_zk] == at_zk, painted
-        assert ein._center_gram(flag) == gram, painted
+        assert _center_gram(flag) == gram, painted
 
 
 def test_search_diameters_d1_no_candidates():
@@ -761,8 +763,8 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
     vanishing = 0
     for flag, j, q, tau in _homogenized_cases(60):
         zk = ricci_invariant(flag, j)
-        fh = ein._homogenized_obstruction(flag, j, zk, q, tau)
-        rep = ein.futaki(flag, j, make_base(flag, j, q, period_scale=tau).z, 1, 1, zk=zk)
+        fh = _homogenized_obstruction(flag, j, zk, q, tau)
+        rep = futaki(flag, j, make_base(flag, j, q, period_scale=tau).z, 1, 1, zk=zk)
         assert isinstance(fh, Fraction)
         assert (fh > 0) - (fh < 0) == scalar_sign(rep.value)
         assert (fh == 0) == rep.vanishes
@@ -776,7 +778,7 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
 def test_homogenized_obstruction_on_the_cp2_product():
     flag, j = _flag_j("A2xA2", (1, 3))
     zk = ricci_invariant(flag, j)
-    at = lambda *q: ein._homogenized_obstruction(flag, j, zk, CartanVector(tuple(map(Fraction, q))), Fraction(1))
+    at = lambda *q: _homogenized_obstruction(flag, j, zk, CartanVector(tuple(map(Fraction, q))), Fraction(1))
     assert at(1, 0, -1, 0) == 0
     assert at(2, 0, -1, 0) < 0
     assert at(-2, 0, 1, 0) > 0  # F_h is odd
@@ -824,7 +826,7 @@ def _scan_oracle(values_at, n_circles, degree, n_grid=720):
         f = lambda th: float(values_at(np.array([c]), np.array([th]))[0])
         for i in range(n_grid):
             a, b = vals[c, i], vals[c, (i + 1) % n_grid]
-            if abs(a) <= ein.FUTAKI_FLOAT_TOL:
+            if abs(a) <= FUTAKI_FLOAT_TOL:
                 out.append((c, thetas[i]))
             elif a * b < 0:
                 th_b = thetas[i] + step
@@ -901,7 +903,7 @@ def test_diameter_obstruction_matches_the_float_futaki(text, painted):
     z = coords @ basis
     got = obstruction(coords)
     for zi, gi in zip(z, got):
-        rep = ein.futaki(flag, j, CartanVector(tuple(zi)), 1, 1)
+        rep = futaki(flag, j, CartanVector(tuple(zi)), 1, 1)
         assert abs(gi - rep.value) <= 1e-12 * max(1.0, abs(rep.value))
 
 
@@ -916,7 +918,7 @@ def test_search_diameters_scans_the_sphere_of_the_period_scale(text, painted):
         z = CartanVector(tuple(float(v) for v in c.z_values))
         assert abs(killing(flag.rs, z, z) - float(tau) ** 2) <= 1e-12
         if not c.confirmed_exact:
-            assert ein.futaki(flag, j, z, 1, 1).vanishes
+            assert futaki(flag, j, z, 1, 1).vanishes
 
 
 def test_search_diameters_rejects_large_centers():
@@ -1001,7 +1003,7 @@ def test_wall_subsets_are_the_combinations_within_the_degrees(group):
     # nothing painted, so every plane has multiplicity 1 and d - 1 = rank - 1; the order is
     # the order of itertools.combinations, which decides the kept one of Z and -Z for m1 = m2
     flag, j = _flag_j(group, ())
-    modules = ein._center_modules(flag, j, ricci_invariant(flag, j))[0]
+    modules = _center_modules(flag, j, ricci_invariant(flag, j))[0]
     planes = [(end, len(roots), rho, 0) for end in (0, 1) for rho, roots in modules.items()]
     for budget in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 3)]:
         want = [s for s in itertools.combinations(planes, flag.center_dim - 1)

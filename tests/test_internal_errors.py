@@ -48,6 +48,8 @@ def test_every_top_level_name_outside_all_has_a_caller():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = "%s:%d" % (os.path.basename(path), node.lineno)
+    # the package's module __getattr__ (PEP 562) is called by the interpreter
+    assert defined.pop("__getattr__").startswith("__init__.py:")
     used = set()
     users = [os.path.join(root, d, "*.py") for d in ("src/flagke", "benchmarks", "demos")]
     for _, tree in _parse(sorted(p for pattern in users for p in glob.glob(pattern))):

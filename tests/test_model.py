@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from flagke.errors import InputError
-from flagke.flag import build_flag, default_complex_structure, ricci_invariant
+from flagke.flag import InvariantComplexStructure, build_flag, default_complex_structure, ricci_invariant
 from flagke.model import analyze_segment, check_parametrization, make_base
-from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector, evaluate, killing
+from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing
 from flagke.scalars import Quad
 from segment_checks import per_root_segment
 
@@ -49,6 +49,16 @@ def test_make_base_rejects_bad_directions():
         make_base(flag, j, CartanVector((Fraction(1), Fraction(0))))  # alpha_1(Z) != 0
     with pytest.raises(InputError):
         make_base(flag, j, CartanVector((Fraction(0), Fraction(0))))
+
+
+def test_make_base_rejects_a_repeated_root():
+    # a root named twice would enter the obstruction twice; the set of roots alone is a valid structure
+    flag = build_flag(rs("A2"), [])
+    once = (Root((0, 1)), Root((1, 0)), Root((1, 1)))
+    z = CartanVector((Fraction(1), Fraction(-1)))
+    assert make_base(flag, InvariantComplexStructure(once), z).j.positive == once
+    with pytest.raises(InputError, match=r"^invalid complex structure: root \(1, 0\) declared positive more than once$"):
+        make_base(flag, InvariantComplexStructure(once[:2] + once[1:]), z)
 
 
 def test_analyze_segment_wall_example():

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -17,7 +19,12 @@ from flagke.rootsys import (
     evaluate,
     killing,
 )
-from segment_checks import invert
+from segment_checks import all_pairs_reflection_closed, invert
+
+RANK_8_SPECS = (["A%d" % r for r in range(1, 9)] + ["B%d" % r for r in range(2, 9)] + ["C%d" % r for r in range(2, 9)]
+                + ["D%d" % r for r in range(2, 9)] + ["G2", "F4", "E6", "E7", "E8"])
+with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
+    GOLDEN_SPECS = sorted(json.load(_fh))
 
 
 def killing_brute(system, h1, h2):
@@ -133,20 +140,20 @@ def test_gram_consistency_100_random_rational_pairs():
             assert killing(system, h1, h1) > 0
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["A%d" % r for r in range(1, 9)]
-    + ["B%d" % r for r in range(2, 9)]
-    + ["C%d" % r for r in range(2, 9)]
-    + ["D%d" % r for r in range(2, 9)]
-    + ["G2", "F4", "E6", "E7", "E8"],
-)
+@pytest.mark.parametrize("text", RANK_8_SPECS)
 def test_counts_and_closure_up_to_rank_8(text):
     # construction validates classical counts, definite sign, block support,
     # positive definiteness and reflection closure; surviving it is the test
     system = rs(text)
     fam, rank = system.spec.components[0]
     assert len(system.roots) == classical_root_count(fam, rank)
+
+
+@pytest.mark.parametrize("text", sorted(set(RANK_8_SPECS) | set(GOLDEN_SPECS)))
+def test_simple_reflection_check_and_the_all_pairs_oracle_accept_every_built_system(text):
+    system = rs(text)
+    _validate(system)
+    assert all_pairs_reflection_closed(system)
 
 
 @pytest.mark.parametrize("text", ["A3", "B3", "C3", "D4", "G2", "F4"])
@@ -251,3 +258,18 @@ def test_non_integer_pairing_is_an_internal_error():
     positive[positive.index([2, 3, 4, 2])] = [3, 3, 4, 2]
     with pytest.raises(InternalError, match="non-integer Cartan pairing"):
         _validate(_with_roots(system, positive))
+
+
+@pytest.mark.parametrize("positive,has_simple_roots,reduced,clause", [
+    ([(1, 0), (0, 1), (0, 2)], True, False, "not reduced: \\(0, 2\\)"),  # A1 x BC1
+    ([(0, 1), (1, 1), (1, 2)], False, True, "lacks the simple root alpha_0"),  # A2 on alpha_2, alpha_1 + alpha_2
+])
+def test_simple_reflection_check_rejects_sets_the_all_pairs_oracle_accepts(positive, has_simple_roots, reduced, clause):
+    # both sets have six roots of definite sign, a positive-definite Gram matrix and are closed under the
+    # reflections of their own roots; only the clause named fails, and closure, checked first, holds
+    system = _with_roots(rs("A2"), positive)
+    assert all_pairs_reflection_closed(system)
+    assert ({(1, 0), (0, 1)} <= system.root_set()) == has_simple_roots
+    assert (max(max(map(abs, c)) for c in system.root_set() if 0 in c) == 1) == reduced
+    with pytest.raises(InputError, match=clause):
+        _validate(system)
