@@ -474,7 +474,7 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
     evenness about both ends (first one-sided derivatives vanish to second
     order), and the curvature normalization f''(0) = 1 = -f''(delta), each
     within PARAMETRIZATION_TOL.  Uses one-sided Richardson stencils, so the
-    grid must resolve the ends: at least 16 points.
+    grid must resolve the ends: at least 16 points, with step t[1] - t[0] > 0.
     """
     if len(t) < 16:
         raise InputError("grid resolution must be at least 16 points")
@@ -491,6 +491,8 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
         details.append("profile not strictly increasing")
 
     h = float(t[1]) - float(t[0])
+    if not h > 0:
+        raise InputError("grid must be increasing")
     # evenness about 0 and delta: odd first derivative must vanish
     fp0 = (4 * f[1] - f[2] - 3 * f[0]) / (2 * h)
     fpd = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)

@@ -215,6 +215,12 @@ def test_check_parametrization_needs_resolution():
         check_parametrization([0, 1], [0, 1], 1.0, 1.0)
 
 
+def test_check_parametrization_needs_an_increasing_grid():
+    # the stencils divide by the step t[1] - t[0]
+    with pytest.raises(InputError, match="increasing"):
+        check_parametrization([0.0] * 16, [float(i) for i in range(16)], 1.0, 15.0)
+
+
 def test_segment_derivative_is_scaled_direction():
     # d/dt (Z1 - f Z) = -f' Z: on the per-root representation a - k f the
     # f-coefficient is exactly -alpha(Z)
