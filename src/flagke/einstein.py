@@ -47,7 +47,8 @@ from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCh
 from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstruction, isotropy_modules, ke_verdict,
                     make_base, module_values)
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
-from .polys import p_antideriv, p_deriv, p_eval, p_linear_product, p_low_order, p_mul, split_exact
+from .polys import (exact_linear_product, int_shifted_antiderivative, p_antideriv, p_deriv, p_eval, p_low_order, p_mul,
+                    pair_poly, split_exact)
 from .rootsys import CartanVector, Root, evaluate
 from .scalars import Scalar, exact_sqrt, is_exact, scalar_is_zero
 
@@ -192,12 +193,14 @@ class SegmentPolynomial:
         d = [len(roots) for roots in self.modules.values()]
         self.a_f, self.k_f, self.zk_f = (np.array([float(key[i]) for key in self.modules]) for i in range(3))
         self.d_f = np.array(d, dtype=float)
-        if self.exact:
-            self.coeffs = p_linear_product({(a, k): n for (a, k, _), n in zip(self.modules, d)})
+        # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
+        if self.exact:  # both from the integer pairs of P
+            us, vs, den, r = exact_linear_product({(a, k): n for (a, k, _), n in zip(self.modules, d)})
+            self.coeffs = pair_poly(us, vs, den, r)
+            self.q_coeffs = int_shifted_antiderivative(us, vs, den, r, m1)
         else:
             self.coeffs = p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()
-        # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
-        self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
+            self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
 
         self.coeffs_f = p_to_float(self.coeffs)
         self.q_coeffs_f = p_to_float(self.q_coeffs)

@@ -12,6 +12,7 @@ test of diameter segments, all in exact arithmetic.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,11 +87,11 @@ def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
     for i in painted_set:
         if not 0 <= i < rs.rank:
             raise InputError("painted index %d out of range" % i)
+    unpainted = [i for i in range(rs.rank) if i not in painted_set]
     r_k, r_m = [], []
     for r in rs.roots:
-        (r_k if set(r.support()) <= painted_set else r_m).append(r)
-    basis = [CartanVector(tuple(Fraction(int(k == i)) for k in range(rs.rank)))
-             for i in range(rs.rank) if i not in painted_set]
+        (r_m if any(map(r.coords.__getitem__, unpainted)) else r_k).append(r)
+    basis = [CartanVector.from_split([int(k == i) for k in range(rs.rank)], [0] * rs.rank, 1, None) for i in unpainted]
     return FlagData(
         rs=rs,
         painted=painted_set,
@@ -130,7 +131,7 @@ def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> 
     pos = j.positive_set()
     if not pos <= rm:
         return StructureVerdict(False, ("positive set not contained in R_m",))
-    neg = {tuple(-c for c in p) for p in pos}
+    neg = {tuple(map(operator.neg, p)) for p in pos}
     counts = Counter(r.coords for r in j.positive)
     violations = ["root %s declared positive more than once" % (c,) for c in sorted(c for c in counts if counts[c] > 1)]
     if pos & neg:

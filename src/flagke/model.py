@@ -6,7 +6,9 @@ are then classified exactly: the chamber condition, the endpoint wall sets
 and degrees, the projective-space test at each singular endpoint, and the
 holomorphic-projection closure condition.  The roots of R_m+ enter through
 their isotropy modules, built here once for the segment, the obstruction
-and the segment polynomial alike.
+and the segment polynomial alike.  On exact input Z, Zk and the endpoints
+are integer vectors over one denominator (`CartanVector.from_split`), so
+the modules are keyed, multiplied and signed in integers.
 
 The verdict for degrees (m1, m2) puts together the Einstein endpoints
 Z1 = m1 Z + Zk and Z2 = -m2 Z + Zk, the obstruction integral
@@ -29,7 +31,7 @@ from . import linalg
 from .errors import InputError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, require_complex_structure,
                    ricci_invariant)
-from .polys import int_linear_product, pair_scalar, split_exact
+from .polys import int_linear_product, pair_scalar, pair_sign
 from .rootsys import CartanVector, Root, evaluate, killing
 from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_is_zero, scalar_sign
 
@@ -44,12 +46,16 @@ class CenterLine:
     """Flag data plus a choice of unit direction Z in the center of k.
 
     ``z`` is normalized so that E(Z, Z) equals ``period_scale`` squared
-    (default 1); for a rational input direction the normalized values live in
-    an exact quadratic extension.  ``j`` is a valid complex structure:
-    `make_base` checks it, `default_complex_structure` returns one that is
-    parabolic by construction, and the segment classification relies on it
-    (a wall-free end skips the closure test), so build a CenterLine directly
-    only from such a ``j``.
+    (default 1).  For a rational input direction `make_base` builds Z as
+    lambda q, q the input's integer ray and lambda = period_scale /
+    sqrt(E(q, q)) a rational or a pure radical, and keeps it split in
+    integers (`CartanVector.from_split`), so the verdict runs on integers
+    and its values, in an exact quadratic extension, are built only when
+    read.  ``j`` is a valid complex structure: `make_base` checks it,
+    `default_complex_structure` returns one that is parabolic by
+    construction, and the segment classification relies on it (a wall-free
+    end skips the closure test), so build a CenterLine directly only from
+    such a ``j``.
     """
 
     flag: FlagData
@@ -65,24 +71,31 @@ def make_base(
     period_scale: Fraction = Fraction(1),
     tol: float = 1e-12,
 ) -> CenterLine:
-    """Normalize a nonzero center direction to E(Z, Z) = period_scale**2."""
+    """Normalize a nonzero center direction to E(Z, Z) = period_scale**2.
+
+    A rational direction x = u / den gives E(u, u) = u^T M_c u on the
+    integer center Gram matrix M_c (`flag._center_gram`) and Z = lambda u
+    with lambda = period_scale / sqrt(E(u, u)), held split in integers.
+    Other directions are normalized by `killing`.
+    """
     if period_scale <= 0:
         raise InputError("period scale must be positive")
     require_complex_structure(flag, j)
     if z_direction.is_zero:
         raise InputError("zero direction for Z")
-    simple = flag.rs.simple_roots()
     for i in sorted(flag.painted):
-        if scalar_sign(evaluate(simple[i], z_direction), tol) != 0:
+        if scalar_sign(z_direction.values[i], tol) != 0:
             raise InputError("direction not in the center of k: alpha_%d(Z) != 0" % i)
-    norm_sq = killing(flag.rs, z_direction, z_direction)
+    if z_direction.kind == "rational":  # E(u, u) of x = u / den on the integer center Gram matrix; Z = lambda u
+        u = z_direction.split[0]
+        q = [u[i] for i in flag.unpainted]
+        norm_sq, z_direction = linalg.form(_center_gram(flag), q, q), CartanVector.from_split(u, [0] * len(u), 1, None)
+    else:
+        norm_sq = killing(flag.rs, z_direction, z_direction)
     if isinstance(norm_sq, Quad):
         raise InputError("pass an unnormalized rational (or float) direction")
-    if is_exact(norm_sq):
-        scale = exact_sqrt(Fraction(norm_sq) / (period_scale * period_scale))
-        z = z_direction.scale(1 / scale)
-    else:
-        z = z_direction.scale(float(period_scale) / float(norm_sq) ** 0.5)
+    z = z_direction.scale(exact_sqrt(Fraction(period_scale) ** 2 / norm_sq) if is_exact(norm_sq)
+                          else float(period_scale) / float(norm_sq) ** 0.5)
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 
@@ -115,11 +128,13 @@ def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVec
 
     Roots with equal (alpha(X), alpha(Z)) form one module; the keys are in
     the order of R_m+.  Exact X and Z, rational or in one field Q(sqrt r),
-    are split once into integer vectors over one denominator den, so that
-    the key (x0, x1, z0, z1) means alpha(X) = (x0 + x1 sqrt(R))/den and
-    alpha(Z) = (z0 + z1 sqrt(R))/den, with R and r as in
-    `polys.split_exact`.  On a float X or Z the key is the pair
-    (alpha(X), alpha(Z)) evaluated root by root, and den is None.
+    are read as integer vectors over one denominator den
+    (`CartanVector.split`), so that the key (x0, x1, z0, z1) means
+    alpha(X) = (x0 + x1 sqrt(R))/den and alpha(Z) = (z0 + z1 sqrt(R))/den,
+    with R and r as in `polys.split_exact`.  A part that is zero on every
+    coordinate, such as x1 of a rational Zk or z0 of a normalized direction,
+    is 0 in every key without a dot product.  On a float X or Z the key is
+    the pair (alpha(X), alpha(Z)) evaluated root by root, and den is None.
     `module_values` reads (alpha(X), alpha(Z)) off a key of either kind.
     """
     table: Dict[tuple, List[Root]] = {}
@@ -127,12 +142,11 @@ def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVec
         for alpha in j.positive:
             table.setdefault((evaluate(alpha, x), evaluate(alpha, z)), []).append(alpha)
         return table, None, None
-    n = len(x.values)
-    u, v, den, r = split_exact(x.values + z.values)
-    parts = (u[:n], v[:n], u[n:], v[n:])
-    for alpha in j.positive:
-        c = alpha.coords
-        table.setdefault(tuple(sum(map(mul, c, w)) for w in parts), []).append(alpha)
+    *parts, den, r = x.joint_split(z)
+    coords = [alpha.coords for alpha in j.positive]
+    columns = [[sum(map(mul, c, w)) for c in coords] if any(w) else [0] * len(coords) for w in parts]
+    for alpha, key in zip(j.positive, zip(*columns)):
+        table.setdefault(key, []).append(alpha)
     return table, den, r
 
 
@@ -157,7 +171,8 @@ def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> Admis
     flag, j = base.flag, base.j
     z2 = z1 - base.z.scale(length)
     table, den, rad = isotropy_modules(j, z1, z2)
-    signs = {key: tuple(scalar_sign(x, FLOAT_WALL_TOL) for x in module_values(key, den, rad)) for key in table}
+    signs = {key: tuple(scalar_sign(x, FLOAT_WALL_TOL) for x in key) if den is None else
+             (pair_sign(key[0], key[1], rad), pair_sign(key[2], key[3], rad)) for key in table}
     # roots outside the chamber: True when negative at an end, False when vanishing at both
     outside = {alpha: min(s) < 0 for key, s in signs.items() if min(s) < 0 or max(s) == 0 for alpha in table[key]}
     failures = [("chamber: alpha=%s negative at an endpoint" if outside[alpha] else
@@ -250,9 +265,7 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> List[str]
                     stack.append(v)
         n_comp += 1
 
-    painted_coords = {
-        tuple(int(t == i) for t in range(rs.rank)) for i in flag.painted
-    }
+    painted_coords = {tuple(int(t == i) for t in range(rs.rank)) for i in flag.painted}
     wall_set = set(wall_pos)
     failures: List[str] = []
     meet = sorted({comp_id[i] for i in range(m) if nodes[i] in wall_set})
@@ -264,11 +277,8 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> List[str]
         if comp_id[i] != meet[0] and nodes[i] not in painted_coords:
             failures.append("non-painted simple root %s outside the wall component" % (nodes[i],))
 
-    target = len(wall_pos)
-    if len(comp_nodes) != target:
-        failures.append(
-            "wall component has %d nodes, expected %d" % (len(comp_nodes), target)
-        )
+    if len(comp_nodes) != len(wall_pos):
+        failures.append("wall component has %d nodes, expected %d" % (len(comp_nodes), len(wall_pos)))
     # type A: connected path, single bonds, equal lengths
     degs = {i: len([v for v in adj[i] if comp_id[v] == meet[0]]) for i in comp_nodes}
     if any(d > 2 for d in degs.values()):
@@ -496,9 +506,8 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
     # evenness about 0 and delta: odd first derivative must vanish
     fp0 = (4 * f[1] - f[2] - 3 * f[0]) / (2 * h)
     fpd = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    symmetry_ok = abs(fp0) <= tol * max(1.0, abs(length) / max(delta, 1e-30)) and abs(fpd) <= tol * max(
-        1.0, abs(length) / max(delta, 1e-30)
-    )
+    bound = tol * max(1.0, abs(length) / max(delta, 1e-30))
+    symmetry_ok = abs(fp0) <= bound and abs(fpd) <= bound
     if not symmetry_ok:
         details.append("end derivatives f'(0)=%g f'(delta)=%g" % (fp0, fpd))
 

@@ -9,7 +9,11 @@ Products of linear factors prod (a - k x), the segment polynomial and the
 obstruction integrand, take their factors as isotropy modules (a, k) -> d.
 Exact products are formed in Python integers: one common denominator is
 cleared, and each coefficient is carried as a pair (u, v) meaning
-u + v sqrt(R) (see `int_linear_product`).
+u + v sqrt(R) (see `int_linear_product`).  Over Q, and when every factor
+is a - k sqrt(R) x, the product is one integer list; only factors with
+both parts take the pair product.  Signs and the antiderivative of the
+segment polynomial are read off the integer pairs too (`pair_sign`,
+`int_shifted_antiderivative`).
 """
 
 from __future__ import annotations
@@ -103,16 +107,51 @@ def pair_scalar(u: int, v: int, den: int, r: Optional[Fraction]) -> Scalar:
     return Quad(Fraction(u, den), Fraction(v * r.denominator, den), r)
 
 
+def pair_sign(u: int, v: int, r: Optional[Fraction]) -> int:
+    """The sign of u + v sqrt(R), R = r.numerator * r.denominator, in integers.
+
+    Equal signs, or one zero part, give it at once; opposite signs compare
+    u^2 with v^2 R, as `scalars.Quad.sign` does.
+    """
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv or not sv:
+        return su
+    if not su:
+        return sv
+    lhs, rhs = u * u, v * v * r.numerator * r.denominator
+    return su if lhs > rhs else (-su if lhs < rhs else 0)
+
+
 def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optional[Fraction]) -> Tuple[List[int], List[int]]:
     """Integer coefficient pairs of prod ((a0 + a1 sqrt(R)) - (k0 + k1 sqrt(R)) x)^d.
 
     ``modules`` maps keys (a0, a1, k0, k1) of `split_exact` integers for the
     field Q(sqrt r) to multiplicities d; r is None for Q, where every a1 and
     k1 is 0.  Returns (u, v) with the product equal to
-    sum (u_n + v_n sqrt(R)) x^n.  Each factor is one pass of integer
-    multiply-adds over the coefficient pairs.
+    sum (u_n + v_n sqrt(R)) x^n.  When every a1 and k1 is 0 the product is
+    one integer list in x.  When every a1 and k0 is 0, as for a rational Zk
+    against a normalized direction, it is one list c in t = sqrt(R) x, and
+    c_n R^(n // 2) goes to u_n for even n and to v_n for odd n.  Otherwise
+    each factor is one pass of integer multiply-adds over the pairs.
     """
     R = 0 if r is None else r.numerator * r.denominator
+    rational = all(a1 == k1 == 0 for _, a1, _, k1 in modules)
+    if rational or all(a1 == k0 == 0 for _, a1, k0, _ in modules):
+        cs = [1]
+        for (a0, _, k0, k1), d in modules.items():
+            k = k0 if rational else k1
+            for _ in range(d):
+                cs = [a0 * x - k * y for x, y in zip(cs + [0], [0] + cs)]
+        if rational:
+            return cs, [0] * len(cs)
+        us, vs, power = [0] * len(cs), [0] * len(cs), 1
+        for n, c in enumerate(cs):
+            if n % 2:
+                vs[n] = c * power
+                power *= R
+            else:
+                us[n] = c * power
+        return us, vs
     us, vs = [1], [0]
     for (a0, a1, k0, k1), d in modules.items():
         ra1, rk1 = R * a1, R * k1
@@ -123,15 +162,32 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
     return us, vs
 
 
-def p_linear_product(modules: Dict[Tuple[Scalar, Scalar], int]) -> Poly:
-    """Coefficients of prod (a - k x)^d over exact modules (a, k) -> d, trimmed.
+def exact_linear_product(modules: Dict[Tuple[Scalar, Scalar], int]) -> Tuple[List[int], List[int], int, Optional[Fraction]]:
+    """prod (a - k x)^d over exact modules (a, k) -> d as sum (u_n + v_n sqrt(R)) x^n / den: (u, v, den, r).
 
-    The factors, in Q or in one field Q(sqrt r), are multiplied in integers
-    over one common denominator; the Fraction or Quad coefficients are built
-    once, at the end.
+    The factors, in Q or in one field Q(sqrt r), are split over one common
+    denominator (`split_exact`) and multiplied in integers
+    (`int_linear_product`).
     """
     u, v, den, r = split_exact([x for key in modules for x in key])
     keyed = {(u[i], v[i], u[i + 1], v[i + 1]): d for i, d in zip(range(0, len(u), 2), modules.values())}
     us, vs = int_linear_product(keyed, r)
-    total = den ** sum(modules.values())
-    return p_trim([pair_scalar(x, y, total, r) for x, y in zip(us, vs)])
+    return us, vs, den ** sum(modules.values()), r
+
+
+def pair_poly(us: Sequence[int], vs: Sequence[int], den: int, r: Optional[Fraction]) -> Poly:
+    """The trimmed polynomial sum (u_n + v_n sqrt(R)) x^n / den, one Fraction or Quad per coefficient."""
+    return p_trim([pair_scalar(x, y, den, r) for x, y in zip(us, vs)])
+
+
+def int_shifted_antiderivative(us: Sequence[int], vs: Sequence[int], den: int, r: Optional[Fraction], m: int) -> Poly:
+    """Q(x) = integral_0^x P(v)(v - m) dv, trimmed, for P = sum (u_n + v_n sqrt(R)) x^n / den.
+
+    P(v)(v - m) has the coefficients c_(n-1) - m c_n, so Q has q_0 = 0 and
+    q_(n+1) = (c_(n-1) - m c_n) / (n + 1): integer pairs over den (n + 1),
+    each built as one Fraction or Quad.
+    """
+    n = len(us)
+    terms = [((us[i - 1] if i else 0) - (m * us[i] if i < n else 0),
+              (vs[i - 1] if i else 0) - (m * vs[i] if i < n else 0)) for i in range(n + 1)]
+    return p_trim([ZERO] + [pair_scalar(x, y, den * (i + 1), r) for i, (x, y) in enumerate(terms)])

@@ -37,12 +37,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
-from typing import List, Sequence, Tuple
+from operator import add, mul, sub
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError, InternalError
-from .scalars import Scalar
+from .polys import pair_scalar, split_exact
+from .scalars import Quad, Scalar
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -136,34 +137,112 @@ class Root:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
 
 
-@dataclass(frozen=True)
 class CartanVector:
     """Element H of the real Cartan subalgebra, stored by its simple-root
     evaluations: values[i] = alpha_i(H).  Evaluation of any root is then a
-    dot product with the root's coordinates."""
+    dot product with the root's coordinates.
 
-    values: Tuple[Scalar, ...]
+    An exact vector may instead be held as integers, values[i] =
+    (u_i + v_i sqrt(R)) / den as in `polys.split_exact`
+    (`CartanVector.from_split`).  Its values are built on first read; sums,
+    differences and exact multiples of such vectors in one field are formed
+    in integers and stay split.  ``split`` gives the integer form of any
+    exact vector.  Vectors are equal when their values are.
+    """
+
+    __slots__ = ("_values", "_split")
+
+    def __init__(self, values: Tuple[Scalar, ...]):
+        self._values, self._split = values, None
+
+    @classmethod
+    def from_split(cls, u: Sequence[int], v: Sequence[int], den: int, r: Optional[Fraction]) -> "CartanVector":
+        out = cls.__new__(cls)
+        out._values, out._split = None, (list(u), list(v), den, r)
+        return out
+
+    @property
+    def values(self) -> Tuple[Scalar, ...]:
+        if self._values is None:
+            u, v, den, r = self._split
+            self._values = tuple(pair_scalar(a, b, den, r) for a, b in zip(u, v))
+        return self._values
+
+    @property
+    def split(self) -> Tuple[List[int], List[int], int, Optional[Fraction]]:
+        """(u, v, den, r) with values[i] = (u_i + v_i sqrt(R)) / den; exact vectors only."""
+        return self._split if self._split is not None else split_exact(self.values)
+
+    def joint_split(self, other: "CartanVector") -> Tuple[List[int], List[int], List[int], List[int], int, Optional[Fraction]]:
+        """(u, v, u', v', den, r): the splits of self and of other over one denominator and one field."""
+        (u1, v1, d1, r1), (u2, v2, d2, r2) = self.split, other.split
+        if r1 is not None and r2 is not None and r1 != r2:  # one field under two radicands: split the values together
+            n = len(u1)
+            u, v, den, r = split_exact(self.values + other.values)
+            return u[:n], v[:n], u[n:], v[n:], den, r
+        den = math.lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        return ([x * f1 for x in u1], [x * f1 for x in v1], [x * f2 for x in u2], [x * f2 for x in v2], den,
+                r2 if r1 is None else r1)
+
+    def _split_with(self, other) -> bool:
+        """Whether self is split and other, a vector or a scalar, is split or exact in a field that agrees."""
+        if self._split is None or isinstance(other, float) or isinstance(other, CartanVector) and other._split is None:
+            return False
+        r1 = self._split[3]
+        r2 = other._split[3] if isinstance(other, CartanVector) else other.r if isinstance(other, Quad) else None
+        return r1 is None or r2 is None or r1 == r2
+
+    def _elementwise(self, other: "CartanVector", op) -> "CartanVector":
+        if not self._split_with(other):
+            return CartanVector(tuple(map(op, self.values, other.values)))
+        u1, v1, u2, v2, den, r = self.joint_split(other)
+        return CartanVector.from_split(list(map(op, u1, u2)), list(map(op, v1, v2)), den, r)
 
     def __add__(self, other: "CartanVector") -> "CartanVector":
-        return CartanVector(tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._elementwise(other, add)
 
     def __sub__(self, other: "CartanVector") -> "CartanVector":
-        return CartanVector(tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._elementwise(other, sub)
 
     def __neg__(self) -> "CartanVector":
-        return CartanVector(tuple(-a for a in self.values))
+        return self.scale(-1) if self._split is not None else CartanVector(tuple(-a for a in self.values))
 
     def scale(self, s: Scalar) -> "CartanVector":
-        return CartanVector(tuple(s * a for a in self.values))
+        """s H; a split H times an exact s of its field stays split."""
+        if not self._split_with(s):
+            return CartanVector(tuple(s * a for a in self.values))
+        if isinstance(s, Quad):
+            (a,), (b,), d, rs = split_exact([s])
+        else:
+            a, b, d, rs = s.numerator, 0, s.denominator, None
+        u, v, den, r = self._split
+        r = rs if r is None else r
+        R = 0 if r is None else r.numerator * r.denominator
+        return CartanVector.from_split([x * a + y * b * R for x, y in zip(u, v)], [x * b + y * a for x, y in zip(u, v)],
+                                       den * d, r)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CartanVector):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return "CartanVector(values=%r)" % (self.values,)
 
     @property
     def is_zero(self) -> bool:
+        if self._split is not None:
+            return not any(self._split[0]) and not any(self._split[1])
         return all(v == 0 for v in self.values)
 
     @property
     def kind(self) -> str:
-        from .scalars import Quad
-
+        if self._split is not None:
+            return "quadratic" if any(self._split[1]) else "rational"
         if any(isinstance(v, float) for v in self.values):
             return "float"
         if any(isinstance(v, Quad) for v in self.values):
@@ -363,4 +442,4 @@ def killing(rs: RootSystem, h1: CartanVector, h2: CartanVector) -> Scalar:
 def coroot_vector(rs: RootSystem, alpha: Root) -> CartanVector:
     """H_alpha with E(H_alpha, H) = alpha(H) for every H; exact rational."""
     dual, den = rs.dual_form
-    return CartanVector(tuple(Fraction(sum(map(mul, row, alpha.coords)), den) for row in dual))
+    return CartanVector.from_split([sum(map(mul, row, alpha.coords)) for row in dual], [0] * rs.rank, den, None)

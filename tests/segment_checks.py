@@ -10,8 +10,10 @@ oracle of `einstein.search_walled`; the root-by-root sphere-in-chamber
 check, the oracle of `flag.sphere_in_chamber`, with the exact matrix
 inverse it uses; the center of k computed for a general basis, the oracle
 of the unpainted-coordinate frame of `flag.build_flag` and the searches;
-the flags these oracles are run on; and the reflection check of every pair
-of roots, the oracle of the simple-reflection check of `rootsys._validate`.
+the flags these oracles are run on; the reflection check of every pair
+of roots, the oracle of the simple-reflection check of `rootsys._validate`;
+and the pair product of linear factors, the oracle of the one-list forms of
+`polys.int_linear_product`.
 """
 
 import itertools
@@ -276,3 +278,20 @@ def all_pairs_reflection_closed(rs):
             if rem or tuple(x - n * y for x, y in zip(b, a)) not in roots:
                 return False
     return True
+
+
+def pair_linear_product(modules, r):
+    """prod ((a0 + a1 sqrt(R)) - (k0 + k1 sqrt(R)) x)^d as integer pairs (u, v), one factor at a time.
+
+    Every factor is one pass of multiply-adds over both lists of pairs, R =
+    r.numerator * r.denominator; the form `polys.int_linear_product` takes
+    for factors with both parts.
+    """
+    R = 0 if r is None else r.numerator * r.denominator
+    us, vs = [1], [0]
+    for (a0, a1, k0, k1), d in modules.items():
+        for _ in range(d):
+            u0, v0, u1, v1 = us + [0], vs + [0], [0] + us, [0] + vs
+            us = [a0 * u + R * a1 * v - k0 * x - R * k1 * y for u, v, x, y in zip(u0, v0, u1, v1)]
+            vs = [a0 * v + a1 * u - k0 * y - k1 * x for u, v, x, y in zip(u0, v0, u1, v1)]
+    return us, vs

@@ -3,15 +3,19 @@
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the report of 2 159 runs, keyed by their command line: the
+``--out`` writes the report of 2 864 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
 sweep groups, and the walled search on every flag of the groups up to rank
 3 at the degrees of WALLED_DEGREES, each at the period scales 1 and 1/3;
 then `flag-info` (Zk, its chamber position and the sphere check) on every
 flag of the 25 groups and on the exceptional flags of FLAG_INFO_EXTRA;
-`roots` on the 25 groups and on E6, E7 and E8; and `check-segment` at the
+`roots` on the 25 groups and on E6, E7 and E8; `check-segment` at the
 degrees of SEGMENT_DEGREES, exact and with --float, along the first center
-basis vector of every flag of the walled-search groups.
+basis vector of every flag of the walled-search groups; and exact `futaki`
+and `check-segment` at the degrees of DIRECTION_DEGREES along the
+non-unit directions of `center_directions`, on every flag of the
+walled-search groups and on the exceptional flags of DIRECTION_EXTRA.  A
+command line that occurs twice is run once.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds.  Floats are compared relative to the larger
@@ -38,6 +42,8 @@ WALLED_DEGREES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)
 TAUS = ["1", "1/3"]
 FLAG_INFO_EXTRA = [("E6", (0, 2, 3, 4)), ("E7", (0, 1, 2, 3)), ("E8", (0, 1, 2, 3, 4)), ("E8", (2,)), ("E8", ())]
 SEGMENT_DEGREES = [(1, 1), (1, 2), (2, 1)]
+DIRECTION_DEGREES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+DIRECTION_EXTRA = FLAG_INFO_EXTRA[:3]
 FLOAT_RTOL = 1e-12
 
 
@@ -47,8 +53,23 @@ def paintings(group: str):
     return itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank + 1))
 
 
+def center_directions(rank: int, painted) -> list:
+    """The sum of the unpainted unit vectors and the same with alternating signs, as --z values; the
+    second only when it differs from the first."""
+    unpainted = [i for i in range(rank) if i not in painted]
+    out = []
+    for signs in ([1] * len(unpainted), [(-1) ** n for n in range(len(unpainted))]):
+        z = [0] * rank
+        for i, sign in zip(unpainted, signs):
+            z[i] = sign
+        if ",".join(map(str, z)) not in out:
+            out.append(",".join(map(str, z)))
+    return out
+
+
 def sweep_argvs():
-    """The command lines of the sweep: diameter runs first, then walled ones, flag-info, roots and check-segment."""
+    """The command lines of the sweep, once each: diameter runs first, then walled ones, flag-info, roots,
+    check-segment and the futaki and check-segment runs along non-unit directions."""
     out = []
     for group in GROUPS:
         rank = LieAlgebraSpec.parse(group).rank
@@ -69,7 +90,12 @@ def sweep_argvs():
         for (m1, m2), arithmetic in itertools.product(SEGMENT_DEGREES, ([], ["--float"])):
             out.append(["check-segment", "--group", group, "--painted", ",".join(map(str, painted)), "--z", z,
                         "--m1", str(m1), "--m2", str(m2)] + arithmetic)
-    return out
+    for group, painted in walled + DIRECTION_EXTRA:
+        for z, (m1, m2), mode in itertools.product(center_directions(LieAlgebraSpec.parse(group).rank, painted),
+                                                   DIRECTION_DEGREES, ("futaki", "check-segment")):
+            out.append([mode, "--group", group, "--painted", ",".join(map(str, painted)), "--z", z,
+                        "--m1", str(m1), "--m2", str(m2)])
+    return list(map(list, dict.fromkeys(map(tuple, out))))
 
 
 def _argv(group, painted, tau, degrees=None):

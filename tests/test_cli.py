@@ -481,8 +481,12 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     everything = sweep.sweep_argvs()
     assert all(argv in everything for argv in argvs)
     modes = [argv[0] for argv in everything]
-    assert len(everything) == 2159 and (modes.count("flag-info"), modes.count("roots")) == (365, 28)
-    assert modes.count("check-segment") == 366 and sum("--float" in argv for argv in everything) == 183
+    assert len(everything) == len(set(map(tuple, everything))) == 2864
+    assert (modes.count("flag-info"), modes.count("roots"), modes.count("futaki")) == (365, 28, 396)
+    assert modes.count("check-segment") == 675 and sum("--float" in argv for argv in everything) == 183
+    assert sweep.center_directions(4, (0,)) == ["0,1,1,1", "0,1,-1,1"] and sweep.center_directions(2, (1,)) == ["1,0"]
+    assert ["futaki", "--group", "E8", "--painted", "0,1,2,3,4", "--z", "0,0,0,0,0,1,-1,1", "--m1", "2", "--m2",
+            "2"] in everything
     monkeypatch.setattr(sweep, "sweep_argvs", lambda: argvs)
     path = tmp_path / "sweep.json"
     assert sweep.main(["--out", str(path)]) == 0

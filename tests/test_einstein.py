@@ -16,7 +16,8 @@ from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
                          sphere_in_chamber)
 from flagke.model import FUTAKI_FLOAT_TOL, CenterLine, _homogenized_obstruction, futaki, ke_endpoints, make_base
-from flagke.polys import p_deriv, p_eval, p_linear_product, p_mul, p_trim
+from flagke.polys import (exact_linear_product, int_linear_product, int_shifted_antiderivative, p_antideriv, p_deriv,
+                          p_eval, p_mul, p_trim, pair_poly, pair_scalar, pair_sign)
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -27,11 +28,14 @@ from flagke.rootsys import (
     killing,
 )
 from flagke.scalars import Quad, exact_sqrt, scalar_is_zero, scalar_sign
+from sweep_searches import GROUPS as SWEEP_GROUPS
+from sweep_searches import paintings
 from segment_checks import (
     CENTER_FLAGS,
     center_flags,
     first_integral_identity_numerator,
     general_basis_center,
+    pair_linear_product,
     per_root_sphere_in_chamber,
     ricci_tangential,
     root_subset_walled,
@@ -62,11 +66,17 @@ def _simpson_oracle(flag, j, z_float, m1, m2, panels=10 ** 6):
     return float(np.dot(w, vals) * h / 3.0)
 
 
+def p_linear_product(modules):
+    """prod (a - k x)^d over exact modules (a, k) -> d as the segment polynomial builds it: in integers, then
+    one Fraction or Quad per coefficient."""
+    return pair_poly(*exact_linear_product(modules))
+
+
 @lru_cache(maxsize=32)
 def _per_root_product(factors):
     """prod (a - k x) one root at a time in Fraction/Quad arithmetic.
 
-    The oracle for the integer module kernel `polys.p_linear_product`;
+    The oracle for the integer module kernel `p_linear_product`;
     ``factors`` is a tuple of (a, k) pairs.
     """
     poly = [Fraction(1)]
@@ -277,6 +287,67 @@ def _multiplicities(factors):
         modules[key] = modules.get(key, 0) + 1
     return modules
 
+
+
+def _random_modules(rng, shape):
+    """A random module table of integer keys (a0, a1, k0, k1): shape "rational" has a1 = k1 = 0, "radical"
+    a1 = k0 = 0 (a rational Zk against a normalized direction), "mixed" every part."""
+    table = {}
+    for _ in range(rng.randint(0, 9)):
+        a0, a1, k0, k1 = (rng.randint(-9, 9) for _ in range(4))
+        key = {"rational": (a0, 0, k0, 0), "radical": (a0, 0, 0, k1), "mixed": (a0, a1, k0, k1)}[shape]
+        table[key] = rng.randint(1, 3)
+    return table
+
+
+def test_one_list_products_match_the_pair_product():
+    rng = random.Random(17)
+    for r, shape in itertools.product((None, Fraction(12), Fraction(18), Fraction(3, 2)),
+                                      ("rational", "radical", "mixed")):
+        if r is None and shape != "rational":
+            continue
+        for _ in range(40):
+            table = _random_modules(rng, shape)
+            assert int_linear_product(table, r) == pair_linear_product(table, r), (r, table)
+
+
+def test_shifted_antiderivative_and_pair_signs_match_the_scalar_forms():
+    rng = random.Random(23)
+    for r in (None, Fraction(12), Fraction(18), Fraction(3, 2)):
+        for _ in range(30):
+            table = _random_modules(rng, "rational" if r is None else "mixed")
+            us, vs = int_linear_product(table, r)
+            den, m = rng.randint(1, 30), rng.randint(1, 3)
+            coeffs = pair_poly(us, vs, den, r)
+            _assert_identical(int_shifted_antiderivative(us, vs, den, r, m),
+                              p_antideriv(p_mul(coeffs, [-Fraction(m), Fraction(1)])))
+            for u, v in zip(us, vs):
+                assert pair_sign(u, v, r) == scalar_sign(pair_scalar(u, v, den, r))
+    assert int_shifted_antiderivative([0, 0], [0, 0], 1, None, 1) == []
+
+
+@pytest.mark.parametrize("group", SWEEP_GROUPS)
+def test_futaki_matches_the_per_root_oracle_and_the_shifted_integral_on_sweep_flags(group):
+    # every flag of the sweep group at two seeded integer center directions with entries in -2..2: the
+    # first against the per-root Quad product, whose Quad arithmetic is most of this test's time, both
+    # against the change of variables
+    rng = random.Random(group)
+    system = rs(group)
+    for painted in paintings(group):
+        flag = build_flag(system, painted)
+        if not flag.center_dim:
+            continue
+        j = default_complex_structure(flag)
+        for n in range(2):
+            z = [0] * system.rank
+            while not any(z):
+                z = [rng.randint(-2, 2) if i in flag.unpainted else 0 for i in range(system.rank)]
+            base = make_base(flag, j, CartanVector(tuple(map(Fraction, z))))
+            m1, m2 = rng.choice((1, 2)), rng.choice((1, 2))
+            value = futaki(flag, j, base.z, m1, m2).value
+            _assert_identical(value, ein.futaki_shifted(base, m1, m2))
+            if n == 0:
+                _assert_identical(value, _futaki_oracle(flag, j, base.z, m1, m2))
 
 def test_linear_product_kernel_on_hand_built_factors():
     half = Fraction(3, 2)  # a non-integer radicand: sqrt(3/2) = sqrt(6)/2

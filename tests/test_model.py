@@ -1,16 +1,20 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flagke.errors import InputError
-from flagke.flag import InvariantComplexStructure, build_flag, default_complex_structure, ricci_invariant
+from flagke import linalg
+from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
 from flagke.model import analyze_segment, check_parametrization, make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing
-from flagke.scalars import Quad
+from flagke.scalars import Quad, exact_sqrt
 from segment_checks import per_root_segment
+from sweep_searches import GROUPS as SWEEP_GROUPS
+from sweep_searches import paintings
 
 
 def rs(text):
@@ -50,6 +54,42 @@ def test_make_base_rejects_bad_directions():
     with pytest.raises(InputError):
         make_base(flag, j, CartanVector((Fraction(0), Fraction(0))))
 
+
+
+@pytest.mark.parametrize("tau", [Fraction(1), Fraction(1, 3)])
+def test_integer_center_norm_matches_killing_on_sweep_flags(tau):
+    # on every flag of the sweep groups: E(q, q) on the integer center Gram matrix is killing's, and Z is the
+    # old normalization z_direction.scale(1 / exact_sqrt(E / tau^2)), value for value and repr for repr
+    rng = random.Random(str(tau))
+    for group in SWEEP_GROUPS:
+        system = rs(group)
+        for painted in paintings(group):
+            flag = build_flag(system, painted)
+            if not flag.center_dim:
+                continue
+            j = default_complex_structure(flag)
+            q = [0] * system.rank
+            while not any(q):
+                q = [rng.randint(-2, 2) if i in flag.unpainted else 0 for i in range(system.rank)]
+            g = math.gcd(*q)
+            q = [x // g for x in q]
+            center = [q[i] for i in flag.unpainted]
+            e = killing(system, *[CartanVector(tuple(map(Fraction, q)))] * 2)
+            assert linalg.form(_center_gram(flag), center, center) == e
+            for s in (Fraction(1), Fraction(2, 3), Fraction(-1)):
+                direction = CartanVector(tuple(s * x for x in q))
+                old = direction.scale(1 / exact_sqrt(s * s * e / (tau * tau)))  # E(s q, s q) = s^2 E(q, q)
+                z = make_base(flag, j, direction, period_scale=tau).z
+                assert z == old and repr(z.values) == repr(old.values) and z.kind == old.kind
+            if painted:
+                off = CartanVector(tuple(Fraction(x + (i == painted[0])) for i, x in enumerate(q)))
+                with pytest.raises(InputError, match="not in the center"):
+                    make_base(flag, j, off, period_scale=tau)
+            floats = CartanVector(tuple(float(x) for x in q))
+            norm = killing(system, floats, floats)
+            assert isinstance(norm, float)
+            z = make_base(flag, j, floats, period_scale=tau).z
+            assert z.values == floats.scale(float(tau) / norm ** 0.5).values and z.kind == "float"
 
 def test_make_base_rejects_a_repeated_root():
     # a root named twice would enter the obstruction twice; the set of roots alone is a valid structure

@@ -273,3 +273,35 @@ def test_simple_reflection_check_rejects_sets_the_all_pairs_oracle_accepts(posit
     assert (max(max(map(abs, c)) for c in system.root_set() if 0 in c) == 1) == reduced
     with pytest.raises(InputError, match=clause):
         _validate(system)
+
+
+def test_split_vectors_agree_with_their_values():
+    # a vector held as integers (u + v sqrt(R)) / den against the same values held as Fractions and Quads: every
+    # operation gives equal values with equal reprs, whether it stays split (one field) or falls back to the values
+    # (a float, or a radicand written differently: sqrt(8) = 2 sqrt(2))
+    from flagke.polys import split_exact
+    from flagke.scalars import Quad
+
+    rng = random.Random(5)
+    root2 = Fraction(2)
+
+    def vector(radical):
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if not radical or rng.random() < 0.3 else
+                     Quad(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(1, 3), rng.randint(1, 4)), root2)
+                     for _ in range(4))
+
+    scalars = [3, -1, Fraction(-2, 5), 0.75, Quad(Fraction(0), Fraction(1, 3), root2),
+               Quad(Fraction(1), Fraction(-1, 2), Fraction(8))]
+    for _ in range(30):
+        xs, ys = vector(rng.random() < 0.5), vector(rng.random() < 0.5)
+        x, y = CartanVector(xs), CartanVector(ys)
+        sx, sy = (CartanVector.from_split(*split_exact(v)) for v in (xs, ys))
+        assert sx == x and repr(sx) == repr(x) and hash(sx) == hash(x)
+        assert (sx.kind, sx.is_zero) == (x.kind, x.is_zero)
+        for got, want in [(sx + sy, x + y), (sx - sy, x - y), (-sx, -x), (sx + y, x + y)]:
+            assert repr(got.values) == repr(want.values)
+        for s in scalars:
+            assert repr(sx.scale(s).values) == repr(x.scale(s).values), s
+    eight = CartanVector.from_split([0, 1], [1, 0], 1, Fraction(8))
+    assert repr((eight + CartanVector.from_split([0, 0], [0, 1], 1, root2)).values) == repr(
+        (CartanVector(eight.values) + CartanVector((Fraction(0), Quad(Fraction(0), Fraction(1), root2)))).values)
