@@ -12,11 +12,10 @@ test of diameter segments, all in exact arithmetic.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -131,12 +130,12 @@ def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> 
     pos = j.positive_set()
     if not pos <= rm:
         return StructureVerdict(False, ("positive set not contained in R_m",))
-    neg = {tuple(map(operator.neg, p)) for p in pos}
+    negatives = {tuple(map(neg, p)) for p in pos}
     counts = Counter(r.coords for r in j.positive)
     violations = ["root %s declared positive more than once" % (c,) for c in sorted(c for c in counts if counts[c] > 1)]
-    if pos & neg:
+    if pos & negatives:
         violations.append("some root and its negative both declared positive")
-    if pos | neg != rm:
+    if pos | negatives != rm:
         violations.append("positive and negative halves do not cover R_m")
     if violations:
         return StructureVerdict(False, tuple(violations))

@@ -186,11 +186,20 @@ class CartanVector:
                 r2 if r1 is None else r1)
 
     def _split_with(self, other) -> bool:
-        """Whether self is split and other, a vector or a scalar, is split or exact in a field that agrees."""
-        if self._split is None or isinstance(other, float) or isinstance(other, CartanVector) and other._split is None:
+        """Whether self is split and other, a vector or an int, Fraction or Quad, is split in a field that agrees."""
+        if self._split is None:
+            return False
+        if isinstance(other, CartanVector):
+            if other._split is None:
+                return False
+            r2 = other._split[3]
+        elif isinstance(other, Quad):
+            r2 = other.r
+        elif isinstance(other, (int, Fraction)):
+            r2 = None
+        else:
             return False
         r1 = self._split[3]
-        r2 = other._split[3] if isinstance(other, CartanVector) else other.r if isinstance(other, Quad) else None
         return r1 is None or r2 is None or r1 == r2
 
     def _elementwise(self, other: "CartanVector", op) -> "CartanVector":
