@@ -45,12 +45,12 @@ from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEins
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
                    ricci_invariant, sphere_in_chamber)
 from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstruction, isotropy_modules, ke_verdict,
-                    make_base, module_values)
+                    make_base)
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
-from .polys import (exact_linear_product, int_shifted_antiderivative, p_antideriv, p_deriv, p_eval, p_low_order, p_mul,
-                    pair_poly, split_exact)
+from .polys import (int_linear_product, int_shifted_antiderivative, int_taylor_shift, p_antideriv, p_deriv, p_eval,
+                    p_low_order, p_mul, pair_poly, pair_scalar, split_exact)
 from .rootsys import CartanVector, Root, evaluate
-from .scalars import Scalar, exact_sqrt, is_exact, scalar_is_zero
+from .scalars import Scalar, exact_sqrt, scalar_is_zero
 
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel
 PROFILE_PANELS = 192
@@ -113,9 +113,12 @@ def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
     """integral_0^{m1+m2} P(v)(v - m1) dv computed from the segment polynomial.
 
     Equal to the obstruction integral after y = v - m1; kept as a separate
-    computation path so the change of variables can be asserted exactly.  It
-    shares the integer product with `futaki`, so the tests also check both
-    against a per-root Fraction/Quad product.
+    computation path so the change of variables can be asserted exactly.
+    The segment polynomial is the integer Taylor shift of the product that
+    `futaki` integrates, so this checks the shift and the antiderivative
+    (`polys.int_shifted_antiderivative`) against futaki's integral weights;
+    the tests check the product itself against a per-root Fraction/Quad
+    product.
     """
     sp = SegmentPolynomial.from_base(base, m1, m2)
     return p_eval(sp.q_coeffs, Fraction(m1 + m2))
@@ -173,32 +176,41 @@ class EndChart:
 
 
 class SegmentPolynomial:
-    """P(v) = prod alpha(Z1 - v Z) with exact derivatives and end charts.
+    """P(v) = prod alpha(Z1 - v Z), Z1 = Zk + m1 Z, with exact derivatives and end charts.
 
-    ``modules`` maps each value (alpha(Z1), alpha(Z), alpha(Zk)) taken on
-    R_m+ to the tuple of roots taking it: an isotropy module, whose size is
-    its multiplicity.  Distinct modules differ in (alpha(Z1), alpha(Z)),
-    which fix alpha(Zk) = alpha(Z1) - m1 alpha(Z).  Attributes ending in
-    ``_f`` are float arrays for numerics, one entry per module; everything
-    else is exact when the inputs are exact.  Instances are immutable after
-    construction.
+    ``modules``, ``den`` and ``r`` are the table that `model.futaki` reads,
+    `model.isotropy_modules` under (Zk, Z): each key gives (alpha(Zk),
+    alpha(Z)), as integer parts over den in the field of r or as floats when
+    den is None, and maps to the roots of R_m+ taking it, an isotropy module
+    whose size is its multiplicity.  With the obstruction's product
+    E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1): on exact keys E is one
+    integer product (`polys.int_linear_product`) and P its integer Taylor
+    shift (`polys.int_taylor_shift`).  Attributes ending in ``_f`` are float
+    arrays for numerics, one entry per module; everything else is exact when
+    the keys are exact.  Instances are immutable after construction.
     """
 
-    def __init__(self, modules: Dict[Tuple[Scalar, Scalar, Scalar], Sequence[Root]], m1: int, m2: int):
+    def __init__(self, modules: Dict[tuple, Sequence[Root]], den: Optional[int], r: Optional[Fraction], m1: int,
+                 m2: int):
         self.modules = {key: tuple(roots) for key, roots in modules.items()}
+        self.den, self.r = den, r
         self.m1, self.m2 = int(m1), int(m2)
         self.f_delta = Fraction(m1 + m2)
-        self.exact = all(is_exact(a) and is_exact(k) for a, k, _ in self.modules)
+        self.exact = den is not None
 
         d = [len(roots) for roots in self.modules.values()]
-        self.a_f, self.k_f, self.zk_f = (np.array([float(key[i]) for key in self.modules]) for i in range(3))
         self.d_f = np.array(d, dtype=float)
         # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
-        if self.exact:  # both from the integer pairs of P
-            us, vs, den, r = exact_linear_product({(a, k): n for (a, k, _), n in zip(self.modules, d)})
-            self.coeffs = pair_poly(us, vs, den, r)
-            self.q_coeffs = int_shifted_antiderivative(us, vs, den, r, m1)
+        if self.exact:  # alpha(Zk), alpha(Z) and alpha(Z1) built once each, for their floats; P and Q in integers
+            parts = [(key[:2], key[2:], (key[0] + m1 * key[2], key[1] + m1 * key[3])) for key in self.modules]
+            self.zk_f, self.k_f, self.a_f = (np.array([float(pair_scalar(*p[i], den, r)) for p in parts])
+                                             for i in range(3))
+            us, vs = (int_taylor_shift(c, -m1) for c in int_linear_product(dict(zip(self.modules, d)), r))
+            self.coeffs = pair_poly(us, vs, den ** sum(d), r)
+            self.q_coeffs = int_shifted_antiderivative(us, vs, den ** sum(d), r, m1)
         else:
+            self.zk_f, self.k_f = (np.array([float(key[i]) for key in self.modules]) for i in range(2))
+            self.a_f = self.zk_f + m1 * self.k_f
             self.coeffs = p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()
             self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
 
@@ -238,23 +250,23 @@ class SegmentPolynomial:
                   zk: Optional[CartanVector] = None) -> "SegmentPolynomial":
         """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
 
-        Its modules are those of `model.isotropy_modules` under (Z1, Z):
-        exact values are built once per module, float ones are evaluated
-        root by root.  ``validate_degrees`` is `build_segment_polynomial`'s
-        check that the walls give the degrees (m1, m2).  ``zk`` is the Ricci
-        element when the caller has it.
+        It reads the table of `model.isotropy_modules` under (Zk, Z), the one
+        `model.futaki` reads.  ``validate_degrees`` is
+        `build_segment_polynomial`'s check that the walls give the degrees
+        (m1, m2): a module is a wall of the end where alpha(Zk + m Z)
+        vanishes, m = m1 at Z1 and m = -m2 at Z2, in both integer parts of an
+        exact key and within FLOAT_WALL_TOL on a float one.  ``zk`` is the
+        Ricci element when the caller has it.
         """
         if m1 < 1 or m2 < 1:
             raise InputError("degrees must be >= 1")
         zk = ricci_invariant(base.flag, base.j) if zk is None else zk
-        table, den, rad = isotropy_modules(base.j, zk + base.z.scale(m1), base.z)
-        modules = {module_values(key, den, rad) + (evaluate(roots[0], zk),): roots for key, roots in table.items()}
-        sp = SegmentPolynomial(modules, m1, m2)
+        sp = SegmentPolynomial(*isotropy_modules(base.j, zk, base.z), m1, m2)
         if validate_degrees:
-            # a module is a wall of the end where its factor a - k v of P vanishes: v = 0 or v = m1 + m2
-            ends = [(a, a - k * sp.f_delta) for a, k, _ in modules]
-            walls = [[r.coords for e, roots in zip(ends, modules.values()) if scalar_is_zero(e[side], FLOAT_WALL_TOL)
-                      for r in roots] for side in (0, 1)]
+            n, tol = (2, 0) if sp.exact else (1, FLOAT_WALL_TOL)  # a key: n parts of alpha(Zk), then of alpha(Z)
+            walls = [[r.coords for key, roots in sp.modules.items()
+                      if all(abs(x + m * z) <= tol for x, z in zip(key[:n], key[n:])) for r in roots]
+                     for m in (m1, -m2)]
             computed = (len(walls[0]) + 1, len(walls[1]) + 1)
             if computed != (m1, m2):
                 raise DegreeMismatchError(
@@ -265,12 +277,14 @@ class SegmentPolynomial:
         return sp
 
     def reversed(self) -> "SegmentPolynomial":
-        """The segment run backwards: (Z2, -Z, m2, m1), so P_rev(x) = P(m1+m2 - x).
+        """The segment run backwards: (Z2, -Z, m2, m1), so P_rev(x) = P(m1+m2 - x) = E(m2 - x).
 
-        Its walls are those of this polynomial, swapped.
+        The same table with its Z parts negated and the degrees swapped; its
+        walls are those of this polynomial, swapped.
         """
-        modules = {(a - k * self.f_delta, -k, zk): roots for (a, k, zk), roots in self.modules.items()}
-        return SegmentPolynomial(modules, self.m2, self.m1)
+        n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
+        modules = {key[:n] + tuple(-x for x in key[n:]): roots for key, roots in self.modules.items()}
+        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1)
 
     # -- pointwise data ------------------------------------------------------
 
@@ -626,10 +640,7 @@ def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     q = np.asarray(_ricci_q(sp, f, fp, fpp))
     r = sp.zk_f + q[..., None] * sp.k_f
-    g = sp.a_f - sp.k_f * f[..., None]
-    if np.any(g == 0):
-        raise SingularConfigurationError("metric eigenvalue vanishes at f = %g" % _first(f, np.any(g == 0, axis=-1)))
-    return r / g - 1.0
+    return r / (sp.a_f - sp.k_f * f[..., None]) - 1.0  # _ricci_q's log_deriv_sums has checked g != 0
 
 
 def ricci_normal_state(sp: SegmentPolynomial, f, fp, fpp):

@@ -5,8 +5,9 @@ unit direction Z inside the center of k.  Candidate segments Z1 - [0, C] * Z
 are then classified exactly: the chamber condition, the endpoint wall sets
 and degrees, the projective-space test at each singular endpoint, and the
 holomorphic-projection closure condition.  The roots of R_m+ enter through
-their isotropy modules, built here once for the segment, the obstruction
-and the segment polynomial alike.  On exact input Z, Zk and the endpoints
+their isotropy modules (`isotropy_modules`): the obstruction and the
+segment polynomial read one table, of (Zk, Z), and the segment
+classification one of its endpoints.  On exact input Z, Zk and the endpoints
 are integer vectors over one denominator (`CartanVector.from_split`), so
 the modules are keyed, multiplied and signed in integers.
 
@@ -76,7 +77,8 @@ def make_base(
     A rational direction x = u / den gives E(u, u) = u^T M_c u on the
     integer center Gram matrix M_c (`flag._center_gram`) and Z = lambda u
     with lambda = period_scale / sqrt(E(u, u)), held split in integers.
-    Other directions are normalized by `killing`.
+    Other directions are normalized by `killing`; a float direction whose
+    squared norm is not a finite positive float is an input error.
     """
     if period_scale <= 0:
         raise InputError("period scale must be positive")
@@ -94,6 +96,8 @@ def make_base(
         norm_sq = killing(flag.rs, z_direction, z_direction)
     if isinstance(norm_sq, Quad):
         raise InputError("pass an unnormalized rational (or float) direction")
+    if not is_exact(norm_sq) and not 0 < norm_sq < math.inf:
+        raise InputError("float direction has squared norm %r; rescale it" % (norm_sq,))
     z = z_direction.scale(exact_sqrt(Fraction(period_scale) ** 2 / norm_sq) if is_exact(norm_sq)
                           else float(period_scale) / float(norm_sq) ** 0.5)
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
@@ -135,7 +139,6 @@ def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVec
     coordinate, such as x1 of a rational Zk or z0 of a normalized direction,
     is 0 in every key without a dot product.  On a float X or Z the key is
     the pair (alpha(X), alpha(Z)) evaluated root by root, and den is None.
-    `module_values` reads (alpha(X), alpha(Z)) off a key of either kind.
     """
     table: Dict[tuple, List[Root]] = {}
     if x.kind == "float" or z.kind == "float":
@@ -148,13 +151,6 @@ def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVec
     for alpha, key in zip(j.positive, zip(*columns)):
         table.setdefault(key, []).append(alpha)
     return table, den, r
-
-
-def module_values(key: tuple, den: Optional[int], r: Optional[Fraction]) -> Tuple[Scalar, Scalar]:
-    """(alpha(X), alpha(Z)) of a module key of `isotropy_modules`."""
-    if den is None:
-        return key
-    return pair_scalar(key[0], key[1], den, r), pair_scalar(key[2], key[3], den, r)
 
 
 def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> AdmissibleSegment:

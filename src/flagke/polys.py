@@ -5,15 +5,15 @@ scalar (Fraction or Quad).  These helpers stay exact end to end and import no
 numpy; the float twins of these polynomials live in `einstein`, the float
 layer.
 
-Products of linear factors prod (a - k x), the segment polynomial and the
-obstruction integrand, take their factors as isotropy modules (a, k) -> d.
-Exact products are formed in Python integers: one common denominator is
-cleared, and each coefficient is carried as a pair (u, v) meaning
+The obstruction's product E(y) = prod alpha(Zk - y Z) takes its factors
+as isotropy modules (a, k) -> d, keyed in integers over one common
+denominator, each coefficient carried as a pair (u, v) meaning
 u + v sqrt(R) (see `int_linear_product`).  Over Q, and when every factor
 is a - k sqrt(R) x, the product is one integer list; only factors with
-both parts take the pair product.  Signs and the antiderivative of the
-segment polynomial are read off the integer pairs too (`pair_sign`,
-`int_shifted_antiderivative`).
+both parts take the pair product.  The segment polynomial is E shifted,
+P(x) = E(x - m1), an integer Taylor shift of both lists
+(`int_taylor_shift`), and its signs and antiderivative are read off the
+integer pairs too (`pair_sign`, `int_shifted_antiderivative`).
 """
 
 from __future__ import annotations
@@ -162,17 +162,12 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
     return us, vs
 
 
-def exact_linear_product(modules: Dict[Tuple[Scalar, Scalar], int]) -> Tuple[List[int], List[int], int, Optional[Fraction]]:
-    """prod (a - k x)^d over exact modules (a, k) -> d as sum (u_n + v_n sqrt(R)) x^n / den: (u, v, den, r).
-
-    The factors, in Q or in one field Q(sqrt r), are split over one common
-    denominator (`split_exact`) and multiplied in integers
-    (`int_linear_product`).
-    """
-    u, v, den, r = split_exact([x for key in modules for x in key])
-    keyed = {(u[i], v[i], u[i + 1], v[i + 1]): d for i, d in zip(range(0, len(u), 2), modules.values())}
-    us, vs = int_linear_product(keyed, r)
-    return us, vs, den ** sum(modules.values()), r
+def int_taylor_shift(cs: Sequence[int], s: int) -> List[int]:
+    """The coefficients of sum c_n (x + s)^n, by Horner's rule in integers; the length is kept."""
+    out: List[int] = []
+    for c in reversed(cs):
+        out = [s * a + b for a, b in zip(out + [0], [c] + out)]  # out (x + s) + c
+    return out
 
 
 def pair_poly(us: Sequence[int], vs: Sequence[int], den: int, r: Optional[Fraction]) -> Poly:
@@ -187,7 +182,5 @@ def int_shifted_antiderivative(us: Sequence[int], vs: Sequence[int], den: int, r
     q_(n+1) = (c_(n-1) - m c_n) / (n + 1): integer pairs over den (n + 1),
     each built as one Fraction or Quad.
     """
-    n = len(us)
-    terms = [((us[i - 1] if i else 0) - (m * us[i] if i < n else 0),
-              (vs[i - 1] if i else 0) - (m * vs[i] if i < n else 0)) for i in range(n + 1)]
-    return p_trim([ZERO] + [pair_scalar(x, y, den * (i + 1), r) for i, (x, y) in enumerate(terms)])
+    du, dv = ([a - m * b for a, b in zip([0] + list(c), list(c) + [0])] for c in (us, vs))
+    return p_trim([ZERO] + [pair_scalar(x, y, den * (i + 1), r) for i, (x, y) in enumerate(zip(du, dv))])

@@ -1,8 +1,9 @@
 """Constructions on segments and segment polynomials that only the tests use.
 
-The first-integral identity and the scaled-Ricci negative control, shared
-by `test_einstein.py` and `test_acceptance.py`, and the exact polynomial
-sum and scaling they are built from; the Ricci evaluations at one time;
+The module table of hand-built values, the first-integral identity and the
+scaled-Ricci negative control, shared by `test_einstein.py` and
+`test_acceptance.py`, and the exact polynomial sum and scaling they are
+built from; the Ricci evaluations at one time;
 the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
@@ -25,7 +26,7 @@ from flagke import linalg
 from flagke.errors import InputError
 from flagke.flag import FLOAT_WALL_TOL, SphereCheck, ricci_invariant
 from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test, ke_verdict
-from flagke.polys import ZERO, p_deriv, p_mul, p_trim
+from flagke.polys import ZERO, p_deriv, p_mul, p_trim, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import scalar_sign
 
@@ -37,6 +38,19 @@ def p_add(a, b):
 
 def p_scale(a, s):
     return p_trim([s * c for c in a])
+
+
+def value_table(modules):
+    """The integer module table of hand-built values {(alpha(Zk), alpha(Z)): entry}: (table, den, r).
+
+    The values, Fractions or Quads of one field, are split over one
+    denominator (`polys.split_exact`) into keys (x0, x1, z0, z1) as
+    `model.isotropy_modules` builds them; each entry (a tuple of roots, or a
+    multiplicity) moves to its key.
+    """
+    u, v, den, r = split_exact([x for key in modules for x in key])
+    keys = [(u[i], v[i], u[i + 1], v[i + 1]) for i in range(0, len(u), 2)]
+    return dict(zip(keys, modules.values())), den, r
 
 
 def first_integral_identity_numerator(sp):
@@ -61,14 +75,17 @@ def first_integral_identity_numerator(sp):
 def scaled_ricci_control(base, m1, m2, lam):
     """The segment polynomial with the metric endpoint built from lam * Zk + m1 * Z.
 
-    The modules of the true segment with alpha(Z1) replaced by
-    lam * alpha(Zk) + m1 * alpha(Z).  The Ricci data keeps the true Zk, so
-    for lam != 1 the tangential Einstein residuals are bounded away from
-    zero: the negative control.
+    The modules of the true segment of an exact base with alpha(Zk) replaced
+    by lam * alpha(Zk), so alpha(Z1) becomes lam * alpha(Zk) + m1 * alpha(Z).
+    The Ricci data keeps the true Zk floats, so for lam != 1 the tangential
+    Einstein residuals are bounded away from zero: the negative control.
     """
-    modules = ein.SegmentPolynomial.from_base(base, m1, m2).modules
-    scaled = {(lam * zk + m1 * k, k, zk): roots for (_, k, zk), roots in modules.items()}
-    return ein.SegmentPolynomial(scaled, m1, m2)
+    true = ein.SegmentPolynomial.from_base(base, m1, m2)
+    scaled = {(lam * pair_scalar(x0, x1, true.den, true.r), pair_scalar(z0, z1, true.den, true.r)): roots
+              for (x0, x1, z0, z1), roots in true.modules.items()}
+    sp = ein.SegmentPolynomial(*value_table(scaled), m1, m2)
+    sp.zk_f = true.zk_f
+    return sp
 
 
 def ricci_tangential(sp, profile, alpha, t):

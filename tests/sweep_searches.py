@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the report of 2 864 runs, keyed by their command line: the
+``--out`` writes the report of 3 144 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
 sweep groups, and the walled search on every flag of the groups up to rank
 3 at the degrees of WALLED_DEGREES, each at the period scales 1 and 1/3;
@@ -14,8 +14,11 @@ degrees of SEGMENT_DEGREES, exact and with --float, along the first center
 basis vector of every flag of the walled-search groups; and exact `futaki`
 and `check-segment` at the degrees of DIRECTION_DEGREES along the
 non-unit directions of `center_directions`, on every flag of the
-walled-search groups and on the exceptional flags of DIRECTION_EXTRA.  A
-command line that occurs twice is run once.
+walled-search groups and on the exceptional flags of DIRECTION_EXTRA; and
+`solve` and `verify`, exact and with --float, at both period scales, on the
+antisymmetric diameters Z = e_i - e_(n+i) of G x G for G in
+DIAMETER_GROUPS, with every node but i and n + i painted, the runs that
+build a segment polynomial.  A command line that occurs twice is run once.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds.  Floats are compared relative to the larger
@@ -44,6 +47,7 @@ FLAG_INFO_EXTRA = [("E6", (0, 2, 3, 4)), ("E7", (0, 1, 2, 3)), ("E8", (0, 1, 2, 
 SEGMENT_DEGREES = [(1, 1), (1, 2), (2, 1)]
 DIRECTION_DEGREES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 DIRECTION_EXTRA = FLAG_INFO_EXTRA[:3]
+DIAMETER_GROUPS = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 FLOAT_RTOL = 1e-12
 
 
@@ -69,7 +73,8 @@ def center_directions(rank: int, painted) -> list:
 
 def sweep_argvs():
     """The command lines of the sweep, once each: diameter runs first, then walled ones, flag-info, roots,
-    check-segment and the futaki and check-segment runs along non-unit directions."""
+    check-segment, the futaki and check-segment runs along non-unit directions, and solve and verify on the
+    antisymmetric diameters."""
     out = []
     for group in GROUPS:
         rank = LieAlgebraSpec.parse(group).rank
@@ -95,6 +100,13 @@ def sweep_argvs():
                                                    DIRECTION_DEGREES, ("futaki", "check-segment")):
             out.append([mode, "--group", group, "--painted", ",".join(map(str, painted)), "--z", z,
                         "--m1", str(m1), "--m2", str(m2)])
+    for group in DIAMETER_GROUPS:
+        n = LieAlgebraSpec.parse(group).rank
+        for i, mode, arithmetic, tau in itertools.product(range(n), ("solve", "verify"), ([], ["--float"]), TAUS):
+            painted = ",".join(str(k) for k in range(2 * n) if k not in (i, n + i))
+            z = ",".join("1" if k == i else "-1" if k == n + i else "0" for k in range(2 * n))
+            out.append([mode, "--group", "%sx%s" % (group, group), "--painted", painted, "--z", z, "--tau", tau,
+                        "--m1", "1", "--m2", "1"] + arithmetic)
     return list(map(list, dict.fromkeys(map(tuple, out))))
 
 

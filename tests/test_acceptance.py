@@ -23,7 +23,7 @@ from flagke.rootsys import (
     build_root_system,
 )
 from flagke.scalars import Quad
-from segment_checks import first_integral_identity_numerator, ricci_normal, scaled_ricci_control
+from segment_checks import first_integral_identity_numerator, ricci_normal, scaled_ricci_control, value_table
 
 
 def rs(text):
@@ -126,8 +126,8 @@ def test_criterion_3_first_integral_polynomial_identity():
         for i in range(n):
             a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
             k = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
-            modules.setdefault((a, k, a), []).append(Root((i,)))
-        sp = ein.SegmentPolynomial(modules, m1, 1)
+            modules.setdefault((a - m1 * k, k), []).append(Root((i,)))
+        sp = ein.SegmentPolynomial(*value_table(modules), m1, 1)
         numerator = first_integral_identity_numerator(sp)
         assert numerator == [], "nonzero identity numerator"
     assert _report(3, True, "20 random segment polynomials satisfy the flow identity exactly")

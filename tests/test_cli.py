@@ -235,6 +235,18 @@ def test_invalid_input_is_exit_two(capsys):
     assert code == 2  # direction not in the center
 
 
+@pytest.mark.parametrize("mode, z", [("solve", "1e200,0,-1e200,0"), ("futaki", "1e308,0,-1e308,0"),
+                                     ("check-segment", "1e308,0,-1e308,0"), ("solve", "1e-200,0,-1e-200,0")])
+def test_float_direction_whose_norm_is_not_a_float_is_exit_two(capsys, mode, z):
+    # the squared norm overflows to inf (or to nan through inf - inf) or underflows to 0
+    args = ["--group", "A2xA2", "--painted", "1,3", "--m1", "1", "--m2", "1"]
+    code, rep = _capture(capsys, [mode, "--z", z, "--float"] + args)
+    assert code == 2 and "squared norm" in rep["error"]
+    # the same values in exact arithmetic normalize to the unit diameter and report it
+    code, exact = _capture(capsys, [mode, "--z", z] + args)
+    assert code == 0 and exact == _capture(capsys, [mode, "--z", "1,0,-1,0"] + args)[1]
+
+
 @pytest.mark.parametrize("degrees, error", [
     (["--m1", "0", "--m2", "3"], "degrees must be >= 1"),
     (["--m1", "-1", "--m2", "5"], "degrees must be >= 1"),
@@ -481,9 +493,12 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     everything = sweep.sweep_argvs()
     assert all(argv in everything for argv in argvs)
     modes = [argv[0] for argv in everything]
-    assert len(everything) == len(set(map(tuple, everything))) == 2864
+    assert len(everything) == len(set(map(tuple, everything))) == 3144
     assert (modes.count("flag-info"), modes.count("roots"), modes.count("futaki")) == (365, 28, 396)
-    assert modes.count("check-segment") == 675 and sum("--float" in argv for argv in everything) == 183
+    assert modes.count("check-segment") == 675 and sum("--float" in argv for argv in everything) == 323
+    assert modes.count("solve") == modes.count("verify") == 140
+    assert ["solve", "--group", "B3xB3", "--painted", "0,2,3,5", "--z", "0,1,0,0,-1,0", "--tau", "1/3", "--m1", "1",
+            "--m2", "1", "--float"] in everything
     assert sweep.center_directions(4, (0,)) == ["0,1,1,1", "0,1,-1,1"] and sweep.center_directions(2, (1,)) == ["1,0"]
     assert ["futaki", "--group", "E8", "--painted", "0,1,2,3,4", "--z", "0,0,0,0,0,1,-1,1", "--m1", "2", "--m2",
             "2"] in everything

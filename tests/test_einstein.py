@@ -15,8 +15,9 @@ from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
                          sphere_in_chamber)
-from flagke.model import FUTAKI_FLOAT_TOL, CenterLine, _homogenized_obstruction, futaki, ke_endpoints, make_base
-from flagke.polys import (exact_linear_product, int_linear_product, int_shifted_antiderivative, p_antideriv, p_deriv,
+from flagke.model import (FUTAKI_FLOAT_TOL, CenterLine, _homogenized_obstruction, futaki, ke_endpoints, ke_verdict,
+                          make_base)
+from flagke.polys import (int_linear_product, int_shifted_antiderivative, int_taylor_shift, p_antideriv, p_deriv,
                           p_eval, p_mul, p_trim, pair_poly, pair_scalar, pair_sign)
 from flagke.rootsys import (
     CartanVector,
@@ -40,6 +41,7 @@ from segment_checks import (
     ricci_tangential,
     root_subset_walled,
     scaled_ricci_control,
+    value_table,
 )
 
 
@@ -67,9 +69,10 @@ def _simpson_oracle(flag, j, z_float, m1, m2, panels=10 ** 6):
 
 
 def p_linear_product(modules):
-    """prod (a - k x)^d over exact modules (a, k) -> d as the segment polynomial builds it: in integers, then
-    one Fraction or Quad per coefficient."""
-    return pair_poly(*exact_linear_product(modules))
+    """prod (a - k x)^d over exact modules (a, k) -> d in integers: the `split_exact` keys of the values
+    multiplied by `int_linear_product`, then one Fraction or Quad per coefficient."""
+    table, den, r = value_table(modules)
+    return pair_poly(*int_linear_product(table, r), den ** sum(modules.values()), r)
 
 
 @lru_cache(maxsize=32)
@@ -123,10 +126,10 @@ def _assert_identical(got, want):
 def _assert_matches_oracle(flag, j, z, degrees):
     """futaki and the segment polynomial of (flag, j, z) against per-root `evaluate` values, bit for bit.
 
-    Every root of R_m+ sits in exactly one module, whose key is that root's
-    (alpha(Z1), alpha(Z), alpha(Zk)); the coefficients of the polynomial and
-    of its reversal are the per-root products of (alpha(Z1), alpha(Z)) and
-    (alpha(Z2), -alpha(Z)).
+    Every root of R_m+ sits in exactly one module, whose key, read through
+    `pair_scalar`, is that root's (alpha(Zk), alpha(Z)); the coefficients of
+    the polynomial and of its reversal are the per-root products of
+    (alpha(Z1), alpha(Z)) and (alpha(Z2), -alpha(Z)).
     """
     base = CenterLine(flag=flag, j=j, z=z)
     zk = ricci_invariant(flag, j)
@@ -136,9 +139,10 @@ def _assert_matches_oracle(flag, j, z, degrees):
         z1, z2 = ke_endpoints(zk, z, m1, m2)
         assert sum(len(roots) for roots in sp.modules.values()) == len(j.positive)
         assert sorted(a for roots in sp.modules.values() for a in roots) == sorted(j.positive)
-        for key, roots in sp.modules.items():
+        for (a0, a1, k0, k1), roots in sp.modules.items():
             for alpha in roots:
-                assert (evaluate(alpha, z1), evaluate(alpha, z), evaluate(alpha, zk)) == key
+                assert (evaluate(alpha, zk), evaluate(alpha, z)) == (pair_scalar(a0, a1, sp.den, sp.r),
+                                                                    pair_scalar(k0, k1, sp.den, sp.r))
         for poly, end, k in ((sp, z1, z), (sp.reversed(), z2, -z)):
             per_root = tuple((evaluate(a, end), evaluate(a, k)) for a in j.positive)
             _assert_identical(poly.coeffs, _per_root_product(per_root))
@@ -311,16 +315,20 @@ def test_one_list_products_match_the_pair_product():
             assert int_linear_product(table, r) == pair_linear_product(table, r), (r, table)
 
 
-def test_shifted_antiderivative_and_pair_signs_match_the_scalar_forms():
+def test_shifted_antiderivative_taylor_shift_and_pair_signs_match_the_scalar_forms():
     rng = random.Random(23)
     for r in (None, Fraction(12), Fraction(18), Fraction(3, 2)):
         for _ in range(30):
             table = _random_modules(rng, "rational" if r is None else "mixed")
             us, vs = int_linear_product(table, r)
-            den, m = rng.randint(1, 30), rng.randint(1, 3)
+            den, m, s = rng.randint(1, 30), rng.randint(1, 3), rng.randint(-4, 4)
             coeffs = pair_poly(us, vs, den, r)
             _assert_identical(int_shifted_antiderivative(us, vs, den, r, m),
                               p_antideriv(p_mul(coeffs, [-Fraction(m), Fraction(1)])))
+            for cs in (us, vs):  # sum c_n (x + s)^n against its binomial expansion
+                binomial = [sum(math.comb(n, k) * s ** (n - k) * c for n, c in enumerate(cs[k:], k))
+                            for k in range(len(cs))]
+                assert int_taylor_shift(cs, s) == binomial
             for u, v in zip(us, vs):
                 assert pair_sign(u, v, r) == scalar_sign(pair_scalar(u, v, den, r))
     assert int_shifted_antiderivative([0, 0], [0, 0], 1, None, 1) == []
@@ -346,6 +354,36 @@ def test_futaki_matches_the_per_root_oracle_and_the_shifted_integral_on_sweep_fl
             m1, m2 = rng.choice((1, 2)), rng.choice((1, 2))
             oracle = _futaki_oracle(flag, j, base.z, m1, m2) if n == 0 else ein.futaki_shifted(base, m1, m2)
             _assert_identical(futaki(flag, j, base.z, m1, m2).value, oracle)
+
+
+def test_reversed_structure_and_negated_direction_keep_every_verdict():
+    # (j, q) -> (j.reversed(), -q) at the same degrees and period scale: alpha -> -alpha and Z -> -Z leave
+    # every module value (alpha(Zk), alpha(Z)) as it was, so the obstruction, the verdict, both wall sets and
+    # the segment polynomial with its antiderivative agree; on every sweep group's full flag and three seeded
+    # flags with a center, one per degree pair
+    rng = random.Random(41)
+    for group in SWEEP_GROUPS:
+        system = rs(group)
+        centered = [p for p in paintings(group) if 0 < len(p) < system.rank]
+        for painted, (m1, m2) in zip([()] + rng.sample(centered, min(3, len(centered))),
+                                     [(1, 1), (1, 2), (2, 1), (3, 2)]):
+            flag = build_flag(system, painted)
+            j = default_complex_structure(flag)
+            q = [0] * system.rank
+            while not any(q):
+                q = [rng.randint(-2, 2) if i in flag.unpainted else 0 for i in range(system.rank)]
+            tau = rng.choice((Fraction(1), Fraction(1, 3)))
+            seen = []
+            for jj, qq in ((j, q), (j.reversed(), [-x for x in q])):
+                base = make_base(flag, jj, CartanVector(tuple(map(Fraction, qq))), period_scale=tau)
+                zk = ricci_invariant(flag, jj)
+                verdict = ke_verdict(base, zk, m1, m2)
+                sp = ein.SegmentPolynomial.from_base(base, m1, m2, zk=zk)
+                seg = verdict.segment.candidate
+                seen.append((repr(verdict.futaki.value), verdict.ok, verdict.admissible, verdict.degrees, seg.w1,
+                             seg.w2, repr(sp.coeffs), repr(sp.q_coeffs)))
+            assert seen[0] == seen[1], (group, painted, q, m1, m2, tau)
+
 
 def test_linear_product_kernel_on_hand_built_factors():
     half = Fraction(3, 2)  # a non-integer radicand: sqrt(3/2) = sqrt(6)/2
@@ -452,19 +490,25 @@ def test_exact_obstruction_builds_at_most_one_quad(monkeypatch):
     assert isinstance(reports[0].value, Quad)
 
 
-def test_segment_polynomial_quad_count_is_linear_in_roots(monkeypatch):
-    # the E6 x E6 antisymmetric diameter at node 3
+def test_segment_polynomial_quad_count_is_one_per_module_value(monkeypatch):
+    # the E6 x E6 antisymmetric diameter at node 3: Z is a pure radical, but the roots pair off with opposite
+    # alpha(Z), so E(y) is even and P = E(x - 1) and Q are rational; the only Quads are alpha(Z) and
+    # alpha(Z1) of the 6 modules with alpha(Z) != 0, built once each for their floats
     flag, j = _flag_j("E6xE6", [i for i in range(12) if i not in (3, 9)])
     z = [Fraction(0)] * 12
     z[3], z[9] = Fraction(1), Fraction(-1)
     base = make_base(flag, j, CartanVector(tuple(z)))
+    assert base.z.kind == "quadratic"
+    sp = ein.SegmentPolynomial.from_base(base, 1, 1)
+    assert sum(k != 0 for k in sp.k_f) == 6
 
     def build():
         ein.build_segment_polynomial(base, 1, 1).deflations
 
-    assert _count_quads(monkeypatch, build) <= 20 * len(j.positive)  # 14362 for 58 roots with per-root products
-    # one alpha(Z1) and one alpha(Z) per isotropy module: 504 with per-root values
-    assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) <= 50
+    # 14362 with per-root products; 42, 12 and 18 with module values split again and reversed in Quads
+    assert _count_quads(monkeypatch, build) == 24
+    assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) == 12
+    assert _count_quads(monkeypatch, sp.reversed) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +516,12 @@ def test_segment_polynomial_quad_count_is_linear_in_roots(monkeypatch):
 
 
 def _toy_sp():
-    # P(v) = (1 - v/2)(v/2): factors with a wall at v = 0
+    # P(v) = (1 - v/2)(v/2): factors with a wall at v = 0, from (alpha(Zk), alpha(Z)) with Z1 = Zk + Z
     modules = {
-        (Fraction(1), Fraction(1, 2), Fraction(1, 2)): [Root((1, 0))],
-        (Fraction(0), Fraction(-1, 2), Fraction(1, 2)): [Root((0, 1))],
+        (Fraction(1, 2), Fraction(1, 2)): [Root((1, 0))],
+        (Fraction(1, 2), Fraction(-1, 2)): [Root((0, 1))],
     }
-    return ein.SegmentPolynomial(modules, 1, 1)
+    return ein.SegmentPolynomial(*value_table(modules), 1, 1)
 
 
 def test_u_eval_worked_example():
@@ -542,8 +586,8 @@ def test_first_integral_identity_on_random_polynomials():
         for i in range(n):
             a = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             k = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            modules.setdefault((a, k, a), []).append(Root((i,)))  # equal keys merge into one module
-        sp = ein.SegmentPolynomial(modules, m1, 1)
+            modules.setdefault((a - m1 * k, k), []).append(Root((i,)))  # equal keys merge into one module
+        sp = ein.SegmentPolynomial(*value_table(modules), m1, 1)
         assert first_integral_identity_numerator(sp) == []
 
 

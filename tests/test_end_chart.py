@@ -101,6 +101,20 @@ def test_walled_profile_is_the_projective_space_metric():
     assert res["roundtrip_error"] < 1e-8
 
 
+def test_walled_segment_seen_from_its_walled_end_and_in_floats():
+    # the mirror direction -Z with degrees (1, 3) has the walls at Z2, where the degree check must find them,
+    # and is the reversed segment; the float direction at m1 = 3 solves the same projective-space profile
+    sp = _walled_a2()
+    mirror = _sp("A2", [1], [Fraction(1, 6), Fraction(0)], 1, 3, period_scale=Fraction(1, 3))
+    rev = sp.reversed()
+    assert (mirror.m1, mirror.m2) == (1, 3) and (mirror.coeffs, mirror.q_coeffs) == (rev.coeffs, rev.q_coeffs)
+    floats = _sp("A2", [1], [-1 / 6, 0.0], 3, 1, period_scale=Fraction(1, 3))
+    assert not floats.exact
+    prof = ein.profile_solve(floats)
+    assert abs(prof.delta - math.pi * math.sqrt(2)) < 1e-12
+    assert max(ein.verify_profile(floats, prof).values()) < 1e-6
+
+
 def test_failed_chart_build_is_cached():
     # nonvanishing obstruction: the same exception object every time, and
     # u_float falls back to the direct ratio
