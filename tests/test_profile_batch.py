@@ -107,8 +107,16 @@ def _oracle_t_of_f(pmap, f):
 
 
 def _oracle_verify(sp, profile, n_check):
-    """verify_profile's maxima, one check and one inversion at a time."""
+    """verify_profile's maxima, one check and one inversion at a time, and the stencil's rounding.
+
+    At a check the stencil route is -(q(t-2h) - 8 q(t-h) + 8 q(t+h) - q(t+2h))/(12 h f'),
+    so a rounding unit eps |q| in each of its four values moves it by up to
+    18 eps max|q| / (12 h |f'|).  The largest of these over the checks bounds
+    how far two routes' maxima of |rn - rn_fd| can part at rounding level.
+    """
     pmap = profile.map
+    eps = np.finfo(float).eps
+    stencil_rounding = 0.0
 
     def state(t):
         f = _oracle_f_of_t(pmap, t)
@@ -123,7 +131,9 @@ def _oracle_verify(sp, profile, n_check):
         f, fp, fpp = state(t)
         rn = ein.ricci_normal_state(sp, f, fp, fpp)
         h = min(profile.delta / 400.0, t / 3.0, (profile.delta - t) / 3.0)
-        rn_fd = -(q_of(t - 2 * h) - 8 * q_of(t - h) + 8 * q_of(t + h) - q_of(t + 2 * h)) / (12 * h) / fp
+        q2m, q1m, q1p, q2p = q_of(t - 2 * h), q_of(t - h), q_of(t + h), q_of(t + 2 * h)
+        rn_fd = -(q2m - 8 * q1m + 8 * q1p - q2p) / (12 * h) / fp
+        stencil_rounding = max(stencil_rounding, 18 * eps * max(map(abs, (q2m, q1m, q1p, q2p))) / (12 * h * fp))
         tan = float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp))))
         for key, value in [
             ("max_tangential_residual", tan),
@@ -132,7 +142,7 @@ def _oracle_verify(sp, profile, n_check):
             ("roundtrip_error", abs(_oracle_t_of_f(pmap, f) - t)),
         ]:
             out[key] = max(out[key], value)
-    return out
+    return out, stencil_rounding
 
 
 def _sample_times(pmap):
@@ -203,11 +213,16 @@ def test_t_of_f_matches_scalar_oracle(case):
 
 
 def test_verify_profile_matches_per_check_oracle(case):
+    """Every maximum within 1e-13 of the oracle's; the two-route gap within the stencil's rounding.
+
+    The five-point stencil divides the rounding of q by 12 h f', so an f one
+    ulp apart moves the gap by about 1e-13; its bound is derived per check.
+    """
     sp, profile = case
     got = ein.verify_profile(sp, profile, n_check=64)
-    want = _oracle_verify(sp, profile, 64)
+    want, stencil_rounding = _oracle_verify(sp, profile, 64)
     for key, value in want.items():
-        assert abs(got[key] - value) <= 1e-13, key
+        assert abs(got[key] - value) <= (stencil_rounding if key == "normal_two_route_gap" else 1e-13), key
 
 
 def test_scalar_in_float_out_and_shapes_kept(case):
