@@ -82,11 +82,12 @@ def p_to_float(a: Sequence[Scalar]) -> np.ndarray:
 
 
 def p_eval_float(coeffs: np.ndarray, x):
-    """Horner evaluation of ascending float coefficients, numpy-vectorized."""
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
+    """Horner evaluation of ascending float coefficients, numpy-vectorized, in place; a float x gives a float."""
+    out = np.zeros(np.shape(x))
+    for c in coeffs[::-1].tolist():
+        out *= x
+        out += c
+    return out if out.ndim else out[()]
 
 
 def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -169,10 +170,12 @@ class EndChart:
     def integrand(self, w):
         """dt/dw = 2/sqrt(-2q/p) at x = w^2; it tends to sqrt(2) at the end."""
         W = np.asarray(w, dtype=float) ** 2
-        ratio = -2.0 * p_eval_float(self.q_f, W) / p_eval_float(self.p_f, W)
-        if np.any(ratio <= 0):
+        out = np.asarray(p_eval_float(self.q_f, W))  # -2q/p, its root and 2/root in this one buffer
+        out *= -2.0
+        out /= p_eval_float(self.p_f, W)
+        if np.any(out <= 0):
             raise NoKahlerEinsteinError("first integral not positive on the open segment")
-        return 2.0 / np.sqrt(ratio)
+        return np.divide(2.0, np.sqrt(out, out=out), out=out)
 
 
 class SegmentPolynomial:

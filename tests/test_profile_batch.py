@@ -243,3 +243,24 @@ def test_newton_non_convergence_raises_internal_error(case, monkeypatch):
     monkeypatch.setattr(ein, "NEWTON_MAX_ITER", 1)
     with pytest.raises(InternalError, match="did not converge"):
         profile.map.f_of_t(profile.t)
+
+
+def _horner_out_of_place(coeffs, x):
+    """Horner's rule with a fresh array per step: the oracle of p_eval_float's rounding."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
+
+
+def test_in_place_horner_matches_out_of_place_bit_for_bit():
+    rng = np.random.default_rng(9709003)
+    for degree in range(61):
+        coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-6, 7, degree + 1)
+        for x in (float(rng.uniform(-2, 2)), np.float64(rng.uniform(-2, 2)), np.array(rng.uniform(-2, 2)),
+                  rng.uniform(-2, 2, 7), rng.uniform(-2, 2, (3, 5))):
+            got, want = ein.p_eval_float(coeffs, x), _horner_out_of_place(coeffs, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            if np.ndim(x) == 0:
+                assert isinstance(got, float)
