@@ -433,8 +433,9 @@ class _HalfTable:
     """Cumulative composite Gauss-Legendre table of t over one end chart.
 
     Panels are uniform in w on [0, w_max], where x = w^2 is the distance
-    from the chart's end and the integrand dt/dw is smooth.  Both directions
-    of the map work on whole 1-d arrays of points.
+    from the chart's end and the integrand dt/dw is smooth; g_edges holds it
+    at the panel edges.  Both directions of the map work on whole 1-d arrays
+    of points.
     """
 
     def __init__(self, chart: EndChart, w_max: float, n_panels: int, gx: np.ndarray, gw: np.ndarray):
@@ -443,6 +444,7 @@ class _HalfTable:
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
         self.panels = self._panel_sums(gx, gw)
         self.cum = np.concatenate([[0.0], np.cumsum(self.panels)])
+        self.g_edges = self.g(self.edges)
 
     def _panel_sums(self, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
         """Every panel's Gauss sum of g under the rule (gx, gw), from one integrand call."""
@@ -470,10 +472,12 @@ class _HalfTable:
     def w_of_t(self, t: np.ndarray) -> np.ndarray:
         """Solve t(w) = t for every point at once by safeguarded Newton.
 
-        Each point is bracketed by its panel and starts from linear
-        interpolation in it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g;
-        one that would leave the bracket, tightened at every evaluation,
-        bisects it instead (rtsafe, Numerical Recipes 9.4).  The iteration
+        Each point is bracketed by its panel and starts from the cubic
+        Hermite interpolant of w(t) on it, with the end slopes dw/dt = 1/g;
+        one Newton step from there reaches rounding and a second confirms
+        it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g; one that would
+        leave the bracket, tightened at every evaluation, bisects it instead
+        (rtsafe, Numerical Recipes 9.4).  The iteration
         stops when every step is at the rounding level of w or of t(w) - t.
         Points whose time rounds just past their panel's end settle on that
         end, within rounding.
@@ -481,7 +485,10 @@ class _HalfTable:
         i = self._panel(t, self.cum)
         lo, c0 = self.edges[i], self.cum[i]
         a, b = lo, self.edges[i + 1]
-        w = a + (b - a) * np.clip((t - c0) / (self.cum[i + 1] - c0), 0.0, 1.0)
+        dt = self.cum[i + 1] - c0
+        s = np.clip((t - c0) / dt, 0.0, 1.0)
+        w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g_edges[i]
+             + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g_edges[i + 1])
         for _ in range(NEWTON_MAX_ITER):
             partial, g_w = self._t_and_g(lo, w)
             h = c0 + partial - t

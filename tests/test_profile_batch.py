@@ -264,3 +264,26 @@ def test_in_place_horner_matches_out_of_place_bit_for_bit():
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             if np.ndim(x) == 0:
                 assert isinstance(got, float)
+
+
+def test_each_inversion_makes_at_most_two_integrand_batches(case, monkeypatch):
+    """From the Hermite start one Newton batch reaches rounding and a second confirms it."""
+    sp, profile = case
+    t_and_g, w_of_t = ein._HalfTable._t_and_g, ein._HalfTable.w_of_t
+    calls, batches = [0], []
+
+    def counted_t_and_g(self, lo, w):
+        calls[0] += 1
+        return t_and_g(self, lo, w)
+
+    def counted_w_of_t(self, t):
+        before = calls[0]
+        out = w_of_t(self, t)
+        batches.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(ein._HalfTable, "_t_and_g", counted_t_and_g)
+    monkeypatch.setattr(ein._HalfTable, "w_of_t", counted_w_of_t)
+    profile.map.f_of_t(_sample_times(profile.map))
+    ein.verify_profile(sp, ein.profile_solve(sp, grid_size=1024), n_check=64)
+    assert len(batches) == 6 and max(batches) <= 2
