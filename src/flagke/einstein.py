@@ -187,14 +187,15 @@ class SegmentPolynomial:
     den is None, and maps to the roots of R_m+ taking it, an isotropy module
     whose size is its multiplicity.  With the obstruction's product
     E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1): on exact keys E is one
-    integer product (`polys.int_linear_product`) and P its integer Taylor
-    shift (`polys.int_taylor_shift`).  Attributes ending in ``_f`` are float
+    integer product (`polys.int_linear_product`), kept as ``product`` and
+    taken from ``product`` when given, and P its integer Taylor shift
+    (`polys.int_taylor_shift`).  Attributes ending in ``_f`` are float
     arrays for numerics, one entry per module; everything else is exact when
     the keys are exact.  Instances are immutable after construction.
     """
 
     def __init__(self, modules: Dict[tuple, Sequence[Root]], den: Optional[int], r: Optional[Fraction], m1: int,
-                 m2: int):
+                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None):
         self.modules = {key: tuple(roots) for key, roots in modules.items()}
         self.den, self.r = den, r
         self.m1, self.m2 = int(m1), int(m2)
@@ -208,7 +209,8 @@ class SegmentPolynomial:
             parts = [(key[:2], key[2:], (key[0] + m1 * key[2], key[1] + m1 * key[3])) for key in self.modules]
             self.zk_f, self.k_f, self.a_f = (np.array([float(pair_scalar(*p[i], den, r)) for p in parts])
                                              for i in range(3))
-            us, vs = (int_taylor_shift(c, -m1) for c in int_linear_product(dict(zip(self.modules, d)), r))
+            self.product = product or int_linear_product(dict(zip(self.modules, d)), r)
+            us, vs = (int_taylor_shift(c, -m1) for c in self.product)
             self.coeffs = pair_poly(us, vs, den ** sum(d), r)
             self.q_coeffs = int_shifted_antiderivative(us, vs, den ** sum(d), r, m1)
         else:
@@ -283,11 +285,13 @@ class SegmentPolynomial:
         """The segment run backwards: (Z2, -Z, m2, m1), so P_rev(x) = P(m1+m2 - x) = E(m2 - x).
 
         The same table with its Z parts negated and the degrees swapped; its
-        walls are those of this polynomial, swapped.
+        walls are those of this polynomial, swapped.  Its product is
+        E(-y), E's integer lists with the odd coefficients negated.
         """
         n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
         modules = {key[:n] + tuple(-x for x in key[n:]): roots for key, roots in self.modules.items()}
-        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1)
+        product = tuple([-c if k % 2 else c for k, c in enumerate(cs)] for cs in self.product) if self.exact else None
+        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1, product)
 
     # -- pointwise data ------------------------------------------------------
 

@@ -164,6 +164,8 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
 
 def int_taylor_shift(cs: Sequence[int], s: int) -> List[int]:
     """The coefficients of sum c_n (x + s)^n, by Horner's rule in integers; the length is kept."""
+    if not any(cs):  # the sqrt(R) list of a rational product
+        return list(cs)
     out: List[int] = []
     for c in reversed(cs):
         out = [s * a + b for a, b in zip(out + [0], [c] + out)]  # out (x + s) + c

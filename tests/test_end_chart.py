@@ -65,6 +65,18 @@ def test_reversed_left_chart_is_composed_right_end(make):
     assert twice.coeffs == sp.coeffs and twice.q_coeffs == sp.q_coeffs
 
 
+@pytest.mark.parametrize("make", EXACT_CASES)
+def test_reversed_negates_the_odd_product_coefficients(make, monkeypatch):
+    """E_rev(y) = E(-y): reversing takes E's integer lists with the odd coefficients negated, multiplying nothing."""
+    sp = make()
+    with monkeypatch.context() as patch:
+        patch.setattr(ein, "int_linear_product", None)
+        rev = sp.reversed()
+    fresh = ein.SegmentPolynomial(rev.modules, rev.den, rev.r, rev.m1, rev.m2)
+    assert rev.product == fresh.product
+    assert (rev.coeffs, rev.q_coeffs) == (fresh.coeffs, fresh.q_coeffs)
+
+
 def test_reversed_float_winner_matches_composition():
     # float coefficients: the composition and the reversed product round
     # differently, so they agree to rounding, not bit for bit
