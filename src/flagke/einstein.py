@@ -187,8 +187,8 @@ class SegmentPolynomial:
     den is None, and maps to the roots of R_m+ taking it, an isotropy module
     whose size is its multiplicity.  With the obstruction's product
     E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1): on exact keys E is one
-    integer product (`polys.int_linear_product`), kept as ``product`` and
-    taken from ``product`` when given, and P its integer Taylor shift
+    integer product (`polys.int_linear_product`, or ``product`` when the
+    caller has it), kept as ``product``, and P its integer Taylor shift
     (`polys.int_taylor_shift`).  Attributes ending in ``_f`` are float
     arrays for numerics, one entry per module; everything else is exact when
     the keys are exact.  Instances are immutable after construction.
@@ -481,10 +481,10 @@ class _HalfTable:
         one Newton step from there reaches rounding and a second confirms
         it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g; one that would
         leave the bracket, tightened at every evaluation, bisects it instead
-        (rtsafe, Numerical Recipes 9.4).  The iteration
-        stops when every step is at the rounding level of w or of t(w) - t.
-        Points whose time rounds just past their panel's end settle on that
-        end, within rounding.
+        (rtsafe, Numerical Recipes 9.4).  The iteration stops when every step
+        is at the rounding level of w or of t(w) - t.  Points whose time
+        rounds just past their panel's end settle on that end, within
+        rounding.
         """
         i = self._panel(t, self.cum)
         lo, c0 = self.edges[i], self.cum[i]
