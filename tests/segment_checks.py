@@ -3,7 +3,8 @@
 The module table of hand-built values, the first-integral identity and the
 scaled-Ricci negative control, shared by `test_einstein.py` and
 `test_acceptance.py`, and the exact polynomial sum and scaling they are
-built from; the Ricci evaluations at one time;
+built from; the Ricci evaluations at one time; the rounding bounds of the
+verify keys that divide by small numbers;
 the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
@@ -20,6 +21,8 @@ and the pair product of linear factors, the oracle of the one-list forms of
 import itertools
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 from flagke import einstein as ein
 from flagke import linalg
@@ -100,6 +103,41 @@ def ricci_tangential(sp, profile, alpha, t):
 def ricci_normal(profile, sp, t):
     """r(xi, xi) at one time t by the closed form with f''' from the differentiated flow."""
     return ein.ricci_normal_state(sp, *ein._state_at(sp, profile, t))
+
+
+def verify_rounding(sp, f, fp, q, h):
+    """How far rounding can move two of `einstein.verify_profile`'s maxima, the largest over the checks.
+
+    ``f`` and ``fp`` are the state at each check, ``q`` holds q = f'' -
+    (f')^2 s1/2 at each check and its four stencil points (t, t - 2h, t - h,
+    t + h, t + 2h on the last axis, as `einstein._STENCIL`), ``h`` the
+    stencil steps.  Two maxima taken over the same checks part by at most the
+    largest per-check difference, so these bound how far two routes may
+    part at rounding level:
+
+    - normal_two_route_gap: the stencil route -(q(t-2h) - 8 q(t-h) + 8 q(t+h)
+      - q(t+2h))/(12 h f') moves by up to 18 eps max|q|/(12 h |f'|) for a
+      rounding unit eps |q| in each of its four values;
+    - max_tangential_residual: a module's residual (zk + q k)/(a - k f) - 1
+      moves by |k| ulp(q)/|a - k f| for one ulp of q, and by
+      |k (zk + q k)| ulp(f)/(a - k f)^2 for one ulp of f.
+    """
+    f, fp, q, h = (np.asarray(x, dtype=float) for x in (f, fp, q, h))
+    eps = np.finfo(float).eps
+    stencil = 18 * eps * np.max(np.abs(q[..., 1:]), axis=-1) / (12 * h * np.abs(fp))
+    g = sp.a_f - sp.k_f * f[..., None]
+    r = sp.zk_f + q[..., :1] * sp.k_f
+    k = np.abs(sp.k_f)
+    tangential = k * (np.spacing(np.abs(q[..., :1])) + np.spacing(np.abs(f[..., None])) * np.abs(r / g)) / np.abs(g)
+    return {"normal_two_route_gap": float(np.max(stencil)), "max_tangential_residual": float(np.max(tangential))}
+
+
+def verify_rounding_of(sp, profile, n_check):
+    """`verify_rounding` at the checks and stencil points of `einstein.verify_profile` (sp, profile, n_check)."""
+    ts = np.linspace(0.0, profile.delta, n_check + 2)[1:-1]
+    h = np.minimum(np.minimum(profile.delta / 400.0, ts / 3.0), (profile.delta - ts) / 3.0)
+    f, fp, fpp = ein._state_at(sp, profile, ts[:, None] + h[:, None] * ein._STENCIL)
+    return verify_rounding(sp, f[:, 0], fp[:, 0], ein._ricci_q(sp, f, fp, fpp), h)
 
 
 def pairwise_closure(flag, j):

@@ -22,6 +22,7 @@ from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system
 from flagke.scalars import Quad
+from segment_checks import verify_rounding
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -107,16 +108,13 @@ def _oracle_t_of_f(pmap, f):
 
 
 def _oracle_verify(sp, profile, n_check):
-    """verify_profile's maxima, one check and one inversion at a time, and the stencil's rounding.
+    """verify_profile's maxima, one check and one inversion at a time, and their rounding bounds.
 
-    At a check the stencil route is -(q(t-2h) - 8 q(t-h) + 8 q(t+h) - q(t+2h))/(12 h f'),
-    so a rounding unit eps |q| in each of its four values moves it by up to
-    18 eps max|q| / (12 h |f'|).  The largest of these over the checks bounds
-    how far two routes' maxima of |rn - rn_fd| can part at rounding level.
+    The bounds are `segment_checks.verify_rounding`'s, from the oracle's own
+    states and stencil values.
     """
     pmap = profile.map
-    eps = np.finfo(float).eps
-    stencil_rounding = 0.0
+    checks = []
 
     def state(t):
         f = _oracle_f_of_t(pmap, t)
@@ -131,9 +129,9 @@ def _oracle_verify(sp, profile, n_check):
         f, fp, fpp = state(t)
         rn = ein.ricci_normal_state(sp, f, fp, fpp)
         h = min(profile.delta / 400.0, t / 3.0, (profile.delta - t) / 3.0)
-        q2m, q1m, q1p, q2p = q_of(t - 2 * h), q_of(t - h), q_of(t + h), q_of(t + 2 * h)
-        rn_fd = -(q2m - 8 * q1m + 8 * q1p - q2p) / (12 * h) / fp
-        stencil_rounding = max(stencil_rounding, 18 * eps * max(map(abs, (q2m, q1m, q1p, q2p))) / (12 * h * fp))
+        qs = [fpp - (fp * fp) * sp.log_deriv_sums(f)[0] / 2.0] + [q_of(t + h * x) for x in ein._STENCIL[1:]]
+        rn_fd = -(qs[1] - 8 * qs[2] + 8 * qs[3] - qs[4]) / (12 * h) / fp
+        checks.append((f, fp, qs, h))
         tan = float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp))))
         for key, value in [
             ("max_tangential_residual", tan),
@@ -142,7 +140,7 @@ def _oracle_verify(sp, profile, n_check):
             ("roundtrip_error", abs(_oracle_t_of_f(pmap, f) - t)),
         ]:
             out[key] = max(out[key], value)
-    return out, stencil_rounding
+    return out, verify_rounding(sp, *zip(*checks))
 
 
 def _sample_times(pmap):
@@ -213,16 +211,18 @@ def test_t_of_f_matches_scalar_oracle(case):
 
 
 def test_verify_profile_matches_per_check_oracle(case):
-    """Every maximum within 1e-13 of the oracle's; the two-route gap within the stencil's rounding.
+    """Every maximum within 1e-13 of the oracle's, or within its rounding bound where that is larger.
 
-    The five-point stencil divides the rounding of q by 12 h f', so an f one
-    ulp apart moves the gap by about 1e-13; its bound is derived per check.
+    The five-point stencil divides the rounding of q by 12 h f', and a wall
+    module's residual divides it by alpha(Z1 - f Z), so an f one ulp apart
+    moves the two-route gap by about 1e-13 and the walled tangential
+    residual by about 2e-13; their bounds are derived per check.
     """
     sp, profile = case
     got = ein.verify_profile(sp, profile, n_check=64)
-    want, stencil_rounding = _oracle_verify(sp, profile, 64)
+    want, rounding = _oracle_verify(sp, profile, 64)
     for key, value in want.items():
-        assert abs(got[key] - value) <= (stencil_rounding if key == "normal_two_route_gap" else 1e-13), key
+        assert abs(got[key] - value) <= max(1e-13, rounding.get(key, 0.0)), key
 
 
 def test_scalar_in_float_out_and_shapes_kept(case):
