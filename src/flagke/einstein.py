@@ -150,7 +150,7 @@ class EndChart:
             raise DegreeMismatchError("Q vanishes to order %d at %s, expected %d" % (lq, where, m))
         self.m = m
         self.p, self.q = list(coeffs[m - 1:]), list(q_coeffs[m:])
-        self.p_f, self.q_f = p_to_float(self.p), p_to_float(self.q)
+        self.p_f, self.q_f = sp.coeffs_f[m - 1:], sp.q_coeffs_f[m:]
         self.dp_f = p_to_float(p_deriv(self.p))
 
     def u(self, x):
@@ -185,7 +185,8 @@ class SegmentPolynomial:
     `model.isotropy_modules` under (Zk, Z): each key gives (alpha(Zk),
     alpha(Z)), as integer parts over den in the field of r or as floats when
     den is None, and maps to the roots of R_m+ taking it, an isotropy module
-    whose size is its multiplicity.  With the obstruction's product
+    whose size is its multiplicity; ``zk_k_f`` is its alpha(Zk) and alpha(Z)
+    as float arrays when the caller has them.  With the obstruction's product
     E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1): on exact keys E is one
     integer product (`polys.int_linear_product`, or ``product`` when the
     caller has it), kept as ``product``, and P its integer Taylor shift
@@ -195,7 +196,8 @@ class SegmentPolynomial:
     """
 
     def __init__(self, modules: Dict[tuple, Sequence[Root]], den: Optional[int], r: Optional[Fraction], m1: int,
-                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None):
+                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None,
+                 zk_k_f: Optional[Tuple[np.ndarray, np.ndarray]] = None):
         self.modules = {key: tuple(roots) for key, roots in modules.items()}
         self.den, self.r = den, r
         self.m1, self.m2 = int(m1), int(m2)
@@ -204,17 +206,17 @@ class SegmentPolynomial:
 
         d = [len(roots) for roots in self.modules.values()]
         self.d_f = np.array(d, dtype=float)
+        n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z); each built once for its float
+        scalar = (lambda u, v: float(pair_scalar(u, v, den, r))) if self.exact else float
+        self.zk_f, self.k_f = zk_k_f or [np.array([scalar(*key[i:i + n]) for key in self.modules]) for i in (0, n)]
         # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
-        if self.exact:  # alpha(Zk), alpha(Z) and alpha(Z1) built once each, for their floats; P and Q in integers
-            parts = [(key[:2], key[2:], (key[0] + m1 * key[2], key[1] + m1 * key[3])) for key in self.modules]
-            self.zk_f, self.k_f, self.a_f = (np.array([float(pair_scalar(*p[i], den, r)) for p in parts])
-                                             for i in range(3))
+        if self.exact:  # alpha(Z1) built once for its float; P and Q in integers
+            self.a_f = np.array([scalar(key[0] + m1 * key[2], key[1] + m1 * key[3]) for key in self.modules])
             self.product = product or int_linear_product(dict(zip(self.modules, d)), r)
             us, vs = (int_taylor_shift(c, -m1) for c in self.product)
             self.coeffs = pair_poly(us, vs, den ** sum(d), r)
             self.q_coeffs = int_shifted_antiderivative(us, vs, den ** sum(d), r, m1)
         else:
-            self.zk_f, self.k_f = (np.array([float(key[i]) for key in self.modules]) for i in range(2))
             self.a_f = self.zk_f + m1 * self.k_f
             self.coeffs = p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()
             self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
@@ -286,12 +288,13 @@ class SegmentPolynomial:
 
         The same table with its Z parts negated and the degrees swapped; its
         walls are those of this polynomial, swapped.  Its product is
-        E(-y), E's integer lists with the odd coefficients negated.
+        E(-y), E's integer lists with the odd coefficients negated, and its
+        alpha(Zk) and alpha(Z) floats are these with alpha(Z) negated.
         """
         n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
         modules = {key[:n] + tuple(-x for x in key[n:]): roots for key, roots in self.modules.items()}
         product = tuple([-c if k % 2 else c for k, c in enumerate(cs)] for cs in self.product) if self.exact else None
-        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1, product)
+        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1, product, (self.zk_f, -self.k_f))
 
     # -- pointwise data ------------------------------------------------------
 

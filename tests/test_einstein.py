@@ -493,7 +493,8 @@ def test_exact_obstruction_builds_at_most_one_quad(monkeypatch):
 def test_segment_polynomial_quad_count_is_one_per_module_value(monkeypatch):
     # the E6 x E6 antisymmetric diameter at node 3: Z is a pure radical, but the roots pair off with opposite
     # alpha(Z), so E(y) is even and P = E(x - 1) and Q are rational; the only Quads are alpha(Z) and
-    # alpha(Z1) of the 6 modules with alpha(Z) != 0, built once each for their floats
+    # alpha(Z1) of the 6 modules with alpha(Z) != 0, built once each for their floats; the reversed segment
+    # takes alpha(Z) negated and builds only its alpha(Z1)
     flag, j = _flag_j("E6xE6", [i for i in range(12) if i not in (3, 9)])
     z = [Fraction(0)] * 12
     z[3], z[9] = Fraction(1), Fraction(-1)
@@ -505,10 +506,11 @@ def test_segment_polynomial_quad_count_is_one_per_module_value(monkeypatch):
     def build():
         ein.build_segment_polynomial(base, 1, 1).deflations
 
-    # 14362 with per-root products; 42, 12 and 18 with module values split again and reversed in Quads
-    assert _count_quads(monkeypatch, build) == 24
+    # 14362 with per-root products; 42, 12 and 18 with module values split again and reversed in Quads;
+    # 24, 12 and 12 with alpha(Z) built again for the reversed segment
+    assert _count_quads(monkeypatch, build) == 18
     assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) == 12
-    assert _count_quads(monkeypatch, sp.reversed) == 12
+    assert _count_quads(monkeypatch, sp.reversed) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ def test_reversed_negates_the_odd_product_coefficients(make, monkeypatch):
     fresh = ein.SegmentPolynomial(rev.modules, rev.den, rev.r, rev.m1, rev.m2)
     assert rev.product == fresh.product
     assert (rev.coeffs, rev.q_coeffs) == (fresh.coeffs, fresh.q_coeffs)
+    for got, want in ((rev.zk_f, fresh.zk_f), (rev.k_f, fresh.k_f), (rev.a_f, fresh.a_f)):
+        assert got.tobytes() == want.tobytes()  # alpha(Z) negated in floats is the float of -alpha(Z)
 
 
 def test_reversed_float_winner_matches_composition():

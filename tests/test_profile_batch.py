@@ -225,6 +225,15 @@ def test_verify_profile_matches_per_check_oracle(case):
         assert abs(got[key] - value) <= max(1e-13, rounding.get(key, 0.0)), key
 
 
+def test_chart_floats_are_the_floats_of_the_exact_lists(case):
+    """Each chart slices its float p and q from the segment's float arrays, the same bytes as converting its own."""
+    sp, _ = case
+    for chart in sp.deflations:
+        for got, exact in ((chart.p_f, chart.p), (chart.q_f, chart.q)):
+            want = ein.p_to_float(exact)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_scalar_in_float_out_and_shapes_kept(case):
     _, profile = case
     pmap = profile.map
