@@ -42,7 +42,7 @@ from .rootsys import (
 from .scalars import format_scalar
 
 FLOAT_FMT = "%.12e"  # all exported floats carry 12 significant digits
-# profile inversion holds grid x einstein.PROFILE_GAUSS_ORDER floats per Newton step
+# profile inversion holds a few grid x (einstein.PROFILE_GAUSS_ORDER + 1) float arrays per Newton step
 MAX_GRID = 65536
 # the tolerances a solve report states, and which of them each verify check is held to
 TOLERANCES = {

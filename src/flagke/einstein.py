@@ -196,8 +196,7 @@ class SegmentPolynomial:
     """
 
     def __init__(self, modules: Dict[tuple, Sequence[Root]], den: Optional[int], r: Optional[Fraction], m1: int,
-                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None,
-                 zk_k_f: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None, zk_k_f: Optional[tuple] = None):
         self.modules = {key: tuple(roots) for key, roots in modules.items()}
         self.den, self.r = den, r
         self.m1, self.m2 = int(m1), int(m2)
@@ -413,6 +412,30 @@ def _gauss_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return gx, gw
 
 
+@functools.lru_cache(maxsize=None)
+def _panel_series(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three stages from n Gauss-Legendre values of g on [-1, 1] to power series in s, built once per order.
+
+    L (n x n) takes the values to the Legendre coefficients c of their
+    interpolant, c_k = (k + 1/2) sum_j w_j P_k(x_j) g_j by the rule's
+    discrete orthogonality; D (n+1 x n) takes c to those of its
+    antiderivative from -1, since integral_-1^s P_k = (P_(k+1) - P_(k-1))/(2k + 1)
+    and integral_-1^s P_0 = P_1 + P_0; M (n+1 x n+1) takes Legendre
+    coefficients to power ones, each entry an integer ratio rounded once.
+    They are applied one at a time: their product mixes large entries of
+    opposite sign and loses two digits.
+    """
+    gx, gw = _gauss_rule(n)
+    L = (np.arange(n)[:, None] + 0.5) * gw * np.polynomial.legendre.legvander(gx, n - 1).T
+    D = (np.eye(n + 1, n, -1) - np.eye(n + 1, n, 1)) / (2 * np.arange(n) + 1)
+    D[0, 0] = 1.0
+    # 2^m P_m(s) = sum_k (-1)^k C(m, k) C(2m - 2k, m) s^(m - 2k) (Abramowitz-Stegun 22.3.8), k = (m - j)/2 at s^j
+    M = np.array([[(-1) ** ((m - j) // 2) * math.comb(m, (m - j) // 2) * math.comb(m + j, m) / 2 ** m
+                   if j <= m and (m - j) % 2 == 0 else 0.0 for m in range(n + 1)] for j in range(n + 1)])
+    L.flags.writeable = D.flags.writeable = M.flags.writeable = False
+    return L, D, M
+
+
 def _tanh_sinh_rule(s_max: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of integral_0^1 g(x) dx ~ sum w g(x) (Takahasi-Mori, Publ. RIMS 9, 1974).
 
@@ -437,68 +460,78 @@ _TS_X, _TS_W = _tanh_sinh_rule(4.5, 1.0 / 16)
 
 
 class _HalfTable:
-    """Cumulative composite Gauss-Legendre table of t over one end chart.
+    """Cumulative composite Gauss-Legendre table of t over one end chart, and its per-panel series.
 
     Panels are uniform in w on [0, w_max], where x = w^2 is the distance
     from the chart's end and the integrand dt/dw is smooth; g_edges holds it
-    at the panel edges.  Both directions of the map work on whole 1-d arrays
-    of points.
+    at the panel edges.  On a panel w = mid + half s with s in [-1, 1], and
+    the degree n - 1 interpolant of g at the panel's n Gauss nodes matches g
+    to rounding; integrated exactly (`_panel_series`) it gives t(w) - cum[i]
+    as a degree n power series in s.  g_cols and t_cols hold the power
+    coefficients of both series, one column per panel, and after the build
+    they are the map: no direction evaluates g again.  Both directions work
+    on whole 1-d arrays of points.
     """
 
     def __init__(self, chart: EndChart, w_max: float, n_panels: int, gx: np.ndarray, gw: np.ndarray):
         self.g = chart.integrand
-        self._gx, self._gw = gx, gw
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
-        self.panels = self._panel_sums(gx, gw)
+        self.mid = (self.edges[1:] + self.edges[:-1]) / 2
+        self.half = (self.edges[1:] - self.edges[:-1]) / 2
+        self.panels, vals = self._panel_sums(gx, gw)
         self.cum = np.concatenate([[0.0], np.cumsum(self.panels)])
         self.g_edges = self.g(self.edges)
+        L, D, M = _panel_series(len(gx))
+        c = L @ vals.T
+        self.g_cols, self.t_cols = M[:-1, :-1] @ c, M @ (D @ c) * self.half
 
-    def _panel_sums(self, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
-        """Every panel's Gauss sum of g under the rule (gx, gw), from one integrand call."""
-        mid = (self.edges[1:] + self.edges[:-1]) / 2
-        half = (self.edges[1:] - self.edges[:-1]) / 2
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
+    def _panel_sums(self, gx: np.ndarray, gw: np.ndarray):
+        """Every panel's Gauss sum of g under the rule (gx, gw), and the values summed, from one integrand call."""
+        nodes = self.mid[:, None] + self.half[:, None] * gx[None, :]
         vals = self.g(nodes.ravel()).reshape(nodes.shape)
-        return (vals * gw[None, :]).sum(axis=1) * half
+        return (vals * gw[None, :]).sum(axis=1) * self.half, vals
 
     def _panel(self, x: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Index of the panel holding each x, by the table of panel starts."""
         return np.clip(np.searchsorted(table, x, side="right") - 1, 0, len(self.edges) - 2)
 
-    def _t_and_g(self, lo: np.ndarray, w: np.ndarray):
-        """The Gauss sums of g over [lo, w] and g(w), row by row, from one integrand call."""
-        mid, half = (lo + w) / 2, (w - lo) / 2
-        vals = self.g(np.concatenate([mid[:, None] + half[:, None] * self._gx, w[:, None]], axis=1))
-        return vals[:, :-1] @ self._gw * half, vals[:, -1]
+    def _powers(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """s^0 .. s^n of each w's variable s on its panel i, one column per point."""
+        out = np.empty((len(self.t_cols), len(w)))
+        out[0], out[1] = 1.0, (w - self.mid[i]) / self.half[i]
+        for k in range(2, len(out)):
+            np.multiply(out[k - 1], out[1], out=out[k])
+        return out
 
     def t_of_w(self, w: np.ndarray) -> np.ndarray:
         i = self._panel(w, self.edges)
-        lo = self.edges[i]
-        return self.cum[i] + self._t_and_g(lo, np.maximum(np.minimum(w, self.edges[-1]), lo))[0]
+        w = np.maximum(np.minimum(w, self.edges[-1]), self.edges[i])
+        return self.cum[i] + np.einsum("ij,ij->j", self.t_cols[:, i], self._powers(i, w))
 
     def w_of_t(self, t: np.ndarray) -> np.ndarray:
-        """Solve t(w) = t for every point at once by safeguarded Newton.
+        """Solve t(w) = t for every point at once by safeguarded Newton on the panel series.
 
         Each point is bracketed by its panel and starts from the cubic
         Hermite interpolant of w(t) on it, with the end slopes dw/dt = 1/g;
         one Newton step from there reaches rounding and a second confirms
-        it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g; one that would
-        leave the bracket, tightened at every evaluation, bisects it instead
-        (rtsafe, Numerical Recipes 9.4).  The iteration stops when every step
-        is at the rounding level of w or of t(w) - t.  Points whose time
-        rounds just past their panel's end settle on that end, within
-        rounding.
+        it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g, both from the
+        panel's series; one that would leave the bracket, tightened at every
+        evaluation, bisects it instead (rtsafe, Numerical Recipes 9.4).  The
+        iteration stops when every step is at the rounding level of w or of
+        t(w) - t.  Points whose time rounds just past their panel's end
+        settle on that end, within rounding.
         """
         i = self._panel(t, self.cum)
-        lo, c0 = self.edges[i], self.cum[i]
-        a, b = lo, self.edges[i + 1]
+        c0 = self.cum[i]
+        a, b = self.edges[i], self.edges[i + 1]
         dt = self.cum[i + 1] - c0
         s = np.clip((t - c0) / dt, 0.0, 1.0)
         w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g_edges[i]
              + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g_edges[i + 1])
+        t_cols, g_cols = self.t_cols[:, i], self.g_cols[:, i]
         for _ in range(NEWTON_MAX_ITER):
-            partial, g_w = self._t_and_g(lo, w)
-            h = c0 + partial - t
+            powers = self._powers(i, w)
+            h, g_w = c0 + np.einsum("ij,ij->j", t_cols, powers) - t, np.einsum("ij,ij->j", g_cols, powers[:-1])
             a = np.where(h < 0, w, a)
             b = np.where(h > 0, w, b)
             w_new = w - h / g_w
@@ -511,7 +544,7 @@ class _HalfTable:
 
     def error_estimate(self, gx: np.ndarray, gw: np.ndarray) -> float:
         """Summed |G' - G| over the panels, G' their sums under a higher-order rule (gx, gw)."""
-        return float(np.sum(np.abs(self._panel_sums(gx, gw) - self.panels)))
+        return float(np.sum(np.abs(self._panel_sums(gx, gw)[0] - self.panels)))
 
 
 class ProfileMap:

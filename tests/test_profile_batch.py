@@ -8,6 +8,8 @@ Both routes to delta, the tables and tanh-sinh quadrature, are checked
 against ``mpmath.quad`` on the end charts' exact coefficients.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -47,17 +49,24 @@ for _g, _node in [("A2", 0), ("G2", 0), ("B3", 1), ("A6", 1), ("D5", 2), ("E6", 
     CASES["%sx%s" % (_g, _g)] = _antisymmetric(_g, _node)
 
 
-@pytest.fixture(scope="module", params=sorted(CASES))
-def case(request):
-    group, painted, z, m1, m2, *scale = CASES[request.param]
+@functools.lru_cache(maxsize=None)
+def _solve(name):
+    group, painted, z, m1, m2, *scale = CASES[name]
     flag = build_flag(build_root_system(LieAlgebraSpec.parse(group)), painted)
     base = make_base(flag, default_complex_structure(flag), CartanVector(tuple(z)), *scale)
     sp = ein.build_segment_polynomial(base, m1, m2)
     return sp, ein.profile_solve(sp, grid_size=1024)
 
 
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    return _solve(request.param)
+
+
 # ---------------------------------------------------------------------------
 # the scalar oracle
+
+GAUSS = ein._gauss_rule(ein.PROFILE_GAUSS_ORDER)
 
 
 def _gauss_panel(g, a, b, gx, gw):
@@ -71,7 +80,7 @@ def _gauss_panel(g, a, b, gx, gw):
 def _oracle_t_of_w(table, w):
     i = int(np.searchsorted(table.edges, w, side="right")) - 1
     i = max(0, min(i, len(table.edges) - 2))
-    return float(table.cum[i] + _gauss_panel(table.g, table.edges[i], min(w, table.edges[-1]), table._gx, table._gw))
+    return float(table.cum[i] + _gauss_panel(table.g, table.edges[i], min(w, table.edges[-1]), *GAUSS))
 
 
 def _oracle_w_of_t(table, t):
@@ -80,7 +89,7 @@ def _oracle_w_of_t(table, t):
     lo, hi = float(table.edges[i]), float(table.edges[i + 1])
 
     def h(w):
-        return table.cum[i] + _gauss_panel(table.g, lo, w, table._gx, table._gw) - t
+        return table.cum[i] + _gauss_panel(table.g, lo, w, *GAUSS) - t
 
     if h(hi) < 0:  # cumulative rounding at a panel edge
         hi = float(table.edges[-1])
@@ -163,16 +172,44 @@ def _mp(c):
     return mpmath.mpf(c)
 
 
+def _mp_integrands(sp):
+    """The end charts' integrands 2/sqrt(-2q/p)(w^2) in mpmath, from their exact coefficients."""
+    def integrand(chart):
+        p = [_mp(c) for c in reversed(chart.p)]
+        q = [_mp(c) for c in reversed(chart.q)]
+        return lambda w: 2 / mpmath.sqrt(-2 * mpmath.polyval(q, w * w) / mpmath.polyval(p, w * w))
+    return [integrand(chart) for chart in sp.deflations]
+
+
 def _mp_delta(sp):
     """delta at 30 digits: per end chart, integral_0^sqrt(half) 2/sqrt(-2q/p)(w^2) dw."""
     with mpmath.workdps(30):
-        total = mpmath.mpf(0)
-        for chart in sp.deflations:
-            p = [_mp(c) for c in reversed(chart.p)]
-            q = [_mp(c) for c in reversed(chart.q)]
-            g = lambda w: 2 / mpmath.sqrt(-2 * mpmath.polyval(q, w * w) / mpmath.polyval(p, w * w))
-            total += mpmath.quad(g, [0, mpmath.sqrt(_mp(sp.f_delta) / 2)])
-        return total
+        w_mid = mpmath.sqrt(_mp(sp.f_delta) / 2)
+        return sum(mpmath.quad(g, [0, w_mid]) for g in _mp_integrands(sp))
+
+
+def _mp_f_of_t(sp, ts, starts):
+    """f(t) at 34 digits: the root w of integral_0^w g = t on the left chart, or = delta - t on the right one.
+
+    mpmath.findroot runs Newton (dt/dw = g) to its 34-digit tolerance from
+    w0, the float inverse ``starts``, and fails unless it gets there; the
+    integral is taken once over [0, w0] and then over [w0, w].
+    """
+    with mpmath.workdps(34):
+        fd = _mp(sp.f_delta)
+        w_mid = mpmath.sqrt(fd / 2)
+        ends = [(g, mpmath.quad(g, [0, w_mid])) for g in _mp_integrands(sp)]
+        delta = ends[0][1] + ends[1][1]
+        out = []
+        for t, f in zip(ts, starts):
+            t = mpmath.mpf(t)
+            right = t > ends[0][1]
+            g, target = ends[right][0], (delta - t if right else t)
+            w0 = mpmath.sqrt(fd - f if right else f)
+            t0 = mpmath.quad(g, [0, w0]) - target
+            w = mpmath.findroot(lambda w: t0 + mpmath.quad(g, [w0, w]), w0, df=g, solver="newton")
+            out.append(fd - w * w if right else w * w)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +223,16 @@ def test_delta_routes_match_mpmath_oracle(case):
         assert abs(got - want) <= 1e-14 * want
     assert profile.diagnostics["quad_error_estimate"] < 1e-12
 
+
+
+@pytest.mark.parametrize("name", ["a2xa2-diameter", "walled-a2-3-1", "float-d3-winner"])
+def test_f_of_t_matches_34_digit_inverse(name):
+    """f_of_t within 1e-14 of the true inverse of t(f) at 8 times on each configuration of the golden reports."""
+    sp, profile = _solve(name)
+    ts = np.linspace(0.0, profile.delta, 10)[1:-1]
+    got = profile.map.f_of_t(ts)
+    want = _mp_f_of_t(sp, ts, got)
+    assert max(abs(float(g - w)) for g, w in zip(got, want)) <= 1e-14
 
 
 def test_f_of_t_matches_brentq_oracle(case):
@@ -254,6 +301,29 @@ def test_newton_non_convergence_raises_internal_error(case, monkeypatch):
         profile.map.f_of_t(profile.t)
 
 
+def test_panel_series_integrates_the_interpolant_exactly():
+    """The stages of the panel series: Legendre coefficients, their antiderivative from -1 and the power basis.
+
+    M is checked bit for bit against Bonnet's recursion in Fractions; L and D
+    on a random polynomial of degree n - 1 in s, which the n-node interpolant
+    reproduces, evaluated on [-1, 1] against its values and its antiderivative.
+    """
+    n = ein.PROFILE_GAUSS_ORDER
+    L, D, M = ein._panel_series(n)
+    legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(1, n):
+        legendre.append([((2 * k + 1) * a - k * b) / (k + 1)
+                         for a, b in itertools.zip_longest([0] + legendre[k], legendre[k - 1], fillvalue=0)])
+    exact = np.array([[float(p[j]) if j < len(p) else 0.0 for p in legendre] for j in range(n + 1)])
+    assert M.tobytes() == exact.tobytes()
+    power = np.polynomial.polynomial
+    a = np.random.default_rng(9709003).standard_normal(n)
+    c = L @ power.polyval(ein._gauss_rule(n)[0], a)
+    s = np.linspace(-1.0, 1.0, 33)
+    for got, want in ((M[:-1, :-1] @ c, a), (M @ (D @ c), power.polyint(a, lbnd=-1))):
+        assert np.max(np.abs(power.polyval(s, got) - power.polyval(s, want))) <= 1e-13 * np.abs(want).sum()
+
+
 def _horner_out_of_place(coeffs, x):
     """Horner's rule with a fresh array per step: the oracle of p_eval_float's rounding."""
     out = np.zeros_like(np.asarray(x, dtype=float))
@@ -275,24 +345,36 @@ def test_in_place_horner_matches_out_of_place_bit_for_bit():
                 assert isinstance(got, float)
 
 
-def test_each_inversion_makes_at_most_two_integrand_batches(case, monkeypatch):
-    """From the Hermite start one Newton batch reaches rounding and a second confirms it."""
-    sp, profile = case
-    t_and_g, w_of_t = ein._HalfTable._t_and_g, ein._HalfTable.w_of_t
-    calls, batches = [0], []
+def test_inversion_evaluates_no_integrand_and_at_most_two_newton_batches(case, monkeypatch):
+    """Once the map is built, f_of_t, t_of_f and verify_profile read only the panel series.
 
-    def counted_t_and_g(self, lo, w):
-        calls[0] += 1
-        return t_and_g(self, lo, w)
+    From the Hermite start one Newton batch reaches rounding and a second
+    confirms it; each batch builds one power table of s.
+    """
+    sp, profile = case
+    pmap = profile.map
+    integrand, powers, w_of_t = ein.EndChart.integrand, ein._HalfTable._powers, ein._HalfTable.w_of_t
+    calls = {"integrand": 0, "powers": 0}
+    batches = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     def counted_w_of_t(self, t):
-        before = calls[0]
+        before = calls["powers"]
         out = w_of_t(self, t)
-        batches.append(calls[0] - before)
+        batches.append(calls["powers"] - before)
         return out
 
-    monkeypatch.setattr(ein._HalfTable, "_t_and_g", counted_t_and_g)
+    monkeypatch.setattr(ein.EndChart, "integrand", counted("integrand", integrand))
+    for table in (pmap._left, pmap._right):  # each table holds its chart's integrand as a bound method
+        monkeypatch.setattr(table, "g", counted("integrand", table.g))
+    monkeypatch.setattr(ein._HalfTable, "_powers", counted("powers", powers))
     monkeypatch.setattr(ein._HalfTable, "w_of_t", counted_w_of_t)
-    profile.map.f_of_t(_sample_times(profile.map))
-    ein.verify_profile(sp, ein.profile_solve(sp, grid_size=1024), n_check=64)
-    assert len(batches) == 6 and max(batches) <= 2
+    pmap.t_of_f(pmap.f_of_t(_sample_times(pmap)))
+    ein.verify_profile(sp, profile, n_check=64)
+    assert calls["integrand"] == 0
+    assert len(batches) == 4 and max(batches) <= 2
