@@ -465,23 +465,23 @@ class _HalfTable:
     Panels are uniform in w on [0, w_max], where x = w^2 is the distance
     from the chart's end and the integrand dt/dw is smooth; g_edges holds it
     at the panel edges.  On a panel w = mid + half s with s in [-1, 1], and
-    the degree n - 1 interpolant of g at the panel's n Gauss nodes matches g
-    to rounding; integrated exactly (`_panel_series`) it gives t(w) - cum[i]
-    as a degree n power series in s.  g_cols and t_cols hold the power
+    the interpolant of g at the panel's ``order`` Gauss nodes matches g to
+    rounding; integrated exactly (`_panel_series`) it gives t(w) - cum[i] as
+    a power series of degree ``order`` in s.  g_cols and t_cols hold the power
     coefficients of both series, one column per panel, and after the build
     they are the map: no direction evaluates g again.  Both directions work
     on whole 1-d arrays of points.
     """
 
-    def __init__(self, chart: EndChart, w_max: float, n_panels: int, gx: np.ndarray, gw: np.ndarray):
+    def __init__(self, chart: EndChart, w_max: float, n_panels: int, order: int):
         self.g = chart.integrand
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
         self.mid = (self.edges[1:] + self.edges[:-1]) / 2
         self.half = (self.edges[1:] - self.edges[:-1]) / 2
-        self.panels, vals = self._panel_sums(gx, gw)
+        self.panels, vals = self._panel_sums(*_gauss_rule(order))
         self.cum = np.concatenate([[0.0], np.cumsum(self.panels)])
         self.g_edges = self.g(self.edges)
-        L, D, M = _panel_series(len(gx))
+        L, D, M = _panel_series(order)
         c = L @ vals.T
         self.g_cols, self.t_cols = M[:-1, :-1] @ c, M @ (D @ c) * self.half
 
@@ -559,10 +559,9 @@ class ProfileMap:
         self.sp = sp
         self.fd = float(sp.f_delta)
         self.fm = self.fd / 2.0
-        gx, gw = _gauss_rule(PROFILE_GAUSS_ORDER)
         left, right = sp.deflations
-        self._left = _HalfTable(left, math.sqrt(self.fm), PROFILE_PANELS, gx, gw)
-        self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), PROFILE_PANELS, gx, gw)
+        self._left = _HalfTable(left, math.sqrt(self.fm), PROFILE_PANELS, PROFILE_GAUSS_ORDER)
+        self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), PROFILE_PANELS, PROFILE_GAUSS_ORDER)
         self.delta = float(self._left.cum[-1] + self._right.cum[-1])
 
     def t_of_f(self, f):
