@@ -1,11 +1,12 @@
 """Batched profile inversion against the scalar brentq oracle, and delta at 30 digits.
 
 ``ProfileMap.f_of_t``/``t_of_f`` invert whole arrays by safeguarded Newton on
-the panel tables, and ``verify_profile`` evaluates all its checks in one
+the panel tables' polynomials, and ``verify_profile`` evaluates all its checks in one
 batch.  The oracle below is the per-point path they replaced: one ``brentq``
 per time on the partial-panel Gauss sum, and one Gauss sum per ``t(f)``.
 Both routes to delta, the tables and tanh-sinh quadrature, are checked
-against ``mpmath.quad`` on the end charts' exact coefficients.
+against ``mpmath.quad`` on the end charts' exact coefficients, and
+``f_of_t`` against a 34-digit inverse of t(w) built from them.
 """
 
 import functools
@@ -164,7 +165,7 @@ def _sample_times(pmap):
 
 
 def _mp(c):
-    """An exact coefficient (Fraction, Quad or float) as a 30-digit mpf."""
+    """An exact coefficient (Fraction, Quad or float) as an mpf at the working precision."""
     if isinstance(c, Quad):
         return _mp(c.a) + _mp(c.b) * mpmath.sqrt(_mp(c.r))
     if isinstance(c, Fraction):
