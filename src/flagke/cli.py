@@ -288,7 +288,7 @@ def _solve_pipeline(job: JobSpec):
         out["verdict"] = "no_kahler_einstein"
         out["reason"] = "segment inadmissible" if not verdict.admissible else "obstruction integral nonzero"
         return spec, base, None, None, out
-    sp = ein.SegmentPolynomial.from_base(base, verdict.m1, verdict.m2, zk=verdict.zk)
+    sp = ein.SegmentPolynomial.from_base(base, verdict.m1, verdict.m2, verdict=verdict)
     profile = ein.profile_solve(sp, grid_size=job.grid)
     out["verdict"] = "kahler_einstein"
     out["einstein_constant"] = profile.einstein_constant

@@ -47,8 +47,7 @@ from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCh
 from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstruction, isotropy_modules, ke_verdict,
                     make_base)
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
-from .polys import (int_linear_product, int_shifted_antiderivative, int_taylor_shift, p_antideriv, p_deriv, p_eval,
-                    p_low_order, p_mul, pair_poly, pair_scalar, split_exact)
+from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar, split_exact
 from .rootsys import CartanVector, Root, evaluate
 from .scalars import Scalar, exact_sqrt, scalar_is_zero
 
@@ -77,10 +76,6 @@ FLOAT_ORDER_RTOL = 1e-9
 # float polynomials
 
 
-def p_to_float(a: Sequence[Scalar]) -> np.ndarray:
-    return np.array([float(c) for c in a], dtype=float)
-
-
 def p_eval_float(coeffs: np.ndarray, x):
     """Horner evaluation of ascending float coefficients, numpy-vectorized, in place; a float x gives a float."""
     out = np.zeros(np.shape(x))
@@ -94,8 +89,8 @@ def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Ascending float coefficients of prod (a_i - k_i x), trimmed.
 
     One np.convolve per factor, in the order given; each coefficient is the
-    same two-product sum as `polys.p_mul`'s, so the chain matches it bit for
-    bit.
+    same two-product sum as an exact product's in float arithmetic, so the
+    chain matches the Fraction product of the floats bit for bit.
     """
     poly = np.ones(1)
     for ai, ki in zip(a, k):
@@ -117,7 +112,7 @@ def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
     computation path so the change of variables can be asserted exactly.
     The segment polynomial is the integer Taylor shift of the product that
     `futaki` integrates, so this checks the shift and the antiderivative
-    (`polys.int_shifted_antiderivative`) against futaki's integral weights;
+    (`SegmentPolynomial.q_coeffs`) against futaki's integral weights;
     the tests check the product itself against a per-root Fraction/Quad
     product.
     """
@@ -132,26 +127,27 @@ def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
 class EndChart:
     """The end v = 0 of a segment polynomial P, which vanishes there to order m - 1 with m = m1.
 
-    Holds the exactly deflated p = P[m-1:] and q = Q[m:], with
-    Q(x) = integral_0^x P(v)(v - m) dv, and their float twins.  Near the end
-    u = -2Q/P = -2 x q/p, and in the chart x = w^2 the integrand of t is the
-    smooth 2/sqrt(-2q/p).  The right end of a segment is the left end of its
-    reversed polynomial, so one chart type serves both ends.
+    Holds the float coefficients of the deflated p = P[m-1:] and q = Q[m:],
+    with Q(x) = integral_0^x P(v)(v - m) dv, sliced from the segment's float
+    arrays, and of p', rounded once from the numerators n p_n over the
+    segment's denominator.  Near the end u = -2Q/P = -2 x q/p, and in the
+    chart x = w^2 the integrand of t is the smooth 2/sqrt(-2q/p).  The right
+    end of a segment is the left end of its reversed polynomial, so one
+    chart type serves both ends.
     """
 
     def __init__(self, sp: "SegmentPolynomial", where: str = "0"):
-        coeffs, q_coeffs, m = sp.coeffs, sp.q_coeffs, sp.m1
-        low_order = p_low_order if sp.exact else _float_low_order
-        lp = low_order(coeffs)
+        m = sp.m1
+        lp = sp._low_order(sp._p, sp.coeffs_f)
         if lp != m - 1:
             raise DegreeMismatchError("P vanishes to order %d at %s, expected %d" % (lp, where, m - 1))
-        lq = low_order(q_coeffs)
+        lq = sp._low_order(sp._q, sp.q_coeffs_f)
         if lq < m:
             raise DegreeMismatchError("Q vanishes to order %d at %s, expected %d" % (lq, where, m))
         self.m = m
-        self.p, self.q = list(coeffs[m - 1:]), list(q_coeffs[m:])
         self.p_f, self.q_f = sp.coeffs_f[m - 1:], sp.q_coeffs_f[m:]
-        self.dp_f = p_to_float(p_deriv(self.p))
+        dp = [[n * c for n, c in enumerate(part[m - 1:])][1:] for part in sp._p]
+        self.dp_f = np.array(sp._coefficients(dp, sp._p_over, pair_float), dtype=float)
 
     def u(self, x):
         """u at distance x (a float or an array) from the end."""
@@ -179,7 +175,7 @@ class EndChart:
 
 
 class SegmentPolynomial:
-    """P(v) = prod alpha(Z1 - v Z), Z1 = Zk + m1 Z, with exact derivatives and end charts.
+    """P(v) = prod alpha(Z1 - v Z), Z1 = Zk + m1 Z, with its antiderivative and end charts.
 
     ``modules``, ``den`` and ``r`` are the table that `model.futaki` reads,
     `model.isotropy_modules` under (Zk, Z): each key gives (alpha(Zk),
@@ -187,12 +183,20 @@ class SegmentPolynomial:
     den is None, and maps to the roots of R_m+ taking it, an isotropy module
     whose size is its multiplicity; ``zk_k_f`` is its alpha(Zk) and alpha(Z)
     as float arrays when the caller has them.  With the obstruction's product
-    E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1): on exact keys E is one
-    integer product (`polys.int_linear_product`, or ``product`` when the
-    caller has it), kept as ``product``, and P its integer Taylor shift
-    (`polys.int_taylor_shift`).  Attributes ending in ``_f`` are float
-    arrays for numerics, one entry per module; everything else is exact when
-    the keys are exact.  Instances are immutable after construction.
+    E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1).
+
+    P is held once, as coefficient parts over one denominator D.  On exact
+    keys E is one integer product (`polys.int_linear_product`, or
+    ``product`` when the caller has it), kept as ``product``, and P's parts
+    are its two integer lists Taylor shifted (`polys.int_taylor_shift`), the
+    coefficient u_n + v_n sqrt(R) over D = den^N, N = |R_m+|; on float keys
+    P is one float list over D = 1.  Q(x) = integral_0^x P(v)(v - m1) dv
+    has the numerators c_(n-1) - m1 c_n at x^(n+1), over D (n+1).  Every
+    float array is rounded once from these parts (`polys.pair_float`), and
+    ``coeffs`` and ``q_coeffs``, the exact coefficient lists (Fraction or
+    Quad; floats on float keys), are built only when read.  Attributes
+    ending in ``_f`` are float arrays for numerics, per module or per
+    coefficient.  Instances are immutable after construction.
     """
 
     def __init__(self, modules: Dict[tuple, Sequence[Root]], den: Optional[int], r: Optional[Fraction], m1: int,
@@ -205,24 +209,68 @@ class SegmentPolynomial:
 
         d = [len(roots) for roots in self.modules.values()]
         self.d_f = np.array(d, dtype=float)
-        n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z); each built once for its float
-        scalar = (lambda u, v: float(pair_scalar(u, v, den, r))) if self.exact else float
+        n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
+        scalar = (lambda u, v: pair_float(u, v, den, r)) if self.exact else float
         self.zk_f, self.k_f = zk_k_f or [np.array([scalar(*key[i:i + n]) for key in self.modules]) for i in (0, n)]
-        # Q(f) = integral_0^f P(v)(v - m1) dv; zero of order m1 at 0
-        if self.exact:  # alpha(Z1) built once for its float; P and Q in integers
+        if self.exact:
             self.a_f = np.array([scalar(key[0] + m1 * key[2], key[1] + m1 * key[3]) for key in self.modules])
             self.product = product or int_linear_product(dict(zip(self.modules, d)), r)
-            us, vs = (int_taylor_shift(c, -m1) for c in self.product)
-            self.coeffs = pair_poly(us, vs, den ** sum(d), r)
-            self.q_coeffs = int_shifted_antiderivative(us, vs, den ** sum(d), r, m1)
+            parts, scale = [int_taylor_shift(c, -m1) for c in self.product], den ** sum(d)
         else:
             self.a_f = self.zk_f + m1 * self.k_f
-            self.coeffs = p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()
-            self.q_coeffs = p_antideriv(p_mul(self.coeffs, [-Fraction(m1), Fraction(1)]))
-
-        self.coeffs_f = p_to_float(self.coeffs)
-        self.q_coeffs_f = p_to_float(self.q_coeffs)
+            parts, scale = [p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()], 1
+        # P: c_n over D; Q: c_(n-1) - m1 c_n at x^(n+1) over D (n+1)
+        self._p = _trimmed(parts)
+        self._q = _trimmed([[0] + [a - m1 * b for a, b in zip([0] + c, c + [0])] for c in self._p])
+        self._p_over = [scale] * len(self._p[0])
+        self._q_over = [scale * max(k, 1) for k in range(len(self._q[0]))]  # q_0 = 0 over D
+        self.coeffs_f = np.array(self._coefficients(self._p, self._p_over, pair_float), dtype=float)
+        self.q_coeffs_f = np.array(self._coefficients(self._q, self._q_over, pair_float), dtype=float)
         self._deflations: Optional[object] = None
+
+    def _coefficients(self, parts: List[list], over: Sequence[int], pair) -> list:
+        """The coefficients parts / over: pair(u, v, d, r) on exact keys, each float divided on float keys.
+
+        ``pair`` is `polys.pair_float`, which rounds each float once from the
+        integers, or `polys.pair_scalar`.
+        """
+        if self.exact:
+            return [pair(u, v, d, self.r) for u, v, d in zip(*parts, over)]
+        return [c / d for c, d in zip(*parts, over)]
+
+    def _low_order(self, parts: List[list], floats: np.ndarray) -> int:
+        """The order of vanishing at 0 of the coefficients parts, the length for zero.
+
+        On exact keys it is the first nonzero pair; on float keys the first
+        float above FLOAT_ORDER_RTOL of the largest.
+        """
+        if self.exact:
+            return next((k for k, pair in enumerate(zip(*parts)) if any(pair)), len(floats))
+        above = np.abs(floats) > FLOAT_ORDER_RTOL * (np.max(np.abs(floats)) or 1.0)
+        return int(np.argmax(above)) if above.any() else len(floats)
+
+    def _q_end_vanishes(self, right: EndChart) -> bool:
+        """Q(m1+m2) = 0: an integer sum on exact keys, Q's scale times 1e-9 on float keys.
+
+        With L = m1 + m2 and l = lcm(1, ..., deg Q), D l Q(L) = sum_n q_n L^n l/n
+        over the numerators q_n of each part.
+        """
+        length = self.m1 + self.m2
+        if self.exact:
+            lcm = math.lcm(*range(1, len(self._q[0])))
+            return not any(sum(c * length ** k * (lcm // k) for k, c in enumerate(part) if k) for part in self._q)
+        q_end = abs(p_eval_float(self.q_coeffs_f, float(length)))
+        return q_end <= 1e-9 * max([q_end] + [abs(c) for c in right.q_f])
+
+    @functools.cached_property
+    def coeffs(self) -> list:
+        """P's coefficients, Fractions or Quads on exact keys, built on first read."""
+        return self._coefficients(self._p, self._p_over, pair_scalar)
+
+    @functools.cached_property
+    def q_coeffs(self) -> list:
+        """Q's coefficients, Fractions or Quads on exact keys, built on first read."""
+        return self._coefficients(self._q, self._q_over, pair_scalar)
 
     @property
     def deflations(self) -> Tuple[EndChart, EndChart]:
@@ -238,10 +286,9 @@ class SegmentPolynomial:
             try:
                 left = EndChart(self)
                 right = EndChart(self.reversed(), where="the right end")
-                q_end = p_eval(self.q_coeffs, self.f_delta)
-                tol = 0.0 if self.exact else 1e-9 * max([abs(float(q_end))] + [abs(c) for c in right.q_f])
-                if not scalar_is_zero(q_end, tol):
-                    raise NoKahlerEinsteinError("obstruction integral does not vanish: Q(m1+m2) = %s" % (q_end,))
+                if not self._q_end_vanishes(right):
+                    raise NoKahlerEinsteinError("obstruction integral does not vanish: Q(m1+m2) = %s"
+                                                % (p_eval(self.q_coeffs, self.f_delta),))
                 self._deflations = (left, right)
             except (NoKahlerEinsteinError, DegreeMismatchError) as exc:
                 self._deflations = exc
@@ -253,21 +300,25 @@ class SegmentPolynomial:
 
     @staticmethod
     def from_base(base: CenterLine, m1: int, m2: int, validate_degrees: bool = False,
-                  zk: Optional[CartanVector] = None) -> "SegmentPolynomial":
+                  verdict: Optional[KEVerdict] = None) -> "SegmentPolynomial":
         """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
 
         It reads the table of `model.isotropy_modules` under (Zk, Z), the one
-        `model.futaki` reads.  ``validate_degrees`` is
+        `model.futaki` reads: an exact ``verdict`` of base's direction lends
+        the table and product its obstruction integrated, and any other
+        verdict its Ricci element.  ``validate_degrees`` is
         `build_segment_polynomial`'s check that the walls give the degrees
         (m1, m2): a module is a wall of the end where alpha(Zk + m Z)
         vanishes, m = m1 at Z1 and m = -m2 at Z2, in both integer parts of an
-        exact key and within FLOAT_WALL_TOL on a float one.  ``zk`` is the
-        Ricci element when the caller has it.
+        exact key and within FLOAT_WALL_TOL on a float one.
         """
         if m1 < 1 or m2 < 1:
             raise InputError("degrees must be >= 1")
-        zk = ricci_invariant(base.flag, base.j) if zk is None else zk
-        sp = SegmentPolynomial(*isotropy_modules(base.j, zk, base.z), m1, m2)
+        if verdict is not None and verdict.futaki.table is not None:
+            sp = SegmentPolynomial(*verdict.futaki.table, m1, m2, verdict.futaki.product)
+        else:
+            zk = ricci_invariant(base.flag, base.j) if verdict is None else verdict.zk
+            sp = SegmentPolynomial(*isotropy_modules(base.j, zk, base.z), m1, m2)
         if validate_degrees:
             n, tol = (2, 0) if sp.exact else (1, FLOAT_WALL_TOL)  # a key: n parts of alpha(Zk), then of alpha(Z)
             walls = [[r.coords for key, roots in sp.modules.items()
@@ -365,12 +416,12 @@ class SegmentPolynomial:
         return self._by_end(f, left.uf, lambda x: -right.uf(x)) - f + self.m1
 
 
-def _float_low_order(coeffs: Sequence[Scalar]) -> int:
-    scale = max(abs(float(c)) for c in coeffs) or 1.0
-    for k, c in enumerate(coeffs):
-        if abs(float(c)) > FLOAT_ORDER_RTOL * scale:
-            return k
-    return len(coeffs)
+def _trimmed(parts: List[list]) -> List[list]:
+    """Coefficient parts without the trailing coefficients that are zero in every part."""
+    n = len(parts[0])
+    while n and not any(c[n - 1] for c in parts):
+        n -= 1
+    return [c[:n] for c in parts]
 
 
 def _floats(x):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -317,11 +317,16 @@ def ke_endpoints(zk: CartanVector, z: CartanVector, m1: int, m2: int) -> Tuple[C
 
 @dataclass(frozen=True)
 class FutakiReport:
+    """The obstruction integral; an exact one keeps the module table and product it integrated."""
+
     value: Scalar
     vanishes: bool
     exact: bool
     tol: float
     error_bound: Optional[float] = None
+    # `isotropy_modules`' (table, den, r) under (Zk, Z) and its `int_linear_product`, for the segment polynomial
+    table: Optional[tuple] = field(default=None, repr=False, compare=False)
+    product: Optional[Tuple[List[int], List[int]]] = field(default=None, repr=False, compare=False)
 
 
 def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int,
@@ -330,7 +335,8 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
     integers over the isotropy modules of `isotropy_modules` under (Zk, Z);
-    one Fraction or Quad is built, for the value.  On the float path, the
+    one Fraction or Quad is built, for the value, and the report keeps the
+    table and its product for the segment polynomial.  On the float path, the
     only one that loads numpy, the integrand's coefficients are the
     `einstein.p_linear_product_float` chain over R_m+, and a crude roundoff
     bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
@@ -352,12 +358,12 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
         bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
         vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
         return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
-    table, den, r = isotropy_modules(j, zk, z)
-    us, vs = int_linear_product({key: len(roots) for key, roots in table.items()}, r)
+    modules, den, r = table = isotropy_modules(j, zk, z)
+    us, vs = product = int_linear_product({key: len(roots) for key, roots in modules.items()}, r)
     weights, scale = _integral_weights(len(us), m1, m2)
     total = scale * den ** len(j.positive)
     value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
-    return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0)
+    return FutakiReport(value, scalar_is_zero(value), True, 0.0, table=table, product=product)
 
 
 def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:

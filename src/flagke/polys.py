@@ -1,9 +1,4 @@
-"""Dense univariate polynomials over the exact scalar tower.
-
-Coefficients are stored ascending (c[k] multiplies x**k) and may be any exact
-scalar (Fraction or Quad).  These helpers stay exact end to end and import no
-numpy; the float twins of these polynomials live in `einstein`, the float
-layer.
+"""Exact polynomials as integer coefficient lists, and the exact scalars they stand for.
 
 The obstruction's product E(y) = prod alpha(Zk - y Z) takes its factors
 as isotropy modules (a, k) -> d, keyed in integers over one common
@@ -12,8 +7,10 @@ u + v sqrt(R) (see `int_linear_product`).  Over Q, and when every factor
 is a - k sqrt(R) x, the product is one integer list; only factors with
 both parts take the pair product.  The segment polynomial is E shifted,
 P(x) = E(x - m1), an integer Taylor shift of both lists
-(`int_taylor_shift`), and its signs and antiderivative are read off the
-integer pairs too (`pair_sign`, `int_shifted_antiderivative`).
+(`int_taylor_shift`).  Its signs, its floats and its exact coefficients are
+read off the integer pairs (`pair_sign`, `pair_float`, `pair_scalar`); the
+float layer, `einstein`, forms P's antiderivative and derivative on the
+pairs too.  These helpers import no numpy.
 """
 
 from __future__ import annotations
@@ -22,39 +19,9 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import Quad, Scalar, rescale_sqrt, scalar_is_zero
-
-Poly = List[Scalar]
+from .scalars import Quad, Scalar, rescale_sqrt
 
 ZERO = Fraction(0)
-
-
-def p_trim(p: Sequence[Scalar]) -> Poly:
-    out = list(p)
-    while out and scalar_is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def p_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
-    if not a or not b:
-        return []
-    out: Poly = [ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if scalar_is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return p_trim(out)
-
-
-def p_deriv(a: Sequence[Scalar]) -> Poly:
-    return p_trim([k * c for k, c in enumerate(a)][1:])
-
-
-def p_antideriv(a: Sequence[Scalar]) -> Poly:
-    """Antiderivative with zero constant term."""
-    return p_trim([ZERO] + [c / (k + 1) for k, c in enumerate(a)])
 
 
 def p_eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
@@ -62,14 +29,6 @@ def p_eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
     for c in reversed(list(a)):
         out = out * x + c
     return out
-
-
-def p_low_order(a: Sequence[Scalar]) -> int:
-    """Order of vanishing at 0 (exact); len(a) for the zero polynomial."""
-    for k, c in enumerate(a):
-        if not scalar_is_zero(c):
-            return k
-    return len(a)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +64,17 @@ def pair_scalar(u: int, v: int, den: int, r: Optional[Fraction]) -> Scalar:
     if v == 0:
         return Fraction(u, den)
     return Quad(Fraction(u, den), Fraction(v * r.denominator, den), r)
+
+
+def pair_float(u: int, v: int, den: int, r: Optional[Fraction]) -> float:
+    """float(pair_scalar(u, v, den, r)) bit for bit, with no Fraction or Quad built.
+
+    int / int is correctly rounded, as float(Fraction(u, den)) is, and a
+    sqrt(R) part takes `Quad.__float__`'s three float operations in its order.
+    """
+    if v == 0:
+        return u / den
+    return u / den + v * r.denominator / den * math.sqrt(float(r))
 
 
 def pair_sign(u: int, v: int, r: Optional[Fraction]) -> int:
@@ -170,19 +140,3 @@ def int_taylor_shift(cs: Sequence[int], s: int) -> List[int]:
     for c in reversed(cs):
         out = [s * a + b for a, b in zip(out + [0], [c] + out)]  # out (x + s) + c
     return out
-
-
-def pair_poly(us: Sequence[int], vs: Sequence[int], den: int, r: Optional[Fraction]) -> Poly:
-    """The trimmed polynomial sum (u_n + v_n sqrt(R)) x^n / den, one Fraction or Quad per coefficient."""
-    return p_trim([pair_scalar(x, y, den, r) for x, y in zip(us, vs)])
-
-
-def int_shifted_antiderivative(us: Sequence[int], vs: Sequence[int], den: int, r: Optional[Fraction], m: int) -> Poly:
-    """Q(x) = integral_0^x P(v)(v - m) dv, trimmed, for P = sum (u_n + v_n sqrt(R)) x^n / den.
-
-    P(v)(v - m) has the coefficients c_(n-1) - m c_n, so Q has q_0 = 0 and
-    q_(n+1) = (c_(n-1) - m c_n) / (n + 1): integer pairs over den (n + 1),
-    each built as one Fraction or Quad.
-    """
-    du, dv = ([a - m * b for a, b in zip([0] + list(c), list(c) + [0])] for c in (us, vs))
-    return p_trim([ZERO] + [pair_scalar(x, y, den * (i + 1), r) for i, (x, y) in enumerate(zip(du, dv))])

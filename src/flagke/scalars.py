@@ -242,13 +242,9 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, Quad))
 
 
-def scalar_is_zero(x: Scalar, tol: float = 0.0) -> bool:
-    """Exact zero test for exact scalars; |x| <= tol for floats."""
-    if isinstance(x, float):
-        return abs(x) <= tol
-    if isinstance(x, Quad):
-        return False  # b != 0
-    return x == 0
+def scalar_is_zero(x: Scalar) -> bool:
+    """Exact zero test: a Quad is never zero (b != 0)."""
+    return not isinstance(x, Quad) and x == 0
 
 
 def scalar_sign(x: Scalar, tol: float = 0.0) -> int:

@@ -3,8 +3,10 @@
 The module table of hand-built values, the first-integral identity and the
 scaled-Ricci negative control, shared by `test_einstein.py` and
 `test_acceptance.py`, and the exact polynomial sum and scaling they are
-built from; the Ricci evaluations at one time; the rounding bounds of the
-verify keys that divide by small numbers;
+built from; the Fraction/Quad polynomial helpers and the exact end-chart
+lists, the oracles of the segment polynomial's integer coefficient parts
+and of its floats; the Ricci evaluations at one time; the rounding bounds
+of the verify keys that divide by small numbers;
 the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
@@ -29,9 +31,70 @@ from flagke import linalg
 from flagke.errors import InputError
 from flagke.flag import FLOAT_WALL_TOL, SphereCheck, ricci_invariant
 from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test, ke_verdict
-from flagke.polys import ZERO, p_deriv, p_mul, p_trim, pair_scalar, split_exact
+from flagke.polys import ZERO, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
-from flagke.scalars import scalar_sign
+from flagke.scalars import scalar_is_zero, scalar_sign
+
+
+def p_trim(p):
+    out = list(p)
+    while out and scalar_is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def p_mul(a, b):
+    if not a or not b:
+        return []
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if scalar_is_zero(ai):
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return p_trim(out)
+
+
+def p_deriv(a):
+    return p_trim([k * c for k, c in enumerate(a)][1:])
+
+
+def p_antideriv(a):
+    """Antiderivative with zero constant term."""
+    return p_trim([ZERO] + [c / (k + 1) for k, c in enumerate(a)])
+
+
+def p_low_order(a):
+    """Order of vanishing at 0 (exact); len(a) for the zero polynomial."""
+    for k, c in enumerate(a):
+        if not scalar_is_zero(c):
+            return k
+    return len(a)
+
+
+def p_to_float(a):
+    return np.array([float(c) for c in a], dtype=float)
+
+
+def pair_poly(us, vs, den, r):
+    """The trimmed polynomial sum (u_n + v_n sqrt(R)) x^n / den, one Fraction or Quad per coefficient."""
+    return p_trim([pair_scalar(x, y, den, r) for x, y in zip(us, vs)])
+
+
+def int_shifted_antiderivative(us, vs, den, r, m):
+    """Q(x) = integral_0^x P(v)(v - m) dv, trimmed, for P = sum (u_n + v_n sqrt(R)) x^n / den.
+
+    P(v)(v - m) has the coefficients c_(n-1) - m c_n, so Q has q_0 = 0 and
+    q_(n+1) = (c_(n-1) - m c_n) / (n + 1): integer pairs over den (n + 1),
+    each built as one Fraction or Quad.
+    """
+    du, dv = ([a - m * b for a, b in zip([0] + list(c), list(c) + [0])] for c in (us, vs))
+    return p_trim([ZERO] + [pair_scalar(x, y, den * (i + 1), r) for i, (x, y) in enumerate(zip(du, dv))])
+
+
+def chart_lists(sp):
+    """The exact (p, q) = (P[m-1:], Q[m:]) of the left and the right end chart, from the segment's coefficient lists."""
+    return [(s.coeffs[s.m1 - 1:], s.q_coeffs[s.m1:]) for s in (sp, sp.reversed())]
 
 
 def p_add(a, b):

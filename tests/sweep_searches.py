@@ -21,7 +21,7 @@ DIAMETER_GROUPS, with every node but i and n + i painted, the runs that
 build a segment polynomial.  A command line that occurs twice is run once.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
-lists the last two kinds.  Floats are compared relative to the larger
+lists the last two kinds; it exits with 1 when a run changed.  Floats are compared relative to the larger
 magnitude, or absolutely below 1: the float obstruction of a float
 candidate is a zero at rounding level, whose relative change means
 nothing.  Run it on the source tree to be swept: a second checkout's
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     for tag, keys in (("floats", floats_only), ("changed", changed)):
         for key in keys:
             print("%s: %s" % (tag, key))
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -52,6 +52,28 @@ def test_futaki_mode_values(capsys):
     assert rep["value"] == "0" and rep["vanishes"] is True
 
 
+def test_solve_builds_one_module_table_product(capsys, monkeypatch):
+    """A solve multiplies the (Zk, Z) table once: the segment polynomial reads the table and product that the
+    verdict's obstruction integrated, and the other table is the (Z1, Z2) one of the segment's admissibility."""
+    from flagke import model
+
+    calls = {"int_linear_product": 0, "isotropy_modules": 0}
+    for name in calls:
+        original = getattr(model, name)
+
+        def counting(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (model, ein):
+            monkeypatch.setattr(module, name, counting)
+    painted = ",".join(str(k) for k in range(12) if k not in (3, 9))
+    code, rep = _capture(capsys, ["solve", "--group", "E6xE6", "--painted", painted, "--z", "0,0,0,1,0,0,0,0,0,-1,0,0",
+                                  "--m1", "1", "--m2", "1", "--grid", "64"])
+    assert code == 0 and rep["verdict"] == "kahler_einstein"
+    assert calls == {"int_linear_product": 1, "isotropy_modules": 2}  # 2 and 3 when the segment built its own
+
+
 def test_check_segment_reports_degree_mismatch(capsys):
     code, rep = _capture(
         capsys, ["check-segment", "--group", "A1xA1", "--z", "1,-1", "--m1", "1", "--m2", "1"]
@@ -525,3 +547,15 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     assert 0 < worst <= 1e-15
     assert sweep.float_gap({"z": [1.0]}, {"z": [1.0 + 1e-9]}) > sweep.FLOAT_RTOL
     assert sweep.float_gap({"z": [1.0]}, {"y": [1.0]}) is None
+
+    # --compare exits with 0 when floats move within FLOAT_RTOL, and with 1 when a run changed
+    record = json.loads(path.read_text())
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(dict(record, gap=1.0)))
+    after.write_text(json.dumps(dict(record, gap=1.0 + sweep.FLOAT_RTOL / 2)))
+    assert sweep.main(["--compare", str(before), str(after)]) == 0
+    assert capsys.readouterr().out.startswith("3 runs identical, 1 differ only in floats")
+    record[walled]["candidates"][0]["z"] = ["1/6", "0"]
+    after.write_text(json.dumps(record))
+    assert sweep.main(["--compare", str(path), str(after)]) == 1
+    assert capsys.readouterr().out.startswith("2 runs identical, 0 differ only in floats (by at most 0), 1 changed")

@@ -17,8 +17,7 @@ from flagke.flag import (_center_gram, _center_modules, build_flag, default_comp
                          sphere_in_chamber)
 from flagke.model import (FUTAKI_FLOAT_TOL, CenterLine, _homogenized_obstruction, futaki, ke_endpoints, ke_verdict,
                           make_base)
-from flagke.polys import (int_linear_product, int_shifted_antiderivative, int_taylor_shift, p_antideriv, p_deriv,
-                          p_eval, p_mul, p_trim, pair_poly, pair_scalar, pair_sign)
+from flagke.polys import int_linear_product, int_taylor_shift, p_eval, pair_scalar, pair_sign
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -36,7 +35,13 @@ from segment_checks import (
     center_flags,
     first_integral_identity_numerator,
     general_basis_center,
+    int_shifted_antiderivative,
+    p_antideriv,
+    p_deriv,
+    p_mul,
+    p_trim,
     pair_linear_product,
+    pair_poly,
     per_root_sphere_in_chamber,
     ricci_tangential,
     root_subset_walled,
@@ -378,7 +383,7 @@ def test_reversed_structure_and_negated_direction_keep_every_verdict():
                 base = make_base(flag, jj, CartanVector(tuple(map(Fraction, qq))), period_scale=tau)
                 zk = ricci_invariant(flag, jj)
                 verdict = ke_verdict(base, zk, m1, m2)
-                sp = ein.SegmentPolynomial.from_base(base, m1, m2, zk=zk)
+                sp = ein.SegmentPolynomial.from_base(base, m1, m2, verdict=verdict)
                 seg = verdict.segment.candidate
                 seen.append((repr(verdict.futaki.value), verdict.ok, verdict.admissible, verdict.degrees, seg.w1,
                              seg.w2, repr(sp.coeffs), repr(sp.q_coeffs)))
@@ -467,14 +472,19 @@ def test_log_deriv_sums_match_per_root_sums():
 
 def _count_quads(monkeypatch, fn):
     """The number of Quad constructions fn() makes."""
+    return _count_calls(monkeypatch, Quad, "__init__", fn)
+
+
+def _count_calls(monkeypatch, owner, name, fn):
+    """The number of calls fn() makes to owner.name."""
     count = [0]
-    init = Quad.__init__
+    original = getattr(owner, name)
 
-    def counting(self, *args):
+    def counting(*args, **kwargs):
         count[0] += 1
-        init(self, *args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(Quad, "__init__", counting)
+    monkeypatch.setattr(owner, name, counting)
     fn()
     monkeypatch.undo()
     return count[0]
@@ -490,11 +500,11 @@ def test_exact_obstruction_builds_at_most_one_quad(monkeypatch):
     assert isinstance(reports[0].value, Quad)
 
 
-def test_segment_polynomial_quad_count_is_one_per_module_value(monkeypatch):
+def test_segment_polynomial_builds_no_quad_and_one_fraction_per_segment(monkeypatch):
     # the E6 x E6 antisymmetric diameter at node 3: Z is a pure radical, but the roots pair off with opposite
-    # alpha(Z), so E(y) is even and P = E(x - 1) and Q are rational; the only Quads are alpha(Z) and
-    # alpha(Z1) of the 6 modules with alpha(Z) != 0, built once each for their floats; the reversed segment
-    # takes alpha(Z) negated and builds only its alpha(Z1)
+    # alpha(Z), so E(y) is even and P = E(x - 1) and Q are rational; every float, of a coefficient or of a
+    # module's alpha(Zk), alpha(Z) and alpha(Z1), is rounded from integers, and the only Fraction of a segment
+    # is its length f_delta
     flag, j = _flag_j("E6xE6", [i for i in range(12) if i not in (3, 9)])
     z = [Fraction(0)] * 12
     z[3], z[9] = Fraction(1), Fraction(-1)
@@ -506,11 +516,13 @@ def test_segment_polynomial_quad_count_is_one_per_module_value(monkeypatch):
     def build():
         ein.build_segment_polynomial(base, 1, 1).deflations
 
-    # 14362 with per-root products; 42, 12 and 18 with module values split again and reversed in Quads;
-    # 24, 12 and 12 with alpha(Z) built again for the reversed segment
-    assert _count_quads(monkeypatch, build) == 18
-    assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) == 12
-    assert _count_quads(monkeypatch, sp.reversed) == 6
+    # 14362 Quads with per-root products; 42, 12 and 18 with module values split again and reversed in Quads;
+    # 24, 12 and 12 with alpha(Z) built again for the reversed segment; 18, 12 and 6 with the coefficients
+    # and the module floats built as Fractions and Quads, and 576 Fractions for the build with both charts
+    assert _count_quads(monkeypatch, build) == 0
+    assert _count_quads(monkeypatch, lambda: ein.SegmentPolynomial.from_base(base, 1, 1)) == 0
+    assert _count_quads(monkeypatch, sp.reversed) == 0
+    assert _count_calls(monkeypatch, Fraction, "__new__", build) <= 2
 
 
 # ---------------------------------------------------------------------------

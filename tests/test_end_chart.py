@@ -9,9 +9,8 @@ from flagke import einstein as ein
 from flagke.errors import DegreeMismatchError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
-from flagke.polys import p_mul
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector
-from segment_checks import p_add
+from segment_checks import chart_lists, p_add, p_mul
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -54,13 +53,14 @@ def test_reversed_left_chart_is_composed_right_end(make):
     assert sp.exact
     rev = sp.reversed()
     assert (rev.m1, rev.m2) == (sp.m2, sp.m1)
-    chart = rev.deflations[0]
+    p, q = chart_lists(rev)[0]
     p_right = p_compose_linear(sp.coeffs, sp.f_delta, Fraction(-1))
     q_right = p_compose_linear(sp.q_coeffs, sp.f_delta, Fraction(-1))
-    assert chart.p == p_right[sp.m2 - 1:]
-    assert chart.q == q_right[sp.m2:]
-    right = sp.deflations[1]
-    assert (right.p, right.q) == (chart.p, chart.q)
+    assert p == p_right[sp.m2 - 1:]
+    assert q == q_right[sp.m2:]
+    right, chart = sp.deflations[1], rev.deflations[0]
+    for key in ("p_f", "q_f", "dp_f"):
+        assert getattr(right, key).tobytes() == getattr(chart, key).tobytes()
     twice = rev.reversed()
     assert twice.coeffs == sp.coeffs and twice.q_coeffs == sp.q_coeffs
 
@@ -87,7 +87,7 @@ def test_reversed_float_winner_matches_composition():
     chart = sp.reversed().deflations[0]
     p_right = p_compose_linear(sp.coeffs, sp.f_delta, Fraction(-1))[sp.m2 - 1:]
     q_right = p_compose_linear(sp.q_coeffs, sp.f_delta, Fraction(-1))[sp.m2:]
-    for got, want in ((chart.p, p_right), (chart.q, q_right)):
+    for got, want in ((chart.p_f.tolist(), p_right), (chart.q_f.tolist(), q_right)):
         assert len(got) == len(want)
         scale = max(abs(c) for c in want)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale

@@ -88,7 +88,7 @@ def test_quad_arithmetic_keeps_the_smaller_radicand():
 def test_scalar_helpers():
     assert scalar_is_zero(Fraction(0))
     assert not scalar_is_zero(Quad(Fraction(0), Fraction(1), Fraction(2)))
-    assert scalar_is_zero(1e-15, tol=1e-12)
+    assert scalar_is_zero(0.0) and not scalar_is_zero(1e-300)
     assert scalar_sign(-0.5) == -1
     assert scalar_sign(Fraction(-1, 3)) == -1
     assert format_scalar(Fraction(1, 3)) == "1/3"
