@@ -363,7 +363,8 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
     weights, scale = _integral_weights(len(us), m1, m2)
     total = scale * den ** len(j.positive)
     value = pair_scalar(sum(map(mul, us, weights)), sum(map(mul, vs, weights)), total, r)
-    return FutakiReport(value, scalar_is_zero(value), True, 0.0, table=table, product=product)
+    return FutakiReport(value=value, vanishes=scalar_is_zero(value), exact=True, tol=0.0, table=table,
+                        product=product)
 
 
 def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
