@@ -51,11 +51,13 @@ from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pai
 from .rootsys import CartanVector, Root, evaluate
 from .scalars import Scalar, exact_sqrt, scalar_is_zero
 
-# the profile tables: panels per end chart and Gauss-Legendre nodes per panel
-PROFILE_PANELS = 192
+# the profile tables: panels per end chart and Gauss-Legendre nodes per panel;
+# quad_error_estimate checks the panel count by the panels' Legendre tails
+PROFILE_PANELS = 64
 PROFILE_GAUSS_ORDER = 16
-# profile inversion: a Newton step this small relative to w is rounding; a
-# point still moving after the cap (bisection alone needs ~55) is a fault
+# profile inversion: a Newton step this small relative to w, or to the
+# rounding of its panel's series, is rounding; a point still moving after the
+# cap (bisection alone needs ~55) is a fault
 NEWTON_RTOL = 4 * np.finfo(float).eps
 NEWTON_MAX_ITER = 80
 # diameter search: the latitude circles of a 3-dimensional center; an
@@ -149,19 +151,24 @@ class EndChart:
         dp = [[n * c for n, c in enumerate(part[m - 1:])][1:] for part in sp._p]
         self.dp_f = np.array(sp._coefficients(dp, sp._p_over, pair_float), dtype=float)
 
-    def u(self, x):
-        """u at distance x (a float or an array) from the end."""
+    def _p_at(self, x):
+        """p at distance x (a float or an array) from the end, which must not vanish."""
         den = p_eval_float(self.p_f, x)
         if (den == 0).any():
             raise SingularConfigurationError("P vanishes at distance %g from the end" % _first(x, den == 0))
-        return x * (-2.0) * p_eval_float(self.q_f, x) / den
+        return den
 
-    def uf(self, x):
-        """The term u F of f'' = u F - x + m at distance x (a float or an array), in p and q."""
-        pt = p_eval_float(self.p_f, x)
-        qt = p_eval_float(self.q_f, x)
-        dpt = p_eval_float(self.dp_f, x)
-        return qt * ((self.m - 1) * pt + x * dpt) / (pt * pt)
+    def u(self, x):
+        """u at distance x (a float or an array) from the end."""
+        return x * (-2.0) * p_eval_float(self.q_f, x) / self._p_at(x)
+
+    def u_uf(self, x):
+        """u and the term u F of f'' = u F - x + m at distance x (a float or an array).
+
+        One pass over each of p, q and p'; u is the float that `u` gives.
+        """
+        pt, qt = self._p_at(x), p_eval_float(self.q_f, x)
+        return x * (-2.0) * qt / pt, qt * ((self.m - 1) * pt + x * p_eval_float(self.dp_f, x)) / (pt * pt)
 
     def integrand(self, w):
         """dt/dw = 2/sqrt(-2q/p) at x = w^2; it tends to sqrt(2) at the end."""
@@ -358,13 +365,14 @@ class SegmentPolynomial:
     def u_float(self, f):
         """u(f) evaluated through the end charts, stable at walls.
 
-        Past the midpoint this is the reversed polynomial's u at m1+m2 - f.
-        Segment polynomials without a valid profile (nonvanishing obstruction
+        Past the midpoint this is the reversed polynomial's u at m1+m2 - f:
+        each chart sees only its own half, since the other end's wall is a
+        pole of its deflated p.  Segment polynomials without a valid profile (nonvanishing obstruction
         or mismatched walls) have no charts; they fall back to the direct
         ratio, valid on the open interval away from walls.  ``f`` may be a
         float or an array.
         """
-        f = _floats(f)
+        f = np.asarray(f, dtype=float)
         try:
             left, right = self.deflations
         except (NoKahlerEinsteinError, DegreeMismatchError):
@@ -372,22 +380,12 @@ class SegmentPolynomial:
             if (den == 0).any():
                 raise SingularConfigurationError("P vanishes at f = %g" % _first(f, den == 0))
             return -2.0 * p_eval_float(self.q_coeffs_f, f) / den
-        return self._by_end(f, left.u, right.u)
-
-    def _by_end(self, f, left_fn, right_fn):
-        """left_fn(f) up to the midpoint and right_fn(m1+m2 - f) beyond it.
-
-        Each chart sees only its own half: the other end's wall is a pole of
-        its deflated p.
-        """
         fd = float(self.f_delta)
-        if isinstance(f, float):  # a scalar f, as from u_eval
-            return left_fn(f) if f <= fd / 2 else right_fn(fd - f)
         near_left = f <= fd / 2
         out = np.empty_like(f)
-        out[near_left] = left_fn(f[near_left])
-        out[~near_left] = right_fn(fd - f[~near_left])
-        return out
+        out[near_left] = left.u(f[near_left])
+        out[~near_left] = right.u(fd - f[~near_left])
+        return _like(f, out)
 
     def log_deriv_sums(self, f):
         """(s1, s2) with s1 = sum k/(a - k f), s2 = sum k^2/(a - k f)^2.
@@ -404,16 +402,23 @@ class SegmentPolynomial:
         kg = self.k_f / g
         return kg @ self.d_f, kg ** 2 @ self.d_f
 
-    def fpp_float(self, f):
-        """f'' from the closed form u*F - f + m1, stable at both endpoints.
+    def fp_fpp(self, f):
+        """(f', f'') at f: sqrt(u) and the closed form u F - f + m1, from one pass over each chart's p, q and p'.
 
-        Past the midpoint u*F is minus the reversed segment's at m1+m2 - f:
-        the reversed profile m1+m2 - f(delta - t) has f'' negated.  ``f`` may
-        be a float or an array.
+        Stable at both endpoints.  Past the midpoint both come from the right
+        chart at m1+m2 - f, and u F is minus the reversed segment's: the
+        reversed profile m1+m2 - f(delta - t) has f'' negated.  ``f`` may be a
+        float or an array; a float gives floats.
         """
-        f = _floats(f)
+        f = np.asarray(f, dtype=float)
         left, right = self.deflations
-        return self._by_end(f, left.uf, lambda x: -right.uf(x)) - f + self.m1
+        fd = float(self.f_delta)
+        near_left = f <= fd / 2
+        u, uf = np.empty_like(f), np.empty_like(f)
+        u[near_left], uf[near_left] = left.u_uf(f[near_left])
+        u[~near_left], uf[~near_left] = right.u_uf(fd - f[~near_left])
+        fp, fpp = np.sqrt(np.maximum(u, 0.0)), np.where(near_left, uf, -uf) - f + self.m1
+        return _like(f, fp), _like(f, fpp)
 
 
 def _trimmed(parts: List[list]) -> List[list]:
@@ -521,7 +526,12 @@ class _HalfTable:
     a power series of degree ``order`` in s.  g_cols and t_cols hold the power
     coefficients of both series, one column per panel, and after the build
     they are the map: no direction evaluates g again.  Both directions work
-    on whole 1-d arrays of points.
+    on whole 1-d arrays of points.  The nodes and the edges take one
+    integrand call.  ``error`` estimates the table's error: the Legendre
+    tail sum half (|c_(n-2)| + |c_(n-1)|) of the panels' interpolants, as in
+    chopping a Chebyshev series (Aurentz-Trefethen, ACM TOMS 43, 2017), and
+    eps sum cum, the first-order bound of the cumulative sums' rounding
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
     """
 
     def __init__(self, chart: EndChart, w_max: float, n_panels: int, order: int):
@@ -529,18 +539,15 @@ class _HalfTable:
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
         self.mid = (self.edges[1:] + self.edges[:-1]) / 2
         self.half = (self.edges[1:] - self.edges[:-1]) / 2
-        self.panels, vals = self._panel_sums(*_gauss_rule(order))
-        self.cum = np.concatenate([[0.0], np.cumsum(self.panels)])
-        self.g_edges = self.g(self.edges)
+        gx, gw = _gauss_rule(order)
+        nodes = (self.mid[:, None] + self.half[:, None] * gx).ravel()
+        vals = self.g(np.concatenate([nodes, self.edges]))  # the nodes and the edges in one integrand call
+        vals, self.g_edges = vals[:len(nodes)].reshape(n_panels, order), vals[len(nodes):]
+        self.cum = np.concatenate([[0.0], np.cumsum((vals * gw).sum(axis=1) * self.half)])
         L, D, M = _panel_series(order)
         c = L @ vals.T
         self.g_cols, self.t_cols = M[:-1, :-1] @ c, M @ (D @ c) * self.half
-
-    def _panel_sums(self, gx: np.ndarray, gw: np.ndarray):
-        """Every panel's Gauss sum of g under the rule (gx, gw), and the values summed, from one integrand call."""
-        nodes = self.mid[:, None] + self.half[:, None] * gx[None, :]
-        vals = self.g(nodes.ravel()).reshape(nodes.shape)
-        return (vals * gw[None, :]).sum(axis=1) * self.half, vals
+        self.error = float(self.half @ np.abs(c[-2:]).sum(axis=0) + np.finfo(float).eps * np.sum(self.cum))
 
     def _panel(self, x: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Index of the panel holding each x, by the table of panel starts."""
@@ -569,8 +576,10 @@ class _HalfTable:
         panel's series; one that would leave the bracket, tightened at every
         evaluation, bisects it instead (rtsafe, Numerical Recipes 9.4).  The
         iteration stops when every step is at the rounding level of w or of
-        t(w) - t.  Points whose time rounds just past their panel's end
-        settle on that end, within rounding.
+        t(w) - t, whose series cum[i] + sum t_k s^k rounds on the scale
+        cum[i] + sum |t_k|; near a chart's end that is the panel's width in
+        t, far above t itself.  Points whose time rounds just past their
+        panel's end settle on that end, within rounding.
         """
         i = self._panel(t, self.cum)
         c0 = self.cum[i]
@@ -580,6 +589,7 @@ class _HalfTable:
         w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g_edges[i]
              + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g_edges[i + 1])
         t_cols, g_cols = self.t_cols[:, i], self.g_cols[:, i]
+        t_round = c0 + np.abs(t_cols).sum(axis=0)
         for _ in range(NEWTON_MAX_ITER):
             powers = self._powers(i, w)
             h, g_w = c0 + np.einsum("ij,ij->j", t_cols, powers) - t, np.einsum("ij,ij->j", g_cols, powers[:-1])
@@ -587,15 +597,11 @@ class _HalfTable:
             b = np.where(h > 0, w, b)
             w_new = w - h / g_w
             w_new = np.where((w_new < a) | (w_new > b), (a + b) / 2, w_new)
-            converged = np.all(np.abs(w_new - w) <= NEWTON_RTOL * np.maximum(w_new, t / g_w))
+            converged = np.all(np.abs(w_new - w) <= NEWTON_RTOL * np.maximum(w_new, t_round / g_w))
             w = w_new
             if converged:
                 return w
         raise InternalError("profile inversion did not converge in %d Newton steps" % NEWTON_MAX_ITER)
-
-    def error_estimate(self, gx: np.ndarray, gw: np.ndarray) -> float:
-        """Summed |G' - G| over the panels, G' their sums under a higher-order rule (gx, gw)."""
-        return float(np.sum(np.abs(self._panel_sums(gx, gw)[0] - self.panels)))
 
 
 class ProfileMap:
@@ -642,9 +648,8 @@ class ProfileMap:
         return _like(t, f.reshape(t.shape))
 
     def quad_error_estimate(self) -> float:
-        """The tables' error, estimated by re-summing every panel with a 24-node Gauss rule."""
-        gx, gw = _gauss_rule(24)
-        return self._left.error_estimate(gx, gw) + self._right.error_estimate(gx, gw)
+        """The tables' error: their panels' Legendre tails and the rounding of their cumulative sums."""
+        return self._left.error + self._right.error
 
 
 def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
@@ -691,8 +696,7 @@ def profile_solve(sp: SegmentPolynomial, grid_size: int = 512) -> ProfileSolutio
     pmap = ProfileMap(sp)
     t = np.linspace(0.0, pmap.delta, grid_size)
     f = pmap.f_of_t(t)
-    fp = np.sqrt(np.maximum(sp.u_float(f), 0.0))
-    fpp = sp.fpp_float(f)
+    fp, fpp = sp.fp_fpp(f)
     ode_res = _ricci_q(sp, f[1:-1], fp[1:-1], fpp[1:-1]) + f[1:-1] - sp.m1
 
     diagnostics = {
@@ -722,7 +726,7 @@ def _state_at(sp: SegmentPolynomial, profile: ProfileSolution, t):
     if not np.all((0.0 < t) & (t < profile.delta)):
         raise InputError("t must be interior to (0, delta)")
     f = profile.map.f_of_t(t)
-    return f, np.sqrt(np.maximum(sp.u_float(f), 0.0)), sp.fpp_float(f)
+    return (f,) + sp.fp_fpp(f)
 
 
 def _ricci_q(sp: SegmentPolynomial, f, fp, fpp):

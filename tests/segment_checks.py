@@ -6,7 +6,8 @@ scaled-Ricci negative control, shared by `test_einstein.py` and
 built from; the Fraction/Quad polynomial helpers and the exact end-chart
 lists, the oracles of the segment polynomial's integer coefficient parts
 and of its floats; the Ricci evaluations at one time; the rounding bounds
-of the verify keys that divide by small numbers;
+of the verify keys that divide by small numbers or cancel, and the
+five-pass route to (f', f''), the oracle of `SegmentPolynomial.fp_fpp`;
 the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; and the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
@@ -168,8 +169,26 @@ def ricci_normal(profile, sp, t):
     return ein.ricci_normal_state(sp, *ein._state_at(sp, profile, t))
 
 
+def fp_fpp_by_passes(sp, f):
+    """(f', f'') at the floats f from five Horner passes: `SegmentPolynomial.u_float`, and p, q and p' again.
+
+    The route that `SegmentPolynomial.fp_fpp` replaced on the solve path, the
+    oracle of its one pass over each chart's p, q and p': f'' = u F - f + m1,
+    with u F = q ((m - 1) p + x p') / p^2 at distance x from the nearer end,
+    negated on the right chart.
+    """
+    f = np.asarray(f, dtype=float)
+    fd = float(sp.f_delta)
+    uf = np.empty_like(f)
+    for chart, near, sign in zip(sp.deflations, (f <= fd / 2, f > fd / 2), (1.0, -1.0)):
+        x = f[near] if sign > 0 else fd - f[near]
+        pt, qt, dpt = (ein.p_eval_float(c, x) for c in (chart.p_f, chart.q_f, chart.dp_f))
+        uf[near] = sign * (qt * ((chart.m - 1) * pt + x * dpt) / (pt * pt))
+    return np.sqrt(np.maximum(sp.u_float(f), 0.0)), uf - f + sp.m1
+
+
 def verify_rounding(sp, f, fp, q, h):
-    """How far rounding can move two of `einstein.verify_profile`'s maxima, the largest over the checks.
+    """How far rounding can move three of `einstein.verify_profile`'s maxima, the largest over the checks.
 
     ``f`` and ``fp`` are the state at each check, ``q`` holds q = f'' -
     (f')^2 s1/2 at each check and its four stencil points (t, t - 2h, t - h,
@@ -183,7 +202,14 @@ def verify_rounding(sp, f, fp, q, h):
       rounding unit eps |q| in each of its four values;
     - max_tangential_residual: a module's residual (zk + q k)/(a - k f) - 1
       moves by |k| ulp(q)/|a - k f| for one ulp of q, and by
-      |k (zk + q k)| ulp(f)/(a - k f)^2 for one ulp of f.
+      |k (zk + q k)| ulp(f)/(a - k f)^2 for one ulp of f;
+    - max_normal_residual: the first integral makes r(xi, xi) = 1 at every
+      state, so r(xi, xi) - 1 is rounding alone.  Its terms f'' s1 and
+      u s2/2 are formed a second time inside f'''/f' and cancel; with at
+      most nine roundings on each, |r(xi, xi) - 1| is at most
+      10 eps (|f'' s1| + u |s2|/2 + 1) to first order, where f'' = q + u s1/2
+      and u = (f')^2.  Near a wall s2 grows as 1/(a - k f)^2, and the bound
+      with it.
     """
     f, fp, q, h = (np.asarray(x, dtype=float) for x in (f, fp, q, h))
     eps = np.finfo(float).eps
@@ -192,7 +218,11 @@ def verify_rounding(sp, f, fp, q, h):
     r = sp.zk_f + q[..., :1] * sp.k_f
     k = np.abs(sp.k_f)
     tangential = k * (np.spacing(np.abs(q[..., :1])) + np.spacing(np.abs(f[..., None])) * np.abs(r / g)) / np.abs(g)
-    return {"normal_two_route_gap": float(np.max(stencil)), "max_tangential_residual": float(np.max(tangential))}
+    s1, s2 = sp.log_deriv_sums(f)
+    u = fp * fp
+    normal = 10 * eps * (np.abs((q[..., 0] + u * s1 / 2) * s1) + u * np.abs(s2) / 2 + 1)
+    return {"normal_two_route_gap": float(np.max(stencil)), "max_tangential_residual": float(np.max(tangential)),
+            "max_normal_residual": float(np.max(normal))}
 
 
 def verify_rounding_of(sp, profile, n_check):

@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the report of 3 144 runs, keyed by their command line: the
+``--out`` writes the report of 3 149 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
 sweep groups, and the walled search on every flag of the groups up to rank
 3 at the degrees of WALLED_DEGREES, each at the period scales 1 and 1/3;
@@ -18,7 +18,8 @@ walled-search groups and on the exceptional flags of DIRECTION_EXTRA; and
 `solve` and `verify`, exact and with --float, at both period scales, on the
 antisymmetric diameters Z = e_i - e_(n+i) of G x G for G in
 DIAMETER_GROUPS, with every node but i and n + i painted, the runs that
-build a segment polynomial.  A command line that occurs twice is run once.
+build a segment polynomial; and `solve` at the FINE_GRIDS, whose first
+and last steps invert times far below a panel's width in t.  A command line that occurs twice is run once.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds; it exits with 1 when a run changed.  Floats are compared relative to the larger
@@ -49,6 +50,12 @@ DIRECTION_DEGREES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 DIRECTION_EXTRA = FLAG_INFO_EXTRA[:3]
 DIAMETER_GROUPS = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 FLOAT_RTOL = 1e-12
+# solve runs at fine grids: (arguments, grid); up to 65 536 points, the CLI's largest grid
+FINE_GRIDS = [("--group A2xA2 --painted 0,2 --z 0,1,0,-1 --m1 1 --m2 1", 9794),
+              ("--group A2xA2 --painted 0,2 --z 0,1,0,-1 --m1 1 --m2 1", 65536),
+              ("--group B3xB3 --painted 0,2,3,5 --z 0,1,0,0,-1,0 --m1 1 --m2 1", 32768),
+              ("--group E6xE6 --painted 0,2,3,4,5,6,8,9,10,11 --z 0,1,0,0,0,0,0,-1,0,0,0,0 --m1 1 --m2 1", 50021),
+              ("--group A2 --painted 1 --z=-1/6,0 --tau 1/3 --m1 3 --m2 1", 40000)]
 
 
 def paintings(group: str):
@@ -74,7 +81,7 @@ def center_directions(rank: int, painted) -> list:
 def sweep_argvs():
     """The command lines of the sweep, once each: diameter runs first, then walled ones, flag-info, roots,
     check-segment, the futaki and check-segment runs along non-unit directions, and solve and verify on the
-    antisymmetric diameters."""
+    antisymmetric diameters, and solve at the fine grids."""
     out = []
     for group in GROUPS:
         rank = LieAlgebraSpec.parse(group).rank
@@ -107,6 +114,7 @@ def sweep_argvs():
             z = ",".join("1" if k == i else "-1" if k == n + i else "0" for k in range(2 * n))
             out.append([mode, "--group", "%sx%s" % (group, group), "--painted", painted, "--z", z, "--tau", tau,
                         "--m1", "1", "--m2", "1"] + arithmetic)
+    out += [["solve"] + args.split() + ["--grid", str(grid)] for args, grid in FINE_GRIDS]
     return list(map(list, dict.fromkeys(map(tuple, out))))
 
 

@@ -515,10 +515,12 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     everything = sweep.sweep_argvs()
     assert all(argv in everything for argv in argvs)
     modes = [argv[0] for argv in everything]
-    assert len(everything) == len(set(map(tuple, everything))) == 3144
+    assert len(everything) == len(set(map(tuple, everything))) == 3149
     assert (modes.count("flag-info"), modes.count("roots"), modes.count("futaki")) == (365, 28, 396)
     assert modes.count("check-segment") == 675 and sum("--float" in argv for argv in everything) == 323
-    assert modes.count("solve") == modes.count("verify") == 140
+    assert modes.count("solve") == 145 and modes.count("verify") == 140
+    assert ["solve", "--group", "A2xA2", "--painted", "0,2", "--z", "0,1,0,-1", "--m1", "1", "--m2", "1", "--grid",
+            "9794"] in everything
     assert ["solve", "--group", "B3xB3", "--painted", "0,2,3,5", "--z", "0,1,0,0,-1,0", "--tau", "1/3", "--m1", "1",
             "--m2", "1", "--float"] in everything
     assert sweep.center_directions(4, (0,)) == ["0,1,1,1", "0,1,-1,1"] and sweep.center_directions(2, (1,)) == ["1,0"]

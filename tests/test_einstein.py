@@ -734,7 +734,7 @@ def test_q_odd_about_midpoint_for_symmetric_data(ke_profile):
         for t in (mid - s, mid + s):
             f = prof.map.f_of_t(t)
             fp2 = sp.u_float(f)
-            fpp = sp.fpp_float(f)
+            fpp = sp.fp_fpp(f)[1]
             s1, _ = sp.log_deriv_sums(f)
             qs.append(fpp - fp2 * s1 / 2.0)
         assert abs(qs[0] + qs[1]) < 1e-8

@@ -112,8 +112,13 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 @pytest.fixture
 def drifted_end_curvature(monkeypatch):
-    fpp = ein.SegmentPolynomial.fpp_float
-    monkeypatch.setattr(ein.SegmentPolynomial, "fpp_float", lambda self, f: fpp(self, f) + 1e-3)
+    fp_fpp = ein.SegmentPolynomial.fp_fpp
+
+    def drifted(self, f):
+        fp, fpp = fp_fpp(self, f)
+        return fp, fpp + 1e-3
+
+    monkeypatch.setattr(ein.SegmentPolynomial, "fp_fpp", drifted)
 
 
 def test_end_curvature_drift_raises_internal_error(ke_base, drifted_end_curvature):
