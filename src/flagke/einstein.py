@@ -367,10 +367,10 @@ class SegmentPolynomial:
 
         Past the midpoint this is the reversed polynomial's u at m1+m2 - f:
         each chart sees only its own half, since the other end's wall is a
-        pole of its deflated p.  Segment polynomials without a valid profile (nonvanishing obstruction
-        or mismatched walls) have no charts; they fall back to the direct
-        ratio, valid on the open interval away from walls.  ``f`` may be a
-        float or an array.
+        pole of its deflated p.  Segment polynomials without a valid profile
+        (nonvanishing obstruction or mismatched walls) have no charts; they
+        fall back to the direct ratio, valid on the open interval away from
+        walls.  ``f`` may be a float or an array; a float gives a float.
         """
         f = np.asarray(f, dtype=float)
         try:

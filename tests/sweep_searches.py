@@ -19,7 +19,8 @@ walled-search groups and on the exceptional flags of DIRECTION_EXTRA; and
 antisymmetric diameters Z = e_i - e_(n+i) of G x G for G in
 DIAMETER_GROUPS, with every node but i and n + i painted, the runs that
 build a segment polynomial; and `solve` at the FINE_GRIDS, whose first
-and last steps invert times far below a panel's width in t.  A command line that occurs twice is run once.
+and last steps invert times far below a panel's width in t.  A command
+line that occurs twice is run once.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds; it exits with 1 when a run changed.  Floats are compared relative to the larger
