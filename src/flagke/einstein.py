@@ -60,14 +60,18 @@ PROFILE_GAUSS_ORDER = 16
 # cap (bisection alone needs ~55) is a fault
 NEWTON_RTOL = 4 * np.finfo(float).eps
 NEWTON_MAX_ITER = 80
-# diameter search: the latitude circles of a 3-dimensional center; an
-# eigenvalue this close to the unit circle is a zero of its circle (rounding
-# splits a double zero by about sqrt(eps)); Newton steps that polish the zeros
+# diameter search: the latitude circles over (0, pi) of a 3-dimensional
+# center, whose northern half is scanned; an eigenvalue this close to the
+# unit circle is a zero of its circle (rounding splits a double zero by about
+# sqrt(eps)); Newton steps that polish the zeros
 SEARCH_LATITUDES = 30
 SEARCH_UNIT_TOL = 1e-6
 SEARCH_NEWTON_STEPS = 4
-# a float zero is tried as the rational direction with denominators up to this
+# a float zero is tried as the rational direction with denominators up to
+# this, when every coordinate is within the tolerance of it: rounding splits
+# a double zero, and moves it, by about sqrt(eps) = 1.5e-8
 RATIONALIZE_MAX_DEN = 10 ** 6
+RATIONALIZE_TOL = 1e-7
 # walled search: the most lines, each cut out by d - 1 wall hyperplanes, it solves
 MAX_WALL_SYSTEMS = 20000
 # a float coefficient below this share of the largest one is a zero of the order test
@@ -830,12 +834,17 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     The sphere-in-chamber hypothesis is evaluated exactly and reported; the
     search runs regardless, since the hypothesis is sufficient but not
     necessary for admissible diameters.  A 2-dimensional center is one scan
-    circle and a 3-dimensional one SEARCH_LATITUDES latitude circles, in
-    center coordinates (the unpainted values); every zero of every circle
-    comes from `_circle_zeros`.  Float zeros are confirmed exactly whenever
-    the direction rationalizes: a rational direction is first tested by the
-    sign of `_homogenized_obstruction`, and only a direction where it
-    vanishes is normalized and given a verdict.
+    circle, in center coordinates (the unpainted values); a 3-dimensional
+    one is the northern half, latitude phi <= pi/2, of SEARCH_LATITUDES
+    latitude circles.  For m1 = m2 the obstruction is odd, F(-Z) = -F(Z),
+    so every southern zero is the antipode of a northern one, the same
+    direction up to sign, which `_direction_key` merges.  Every zero of
+    every circle comes from `_circle_zeros`.  The exact work is done in the
+    center's integer frame: a float zero is rationalized straight to a
+    primitive integer center vector Q (`_integer_direction`), tested by the
+    sign of `_homogenized_obstruction`, and only where that vanishes built
+    as an exact vector, normalized and given a verdict.  The two directions
+    of a 1-dimensional center are Q = (1,) and (-1,).
     """
     flag, j = base.flag, base.j
     d = flag.center_dim
@@ -843,22 +852,29 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         raise InputError("diameter search supports center dimension 1..3, got %d" % d)
     zk = ricci_invariant(flag, j)
     hypothesis = sphere_in_chamber(flag, j, zk=zk)
+    modules = _center_modules(flag, j, zk)
 
     candidates: List[DiameterCandidate] = []
     seen: set = set()
 
-    def consider_exact(vec: CartanVector) -> None:
-        if _homogenized_obstruction(flag, j, zk, vec, base.period_scale) != 0:
-            return
-        cand_base = make_base(flag, j, vec, period_scale=base.period_scale)
+    def consider_exact(q: Sequence[int]) -> bool:
+        """Add the direction of the integer center vector q if the obstruction vanishes there; True if added."""
+        if _homogenized_obstruction(flag, modules, q, base.period_scale) != 0:
+            return False
+        u = [0] * flag.rs.rank
+        for i, x in zip(flag.unpainted, q):
+            u[i] = x
+        cand_base = make_base(flag, j, CartanVector.from_split(u, [0] * len(u), 1, None),
+                              period_scale=base.period_scale)
         key = _direction_key([float(v) for v in cand_base.z.values])
         if key in seen:
-            return
+            return False
         verdict = ke_verdict(cand_base, zk, 1, 1)
         if not verdict.futaki.vanishes:
-            return
+            return False
         seen.add(key)
         candidates.append(DiameterCandidate(cand_base.z.values, verdict, confirmed_exact=True))
+        return True
 
     def consider_float(coords: np.ndarray) -> None:
         values = np.zeros(flag.rs.rank)
@@ -866,26 +882,23 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         key = _direction_key(values)
         if key in seen:
             return
-        exact_dir = _rationalize_direction(flag.center_basis, coords)
-        if exact_dir is not None:
-            before = len(candidates)
-            consider_exact(exact_dir)
-            if len(candidates) > before:
-                return
+        q = _integer_direction(coords)
+        if q is not None and consider_exact(q):
+            return
         seen.add(key)
         zf = CartanVector(tuple(float(v) for v in values))
         base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
         candidates.append(DiameterCandidate(zf.values, ke_verdict(base_f, zk, 1, 1), confirmed_exact=False))
 
     if d == 1:
-        consider_exact(flag.center_basis[0])
-        consider_exact(-flag.center_basis[0])
+        consider_exact([1])
+        consider_exact([-1])
     else:
         onb = [float(base.period_scale) * u for u in _orthonormal_center_basis(flag)]
         if d == 2:
             b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, d))
         else:
-            phi = np.linspace(0.0, math.pi, SEARCH_LATITUDES + 2)[1:-1, None]
+            phi = _search_latitudes()[:, None]
             b1, b2, offset = np.sin(phi) * onb[0], np.sin(phi) * onb[1], np.cos(phi) * onb[2]
         obstruction = _diameter_obstruction(flag, j, zk)
 
@@ -899,6 +912,14 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     order = {True: 0, False: 1}
     candidates.sort(key=lambda c: (order[c.confirmed_exact], tuple(float(v) for v in c.z_values)))
     return DiameterSearchResult(hypothesis=hypothesis, candidates=tuple(candidates))
+
+
+def _search_latitudes() -> np.ndarray:
+    """The northern latitudes, phi <= pi/2, of SEARCH_LATITUDES circles spaced evenly in phi over (0, pi).
+
+    An odd count keeps the equator, phi = pi/2 exactly.
+    """
+    return np.linspace(0.0, math.pi, SEARCH_LATITUDES + 2)[1:(SEARCH_LATITUDES + 3) // 2]
 
 
 def _diameter_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
@@ -934,9 +955,11 @@ def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, n
     degree at most `degree`.  Its DFT coefficients c_k from M = 2 degree + 1
     equispaced samples make w^degree F(w) a polynomial in w = e^(i theta),
     whose unit-modulus roots, the eigenvalues of its companion matrix
-    (Boyd, J. Eng. Math. 56, 2006), are the zeros of F.  Coefficients at
-    rounding level are dropped from the top first: the degree bound need not
-    be attained (the obstruction keeps only odd powers of y, so for even
+    (Boyd, J. Eng. Math. 56, 2006), are the zeros of F.  The matrices are
+    those np.roots builds, stacked over the circles of one trimmed degree
+    and handed to one np.linalg.eigvals call, which gives np.roots' roots
+    bit for bit.  Coefficients at rounding level are dropped from the top
+    first: the degree bound need not be attained (the obstruction keeps only odd powers of y, so for even
     |R_m+| its top coefficient is pure rounding).  The zeros of all
     circles are polished together by Newton steps on values_at with the
     interpolant's exact derivative, and those with |F| <= FUTAKI_FLOAT_TOL
@@ -948,18 +971,24 @@ def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, n
     samples = values_at(np.repeat(np.arange(n_circles), m), np.tile(nodes, n_circles)).reshape(n_circles, m)
     k = np.arange(-degree, degree + 1)
     coeffs = samples @ np.exp(-1j * np.outer(nodes, k)) / m  # c_k, k = -degree .. degree
-    circles, thetas = [], []
+    found = [nodes if not samples[c].any() else None for c in range(n_circles)]
+    by_degree: Dict[int, List[int]] = {}  # the other circles by their trimmed degree
     for c in range(n_circles):
-        if not samples[c].any():
-            found = nodes
-        else:
+        if found[c] is None:
             big = np.abs(coeffs[c]) > 8 * m * np.finfo(float).eps * np.abs(coeffs[c]).max()
-            top = int(np.abs(k[big]).max())
-            roots = np.roots(coeffs[c, degree - top:degree + top + 1][::-1])
-            found = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= SEARCH_UNIT_TOL])
-        circles.append(np.full(len(found), c))
-        thetas.append(found)
-    circle, theta = np.concatenate(circles), np.concatenate(thetas)
+            by_degree.setdefault(int(np.abs(k[big]).max()), []).append(c)
+    for top, group in by_degree.items():
+        roots = np.zeros((len(group), 0))  # a nonzero constant has no zero
+        if top:
+            p = coeffs[group, degree - top:degree + top + 1][:, ::-1]  # w^top F(w), highest power first
+            companion = np.zeros((len(group), 2 * top, 2 * top), dtype=complex)
+            companion[:, np.arange(1, 2 * top), np.arange(2 * top - 1)] = 1.0
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots = np.linalg.eigvals(companion)
+        for c, r in zip(group, roots):
+            found[c] = np.angle(r[np.abs(np.abs(r) - 1.0) <= SEARCH_UNIT_TOL])
+    circles = [np.full(len(f), c) for c, f in enumerate(found)]
+    circle, theta = np.concatenate(circles), np.concatenate(found)
     slope = coeffs[circle] * (1j * k)
     for _ in range(SEARCH_NEWTON_STEPS):
         df = np.real(np.sum(slope * np.exp(1j * np.outer(theta, k)), axis=1))
@@ -999,16 +1028,26 @@ def _center_vector(basis: Sequence[CartanVector], coeffs: Sequence[Scalar]) -> C
     return functools.reduce(add, (b.scale(c) for b, c in zip(basis, coeffs)))
 
 
-def _rationalize_direction(basis: Sequence[CartanVector], coords: np.ndarray) -> Optional[CartanVector]:
-    """Rebuild a float direction, given by its center coordinates, as an exact rational center vector, if close."""
+def _integer_direction(coords: np.ndarray) -> Optional[List[int]]:
+    """The primitive integer center vector Q of a float direction, given by its center coordinates, if close.
+
+    The coordinates over their largest magnitude are rationalized with
+    denominators up to RATIONALIZE_MAX_DEN; when each is within
+    RATIONALIZE_TOL, Q is those rationals over their common denominator,
+    divided by the gcd of its entries.  None when the direction is zero or
+    not that close to a rational one.
+    """
     scale = np.max(np.abs(coords))
     if scale == 0:
         return None
-    coeffs = coords / scale
+    coeffs = (coords / scale).tolist()
     rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
-    if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > 1e-7:
+    if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > RATIONALIZE_TOL:
         return None
-    return _center_vector(basis, rat)
+    den = math.lcm(*(r.denominator for r in rat))
+    q = [r.numerator * (den // r.denominator) for r in rat]
+    g = math.gcd(*q)
+    return [x // g for x in q]
 
 
 @dataclass(frozen=True)

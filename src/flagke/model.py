@@ -338,9 +338,10 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
     one Fraction or Quad is built, for the value, and the report keeps the
     table and its product for the segment polynomial.  On the float path, the
     only one that loads numpy, the integrand's coefficients are the
-    `einstein.p_linear_product_float` chain over R_m+, and a crude roundoff
-    bound accompanies the value.  ``zk`` is the Ricci element of (flag, j)
-    when the caller has it.
+    `einstein.p_linear_product_float` chain over R_m+, with each alpha(Zk)
+    the float of its exact value, read off the integer split of Zk, and a
+    crude roundoff bound accompanies the value.  ``zk`` is the Ricci element
+    of (flag, j) when the caller has it.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
@@ -350,8 +351,10 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
 
         from .einstein import p_linear_product_float
 
-        coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(zk.values))
-        poly = p_linear_product_float([float(evaluate(a, zk)) for a in j.positive], coords @ np.array(z.values))
+        u, _, den, _ = zk.split  # Zk is rational: alpha(Zk) is one correctly rounded int / int
+        coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(u))
+        at_zk = [sum(map(mul, a.coords, u)) / den for a in j.positive]
+        poly = p_linear_product_float(at_zk, coords @ np.array(z.values))
         powers = np.arange(2, len(poly) + 2, dtype=float)
         value = float(poly @ ((float(m2) ** powers - float(-m1) ** powers) / powers))
         scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
@@ -377,32 +380,41 @@ def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
     return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
 
 
-def _homogenized_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector, q: CartanVector,
-                             period_scale: Fraction) -> Fraction:
-    """F_h(q), the m1 = m2 = 1 obstruction at the direction of a nonzero rational q, homogenized.
+def _homogenized_obstruction(flag: FlagData, modules, q: Sequence[int], period_scale: Fraction) -> Fraction:
+    """F_h(Q), the m1 = m2 = 1 obstruction at the direction of a nonzero integer center vector Q, homogenized.
 
-    With c_i(q) the coefficient of y^i in prod alpha(Zk - y q), e = E(q, q) /
+    Q is given by its center coordinates, its values at the unpainted nodes,
+    and ``modules`` is `flag._center_modules` of (flag, j, Zk).  With c_i(Q)
+    the coefficient of y^i in prod alpha(Zk - y Q), e = E(Q, Q) /
     period_scale^2 and J the largest odd i <= |R_m+|,
 
-        F_h(q) = sum over odd i of 2/(i+2) c_i(q) e^((J-i)/2) = e^(J/2) F(q / sqrt(e)),
+        F_h(Q) = sum over odd i of 2/(i+2) c_i(Q) e^((J-i)/2) = e^(J/2) F(Q / sqrt(e)),
 
-    where F(q / sqrt(e)) is the obstruction `futaki` gives at q normalized to
-    E(Z, Z) = period_scale^2.  So F_h(q) is rational, has the sign of that
+    where F(Q / sqrt(e)) is the obstruction `futaki` gives at Q normalized to
+    E(Z, Z) = period_scale^2.  So F_h(Q) is rational, has the sign of that
     obstruction and vanishes exactly when it does, and no square root is
-    taken.  The c_i come from the integer product of `futaki`; the sum is
-    formed in integers, over one positive denominator.  q lies in the center,
-    so E(q, q) is read off its unpainted values.
+    taken.  F_h is odd and homogeneous of degree J, F_h(lambda Q) =
+    lambda^J F_h(Q), so the scale of Q does not move its zeros.  A center
+    module with restriction rho has alpha(Zk) = at_zk / z_den and alpha(Q) =
+    rho . Q, so its factor is (at_zk - y z_den rho . Q) / z_den, an integer
+    pair over z_den; E(Q, Q) = Q^T M_c Q on the integer center Gram matrix
+    (`flag._center_gram`).  The sum is formed in integers, over one positive
+    denominator.
     """
-    table, den, _ = isotropy_modules(j, zk, q)
-    us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
+    table, at_zk, z_den = modules
+    factors: Dict[tuple, int] = {}
+    for rho, roots, a in zip(table, table.values(), at_zk):
+        key = (a, 0, z_den * sum(map(mul, rho, q)), 0)
+        factors[key] = factors.get(key, 0) + len(roots)
+    us, _ = int_linear_product(factors, None)
     weights, scale = _integral_weights(len(us), 1, 1)
-    qc = [q.values[i] for i in flag.unpainted]
-    e = Fraction(linalg.form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
+    # e = e_num / e_den in integers
+    e_num = linalg.form(_center_gram(flag), q, q) * period_scale.denominator ** 2
+    e_den = period_scale.numerator ** 2
     top = (len(us) - 2) // 2  # (J - 1) / 2
-    # times e.denominator^top, the term of odd i = 2k + 1 carries e.numerator^(top-k) e.denominator^k
-    total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
-                for k, i in enumerate(range(1, len(us), 2)))
-    return Fraction(total, scale * den ** len(j.positive) * e.denominator ** top)
+    # times e_den^top, the term of odd i = 2k + 1 carries e_num^(top-k) e_den^k
+    total = sum(weights[i] * us[i] * e_num ** (top - k) * e_den ** k for k, i in enumerate(range(1, len(us), 2)))
+    return Fraction(total, scale * z_den ** (len(us) - 1) * e_den ** top)
 
 
 @dataclass(frozen=True)

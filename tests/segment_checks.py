@@ -17,11 +17,15 @@ inverse it uses; the center of k computed for a general basis, the oracle
 of the unpainted-coordinate frame of `flag.build_flag` and the searches;
 the flags these oracles are run on; the reflection check of every pair
 of roots, the oracle of the simple-reflection check of `rootsys._validate`;
-and the pair product of linear factors, the oracle of the one-list forms of
-`polys.int_linear_product`.
+the pair product of linear factors, the oracle of the one-list forms of
+`polys.int_linear_product`; the homogenized obstruction over the isotropy
+modules of an exact center vector, the oracle of the integer-frame
+`model._homogenized_obstruction`; and the per-circle np.roots loop, the
+oracle of `einstein._circle_zeros`' stacked eigenvalue call.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -30,9 +34,10 @@ import numpy as np
 from flagke import einstein as ein
 from flagke import linalg
 from flagke.errors import InputError
-from flagke.flag import FLOAT_WALL_TOL, SphereCheck, ricci_invariant
-from flagke.model import AdmissibleSegment, CenterLine, SegmentCandidate, _projective_space_test, ke_verdict
-from flagke.polys import ZERO, pair_scalar, split_exact
+from flagke.flag import FLOAT_WALL_TOL, SphereCheck, _center_gram, ricci_invariant
+from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
+                          _projective_space_test, isotropy_modules, ke_verdict)
+from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import scalar_is_zero, scalar_sign
 
@@ -443,3 +448,51 @@ def pair_linear_product(modules, r):
             us = [a0 * u + R * a1 * v - k0 * x - R * k1 * y for u, v, x, y in zip(u0, v0, u1, v1)]
             vs = [a0 * v + a1 * u - k0 * y - k1 * x for u, v, x, y in zip(u0, v0, u1, v1)]
     return us, vs
+
+
+def isotropy_homogenized_obstruction(flag, j, zk, q, period_scale):
+    """F_h(q) of `model._homogenized_obstruction` at an exact rational center vector q, over its isotropy modules.
+
+    The coefficients c_i(q) of prod alpha(Zk - y q) come from the integer
+    product over `model.isotropy_modules` under (Zk, q), which reads q's own
+    denominator; e = E(q, q) / period_scale^2 is a reduced Fraction.
+    """
+    table, den, _ = isotropy_modules(j, zk, q)
+    us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
+    weights, scale = _integral_weights(len(us), 1, 1)
+    qc = [q.values[i] for i in flag.unpainted]
+    e = Fraction(linalg.form(_center_gram(flag), qc, qc)) / (period_scale * period_scale)
+    top = (len(us) - 2) // 2
+    total = sum(weights[i] * us[i] * e.numerator ** (top - k) * e.denominator ** k
+                for k, i in enumerate(range(1, len(us), 2)))
+    return Fraction(total, scale * den ** len(j.positive) * e.denominator ** top)
+
+
+def circle_zeros_by_np_roots(values_at, n_circles, degree):
+    """`einstein._circle_zeros` with one np.roots call per circle, as the oracle of its stacked eigenvalues."""
+    m = 2 * degree + 1
+    nodes = 2 * math.pi * np.arange(m) / m
+    samples = values_at(np.repeat(np.arange(n_circles), m), np.tile(nodes, n_circles)).reshape(n_circles, m)
+    k = np.arange(-degree, degree + 1)
+    coeffs = samples @ np.exp(-1j * np.outer(nodes, k)) / m
+    circles, thetas = [], []
+    for c in range(n_circles):
+        if not samples[c].any():
+            found = nodes
+        else:
+            big = np.abs(coeffs[c]) > 8 * m * np.finfo(float).eps * np.abs(coeffs[c]).max()
+            top = int(np.abs(k[big]).max())
+            roots = np.roots(coeffs[c, degree - top:degree + top + 1][::-1])
+            found = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= ein.SEARCH_UNIT_TOL])
+        circles.append(np.full(len(found), c))
+        thetas.append(found)
+    circle, theta = np.concatenate(circles), np.concatenate(thetas)
+    slope = coeffs[circle] * (1j * k)
+    for _ in range(ein.SEARCH_NEWTON_STEPS):
+        df = np.real(np.sum(slope * np.exp(1j * np.outer(theta, k)), axis=1))
+        theta = theta - np.divide(values_at(circle, theta), df, out=np.zeros_like(df), where=df != 0)
+    keep = np.abs(values_at(circle, theta)) <= FUTAKI_FLOAT_TOL
+    circle, theta = circle[keep], np.mod(theta[keep], 2 * math.pi)
+    theta[theta == 2 * math.pi] = 0.0
+    order = np.lexsort((theta, circle))
+    return circle[order], theta[order]

@@ -11,6 +11,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from flagke import einstein as ein
+from flagke import model
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
@@ -33,9 +34,11 @@ from sweep_searches import paintings
 from segment_checks import (
     CENTER_FLAGS,
     center_flags,
+    circle_zeros_by_np_roots,
     first_integral_identity_numerator,
     general_basis_center,
     int_shifted_antiderivative,
+    isotropy_homogenized_obstruction,
     p_antideriv,
     p_deriv,
     p_mul,
@@ -855,11 +858,21 @@ _HOMOGENIZED_GROUPS = ["A1", "A2", "A3", "A4", "A6", "B2", "B3", "B5", "C3", "C6
                        "A1xA1", "A1xA1xA1", "A2xA2", "A2xG2", "B2xA1", "A3xA3", "B3xB3", "A2xA2xA2"]
 
 
-def _homogenized_cases(n, seed=13):
-    """n random (flag, j, q, tau): a painted flag of rank <= 6 with d in {1, 2, 3} and a rational center q.
+def _center_vector_of(flag, q):
+    """The exact vector with center coordinates q: the values q at the unpainted nodes and 0 elsewhere."""
+    values = [Fraction(0)] * flag.rs.rank
+    for i, x in zip(flag.unpainted, q):
+        values[i] = Fraction(x)
+    return CartanVector(tuple(values))
 
-    Every third case is an antisymmetric diameter q = c + (-c) on G x G with
-    both factors painted alike and d = 2, where the obstruction vanishes.
+
+def _homogenized_cases(n, seed=13):
+    """n random (flag, j, Q, tau): a painted flag of rank <= 6 with d in {1, 2, 3} and a nonzero integer center Q.
+
+    Q is a random rational center vector times the common denominator of
+    its coordinates.  Every third case is an antisymmetric diameter Q = c +
+    (-c) on G x G with both factors painted alike and d = 2, where the
+    obstruction vanishes.
     """
     gen = random.Random(seed)
     rational = lambda: Fraction(gen.randint(-6, 6), gen.randint(1, 4))
@@ -871,8 +884,8 @@ def _homogenized_cases(n, seed=13):
             keep = gen.randrange(rank)
             painted = [k for k in range(rank) if k != keep]
             flag, j = _flag_j("%sx%s" % (text, text), painted + [k + rank for k in painted])
-            c = _flag_j(text, painted)[0].center_basis[0].scale(rational() or Fraction(1))
-            yield flag, j, CartanVector(c.values + tuple(-x for x in c.values)), tau
+            c = (rational() or Fraction(1)).numerator
+            yield flag, j, [c, -c], tau
             continue
         text = gen.choice(_HOMOGENIZED_GROUPS)
         rank = rs(text).rank
@@ -881,21 +894,23 @@ def _homogenized_cases(n, seed=13):
         coeffs = [rational() for _ in flag.center_basis]
         if not any(coeffs):
             coeffs[0] = Fraction(1)
-        yield flag, j, ein._center_vector(flag.center_basis, coeffs), tau
+        den = math.lcm(*(x.denominator for x in coeffs))
+        yield flag, j, [int(x * den) for x in coeffs], tau
 
 
 def test_homogenized_obstruction_decides_the_exact_futaki_sign():
-    # the normalized obstruction through make_base and futaki is the oracle: F_h(q) has its
-    # sign, vanishes exactly with it, and is e^(J/2) times it, e = E(q, q)/tau^2
+    # the normalized obstruction through make_base and futaki is the oracle: F_h(Q) has its
+    # sign, vanishes exactly with it, and is e^(J/2) times it, e = E(Q, Q)/tau^2
     vanishing = 0
     for flag, j, q, tau in _homogenized_cases(60):
         zk = ricci_invariant(flag, j)
-        fh = _homogenized_obstruction(flag, j, zk, q, tau)
-        rep = futaki(flag, j, make_base(flag, j, q, period_scale=tau).z, 1, 1, zk=zk)
+        fh = _homogenized_obstruction(flag, _center_modules(flag, j, zk), q, tau)
+        z = _center_vector_of(flag, q)
+        rep = futaki(flag, j, make_base(flag, j, z, period_scale=tau).z, 1, 1, zk=zk)
         assert isinstance(fh, Fraction)
         assert (fh > 0) - (fh < 0) == scalar_sign(rep.value)
         assert (fh == 0) == rep.vanishes
-        e = killing(flag.rs, q, q) / (tau * tau)
+        e = killing(flag.rs, z, z) / (tau * tau)
         top = (len(j.positive) - 1) // 2  # (J - 1) / 2
         assert fh == rep.value * e ** top * exact_sqrt(e)
         vanishing += rep.vanishes
@@ -904,11 +919,40 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
 
 def test_homogenized_obstruction_on_the_cp2_product():
     flag, j = _flag_j("A2xA2", (1, 3))
-    zk = ricci_invariant(flag, j)
-    at = lambda *q: _homogenized_obstruction(flag, j, zk, CartanVector(tuple(map(Fraction, q))), Fraction(1))
-    assert at(1, 0, -1, 0) == 0
-    assert at(2, 0, -1, 0) < 0
-    assert at(-2, 0, 1, 0) > 0  # F_h is odd
+    modules = _center_modules(flag, j, ricci_invariant(flag, j))
+    at = lambda *q: _homogenized_obstruction(flag, modules, q, Fraction(1))
+    assert at(1, -1) == 0
+    assert at(2, -1) < 0
+    assert at(-2, 1) > 0  # F_h is odd
+
+
+# the groups whose flags with a 1-, 2- or 3-dimensional center the integer F_h is checked on; every
+# one of those flags has z_den > 1, where alpha(Q) must be scaled by z_den along with alpha(Zk)
+_FRAME_GROUPS = ["A2xA2xA2", "A1xA1xA1", "G2xA2", "A4", "B3", "C4", "F4", "A2xB2"]
+
+
+@pytest.mark.parametrize("text", _FRAME_GROUPS)
+def test_homogenized_obstruction_matches_the_isotropy_module_oracle(text):
+    # at seeded nonzero integer directions Q and tau in {1, 1/3}, the integer-frame F_h equals the
+    # oracle's over the isotropy modules of the exact vector, so it has its sign; and it is odd and
+    # homogeneous of degree J, the largest odd number <= |R_m+|
+    gen = random.Random(text)
+    rank = rs(text).rank
+    for d in range(1, min(3, rank) + 1):
+        for painted in itertools.combinations(range(rank), rank - d):
+            flag, j = _flag_j(text, painted)
+            zk = ricci_invariant(flag, j)
+            modules = _center_modules(flag, j, zk)
+            assert modules[2] > 1, painted
+            n = len(j.positive)
+            for tau in (Fraction(1), Fraction(1, 3)):
+                for _ in range(3):
+                    q = [gen.randint(-5, 5) for _ in range(d)]
+                    q[gen.randrange(d)] = gen.choice([-3, -2, -1, 1, 2, 3])
+                    fh = _homogenized_obstruction(flag, modules, q, tau)
+                    assert fh == isotropy_homogenized_obstruction(flag, j, zk, _center_vector_of(flag, q), tau)
+                    assert _homogenized_obstruction(flag, modules, [-x for x in q], tau) == -fh
+                    assert _homogenized_obstruction(flag, modules, [2 * x for x in q], tau) == 2 ** (n - 1 + n % 2) * fh
 
 
 _PREFILTER_FLAGS = [("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", (0,)), ("G2", ()), ("A3", (1,)),
@@ -1018,6 +1062,105 @@ def test_circle_zeros_orders_circles_and_hands_over_a_vanishing_circle():
     assert circle.tolist() == [0, 0, 0, 1, 1]
     assert np.array_equal(theta[:3], 2 * math.pi * np.arange(3) / 3)
     assert abs(theta[3] - math.pi / 2) <= 1e-15 and abs(theta[4] - 3 * math.pi / 2) <= 1e-15
+
+
+def _seeded_trig_circles(degree, circle_degrees, seed=5):
+    """values_at of one random real trigonometric polynomial per circle, of the given degrees (-1: zero)."""
+    gen = np.random.default_rng(seed)
+    cos_sin = [(gen.normal(size=dc + 1), gen.normal(size=dc + 1)) if dc >= 0 else (np.zeros(1), np.zeros(1))
+               for dc in circle_degrees]
+    assert max(circle_degrees) <= degree
+
+    def values_at(circle, theta):
+        out = np.zeros(len(theta))
+        for c, (a, b) in enumerate(cos_sin):
+            at = circle == c
+            kt = np.outer(theta[at], np.arange(len(a)))
+            out[at] = np.cos(kt) @ a + np.sin(kt) @ b
+        return out
+
+    return values_at
+
+
+def test_circle_zeros_stacked_eigenvalues_match_the_np_roots_oracle(monkeypatch):
+    # trimmed degrees 3 and 5 in one call, an all-zero circle and a constant one (trimmed degree 0);
+    # the per-circle np.roots loop is the oracle, bit for bit
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    for seed in range(4):
+        values_at = _seeded_trig_circles(5, [3, 5, -1, 3, 0, 5, 5], seed)
+        got = ein._circle_zeros(values_at, 7, 5)
+        want = circle_zeros_by_np_roots(values_at, 7, 5)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert set(got[0].tolist()) >= {0, 1, 2, 3, 5, 6} and 4 not in got[0]
+    assert sorted(calls[:2]) == [(2, 6, 6), (3, 10, 10)]
+
+
+@pytest.mark.parametrize("text, painted", [("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", ()), ("G2xA2", (2,))])
+@pytest.mark.parametrize("tau", [Fraction(1), Fraction(1, 3)])
+def test_northern_scan_matches_a_scan_of_every_latitude(text, painted, tau, monkeypatch):
+    # F(-Z) = -F(Z) for m1 = m2 = 1: the southern circles add only antipodes of northern zeros.
+    # 15 latitudes keep the equator, whose zeros come in antipodal pairs on the one circle
+    monkeypatch.setattr(ein, "SEARCH_LATITUDES", 15)
+    flag, j = _flag_j(text, painted)
+    base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
+    got = ein.search_diameters(base).candidates
+    every = lambda: np.linspace(0.0, math.pi, ein.SEARCH_LATITUDES + 2)[1:-1]
+    monkeypatch.setattr(ein, "_search_latitudes", every)
+    want = ein.search_diameters(base).candidates
+    assert len(got) == len(want) > 0
+    assert [(c.confirmed_exact, c.ke_ok) for c in got] == [(c.confirmed_exact, c.ke_ok) for c in want]
+    for c, w in zip(got, want):
+        if c.confirmed_exact:
+            assert c.z_values == w.z_values
+        else:
+            assert max(abs(x - y) for x, y in zip(c.z_values, w.z_values)) <= 1e-12
+
+
+def test_d3_search_counts_one_eigenvalue_call_and_no_exact_work_at_irrational_zeros(monkeypatch):
+    # on A2 x A2 x A2 [1, 3, 5] the 18 zeros are irrational: each is tested by one integer F_h, and
+    # none is built as an exact vector or normalized; the float verdicts read alpha(Zk) as integers
+    flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
+    base = make_base(flag, j, flag.center_basis[0])
+    counts = {"eigvals": 0, "roots": 0, "make_base": 0, "exact vectors": 0, "F_h": 0, "futaki evaluate": 0}
+    inside_futaki = []
+
+    def counting(name, fn, test=lambda *args, **kw: True):
+        def wrapped(*args, **kw):
+            counts[name] += bool(test(*args, **kw))
+            return fn(*args, **kw)
+        return wrapped
+
+    def in_futaki(*args, **kw):
+        inside_futaki.append(True)
+        try:
+            return futaki_fn(*args, **kw)
+        finally:
+            inside_futaki.pop()
+
+    futaki_fn, evaluate_fn = model.futaki, model.evaluate
+    from_split = CartanVector.from_split.__func__
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np, "roots", counting("roots", np.roots))
+    monkeypatch.setattr(ein, "make_base", counting("make_base", make_base))
+    monkeypatch.setattr(ein, "_homogenized_obstruction", counting("F_h", _homogenized_obstruction))
+    monkeypatch.setattr(CartanVector, "from_split", classmethod(counting("exact vectors", from_split)))
+    monkeypatch.setattr(model, "futaki", in_futaki)
+    monkeypatch.setattr(model, "evaluate", counting("futaki evaluate", evaluate_fn, lambda *args: inside_futaki))
+    res = ein.search_diameters(base)
+    assert len(res.candidates) == 18 and all(c.ke_ok and not c.confirmed_exact for c in res.candidates)
+    assert counts == {"eigvals": 1, "roots": 0, "make_base": 0, "exact vectors": 1, "F_h": 18, "futaki evaluate": 0}
+
+
+def test_integer_direction_is_primitive_and_within_the_rationalize_tolerance():
+    assert ein._integer_direction(np.array([0.5, -1.0, 0.25])) == [2, -4, 1]
+    assert ein._integer_direction(np.array([-3.0, 6.0])) == [-1, 2]
+    assert ein._integer_direction(np.array([1 / 3, 0.0, 2 / 3])) == [1, 0, 2]
+    assert ein._integer_direction(np.zeros(2)) is None
+    off = 1 / 3 + 2 * ein.RATIONALIZE_TOL
+    assert ein._integer_direction(np.array([1.0, off])) is None  # no denominator up to 1e6 is that close
+    assert ein._integer_direction(np.array([1.0, 1 / 3 + ein.RATIONALIZE_TOL / 2])) == [3, 1]
 
 
 @pytest.mark.parametrize("text, painted", [("A2xA3", (1, 3, 4)), ("A2xA2xA2", (1, 3, 5)), ("B3xB3", (1, 4))])
