@@ -57,9 +57,13 @@ PROFILE_PANELS = 64
 PROFILE_GAUSS_ORDER = 16
 # profile inversion: a Newton step this small relative to w, or to the
 # rounding of its panel's series, is rounding; a point still moving after the
-# cap (bisection alone needs ~55) is a fault
+# cap (bisection alone needs ~55) is a fault; the relative gap between a
+# panel's g series and the derivative of its t series, both rounded from one
+# interpolant, is below NEWTON_GAP (2.9 eps at most, exactly, on the panels of
+# tests/test_profile_batch.py)
 NEWTON_RTOL = 4 * np.finfo(float).eps
 NEWTON_MAX_ITER = 80
+NEWTON_GAP = 64 * np.finfo(float).eps
 # diameter search: the latitude circles over (0, pi) of a 3-dimensional
 # center, whose northern half is scanned; an eigenvalue this close to the
 # unit circle is a zero of its circle (rounding splits a double zero by about
@@ -519,43 +523,65 @@ def _tanh_sinh_rule(s_max: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
 _TS_X, _TS_W = _tanh_sinh_rule(4.5, 1.0 / 16)
 
 
-class _HalfTable:
-    """Cumulative composite Gauss-Legendre table of t over one end chart, and its per-panel series.
+class ProfileMap:
+    """Invertible map between arclength t and the profile value f.
 
-    Panels are uniform in w on [0, w_max], where x = w^2 is the distance
-    from the chart's end and the integrand dt/dw is smooth; g_edges holds it
-    at the panel edges.  On a panel w = mid + half s with s in [-1, 1], and
-    the interpolant of g at the panel's ``order`` Gauss nodes matches g to
-    rounding; integrated exactly (`_panel_series`) it gives t(w) - cum[i] as
-    a power series of degree ``order`` in s.  g_cols and t_cols hold the power
+    Built once per segment polynomial as one composite Gauss-Legendre table
+    over both end charts: PROFILE_PANELS panels uniform in w = sqrt(f) on
+    [0, sqrt(f_mid)], then as many in w = sqrt(m1+m2-f), the left chart's
+    first.  x = w^2 is the distance from the chart's end, where the
+    integrand dt/dw = g is smooth.  Each chart's nodes and edges take one
+    integrand call, and t is cumulated per chart: ``cum`` and ``edges`` hold
+    one row per chart.  On a panel w = mid + half s with s in [-1, 1], and
+    the interpolant of g at its PROFILE_GAUSS_ORDER nodes matches g to
+    rounding; integrated exactly (`_panel_series`) it gives t(w) - t0 as a
+    power series in s.  ``g_cols`` and ``t_cols`` hold the power
     coefficients of both series, one column per panel, and after the build
-    they are the map: no direction evaluates g again.  Both directions work
-    on whole 1-d arrays of points.  The nodes and the edges take one
-    integrand call.  ``error`` estimates the table's error: the Legendre
-    tail sum half (|c_(n-2)| + |c_(n-1)|) of the panels' interpolants, as in
-    chopping a Chebyshev series (Aurentz-Trefethen, ACM TOMS 43, 2017), and
-    eps sum cum, the first-order bound of the cumulative sums' rounding
-    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
+    they are the map: no direction evaluates g again, and both work on
+    whole arrays.  Per panel the map also keeps its start and end in w (w0,
+    w1) and in t (t0, t1), g at both edges (g0, g1), the rounding scale
+    t0 + sum |t_k| of its t series (``t_round``) and the Newton constant
+    ``K`` of `_w_of_t`.  ``error`` estimates the table's error: the
+    Legendre tail sum half (|c_(n-2)| + |c_(n-1)|) of the panels'
+    interpolants, as in chopping a Chebyshev series (Aurentz-Trefethen, ACM
+    TOMS 43, 2017), and eps sum cum, the first-order bound of the
+    cumulative sums' rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, 4.2), each summed per chart.
     """
 
-    def __init__(self, chart: EndChart, w_max: float, n_panels: int, order: int):
-        self.g = chart.integrand
-        self.edges = np.linspace(0.0, w_max, n_panels + 1)
-        self.mid = (self.edges[1:] + self.edges[:-1]) / 2
-        self.half = (self.edges[1:] - self.edges[:-1]) / 2
+    def __init__(self, sp: SegmentPolynomial):
+        self.sp, self.fd = sp, float(sp.f_delta)
+        self.fm = self.fd / 2.0
+        n, order = PROFILE_PANELS, PROFILE_GAUSS_ORDER
+        self.edges = np.array([np.linspace(0.0, math.sqrt(x), n + 1) for x in (self.fm, self.fd - self.fm)])
+        self.w0, self.w1 = self.edges[:, :-1].ravel(), self.edges[:, 1:].ravel()
+        self.mid, self.half = (self.w1 + self.w0) / 2, (self.w1 - self.w0) / 2
         gx, gw = _gauss_rule(order)
-        nodes = (self.mid[:, None] + self.half[:, None] * gx).ravel()
-        vals = self.g(np.concatenate([nodes, self.edges]))  # the nodes and the edges in one integrand call
-        vals, self.g_edges = vals[:len(nodes)].reshape(n_panels, order), vals[len(nodes):]
-        self.cum = np.concatenate([[0.0], np.cumsum((vals * gw).sum(axis=1) * self.half)])
+        nodes = (self.mid[:, None] + self.half[:, None] * gx).reshape(2, -1)
+        vals = np.array([chart.integrand(np.concatenate(x)) for chart, x in zip(sp.deflations, zip(nodes, self.edges))])
+        self.g0, self.g1 = vals[:, n * order:-1].ravel(), vals[:, n * order + 1:].ravel()
+        vals = vals[:, :n * order].reshape(2 * n, order)
+        self.cum = np.pad(np.cumsum(((vals * gw).sum(axis=1) * self.half).reshape(2, n), axis=1), ((0, 0), (1, 0)))
+        self.t0, self.t1 = self.cum[:, :-1].ravel(), self.cum[:, 1:].ravel()
+        self.t_split, self.delta = float(self.cum[0, -1]), float(self.cum[0, -1] + self.cum[1, -1])
         L, D, M = _panel_series(order)
         c = L @ vals.T
         self.g_cols, self.t_cols = M[:-1, :-1] @ c, M @ (D @ c) * self.half
-        self.error = float(self.half @ np.abs(c[-2:]).sum(axis=0) + np.finfo(float).eps * np.sum(self.cum))
+        self.t_round = self.t0 + np.abs(self.t_cols).sum(axis=0)
+        self.error = sum(float(h @ x + np.finfo(float).eps * np.sum(cum)) for h, x, cum in
+                         zip(self.half.reshape(2, n), np.abs(c[-2:]).sum(axis=0).reshape(2, n), self.cum))
+        # K = max |dG/dw| / (2 min G) over each panel from its g series G, and inf where that bounds nothing
+        g_abs = np.abs(self.g_cols[1:])
+        g_low, g_slope = self.g_cols[0] - g_abs.sum(axis=0), np.arange(1, order) @ g_abs / self.half
+        self.K = np.divide(g_slope, 2 * g_low, out=np.full(2 * n, np.inf),
+                           where=(g_low > 0) & (self.half * g_slope <= 0.4 * g_low))
 
-    def _panel(self, x: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Index of the panel holding each x, by the table of panel starts."""
-        return np.clip(np.searchsorted(table, x, side="right") - 1, 0, len(self.edges) - 2)
+    def _panel(self, x: np.ndarray, right: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Index of the panel holding each x, by its chart's row of panel starts in ``table`` (edges or cum)."""
+        i = np.empty(len(x), dtype=np.intp)
+        for side, on in enumerate((~right, right)):
+            i[on] = np.searchsorted(table[side], x[on], side="right")
+        return np.clip(i - 1, 0, PROFILE_PANELS - 1) + PROFILE_PANELS * right
 
     def _powers(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
         """s^0 .. s^n of each w's variable s on its panel i, one column per point."""
@@ -565,95 +591,87 @@ class _HalfTable:
             np.multiply(out[k - 1], out[1], out=out[k])
         return out
 
-    def t_of_w(self, w: np.ndarray) -> np.ndarray:
-        i = self._panel(w, self.edges)
-        w = np.maximum(np.minimum(w, self.edges[-1]), self.edges[i])
-        return self.cum[i] + np.einsum("ij,ij->j", self.t_cols[:, i], self._powers(i, w))
+    def _by_chart(self, x, x_end: float, y_end: float, x_split: float, local):
+        """Map every x through its own end chart: y = local(x, right) on the left chart, y_end - local(x_end - x,
+        right) on the right one, where right is x > x_split.
 
-    def w_of_t(self, t: np.ndarray) -> np.ndarray:
-        """Solve t(w) = t for every point at once by safeguarded Newton on the panel series.
+        local takes an array of distances from the chart's end and the
+        chart mask.  x <= 0 gives 0 and x >= x_end gives y_end; a float
+        gives a float.
+        """
+        xs = np.asarray(x, dtype=float).reshape(-1)
+        y = np.where(xs <= 0, 0.0, y_end)
+        inside = (xs > 0) & (xs < x_end)
+        x_in = xs[inside]
+        right = x_in > x_split
+        y_in = local(np.where(right, x_end - x_in, x_in), right)
+        y[inside] = np.where(right, y_end - y_in, y_in)
+        return _like(x, y.reshape(np.shape(x)))
+
+    def _t_of_w(self, w: np.ndarray, right: np.ndarray) -> np.ndarray:
+        i = self._panel(w, right, self.edges)
+        return self.t0[i] + np.einsum("ij,ij->j", self.t_cols[:, i], self._powers(i, w))
+
+    def _w_of_t(self, t: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Solve t(w) = t, each t the time from its own chart's end, for every point at once by safeguarded Newton.
 
         Each point is bracketed by its panel and starts from the cubic
-        Hermite interpolant of w(t) on it, with the end slopes dw/dt = 1/g;
-        one Newton step from there reaches rounding and a second confirms
-        it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g, both from the
-        panel's series; one that would leave the bracket, tightened at every
-        evaluation, bisects it instead (rtsafe, Numerical Recipes 9.4).  The
-        iteration stops when every step is at the rounding level of w or of
-        t(w) - t, whose series cum[i] + sum t_k s^k rounds on the scale
-        cum[i] + sum |t_k|; near a chart's end that is the panel's width in
-        t, far above t itself.  Points whose time rounds just past their
-        panel's end settle on that end, within rounding.
+        Hermite interpolant of w(t) on it, with the end slopes dw/dt = 1/g.
+        A step is w -= (T(w) - t)/G(w), T and G the panel's t and g series;
+        one that would leave the bracket, tightened at every evaluation,
+        bisects it instead (rtsafe, Numerical Recipes 9.4).  All points step
+        together until each is done.  A point is done when its step is at
+        the rounding level of w or of T(w) - t, whose series t0 + sum t_k s^k
+        rounds on the scale t_round = t0 + sum |t_k| (near a chart's end the
+        panel's width in t, far above t itself), or when its Newton step
+        delta is certified to have landed within that level: where G >=
+        g_low > 0 and |dG/dw| <= g1 on the panel, Taylor's theorem bounds
+        the error of the step by |w1 - w*| <= K (|delta| + |w1 - w*|)^2,
+        K = g1 / (2 g_low).  For K |delta| <= 0.1 its small root is below
+        2 K delta^2, and its large one above 0.4 / K, wider than the panel
+        where 2 half K <= 0.4 (elsewhere K is inf and certifies nothing).  G
+        differs from dT/dw by rounding, which moves the step by at most
+        NEWTON_GAP |delta|.  From the Hermite start the first step is
+        certified.  Points whose time rounds just past their panel's end
+        settle on that end, within rounding.
         """
-        i = self._panel(t, self.cum)
-        c0 = self.cum[i]
-        a, b = self.edges[i], self.edges[i + 1]
-        dt = self.cum[i + 1] - c0
+        i = self._panel(t, right, self.cum)
+        c0, a, b = self.t0[i], self.w0[i], self.w1[i]
+        dt = self.t1[i] - c0
         s = np.clip((t - c0) / dt, 0.0, 1.0)
-        w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g_edges[i]
-             + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g_edges[i + 1])
-        t_cols, g_cols = self.t_cols[:, i], self.g_cols[:, i]
-        t_round = c0 + np.abs(t_cols).sum(axis=0)
+        w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g0[i]
+             + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g1[i])
+        t_cols, g_cols, t_round, K = self.t_cols[:, i], self.g_cols[:, i], self.t_round[i], self.K[i]
         for _ in range(NEWTON_MAX_ITER):
             powers = self._powers(i, w)
             h, g_w = c0 + np.einsum("ij,ij->j", t_cols, powers) - t, np.einsum("ij,ij->j", g_cols, powers[:-1])
             a = np.where(h < 0, w, a)
             b = np.where(h > 0, w, b)
             w_new = w - h / g_w
-            w_new = np.where((w_new < a) | (w_new > b), (a + b) / 2, w_new)
-            converged = np.all(np.abs(w_new - w) <= NEWTON_RTOL * np.maximum(w_new, t_round / g_w))
+            bisect = (w_new < a) | (w_new > b)
+            w_new = np.where(bisect, (a + b) / 2, w_new)
+            step, tol = np.abs(w_new - w), NEWTON_RTOL * np.maximum(w_new, t_round / g_w)
+            with np.errstate(invalid="ignore"):  # an inf K times a zero step, which the step test passes
+                certified = ~bisect & (K * step <= 0.1) & ((2 * K * step + NEWTON_GAP) * step <= tol)
             w = w_new
-            if converged:
+            if np.all((step <= tol) | certified):
                 return w
         raise InternalError("profile inversion did not converge in %d Newton steps" % NEWTON_MAX_ITER)
-
-
-class ProfileMap:
-    """Invertible map between arclength t and the profile value f.
-
-    Built once per segment polynomial: one cumulative table per end chart,
-    in w = sqrt(f) up to the midpoint and w = sqrt(m1+m2-f) beyond it,
-    where the integrand of t(f) is smooth.
-    """
-
-    def __init__(self, sp: SegmentPolynomial):
-        self.sp = sp
-        self.fd = float(sp.f_delta)
-        self.fm = self.fd / 2.0
-        left, right = sp.deflations
-        self._left = _HalfTable(left, math.sqrt(self.fm), PROFILE_PANELS, PROFILE_GAUSS_ORDER)
-        self._right = _HalfTable(right, math.sqrt(self.fd - self.fm), PROFILE_PANELS, PROFILE_GAUSS_ORDER)
-        self.delta = float(self._left.cum[-1] + self._right.cum[-1])
 
     def t_of_f(self, f):
         """t(f) = integral_0^f ds/sqrt(u(s)), via the smooth substitutions.
 
         ``f`` may be a float or an array; a float gives a float.
         """
-        f = np.asarray(f, dtype=float)
-        fs = f.reshape(-1)
-        t = np.where(fs <= 0, 0.0, self.delta)
-        left = (fs > 0) & (fs <= self.fm)
-        right = (fs > self.fm) & (fs < self.fd)
-        t[left] = self._left.t_of_w(np.sqrt(fs[left]))
-        t[right] = self.delta - self._right.t_of_w(np.sqrt(self.fd - fs[right]))
-        return _like(f, t.reshape(f.shape))
+        return self._by_chart(f, self.fd, self.delta, self.fm, lambda x, right: self._t_of_w(np.sqrt(x), right))
 
     def f_of_t(self, t):
         """The inverse of t_of_f, for a float or an array of times."""
-        t = np.asarray(t, dtype=float)
-        ts = t.reshape(-1)
-        f = np.where(ts <= 0, 0.0, self.fd)
-        split = float(self._left.cum[-1])
-        left = (ts > 0) & (ts <= split)
-        right = (ts > split) & (ts < self.delta)
-        f[left] = self._left.w_of_t(ts[left]) ** 2
-        f[right] = self.fd - self._right.w_of_t(self.delta - ts[right]) ** 2
-        return _like(t, f.reshape(t.shape))
+        return self._by_chart(t, self.delta, self.fd, self.t_split, lambda x, right: self._w_of_t(x, right) ** 2)
 
     def quad_error_estimate(self) -> float:
-        """The tables' error: their panels' Legendre tails and the rounding of their cumulative sums."""
-        return self._left.error + self._right.error
+        """The table's error: its panels' Legendre tails and the rounding of its cumulative sums."""
+        return self.error
 
 
 def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
@@ -852,14 +870,14 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         raise InputError("diameter search supports center dimension 1..3, got %d" % d)
     zk = ricci_invariant(flag, j)
     hypothesis = sphere_in_chamber(flag, j, zk=zk)
-    modules = _center_modules(flag, j, zk)
+    modules, gram = _center_modules(flag, j, zk), _center_gram(flag)
 
     candidates: List[DiameterCandidate] = []
     seen: set = set()
 
     def consider_exact(q: Sequence[int]) -> bool:
         """Add the direction of the integer center vector q if the obstruction vanishes there; True if added."""
-        if _homogenized_obstruction(flag, modules, q, base.period_scale) != 0:
+        if _homogenized_obstruction(gram, modules, q, base.period_scale) != 0:
             return False
         u = [0] * flag.rs.rank
         for i, x in zip(flag.unpainted, q):
@@ -894,7 +912,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         consider_exact([1])
         consider_exact([-1])
     else:
-        onb = [float(base.period_scale) * u for u in _orthonormal_center_basis(flag)]
+        onb = [float(base.period_scale) * u for u in _orthonormal_center_basis(gram)]
         if d == 2:
             b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, d))
         else:
@@ -1012,9 +1030,12 @@ def _direction_key(values: Sequence[float]) -> Tuple[int, ...]:
     return tuple(int(round(x * 10 ** 7)) for x in arr)
 
 
-def _orthonormal_center_basis(flag: FlagData) -> List[np.ndarray]:
-    """An E-orthonormal basis of the center in center coordinates, by Gram-Schmidt on the unit vectors."""
-    gram = np.array(_center_gram(flag), dtype=float)
+def _orthonormal_center_basis(gram: List[List[int]]) -> List[np.ndarray]:
+    """An E-orthonormal basis of the center in center coordinates, by Gram-Schmidt on the unit vectors.
+
+    ``gram`` is the integer center Gram matrix (`flag._center_gram`).
+    """
+    gram = np.array(gram, dtype=float)
     out: List[np.ndarray] = []
     for v in np.eye(len(gram)):
         for u in out:

@@ -33,7 +33,7 @@ from .errors import InputError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, require_complex_structure,
                    ricci_invariant)
 from .polys import int_linear_product, pair_scalar, pair_sign
-from .rootsys import CartanVector, Root, evaluate, killing
+from .rootsys import CartanVector, Root, killing
 from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_is_zero, scalar_sign
 
 # check_parametrization: the bound on each boundary, symmetry and curvature check
@@ -138,19 +138,34 @@ def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVec
     with R and r as in `polys.split_exact`.  A part that is zero on every
     coordinate, such as x1 of a rational Zk or z0 of a normalized direction,
     is 0 in every key without a dot product.  On a float X or Z the key is
-    the pair (alpha(X), alpha(Z)) evaluated root by root, and den is None.
+    the pair (alpha(X), alpha(Z)) as `rootsys.evaluate` gives it
+    (`_root_values`), and den is None.
     """
     table: Dict[tuple, List[Root]] = {}
-    if x.kind == "float" or z.kind == "float":
-        for alpha in j.positive:
-            table.setdefault((evaluate(alpha, x), evaluate(alpha, z)), []).append(alpha)
-        return table, None, None
-    *parts, den, r = x.joint_split(z)
     coords = [alpha.coords for alpha in j.positive]
-    columns = [[sum(map(mul, c, w)) for c in coords] if any(w) else [0] * len(coords) for w in parts]
+    if x.kind == "float" or z.kind == "float":
+        columns, den, r = [_root_values(coords, h) for h in (x, z)], None, None
+    else:
+        *parts, den, r = x.joint_split(z)
+        columns = [[sum(map(mul, c, w)) for c in coords] if any(w) else [0] * len(coords) for w in parts]
     for alpha, key in zip(j.positive, zip(*columns)):
         table.setdefault(key, []).append(alpha)
     return table, den, r
+
+
+def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:
+    """alpha(H) for the roots of coordinates ``coords``, the values `rootsys.evaluate` gives, with no per-root start.
+
+    An exact H gives them from its split, as Fractions (Quads in a field);
+    a float H as the float sum of the terms c v over the nonzero
+    coordinates c in order, which is evaluate's sum from Fraction(0) bit
+    for bit.
+    """
+    if h.kind == "float":
+        values = h.values
+        return [sum(c * v for c, v in zip(cs, values) if c) for cs in coords]
+    u, v, den, r = h.split
+    return [pair_scalar(sum(map(mul, cs, u)), sum(map(mul, cs, v)), den, r) for cs in coords]
 
 
 def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> AdmissibleSegment:
@@ -380,11 +395,13 @@ def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
     return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
 
 
-def _homogenized_obstruction(flag: FlagData, modules, q: Sequence[int], period_scale: Fraction) -> Fraction:
+def _homogenized_obstruction(gram: List[List[int]], modules, q: Sequence[int], period_scale: Fraction) -> Fraction:
     """F_h(Q), the m1 = m2 = 1 obstruction at the direction of a nonzero integer center vector Q, homogenized.
 
     Q is given by its center coordinates, its values at the unpainted nodes,
-    and ``modules`` is `flag._center_modules` of (flag, j, Zk).  With c_i(Q)
+    ``modules`` is `flag._center_modules` of (flag, j, Zk) and ``gram`` the
+    integer center Gram matrix M_c (`flag._center_gram`), both built once
+    by the caller.  With c_i(Q)
     the coefficient of y^i in prod alpha(Zk - y Q), e = E(Q, Q) /
     period_scale^2 and J the largest odd i <= |R_m+|,
 
@@ -397,8 +414,7 @@ def _homogenized_obstruction(flag: FlagData, modules, q: Sequence[int], period_s
     lambda^J F_h(Q), so the scale of Q does not move its zeros.  A center
     module with restriction rho has alpha(Zk) = at_zk / z_den and alpha(Q) =
     rho . Q, so its factor is (at_zk - y z_den rho . Q) / z_den, an integer
-    pair over z_den; E(Q, Q) = Q^T M_c Q on the integer center Gram matrix
-    (`flag._center_gram`).  The sum is formed in integers, over one positive
+    pair over z_den; E(Q, Q) = Q^T M_c Q.  The sum is formed in integers, over one positive
     denominator.
     """
     table, at_zk, z_den = modules
@@ -409,7 +425,7 @@ def _homogenized_obstruction(flag: FlagData, modules, q: Sequence[int], period_s
     us, _ = int_linear_product(factors, None)
     weights, scale = _integral_weights(len(us), 1, 1)
     # e = e_num / e_den in integers
-    e_num = linalg.form(_center_gram(flag), q, q) * period_scale.denominator ** 2
+    e_num = linalg.form(gram, q, q) * period_scale.denominator ** 2
     e_den = period_scale.numerator ** 2
     top = (len(us) - 2) // 2  # (J - 1) / 2
     # times e_den^top, the term of odd i = 2k + 1 carries e_num^(top-k) e_den^k

@@ -9,8 +9,9 @@ and of its floats; the Ricci evaluations at one time; the rounding bounds
 of the verify keys that divide by small numbers or cancel, and the
 five-pass route to (f', f''), the oracle of `SegmentPolynomial.fp_fpp`;
 the pairwise closure scan of a complex structure, the oracle of
-`flag.validate_complex_structure`; and the per-root segment classification, the oracle of
-`model.analyze_segment`, with its own closure test at every end; the walled search over root subsets, the
+`flag.validate_complex_structure`; the per-root segment classification, the oracle of
+`model.analyze_segment`, with its own closure test at every end, and the
+per-root module table of float vectors, the oracle of `model.isotropy_modules`; the walled search over root subsets, the
 oracle of `einstein.search_walled`; the root-by-root sphere-in-chamber
 check, the oracle of `flag.sphere_in_chamber`, with the exact matrix
 inverse it uses; the center of k computed for a general basis, the oracle
@@ -33,7 +34,7 @@ import numpy as np
 
 from flagke import einstein as ein
 from flagke import linalg
-from flagke.errors import InputError
+from flagke.errors import InputError, InternalError
 from flagke.flag import FLOAT_WALL_TOL, SphereCheck, _center_gram, ricci_invariant
 from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
                           _projective_space_test, isotropy_modules, ke_verdict)
@@ -238,6 +239,136 @@ def verify_rounding_of(sp, profile, n_check):
     return verify_rounding(sp, f[:, 0], fp[:, 0], ein._ricci_q(sp, f, fp, fpp), h)
 
 
+class HalfTable:
+    """Cumulative composite Gauss-Legendre table of t over one end chart, and its per-panel series.
+
+    The oracle of `einstein.ProfileMap`'s one table over both end charts:
+    the table each chart had by itself, with its own inversion, which stops
+    only when every step is at the rounding level.
+
+    Panels are uniform in w on [0, w_max], where x = w^2 is the distance
+    from the chart's end and the integrand dt/dw is smooth; g_edges holds it
+    at the panel edges.  On a panel w = mid + half s with s in [-1, 1], and
+    the interpolant of g at the panel's ``order`` Gauss nodes matches g to
+    rounding; integrated exactly (`_panel_series`) it gives t(w) - cum[i] as
+    a power series of degree ``order`` in s.  g_cols and t_cols hold the power
+    coefficients of both series, one column per panel, and after the build
+    they are the map: no direction evaluates g again.  Both directions work
+    on whole 1-d arrays of points.  The nodes and the edges take one
+    integrand call.  ``error`` estimates the table's error: the Legendre
+    tail sum half (|c_(n-2)| + |c_(n-1)|) of the panels' interpolants, as in
+    chopping a Chebyshev series (Aurentz-Trefethen, ACM TOMS 43, 2017), and
+    eps sum cum, the first-order bound of the cumulative sums' rounding
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
+    """
+
+    def __init__(self, chart: ein.EndChart, w_max: float, n_panels: int, order: int):
+        self.g = chart.integrand
+        self.edges = np.linspace(0.0, w_max, n_panels + 1)
+        self.mid = (self.edges[1:] + self.edges[:-1]) / 2
+        self.half = (self.edges[1:] - self.edges[:-1]) / 2
+        gx, gw = ein._gauss_rule(order)
+        nodes = (self.mid[:, None] + self.half[:, None] * gx).ravel()
+        vals = self.g(np.concatenate([nodes, self.edges]))  # the nodes and the edges in one integrand call
+        vals, self.g_edges = vals[:len(nodes)].reshape(n_panels, order), vals[len(nodes):]
+        self.cum = np.concatenate([[0.0], np.cumsum((vals * gw).sum(axis=1) * self.half)])
+        L, D, M = ein._panel_series(order)
+        c = L @ vals.T
+        self.g_cols, self.t_cols = M[:-1, :-1] @ c, M @ (D @ c) * self.half
+        self.error = float(self.half @ np.abs(c[-2:]).sum(axis=0) + np.finfo(float).eps * np.sum(self.cum))
+
+    def _panel(self, x: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Index of the panel holding each x, by the table of panel starts."""
+        return np.clip(np.searchsorted(table, x, side="right") - 1, 0, len(self.edges) - 2)
+
+    def _powers(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """s^0 .. s^n of each w's variable s on its panel i, one column per point."""
+        out = np.empty((len(self.t_cols), len(w)))
+        out[0], out[1] = 1.0, (w - self.mid[i]) / self.half[i]
+        for k in range(2, len(out)):
+            np.multiply(out[k - 1], out[1], out=out[k])
+        return out
+
+    def t_of_w(self, w: np.ndarray) -> np.ndarray:
+        i = self._panel(w, self.edges)
+        w = np.maximum(np.minimum(w, self.edges[-1]), self.edges[i])
+        return self.cum[i] + np.einsum("ij,ij->j", self.t_cols[:, i], self._powers(i, w))
+
+    def w_of_t(self, t: np.ndarray) -> np.ndarray:
+        """Solve t(w) = t for every point at once by safeguarded Newton on the panel series.
+
+        Each point is bracketed by its panel and starts from the cubic
+        Hermite interpolant of w(t) on it, with the end slopes dw/dt = 1/g;
+        one Newton step from there reaches rounding and a second confirms
+        it.  A step is w -= (t(w) - t)/g(w), since dt/dw = g, both from the
+        panel's series; one that would leave the bracket, tightened at every
+        evaluation, bisects it instead (rtsafe, Numerical Recipes 9.4).  The
+        iteration stops when every step is at the rounding level of w or of
+        t(w) - t, whose series cum[i] + sum t_k s^k rounds on the scale
+        cum[i] + sum |t_k|; near a chart's end that is the panel's width in
+        t, far above t itself.  Points whose time rounds just past their
+        panel's end settle on that end, within rounding.
+        """
+        i = self._panel(t, self.cum)
+        c0 = self.cum[i]
+        a, b = self.edges[i], self.edges[i + 1]
+        dt = self.cum[i + 1] - c0
+        s = np.clip((t - c0) / dt, 0.0, 1.0)
+        w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g_edges[i]
+             + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g_edges[i + 1])
+        t_cols, g_cols = self.t_cols[:, i], self.g_cols[:, i]
+        t_round = c0 + np.abs(t_cols).sum(axis=0)
+        for _ in range(ein.NEWTON_MAX_ITER):
+            powers = self._powers(i, w)
+            h, g_w = c0 + np.einsum("ij,ij->j", t_cols, powers) - t, np.einsum("ij,ij->j", g_cols, powers[:-1])
+            a = np.where(h < 0, w, a)
+            b = np.where(h > 0, w, b)
+            w_new = w - h / g_w
+            w_new = np.where((w_new < a) | (w_new > b), (a + b) / 2, w_new)
+            converged = np.all(np.abs(w_new - w) <= ein.NEWTON_RTOL * np.maximum(w_new, t_round / g_w))
+            w = w_new
+            if converged:
+                return w
+        raise InternalError("profile inversion did not converge in %d Newton steps" % ein.NEWTON_MAX_ITER)
+
+
+def half_tables(sp):
+    """The left and the right chart's `HalfTable` of a segment polynomial, on the panels of `einstein.ProfileMap`."""
+    fm = float(sp.f_delta) / 2.0
+    return tuple(HalfTable(chart, math.sqrt(w_sq), ein.PROFILE_PANELS, ein.PROFILE_GAUSS_ORDER)
+                 for chart, w_sq in zip(sp.deflations, (fm, float(sp.f_delta) - fm)))
+
+
+def two_table_f_of_t(sp, tables, t):
+    """f(t) from the two half tables of sp, each chart inverted by itself: the oracle of `ProfileMap.f_of_t`."""
+    left, right = tables
+    fd, delta = float(sp.f_delta), float(left.cum[-1] + right.cum[-1])
+    t = np.asarray(t, dtype=float)
+    ts = t.reshape(-1)
+    f = np.where(ts <= 0, 0.0, fd)
+    split = float(left.cum[-1])
+    on_left = (ts > 0) & (ts <= split)
+    on_right = (ts > split) & (ts < delta)
+    f[on_left] = left.w_of_t(ts[on_left]) ** 2
+    f[on_right] = fd - right.w_of_t(delta - ts[on_right]) ** 2
+    return f.reshape(t.shape)
+
+
+def two_table_t_of_f(sp, tables, f):
+    """t(f) from the two half tables of sp: the oracle of `ProfileMap.t_of_f`."""
+    left, right = tables
+    fd, delta = float(sp.f_delta), float(left.cum[-1] + right.cum[-1])
+    fm = fd / 2.0
+    f = np.asarray(f, dtype=float)
+    fs = f.reshape(-1)
+    t = np.where(fs <= 0, 0.0, delta)
+    on_left = (fs > 0) & (fs <= fm)
+    on_right = (fs > fm) & (fs < fd)
+    t[on_left] = left.t_of_w(np.sqrt(fs[on_left]))
+    t[on_right] = delta - right.t_of_w(np.sqrt(fd - fs[on_right]))
+    return t.reshape(f.shape)
+
+
 def pairwise_closure(flag, j):
     """Whether R_m+ halves R_m and is closed under R_K and itself, by the pairwise scan of every sum.
 
@@ -274,6 +405,14 @@ def closure_violation(flag, j, walls):
             if s in all_roots and s not in pos_nonwall:
                 return a, b
     return None
+
+
+def per_root_isotropy_modules(j, x, z):
+    """`model.isotropy_modules` on a float X or Z, root by root through `rootsys.evaluate`."""
+    table = {}
+    for alpha in j.positive:
+        table.setdefault((evaluate(alpha, x), evaluate(alpha, z)), []).append(alpha)
+    return table, None, None
 
 
 def per_root_segment(base, z1, length):

@@ -11,6 +11,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from flagke import einstein as ein
+from flagke import flag as flag_module
 from flagke import model
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.einstein import p_linear_product_float
@@ -904,7 +905,7 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
     vanishing = 0
     for flag, j, q, tau in _homogenized_cases(60):
         zk = ricci_invariant(flag, j)
-        fh = _homogenized_obstruction(flag, _center_modules(flag, j, zk), q, tau)
+        fh = _homogenized_obstruction(_center_gram(flag), _center_modules(flag, j, zk), q, tau)
         z = _center_vector_of(flag, q)
         rep = futaki(flag, j, make_base(flag, j, z, period_scale=tau).z, 1, 1, zk=zk)
         assert isinstance(fh, Fraction)
@@ -920,7 +921,7 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
 def test_homogenized_obstruction_on_the_cp2_product():
     flag, j = _flag_j("A2xA2", (1, 3))
     modules = _center_modules(flag, j, ricci_invariant(flag, j))
-    at = lambda *q: _homogenized_obstruction(flag, modules, q, Fraction(1))
+    at = lambda *q: _homogenized_obstruction(_center_gram(flag), modules, q, Fraction(1))
     assert at(1, -1) == 0
     assert at(2, -1) < 0
     assert at(-2, 1) > 0  # F_h is odd
@@ -942,17 +943,17 @@ def test_homogenized_obstruction_matches_the_isotropy_module_oracle(text):
         for painted in itertools.combinations(range(rank), rank - d):
             flag, j = _flag_j(text, painted)
             zk = ricci_invariant(flag, j)
-            modules = _center_modules(flag, j, zk)
+            modules, gram = _center_modules(flag, j, zk), _center_gram(flag)
             assert modules[2] > 1, painted
             n = len(j.positive)
             for tau in (Fraction(1), Fraction(1, 3)):
                 for _ in range(3):
                     q = [gen.randint(-5, 5) for _ in range(d)]
                     q[gen.randrange(d)] = gen.choice([-3, -2, -1, 1, 2, 3])
-                    fh = _homogenized_obstruction(flag, modules, q, tau)
+                    fh = _homogenized_obstruction(gram, modules, q, tau)
                     assert fh == isotropy_homogenized_obstruction(flag, j, zk, _center_vector_of(flag, q), tau)
-                    assert _homogenized_obstruction(flag, modules, [-x for x in q], tau) == -fh
-                    assert _homogenized_obstruction(flag, modules, [2 * x for x in q], tau) == 2 ** (n - 1 + n % 2) * fh
+                    assert _homogenized_obstruction(gram, modules, [-x for x in q], tau) == -fh
+                    assert _homogenized_obstruction(gram, modules, [2 * x for x in q], tau) == 2 ** (n - 1 + n % 2) * fh
 
 
 _PREFILTER_FLAGS = [("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", (0,)), ("G2", ()), ("A3", (1,)),
@@ -1120,37 +1121,33 @@ def test_northern_scan_matches_a_scan_of_every_latitude(text, painted, tau, monk
 
 def test_d3_search_counts_one_eigenvalue_call_and_no_exact_work_at_irrational_zeros(monkeypatch):
     # on A2 x A2 x A2 [1, 3, 5] the 18 zeros are irrational: each is tested by one integer F_h, and
-    # none is built as an exact vector or normalized; the float verdicts read alpha(Zk) as integers
+    # none is built as an exact vector or normalized; their float verdicts, the obstruction and the
+    # segment, evaluate no root one at a time, and the center Gram matrix is built twice: by the
+    # sphere test, and once for the orthonormal center basis and every F_h
     flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
     base = make_base(flag, j, flag.center_basis[0])
-    counts = {"eigvals": 0, "roots": 0, "make_base": 0, "exact vectors": 0, "F_h": 0, "futaki evaluate": 0}
-    inside_futaki = []
+    counts = {"eigvals": 0, "roots": 0, "make_base": 0, "exact vectors": 0, "F_h": 0, "evaluate": 0, "gram": 0}
 
-    def counting(name, fn, test=lambda *args, **kw: True):
+    def counting(name, fn):
         def wrapped(*args, **kw):
-            counts[name] += bool(test(*args, **kw))
+            counts[name] += 1
             return fn(*args, **kw)
         return wrapped
 
-    def in_futaki(*args, **kw):
-        inside_futaki.append(True)
-        try:
-            return futaki_fn(*args, **kw)
-        finally:
-            inside_futaki.pop()
-
-    futaki_fn, evaluate_fn = model.futaki, model.evaluate
-    from_split = CartanVector.from_split.__func__
+    from_split, gram = CartanVector.from_split.__func__, flag_module._center_gram
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(np, "roots", counting("roots", np.roots))
     monkeypatch.setattr(ein, "make_base", counting("make_base", make_base))
     monkeypatch.setattr(ein, "_homogenized_obstruction", counting("F_h", _homogenized_obstruction))
     monkeypatch.setattr(CartanVector, "from_split", classmethod(counting("exact vectors", from_split)))
-    monkeypatch.setattr(model, "futaki", in_futaki)
-    monkeypatch.setattr(model, "evaluate", counting("futaki evaluate", evaluate_fn, lambda *args: inside_futaki))
+    for module in (model, flag_module, ein):
+        if hasattr(module, "evaluate"):
+            monkeypatch.setattr(module, "evaluate", counting("evaluate", module.evaluate))
+        monkeypatch.setattr(module, "_center_gram", counting("gram", gram))
     res = ein.search_diameters(base)
     assert len(res.candidates) == 18 and all(c.ke_ok and not c.confirmed_exact for c in res.candidates)
-    assert counts == {"eigvals": 1, "roots": 0, "make_base": 0, "exact vectors": 1, "F_h": 18, "futaki evaluate": 0}
+    assert counts == {"eigvals": 1, "roots": 0, "make_base": 0, "exact vectors": 1, "F_h": 18, "evaluate": 0,
+                      "gram": 2}
 
 
 def test_integer_direction_is_primitive_and_within_the_rationalize_tolerance():

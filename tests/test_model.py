@@ -9,10 +9,11 @@ import pytest
 from flagke.errors import InputError
 from flagke import linalg
 from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
-from flagke.model import analyze_segment, check_parametrization, make_base
+from flagke.einstein import search_diameters
+from flagke.model import analyze_segment, check_parametrization, isotropy_modules, ke_endpoints, make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing
 from flagke.scalars import Quad, exact_sqrt
-from segment_checks import per_root_segment
+from segment_checks import per_root_isotropy_modules, per_root_segment
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from sweep_searches import paintings
 
@@ -185,6 +186,29 @@ def test_analyze_segment_matches_the_per_root_oracle():
                             counts["failures"] += bool(got.failures)
     # the oracle tests the closure at a wall-free end, where analyze_segment relies on j's validation
     assert counts["walls"] > 0 and counts["failures"] > 0 and counts["wall_free_ends"] > 0, counts
+
+
+@pytest.mark.parametrize("text, painted", [("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", ()), ("G2xA2", (2,))])
+def test_float_isotropy_modules_match_the_per_root_oracle(text, painted):
+    # the tables that futaki (Zk, Z) and analyze_segment (Z1, Z2) read: at the float candidates of the
+    # diameter search, and at the float check-segment directions, the center basis and its negatives
+    # at four degree pairs; equal keys in R_m+ order, of the types evaluate gives
+    flag, j = _flag_j(text, painted)
+    zk = ricci_invariant(flag, j)
+    found = [CartanVector(c.z_values) for c in search_diameters(make_base(flag, j, flag.center_basis[0])).candidates
+             if not c.confirmed_exact]
+    pairs = [(zk, z) for z in found] + [ke_endpoints(zk, z, 1, 1) for z in found]
+    for b in flag.center_basis:
+        for sign in (1, -1):
+            z = make_base(flag, j, CartanVector(tuple(sign * float(v) for v in b.values))).z
+            pairs += [(zk, z)] + [ke_endpoints(zk, z, m1, m2) for m1, m2 in ((1, 1), (1, 2), (2, 2), (3, 1))]
+    assert len(found) > 0 and all(y.kind == "float" for _, y in pairs)
+    for x, y in pairs:
+        got, want = isotropy_modules(j, x, y), per_root_isotropy_modules(j, x, y)
+        assert got[1:] == want[1:] == (None, None)
+        assert list(got[0].items()) == list(want[0].items())
+        for a, b in zip(got[0], want[0]):
+            assert [(type(v), repr(v)) for v in a] == [(type(v), repr(v)) for v in b]
 
 
 def test_projective_space_test_through_full_wall():

@@ -1,12 +1,14 @@
 """Batched profile inversion against the scalar brentq oracle, and delta at 30 digits.
 
 ``ProfileMap.f_of_t``/``t_of_f`` invert whole arrays by safeguarded Newton on
-the panel tables' polynomials, and ``verify_profile`` evaluates all its checks in one
+the panel table's polynomials, and ``verify_profile`` evaluates all its checks in one
 batch.  The oracle below is the per-point path they replaced: one ``brentq``
-per time on the partial-panel Gauss sum, and one Gauss sum per ``t(f)``.
-Both routes to delta, the tables and tanh-sinh quadrature, are checked
-against ``mpmath.quad`` on the end charts' exact coefficients, and
-``f_of_t`` against a 34-digit inverse of t(w) built from them.
+per time on the partial-panel Gauss sum, and one Gauss sum per ``t(f)``,
+over the two half tables of `segment_checks.HalfTable`, which are also the
+oracle of the one table over both charts.  Both routes to delta, the table
+and tanh-sinh quadrature, are checked against ``mpmath.quad`` on the end
+charts' exact coefficients, and ``f_of_t`` against a 34-digit inverse of
+t(w) built from them.
 """
 
 import functools
@@ -26,8 +28,9 @@ from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system
 from flagke.polys import int_taylor_shift, pair_scalar
 from flagke.scalars import Quad
-from segment_checks import (chart_lists, fp_fpp_by_passes, int_shifted_antiderivative, p_antideriv, p_deriv, p_mul,
-                            p_to_float, pair_poly, verify_rounding)
+from segment_checks import (chart_lists, fp_fpp_by_passes, half_tables, int_shifted_antiderivative, p_antideriv,
+                            p_deriv, p_mul, p_to_float, pair_poly, two_table_f_of_t, two_table_t_of_f,
+                            verify_rounding)
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -102,24 +105,32 @@ def _oracle_w_of_t(table, t):
     return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(pmap):
+    """The oracle half tables of the map's segment polynomial, built once per map."""
+    return half_tables(pmap.sp)
+
+
 def _oracle_f_of_t(pmap, t):
+    left, right = _tables(pmap)
     if t <= 0:
         return 0.0
     if t >= pmap.delta:
         return pmap.fd
-    if t <= float(pmap._left.cum[-1]):
-        return _oracle_w_of_t(pmap._left, t) ** 2
-    return pmap.fd - _oracle_w_of_t(pmap._right, pmap.delta - t) ** 2
+    if t <= float(left.cum[-1]):
+        return _oracle_w_of_t(left, t) ** 2
+    return pmap.fd - _oracle_w_of_t(right, pmap.delta - t) ** 2
 
 
 def _oracle_t_of_f(pmap, f):
+    left, right = _tables(pmap)
     if f <= 0:
         return 0.0
     if f >= pmap.fd:
         return pmap.delta
     if f <= pmap.fm:
-        return _oracle_t_of_w(pmap._left, math.sqrt(f))
-    return pmap.delta - _oracle_t_of_w(pmap._right, math.sqrt(pmap.fd - f))
+        return _oracle_t_of_w(left, math.sqrt(f))
+    return pmap.delta - _oracle_t_of_w(right, math.sqrt(pmap.fd - f))
 
 
 def _oracle_verify(sp, profile, n_check):
@@ -160,8 +171,8 @@ def _oracle_verify(sp, profile, n_check):
 
 
 def _sample_times(pmap):
-    """A 1024-point grid, every panel edge of both tables, the split, 0 and delta."""
-    left, right = pmap._left, pmap._right
+    """A 1024-point grid, every panel edge of both oracle tables, the split, 0 and delta."""
+    left, right = _tables(pmap)
     return np.concatenate([
         np.linspace(0.0, pmap.delta, 1024),
         left.cum,
@@ -265,10 +276,11 @@ def test_f_of_t_matches_brentq_oracle(case):
 def test_t_of_f_matches_scalar_oracle(case):
     _, profile = case
     pmap = profile.map
+    left, right = _tables(pmap)
     fs = np.concatenate([
         profile.f,
-        pmap._left.edges ** 2,
-        pmap.fd - pmap._right.edges ** 2,
+        left.edges ** 2,
+        pmap.fd - right.edges ** 2,
         [pmap.fm, 0.0, pmap.fd],
     ])
     want = np.array([_oracle_t_of_f(pmap, f) for f in fs])
@@ -378,8 +390,11 @@ def test_fp_fpp_is_the_five_pass_route_bit_for_bit(case):
 
 
 def test_newton_non_convergence_raises_internal_error(case, monkeypatch):
+    """With a void certificate (K = inf) on every panel, one Newton step from the Hermite start is not yet at the
+    rounding level of the step test, so one allowed batch ends in an internal error."""
     _, profile = case
     monkeypatch.setattr(ein, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(profile.map, "K", np.full_like(profile.map.K, np.inf))
     with pytest.raises(InternalError, match="did not converge"):
         profile.map.f_of_t(profile.t)
 
@@ -428,15 +443,18 @@ def test_in_place_horner_matches_out_of_place_bit_for_bit():
                 assert isinstance(got, float)
 
 
-def test_inversion_evaluates_no_integrand_and_at_most_two_newton_batches(case, monkeypatch):
-    """Once the map is built, f_of_t, t_of_f and verify_profile read only the panel series.
+def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch):
+    """Once the map is built, f_of_t, t_of_f and verify_profile read only the panel series, and every inversion
+    stops after one Newton batch, at the certificate of its first step.
 
-    From the Hermite start one Newton batch reaches rounding and a second
-    confirms it; each batch builds one power table of s.
+    The inversions: grids of 16, 9 794 and 65 536 points, `_sample_times` (a
+    1024-point grid and every panel edge of both charts), and verify's 64
+    checks with their stencil points.  Each batch, and each t_of_f, builds
+    one power table of s.
     """
     sp, profile = case
     pmap = profile.map
-    integrand, powers, w_of_t = ein.EndChart.integrand, ein._HalfTable._powers, ein._HalfTable.w_of_t
+    integrand, powers, f_of_t = ein.EndChart.integrand, ein.ProfileMap._powers, ein.ProfileMap.f_of_t
     calls = {"integrand": 0, "powers": 0}
     batches = []
 
@@ -446,18 +464,93 @@ def test_inversion_evaluates_no_integrand_and_at_most_two_newton_batches(case, m
             return fn(*args)
         return wrapper
 
-    def counted_w_of_t(self, t):
+    def counted_f_of_t(self, t):
         before = calls["powers"]
-        out = w_of_t(self, t)
+        out = f_of_t(self, t)
         batches.append(calls["powers"] - before)
         return out
 
     monkeypatch.setattr(ein.EndChart, "integrand", counted("integrand", integrand))
-    for table in (pmap._left, pmap._right):  # each table holds its chart's integrand as a bound method
-        monkeypatch.setattr(table, "g", counted("integrand", table.g))
-    monkeypatch.setattr(ein._HalfTable, "_powers", counted("powers", powers))
-    monkeypatch.setattr(ein._HalfTable, "w_of_t", counted_w_of_t)
+    monkeypatch.setattr(ein.ProfileMap, "_powers", counted("powers", powers))
+    monkeypatch.setattr(ein.ProfileMap, "f_of_t", counted_f_of_t)
+    for grid in (16, 9794, 65536):
+        pmap.f_of_t(np.linspace(0.0, pmap.delta, grid))
     pmap.t_of_f(pmap.f_of_t(_sample_times(pmap)))
     ein.verify_profile(sp, profile, n_check=64)
     assert calls["integrand"] == 0
-    assert len(batches) == 4 and max(batches) <= 2
+    assert batches == [1] * 5 and calls["powers"] == 7
+
+
+@pytest.mark.parametrize("grid", [1024, 65536])
+def test_one_table_is_the_two_half_tables(case, grid):
+    """The table over both end charts is the two half tables bit for bit, and so is t_of_f; f_of_t is within 2e-15.
+
+    Bit for bit: delta, quad_error_estimate, the cumulative tables, the
+    panel edges in w, g at the edges and both series' columns.  f_of_t stops
+    at the certificate of its first Newton step where each half table takes
+    a second, confirming one, so it moves by rounding: within 16 ulps of f
+    at times in [delta/1023, delta - delta/1023].  Nearer the ends f is
+    small and both lose relative accuracy there.
+    """
+    sp, profile = case
+    pmap = profile.map
+    tables = left, right = _tables(pmap)
+    assert pmap.delta == float(left.cum[-1] + right.cum[-1])
+    assert profile.diagnostics["quad_error_estimate"] == left.error + right.error
+    for got, want in ((pmap.cum, np.array([left.cum, right.cum])), (pmap.edges, np.array([left.edges, right.edges])),
+                      (pmap.g0, np.concatenate([left.g_edges[:-1], right.g_edges[:-1]])),
+                      (pmap.g1, np.concatenate([left.g_edges[1:], right.g_edges[1:]])),
+                      (pmap.t_cols, np.hstack([left.t_cols, right.t_cols])),
+                      (pmap.g_cols, np.hstack([left.g_cols, right.g_cols]))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    t = np.linspace(0.0, pmap.delta, grid)
+    got, want = pmap.f_of_t(t), two_table_f_of_t(sp, tables, t)
+    assert np.max(np.abs(got - want)) <= 2e-15
+    inner = (t >= pmap.delta / 1023) & (t <= pmap.delta - pmap.delta / 1023)
+    assert np.all(np.abs(got - want)[inner] <= 16 * np.spacing(want[inner]))
+    assert pmap.t_of_f(want).tobytes() == two_table_t_of_f(sp, tables, want).tobytes()
+
+
+def test_newton_certificate_bounds_the_first_step(case, monkeypatch):
+    """K bounds max|dG/dw| / (2 min G) on every panel, and the first Newton step's error by 2 K delta^2.
+
+    Sampled at 2 001 points of s on each panel of both charts.  The gap
+    between the g series G and the derivative of the t series T, summed
+    over their power coefficients, is below NEWTON_GAP min G, exactly.  At
+    16 seeded times, the step delta from the library's Hermite start w0 is
+    taken on the panel's series in mpmath, w1 = w0 - (T(w0) - t)/G(w0), and
+    lands within 2 K delta^2 + NEWTON_GAP |delta| of the series' root.
+    """
+    sp, profile = case
+    pmap = profile.map
+    power = np.polynomial.polynomial
+    s = np.linspace(-1.0, 1.0, 2001)
+    G, dG = power.polyval(s, pmap.g_cols), power.polyval(s, power.polyder(pmap.g_cols)) / pmap.half[:, None]
+    assert np.all(np.isfinite(pmap.K)) and np.all(2 * pmap.half * pmap.K <= 0.4)
+    assert np.all(pmap.K >= np.max(np.abs(dG), axis=1) / (2 * np.min(G, axis=1)))
+    for g, tc, half in zip(pmap.g_cols.T, pmap.t_cols.T, pmap.half):
+        g, tc, half = [Fraction(x) for x in g], [Fraction(x) for x in tc], Fraction(half)
+        gap = sum(abs(g[k] - (k + 1) * tc[k + 1] / half) for k in range(len(g)))
+        assert gap <= Fraction(ein.NEWTON_GAP) * (g[0] - sum(abs(x) for x in g[1:]))
+
+    starts = []
+    powers = ein.ProfileMap._powers
+    monkeypatch.setattr(ein.ProfileMap, "_powers", lambda self, i, w: starts.append((i, w)) or powers(self, i, w))
+    ts = np.random.default_rng(9709003).uniform(0.0, pmap.delta, 16)
+    pmap.f_of_t(ts)
+    targets = np.where(ts > pmap.t_split, pmap.delta - ts, ts)
+    with mpmath.workdps(40):
+        for panel, w0, t in zip(*starts[0], targets):
+            tk = [mpmath.mpf(x) for x in reversed(pmap.t_cols[:, panel])]
+            gk = [mpmath.mpf(x) for x in reversed(pmap.g_cols[:, panel])]
+            mid, half, t = mpmath.mpf(pmap.mid[panel]), mpmath.mpf(pmap.half[panel]), pmap.t0[panel] - mpmath.mpf(t)
+
+            def h(w):
+                return t + mpmath.polyval(tk, (w - mid) / half)
+
+            w0 = mpmath.mpf(w0)
+            w1 = w0 - h(w0) / mpmath.polyval(gk, (w0 - mid) / half)
+            root = mpmath.findroot(h, w1, df=lambda w: mpmath.polyval(tk, (w - mid) / half, derivative=True)[1] / half,
+                                   solver="newton")
+            delta = abs(w1 - w0)
+            assert abs(w1 - root) <= 2 * pmap.K[panel] * delta ** 2 + ein.NEWTON_GAP * delta
