@@ -527,26 +527,22 @@ class ProfileMap:
     """Invertible map between arclength t and the profile value f.
 
     Built once per segment polynomial as one composite Gauss-Legendre table
-    over both end charts: PROFILE_PANELS panels uniform in w = sqrt(f) on
-    [0, sqrt(f_mid)], then as many in w = sqrt(m1+m2-f), the left chart's
-    first.  x = w^2 is the distance from the chart's end, where the
-    integrand dt/dw = g is smooth.  Each chart's nodes and edges take one
-    integrand call, and t is cumulated per chart: ``cum`` and ``edges`` hold
-    one row per chart.  On a panel w = mid + half s with s in [-1, 1], and
-    the interpolant of g at its PROFILE_GAUSS_ORDER nodes matches g to
-    rounding; integrated exactly (`_panel_series`) it gives t(w) - t0 as a
-    power series in s.  ``g_cols`` and ``t_cols`` hold the power
-    coefficients of both series, one column per panel, and after the build
-    they are the map: no direction evaluates g again, and both work on
-    whole arrays.  Per panel the map also keeps its start and end in w (w0,
-    w1) and in t (t0, t1), g at both edges (g0, g1), the rounding scale
-    t0 + sum |t_k| of its t series (``t_round``) and the Newton constant
-    ``K`` of `_w_of_t`.  ``error`` estimates the table's error: the
-    Legendre tail sum half (|c_(n-2)| + |c_(n-1)|) of the panels'
-    interpolants, as in chopping a Chebyshev series (Aurentz-Trefethen, ACM
+    over both end charts: PROFILE_PANELS panels uniform in w = sqrt(f) up
+    to f_mid, then as many in w = sqrt(m1+m2-f), where dt/dw = g is smooth.
+    ``cum`` and ``edges`` hold one row per chart, and each chart's nodes
+    and edges take one integrand call.  On a panel w = mid + half s with s
+    in [-1, 1], the interpolant of g at its PROFILE_GAUSS_ORDER nodes
+    matches g to rounding; integrated exactly (`_panel_series`) it gives
+    t(w) - t0 as a power series in s.  ``g_cols`` and ``t_cols`` hold both
+    series' power coefficients, one column per panel, and after the build
+    they are the map: no direction evaluates g again.  Per panel it also
+    keeps w0, w1, t0, its width dt in t, g at its edges (g0, g1), the
+    rounding scale t_round = t0 + sum |t_k| and the Newton constant K of
+    `_w_of_t`.  ``error`` is the panels' Legendre tails half (|c_(n-2)| +
+    |c_(n-1)|), as in chopping a Chebyshev series (Aurentz-Trefethen, ACM
     TOMS 43, 2017), and eps sum cum, the first-order bound of the
     cumulative sums' rounding (Higham, Accuracy and Stability of Numerical
-    Algorithms, 4.2), each summed per chart.
+    Algorithms, 4.2), summed per chart.
     """
 
     def __init__(self, sp: SegmentPolynomial):
@@ -561,8 +557,9 @@ class ProfileMap:
         vals = np.array([chart.integrand(np.concatenate(x)) for chart, x in zip(sp.deflations, zip(nodes, self.edges))])
         self.g0, self.g1 = vals[:, n * order:-1].ravel(), vals[:, n * order + 1:].ravel()
         vals = vals[:, :n * order].reshape(2 * n, order)
-        self.cum = np.pad(np.cumsum(((vals * gw).sum(axis=1) * self.half).reshape(2, n), axis=1), ((0, 0), (1, 0)))
-        self.t0, self.t1 = self.cum[:, :-1].ravel(), self.cum[:, 1:].ravel()
+        self.cum = np.zeros((2, n + 1))
+        np.cumsum(((vals * gw).sum(axis=1) * self.half).reshape(2, n), axis=1, out=self.cum[:, 1:])
+        self.t0, self.dt = self.cum[:, :-1].ravel(), (self.cum[:, 1:] - self.cum[:, :-1]).ravel()
         self.t_split, self.delta = float(self.cum[0, -1]), float(self.cum[0, -1] + self.cum[1, -1])
         L, D, M = _panel_series(order)
         c = L @ vals.T
@@ -577,11 +574,15 @@ class ProfileMap:
                            where=(g_low > 0) & (self.half * g_slope <= 0.4 * g_low))
 
     def _panel(self, x: np.ndarray, right: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Index of the panel holding each x, by its chart's row of panel starts in ``table`` (edges or cum)."""
+        """Index of the panel holding each x > 0, by its chart's row of panel edges in ``table`` (edges or cum).
+
+        Both rows start at 0, so each x passes at least one edge; an x at or
+        past its chart's last edge lies in its chart's last panel.
+        """
         i = np.empty(len(x), dtype=np.intp)
         for side, on in enumerate((~right, right)):
             i[on] = np.searchsorted(table[side], x[on], side="right")
-        return np.clip(i - 1, 0, PROFILE_PANELS - 1) + PROFILE_PANELS * right
+        return np.minimum(i, PROFILE_PANELS) + (PROFILE_PANELS * right - 1)
 
     def _powers(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
         """s^0 .. s^n of each w's variable s on its panel i, one column per point."""
@@ -592,12 +593,11 @@ class ProfileMap:
         return out
 
     def _by_chart(self, x, x_end: float, y_end: float, x_split: float, local):
-        """Map every x through its own end chart: y = local(x, right) on the left chart, y_end - local(x_end - x,
-        right) on the right one, where right is x > x_split.
+        """Map each x through its own end chart, by ``local`` on the distance from that chart's end.
 
-        local takes an array of distances from the chart's end and the
-        chart mask.  x <= 0 gives 0 and x >= x_end gives y_end; a float
-        gives a float.
+        right = x > x_split marks the right chart's points: there y = y_end -
+        local(x_end - x, right), and on the left chart y = local(x, right).
+        x <= 0 gives 0 and x >= x_end gives y_end; a float gives a float.
         """
         xs = np.asarray(x, dtype=float).reshape(-1)
         y = np.where(xs <= 0, 0.0, y_end)
@@ -609,6 +609,8 @@ class ProfileMap:
         return _like(x, y.reshape(np.shape(x)))
 
     def _t_of_w(self, w: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The time from each w's chart end.  Every w of t_of_f lies in its panel: sqrt rounds monotonically, so
+        no w passes its chart's last edge, sqrt(f_mid) or sqrt(m1+m2 - f_mid)."""
         i = self._panel(w, right, self.edges)
         return self.t0[i] + np.einsum("ij,ij->j", self.t_cols[:, i], self._powers(i, w))
 
@@ -620,25 +622,21 @@ class ProfileMap:
         A step is w -= (T(w) - t)/G(w), T and G the panel's t and g series;
         one that would leave the bracket, tightened at every evaluation,
         bisects it instead (rtsafe, Numerical Recipes 9.4).  All points step
-        together until each is done.  A point is done when its step is at
-        the rounding level of w or of T(w) - t, whose series t0 + sum t_k s^k
-        rounds on the scale t_round = t0 + sum |t_k| (near a chart's end the
-        panel's width in t, far above t itself), or when its Newton step
-        delta is certified to have landed within that level: where G >=
-        g_low > 0 and |dG/dw| <= g1 on the panel, Taylor's theorem bounds
-        the error of the step by |w1 - w*| <= K (|delta| + |w1 - w*|)^2,
-        K = g1 / (2 g_low).  For K |delta| <= 0.1 its small root is below
-        2 K delta^2, and its large one above 0.4 / K, wider than the panel
-        where 2 half K <= 0.4 (elsewhere K is inf and certifies nothing).  G
-        differs from dT/dw by rounding, which moves the step by at most
-        NEWTON_GAP |delta|.  From the Hermite start the first step is
-        certified.  Points whose time rounds just past their panel's end
-        settle on that end, within rounding.
+        together until each is done: its step is at the rounding level of w
+        or of T(w) - t, whose series rounds on the scale t_round (near a
+        chart's end the panel's width in t, far above t), or the step delta
+        is certified to have landed within that level.  Where G >= g_low > 0
+        and |dG/dw| <= g1 on the panel, Taylor's theorem gives |w1 - w*| <=
+        K (|delta| + |w1 - w*|)^2 with K = g1 / (2 g_low); for K |delta| <=
+        0.1 its small root is below 2 K delta^2 and its large one above
+        0.4 / K, wider than the panel where 2 half K <= 0.4 (elsewhere K is
+        inf).  G differs from dT/dw by at most NEWTON_GAP relative.  From the
+        Hermite start the first step is certified.  Points whose time rounds
+        just past their panel's end settle on that end, within rounding.
         """
         i = self._panel(t, right, self.cum)
-        c0, a, b = self.t0[i], self.w0[i], self.w1[i]
-        dt = self.t1[i] - c0
-        s = np.clip((t - c0) / dt, 0.0, 1.0)
+        c0, dt, a, b = self.t0[i], self.dt[i], self.w0[i], self.w1[i]
+        s = np.minimum(np.maximum((t - c0) / dt, 0.0), 1.0)
         w = (((2 * s - 3) * s * s + 1) * a + (s - 1) ** 2 * s * dt / self.g0[i]
              + (3 - 2 * s) * s * s * b + (s - 1) * s * s * dt / self.g1[i])
         t_cols, g_cols, t_round, K = self.t_cols[:, i], self.g_cols[:, i], self.t_round[i], self.K[i]
