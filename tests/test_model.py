@@ -188,21 +188,24 @@ def test_analyze_segment_matches_the_per_root_oracle():
     assert counts["walls"] > 0 and counts["failures"] > 0 and counts["wall_free_ends"] > 0, counts
 
 
-@pytest.mark.parametrize("text, painted", [("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", ()), ("G2xA2", (2,))])
-def test_float_isotropy_modules_match_the_per_root_oracle(text, painted):
-    # the tables that futaki (Zk, Z) and analyze_segment (Z1, Z2) read: at the float candidates of the
-    # diameter search, and at the float check-segment directions, the center basis and its negatives
-    # at four degree pairs; equal keys in R_m+ order, of the types evaluate gives
+@pytest.mark.parametrize("text, painted, searched", [("A2xA2xA2", (1, 3, 5), True), ("A1xA1xA1", (), True),
+                                                     ("G2xA2", (2,), True), ("A3", (), False), ("B3", (), False)])
+def test_float_isotropy_modules_match_the_per_root_oracle(text, painted, searched):
+    # the tables that SegmentPolynomial.from_base (Zk, Z) and analyze_segment (Z1, Z2) read: at the float
+    # candidates of the diameter search, and at the float check-segment directions, the center basis and
+    # its negatives at four degree pairs; equal keys in R_m+ order, of the types evaluate gives.  On the
+    # full flags of A3 and B3 a root has up to three nonzero terms, whose float sum depends on their order
     flag, j = _flag_j(text, painted)
     zk = ricci_invariant(flag, j)
     found = [CartanVector(c.z_values) for c in search_diameters(make_base(flag, j, flag.center_basis[0])).candidates
-             if not c.confirmed_exact]
+             if not c.confirmed_exact] if searched else []
     pairs = [(zk, z) for z in found] + [ke_endpoints(zk, z, 1, 1) for z in found]
     for b in flag.center_basis:
         for sign in (1, -1):
             z = make_base(flag, j, CartanVector(tuple(sign * float(v) for v in b.values))).z
             pairs += [(zk, z)] + [ke_endpoints(zk, z, m1, m2) for m1, m2 in ((1, 1), (1, 2), (2, 2), (3, 1))]
-    assert len(found) > 0 and all(y.kind == "float" for _, y in pairs)
+    assert len(found) > 0 or not searched
+    assert all(y.kind == "float" for _, y in pairs)
     for x, y in pairs:
         got, want = isotropy_modules(j, x, y), per_root_isotropy_modules(j, x, y)
         assert got[1:] == want[1:] == (None, None)

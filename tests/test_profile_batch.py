@@ -481,6 +481,21 @@ def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch
     assert batches == [1] * 5 and calls["powers"] == 7
 
 
+def test_a_poor_start_is_not_certified_and_converges_in_more_batches(case, monkeypatch):
+    """With the Hermite start's end slopes off by 2x, the first steps are too long to certify or to pass the step
+    test, and the inversion takes more batches to the half tables' inverse, within 2e-15."""
+    sp, profile = case
+    pmap = profile.map
+    calls = []
+    powers = ein.ProfileMap._powers
+    monkeypatch.setattr(ein.ProfileMap, "_powers", lambda self, i, w: calls.append(1) or powers(self, i, w))
+    monkeypatch.setattr(pmap, "g0", 2 * pmap.g0)
+    monkeypatch.setattr(pmap, "g1", pmap.g1 / 2)
+    got = pmap.f_of_t(profile.t)
+    assert len(calls) > 1
+    assert np.max(np.abs(got - two_table_f_of_t(sp, _tables(pmap), profile.t))) <= 2e-15
+
+
 @pytest.mark.parametrize("grid", [1024, 65536])
 def test_one_table_is_the_two_half_tables(case, grid):
     """The table over both end charts is the two half tables bit for bit, and so is t_of_f; f_of_t is within 2e-15.
@@ -511,12 +526,18 @@ def test_one_table_is_the_two_half_tables(case, grid):
     assert pmap.t_of_f(want).tobytes() == two_table_t_of_f(sp, tables, want).tobytes()
 
 
+def _dyadic(x):
+    """A double x as the integer x 2^1100, exactly: its denominator is a power of two, at most 2^1074."""
+    n, d = float(x).as_integer_ratio()
+    return n * (2 ** 1100 // d)
+
+
 def test_newton_certificate_bounds_the_first_step(case, monkeypatch):
     """K bounds max|dG/dw| / (2 min G) on every panel, and the first Newton step's error by 2 K delta^2.
 
     Sampled at 2 001 points of s on each panel of both charts.  The gap
     between the g series G and the derivative of the t series T, summed
-    over their power coefficients, is below NEWTON_GAP min G, exactly.  At
+    over their power coefficients, is below NEWTON_GAP min G, in integers.  At
     16 seeded times, the step delta from the library's Hermite start w0 is
     taken on the panel's series in mpmath, w1 = w0 - (T(w0) - t)/G(w0), and
     lands within 2 K delta^2 + NEWTON_GAP |delta| of the series' root.
@@ -528,10 +549,11 @@ def test_newton_certificate_bounds_the_first_step(case, monkeypatch):
     G, dG = power.polyval(s, pmap.g_cols), power.polyval(s, power.polyder(pmap.g_cols)) / pmap.half[:, None]
     assert np.all(np.isfinite(pmap.K)) and np.all(2 * pmap.half * pmap.K <= 0.4)
     assert np.all(pmap.K >= np.max(np.abs(dG), axis=1) / (2 * np.min(G, axis=1)))
+    exact = _dyadic  # every double is an integer over 2^1100, so these sums and products are exact integers
     for g, tc, half in zip(pmap.g_cols.T, pmap.t_cols.T, pmap.half):
-        g, tc, half = [Fraction(x) for x in g], [Fraction(x) for x in tc], Fraction(half)
-        gap = sum(abs(g[k] - (k + 1) * tc[k + 1] / half) for k in range(len(g)))
-        assert gap <= Fraction(ein.NEWTON_GAP) * (g[0] - sum(abs(x) for x in g[1:]))
+        g, tc, half = [exact(x) for x in g], [exact(x) for x in tc], exact(half)
+        gap_half = sum(abs(g[k] * half - (k + 1) * tc[k + 1] * 2 ** 1100) for k in range(len(g)))
+        assert gap_half <= exact(ein.NEWTON_GAP) * (g[0] - sum(abs(x) for x in g[1:])) * half
 
     starts = []
     powers = ein.ProfileMap._powers
