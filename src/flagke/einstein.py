@@ -609,8 +609,11 @@ class ProfileMap:
         return _like(x, y.reshape(np.shape(x)))
 
     def _t_of_w(self, w: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The time from each w's chart end.  Every w of t_of_f lies in its panel: sqrt rounds monotonically, so
-        no w passes its chart's last edge, sqrt(f_mid) or sqrt(m1+m2 - f_mid)."""
+        """The time from each w's chart end, on the panel holding w.
+
+        Every w of t_of_f lies in its panel: sqrt rounds monotonically, so no
+        w passes its chart's last edge, sqrt(f_mid) or sqrt(m1+m2 - f_mid).
+        """
         i = self._panel(w, right, self.edges)
         return self.t0[i] + np.einsum("ij,ij->j", self.t_cols[:, i], self._powers(i, w))
 
