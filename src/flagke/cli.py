@@ -306,8 +306,9 @@ def _residual_columns(sp, profile):
     res_tan = np.full(len(profile.t), np.nan)
     res_norm = np.full(len(profile.t), np.nan)
     state = (profile.f[1:-1], profile.fp[1:-1], profile.fpp[1:-1])
-    res_tan[1:-1] = np.max(np.abs(ein.tangential_residuals_state(sp, *state)), axis=-1)
-    res_norm[1:-1] = ein.ricci_normal_state(sp, *state) - 1.0
+    tangential, normal = ein.ricci_residuals_state(sp, *state)
+    res_tan[1:-1] = np.max(np.abs(tangential), axis=-1)
+    res_norm[1:-1] = normal - 1.0
     return res_tan, res_norm
 
 

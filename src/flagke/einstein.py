@@ -87,12 +87,27 @@ FLOAT_ORDER_RTOL = 1e-9
 
 
 def p_eval_float(coeffs: np.ndarray, x):
-    """Horner evaluation of ascending float coefficients, numpy-vectorized, in place; a float x gives a float."""
+    """Horner evaluation of ascending float coefficients, numpy-vectorized, in place; a float x gives a float.
+
+    Only where no end chart exists: `SegmentPolynomial.u_float`'s direct
+    ratio and the float-key test of Q(m1+m2); the charts evaluate by
+    `EndChart.at`.
+    """
     out = np.zeros(np.shape(x))
     for c in coeffs[::-1].tolist():
         out *= x
         out += c
     return out if out.ndim else out[()]
+
+
+def _power_table(x, n: int) -> np.ndarray:
+    """x^0 .. x^(n-1), n >= 1, as the rows of an (n,) + shape(x) array: each row is the row above times x."""
+    out = np.empty((n,) + np.shape(x))
+    out[0] = 1.0
+    rows, x = out.reshape(n, -1), np.reshape(x, -1)
+    for k in range(1, n):  # one product per row: np.multiply.accumulate runs one column at a time, 3x slower here
+        np.multiply(rows[k - 1], x, out=rows[k])
+    return out
 
 
 def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -140,10 +155,13 @@ class EndChart:
     Holds the float coefficients of the deflated p = P[m-1:] and q = Q[m:],
     with Q(x) = integral_0^x P(v)(v - m) dv, sliced from the segment's float
     arrays, and of p', rounded once from the numerators n p_n over the
-    segment's denominator.  Near the end u = -2Q/P = -2 x q/p, and in the
-    chart x = w^2 the integrand of t is the smooth 2/sqrt(-2q/p).  The right
-    end of a segment is the left end of its reversed polynomial, so one
-    chart type serves both ends.
+    segment's denominator, as the rows of one zero-padded (3, n) matrix
+    ``rows``; ``p_f``, ``q_f`` and ``dp_f`` are views of its rows.  `at`
+    evaluates all three at once, as ``rows`` times the power table of its
+    points.  Near the end u = -2Q/P = -2 x q/p, and in the chart x = w^2 the
+    integrand of t is the smooth 2/sqrt(-2q/p).  The right end of a segment
+    is the left end of its reversed polynomial, so one chart type serves
+    both ends.
     """
 
     def __init__(self, sp: "SegmentPolynomial", where: str = "0"):
@@ -155,38 +173,29 @@ class EndChart:
         if lq < m:
             raise DegreeMismatchError("Q vanishes to order %d at %s, expected %d" % (lq, where, m))
         self.m = m
-        self.p_f, self.q_f = sp.coeffs_f[m - 1:], sp.q_coeffs_f[m:]
         dp = [[n * c for n, c in enumerate(part[m - 1:])][1:] for part in sp._p]
-        self.dp_f = np.array(sp._coefficients(dp, sp._p_over, pair_float), dtype=float)
+        cs = sp.coeffs_f[m - 1:], sp.q_coeffs_f[m:], sp._coefficients(dp, sp._p_over, pair_float)
+        n = max(map(len, cs))
+        self.rows = np.array([list(c) + [0.0] * (n - len(c)) for c in cs], dtype=float)
+        self.p_f, self.q_f, self.dp_f = (row[:len(c)] for row, c in zip(self.rows, cs))
 
-    def _p_at(self, x):
-        """p at distance x (a float or an array) from the end, which must not vanish."""
-        den = p_eval_float(self.p_f, x)
-        if (den == 0).any():
-            raise SingularConfigurationError("P vanishes at distance %g from the end" % _first(x, den == 0))
-        return den
+    def at(self, x, powers: Optional[np.ndarray] = None):
+        """(-2q/p, (p, q, p')) at distance x from the end, x a float or an array; a float gives a float -2q/p.
 
-    def u(self, x):
-        """u at distance x (a float or an array) from the end."""
-        return x * (-2.0) * p_eval_float(self.q_f, x) / self._p_at(x)
-
-    def u_uf(self, x):
-        """u and the term u F of f'' = u F - x + m at distance x (a float or an array).
-
-        One pass over each of p, q and p'; u is the float that `u` gives.
+        One product of ``rows`` with the powers x^0 .. x^(n-1), or with the
+        first n rows of ``powers``, the `_power_table` of x that a caller
+        shares between charts.  p must not vanish, and -2q/p = u/x must be
+        positive: 2/sqrt(-2q/p) at x = w^2 is the integrand of t.
         """
-        pt, qt = self._p_at(x), p_eval_float(self.q_f, x)
-        return x * (-2.0) * qt / pt, qt * ((self.m - 1) * pt + x * p_eval_float(self.dp_f, x)) / (pt * pt)
-
-    def integrand(self, w):
-        """dt/dw = 2/sqrt(-2q/p) at x = w^2; it tends to sqrt(2) at the end."""
-        W = np.asarray(w, dtype=float) ** 2
-        out = np.asarray(p_eval_float(self.q_f, W))  # -2q/p, its root and 2/root in this one buffer
-        out *= -2.0
-        out /= p_eval_float(self.p_f, W)
-        if np.any(out <= 0):
+        n = self.rows.shape[1]
+        powers = _power_table(x, n) if powers is None else powers[:n]
+        p, q, dp = rows = (self.rows @ powers.reshape(n, -1)).reshape((3,) + np.shape(x))
+        if np.any(p == 0):
+            raise SingularConfigurationError("P vanishes at distance %g from the end" % _first(x, p == 0))
+        v = -2.0 * q / p
+        if np.any(v <= 0):
             raise NoKahlerEinsteinError("first integral not positive on the open segment")
-        return np.divide(2.0, np.sqrt(out, out=out), out=out)
+        return _like(x, v), rows
 
 
 class SegmentPolynomial:
@@ -382,17 +391,15 @@ class SegmentPolynomial:
         """
         f = np.asarray(f, dtype=float)
         try:
-            left, right = self.deflations
+            self.deflations
         except (NoKahlerEinsteinError, DegreeMismatchError):
             den = p_eval_float(self.coeffs_f, f)
             if (den == 0).any():
                 raise SingularConfigurationError("P vanishes at f = %g" % _first(f, den == 0))
             return -2.0 * p_eval_float(self.q_coeffs_f, f) / den
-        fd = float(self.f_delta)
-        near_left = f <= fd / 2
         out = np.empty_like(f)
-        out[near_left] = left.u(f[near_left])
-        out[~near_left] = right.u(fd - f[~near_left])
+        for chart, on, x in self._by_end(f):
+            out[on] = x * chart.at(x)[0]
         return _like(f, out)
 
     def log_deriv_sums(self, f):
@@ -411,22 +418,30 @@ class SegmentPolynomial:
         return kg @ self.d_f, kg ** 2 @ self.d_f
 
     def fp_fpp(self, f):
-        """(f', f'') at f: sqrt(u) and the closed form u F - f + m1, from one pass over each chart's p, q and p'.
+        """(f', f'') at f: sqrt(u) and the closed form u F - f + m1, from one evaluation of each chart.
 
-        Stable at both endpoints.  Past the midpoint both come from the right
-        chart at m1+m2 - f, and u F is minus the reversed segment's: the
-        reversed profile m1+m2 - f(delta - t) has f'' negated.  ``f`` may be a
-        float or an array; a float gives floats.
+        Each chart's `EndChart.at` gives u = x (-2q/p) and u F = q ((m - 1) p
+        + x p') / p^2 at its own points, at distance x from its end.  Stable
+        at both endpoints.  Past the midpoint both come from the right chart
+        at m1+m2 - f, and u F is minus the reversed segment's: the reversed
+        profile m1+m2 - f(delta - t) has f'' negated.  ``f`` may be a float
+        or an array; a float gives floats.
         """
         f = np.asarray(f, dtype=float)
-        left, right = self.deflations
+        u, uf = np.empty_like(f), np.empty_like(f)
+        ends = self._by_end(f)
+        for chart, on, x in ends:
+            v, (p, q, dp) = chart.at(x)
+            u[on], uf[on] = x * v, q * ((chart.m - 1) * p + x * dp) / (p * p)
+        fp, fpp = np.sqrt(np.maximum(u, 0.0)), np.where(ends[0][1], uf, -uf) - f + self.m1
+        return _like(f, fp), _like(f, fpp)
+
+    def _by_end(self, f: np.ndarray):
+        """(chart, mask, x) of each end chart: the points of f nearer its end, at distance x from it."""
         fd = float(self.f_delta)
         near_left = f <= fd / 2
-        u, uf = np.empty_like(f), np.empty_like(f)
-        u[near_left], uf[near_left] = left.u_uf(f[near_left])
-        u[~near_left], uf[~near_left] = right.u_uf(fd - f[~near_left])
-        fp, fpp = np.sqrt(np.maximum(u, 0.0)), np.where(near_left, uf, -uf) - f + self.m1
-        return _like(f, fp), _like(f, fpp)
+        left, right = self.deflations
+        return (left, near_left, f[near_left]), (right, ~near_left, fd - f[~near_left])
 
 
 def _trimmed(parts: List[list]) -> List[list]:
@@ -529,8 +544,9 @@ class ProfileMap:
     Built once per segment polynomial as one composite Gauss-Legendre table
     over both end charts: PROFILE_PANELS panels uniform in w = sqrt(f) up
     to f_mid, then as many in w = sqrt(m1+m2-f), where dt/dw = g is smooth.
-    ``cum`` and ``edges`` hold one row per chart, and each chart's nodes
-    and edges take one integrand call.  On a panel w = mid + half s with s
+    ``cum`` and ``edges`` hold one row per chart; both charts have the same
+    edges, and one power table of their nodes and edges serves both
+    (`_chart_values`).  On a panel w = mid + half s with s
     in [-1, 1], the interpolant of g at its PROFILE_GAUSS_ORDER nodes
     matches g to rounding; integrated exactly (`_panel_series`) it gives
     t(w) - t0 as a power series in s.  ``g_cols`` and ``t_cols`` hold both
@@ -549,12 +565,13 @@ class ProfileMap:
         self.sp, self.fd = sp, float(sp.f_delta)
         self.fm = self.fd / 2.0
         n, order = PROFILE_PANELS, PROFILE_GAUSS_ORDER
-        self.edges = np.array([np.linspace(0.0, math.sqrt(x), n + 1) for x in (self.fm, self.fd - self.fm)])
+        edges = np.linspace(0.0, math.sqrt(self.fm), n + 1)  # m1+m2 - f_mid is f_mid: both charts' edges
+        self.edges = np.array([edges, edges])
         self.w0, self.w1 = self.edges[:, :-1].ravel(), self.edges[:, 1:].ravel()
         self.mid, self.half = (self.w1 + self.w0) / 2, (self.w1 - self.w0) / 2
         gx, gw = _gauss_rule(order)
-        nodes = (self.mid[:, None] + self.half[:, None] * gx).reshape(2, -1)
-        vals = np.array([chart.integrand(np.concatenate(x)) for chart, x in zip(sp.deflations, zip(nodes, self.edges))])
+        w = np.concatenate([(self.mid[:n, None] + self.half[:n, None] * gx).ravel(), edges])
+        vals = 2.0 / np.sqrt(_chart_values(sp, w ** 2))
         self.g0, self.g1 = vals[:, n * order:-1].ravel(), vals[:, n * order + 1:].ravel()
         vals = vals[:, :n * order].reshape(2 * n, order)
         self.cum = np.zeros((2, n + 1))
@@ -586,11 +603,7 @@ class ProfileMap:
 
     def _powers(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
         """s^0 .. s^n of each w's variable s on its panel i, one column per point."""
-        out = np.empty((len(self.t_cols), len(w)))
-        out[0], out[1] = 1.0, (w - self.mid[i]) / self.half[i]
-        for k in range(2, len(out)):
-            np.multiply(out[k - 1], out[1], out=out[k])
-        return out
+        return _power_table((w - self.mid[i]) / self.half[i], len(self.t_cols))
 
     def _by_chart(self, x, x_end: float, y_end: float, x_split: float, local):
         """Map each x through its own end chart, by ``local`` on the distance from that chart's end.
@@ -675,22 +688,25 @@ class ProfileMap:
         return self.error
 
 
+def _chart_values(sp: SegmentPolynomial, x: np.ndarray) -> List[np.ndarray]:
+    """-2q/p of the left and the right end chart at the same distances x from their ends, from one power table."""
+    charts = sp.deflations
+    powers = _power_table(x, max(chart.rows.shape[1] for chart in charts))
+    return [chart.at(x, powers)[0] for chart in charts]
+
+
 def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
     """delta = integral_0^(m1+m2) df/sqrt(u(f)) by tanh-sinh quadrature.
 
     Each half is integrated in x, the distance to its own end, through that
-    end's chart u; the double-exponential nodes absorb the 1/sqrt(2x)
+    end's chart u = x (-2q/p); both halves share the nodes and one power
+    table of them.  The double-exponential nodes absorb the 1/sqrt(2x)
     singularity at the end.  It shares no table, variable or rule with
     ProfileMap, only the charts, so it cross-checks the quadrature of t(f).
     """
     half = float(sp.f_delta) / 2
-    total = 0.0
-    for chart in sp.deflations:
-        u = chart.u(half * _TS_X)
-        if np.any(u <= 0):
-            raise NoKahlerEinsteinError("first integral not positive on the open segment")
-        total += half * float(_TS_W @ (1.0 / np.sqrt(u)))
-    return total
+    x = half * _TS_X
+    return sum(half * float(_TS_W @ (1.0 / np.sqrt(x * v))) for v in _chart_values(sp, x))
 
 
 @dataclass(frozen=True)
@@ -720,7 +736,7 @@ def profile_solve(sp: SegmentPolynomial, grid_size: int = 512) -> ProfileSolutio
     t = np.linspace(0.0, pmap.delta, grid_size)
     f = pmap.f_of_t(t)
     fp, fpp = sp.fp_fpp(f)
-    ode_res = _ricci_q(sp, f[1:-1], fp[1:-1], fpp[1:-1]) + f[1:-1] - sp.m1
+    ode_res = _ricci_q(fp[1:-1], fpp[1:-1], sp.log_deriv_sums(f[1:-1])[0]) + f[1:-1] - sp.m1
 
     diagnostics = {
         "f_delta_error": abs(f[-1] - float(sp.f_delta)),
@@ -752,10 +768,22 @@ def _state_at(sp: SegmentPolynomial, profile: ProfileSolution, t):
     return (f,) + sp.fp_fpp(f)
 
 
-def _ricci_q(sp: SegmentPolynomial, f, fp, fpp):
-    """q = f'' - (f')^2/2 sum k/(a - k f), the coefficient of alpha(Z) in r_alpha."""
-    s1, _ = sp.log_deriv_sums(f)
+def _ricci_q(fp, fpp, s1):
+    """q = f'' - (f')^2/2 sum k/(a - k f), the coefficient of alpha(Z) in r_alpha, from the sum s1 at f."""
     return fpp - (fp * fp) * s1 / 2.0
+
+
+def _tangential(sp: SegmentPolynomial, f, q) -> np.ndarray:
+    """r_alpha/g_alpha - 1 from q at f, modules on the last axis; log_deriv_sums at f has checked g != 0."""
+    return (sp.zk_f + np.multiply.outer(q, sp.k_f)) / (sp.a_f - np.multiply.outer(f, sp.k_f)) - 1.0
+
+
+def _normal(fp, fpp, s1, s2):
+    """r(xi, xi) from f', f'' and the sums (s1, s2) at f."""
+    if np.any(np.asarray(fp) == 0):
+        raise SingularConfigurationError("f' vanishes in the interior")
+    fppp = 2.0 * fp * fpp * (s1 / 2.0) + fp ** 3 * (s2 / 2.0) - fp  # d/dt of f'' = u F - f + m1: F = s1/2, dF/df = s2/2
+    return -fppp / fp + fpp * s1 + 0.5 * (fp * fp) * s2
 
 
 def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
@@ -764,22 +792,18 @@ def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
     Every root of a module has its module's residual, so maxima over modules
     are maxima over R_m+.
     """
-    f = np.asarray(f, dtype=float)
-    q = np.asarray(_ricci_q(sp, f, fp, fpp))
-    r = sp.zk_f + q[..., None] * sp.k_f
-    return r / (sp.a_f - sp.k_f * f[..., None]) - 1.0  # _ricci_q's log_deriv_sums has checked g != 0
+    return _tangential(sp, f, _ricci_q(fp, fpp, sp.log_deriv_sums(f)[0]))
 
 
 def ricci_normal_state(sp: SegmentPolynomial, f, fp, fpp):
     """r(xi, xi) from the state (f, f', f''), floats or arrays of one shape."""
+    return _normal(fp, fpp, *sp.log_deriv_sums(f))
+
+
+def ricci_residuals_state(sp: SegmentPolynomial, f, fp, fpp):
+    """`tangential_residuals_state` and `ricci_normal_state` of one state, from one pass of `log_deriv_sums`."""
     s1, s2 = sp.log_deriv_sums(f)
-    u = fp * fp
-    F = s1 / 2.0
-    Fp = s2 / 2.0
-    fppp = 2.0 * fp * fpp * F + fp ** 3 * Fp - fp
-    if np.any(np.asarray(fp) == 0):
-        raise SingularConfigurationError("f' vanishes in the interior")
-    return -fppp / fp + fpp * s1 + 0.5 * u * s2
+    return _tangential(sp, f, _ricci_q(fp, fpp, s1)), _normal(fp, fpp, s1, s2)
 
 
 # offsets of the five-point stencil, the centre first
@@ -787,38 +811,39 @@ _STENCIL = np.array([0.0, -2.0, -1.0, 1.0, 2.0])
 
 
 def _stencil_states(sp: SegmentPolynomial, profile: ProfileSolution, t: np.ndarray):
-    """The state at the times t, and the stencil route to r(xi, xi) there.
+    """The state at the times t, its sums (s1, s2) and q, and the stencil route to r(xi, xi) there.
 
     The route is -(1/f') d/dt [f'' - (f')^2/2 sum k/(a - k f)], the bracket
     evaluated through the full numeric chain and differentiated with a
     five-point stencil, so it genuinely cross-checks the closed form.  One
-    inversion covers every t and its four stencil points t - 2h, t - h,
-    t + h, t + 2h, with h = delta/400 shrunk near the ends to keep them
-    interior.
+    inversion and one pass of `log_deriv_sums` cover every t and its four
+    stencil points t - 2h, t - h, t + h, t + 2h, with h = delta/400 shrunk
+    near the ends to keep them interior.
     """
     h = np.minimum(np.minimum(profile.delta / 400.0, t / 3.0), (profile.delta - t) / 3.0)
     f, fp, fpp = _state_at(sp, profile, t[..., None] + h[..., None] * _STENCIL)
-    q = _ricci_q(sp, f, fp, fpp)
+    s1, s2 = sp.log_deriv_sums(f)
+    q = _ricci_q(fp, fpp, s1)
     dq = (q[..., 1] - 8 * q[..., 2] + 8 * q[..., 3] - q[..., 4]) / (12 * h)
-    return (f[..., 0], fp[..., 0], fpp[..., 0]), -dq / fp[..., 0]
+    return (f[..., 0], fp[..., 0], fpp[..., 0]), (s1[..., 0], s2[..., 0]), q[..., 0], -dq / fp[..., 0]
 
 
 def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int = 64) -> Dict[str, float]:
     """Einstein residual maxima and the two-route agreements along the profile.
 
     All n_check interior check times and their stencil points are inverted
-    in one batch.
+    in one batch, and their log-derivative sums taken in one pass.
     """
     if n_check < 1:
         raise InputError("verify needs at least one check point, got n_check = %d" % n_check)
     ts = np.linspace(0.0, profile.delta, n_check + 2)[1:-1]
-    state, rn_fd = _stencil_states(sp, profile, ts)
-    rn = ricci_normal_state(sp, *state)
+    (f, fp, fpp), sums, q, rn_fd = _stencil_states(sp, profile, ts)
+    rn = _normal(fp, fpp, *sums)
     return {
-        "max_tangential_residual": float(np.max(np.abs(tangential_residuals_state(sp, *state)))),
+        "max_tangential_residual": float(np.max(np.abs(_tangential(sp, f, q)))),
         "max_normal_residual": float(np.max(np.abs(rn - 1.0))),
         "normal_two_route_gap": float(np.max(np.abs(rn - rn_fd))),
-        "roundtrip_error": float(np.max(np.abs(profile.map.t_of_f(state[0]) - ts))),
+        "roundtrip_error": float(np.max(np.abs(profile.map.t_of_f(f) - ts))),
         # a stable report key (CLI, benchmarks); the second route is tanh-sinh
         "delta_ode_gap": abs(profile_delta_tanh_sinh(sp) - profile.delta),
     }

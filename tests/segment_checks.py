@@ -166,7 +166,8 @@ def ricci_tangential(sp, profile, alpha, t):
     idx = next((i for i, roots in enumerate(sp.modules.values()) if alpha in roots), None)
     if idx is None:
         raise InputError("root %s is not a positive root of the configuration" % (alpha.coords,))
-    q = ein._ricci_q(sp, *ein._state_at(sp, profile, t))
+    f, fp, fpp = ein._state_at(sp, profile, t)
+    q = ein._ricci_q(fp, fpp, sp.log_deriv_sums(f)[0])
     return float(sp.zk_f[idx] + q * sp.k_f[idx])
 
 
@@ -191,6 +192,79 @@ def fp_fpp_by_passes(sp, f):
         pt, qt, dpt = (ein.p_eval_float(c, x) for c in (chart.p_f, chart.q_f, chart.dp_f))
         uf[near] = sign * (qt * ((chart.m - 1) * pt + x * dpt) / (pt * pt))
     return np.sqrt(np.maximum(sp.u_float(f), 0.0)), uf - f + sp.m1
+
+
+# the unit roundoff of doubles, half of np.finfo(float).eps
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def exact_poly_at(coeffs, x):
+    """sum c_k x^k of float coefficients at a float x, exactly, as a Fraction.
+
+    Every double is an integer over a power of two, so the largest of the
+    terms' denominators is their common one and the sum is one integer.
+    """
+    xn, xd = float(x).as_integer_ratio()
+    terms, xk = [], 1  # c_k x^k = n_k xn^k / 2^(e_k + k e), x = xn / 2^e
+    for k, c in enumerate(coeffs):
+        n, d = float(c).as_integer_ratio()
+        terms.append((n * xk, d.bit_length() - 1 + k * (xd.bit_length() - 1)))
+        xk *= xn
+    top = max([e for _, e in terms], default=0)
+    return Fraction(sum(n << (top - e) for n, e in terms), 1 << top)
+
+
+def evaluation_bound(coeffs, x, n):
+    """gamma_2n sum |c_k| |x|^k: how far rounding can move an evaluation of n coefficients at x.
+
+    Horner's rule on n coefficients is within gamma_2(n-1) of this sum
+    (Higham 5.1).  So is a sum over a table of powers: x^k takes k - 1
+    products, c_k x^k one more, and a sum of n terms in any order n - 1
+    additions, within gamma_(k + n - 1) of each term.  Zero-padded
+    coefficients add nothing.
+    """
+    return gamma(2 * n) * sum(abs(float(c)) * abs(x) ** k for k, c in enumerate(coeffs))
+
+
+def fp_fpp_rounding(sp, f):
+    """The exact (u, f'') at each float f of the charts' float coefficients, with first-order rounding bounds on f' and f''.
+
+    Yields (U, FPP, b_fp, b_fpp) per point: U = -2 x Q/P and FPP = ±Q S/P^2
+    - f + m1, S = (m - 1) P + x D, in Fractions from P, Q, D, the chart's
+    p, q and p' evaluated exactly at x = f, or at x = m1+m2 - f (exact by
+    Sterbenz's lemma) on the right chart, where the sign is minus.  With e_p,
+    e_q, e_d the `evaluation_bound` of each and eps the unit roundoff,
+    carried to first order through the float formulas of
+    `einstein.SegmentPolynomial.fp_fpp`:
+
+    - v = -2q/p rounds once and u = x v once, so u moves by
+      x (2 (e_q + |Q/P| e_p)/|P| + 2 eps |2Q/P|), and f' = sqrt(u) by that
+      over 2 sqrt(U), plus eps sqrt(U) for the root;
+    - S moves by dS = (m - 1) e_p + x e_d + 2 eps ((m - 1)|P| + x |D|),
+      q S/p^2 by (e_q |S| + |Q| dS)/P^2 + |Q S/P^2| (2 e_p/|P| + 3 eps),
+      and f'' by that and 2 eps (|Q S/P^2| + f + m1) for its two sums.
+    """
+    fd = float(sp.f_delta)
+    eps = UNIT_ROUNDOFF
+    for fv in np.asarray(f, dtype=float).tolist():
+        right = fv > fd / 2
+        chart = sp.deflations[right]
+        x, n, m = (fd - fv if right else fv), chart.rows.shape[1], chart.m
+        P, Q, D = (exact_poly_at(c, x) for c in (chart.p_f, chart.q_f, chart.dp_f))
+        e_p, e_q, e_d = (evaluation_bound(c, x, n) for c in (chart.p_f, chart.q_f, chart.dp_f))
+        S = (m - 1) * P + Fraction(x) * D
+        U, UF = -2 * Fraction(x) * Q / P, Q * S / (P * P)
+        p, q, d, u_exact, uf = (float(y) for y in (P, Q, D, U, UF))
+        du = x * (2 * (e_q + abs(q / p) * e_p) / abs(p) + 2 * eps * abs(2 * q / p))
+        ds = (m - 1) * e_p + x * e_d + 2 * eps * ((m - 1) * abs(p) + x * abs(d))
+        duf = (e_q * abs(float(S)) + abs(q) * ds) / (p * p) + abs(uf) * (2 * e_p / abs(p) + 3 * eps)
+        yield (U, (-UF if right else UF) - Fraction(fv) + sp.m1,
+               du / (2 * math.sqrt(u_exact)) + eps * math.sqrt(u_exact), duf + 2 * eps * (abs(uf) + fv + sp.m1))
 
 
 def verify_rounding(sp, f, fp, q, h):
@@ -236,7 +310,21 @@ def verify_rounding_of(sp, profile, n_check):
     ts = np.linspace(0.0, profile.delta, n_check + 2)[1:-1]
     h = np.minimum(np.minimum(profile.delta / 400.0, ts / 3.0), (profile.delta - ts) / 3.0)
     f, fp, fpp = ein._state_at(sp, profile, ts[:, None] + h[:, None] * ein._STENCIL)
-    return verify_rounding(sp, f[:, 0], fp[:, 0], ein._ricci_q(sp, f, fp, fpp), h)
+    return verify_rounding(sp, f[:, 0], fp[:, 0], ein._ricci_q(fp, fpp, sp.log_deriv_sums(f)[0]), h)
+
+
+def powers_by_loop(s, n):
+    """s^0 .. s^(n-1) of a 1-d array s, n >= 2, one multiply per row: the oracle of `einstein._power_table`."""
+    out = np.empty((n, len(s)))
+    out[0], out[1] = 1.0, s
+    for k in range(2, n):
+        np.multiply(out[k - 1], out[1], out=out[k])
+    return out
+
+
+def chart_integrand(chart):
+    """dt/dw = 2/sqrt(-2q/p) at x = w^2 on an end chart, for a float or an array w, as `einstein.ProfileMap` forms it."""
+    return lambda w: 2.0 / np.sqrt(chart.at(np.asarray(w, dtype=float) ** 2)[0])
 
 
 class HalfTable:
@@ -263,7 +351,7 @@ class HalfTable:
     """
 
     def __init__(self, chart: ein.EndChart, w_max: float, n_panels: int, order: int):
-        self.g = chart.integrand
+        self.g = chart_integrand(chart)
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
         self.mid = (self.edges[1:] + self.edges[:-1]) / 2
         self.half = (self.edges[1:] - self.edges[:-1]) / 2
@@ -283,11 +371,7 @@ class HalfTable:
 
     def _powers(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
         """s^0 .. s^n of each w's variable s on its panel i, one column per point."""
-        out = np.empty((len(self.t_cols), len(w)))
-        out[0], out[1] = 1.0, (w - self.mid[i]) / self.half[i]
-        for k in range(2, len(out)):
-            np.multiply(out[k - 1], out[1], out=out[k])
-        return out
+        return powers_by_loop((w - self.mid[i]) / self.half[i], len(self.t_cols))
 
     def t_of_w(self, w: np.ndarray) -> np.ndarray:
         i = self._panel(w, self.edges)

@@ -181,7 +181,7 @@ def test_criterion_4_profile_solver_on_searched_configuration(searched_configura
 
 def _ricci_normal_fd(profile, sp, t):
     """r(xi, xi) at one time t by the five-point stencil route of verify_profile."""
-    return float(ein._stencil_states(sp, profile, np.asarray(t, dtype=float))[1])
+    return float(ein._stencil_states(sp, profile, np.asarray(t, dtype=float))[-1])
 
 
 def test_criterion_5_two_route_agreements(searched_configuration):

@@ -561,3 +561,26 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     after.write_text(json.dumps(record))
     assert sweep.main(["--compare", str(path), str(after)]) == 1
     assert capsys.readouterr().out.startswith("2 runs identical, 0 differ only in floats (by at most 0), 1 changed")
+
+
+_E6XE6_DIAMETER = ["--group", "E6xE6", "--painted", ",".join(str(k) for k in range(12) if k not in (3, 9)),
+                   "--z", "0,0,0,1,0,0,0,0,0,-1,0,0", "--m1", "1", "--m2", "1"]
+_BLAS_PROBE = """
+import sys
+from flagke.cli import main
+argv = sys.argv[1:]
+main(["solve"] + argv + ["--grid", "65536"])
+main(["verify"] + argv)
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    """E6xE6 solved on 65 536 points and verified, in one child with one BLAS thread and in one with two: the same
+    report bytes.  At that grid the chart evaluations' matrix products are large enough to be split over threads."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    procs = [subprocess.Popen([sys.executable, "-c", _BLAS_PROBE] + _E6XE6_DIAMETER, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n))
+             for n in ("1", "2")]
+    (one, err), (two, _) = (proc.communicate() for proc in procs)
+    assert all(proc.returncode == 0 for proc in procs), err
+    assert b'"mode": "verify"' in one and one == two

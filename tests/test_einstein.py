@@ -35,6 +35,7 @@ from sweep_searches import paintings
 from segment_checks import (
     CENTER_FLAGS,
     center_flags,
+    chart_integrand,
     circle_zeros_by_np_roots,
     first_integral_identity_numerator,
     general_basis_center,
@@ -650,7 +651,7 @@ def _delta_by_ode(sp, eps_frac=1e-4):
     hit_end.direction = 1.0
     rhs = lambda _t, y: [math.sqrt(max(sp.u_float(y[0]), 0.0))]
     sol = solve_ivp(rhs, (t0, 1e4), [f0], rtol=1e-11, atol=1e-13, events=hit_end, max_step=0.05)
-    tail = quad(lambda w: float(sp.deflations[1].integrand(w)), 0.0, math.sqrt(eps), epsabs=1e-14)[0]
+    tail = quad(lambda w: float(chart_integrand(sp.deflations[1])(w)), 0.0, math.sqrt(eps), epsabs=1e-14)[0]
     return float(sol.t_events[0][0]) + tail
 
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from flagke import cli
 from flagke import einstein as ein
 from flagke.errors import InternalError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure
@@ -28,9 +29,9 @@ from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system
 from flagke.polys import int_taylor_shift, pair_scalar
 from flagke.scalars import Quad
-from segment_checks import (chart_lists, fp_fpp_by_passes, half_tables, int_shifted_antiderivative, p_antideriv,
-                            p_deriv, p_mul, p_to_float, pair_poly, two_table_f_of_t, two_table_t_of_f,
-                            verify_rounding)
+from segment_checks import (chart_lists, evaluation_bound, exact_poly_at, fp_fpp_by_passes, fp_fpp_rounding,
+                            half_tables, int_shifted_antiderivative, p_antideriv, p_deriv, p_mul, p_to_float, pair_poly,
+                            powers_by_loop, two_table_f_of_t, two_table_t_of_f, verify_rounding)
 
 # a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -381,12 +382,95 @@ def test_f_of_t_converges_at_the_first_and_last_step_of_every_grid(case):
     assert np.all(np.diff(f[:len(step)]) <= 0) and np.all(np.diff(f[len(step):]) >= 0)
 
 
-def test_fp_fpp_is_the_five_pass_route_bit_for_bit(case):
-    """(f', f'') from one pass over each chart's p, q and p' are the floats of u_float and three more passes."""
+def test_fp_fpp_within_the_rounding_bound_of_the_exact_chart_values(case):
+    """(f', f'') from one evaluation of each chart, and from the five-pass route, within a first-order rounding bound
+    of the exact values at every 16th interior grid point.
+
+    The exact values are those of the charts' float coefficients at the same
+    float points, in Fractions; the bound is `segment_checks.fp_fpp_rounding`,
+    the evaluations' gamma_2n sum |c_k| x^k carried through u and u F.  The
+    two routes sum the powers in different orders, so they agree only to
+    rounding.  sqrt(U) is irrational: f' is within b of it where
+    max(f' - b, 0)^2 <= U <= (f' + b)^2.
+    """
     sp, profile = case
-    for got, want in zip(sp.fp_fpp(profile.f), fp_fpp_by_passes(sp, profile.f)):
-        assert got.tobytes() == want.tobytes()
+    f = profile.f[1:-1:16]
+    for fp, fpp in (sp.fp_fpp(f), fp_fpp_by_passes(sp, f)):
+        for a, b, (U, FPP, b_fp, b_fpp) in zip(fp.tolist(), fpp.tolist(), fp_fpp_rounding(sp, f)):
+            assert max(Fraction(a) - Fraction(b_fp), Fraction(0)) ** 2 <= U <= (Fraction(a) + Fraction(b_fp)) ** 2
+            assert abs(Fraction(b) - FPP) <= b_fpp
     assert [type(x) for x in sp.fp_fpp(profile.f[100])] == [float, float]
+
+
+def _chart_of(rows):
+    """An end chart whose rows p, q and p' are the given (3, n) floats, for `EndChart.at` alone."""
+    chart = object.__new__(ein.EndChart)
+    chart.rows = rows
+    return chart
+
+
+def test_chart_evaluation_is_within_the_rounding_bound_as_horner_is():
+    """`EndChart.at` and p_eval_float on random rows of degree 0 to 60, at x in [0, 2], each within gamma_2n sum |c_k| x^k
+    of the exact value; a float or a 0-d x gives a float -2q/p, an n-d x keeps its shape.
+
+    p > 0 and q < 0 on x >= 0, so -2q/p is positive there and the chart
+    evaluates; p' has random signs.
+    """
+    rng = np.random.default_rng(9709003)
+    for degree in range(61):
+        n = degree + 1
+        rows = rng.uniform(0.5, 1.0, (3, n)) * 10.0 ** rng.integers(-3, 4, (3, n)) * [[1.0], [-1.0], [1.0]]
+        rows[2] *= rng.choice([-1.0, 1.0], n)
+        chart = _chart_of(rows)
+        for x in (float(rng.uniform(0, 2)), np.array(rng.uniform(0, 2)), rng.uniform(0, 2, (1, 2))):
+            v, got = chart.at(x)
+            assert np.shape(v) == np.shape(x) and got.shape == (3,) + np.shape(x)
+            assert np.asarray(v).tobytes() == np.asarray(-2.0 * got[1] / got[0]).tobytes()
+            if np.ndim(x) == 0:
+                assert type(v) is float
+            for point, values in zip(np.ravel(x).tolist(), got.reshape(3, -1).T):
+                for c, value in zip(rows, values):
+                    exact, bound = exact_poly_at(c, point), evaluation_bound(c, point, n)
+                    assert abs(Fraction(float(value)) - exact) <= bound
+                    assert abs(Fraction(ein.p_eval_float(c, point)) - exact) <= bound
+
+
+def test_power_table_is_the_loop_of_products_bit_for_bit():
+    """`_power_table` is the loop that multiplies each row by s, bit for bit, and keeps the shape of s."""
+    rng = np.random.default_rng(9709003)
+    for n in range(2, 62):
+        for s in (rng.uniform(-1, 1, 7), rng.uniform(0, 2, 1040), np.zeros(0)):
+            assert ein._power_table(s, n).tobytes() == powers_by_loop(s, n).tobytes()
+    assert ein._power_table(0.5, 4).tolist() == [1.0, 0.5, 0.25, 0.125]
+    assert ein._power_table(rng.uniform(0, 2, (2, 3)), 5).shape == (5, 2, 3)
+    assert ein._power_table(rng.uniform(0, 2, 3), 1).tolist() == [[1.0] * 3]
+
+
+def test_panel_powers_are_the_loop_of_products_bit_for_bit(case):
+    """ProfileMap._powers on the panels of the profile grid is the oracle half tables' loop, bit for bit."""
+    _, profile = case
+    pmap = profile.map
+    w = np.sqrt(np.minimum(profile.f, pmap.fd - profile.f))
+    i = pmap._panel(w, profile.f > pmap.fm, pmap.edges)
+    want = powers_by_loop((w - pmap.mid[i]) / pmap.half[i], len(pmap.t_cols))
+    assert pmap._powers(i, w).tobytes() == want.tobytes()
+
+
+def test_verify_and_the_residual_columns_take_one_pass_of_the_log_derivative_sums(case, monkeypatch):
+    """verify_profile sums k/(a - k f) once, over all 64 checks and their stencil points, and the CLI's residual
+    columns once over the interior grid; `ricci_residuals_state` is the two public residuals bit for bit."""
+    sp, profile = case
+    state = (profile.f[1:-1], profile.fp[1:-1], profile.fpp[1:-1])
+    both = ein.ricci_residuals_state(sp, *state)
+    for got, want in zip(both, (ein.tangential_residuals_state(sp, *state), ein.ricci_normal_state(sp, *state))):
+        assert got.tobytes() == want.tobytes()
+    sizes = []
+    sums = ein.SegmentPolynomial.log_deriv_sums
+    monkeypatch.setattr(ein.SegmentPolynomial, "log_deriv_sums", lambda self, f: sizes.append(np.size(f)) or sums(self, f))
+    ein.verify_profile(sp, profile, n_check=64)
+    assert sizes == [64 * len(ein._STENCIL)]
+    cli._residual_columns(sp, profile)
+    assert sizes[1:] == [len(profile.t) - 2]
 
 
 def test_newton_non_convergence_raises_internal_error(case, monkeypatch):
@@ -444,8 +528,9 @@ def test_in_place_horner_matches_out_of_place_bit_for_bit():
 
 
 def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch):
-    """Once the map is built, f_of_t, t_of_f and verify_profile read only the panel series, and every inversion
-    stops after one Newton batch, at the certificate of its first step.
+    """Once the map is built, f_of_t and t_of_f read only the panel series, and every inversion stops after one
+    Newton batch, at the certificate of its first step; verify_profile evaluates each chart twice, for (f', f'')
+    and for tanh-sinh's delta, and integrates nothing on the table.
 
     The inversions: grids of 16, 9 794 and 65 536 points, `_sample_times` (a
     1024-point grid and every panel edge of both charts), and verify's 64
@@ -454,8 +539,8 @@ def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch
     """
     sp, profile = case
     pmap = profile.map
-    integrand, powers, f_of_t = ein.EndChart.integrand, ein.ProfileMap._powers, ein.ProfileMap.f_of_t
-    calls = {"integrand": 0, "powers": 0}
+    at, powers, f_of_t = ein.EndChart.at, ein.ProfileMap._powers, ein.ProfileMap.f_of_t
+    calls = {"at": 0, "powers": 0}
     batches = []
 
     def counted(name, fn):
@@ -470,14 +555,16 @@ def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch
         batches.append(calls["powers"] - before)
         return out
 
-    monkeypatch.setattr(ein.EndChart, "integrand", counted("integrand", integrand))
+    times = _sample_times(pmap)  # before counting: the oracle half tables it reads evaluate both charts
+    monkeypatch.setattr(ein.EndChart, "at", counted("at", at))
     monkeypatch.setattr(ein.ProfileMap, "_powers", counted("powers", powers))
     monkeypatch.setattr(ein.ProfileMap, "f_of_t", counted_f_of_t)
     for grid in (16, 9794, 65536):
         pmap.f_of_t(np.linspace(0.0, pmap.delta, grid))
-    pmap.t_of_f(pmap.f_of_t(_sample_times(pmap)))
+    pmap.t_of_f(pmap.f_of_t(times))
+    assert calls["at"] == 0
     ein.verify_profile(sp, profile, n_check=64)
-    assert calls["integrand"] == 0
+    assert calls["at"] == 4  # (f', f'') at the checks and tanh-sinh's delta, one evaluation of each chart
     assert batches == [1] * 5 and calls["powers"] == 7
 
 
