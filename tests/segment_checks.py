@@ -6,8 +6,11 @@ scaled-Ricci negative control, shared by `test_einstein.py` and
 built from; the Fraction/Quad polynomial helpers and the exact end-chart
 lists, the oracles of the segment polynomial's integer coefficient parts
 and of its floats; the Ricci evaluations at one time; the rounding bounds
-of the verify keys that divide by small numbers or cancel, and the
-five-pass route to (f', f''), the oracle of `SegmentPolynomial.fp_fpp`;
+of the verify keys that divide by small numbers or cancel, the exact
+values of the end charts' float polynomials with the rounding bound of
+their evaluation carried to (f', f''), and the five-pass route to
+(f', f''), the references of `SegmentPolynomial.fp_fpp`; the loop of
+products, the oracle of `einstein._power_table`;
 the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end, and the
@@ -232,7 +235,7 @@ def evaluation_bound(coeffs, x, n):
 
 
 def fp_fpp_rounding(sp, f):
-    """The exact (u, f'') at each float f of the charts' float coefficients, with first-order rounding bounds on f' and f''.
+    """Exact (u, f'') of the charts' float coefficients at each float f, with first-order rounding bounds on f', f''.
 
     Yields (U, FPP, b_fp, b_fpp) per point: U = -2 x Q/P and FPP = ±Q S/P^2
     - f + m1, S = (m - 1) P + x D, in Fractions from P, Q, D, the chart's
@@ -323,7 +326,7 @@ def powers_by_loop(s, n):
 
 
 def chart_integrand(chart):
-    """dt/dw = 2/sqrt(-2q/p) at x = w^2 on an end chart, for a float or an array w, as `einstein.ProfileMap` forms it."""
+    """dt/dw = 2/sqrt(-2q/p) at x = w^2 on an end chart, for a float or array w, as `einstein.ProfileMap` forms it."""
     return lambda w: 2.0 / np.sqrt(chart.at(np.asarray(w, dtype=float) ** 2)[0])
 
 

@@ -410,8 +410,8 @@ def _chart_of(rows):
 
 
 def test_chart_evaluation_is_within_the_rounding_bound_as_horner_is():
-    """`EndChart.at` and p_eval_float on random rows of degree 0 to 60, at x in [0, 2], each within gamma_2n sum |c_k| x^k
-    of the exact value; a float or a 0-d x gives a float -2q/p, an n-d x keeps its shape.
+    """`EndChart.at` and p_eval_float on random rows of degree 0 to 60, at x in [0, 2], each within gamma_2n sum
+    |c_k| x^k of the exact value; a float or a 0-d x gives a float -2q/p, an n-d x keeps its shape.
 
     p > 0 and q < 0 on x >= 0, so -2q/p is positive there and the chart
     evaluates; p' has random signs.
@@ -466,7 +466,8 @@ def test_verify_and_the_residual_columns_take_one_pass_of_the_log_derivative_sum
         assert got.tobytes() == want.tobytes()
     sizes = []
     sums = ein.SegmentPolynomial.log_deriv_sums
-    monkeypatch.setattr(ein.SegmentPolynomial, "log_deriv_sums", lambda self, f: sizes.append(np.size(f)) or sums(self, f))
+    monkeypatch.setattr(ein.SegmentPolynomial, "log_deriv_sums",
+                        lambda self, f: sizes.append(np.size(f)) or sums(self, f))
     ein.verify_profile(sp, profile, n_check=64)
     assert sizes == [64 * len(ein._STENCIL)]
     cli._residual_columns(sp, profile)
