@@ -105,7 +105,7 @@ def _power_table(x, n: int) -> np.ndarray:
     out = np.empty((n,) + np.shape(x))
     out[0] = 1.0
     rows, x = out.reshape(n, -1), np.reshape(x, -1)
-    for k in range(1, n):  # one product per row: np.multiply.accumulate runs one column at a time, 3x slower here
+    for k in range(1, n):  # one product per row: np.multiply.accumulate runs one column at a time, 3x slower
         np.multiply(rows[k - 1], x, out=rows[k])
     return out
 
@@ -391,14 +391,14 @@ class SegmentPolynomial:
         """
         f = np.asarray(f, dtype=float)
         try:
-            self.deflations
+            ends = self._by_end(f)
         except (NoKahlerEinsteinError, DegreeMismatchError):
             den = p_eval_float(self.coeffs_f, f)
             if (den == 0).any():
                 raise SingularConfigurationError("P vanishes at f = %g" % _first(f, den == 0))
             return -2.0 * p_eval_float(self.q_coeffs_f, f) / den
         out = np.empty_like(f)
-        for chart, on, x in self._by_end(f):
+        for chart, on, x in ends:
             out[on] = x * chart.at(x)[0]
         return _like(f, out)
 
