@@ -5,10 +5,10 @@ manifold with an invariant complex structure, pick a unit direction in the
 center of the isotropy algebra, test the obstruction integral and segment
 admissibility, then solve and verify the Einstein metric profile numerically.
 
-The exact layers (`rootsys`, `flag`, `model`, `polys`, `linalg`, `scalars`)
-import no numpy.  The float layer, `einstein`, is loaded on the first use of
-one of its names: `profile_solve`, `search_diameters` and the rest resolve
-through the module `__getattr__` below (PEP 562).
+The exact layers (`rootsys`, `flag`, `model`, `polys`, `linalg`, `scalars`,
+`records`) import no numpy.  The float layer, `einstein`, is loaded on the
+first use of one of its names: `profile_solve`, `search_diameters` and the
+rest resolve through the module `__getattr__` below (PEP 562).
 """
 
 from .errors import (

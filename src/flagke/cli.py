@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -66,20 +65,25 @@ CHECK_TOLERANCES = {
 }
 
 
-@dataclass
 class JobSpec:
-    mode: str
-    group: str = ""
-    painted: List[int] = field(default_factory=list)
-    complex_structure: object = "default"  # "default" or list of root coords
-    z_direction: object = None  # list of rational strings, or "search"
-    m1: Optional[int] = None
-    m2: Optional[int] = None
-    tau: str = "1"
-    tol: float = 1e-12
-    grid: int = 512
-    arithmetic: str = "exact"  # "exact" | "float"
-    out: Optional[str] = None
+    """One job: its mode and its fields.  A field left out, or given as None, takes its default.
+
+    ``complex_structure`` is "default" or a list of root coordinate vectors,
+    ``z_direction`` a list of rational strings or "search", and
+    ``arithmetic`` "exact" or "float".
+    """
+
+    def __init__(self, mode: str, group: Optional[str] = None, painted: Optional[List[int]] = None,
+                 complex_structure: object = None, z_direction: object = None, m1: Optional[int] = None,
+                 m2: Optional[int] = None, tau: Optional[str] = None, tol: Optional[float] = None,
+                 grid: Optional[int] = None, arithmetic: Optional[str] = None, out: Optional[str] = None):
+        self.mode, self.group, self.z_direction, self.m1, self.m2, self.out = mode, group or "", z_direction, m1, m2, out
+        self.painted = [] if painted is None else painted
+        self.complex_structure = "default" if complex_structure is None else complex_structure
+        self.tau = "1" if tau is None else tau
+        self.tol = 1e-12 if tol is None else tol
+        self.grid = 512 if grid is None else grid
+        self.arithmetic = "exact" if arithmetic is None else arithmetic
 
 
 def _parse_fraction(text) -> Fraction:
@@ -390,6 +394,8 @@ def _run_search(job: JobSpec) -> Dict:
     from . import einstein as ein
 
     spec, rs, flag, j = _build_context(job)
+    if not flag.center_basis:
+        raise InputError("search needs a center of dimension >= 1; every simple root of %s is painted" % spec)
     base = make_base(flag, j, flag.center_basis[0], period_scale=_parse_fraction(job.tau))
     if (job.m1, job.m2) not in ((None, None), (1, 1)):  # degrees (1, 1) are the diameters
         candidates = ein.search_walled(base, *_degrees(job))
@@ -471,32 +477,34 @@ def run(job: JobSpec) -> Dict:
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser for every mode: the mode is a positional choice, and every mode takes the same options."""
+    p = argparse.ArgumentParser(
         prog="flagke",
         description="Kahler-Einstein metrics on cohomogeneity-one manifolds from root data",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--job", help="JSON job file; flags override its fields")
-        p.add_argument("--group", help="e.g. A2, A1xA1, B3xC2")
-        p.add_argument("--painted", help="comma list of 0-based simple-root indices")
-        p.add_argument("--jsigns", help="'default' or JSON list of R_m+ root coordinate vectors")
-        p.add_argument("--z", help="comma list of rationals (direction in the center), or 'search'")
-        p.add_argument("--m1", type=int)
-        p.add_argument("--m2", type=int)
-        p.add_argument("--tau", help="period scale, rational (default 1)")
-        p.add_argument("--tol", type=float,
-                       help="tolerance of the test that --z lies in the center, for a float direction (default 1e-12)")
-        p.add_argument("--grid", type=int, help="profile grid size (default 512)")
-        p.add_argument("--exact", dest="arithmetic", action="store_const", const="exact")
-        p.add_argument("--float", dest="arithmetic", action="store_const", const="float")
-        p.add_argument("--out", help="profile table output path (solve)")
-    return parser
+    p.add_argument("mode", choices=MODES)
+    p.add_argument("--job", help="JSON job file; flags override its fields")
+    p.add_argument("--group", help="e.g. A2, A1xA1, B3xC2")
+    p.add_argument("--painted", help="comma list of 0-based simple-root indices")
+    p.add_argument("--jsigns", help="'default' or JSON list of R_m+ root coordinate vectors")
+    p.add_argument("--z", help="comma list of rationals (direction in the center), or 'search'")
+    p.add_argument("--m1", type=int)
+    p.add_argument("--m2", type=int)
+    p.add_argument("--tau", help="period scale, rational (default 1)")
+    p.add_argument("--tol", type=float,
+                   help="tolerance of the test that --z lies in the center, for a float direction (default 1e-12)")
+    p.add_argument("--grid", type=int, help="profile grid size (default 512)")
+    p.add_argument("--exact", dest="arithmetic", action="store_const", const="exact")
+    p.add_argument("--float", dest="arithmetic", action="store_const", const="float")
+    p.add_argument("--out", help="profile table output path (solve)")
+    return p
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    """JobSpec's defaults, overridden by the job file's fields, then by the flags that are given."""
+    """JobSpec's defaults, overridden by the job file's fields, then by the flags that are given.
+
+    Every field is passed to JobSpec by name; one that neither source gives is None, its default.
+    """
     data: Dict = {}
     if args.job:
         with open(args.job) as fh:
@@ -510,11 +518,15 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         flags["painted"] = [p for p in args.painted.split(",") if p.strip()]
     if args.jsigns not in (None, "default"):
         flags["complex_structure"] = json.loads(args.jsigns)
-    job = JobSpec(mode=args.mode)
+    given: Dict = {}
     for source in (data, flags):
         for name, (_, convert) in _FIELDS.items():
             if source.get(name) is not None:
-                setattr(job, name, source[name] if convert is None else _convert(name, source[name], convert))
+                given[name] = source[name] if convert is None else _convert(name, source[name], convert)
+    g = given.get
+    job = JobSpec(args.mode, group=g("group"), painted=g("painted"), complex_structure=g("complex_structure"),
+                  z_direction=g("z_direction"), m1=g("m1"), m2=g("m2"), tau=g("tau"), tol=g("tol"), grid=g("grid"),
+                  arithmetic=g("arithmetic"), out=g("out"))
     if job.grid > MAX_GRID:
         raise InputError("grid must have at most %d points, got %d" % (MAX_GRID, job.grid))
     if job.arithmetic not in ("exact", "float"):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,6 +47,7 @@ from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstru
                     make_base)
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
 from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar, split_exact
+from .records import Record
 from .rootsys import CartanVector, Root, evaluate
 from .scalars import Scalar, exact_sqrt, scalar_is_zero
 
@@ -709,19 +709,14 @@ def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
     return sum(half * float(_TS_W @ (1.0 / np.sqrt(x * v))) for v in _chart_values(sp, x))
 
 
-@dataclass(frozen=True)
-class ProfileSolution:
-    delta: float
-    t: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
-    m1: int
-    m2: int
-    map: ProfileMap
-    sp: SegmentPolynomial
-    diagnostics: Dict[str, float]
-    einstein_constant: float = 1.0  # the c = 1 normalization; others by rescaling
+class ProfileSolution(Record):
+    _fields = ("delta", "t", "f", "fp", "fpp", "m1", "m2", "map", "sp", "diagnostics", "einstein_constant")
+    einstein_constant = 1.0  # the c = 1 normalization; others by rescaling
+
+    def __init__(self, delta: float, t: np.ndarray, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray, m1: int, m2: int,
+                 map: ProfileMap, sp: SegmentPolynomial, diagnostics: Dict[str, float]):
+        self.__dict__.update(delta=delta, t=t, f=f, fp=fp, fpp=fpp, m1=m1, m2=m2, map=map, sp=sp,
+                             diagnostics=diagnostics)
 
 
 def profile_solve(sp: SegmentPolynomial, grid_size: int = 512) -> ProfileSolution:
@@ -853,23 +848,24 @@ def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int
 # searches
 
 
-@dataclass(frozen=True)
-class DiameterCandidate:
+class DiameterCandidate(Record):
     """A zero of the obstruction on the sphere, with its verdict for degrees (1, 1)."""
 
-    z_values: Tuple[Scalar, ...]
-    verdict: KEVerdict
-    confirmed_exact: bool
+    _fields = ("z_values", "verdict", "confirmed_exact")
+
+    def __init__(self, z_values: Tuple[Scalar, ...], verdict: KEVerdict, confirmed_exact: bool):
+        self.__dict__.update(z_values=z_values, verdict=verdict, confirmed_exact=confirmed_exact)
 
     @property
     def ke_ok(self) -> bool:
         return self.verdict.ok
 
 
-@dataclass(frozen=True)
-class DiameterSearchResult:
-    hypothesis: SphereCheck
-    candidates: Tuple[DiameterCandidate, ...]
+class DiameterSearchResult(Record):
+    _fields = ("hypothesis", "candidates")
+
+    def __init__(self, hypothesis: SphereCheck, candidates: Tuple[DiameterCandidate, ...]):
+        self.__dict__.update(hypothesis=hypothesis, candidates=candidates)
 
 
 def search_diameters(base: CenterLine) -> DiameterSearchResult:
@@ -1097,12 +1093,11 @@ def _integer_direction(coords: np.ndarray) -> Optional[List[int]]:
     return [x // g for x in q]
 
 
-@dataclass(frozen=True)
-class WalledCandidate:
-    w1: Tuple[Root, ...]
-    w2: Tuple[Root, ...]
-    z_values: Tuple[Scalar, ...]
-    verdict: KEVerdict
+class WalledCandidate(Record):
+    _fields = ("w1", "w2", "z_values", "verdict")
+
+    def __init__(self, w1: Tuple[Root, ...], w2: Tuple[Root, ...], z_values: Tuple[Scalar, ...], verdict: KEVerdict):
+        self.__dict__.update(w1=w1, w2=w2, z_values=z_values, verdict=verdict)
 
 
 def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, ...]:

@@ -13,7 +13,6 @@ test of diameter segments, all in exact arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, neg
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -21,6 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import InputError
 from .polys import split_exact
+from .records import Record
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
 
@@ -28,13 +28,12 @@ from .scalars import scalar_sign
 FLOAT_WALL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FlagData:
-    rs: RootSystem
-    painted: FrozenSet[int]
-    r_k: Tuple[Root, ...]
-    r_m: Tuple[Root, ...]
-    center_basis: Tuple[CartanVector, ...]
+class FlagData(Record):
+    _fields = ("rs", "painted", "r_k", "r_m", "center_basis")
+
+    def __init__(self, rs: RootSystem, painted: FrozenSet[int], r_k: Tuple[Root, ...], r_m: Tuple[Root, ...],
+                 center_basis: Tuple[CartanVector, ...]):
+        self.__dict__.update(rs=rs, painted=painted, r_k=r_k, r_m=r_m, center_basis=center_basis)
 
     @property
     def center_dim(self) -> int:
@@ -50,11 +49,18 @@ class FlagData:
         return frozenset(r.coords for r in self.r_m)
 
 
-@dataclass(frozen=True)
-class InvariantComplexStructure:
-    """Sign assignment on R_m, stored as the positive half R_m+."""
+class InvariantComplexStructure(Record):
+    """Sign assignment on R_m, stored as the positive half R_m+.
 
-    positive: Tuple[Root, ...]
+    It also keeps, uncompared, the flag it is known to be valid on, or None:
+    the flag `default_complex_structure` built it for, or the last flag on
+    which it passed `require_complex_structure`.
+    """
+
+    _fields = ("positive",)
+
+    def __init__(self, positive: Tuple[Root, ...]):
+        self.__dict__.update(positive=positive, valid_on=None)
 
     def positive_set(self) -> frozenset:
         return frozenset(r.coords for r in self.positive)
@@ -63,16 +69,18 @@ class InvariantComplexStructure:
         return InvariantComplexStructure(tuple(sorted(-r for r in self.positive)))
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
-    ok: bool
-    violations: Tuple[str, ...] = ()
+class StructureVerdict(Record):
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: Tuple[str, ...] = ()):
+        self.__dict__.update(ok=ok, violations=violations)
 
 
-@dataclass(frozen=True)
-class ChamberPosition:
-    position: str  # "interior" | "boundary" | "outside"
-    walls: Tuple[Root, ...] = ()
+class ChamberPosition(Record):
+    _fields = ("position", "walls")
+
+    def __init__(self, position: str, walls: Tuple[Root, ...] = ()):  # position: "interior" | "boundary" | "outside"
+        self.__dict__.update(position=position, walls=walls)
 
 
 def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
@@ -103,12 +111,14 @@ def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
 def default_complex_structure(flag: FlagData) -> InvariantComplexStructure:
     """R_m+ = roots of R_m positive in the standard simple-root order.
 
-    It needs no check: a root of R_m+ has a positive unpainted coefficient,
-    and adding a root of R_K (no unpainted coefficient) or of R_m+
-    (nonnegative ones) keeps that coefficient positive, so a sum that is a
-    root is a positive root of R_m.
+    It needs no check, and is marked valid on ``flag``: a root of R_m+ has
+    a positive unpainted coefficient, and adding a root of R_K (no unpainted
+    coefficient) or of R_m+ (nonnegative ones) keeps that coefficient
+    positive, so a sum that is a root is a positive root of R_m.
     """
-    return InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
+    j = InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
+    j.__dict__["valid_on"] = flag
+    return j
 
 
 def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> StructureVerdict:
@@ -152,10 +162,17 @@ def validate_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> 
 
 
 def require_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> None:
-    """Raise InputError naming the violations unless j is a valid complex structure on the flag."""
+    """Raise InputError naming the violations unless j is a valid complex structure on the flag.
+
+    A structure already known valid on this flag object (``j.valid_on``) is
+    not checked again; one that passes is marked valid on it.
+    """
+    if j.valid_on is flag:
+        return
     verdict = validate_complex_structure(flag, j)
     if not verdict.ok:
         raise InputError("invalid complex structure: %s" % "; ".join(verdict.violations))
+    j.__dict__["valid_on"] = flag
 
 
 def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVector:
@@ -190,14 +207,15 @@ def chamber_position(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
     return ChamberPosition("interior")
 
 
-@dataclass(frozen=True)
-class SphereCheck:
-    """Exact test of the sphere-in-chamber hypothesis for diameter segments."""
+class SphereCheck(Record):
+    """Exact test of the sphere-in-chamber hypothesis for diameter segments: the minimum distance
+    squared in the full dual norm, as specified, and in the dual norm restricted to the center."""
 
-    ok: bool
-    min_distance_sq: Fraction  # full dual norm, as specified
-    min_distance_sq_center: Fraction  # dual norm restricted to the center
-    binding_root: Root
+    _fields = ("ok", "min_distance_sq", "min_distance_sq_center", "binding_root")
+
+    def __init__(self, ok: bool, min_distance_sq: Fraction, min_distance_sq_center: Fraction, binding_root: Root):
+        self.__dict__.update(ok=ok, min_distance_sq=min_distance_sq, min_distance_sq_center=min_distance_sq_center,
+                             binding_root=binding_root)
 
 
 def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional[CartanVector] = None) -> SphereCheck:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ from .errors import InputError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, require_complex_structure,
                    ricci_invariant)
 from .polys import int_linear_product, pair_scalar, pair_sign
+from .records import Record
 from .rootsys import CartanVector, Root, killing
 from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_is_zero, scalar_sign
 
@@ -42,8 +42,7 @@ PARAMETRIZATION_TOL = 1e-4
 FUTAKI_FLOAT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CenterLine:
+class CenterLine(Record):
     """Flag data plus a choice of unit direction Z in the center of k.
 
     ``z`` is normalized so that E(Z, Z) equals ``period_scale`` squared
@@ -59,10 +58,11 @@ class CenterLine:
     such a ``j``.
     """
 
-    flag: FlagData
-    j: InvariantComplexStructure
-    z: CartanVector
-    period_scale: Fraction = Fraction(1)
+    _fields = ("flag", "j", "z", "period_scale")
+
+    def __init__(self, flag: FlagData, j: InvariantComplexStructure, z: CartanVector,
+                 period_scale: Fraction = Fraction(1)):
+        self.__dict__.update(flag=flag, j=j, z=z, period_scale=period_scale)
 
 
 def make_base(
@@ -79,6 +79,12 @@ def make_base(
     with lambda = period_scale / sqrt(E(u, u)), held split in integers.
     Other directions are normalized by `killing`; a float direction whose
     squared norm is not a finite positive float is an input error.
+
+    It checks, raising InputError, that period_scale is positive, that j is
+    a valid complex structure on the flag and that the direction is nonzero
+    and in the center of k.  The check of j is `require_complex_structure`'s,
+    which skips a j already known valid on this flag object: one that
+    `default_complex_structure` built for it, or that passed the check on it.
     """
     if period_scale <= 0:
         raise InputError("period scale must be positive")
@@ -103,24 +109,23 @@ def make_base(
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 
-@dataclass(frozen=True)
-class SegmentCandidate:
-    z1: CartanVector
-    length: Scalar  # C, in multiples of Z
-    z2: CartanVector
-    w1: Tuple[Root, ...]
-    w2: Tuple[Root, ...]
-    m1: int
-    m2: int
+class SegmentCandidate(Record):
+    """The segment from z1 to z2 = z1 - length Z, length C in multiples of Z, with its walls and degrees."""
+
+    _fields = ("z1", "length", "z2", "w1", "w2", "m1", "m2")
+
+    def __init__(self, z1: CartanVector, length: Scalar, z2: CartanVector, w1: Tuple[Root, ...], w2: Tuple[Root, ...],
+                 m1: int, m2: int):
+        self.__dict__.update(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=m1, m2=m2)
 
 
-@dataclass(frozen=True)
-class AdmissibleSegment:
-    candidate: SegmentCandidate
-    chamber_ok: bool
-    degrees_ok: bool
-    projection_ok: bool
-    failures: Tuple[str, ...]
+class AdmissibleSegment(Record):
+    _fields = ("candidate", "chamber_ok", "degrees_ok", "projection_ok", "failures")
+
+    def __init__(self, candidate: SegmentCandidate, chamber_ok: bool, degrees_ok: bool, projection_ok: bool,
+                 failures: Tuple[str, ...]):
+        self.__dict__.update(candidate=candidate, chamber_ok=chamber_ok, degrees_ok=degrees_ok,
+                             projection_ok=projection_ok, failures=failures)
 
     @property
     def overall_ok(self) -> bool:
@@ -330,18 +335,20 @@ def ke_endpoints(zk: CartanVector, z: CartanVector, m1: int, m2: int) -> Tuple[C
     return zk + z.scale(m1), zk + z.scale(-m2)
 
 
-@dataclass(frozen=True)
-class FutakiReport:
-    """The obstruction integral; an exact one keeps the module table and product it integrated."""
+class FutakiReport(Record):
+    """The obstruction integral; an exact one keeps the module table and product it integrated.
 
-    value: Scalar
-    vanishes: bool
-    exact: bool
-    tol: float
-    error_bound: Optional[float] = None
-    # `isotropy_modules`' (table, den, r) under (Zk, Z) and its `int_linear_product`, for the segment polynomial
-    table: Optional[tuple] = field(default=None, repr=False, compare=False)
-    product: Optional[Tuple[List[int], List[int]]] = field(default=None, repr=False, compare=False)
+    Those are `isotropy_modules`' (table, den, r) under (Zk, Z) and its
+    `int_linear_product`, for the segment polynomial; they are not fields,
+    so they take no part in equality, hashing or repr.
+    """
+
+    _fields = ("value", "vanishes", "exact", "tol", "error_bound")
+
+    def __init__(self, value: Scalar, vanishes: bool, exact: bool, tol: float, error_bound: Optional[float] = None,
+                 table: Optional[tuple] = None, product: Optional[Tuple[List[int], List[int]]] = None):
+        self.__dict__.update(value=value, vanishes=vanishes, exact=exact, tol=tol, error_bound=error_bound, table=table,
+                             product=product)
 
 
 def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int,
@@ -433,8 +440,7 @@ def _homogenized_obstruction(gram: List[List[int]], modules, q: Sequence[int], p
     return Fraction(total, scale * z_den ** (len(us) - 1) * e_den ** top)
 
 
-@dataclass(frozen=True)
-class KEVerdict:
+class KEVerdict(Record):
     """Whether the direction of ``base`` carries a Kahler-Einstein metric with degrees (m1, m2).
 
     The one place where the obstruction, the admissibility of the segment
@@ -443,11 +449,10 @@ class KEVerdict:
     stops at a nonvanishing obstruction never classifies it.
     """
 
-    base: CenterLine
-    zk: CartanVector
-    m1: int
-    m2: int
-    futaki: FutakiReport
+    _fields = ("base", "zk", "m1", "m2", "futaki")
+
+    def __init__(self, base: CenterLine, zk: CartanVector, m1: int, m2: int, futaki: FutakiReport):
+        self.__dict__.update(base=base, zk=zk, m1=m1, m2=m2, futaki=futaki)
 
     @functools.cached_property
     def endpoints(self) -> Tuple[CartanVector, CartanVector]:
@@ -496,16 +501,13 @@ def ke_verdict(base: CenterLine, zk: CartanVector, m1: int, m2: int) -> KEVerdic
 # profile parametrization checks
 
 
-@dataclass(frozen=True)
-class ParametrizationVerdict:
-    ok: bool
-    boundary_ok: bool
-    monotone_ok: bool
-    symmetry_ok: bool
-    curvature_ok: bool
-    fpp0: float
-    fpp_delta: float
-    details: Tuple[str, ...]
+class ParametrizationVerdict(Record):
+    _fields = ("ok", "boundary_ok", "monotone_ok", "symmetry_ok", "curvature_ok", "fpp0", "fpp_delta", "details")
+
+    def __init__(self, ok: bool, boundary_ok: bool, monotone_ok: bool, symmetry_ok: bool, curvature_ok: bool,
+                 fpp0: float, fpp_delta: float, details: Tuple[str, ...]):
+        self.__dict__.update(ok=ok, boundary_ok=boundary_ok, monotone_ok=monotone_ok, symmetry_ok=symmetry_ok,
+                             curvature_ok=curvature_ok, fpp0=fpp0, fpp_delta=fpp_delta, details=details)
 
 
 def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, length: float) -> ParametrizationVerdict:

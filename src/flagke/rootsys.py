@@ -34,7 +34,6 @@ every exact layer of the package, imports no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
@@ -43,6 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import InputError, InternalError
 from .polys import pair_scalar, split_exact
+from .records import Record
 from .scalars import Quad, Scalar
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -64,16 +64,15 @@ def classical_root_count(family: str, rank: int) -> int:
     raise InputError("unknown family %r" % family)
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpec:
+class LieAlgebraSpec(Record):
     """Ordered product of simple factors, e.g. A2 x B3."""
 
-    components: Tuple[Tuple[str, int], ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: Tuple[Tuple[str, int], ...]):
+        if not components:
             raise InputError("at least one simple component required")
-        for fam, rank in self.components:
+        for fam, rank in components:
             if fam not in FAMILIES:
                 raise InputError("unknown family %r" % fam)
             if rank < 1:
@@ -86,6 +85,7 @@ class LieAlgebraSpec:
                 raise InputError("F requires rank 4")
             if fam == "G" and rank != 2:
                 raise InputError("G requires rank 2")
+        self.__dict__["components"] = components
 
     @staticmethod
     def parse(text: str) -> "LieAlgebraSpec":
@@ -117,11 +117,33 @@ class LieAlgebraSpec:
         return "x".join("%s%d" % (f, r) for f, r in self.components)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A root, as integer coefficients in the simple-root basis."""
+class Root(Record):
+    """A root, as integer coefficients in the simple-root basis; roots compare, order and hash as
+    their coordinate tuples."""
 
-    coords: Tuple[int, ...]
+    __slots__ = ("coords",)
+    _fields = __slots__
+
+    def __init__(self, coords: Tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __lt__(self, other):
+        return self.coords < other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.coords <= other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.coords > other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.coords >= other.coords if other.__class__ is self.__class__ else NotImplemented
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coords))
@@ -259,12 +281,12 @@ class CartanVector:
         return "rational"
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    spec: LieAlgebraSpec
-    roots: Tuple[Root, ...]
-    gram: Tuple[Tuple[int, ...], ...]
-    gram_inverse: Tuple[Tuple[Fraction, ...], ...]
+class RootSystem(Record):
+    _fields = ("spec", "roots", "gram", "gram_inverse")
+
+    def __init__(self, spec: LieAlgebraSpec, roots: Tuple[Root, ...], gram: Tuple[Tuple[int, ...], ...],
+                 gram_inverse: Tuple[Tuple[Fraction, ...], ...]):
+        self.__dict__.update(spec=spec, roots=roots, gram=gram, gram_inverse=gram_inverse)
 
     @property
     def rank(self) -> int:

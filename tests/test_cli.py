@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flagke import einstein as ein
-from flagke.cli import CHECK_TOLERANCES, main
+from flagke.cli import CHECK_TOLERANCES, MODES, main
 from flagke.errors import InputError
 from flagke.flag import InvariantComplexStructure, build_flag
 from flagke.model import make_base
@@ -346,6 +346,28 @@ def test_explicit_complex_structure_flag(capsys):
     assert code == 2  # not a valid half of R_m
 
 
+@pytest.mark.parametrize("degrees", [[], ["--m1", "2", "--m2", "1"]], ids=["diameters", "walled"])
+def test_search_on_a_zero_dimensional_center_is_exit_two(capsys, degrees):
+    # with every node painted the center has no direction to search: bad input, not a traceback
+    code, rep = _capture(capsys, ["search", "--group", "A1", "--painted", "0"] + degrees)
+    assert code == 2 and rep == {"error": "search needs a center of dimension >= 1; every simple root of A1 is painted"}
+
+
+def test_one_parser_names_every_mode_and_rejects_bad_usage_with_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(mode in usage for mode in MODES)
+    for argv in ([], ["bogus", "--group", "A2"], ["roots", "--group"], ["roots", "--grid", "many"], ["roots", "-x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    # the options may come before the mode
+    assert _capture(capsys, ["--group", "A1", "roots"]) == _capture(capsys, ["roots", "--group", "A1"])
+
+
 def test_invalid_structure_is_one_input_error(capsys):
     # make_base and the CLI reject the A2 structure with (-1,-1) by the same error
     flag = build_flag(build_root_system(LieAlgebraSpec.parse("A2")), [])
@@ -484,7 +506,7 @@ import flagke, flagke.cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = flagke.cli.main(sys.argv[1:]) if sys.argv[1:] else None
-loaded = [m for m in ("numpy", "flagke.einstein") if m in sys.modules]
+loaded = [m for m in ("numpy", "flagke.einstein", "dataclasses", "inspect") if m in sys.modules]
 sys.stdout.write(json.dumps([code, loaded, flagke.profile_solve.__module__]))
 """
 
@@ -497,7 +519,8 @@ sys.stdout.write(json.dumps([code, loaded, flagke.profile_solve.__module__]))
     ["check-segment"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1"],
 ], ids=["import", "roots", "flag-info", "futaki", "check-segment"])
 def test_exact_commands_leave_numpy_and_the_float_layer_unloaded(argv):
-    # the exact layers import no numpy; einstein, and numpy with it, loads on first use of its names
+    # the exact layers import no numpy; einstein, and numpy with it, loads on first use of its names.  The
+    # records generate no code, so neither dataclasses nor the inspect module it pulls in is loaded either
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE] + argv, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))

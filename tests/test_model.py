@@ -10,7 +10,8 @@ from flagke.errors import InputError
 from flagke import linalg
 from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
 from flagke.einstein import search_diameters
-from flagke.model import analyze_segment, check_parametrization, isotropy_modules, ke_endpoints, make_base
+from flagke.model import (FutakiReport, analyze_segment, check_parametrization, futaki, isotropy_modules, ke_endpoints,
+                          make_base)
 from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing
 from flagke.scalars import Quad, exact_sqrt
 from segment_checks import per_root_isotropy_modules, per_root_segment
@@ -302,3 +303,43 @@ def test_segment_derivative_is_scaled_direction():
         k0 = evaluate(alpha, base.z)
         for fval in (Fraction(1, 7), Fraction(3, 5)):
             assert evaluate(alpha, z1 - base.z.scale(fval)) == a0 - k0 * fval
+
+
+def test_futaki_report_equality_ignores_the_table_and_the_product():
+    flag, j = _flag_j("A2xA2", [1, 3])
+    base = make_base(flag, j, CartanVector((Fraction(1), Fraction(0), Fraction(-1), Fraction(0))))
+    rep = futaki(flag, j, base.z, 1, 1)
+    assert rep.table is not None and rep.product is not None
+    bare = FutakiReport(rep.value, rep.vanishes, rep.exact, rep.tol)
+    assert bare.table is None and bare == rep and hash(bare) == hash(rep)
+    assert hash(rep) == hash((rep.value, rep.vanishes, rep.exact, rep.tol, rep.error_bound))
+    assert repr(rep) == "FutakiReport(value=Fraction(0, 1), vanishes=True, exact=True, tol=0.0, error_bound=None)"
+    assert FutakiReport(Fraction(1), False, True, 0.0, table=rep.table) != rep
+    with pytest.raises(AttributeError):
+        rep.table = None
+
+
+def test_make_base_checks_a_structure_once_per_flag(monkeypatch):
+    import flagke.flag as flag_module
+
+    calls = []
+    check = flag_module.validate_complex_structure
+    monkeypatch.setattr(flag_module, "validate_complex_structure", lambda flag, j: calls.append(j) or check(flag, j))
+    flag, j = _flag_j("A2")
+    z = CartanVector((Fraction(1), Fraction(-1)))
+    assert j.valid_on is flag
+    make_base(flag, j, z)
+    assert calls == []  # a default structure is valid by construction
+    own = InvariantComplexStructure(j.positive)
+    assert own == j and own.valid_on is None
+    make_base(flag, own, z)
+    make_base(flag, own, z)
+    assert calls == [own] and own.valid_on is flag
+    other = build_flag(rs("A2"), [])
+    make_base(other, own, z)
+    assert calls == [own, own] and own.valid_on is other
+    bad = InvariantComplexStructure((Root((1, 0)), Root((0, 1)), Root((-1, -1))))
+    for _ in range(2):
+        with pytest.raises(InputError, match="closure fails"):
+            make_base(flag, bad, z)
+    assert bad.valid_on is None and calls == [own, own, bad, bad]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -11,6 +10,7 @@ from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
     Root,
+    RootSystem,
     _validate,
     build_root_system,
     cartan_matrix,
@@ -211,8 +211,8 @@ def _with_roots(system, positive):
     coords = [tuple(c) for c in positive]
     n = system.rank
     gram = [[sum(2 * c[i] * c[j] for c in coords) for j in range(n)] for i in range(n)]
-    return dataclasses.replace(
-        system,
+    return RootSystem(
+        spec=system.spec,
         roots=tuple(sorted([Root(c) for c in coords] + [Root(tuple(-x for x in c)) for c in coords])),
         gram=tuple(tuple(row) for row in gram),
         gram_inverse=tuple(tuple(row) for row in invert(gram)),
@@ -238,7 +238,8 @@ def test_closure_check_rejects_a_raised_highest_root(text, block):
 @pytest.mark.parametrize("gram", [((4, 2), (2, 1)), ((1, 2), (2, 1)), ((0, 1), (1, 4)), ((-4, -2), (-2, -4))])
 def test_gram_that_is_not_positive_definite_raises(gram):
     with pytest.raises(InputError, match="positive definite"):
-        _validate(dataclasses.replace(rs("A2"), gram=gram))
+        system = rs("A2")
+        _validate(RootSystem(system.spec, system.roots, gram, system.gram_inverse))
 
 
 @pytest.mark.parametrize("text,old,new", [("B3xG2", (0, 0, 1, 0, 0), (0, 0, 2, 0, 0)), ("A3", (0, 0, 1), (1, 0, 1))])
@@ -247,7 +248,8 @@ def test_reflection_test_alone_rejects_a_stray_vector(text, old, new):
     # integer, so the integrality check passes and only membership can fail
     system = rs(text)
     positive = [new if r.coords == old else r.coords for r in system.positive_roots]
-    stray = dataclasses.replace(system, roots=tuple(sorted([Root(c) for c in positive] + [-Root(c) for c in positive])))
+    roots = tuple(sorted([Root(c) for c in positive] + [-Root(c) for c in positive]))
+    stray = RootSystem(system.spec, roots, system.gram, system.gram_inverse)
     with pytest.raises(InputError, match="reflection-closed"):
         _validate(stray)
 
@@ -305,3 +307,41 @@ def test_split_vectors_agree_with_their_values():
     eight = CartanVector.from_split([0, 1], [1, 0], 1, Fraction(8))
     assert repr((eight + CartanVector.from_split([0, 0], [0, 1], 1, root2)).values) == repr(
         (CartanVector(eight.values) + CartanVector((Fraction(0), Quad(Fraction(0), Fraction(1), root2)))).values)
+
+
+def test_root_orders_compares_and_hashes_as_its_coordinates():
+    a, b, c = Root((0, 1)), Root((1, 0)), Root((1, 0))
+    assert a < b and a <= b and b > a and b >= a and b <= c and b >= c and not b < c
+    assert sorted([b, a, -b]) == [-b, a, b] and max(a, b) is b
+    assert b == c and a != b and b != (1, 0) and Root((1, 0)) in {c}
+    assert hash(b) == hash(c) == hash(((1, 0),))
+    # so a set of roots iterates in the order of the set of their 1-tuples
+    coords = [(1, 0), (0, 1), (1, 1), (-2, -1), (3, 2)]
+    assert [r.coords for r in set(map(Root, coords))] == [t for (t,) in {(t,) for t in coords}]
+    assert repr(b) == "Root(coords=(1, 0))"
+    with pytest.raises(TypeError):
+        a < (1, 0)
+
+
+def test_records_are_frozen_and_compare_by_their_fields():
+    system = rs("A2")
+    spec = system.spec
+    for record, name in [(Root((1, 0)), "coords"), (spec, "components"), (system, "gram"), (system, "dual_form")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        system.extra = 1
+    assert spec == LieAlgebraSpec((("A", 2),)) and hash(spec) == hash(((("A", 2),),))
+    assert repr(spec) == "LieAlgebraSpec(components=(('A', 2),))"
+    same = RootSystem(system.spec, system.roots, system.gram, system.gram_inverse)
+    assert same == system and hash(same) == hash((system.spec, system.roots, system.gram, system.gram_inverse))
+
+
+def test_dual_form_is_computed_once():
+    system = rs("E6")
+    fresh = RootSystem(system.spec, system.roots, system.gram, system.gram_inverse)
+    assert "dual_form" not in vars(fresh)
+    first = fresh.dual_form
+    assert vars(fresh)["dual_form"] is first and fresh.dual_form is first and first == system.dual_form
