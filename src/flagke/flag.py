@@ -77,9 +77,11 @@ class StructureVerdict(Record):
 
 
 class ChamberPosition(Record):
+    """Where X lies: "interior", "boundary" or "outside"; at a boundary, the roots of R_m vanishing on X."""
+
     _fields = ("position", "walls")
 
-    def __init__(self, position: str, walls: Tuple[Root, ...] = ()):  # position: "interior" | "boundary" | "outside"
+    def __init__(self, position: str, walls: Tuple[Root, ...] = ()):
         self.__dict__.update(position=position, walls=walls)
 
 

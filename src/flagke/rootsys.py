@@ -127,6 +127,9 @@ class Root(Record):
     def __init__(self, coords: Tuple[int, ...]):
         object.__setattr__(self, "coords", coords)
 
+    def __reduce__(self):  # copy and pickle rebuild a root by __init__, since assigning its slot raises
+        return Root, (self.coords,)
+
     def __eq__(self, other):
         return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
 

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -237,8 +239,8 @@ def test_closure_check_rejects_a_raised_highest_root(text, block):
 
 @pytest.mark.parametrize("gram", [((4, 2), (2, 1)), ((1, 2), (2, 1)), ((0, 1), (1, 4)), ((-4, -2), (-2, -4))])
 def test_gram_that_is_not_positive_definite_raises(gram):
+    system = rs("A2")
     with pytest.raises(InputError, match="positive definite"):
-        system = rs("A2")
         _validate(RootSystem(system.spec, system.roots, gram, system.gram_inverse))
 
 
@@ -337,6 +339,7 @@ def test_records_are_frozen_and_compare_by_their_fields():
     assert repr(spec) == "LieAlgebraSpec(components=(('A', 2),))"
     same = RootSystem(system.spec, system.roots, system.gram, system.gram_inverse)
     assert same == system and hash(same) == hash((system.spec, system.roots, system.gram, system.gram_inverse))
+    assert copy.deepcopy(system) == system == pickle.loads(pickle.dumps(system))
 
 
 def test_dual_form_is_computed_once():
