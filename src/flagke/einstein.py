@@ -49,7 +49,7 @@ from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py 
 from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar, split_exact
 from .records import Record
 from .rootsys import CartanVector, Root, evaluate
-from .scalars import Scalar, exact_sqrt, scalar_is_zero
+from .scalars import Scalar, _square_free_split, scalar_is_zero
 
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel;
 # quad_error_estimate checks the panel count by the panels' Legendre tails
@@ -137,12 +137,11 @@ def futaki_shifted(base: CenterLine, m1: int, m2: int) -> Scalar:
     computation path so the change of variables can be asserted exactly.
     The segment polynomial is the integer Taylor shift of the product that
     `futaki` integrates, so this checks the shift and the antiderivative
-    (`SegmentPolynomial.q_coeffs`) against futaki's integral weights;
+    (`SegmentPolynomial.q_end`) against futaki's integral weights;
     the tests check the product itself against a per-root Fraction/Quad
     product.
     """
-    sp = SegmentPolynomial.from_base(base, m1, m2)
-    return p_eval(sp.q_coeffs, Fraction(m1 + m2))
+    return SegmentPolynomial.from_base(base, m1, m2).q_end
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +272,29 @@ class SegmentPolynomial:
         above = np.abs(floats) > FLOAT_ORDER_RTOL * (np.max(np.abs(floats)) or 1.0)
         return int(np.argmax(above)) if above.any() else len(floats)
 
-    def _q_end_vanishes(self, right: EndChart) -> bool:
-        """Q(m1+m2) = 0: an integer sum on exact keys, Q's scale times 1e-9 on float keys.
+    def _q_end_parts(self) -> Tuple[int, int, int]:
+        """(u, v, d) with Q(m1+m2) = (u + v sqrt(R)) / d, in integers; exact keys only.
 
         With L = m1 + m2 and l = lcm(1, ..., deg Q), D l Q(L) = sum_n q_n L^n l/n
-        over the numerators q_n of each part.
+        over the numerators q_n of each part, and d = D l.
         """
         length = self.m1 + self.m2
+        lcm = math.lcm(*range(1, len(self._q[0])))
+        u, v = (sum(c * length ** k * (lcm // k) for k, c in enumerate(part) if k) for part in self._q)
+        return u, v, self._p_over[0] * lcm
+
+    @property
+    def q_end(self) -> Scalar:
+        """Q(m1+m2), the obstruction integral: a Fraction or Quad from `_q_end_parts`, or a float by Horner."""
         if self.exact:
-            lcm = math.lcm(*range(1, len(self._q[0])))
-            return not any(sum(c * length ** k * (lcm // k) for k, c in enumerate(part) if k) for part in self._q)
-        q_end = abs(p_eval_float(self.q_coeffs_f, float(length)))
+            return pair_scalar(*self._q_end_parts(), self.r)
+        return float(p_eval_float(self.q_coeffs_f, float(self.m1 + self.m2)))
+
+    def _q_end_vanishes(self, right: EndChart) -> bool:
+        """Q(m1+m2) = 0: exactly on exact keys, to Q's scale times 1e-9 on float keys."""
+        if self.exact:
+            return not any(self._q_end_parts()[:2])
+        q_end = abs(self.q_end)
         return q_end <= 1e-9 * max([q_end] + [abs(c) for c in right.q_f])
 
     @functools.cached_property
@@ -311,8 +322,7 @@ class SegmentPolynomial:
                 left = EndChart(self)
                 right = EndChart(self.reversed(), where="the right end")
                 if not self._q_end_vanishes(right):
-                    raise NoKahlerEinsteinError("obstruction integral does not vanish: Q(m1+m2) = %s"
-                                                % (p_eval(self.q_coeffs, self.f_delta),))
+                    raise NoKahlerEinsteinError("obstruction integral does not vanish: Q(m1+m2) = %s" % (self.q_end,))
                 self._deflations = (left, right)
             except (NoKahlerEinsteinError, DegreeMismatchError) as exc:
                 self._deflations = exc
@@ -901,11 +911,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         """Add the direction of the integer center vector q if the obstruction vanishes there; True if added."""
         if _homogenized_obstruction(gram, modules, q, base.period_scale) != 0:
             return False
-        u = [0] * flag.rs.rank
-        for i, x in zip(flag.unpainted, q):
-            u[i] = x
-        cand_base = make_base(flag, j, CartanVector.from_split(u, [0] * len(u), 1, None),
-                              period_scale=base.period_scale)
+        cand_base = make_base(flag, j, _unpainted_vector(flag, q, [0] * d, 1, None), period_scale=base.period_scale)
         key = _direction_key([float(v) for v in cand_base.z.values])
         if key in seen:
             return False
@@ -1066,9 +1072,13 @@ def _orthonormal_center_basis(gram: List[List[int]]) -> List[np.ndarray]:
     return out
 
 
-def _center_vector(basis: Sequence[CartanVector], coeffs: Sequence[Scalar]) -> CartanVector:
-    """The center vector with coordinates coeffs in the center basis."""
-    return functools.reduce(add, (b.scale(c) for b, c in zip(basis, coeffs)))
+def _unpainted_vector(flag: FlagData, u: Sequence[int], w: Sequence[int], den: int,
+                      r: Optional[Fraction]) -> CartanVector:
+    """The exact center vector (u + w sqrt(R)) / den, given by its coordinates at the unpainted nodes."""
+    full = [[0] * flag.rs.rank for _ in range(2)]
+    for i, x, y in zip(flag.unpainted, u, w):
+        full[0][i], full[1][i] = x, y
+    return CartanVector.from_split(*full, den, r)
 
 
 def _integer_direction(coords: np.ndarray) -> Optional[List[int]]:
@@ -1108,15 +1118,16 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     hyperplanes rho(Z) = -alpha(Zk)/m1, and a wall at Z2 = Zk - m2 Z one of
     rho(Z) = alpha(Zk)/m2.  Each line cut out by d - 1 of these 2M
     hyperplanes whose modules give at most m1 - 1 walls at Z1 and m2 - 1 at
-    Z2 is intersected with the sphere E(Z, Z) = period_scale^2, exactly
-    (solution lines give quadratic-field solutions).  A point whose modules
-    give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2, counted once per line
-    by `_line_walls`, goes to `ke_verdict`,
-    and the ok ones are returned, with the walls of the verdict in R_m+
-    order.  Candidates on no such line lie in continuous families and are
-    out of scope.  For m1 = m2 the direction -Z is the segment of Z reversed
-    and is skipped after Z.  More than MAX_WALL_SYSTEMS lines is an
-    InputError.
+    Z2, from one elimination (`linalg.solve`), is intersected with the
+    sphere E(Z, Z) = period_scale^2 in integers (`_unit_norm_points`), and
+    its points are told apart by their integer splits.  A point whose
+    modules give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2, counted once
+    per line by `_line_walls`, becomes an exact vector and goes to
+    `ke_verdict`, and the ok ones are returned, with the walls of the
+    verdict in R_m+ order.  Candidates on no such line lie in continuous
+    families and are out of scope.  For m1 = m2 the direction -Z is the
+    segment of Z reversed and is skipped after Z.  More than
+    MAX_WALL_SYSTEMS lines is an InputError.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
@@ -1140,23 +1151,21 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     out: List[WalledCandidate] = []
     seen: set = set()
     for subset in systems:
-        rows = [p[2] for p in subset]
-        null = linalg.nullspace(rows, n_cols=d)
-        if len(null) != 1:
+        line = linalg.solve([p[2] for p in subset], [p[3] for p in subset], d)
+        if line is None or len(line[1]) != 1:
             continue
-        sol = linalg.solve(rows, [p[3] for p in subset]) if rows else [Fraction(0)] * d
+        (s, _, den, _), (v, _, _, _) = split_exact(line[0]), split_exact(line[1][0])
         walls = None
-        for coeffs in _unit_norm_solutions(sol, null, gram, ps2):
-            if tuple(coeffs) in seen:
+        for t, point in _unit_norm_points(s, v, den, gram, ps2):
+            if point in seen:
                 continue
-            seen.add(tuple(coeffs))
+            seen.add(point)
             if m1 == m2:
-                seen.add(tuple(-c for c in coeffs))
-            walls = walls or _line_walls(modules, sol, null[0])
-            hit = walls(coeffs)
-            if hit != [m1 - 1, m2 - 1]:
+                seen.add((tuple(-x for x in point[0]), tuple(-x for x in point[1])) + point[2:])
+            walls = walls or _line_walls(modules, s, v, den)
+            if walls(t) != [m1 - 1, m2 - 1]:
                 continue
-            z = _center_vector(flag.center_basis, coeffs)
+            z = _unpainted_vector(flag, *point)
             verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
             if verdict.ok:
                 seg = verdict.segment.candidate
@@ -1166,28 +1175,27 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
     return tuple(out)
 
 
-def _line_walls(modules, sol: List[Fraction], v: List[Fraction]):
-    """The wall count of the points of the line sol + s v: coeffs -> [walls at Z1, walls at Z2].
+def _line_walls(modules, s: List[int], v: List[int], den: int):
+    """The wall count of the points of the line (s + t v) / den: t -> [walls at Z1, walls at Z2].
 
     ``modules`` holds (rho, multiplicity, (value at Z1, value at Z2)), the
-    two wall planes of each center module.  On the line rho(Z) = rho(sol) +
-    s rho(v), both rational.  A plane with rho(v) = 0 holds the whole line
-    or none of it.  Any other plane meets the line at the one rational s =
-    (value - rho(sol)) / rho(v), named by the coordinate x_k there, for a
-    fixed k with v_k != 0.  So each module costs two rational dot products
-    per line, and a point, rational or not, one lookup of its x_k.
+    two wall planes of each center module.  On the line rho(Z) den = rho.s +
+    t rho.v, both integers.  A plane with rho.v = 0 holds the whole line or
+    none of it.  Any other plane meets the line at the one rational t =
+    (value den - rho.s) / rho.v.  So each module costs two integer dot
+    products per line, and a point one lookup of its t; an irrational point,
+    t None, meets none of those planes and has the line's count alone.
     """
-    k = next(i for i, x in enumerate(v) if x)
     on_line = [0, 0]
     meets: Dict[Fraction, List[int]] = {}
     for rho, mult, values in modules:
-        at_sol, slope = sum(map(mul, rho, sol)), sum(map(mul, rho, v))
+        at_s, slope = sum(map(mul, rho, s)), sum(map(mul, rho, v))
         for end, value in enumerate(values):
             if slope:
-                meets.setdefault(sol[k] + (value - at_sol) / slope * v[k], [0, 0])[end] += mult
-            elif at_sol == value:
+                meets.setdefault((value * den - at_s) / slope, [0, 0])[end] += mult
+            elif at_s == value * den:
                 on_line[end] += mult
-    return lambda coeffs: list(map(add, on_line, meets.get(coeffs[k], (0, 0))))
+    return lambda t: list(map(add, on_line, meets.get(t, (0, 0))))
 
 
 def _wall_subsets(planes, size: int, budget: Tuple[int, int], start: int = 0):
@@ -1207,28 +1215,30 @@ def _wall_subsets(planes, size: int, budget: Tuple[int, int], start: int = 0):
                 yield (planes[i],) + rest
 
 
-def _unit_norm_solutions(sol: List[Fraction], null: List[List[Fraction]], gram, ps2: Fraction):
-    """Solutions of E(Z, Z) = ps2 on the affine line sol + s * null[0], with gram the integer center Gram.
+def _unit_norm_points(s: List[int], v: List[int], den: int, gram, ps2: Fraction):
+    """The points (t, (u, w, d, r)) where the line (s + t v) / den meets E(Z, Z) = ps2, in integers.
 
-    sol and null[0] are each split once over one denominator, so the line's
-    Gram products are integer.
+    ``gram`` is the integer center Gram matrix.  With ps2 = p / q the sphere
+    is a t^2 + 2 b t + c = 0, a = q v.v, b = q s.v and c = q s.s - p den^2, so
+    t = (-b +- k sqrt(R)) / a, where b^2 - a c = k^2 R with R square-free
+    (`scalars._square_free_split`).  A point is (u + w sqrt(R)) / d with
+    every entry divided by the gcd of them all, and r = R; a rational one
+    has w = 0 and r None, and its t is a Fraction, which is None for an
+    irrational one.  The point of the larger t comes first; a tangent line
+    has one.
     """
-    s_int, _, s_den, _ = split_exact(sol)
-    if not null:
-        if Fraction(linalg.form(gram, s_int, s_int), s_den * s_den) == ps2:
-            yield [Fraction(c) for c in sol]
-        return
-    v = null[0]
-    v_int, _, v_den, _ = split_exact(v)
-    a = Fraction(linalg.form(gram, v_int, v_int), v_den * v_den)
-    b = Fraction(2 * linalg.form(gram, s_int, v_int), s_den * v_den)
-    c = Fraction(linalg.form(gram, s_int, s_int), s_den * s_den) - ps2
-    disc = b * b - 4 * a * c
+    p, q = ps2.numerator, ps2.denominator
+    a, b = q * linalg.form(gram, v, v), q * linalg.form(gram, s, v)
+    disc = b * b - a * (q * linalg.form(gram, s, s) - p * den * den)
     if disc < 0:
         return
-    root = exact_sqrt(disc)
-    for sgn in (1, -1):
-        s = (-b + sgn * root) / (2 * a)
-        yield [s0 + s * vi for s0, vi in zip(sol, v)]
-        if disc == 0:
-            return
+    k, big_r = _square_free_split(disc)
+    for sign in ((1, -1) if disc else (1,)):
+        if big_r == 1:
+            t, r, w = Fraction(sign * k - b, a), None, [0] * len(v)
+            u = [a * x + (sign * k - b) * y for x, y in zip(s, v)]
+        else:
+            t, r, w = None, Fraction(big_r), [sign * k * y for y in v]
+            u = [a * x - b * y for x, y in zip(s, v)]
+        g = math.gcd(*u, *w, a * den)
+        yield t, (tuple(x // g for x in u), tuple(x // g for x in w), a * den // g, r)

@@ -11,8 +11,6 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InternalError
-
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
@@ -47,44 +45,28 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, List[int]]:
     return m, pivots
 
 
-def nullspace(rows: Sequence[Sequence], n_cols: Optional[int] = None) -> List[Vector]:
-    """Basis of {x : A x = 0}, exact.  Handles the zero-row matrix."""
-    if not rows:
-        if n_cols is None:
-            raise InternalError("need column count for an empty system")
-        return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    red, pivots = rref(rows)
-    n_cols = len(red[0])
-    free = [c for c in range(n_cols) if c not in pivots]
+def solve(rows: Sequence[Sequence], rhs: Sequence, n_cols: int) -> Optional[Tuple[Vector, List[Vector]]]:
+    """(x, basis) from one elimination of [A | b]: a solution of A x = b and a basis of {x : A x = 0}.
+
+    A has n_cols columns and may have no rows.  The free entries of x are
+    zero, and the basis has one vector per free column, in column order,
+    with a 1 there and 0 at the other free columns.  None when the system is
+    inconsistent: a pivot in the rhs column.
+    """
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n_cols in pivots:
+        return None
+    x = [Fraction(0)] * n_cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n_cols]
     basis: List[Vector] = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
-    return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the result is the particular solution
-    with minimal support in the free columns.
-    """
-    m = _as_matrix(rows)
-    if not m:
-        return None
-    n_cols = len(m[0])
-    aug = [row + [Fraction(b)] for row, b in zip(m, rhs)]
-    red, pivots = rref(aug)
-    for r, pc in [(r, p) for r, p in enumerate(pivots)]:
-        if pc == n_cols:
-            return None  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n_cols]
-    return x
+    return x, basis
 
 
 def form(rows: Sequence[Sequence], u: Sequence, v: Sequence):

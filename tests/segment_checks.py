@@ -43,7 +43,7 @@ from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, Segme
                           _projective_space_test, isotropy_modules, ke_verdict)
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
-from flagke.scalars import scalar_is_zero, scalar_sign
+from flagke.scalars import exact_sqrt, scalar_is_zero, scalar_sign
 
 
 def p_trim(p):
@@ -553,13 +553,10 @@ def root_subset_walled(base, m1, m2):
     for w1 in itertools.combinations(range(len(pos)), m1 - 1):
         for w2 in itertools.combinations(range(len(pos)), m2 - 1):
             system = [rows[i] for i in w1 + w2]
-            sol = linalg.solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2])
-            if sol is None:
+            solved = linalg.solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2], len(basis))
+            if solved is None or len(solved[1]) >= 2:
                 continue
-            null = linalg.nullspace(system, n_cols=len(basis))
-            if len(null) >= 2:
-                continue
-            for coeffs in ein._unit_norm_solutions(sol, null, gram_c, ps2):
+            for coeffs in unit_norm_solutions(*solved, gram_c, ps2):
                 vals = [Fraction(0)] * flag.rs.rank
                 for c, b in zip(coeffs, basis):
                     vals = [x + c * y for x, y in zip(vals, b.values)]
@@ -574,6 +571,34 @@ def root_subset_walled(base, m1, m2):
                                                    verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
+
+
+def unit_norm_solutions(sol, null, gram, ps2):
+    """The points of E(Z, Z) = ps2 on the point sol, or on the line sol + s null[0], as Fractions and Quads.
+
+    ``gram`` is the Gram matrix of the coordinates.  On a line the sphere is
+    a s^2 + b s + c = 0, solved by `scalars.exact_sqrt` of the discriminant
+    in Quad arithmetic; the point of the larger s comes first.  The oracle
+    of `einstein._unit_norm_points`.
+    """
+    def form(x, y):
+        return sum((xi * g * yj for xi, row in zip(x, gram) for g, yj in zip(row, y)), Fraction(0))
+
+    if not null:
+        if form(sol, sol) == ps2:
+            yield list(sol)
+        return
+    v = null[0]
+    a, b, c = form(v, v), 2 * form(sol, v), form(sol, sol) - ps2
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return
+    root = exact_sqrt(disc)
+    for sgn in (1, -1):
+        s = (-b + sgn * root) / (2 * a)
+        yield [s0 + s * vi for s0, vi in zip(sol, v)]
+        if disc == 0:
+            return
 
 
 def invert(rows):
@@ -632,7 +657,7 @@ def general_basis_center(flag, j, zk):
     """
     rs = flag.rs
     rows = [[Fraction(int(k == i)) for k in range(rs.rank)] for i in sorted(flag.painted)]
-    basis = tuple(CartanVector(tuple(v)) for v in linalg.nullspace(rows, n_cols=rs.rank))
+    basis = tuple(CartanVector(tuple(v)) for v in linalg.solve(rows, [0] * len(rows), rs.rank)[1])
     modules = {}
     for alpha in j.positive:
         modules.setdefault(tuple(evaluate(alpha, b) for b in flag.center_basis), []).append(alpha)

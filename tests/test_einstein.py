@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import operator
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -12,7 +15,7 @@ from scipy.optimize import brentq
 
 from flagke import einstein as ein
 from flagke import flag as flag_module
-from flagke import model
+from flagke import linalg, model
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
@@ -51,6 +54,7 @@ from segment_checks import (
     ricci_tangential,
     root_subset_walled,
     scaled_ricci_control,
+    unit_norm_solutions,
     value_table,
 )
 
@@ -573,6 +577,32 @@ def test_u_nonzero_at_far_end_when_obstruction_nonzero():
     with pytest.raises(NoKahlerEinsteinError):
         _ = sp4.deflations
     assert abs(sp4.u_exact(Fraction(1999, 1000))) > Fraction(1, 100)
+
+
+def test_q_end_is_q_at_the_far_end_by_horner():
+    # Q(m1+m2) from its integer sums is Horner's rule on the exact list Q, in value, type and printed
+    # form: along each flag's normalized first basis vector (Quad coefficients where the norm is
+    # irrational), along a rational direction and along its float twin; the deflations quote it
+    kinds = set()
+    for group in ["A2", "B2", "G2", "A3", "B3", "C3", "A2xA2", "A1xA1xA1"]:
+        system = rs(group)
+        for painted in (p for k in range(system.rank) for p in itertools.combinations(range(system.rank), k)):
+            flag, j = _flag_j(group, painted)
+            rational = functools.reduce(operator.add, (b.scale(k + 1) for k, b in enumerate(flag.center_basis)))
+            bases = [make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3)),
+                     CenterLine(flag=flag, j=j, z=rational),
+                     CenterLine(flag=flag, j=j, z=CartanVector(tuple(float(x) for x in rational.values)))]
+            for base in bases:
+                for m1, m2 in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+                    sp = ein.SegmentPolynomial.from_base(base, m1, m2)
+                    want = p_eval(sp.q_coeffs, sp.f_delta)
+                    assert (sp.q_end, type(sp.q_end), str(sp.q_end)) == (want, type(want), str(want))
+                    kinds.add(type(want))
+    assert kinds == {Fraction, Quad, float}
+    flag, j = _flag_j("A2xA2", (1, 3))
+    sp = ein.build_segment_polynomial(make_base(flag, j, CartanVector((1, 0, 1, 0))), 1, 1)
+    with pytest.raises(NoKahlerEinsteinError, match=re.escape("Q(m1+m2) = %s" % (sp.q_end,))):
+        _ = sp.deflations
 
 
 def test_u_float_on_non_einstein_segment():
@@ -1226,6 +1256,16 @@ def test_search_walled_matches_the_root_subset_oracle():
     # every flag of six small groups: the periods 1/3 and 1/2 give all 42
     # candidates, among them (2, 2) ones whose Z and -Z are one segment reversed
     found = 0
+    for base, m1, m2 in _walled_oracle_set():
+        got, want = (tuple((c.z_values, c.w1, c.w2, c.verdict.ok) for c in search(base, m1, m2))
+                     for search in (ein.search_walled, root_subset_walled))
+        assert got == want, (base.flag.rs.spec, base.flag.painted, base.period_scale, m1, m2)
+        found += len(got)
+    assert found == 42
+
+
+def _walled_oracle_set():
+    """The bases and degrees of the walled root-subset oracle: every flag of six small groups at three periods."""
     for group in ["A1xA1", "A2", "B2", "G2", "A2xA2", "A1xA1xA1"]:
         system = rs(group)
         for painted in (p for k in range(system.rank) for p in itertools.combinations(range(system.rank), k)):
@@ -1233,29 +1273,108 @@ def test_search_walled_matches_the_root_subset_oracle():
             for tau in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
                 base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
                 for m1, m2 in [(2, 1), (3, 1), (1, 3), (2, 2)]:
-                    got, want = (tuple((c.z_values, c.w1, c.w2, c.verdict.ok) for c in search(base, m1, m2))
-                                 for search in (ein.search_walled, root_subset_walled))
-                    assert got == want, (group, painted, tau, m1, m2)
-                    found += len(got)
-    assert found == 42
+                    yield base, m1, m2
+
+
+def test_walled_search_runs_no_quad_arithmetic(monkeypatch):
+    # the points are integer splits from the line solve to the verdict: over the oracle set no Quad
+    # adds, subtracts, multiplies, divides or negates, and the Quads built are at most one per verdict
+    # and per irrational coordinate of a candidate
+    def refuse(*args):
+        raise AssertionError("Quad arithmetic in the walled search")
+
+    built, verdicts, quad_coords, found = [0], [0], [0], 0
+    init, verdict = Quad.__init__, ein.ke_verdict
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counting_verdict(*args):
+        verdicts[0] += 1
+        return verdict(*args)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(Quad, name, refuse)
+    monkeypatch.setattr(Quad, "__init__", counting_init)
+    monkeypatch.setattr(ein, "ke_verdict", counting_verdict)
+    for base, m1, m2 in _walled_oracle_set():
+        for cand in ein.search_walled(base, m1, m2):
+            found += 1
+            quad_coords[0] += sum(isinstance(x, Quad) for x in cand.z_values)
+    assert found == 42 and verdicts[0] > 0
+    assert built[0] <= verdicts[0] + quad_coords[0]
+
+
+def test_walled_search_eliminates_once_per_line(monkeypatch):
+    # one rref of [A | b] per line solved gives both the point and the direction of the line
+    rrefs, solves = [0], [0]
+    rref, solve = linalg.rref, linalg.solve
+
+    def counting_rref(*args):
+        rrefs[0] += 1
+        return rref(*args)
+
+    def counting_solve(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    for group, painted, m1, m2 in [("A2xA2", (), 3, 3), ("B3", (), 2, 3), ("A1xA1xA1", (), 2, 2), ("A2", (1,), 3, 1)]:
+        flag, j = _flag_j(group, painted)
+        ein.search_walled(make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3)), m1, m2)
+    assert solves[0] > 100 and rrefs[0] == solves[0]
+
+
+def test_linalg_solve_gives_a_solution_and_the_null_space_from_one_elimination():
+    f = Fraction
+    # no rows: x = 0 and the unit vectors; and no columns at all
+    assert linalg.solve([], [], 3) == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert linalg.solve([], [], 0) == ([], [])
+    # inconsistent: x + y = 1 and 2x + 2y = 3; and a zero row with a nonzero right-hand side
+    assert linalg.solve([[1, 1], [2, 2]], [1, 3], 2) is None
+    assert linalg.solve([[0, 0]], [1], 2) is None
+    # rank-deficient: the free entries of x are 0, and the basis has a 1 at each free column
+    rows = [[1, 2, 0, 3], [2, 4, 1, 7], [3, 6, 1, 10]]
+    x, basis = linalg.solve(rows, [1, 3, 4], 4)
+    assert x == [1, 0, 1, 0]
+    assert basis == [[-2, 1, 0, 0], [-3, 0, -1, 1]]
+    for v in [x] + basis:
+        assert all(isinstance(c, Fraction) for c in v)
+    for row, b in zip(rows, [1, 3, 4]):
+        assert sum(map(mul, row, x)) == b and all(sum(map(mul, row, v)) == 0 for v in basis)
+    # full rank: the one solution and an empty basis
+    assert linalg.solve([[2, 1], [1, 3]], [f(1), f(2)], 2) == ([f(1, 5), f(3, 5)], [])
 
 
 def test_line_walls_count_the_walls_of_each_point(monkeypatch):
-    # every point whose walls the search counts is counted again plane by plane in its own field
-    checked = []
+    # every point whose walls the search counts is counted again plane by plane in its own field, from the
+    # exact values of the points of its line at its t, which is None for an irrational one
+    checked, line_points = [], {}
+    unit_norm_points, line_walls = ein._unit_norm_points, ein._line_walls
 
-    def checking(modules, sol, v):
-        count = line_walls(modules, sol, v)
+    def recording(s, v, den, gram, ps2):
+        line_points.clear()
+        for t, point in unit_norm_points(s, v, den, gram, ps2):
+            line_points.setdefault(t, []).append(point)
+            yield t, point
 
-        def at(coeffs):
-            want = [sum(mult for rho, mult, values in modules if sum(map(mul, rho, coeffs)) == values[end])
-                    for end in (0, 1)]
-            assert count(coeffs) == want
-            checked.append(any(isinstance(x, Quad) for x in coeffs))
-            return want
+    def checking(modules, s, v, den):
+        count = line_walls(modules, s, v, den)
+
+        def at(t):
+            for u, w, d, r in line_points[t]:
+                coeffs = [pair_scalar(x, y, d, r) for x, y in zip(u, w)]
+                want = [sum(mult for rho, mult, values in modules if sum(map(mul, rho, coeffs)) == values[end])
+                        for end in (0, 1)]
+                assert count(t) == want
+                checked.append(any(isinstance(x, Quad) for x in coeffs))
+            return count(t)
         return at
 
-    line_walls = ein._line_walls
+    monkeypatch.setattr(ein, "_unit_norm_points", recording)
     monkeypatch.setattr(ein, "_line_walls", checking)
     for group, painted in [("A2xA2", ()), ("A1xA1xA1", ()), ("B3", ()), ("A2", (1,)), ("G2", ())]:
         flag, j = _flag_j(group, painted)
@@ -1354,26 +1473,45 @@ def test_projective_space_profile_same_metric_from_product_realization():
     assert ver["max_normal_residual"] < 1e-9
 
 
-def test_unit_norm_solutions_quadratic_field_line():
-    # an affine line of wall solutions meets the unit sphere in Q(sqrt(3))
-    gram = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    sols = list(ein._unit_norm_solutions([Fraction(1, 2), Fraction(0)],
-                                         [[Fraction(0), Fraction(1)]], gram, Fraction(1)))
-    assert len(sols) == 2
-    for s in sols:
-        norm = s[0] * s[0] + s[1] * s[1]
-        assert norm == 1
-        assert isinstance(s[1], Quad) and s[1].r == 3
+def test_unit_norm_points_match_the_quad_sphere_intersection():
+    # the integer points of a line (s + t v) / den on E(Z, Z) = ps2, against the Fraction/Quad
+    # intersection of the oracle, in its order: on the A2 Gram matrix at ps2 = 2/9 the line through
+    # (1/3, 0) along (0, 1) meets the sphere at two rational points, along (1, 2) it is tangent, the
+    # line through 0 along (1, 2) meets it in Q(sqrt(3)) and the one through (1/2, 0) along (0, 1) misses it
+    gram, ps2 = [[2, -1], [-1, 2]], Fraction(2, 9)
+    lines = {"rational": ([1, 0], [0, 1], 3), "tangent": ([1, 0], [1, 2], 3), "irrational": ([0, 0], [1, 2], 1),
+             "missing": ([1, 0], [0, 1], 2)}
+    counts = {}
+    for kind, (s, v, den) in lines.items():
+        got = list(ein._unit_norm_points(s, v, den, gram, ps2))
+        counts[kind] = len(got)
+        _check_unit_norm_points(s, v, den, gram, ps2, got)
+        assert all((t is None) == (kind == "irrational") for t, _ in got), kind
+        if kind == "irrational":
+            assert [r for _, (_, _, _, r) in got] == [3, 3]
+    assert counts == {"rational": 2, "tangent": 1, "irrational": 2, "missing": 0}
+    # seeded lines on a 3-dimensional Gram matrix at ps2 = 1/3, 1/2 and 4/9
+    gram3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    rng, kinds = random.Random(27), set()
+    for _ in range(300):
+        s, v = [rng.randint(-3, 3) for _ in range(3)], [rng.randint(-2, 2) for _ in range(3)]
+        if not any(v):
+            continue
+        den, ps2 = rng.randint(1, 6), rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(4, 9)])
+        got = list(ein._unit_norm_points(s, v, den, gram3, ps2))
+        _check_unit_norm_points(s, v, den, gram3, ps2, got)
+        kinds.add((len(got), got[0][0] is None if got else None))
+    assert {(2, False), (2, True), (0, None)} <= kinds
 
-    # tangent line: a single rational solution
-    sols = list(ein._unit_norm_solutions([Fraction(1), Fraction(0)],
-                                         [[Fraction(0), Fraction(1)]], gram, Fraction(1)))
-    assert sols == [[Fraction(1), Fraction(0)]]
 
-    # a line missing the sphere entirely
-    sols = list(ein._unit_norm_solutions([Fraction(2), Fraction(0)],
-                                         [[Fraction(0), Fraction(1)]], gram, Fraction(1)))
-    assert sols == []
+def _check_unit_norm_points(s, v, den, gram, ps2, got):
+    """The points of `einstein._unit_norm_points` are the oracle's, in lowest terms, at their t."""
+    want = list(unit_norm_solutions([Fraction(x, den) for x in s], [[Fraction(x) for x in v]], gram, ps2))
+    assert [[pair_scalar(x, y, d, r) for x, y in zip(u, w)] for _, (u, w, d, r) in got] == want
+    for t, (u, w, d, r) in got:
+        assert d > 0 and math.gcd(*u, *w, d) == 1 and (r is None) == (not any(w))
+        if t is not None:
+            assert [Fraction(x + t * y, den) for x, y in zip(s, v)] == [Fraction(x, d) for x in u]
 
 
 def test_search_walled_underdetermined_line_path_runs():

@@ -209,7 +209,8 @@ def test_ricci_invariant_additive_across_products():
 def center_coordinates(flag, x):
     """Exact coordinates of a rational X in the center basis, or None."""
     rows = [[b.values[i] for b in flag.center_basis] for i in range(flag.rs.rank)]
-    return linalg.solve(rows, list(x.values))
+    solved = linalg.solve(rows, list(x.values), flag.center_dim)
+    return solved and solved[0]
 
 
 def zero_vector(rs):
