@@ -120,8 +120,10 @@ def test_cli_fuzz_ends_in_a_json_report_or_error(command, tmp_path):
     _check_run(*command, tmp_path)
 
 
+# `search` on a 0-dimensional center exited 1 with an IndexError, for the diameter and the walled search
 @pytest.mark.parametrize("argv, job", [
     (["search", "--group=A1", "--painted=0"], None),
+    (["search", "--group=A1", "--painted=0", "--m1=2", "--m2=1"], None),
 ])
 def test_cli_regressions(argv, job, tmp_path):
     _check_run(argv, job, tmp_path)
