@@ -5,9 +5,10 @@ A job can be given as a JSON file (--job) with individual flags overriding
 its fields; reports are printed as deterministic JSON.  Mathematical
 negatives ("no Einstein metric here") exit 0; only malformed input or
 internal failures exit nonzero.  The exact commands (roots, flag-info,
-futaki, check-segment) load no numpy unless given a --float direction;
-solve, verify and search import the float layer `einstein`, and numpy with
-it, when they run.
+futaki, check-segment) load no numpy unless given a --float direction; the
+walled search (search with degrees other than (1, 1)) runs in the exact
+module `walled` and loads none either.  solve, verify and the diameter
+search import the float layer `einstein`, and numpy with it, when they run.
 """
 
 from __future__ import annotations
@@ -391,14 +392,14 @@ def _run_verify(job: JobSpec) -> Dict:
 
 
 def _run_search(job: JobSpec) -> Dict:
-    from . import einstein as ein
-
     spec, rs, flag, j = _build_context(job)
     if not flag.center_basis:
         raise InputError("search needs a center of dimension >= 1; every simple root of %s is painted" % spec)
     base = make_base(flag, j, flag.center_basis[0], period_scale=_parse_fraction(job.tau))
     if (job.m1, job.m2) not in ((None, None), (1, 1)):  # degrees (1, 1) are the diameters
-        candidates = ein.search_walled(base, *_degrees(job))
+        from .walled import search_walled
+
+        candidates = search_walled(base, *_degrees(job))
         return {
             "mode": "search",
             "kind": "walled",
@@ -416,7 +417,9 @@ def _run_search(job: JobSpec) -> Dict:
                 for c in candidates
             ],
         }
-    result = ein.search_diameters(base)
+    from .einstein import search_diameters
+
+    result = search_diameters(base)
     return {
         "mode": "search",
         "kind": "diameters",

@@ -22,34 +22,32 @@ inverse-square-root behaviour of the integrand at an end is removed
 analytically by the substitution s = w^2 applied to the exactly deflated
 polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
 segment (Z2, -Z, m2, m1), so one end chart serves both ends and all numeric
-integrands here are smooth.  The diameter and walled searches look for
-directions whose verdict is a yes.  The float twins of `polys`' helpers
-live here too, and `flagke` loads this module only on first use of one of
-its names.
+integrands here are smooth.  The diameter search looks for directions whose
+verdict is a yes; the walled search is exact and lives in `walled`, which
+loads no numpy.  The float twins of `polys`' helpers live here too, and
+`flagke` loads this module only on first use of one of its names.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import linalg
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
-                   ricci_invariant, sphere_in_chamber)
+                   _unpainted_vector, ricci_invariant, sphere_in_chamber)
 from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstruction, isotropy_modules, ke_verdict,
                     make_base)
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
-from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar, split_exact
+from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
 from .records import Record
-from .rootsys import CartanVector, Root, evaluate
-from .scalars import Scalar, _square_free_split, scalar_is_zero
+from .rootsys import CartanVector, Root
+from .scalars import Scalar, scalar_is_zero
+from .walled import search_walled  # noqa: F401  (benchmarks/workloads.py takes it from here)
 
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel;
 # quad_error_estimate checks the panel count by the panels' Legendre tails
@@ -76,8 +74,6 @@ SEARCH_NEWTON_STEPS = 4
 # a double zero, and moves it, by about sqrt(eps) = 1.5e-8
 RATIONALIZE_MAX_DEN = 10 ** 6
 RATIONALIZE_TOL = 1e-7
-# walled search: the most lines, each cut out by d - 1 wall hyperplanes, it solves
-MAX_WALL_SYSTEMS = 20000
 # a float coefficient below this share of the largest one is a zero of the order test
 FLOAT_ORDER_RTOL = 1e-9
 
@@ -1072,15 +1068,6 @@ def _orthonormal_center_basis(gram: List[List[int]]) -> List[np.ndarray]:
     return out
 
 
-def _unpainted_vector(flag: FlagData, u: Sequence[int], w: Sequence[int], den: int,
-                      r: Optional[Fraction]) -> CartanVector:
-    """The exact center vector (u + w sqrt(R)) / den, given by its coordinates at the unpainted nodes."""
-    full = [[0] * flag.rs.rank for _ in range(2)]
-    for i, x, y in zip(flag.unpainted, u, w):
-        full[0][i], full[1][i] = x, y
-    return CartanVector.from_split(*full, den, r)
-
-
 def _integer_direction(coords: np.ndarray) -> Optional[List[int]]:
     """The primitive integer center vector Q of a float direction, given by its center coordinates, if close.
 
@@ -1101,144 +1088,3 @@ def _integer_direction(coords: np.ndarray) -> Optional[List[int]]:
     q = [r.numerator * (den // r.denominator) for r in rat]
     g = math.gcd(*q)
     return [x // g for x in q]
-
-
-class WalledCandidate(Record):
-    _fields = ("w1", "w2", "z_values", "verdict")
-
-    def __init__(self, w1: Tuple[Root, ...], w2: Tuple[Root, ...], z_values: Tuple[Scalar, ...], verdict: KEVerdict):
-        self.__dict__.update(w1=w1, w2=w2, z_values=z_values, verdict=verdict)
-
-
-def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, ...]:
-    """Walled Kahler-Einstein candidates for declared degrees (m1, m2).
-
-    Roots with one restriction rho to the center form a center module and
-    share one alpha(Zk).  So a wall at Z1 = Zk + m1 Z is one of the module
-    hyperplanes rho(Z) = -alpha(Zk)/m1, and a wall at Z2 = Zk - m2 Z one of
-    rho(Z) = alpha(Zk)/m2.  Each line cut out by d - 1 of these 2M
-    hyperplanes whose modules give at most m1 - 1 walls at Z1 and m2 - 1 at
-    Z2, from one elimination (`linalg.solve`), is intersected with the
-    sphere E(Z, Z) = period_scale^2 in integers (`_unit_norm_points`), and
-    its points are told apart by their integer splits.  A point whose
-    modules give exactly m1 - 1 walls at Z1 and m2 - 1 at Z2, counted once
-    per line by `_line_walls`, becomes an exact vector and goes to
-    `ke_verdict`, and the ok ones are returned, with the walls of the
-    verdict in R_m+ order.  Candidates on no such line lie in continuous
-    families and are out of scope.  For m1 = m2 the direction -Z is the
-    segment of Z reversed and is skipped after Z.  More than
-    MAX_WALL_SYSTEMS lines is an InputError.
-    """
-    if m1 < 1 or m2 < 1:
-        raise InputError("degrees must be >= 1")
-    if m1 + m2 < 3:
-        raise InputError("walled search needs m1 + m2 >= 3; use search_diameters")
-    flag, j = base.flag, base.j
-    zk = ricci_invariant(flag, j)
-    d = flag.center_dim
-    ps2 = Fraction(base.period_scale) ** 2
-    gram = _center_gram(flag)
-    # the center modules (rho, multiplicity, rho(Z) on their walls at Z1 and at Z2), and the wall
-    # hyperplanes (end, multiplicity, rho, rho(Z)); with those of Z1 first, of a pair Z, -Z
-    # (m1 = m2, d >= 2) the one met first has the earlier first Z1 wall in R_m+
-    table, at_zk, z_den = _center_modules(flag, j, zk)
-    modules = [(rho, len(roots), (Fraction(-a, z_den * m1), Fraction(a, z_den * m2)))
-               for (rho, roots), a in zip(table.items(), at_zk)]
-    planes = [(end, mult, rho, values[end]) for end in (0, 1) for rho, mult, values in modules]
-    systems = list(itertools.islice(_wall_subsets(planes, d - 1, (m1 - 1, m2 - 1)), MAX_WALL_SYSTEMS + 1))
-    if len(systems) > MAX_WALL_SYSTEMS:
-        raise InputError("walled search too large (more than %d wall systems)" % MAX_WALL_SYSTEMS)
-    out: List[WalledCandidate] = []
-    seen: set = set()
-    for subset in systems:
-        line = linalg.solve([p[2] for p in subset], [p[3] for p in subset], d)
-        if line is None or len(line[1]) != 1:
-            continue
-        (s, _, den, _), (v, _, _, _) = split_exact(line[0]), split_exact(line[1][0])
-        walls = None
-        for t, point in _unit_norm_points(s, v, den, gram, ps2):
-            if point in seen:
-                continue
-            seen.add(point)
-            if m1 == m2:
-                seen.add((tuple(-x for x in point[0]), tuple(-x for x in point[1])) + point[2:])
-            walls = walls or _line_walls(modules, s, v, den)
-            if walls(t) != [m1 - 1, m2 - 1]:
-                continue
-            z = _unpainted_vector(flag, *point)
-            verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
-            if verdict.ok:
-                seg = verdict.segment.candidate
-                w1, w2 = (tuple(a for a in j.positive if a in w) for w in (seg.w1, seg.w2))
-                out.append(WalledCandidate(w1, w2, z.values, verdict))
-    out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
-    return tuple(out)
-
-
-def _line_walls(modules, s: List[int], v: List[int], den: int):
-    """The wall count of the points of the line (s + t v) / den: t -> [walls at Z1, walls at Z2].
-
-    ``modules`` holds (rho, multiplicity, (value at Z1, value at Z2)), the
-    two wall planes of each center module.  On the line rho(Z) den = rho.s +
-    t rho.v, both integers.  A plane with rho.v = 0 holds the whole line or
-    none of it.  Any other plane meets the line at the one rational t =
-    (value den - rho.s) / rho.v.  So each module costs two integer dot
-    products per line, and a point one lookup of its t; an irrational point,
-    t None, meets none of those planes and has the line's count alone.
-    """
-    on_line = [0, 0]
-    meets: Dict[Fraction, List[int]] = {}
-    for rho, mult, values in modules:
-        at_s, slope = sum(map(mul, rho, s)), sum(map(mul, rho, v))
-        for end, value in enumerate(values):
-            if slope:
-                meets.setdefault((value * den - at_s) / slope, [0, 0])[end] += mult
-            elif at_s == value * den:
-                on_line[end] += mult
-    return lambda t: list(map(add, on_line, meets.get(t, (0, 0))))
-
-
-def _wall_subsets(planes, size: int, budget: Tuple[int, int], start: int = 0):
-    """The size-subsets of planes[start:] within a wall budget, in `itertools.combinations` order.
-
-    A subset's planes at end e carry at most budget[e] wall roots.  Every
-    plane carries at least one, so a branch is cut as soon as the budget
-    left cannot take the planes still to choose.
-    """
-    if size == 0:
-        yield ()
-        return
-    for i in range(start, len(planes) - size + 1):
-        left = tuple(b - planes[i][1] * (end == planes[i][0]) for end, b in enumerate(budget))
-        if min(left) >= 0 and sum(left) >= size - 1:
-            for rest in _wall_subsets(planes, size - 1, left, i + 1):
-                yield (planes[i],) + rest
-
-
-def _unit_norm_points(s: List[int], v: List[int], den: int, gram, ps2: Fraction):
-    """The points (t, (u, w, d, r)) where the line (s + t v) / den meets E(Z, Z) = ps2, in integers.
-
-    ``gram`` is the integer center Gram matrix.  With ps2 = p / q the sphere
-    is a t^2 + 2 b t + c = 0, a = q v.v, b = q s.v and c = q s.s - p den^2, so
-    t = (-b +- k sqrt(R)) / a, where b^2 - a c = k^2 R with R square-free
-    (`scalars._square_free_split`).  A point is (u + w sqrt(R)) / d with
-    every entry divided by the gcd of them all, and r = R; a rational one
-    has w = 0 and r None, and its t is a Fraction, which is None for an
-    irrational one.  The point of the larger t comes first; a tangent line
-    has one.
-    """
-    p, q = ps2.numerator, ps2.denominator
-    a, b = q * linalg.form(gram, v, v), q * linalg.form(gram, s, v)
-    disc = b * b - a * (q * linalg.form(gram, s, s) - p * den * den)
-    if disc < 0:
-        return
-    k, big_r = _square_free_split(disc)
-    for sign in ((1, -1) if disc else (1,)):
-        if big_r == 1:
-            t, r, w = Fraction(sign * k - b, a), None, [0] * len(v)
-            u = [a * x + (sign * k - b) * y for x, y in zip(s, v)]
-        else:
-            t, r, w = None, Fraction(big_r), [sign * k * y for y in v]
-            u = [a * x - b * y for x, y in zip(s, v)]
-        g = math.gcd(*u, *w, a * den)
-        yield t, (tuple(x // g for x in u), tuple(x // g for x in w), a * den // g, r)

@@ -276,3 +276,12 @@ def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVect
 def _center_gram(flag: FlagData) -> List[List[int]]:
     """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
     return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]
+
+
+def _unpainted_vector(flag: FlagData, u: Sequence[int], w: Sequence[int], den: int,
+                      r: Optional[Fraction]) -> CartanVector:
+    """The exact center vector (u + w sqrt(R)) / den, given by its coordinates at the unpainted nodes."""
+    full = [[0] * flag.rs.rank for _ in range(2)]
+    for i, x, y in zip(flag.unpainted, u, w):
+        full[0][i], full[1][i] = x, y
+    return CartanVector.from_split(*full, den, r)

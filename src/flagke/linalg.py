@@ -1,72 +1,69 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-Matrices are lists of lists of ``Fraction``.  Sizes here are tiny (at most the
-total rank of the Lie algebra), so plain Gaussian elimination is both fast
-enough and exact.  Integer matrices get fraction-free Bareiss elimination.
+Matrices are lists of lists of ints.  Sizes here are tiny (at most the total
+rank of the Lie algebra), and every elimination is fraction-free (Bareiss,
+Math. Comp. 22, 1968): each entry it produces is a minor of the input, so
+every division is exact and no ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-Matrix = List[List[Fraction]]
-Vector = List[Fraction]
+
+def _eliminate(m: List[List[int]], k: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step: clear column c outside row k; returns the pivot m[k][c].
+
+    Every other row becomes (piv * row - row[c] * m[k]) / prev, an exact
+    division by the previous pivot; the earlier pivots become piv too.
+    """
+    piv, pivot_row = m[k][c], m[k]
+    for i, row in enumerate(m):
+        if i != k:
+            f = row[c]
+            m[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+    return piv
 
 
-def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+          n_cols: int) -> Optional[Tuple[List[int], int, List[List[int]]]]:
+    """(x, den, basis) from one elimination of the integer [A | b]: A (x / den) = b, and A v = 0 for v in basis.
 
-
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    m = _as_matrix(rows)
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence, n_cols: int) -> Optional[Tuple[Vector, List[Vector]]]:
-    """(x, basis) from one elimination of [A | b]: a solution of A x = b and a basis of {x : A x = 0}.
-
-    A has n_cols columns and may have no rows.  The free entries of x are
-    zero, and the basis has one vector per free column, in column order,
-    with a 1 there and 0 at the other free columns.  None when the system is
+    A has n_cols columns and may have no rows.  The pivot of each step is the
+    first nonzero entry of the leftmost column left that has one, the pivot
+    of the reduced row echelon form, with rows swapped to bring it up.  So
+    x / den is that form's solution: den > 0 is the absolute value of the
+    last pivot, and the free entries of x are zero.  The basis has one vector
+    per free column, in column order: the echelon form's vector (a 1 there
+    and 0 at the other free columns) times den.  None when the system is
     inconsistent: a pivot in the rhs column.
     """
-    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n_cols]
-    basis: List[Vector] = []
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots: List[int] = []
+    prev = 1
+    for c in range(n_cols + 1):
+        k = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        if c == n_cols:
+            return None
+        r = len(pivots)
+        m[r], m[k] = m[k], m[r]
+        prev = _eliminate(m, r, c, prev)
+        pivots.append(c)
+    sign, den = (1, prev) if prev > 0 else (-1, -prev)
+    x = [0] * n_cols
+    for row, pc in zip(m, pivots):
+        x[pc] = sign * row[n_cols]
+    basis: List[List[int]] = []
     for fc in (c for c in range(n_cols) if c not in pivots):
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        v = [0] * n_cols
+        v[fc] = den
+        for row, pc in zip(m, pivots):
+            v[pc] = -sign * row[fc]
         basis.append(v)
-    return x, basis
+    return x, den, basis
 
 
 def form(rows: Sequence[Sequence], u: Sequence, v: Sequence):
@@ -77,24 +74,18 @@ def form(rows: Sequence[Sequence], u: Sequence, v: Sequence):
 def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], Optional[List[List[int]]]]:
     """Leading principal minors and adjugate of a square integer matrix.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    of ``[M | I]`` without row exchanges: the k-th pivot is the k-th leading
-    principal minor, every division is exact, and the right half ends as
-    ``adj(M) = det(M) * M^-1``.  Stops at the first zero pivot, returning the
-    minors so far and no adjugate.
+    Fraction-free Gauss-Jordan elimination of ``[M | I]`` without row
+    exchanges: the k-th pivot is the k-th leading principal minor, and the
+    right half ends as ``adj(M) = det(M) * M^-1``.  Stops at the first zero
+    pivot, returning the minors so far and no adjugate.
     """
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     minors: List[int] = []
     prev = 1
     for k in range(n):
-        piv = m[k][k]
-        if piv == 0:
+        if m[k][k] == 0:
             return minors, None
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[k])]
-        minors.append(piv)
-        prev = piv
+        prev = _eliminate(m, k, k, prev)
+        minors.append(prev)
     return minors, [row[n:] for row in m]

@@ -15,9 +15,10 @@ the pairwise closure scan of a complex structure, the oracle of
 `flag.validate_complex_structure`; the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end, and the
 per-root module table of float vectors, the oracle of `model.isotropy_modules`; the walled search over root subsets, the
-oracle of `einstein.search_walled`; the root-by-root sphere-in-chamber
-check, the oracle of `flag.sphere_in_chamber`, with the exact matrix
-inverse it uses; the center of k computed for a general basis, the oracle
+oracle of `walled.search_walled`; the Fraction Gauss-Jordan elimination
+it and the next two solve by, the oracle of the integer `linalg.solve`;
+the root-by-root sphere-in-chamber check, the oracle of
+`flag.sphere_in_chamber`, with the exact matrix inverse it uses; the center of k computed for a general basis, the oracle
 of the unpainted-coordinate frame of `flag.build_flag` and the searches;
 the flags these oracles are run on; the reflection check of every pair
 of roots, the oracle of the simple-reflection check of `rootsys._validate`;
@@ -44,6 +45,7 @@ from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, Segme
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import exact_sqrt, scalar_is_zero, scalar_sign
+from flagke.walled import WalledCandidate
 
 
 def p_trim(p):
@@ -531,7 +533,7 @@ def per_root_segment(base, z1, length):
 
 
 def root_subset_walled(base, m1, m2):
-    """`einstein.search_walled` by enumerating the wall sets themselves.
+    """`walled.search_walled` by enumerating the wall sets themselves.
 
     Every pair of root subsets W1, W2 of R_m+ with sizes m1 - 1 and m2 - 1
     pins Z by the linear system alpha(Z1) = 0 on W1 and alpha(Z2) = 0 on
@@ -553,7 +555,7 @@ def root_subset_walled(base, m1, m2):
     for w1 in itertools.combinations(range(len(pos)), m1 - 1):
         for w2 in itertools.combinations(range(len(pos)), m2 - 1):
             system = [rows[i] for i in w1 + w2]
-            solved = linalg.solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2], len(basis))
+            solved = fraction_solve(system, [-at_zk[i] / m1 for i in w1] + [at_zk[i] / m2 for i in w2], len(basis))
             if solved is None or len(solved[1]) >= 2:
                 continue
             for coeffs in unit_norm_solutions(*solved, gram_c, ps2):
@@ -567,8 +569,8 @@ def root_subset_walled(base, m1, m2):
                 seen.add(key)
                 verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
                 if verdict.ok:
-                    out.append(ein.WalledCandidate(tuple(pos[i] for i in w1), tuple(pos[i] for i in w2), z.values,
-                                                   verdict))
+                    out.append(WalledCandidate(tuple(pos[i] for i in w1), tuple(pos[i] for i in w2), z.values,
+                                               verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))
     return tuple(out)
 
@@ -579,7 +581,7 @@ def unit_norm_solutions(sol, null, gram, ps2):
     ``gram`` is the Gram matrix of the coordinates.  On a line the sphere is
     a s^2 + b s + c = 0, solved by `scalars.exact_sqrt` of the discriminant
     in Quad arithmetic; the point of the larger s comes first.  The oracle
-    of `einstein._unit_norm_points`.
+    of `walled._unit_norm_points`.
     """
     def form(x, y):
         return sum((xi * g * yj for xi, row in zip(x, gram) for g, yj in zip(row, y)), Fraction(0))
@@ -601,10 +603,59 @@ def unit_norm_solutions(sol, null, gram, ps2):
             return
 
 
+def rref(rows):
+    """Reduced row echelon form in Fractions, by Gauss-Jordan elimination: (rref, pivot column indices).
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def fraction_solve(rows, rhs, n_cols):
+    """(x, basis) from the Fraction `rref` of [A | b], the oracle of the integer `linalg.solve`.
+
+    The free entries of x are zero, and the basis has one vector per free
+    column, in column order, with a 1 there and 0 at the other free columns.
+    None when the system is inconsistent: a pivot in the rhs column.
+    """
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n_cols in pivots:
+        return None
+    x = [Fraction(0)] * n_cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n_cols]
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return x, basis
+
+
 def invert(rows):
     """Exact inverse of a square nonsingular matrix, by Gauss-Jordan elimination of [M | I]."""
     n = len(rows)
-    red, pivots = linalg.rref([list(row) + [Fraction(i == k) for k in range(n)] for i, row in enumerate(rows)])
+    red, pivots = rref([list(row) + [Fraction(i == k) for k in range(n)] for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
@@ -657,7 +708,7 @@ def general_basis_center(flag, j, zk):
     """
     rs = flag.rs
     rows = [[Fraction(int(k == i)) for k in range(rs.rank)] for i in sorted(flag.painted)]
-    basis = tuple(CartanVector(tuple(v)) for v in linalg.solve(rows, [0] * len(rows), rs.rank)[1])
+    basis = tuple(CartanVector(tuple(v)) for v in fraction_solve(rows, [0] * len(rows), rs.rank)[1])
     modules = {}
     for alpha in j.positive:
         modules.setdefault(tuple(evaluate(alpha, b) for b in flag.center_basis), []).append(alpha)

@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the report of 3 149 runs, keyed by their command line: the
+``--out`` writes the report of 3 159 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
 sweep groups, and the walled search on every flag of the groups up to rank
-3 at the degrees of WALLED_DEGREES, each at the period scales 1 and 1/3;
+3 at the degrees of WALLED_DEGREES and on the unpainted rank-4 flags of
+WALLED_EXTRA, each at the period scales 1 and 1/3;
 then `flag-info` (Zk, its chamber position and the sphere check) on every
 flag of the 25 groups and on the exceptional flags of FLAG_INFO_EXTRA;
 `roots` on the 25 groups and on E6, E7 and E8; `check-segment` at the
@@ -44,6 +45,8 @@ GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2"
           "A1xA1", "A1xA1xA1", "A1xA2", "A1xB2", "A1xG2", "A2xA2", "A1xA3", "A2xB2", "B2xG2", "A2xA3",
           "A1xA2xA2", "B2xB2"]
 WALLED_DEGREES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)]
+# walled searches with nothing painted on a 4-dimensional center, thousands of lines each: (group, degrees)
+WALLED_EXTRA = [("B4", (3, 3)), ("B4", (2, 3)), ("C4", (3, 3)), ("C4", (2, 3)), ("F4", (2, 3))]
 TAUS = ["1", "1/3"]
 FLAG_INFO_EXTRA = [("E6", (0, 2, 3, 4)), ("E7", (0, 1, 2, 3)), ("E8", (0, 1, 2, 3, 4)), ("E8", (2,)), ("E8", ())]
 SEGMENT_DEGREES = [(1, 1), (1, 2), (2, 1)]
@@ -93,6 +96,7 @@ def sweep_argvs():
               for painted in paintings(group) if len(painted) < LieAlgebraSpec.parse(group).rank]
     for group, painted in walled:
         out += [_argv(group, painted, tau, degrees) for degrees in WALLED_DEGREES for tau in TAUS]
+    out += [_argv(group, (), tau, degrees) for group, degrees in WALLED_EXTRA for tau in TAUS]
     flags = [(group, painted) for group in GROUPS for painted in paintings(group)] + FLAG_INFO_EXTRA
     out += [["flag-info", "--group", group, "--painted", ",".join(map(str, painted))] for group, painted in flags]
     out += [["roots", "--group", group] for group in GROUPS + ["E6", "E7", "E8"]]

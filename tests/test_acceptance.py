@@ -21,6 +21,7 @@ from flagke.rootsys import (
     LieAlgebraSpec,
     Root,
     build_root_system,
+    evaluate,
 )
 from flagke.scalars import Quad
 from segment_checks import first_integral_identity_numerator, ricci_normal, scaled_ricci_control, value_table
@@ -55,8 +56,8 @@ def _futaki_with_simpson(text, painted, direction, m1, m2):
     base = make_base(flag, j, CartanVector(tuple(Fraction(c) for c in direction)))
     rep = futaki(flag, j, base.z, m1, m2)
     zk = ricci_invariant(flag, j)
-    zkv = np.array([float(ein.evaluate(a, zk)) for a in j.positive])
-    kv = np.array([float(ein.evaluate(a, base.z)) for a in j.positive])
+    zkv = np.array([float(evaluate(a, zk)) for a in j.positive])
+    kv = np.array([float(evaluate(a, base.z)) for a in j.positive])
     simpson = _simpson(zkv, kv, m1, m2)
     return rep, simpson
 
@@ -279,7 +280,7 @@ def test_criterion_7b_some_higher_rank_full_flag_passes():
         shortest = min(norms.values())
         if chk.ok is not False:
             faults.append("%s passes" % text)
-        if any(ein.evaluate(a, zk) != n for a, n in norms.items()):
+        if any(evaluate(a, zk) != n for a, n in norms.items()):
             faults.append("%s: alpha(Zk) != |alpha|^2 for a simple root" % text)
         dists = (chk.min_distance_sq, chk.min_distance_sq_center)
         if not all(type(d) is Fraction and d == shortest == expected for d in dists):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from flagke import einstein as ein
+from flagke import linalg
 from flagke.cli import CHECK_TOLERANCES, MODES, main
 from flagke.errors import InputError
 from flagke.flag import InvariantComplexStructure, build_flag
@@ -529,6 +531,26 @@ def test_exact_commands_leave_numpy_and_the_float_layer_unloaded(argv):
     assert (code, loaded, home) == (None if not argv else 0, [], "flagke.einstein")
 
 
+def test_walled_search_leaves_numpy_and_the_float_layer_unloaded(tmp_path, capsys):
+    # the walled search is an exact command: given by flags or by a --job file it runs in `walled`, and neither
+    # numpy nor einstein loads, nor dataclasses or inspect; the linalg it eliminates with is integer-only
+    flags = ["search", "--group", "A2", "--painted", "1", "--m1", "3", "--m2", "1", "--tau", "1/3"]
+    job = tmp_path / "walled.json"
+    job.write_text(json.dumps({"mode": "search", "group": "A2", "painted": [1], "m1": 3, "m2": 1, "tau": "1/3"}))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    for argv in (flags, ["search", "--job", str(job)]):
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE] + argv, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, [], "flagke.einstein"], argv
+    code, rep = _capture(capsys, flags)
+    assert code == 0 and rep["candidates"] and (code, rep) == _capture(capsys, ["search", "--job", str(job)])
+    tree = ast.parse(open(linalg.__file__).read())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "fractions" not in imported and not hasattr(linalg, "Fraction") and not hasattr(linalg, "rref")
+
+
 def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsys):
     import sweep_searches as sweep
 
@@ -538,7 +560,7 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     everything = sweep.sweep_argvs()
     assert all(argv in everything for argv in argvs)
     modes = [argv[0] for argv in everything]
-    assert len(everything) == len(set(map(tuple, everything))) == 3149
+    assert len(everything) == len(set(map(tuple, everything))) == 3159 and modes.count("search") == 1410
     assert (modes.count("flag-info"), modes.count("roots"), modes.count("futaki")) == (365, 28, 396)
     assert modes.count("check-segment") == 675 and sum("--float" in argv for argv in everything) == 323
     assert modes.count("solve") == 145 and modes.count("verify") == 140

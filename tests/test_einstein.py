@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from flagke import einstein as ein
 from flagke import flag as flag_module
-from flagke import linalg, model
+from flagke import linalg, model, walled
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
@@ -41,6 +41,7 @@ from segment_checks import (
     chart_integrand,
     circle_zeros_by_np_roots,
     first_integral_identity_numerator,
+    fraction_solve,
     general_basis_center,
     int_shifted_antiderivative,
     isotropy_homogenized_obstruction,
@@ -1231,14 +1232,14 @@ def test_search_walled_su2_product_rejected_by_norm():
     h1 = coroot_vector(flag.rs, flag.rs.simple_roots()[0])
     h2 = coroot_vector(flag.rs, flag.rs.simple_roots()[1])
     base = make_base(flag, j, h1 - h2)
-    assert ein.search_walled(base, 2, 2) == ()
+    assert walled.search_walled(base, 2, 2) == ()
 
 
 def test_search_walled_oversized_walls_empty():
     flag, j = _flag_j("A1xA1")
     h1 = coroot_vector(flag.rs, flag.rs.simple_roots()[0])
     base = make_base(flag, j, h1 - coroot_vector(flag.rs, flag.rs.simple_roots()[1]))
-    assert ein.search_walled(base, 5, 1) == ()
+    assert walled.search_walled(base, 5, 1) == ()
 
 
 def test_search_walled_rejects_diameter_case():
@@ -1246,10 +1247,10 @@ def test_search_walled_rejects_diameter_case():
     h1 = coroot_vector(flag.rs, flag.rs.simple_roots()[0])
     base = make_base(flag, j, h1 - coroot_vector(flag.rs, flag.rs.simple_roots()[1]))
     with pytest.raises(InputError):
-        ein.search_walled(base, 1, 1)
+        walled.search_walled(base, 1, 1)
     for m1, m2 in [(0, 3), (3, 0), (-1, 5)]:
         with pytest.raises(InputError, match="degrees must be >= 1"):
-            ein.search_walled(base, m1, m2)
+            walled.search_walled(base, m1, m2)
 
 
 def test_search_walled_matches_the_root_subset_oracle():
@@ -1258,7 +1259,7 @@ def test_search_walled_matches_the_root_subset_oracle():
     found = 0
     for base, m1, m2 in _walled_oracle_set():
         got, want = (tuple((c.z_values, c.w1, c.w2, c.verdict.ok) for c in search(base, m1, m2))
-                     for search in (ein.search_walled, root_subset_walled))
+                     for search in (walled.search_walled, root_subset_walled))
         assert got == want, (base.flag.rs.spec, base.flag.painted, base.period_scale, m1, m2)
         found += len(got)
     assert found == 42
@@ -1284,7 +1285,7 @@ def test_walled_search_runs_no_quad_arithmetic(monkeypatch):
         raise AssertionError("Quad arithmetic in the walled search")
 
     built, verdicts, quad_coords, found = [0], [0], [0], 0
-    init, verdict = Quad.__init__, ein.ke_verdict
+    init, verdict = Quad.__init__, walled.ke_verdict
 
     def counting_init(self, *args):
         built[0] += 1
@@ -1298,9 +1299,9 @@ def test_walled_search_runs_no_quad_arithmetic(monkeypatch):
                  "__rtruediv__", "__neg__", "__pow__"):
         monkeypatch.setattr(Quad, name, refuse)
     monkeypatch.setattr(Quad, "__init__", counting_init)
-    monkeypatch.setattr(ein, "ke_verdict", counting_verdict)
+    monkeypatch.setattr(walled, "ke_verdict", counting_verdict)
     for base, m1, m2 in _walled_oracle_set():
-        for cand in ein.search_walled(base, m1, m2):
+        for cand in walled.search_walled(base, m1, m2):
             found += 1
             quad_coords[0] += sum(isinstance(x, Quad) for x in cand.z_values)
     assert found == 42 and verdicts[0] > 0
@@ -1308,65 +1309,99 @@ def test_walled_search_runs_no_quad_arithmetic(monkeypatch):
 
 
 def test_walled_search_eliminates_once_per_line(monkeypatch):
-    # one rref of [A | b] per line solved gives both the point and the direction of the line
-    rrefs, solves = [0], [0]
-    rref, solve = linalg.rref, linalg.solve
+    # one integer elimination of [A | b] per wall set gives both the point and the direction of its line:
+    # the solves are the combinations of wall planes within the degrees, and every entry is an int
+    solves, solve, lines = [0], linalg.solve, 0
 
-    def counting_rref(*args):
-        rrefs[0] += 1
-        return rref(*args)
-
-    def counting_solve(*args):
+    def counting_solve(rows, rhs, n_cols):
+        assert all(type(x) is int for row in rows for x in row) and all(type(b) is int for b in rhs)
         solves[0] += 1
-        return solve(*args)
+        return solve(rows, rhs, n_cols)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(linalg, "solve", counting_solve)
     for group, painted, m1, m2 in [("A2xA2", (), 3, 3), ("B3", (), 2, 3), ("A1xA1xA1", (), 2, 2), ("A2", (1,), 3, 1)]:
         flag, j = _flag_j(group, painted)
-        ein.search_walled(make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3)), m1, m2)
-    assert solves[0] > 100 and rrefs[0] == solves[0]
+        walled.search_walled(make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3)), m1, m2)
+        modules = _center_modules(flag, j, ricci_invariant(flag, j))[0]
+        planes = [(end, len(roots)) for end in (0, 1) for roots in modules.values()]
+        lines += sum(all(sum(p[1] for p in s if p[0] == end) <= (m1 - 1, m2 - 1)[end] for end in (0, 1))
+                     for s in itertools.combinations(planes, flag.center_dim - 1))
+    assert lines > 100 and solves[0] == lines
 
 
 def test_linalg_solve_gives_a_solution_and_the_null_space_from_one_elimination():
-    f = Fraction
-    # no rows: x = 0 and the unit vectors; and no columns at all
-    assert linalg.solve([], [], 3) == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert linalg.solve([], [], 0) == ([], [])
+    # no rows: x = 0 over 1 and the unit vectors; and no columns at all
+    assert linalg.solve([], [], 3) == ([0, 0, 0], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert linalg.solve([], [], 0) == ([], 1, [])
     # inconsistent: x + y = 1 and 2x + 2y = 3; and a zero row with a nonzero right-hand side
     assert linalg.solve([[1, 1], [2, 2]], [1, 3], 2) is None
     assert linalg.solve([[0, 0]], [1], 2) is None
-    # rank-deficient: the free entries of x are 0, and the basis has a 1 at each free column
+    # rank-deficient: the free entries of x are 0, and each basis vector is the echelon form's times den
     rows = [[1, 2, 0, 3], [2, 4, 1, 7], [3, 6, 1, 10]]
-    x, basis = linalg.solve(rows, [1, 3, 4], 4)
-    assert x == [1, 0, 1, 0]
-    assert basis == [[-2, 1, 0, 0], [-3, 0, -1, 1]]
-    for v in [x] + basis:
-        assert all(isinstance(c, Fraction) for c in v)
+    x, den, basis = linalg.solve(rows, [1, 3, 4], 4)
+    assert (x, den, basis) == ([1, 0, 1, 0], 1, [[-2, 1, 0, 0], [-3, 0, -1, 1]])
     for row, b in zip(rows, [1, 3, 4]):
-        assert sum(map(mul, row, x)) == b and all(sum(map(mul, row, v)) == 0 for v in basis)
-    # full rank: the one solution and an empty basis
-    assert linalg.solve([[2, 1], [1, 3]], [f(1), f(2)], 2) == ([f(1, 5), f(3, 5)], [])
+        assert sum(map(mul, row, x)) == b * den and all(sum(map(mul, row, v)) == 0 for v in basis)
+    # full rank: the one solution and no basis, over a positive den also when the last pivot is negative
+    assert linalg.solve([[2, 1], [1, 3]], [1, 2], 2) == ([1, 3], 5, [])
+    assert linalg.solve([[1, 2], [3, 4]], [5, 6], 2) == ([-8, 9], 2, [])
+    # a free column ahead of the pivots and a row swap: x / den = (0, 1/2, 3/2), over the last pivot 4
+    x, den, basis = linalg.solve([[0, 0, 2], [0, 2, 2]], [3, 4], 3)
+    assert (x, den, basis) == ([0, 2, 6], 4, [[4, 0, 0]])
+    for v in [x, basis[0]]:
+        assert all(type(c) is int for c in v)
+
+
+def test_linalg_solve_matches_the_fraction_elimination():
+    # the integer elimination against the Fraction Gauss-Jordan oracle on seeded systems up to 5 x 7: the same
+    # pivots (the zeros of x and the free columns of the basis), the same x, den > 0, and basis vectors that
+    # are positive multiples of the oracle's; empty, inconsistent, rank-deficient and full-rank ones all occur
+    rng, kinds = random.Random(28), set()
+    for _ in range(1500):
+        n_rows, n_cols = rng.randint(0, 5), rng.randint(0, 7)
+        span = rng.choice([1, 3, 9])
+        rows = [[rng.randint(-span, span) * (rng.random() < 0.7) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows >= 2 and rng.random() < 0.3:  # a dependent row
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+        rhs = [rng.randint(-span, span) for _ in range(n_rows)]
+        if n_rows >= 2 and rng.random() < 0.5:
+            rhs[-1] = rhs[0] + 2 * rhs[1] + (rng.random() < 0.5)
+        got, want = linalg.solve(rows, rhs, n_cols), fraction_solve(rows, rhs, n_cols)
+        assert (got is None) == (want is None), (rows, rhs)
+        if want is None:
+            kinds.add("inconsistent")
+            continue
+        (x, den, basis), (x0, basis0) = got, want
+        kinds.add("empty" if not rows else "full rank" if not basis else "rank-deficient")
+        assert den > 0 and [Fraction(c, den) for c in x] == x0, (rows, rhs)
+        assert len(basis) == len(basis0)
+        for v, v0 in zip(basis, basis0):
+            assert all(type(c) is int for c in v)
+            fc = next(c for c, a in enumerate(v0) if a == 1)
+            assert v[fc] > 0 and [Fraction(c, v[fc]) for c in v] == v0, (rows, rhs)
+    assert kinds == {"empty", "inconsistent", "rank-deficient", "full rank"}
 
 
 def test_line_walls_count_the_walls_of_each_point(monkeypatch):
     # every point whose walls the search counts is counted again plane by plane in its own field, from the
-    # exact values of the points of its line at its t, which is None for an irrational one
-    checked, line_points = [], {}
-    unit_norm_points, line_walls = ein._unit_norm_points, ein._line_walls
+    # exact values of the points of its line at its t, which is None for an irrational one; the planes are
+    # in the line's scaled frame Y = scale Z, with scale the ratio of the sphere's den to the line's
+    checked, line_points, sphere_den = [], {}, [None]
+    unit_norm_points, line_walls = walled._unit_norm_points, walled._line_walls
 
     def recording(s, v, den, gram, ps2):
         line_points.clear()
+        sphere_den[0] = den
         for t, point in unit_norm_points(s, v, den, gram, ps2):
             line_points.setdefault(t, []).append(point)
             yield t, point
 
     def checking(modules, s, v, den):
-        count = line_walls(modules, s, v, den)
+        count, scale = line_walls(modules, s, v, den), sphere_den[0] // den
 
         def at(t):
             for u, w, d, r in line_points[t]:
-                coeffs = [pair_scalar(x, y, d, r) for x, y in zip(u, w)]
+                coeffs = [pair_scalar(x * scale, y * scale, d, r) for x, y in zip(u, w)]
                 want = [sum(mult for rho, mult, values in modules if sum(map(mul, rho, coeffs)) == values[end])
                         for end in (0, 1)]
                 assert count(t) == want
@@ -1374,14 +1409,14 @@ def test_line_walls_count_the_walls_of_each_point(monkeypatch):
             return count(t)
         return at
 
-    monkeypatch.setattr(ein, "_unit_norm_points", recording)
-    monkeypatch.setattr(ein, "_line_walls", checking)
+    monkeypatch.setattr(walled, "_unit_norm_points", recording)
+    monkeypatch.setattr(walled, "_line_walls", checking)
     for group, painted in [("A2xA2", ()), ("A1xA1xA1", ()), ("B3", ()), ("A2", (1,)), ("G2", ())]:
         flag, j = _flag_j(group, painted)
         for tau in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
             base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
             for m1, m2 in [(2, 1), (3, 1), (2, 2), (3, 3)]:
-                ein.search_walled(base, m1, m2)
+                walled.search_walled(base, m1, m2)
     assert len(checked) > 100 and any(checked) and not all(checked)
 
 
@@ -1395,8 +1430,8 @@ def test_wall_subsets_are_the_combinations_within_the_degrees(group):
     for budget in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 3)]:
         want = [s for s in itertools.combinations(planes, flag.center_dim - 1)
                 if all(sum(p[1] for p in s if p[0] == end) <= budget[end] for end in (0, 1))]
-        assert list(ein._wall_subsets(planes, flag.center_dim - 1, budget)) == want, budget
-    assert list(ein._wall_subsets(planes, 0, (0, 0))) == [()]
+        assert list(walled._wall_subsets(planes, flag.center_dim - 1, budget)) == want, budget
+    assert list(walled._wall_subsets(planes, 0, (0, 0))) == [()]
 
 
 def test_projective_space_profile_matches_closed_form():
@@ -1405,7 +1440,7 @@ def test_projective_space_profile_matches_closed_form():
     # = f(4 - f)/2 and delta = sqrt(2) * int_0^4 df/sqrt(f(4-f)) = sqrt(2) pi
     flag, j = _flag_j("A2", (1,))
     probe = make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3))
-    cand = ein.search_walled(probe, 3, 1)[0]
+    cand = walled.search_walled(probe, 3, 1)[0]
     base = CenterLine(flag=flag, j=j, z=CartanVector(cand.z_values), period_scale=Fraction(1, 3))
     sp = ein.build_segment_polynomial(base, 3, 1)
     assert sp.coeffs == [Fraction(0), Fraction(0), Fraction(1, 36)]
@@ -1456,7 +1491,7 @@ def test_projective_space_profile_same_metric_from_product_realization():
     h1 = coroot_vector(flag.rs, flag.rs.simple_roots()[0])
     h2 = coroot_vector(flag.rs, flag.rs.simple_roots()[1])
     base = make_base(flag, j, h1 - h2, period_scale=Fraction(1, 2))
-    found = ein.search_walled(base, 2, 2)
+    found = walled.search_walled(base, 2, 2)
     assert len(found) == 1
     cand = found[0]
     assert cand.z_values == (Fraction(1, 4), Fraction(-1, 4)) or cand.z_values == (
@@ -1483,7 +1518,7 @@ def test_unit_norm_points_match_the_quad_sphere_intersection():
              "missing": ([1, 0], [0, 1], 2)}
     counts = {}
     for kind, (s, v, den) in lines.items():
-        got = list(ein._unit_norm_points(s, v, den, gram, ps2))
+        got = list(walled._unit_norm_points(s, v, den, gram, ps2))
         counts[kind] = len(got)
         _check_unit_norm_points(s, v, den, gram, ps2, got)
         assert all((t is None) == (kind == "irrational") for t, _ in got), kind
@@ -1498,14 +1533,14 @@ def test_unit_norm_points_match_the_quad_sphere_intersection():
         if not any(v):
             continue
         den, ps2 = rng.randint(1, 6), rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(4, 9)])
-        got = list(ein._unit_norm_points(s, v, den, gram3, ps2))
+        got = list(walled._unit_norm_points(s, v, den, gram3, ps2))
         _check_unit_norm_points(s, v, den, gram3, ps2, got)
         kinds.add((len(got), got[0][0] is None if got else None))
     assert {(2, False), (2, True), (0, None)} <= kinds
 
 
 def _check_unit_norm_points(s, v, den, gram, ps2, got):
-    """The points of `einstein._unit_norm_points` are the oracle's, in lowest terms, at their t."""
+    """The points of `walled._unit_norm_points` are the oracle's, in lowest terms, at their t."""
     want = list(unit_norm_solutions([Fraction(x, den) for x in s], [[Fraction(x) for x in v]], gram, ps2))
     assert [[pair_scalar(x, y, d, r) for x, y in zip(u, w)] for _, (u, w, d, r) in got] == want
     for t, (u, w, d, r) in got:
@@ -1519,7 +1554,7 @@ def test_search_walled_underdetermined_line_path_runs():
     # and intersects the unit sphere; here nothing survives the later filters
     flag, j = _flag_j("A2xA2", (1, 3))
     base = make_base(flag, j, flag.center_basis[0])
-    assert ein.search_walled(base, 2, 1) == ()
+    assert walled.search_walled(base, 2, 1) == ()
 
 
 def test_search_walled_fixed_point_case_under_period_scale():
@@ -1528,9 +1563,9 @@ def test_search_walled_fixed_point_case_under_period_scale():
     # period scale 1/3 (paper-literal scale 1 rejects it)
     flag, j = _flag_j("A2", (1,))
     base1 = make_base(flag, j, flag.center_basis[0])
-    assert ein.search_walled(base1, 3, 1) == ()
+    assert walled.search_walled(base1, 3, 1) == ()
     base3 = make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3))
-    found = ein.search_walled(base3, 3, 1)
+    found = walled.search_walled(base3, 3, 1)
     assert len(found) == 1
     cand = found[0]
     assert cand.verdict.futaki.value == 0

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from flagke import linalg
 from flagke.flag import (
     build_flag,
     chamber_position,
@@ -23,7 +22,7 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
 )
-from segment_checks import CENTER_FLAGS, center_flags, pairwise_closure
+from segment_checks import CENTER_FLAGS, center_flags, fraction_solve, pairwise_closure
 
 with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
     GOLDEN_SPECS = sorted(json.load(_fh))
@@ -209,7 +208,7 @@ def test_ricci_invariant_additive_across_products():
 def center_coordinates(flag, x):
     """Exact coordinates of a rational X in the center basis, or None."""
     rows = [[b.values[i] for b in flag.center_basis] for i in range(flag.rs.rank)]
-    solved = linalg.solve(rows, list(x.values), flag.center_dim)
+    solved = fraction_solve(rows, list(x.values), flag.center_dim)
     return solved and solved[0]
 
 
