@@ -30,10 +30,10 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],
           n_cols: int) -> Optional[Tuple[List[int], int, List[List[int]]]]:
     """(x, den, basis) from one elimination of the integer [A | b]: A (x / den) = b, and A v = 0 for v in basis.
 
-    A has n_cols columns and may have no rows.  The pivot of each step is the
-    first nonzero entry of the leftmost column left that has one, the pivot
-    of the reduced row echelon form, with rows swapped to bring it up.  So
-    x / den is that form's solution: den > 0 is the absolute value of the
+    A has n_cols columns and may have no rows.  Each step pivots on the first
+    nonzero entry, in the rows not yet used, of the leftmost column that has
+    one, and swaps that row up: the pivots of the reduced row echelon form.
+    So x / den is that form's solution: den > 0 is the absolute value of the
     last pivot, and the free entries of x are zero.  The basis has one vector
     per free column, in column order: the echelon form's vector (a 1 there
     and 0 at the other free columns) times den.  None when the system is
