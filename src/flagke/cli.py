@@ -9,6 +9,8 @@ futaki, check-segment) load no numpy unless given a --float direction; the
 walled search (search with degrees other than (1, 1)) runs in the exact
 module `walled` and loads none either.  solve, verify and the diameter
 search import the float layer `einstein`, and numpy with it, when they run.
+A solve report states the tolerances of `einstein.PROFILE_CHECKS`, the
+table of verify checks, and verify holds each check to its row's.
 """
 
 from __future__ import annotations
@@ -44,26 +46,6 @@ from .scalars import format_scalar
 FLOAT_FMT = "%.12e"  # all exported floats carry 12 significant digits
 # profile inversion holds a few grid x (einstein.PROFILE_GAUSS_ORDER + 1) float arrays per Newton step
 MAX_GRID = 65536
-# the tolerances a solve report states, and which of them each verify check is held to
-TOLERANCES = {
-    "f_delta_error": 1e-8,
-    "fpp_endpoints": 1e-4,
-    "max_ode_residual": 1e-8,
-    "einstein_residuals": 1e-6,
-    "two_route_gaps": 1e-6,
-    "roundtrip_error": 1e-8,
-}
-CHECK_TOLERANCES = {
-    "f_delta": "f_delta_error",
-    "fpp0_minus_1": "fpp_endpoints",
-    "fpp_delta_plus_1": "fpp_endpoints",
-    "ode_residual": "max_ode_residual",
-    "tangential_residual": "einstein_residuals",
-    "normal_residual": "einstein_residuals",
-    "normal_two_route_gap": "two_route_gaps",
-    "delta_two_route_gap": "two_route_gaps",
-    "roundtrip": "roundtrip_error",
-}
 
 
 class JobSpec:
@@ -299,7 +281,7 @@ def _solve_pipeline(job: JobSpec):
     out["einstein_constant"] = profile.einstein_constant
     out["delta"] = profile.delta
     out["diagnostics"] = {k: float(v) for k, v in profile.diagnostics.items()}
-    out["tolerances"] = dict(TOLERANCES)
+    out["tolerances"] = {name: tol for _, _, name, tol in ein.PROFILE_CHECKS}
     return spec, base, sp, profile, out
 
 
@@ -367,22 +349,10 @@ def _run_verify(job: JobSpec) -> Dict:
         return out
     res = ein.verify_profile(sp, profile, n_check=64)
     pv = check_parametrization(profile.t, profile.f, profile.delta, float(sp.f_delta))
-    values = {
-        "f_delta": profile.diagnostics["f_delta_error"],
-        "fpp0_minus_1": abs(pv.fpp0 - 1.0),
-        "fpp_delta_plus_1": abs(pv.fpp_delta + 1.0),
-        "ode_residual": profile.diagnostics["max_ode_residual"],
-        "tangential_residual": res["max_tangential_residual"],
-        "normal_residual": res["max_normal_residual"],
-        "normal_two_route_gap": res["normal_two_route_gap"],
-        "delta_two_route_gap": res["delta_ode_gap"],
-        "roundtrip": res["roundtrip_error"],
-    }
-    checks = {}
-    for name, value in values.items():
-        tol = TOLERANCES[CHECK_TOLERANCES[name]]
-        checks[name] = {"value": float(value), "tol": tol, "pass": bool(value < tol)}
-    out["checks"] = checks
+    values = dict(profile.diagnostics, **res, fpp0_minus_1=abs(pv.fpp0 - 1.0),
+                  fpp_delta_plus_1=abs(pv.fpp_delta + 1.0))
+    out["checks"] = checks = {name: {"value": float(values[key]), "tol": tol, "pass": bool(values[key] < tol)}
+                              for name, key, _, tol in ein.PROFILE_CHECKS}
     out["all_pass"] = all(c["pass"] for c in checks.values())
     out["parametrization"] = {
         "ok": pv.ok,

@@ -24,8 +24,10 @@ polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
 segment (Z2, -Z, m2, m1), so one end chart serves both ends and all numeric
 integrands here are smooth.  The diameter search looks for directions whose
 verdict is a yes; the walled search is exact and lives in `walled`, which
-loads no numpy.  The float twins of `polys`' helpers live here too, and
-`flagke` loads this module only on first use of one of its names.
+loads no numpy.  The verify checks of a solved profile, each with the value
+it reads and its tolerance, are the rows of PROFILE_CHECKS.  The float twins
+of `polys`' helpers live here too, and `flagke` loads this module only on
+first use of one of its names.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import numpy as np
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
                    _unpainted_vector, ricci_invariant, sphere_in_chamber)
-from .model import (FUTAKI_FLOAT_TOL, CenterLine, KEVerdict, _homogenized_obstruction, isotropy_modules, ke_verdict,
-                    make_base)
+from .model import (FUTAKI_FLOAT_TOL, PARAMETRIZATION_TOL, CenterLine, KEVerdict, _homogenized_obstruction,
+                    isotropy_modules, ke_verdict, make_base)
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
 from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
 from .records import Record
@@ -827,6 +829,24 @@ def _stencil_states(sp: SegmentPolynomial, profile: ProfileSolution, t: np.ndarr
     q = _ricci_q(fp, fpp, s1)
     dq = (q[..., 1] - 8 * q[..., 2] + 8 * q[..., 3] - q[..., 4]) / (12 * h)
     return (f[..., 0], fp[..., 0], fpp[..., 0]), (s1[..., 0], s2[..., 0]), q[..., 0], -dq / fp[..., 0]
+
+
+# The verify checks, one row each: (check name, the value key it reads, its tolerance's name, the
+# tolerance).  The values are the keys of `verify_profile`, of `ProfileSolution.diagnostics` and the two
+# f'' end limits of `model.check_parametrization`; a check passes when its value is below its tolerance.
+# A solve report states the named tolerances.  The comment on each row says what the check tests: the
+# solved profile f(t), or the closed forms f'(f) and f''(f), which hold at any f.
+PROFILE_CHECKS = (
+    ("f_delta", "f_delta_error", "f_delta_error", 1e-8),  # profile: f(delta) = m1 + m2
+    ("fpp0_minus_1", "fpp0_minus_1", "fpp_endpoints", PARAMETRIZATION_TOL),  # profile: f''(0) = 1 from f(t)
+    ("fpp_delta_plus_1", "fpp_delta_plus_1", "fpp_endpoints", PARAMETRIZATION_TOL),  # profile: f''(delta) = -1
+    ("ode_residual", "max_ode_residual", "max_ode_residual", 1e-8),  # closed forms: the Ricci ODE at the grid
+    ("tangential_residual", "max_tangential_residual", "einstein_residuals", 1e-6),  # closed forms
+    ("normal_residual", "max_normal_residual", "einstein_residuals", 1e-6),  # closed forms
+    ("normal_two_route_gap", "normal_two_route_gap", "two_route_gaps", 1e-6),  # profile: r(xi, xi) along t
+    ("delta_two_route_gap", "delta_ode_gap", "two_route_gaps", 1e-6),  # profile: its length delta only
+    ("roundtrip", "roundtrip_error", "roundtrip_error", 1e-8),  # profile: t(f(t)) = t
+)
 
 
 def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int = 64) -> Dict[str, float]:

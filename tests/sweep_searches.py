@@ -1,7 +1,7 @@
 """Sweep the CLI over the flags whose reports a change to the searches or the exact verdict may move.
 
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
-    PYTHONPATH=src python tests/sweep_searches.py --compare before.json after.json
+    python tests/sweep_searches.py --compare before.json after.json
 
 ``--out`` writes the report of 3 159 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
@@ -27,8 +27,9 @@ ones that differ only in floats within FLOAT_RTOL, and changed ones, and
 lists the last two kinds; it exits with 1 when a run changed.  Floats are compared relative to the larger
 magnitude, or absolutely below 1: the float obstruction of a float
 candidate is a zero at rounding level, whose relative change means
-nothing.  Run it on the source tree to be swept: a second checkout's
-``src`` on PYTHONPATH sweeps that checkout.
+nothing.  Run ``--out`` on the source tree to be swept: a second checkout's
+``src`` on PYTHONPATH sweeps that checkout.  ``--compare`` imports no
+flagke and runs without PYTHONPATH.
 """
 
 import argparse
@@ -37,9 +38,6 @@ import io
 import itertools
 import json
 import sys
-
-from flagke import cli
-from flagke.rootsys import LieAlgebraSpec
 
 GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4",
           "A1xA1", "A1xA1xA1", "A1xA2", "A1xB2", "A1xG2", "A2xA2", "A1xA3", "A2xB2", "B2xG2", "A2xA3",
@@ -64,6 +62,8 @@ FINE_GRIDS = [("--group A2xA2 --painted 0,2 --z 0,1,0,-1 --m1 1 --m2 1", 9794),
 
 def paintings(group: str):
     """Every painted set of the group's simple roots, by size and then lexicographically."""
+    from flagke.rootsys import LieAlgebraSpec
+
     rank = LieAlgebraSpec.parse(group).rank
     return itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank + 1))
 
@@ -86,6 +86,8 @@ def sweep_argvs():
     """The command lines of the sweep, once each: diameter runs first, then walled ones, flag-info, roots,
     check-segment, the futaki and check-segment runs along non-unit directions, and solve and verify on the
     antisymmetric diameters, and solve at the fine grids."""
+    from flagke.rootsys import LieAlgebraSpec
+
     out = []
     for group in GROUPS:
         rank = LieAlgebraSpec.parse(group).rank
@@ -132,6 +134,8 @@ def _argv(group, painted, tau, degrees=None):
 
 def sweep(argvs):
     """{command line: the JSON report the CLI prints for it}, run in this process."""
+    from flagke import cli
+
     record = {}
     for argv in argvs:
         buf = io.StringIO()

@@ -1,19 +1,22 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flagke import einstein as ein
 from flagke import linalg
-from flagke.cli import CHECK_TOLERANCES, MODES, main
+from flagke import cli
+from flagke.cli import MODES, main
 from flagke.errors import InputError
 from flagke.flag import InvariantComplexStructure, build_flag
-from flagke.model import make_base
+from flagke.model import PARAMETRIZATION_TOL, make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system
 
 
@@ -220,10 +223,70 @@ def test_verify_check_tolerances_are_the_solve_report_tolerances(capsys):
     argv = ["--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0", "--m1", "1", "--m2", "1", "--grid", "96"]
     _, solved = _capture(capsys, ["solve"] + argv)
     _, verified = _capture(capsys, ["verify"] + argv)
-    assert set(verified["checks"]) == set(CHECK_TOLERANCES)
-    assert set(CHECK_TOLERANCES.values()) == set(solved["tolerances"])
-    for name, check in verified["checks"].items():
-        assert check["tol"] == solved["tolerances"][CHECK_TOLERANCES[name]], name
+    assert set(verified["checks"]) == {name for name, _, _, _ in ein.PROFILE_CHECKS}
+    assert solved["tolerances"] == {tol_name: tol for _, _, tol_name, tol in ein.PROFILE_CHECKS}
+    assert len({(tol_name, tol) for _, _, tol_name, tol in ein.PROFILE_CHECKS}) == len(solved["tolerances"])
+    for name, key, tol_name, tol in ein.PROFILE_CHECKS:
+        assert verified["checks"][name]["tol"] == solved["tolerances"][tol_name] == tol, name
+    # every value key is one of verify_profile, of the diagnostics or of the two f'' end limits
+    keys = set(solved["residual_maxima"]) | set(solved["diagnostics"]) | {"fpp0_minus_1", "fpp_delta_plus_1"}
+    assert {key for _, key, _, _ in ein.PROFILE_CHECKS} <= keys
+    # the f'' end checks share check_parametrization's own tolerance
+    assert all(tol is PARAMETRIZATION_TOL for _, _, tol_name, tol in ein.PROFILE_CHECKS if tol_name == "fpp_endpoints")
+
+
+def _end_limit(v: float, sign: float) -> float:
+    """The float nearest sign * 1 whose distance from it is at least v."""
+    x = sign * (1.0 + v)
+    while abs(x - sign) < v:
+        x = math.nextafter(x, 2.0 * sign)
+    return x
+
+
+def test_verify_fails_exactly_the_checks_whose_value_reaches_its_tolerance(capsys, monkeypatch):
+    # every value sits at half its tolerance but one, which sits at it: only the checks reading that one fail
+    argv = ["verify", "--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0", "--m1", "1", "--m2", "1",
+            "--grid", "48"]
+    tols = {key: tol for _, key, _, tol in ein.PROFILE_CHECKS}
+    solve, verify_keys = ein.profile_solve, ("max_tangential_residual", "max_normal_residual",
+                                             "normal_two_route_gap", "roundtrip_error", "delta_ode_gap")
+    for at in tols:
+        values = {key: tol if key == at else tol / 2 for key, tol in tols.items()}
+
+        def profile_solve(sp, grid_size, values=values):
+            prof = solve(sp, grid_size=grid_size)
+            prof.__dict__.update(diagnostics=dict(prof.diagnostics, f_delta_error=values["f_delta_error"],
+                                                  max_ode_residual=values["max_ode_residual"]))
+            return prof
+
+        monkeypatch.setattr(ein, "profile_solve", profile_solve)
+        monkeypatch.setattr(ein, "verify_profile", lambda sp, prof, n_check, values=values:
+                            {key: values[key] for key in verify_keys})
+        monkeypatch.setattr(cli, "check_parametrization", lambda *args, values=values: SimpleNamespace(
+            ok=True, details=(), fpp0=_end_limit(values["fpp0_minus_1"], 1.0),
+            fpp_delta=_end_limit(values["fpp_delta_plus_1"], -1.0)))
+        code, rep = _capture(capsys, argv)
+        assert code == 0 and rep["all_pass"] is False, at
+        failing = {name for name, check in rep["checks"].items() if not check["pass"]}
+        assert failing == {name for name, key, _, _ in ein.PROFILE_CHECKS if key == at}, at
+        for name, key, _, tol in ein.PROFILE_CHECKS:
+            assert rep["checks"][name]["value"] >= tol if key == at else rep["checks"][name]["value"] < tol, name
+
+
+def test_check_table_is_no_looser_than_the_benchmark_verify_gate():
+    # the benchmark holds its own copy of the verify tolerances, so a check loosened here would pass
+    # reports that the benchmark fails, and one tightened here is not tightened there
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmarks", "workloads.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    gate = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_TOL"])
+    table = {key: tol for _, key, _, tol in ein.PROFILE_CHECKS}
+    ends = {tol_name: tol for _, _, tol_name, tol in ein.PROFILE_CHECKS}["fpp_endpoints"]
+    table.update(fpp0=ends, fpp_delta=ends)  # the gate reads the profile's own f'' end limits
+    assert set(gate) <= set(table)
+    for key, tol in gate.items():
+        assert table[key] <= tol, key
 
 
 def test_no_ke_solve_is_exit_zero(capsys):
@@ -606,6 +669,23 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     after.write_text(json.dumps(record))
     assert sweep.main(["--compare", str(path), str(after)]) == 1
     assert capsys.readouterr().out.startswith("2 runs identical, 0 differ only in floats (by at most 0), 1 changed")
+
+
+def test_sweep_compare_runs_without_flagke(tmp_path):
+    # --compare reads two files and imports no flagke: a flagke that fails to import shadows any on the path
+    shadow = tmp_path / "shadow" / "flagke"
+    shadow.mkdir(parents=True)
+    (shadow / "__init__.py").write_text("raise ImportError('flagke imported')\n")
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweep_searches.py")
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps({"roots --group A2": {"root_count": 6}, "run": {"z": ["1/6"]}}))
+    env = dict(os.environ, PYTHONPATH=str(shadow.parent))
+    for moved, code, summary in (({}, 0, "2 runs identical"), ({"run": {"z": ["1/5"]}}, 1, "1 runs identical")):
+        after.write_text(json.dumps(dict(json.loads(before.read_text()), **moved)))
+        proc = subprocess.run([sys.executable, script, "--compare", str(before), str(after)], capture_output=True,
+                              text=True, env=env, cwd=str(tmp_path))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(summary), proc.stdout
 
 
 _E6XE6_DIAMETER = ["--group", "E6xE6", "--painted", ",".join(str(k) for k in range(12) if k not in (3, 9)),
