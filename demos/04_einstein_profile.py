@@ -24,7 +24,7 @@ system = build_root_system(LieAlgebraSpec.parse("A2xA2"))
 flag = build_flag(system, [1, 3])
 j = default_complex_structure(flag)
 
-# find every obstruction zero on the great circle of unit center directions
+# find every obstruction zero on the circle of unit center directions, in integers
 probe = make_base(flag, j, flag.center_basis[0])
 result = search_diameters(probe)
 print("sphere-in-chamber hypothesis:", result.hypothesis.ok,

@@ -6,12 +6,12 @@ center of the isotropy algebra, test the obstruction integral and segment
 admissibility, then solve and verify the Einstein metric profile numerically.
 
 The exact layers (`rootsys`, `flag`, `model`, `polys`, `linalg`, `scalars`,
-`records`) import no numpy, and `linalg` is integer-only.  The walled
-search, `walled`, is exact too and loads no numpy.  It and the float layer,
-`einstein`, are loaded on the first use of one of their names:
-`search_walled` resolves to `walled`, and `profile_solve`,
-`search_diameters` and the rest to `einstein`, through the module
-`__getattr__` below (PEP 562).
+`records`) import no numpy, and `linalg` is integer-only.  The two
+searches, `walled` and `diameters`, are exact too and import no numpy.
+They and the float layer, `einstein`, are loaded on the first use of one
+of their names: `search_walled` resolves to `walled`, `search_diameters`
+to `diameters`, and `profile_solve` and the rest to `einstein`, through
+the module `__getattr__` below (PEP 562).
 """
 
 from importlib import import_module
@@ -104,7 +104,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    """A public name of `walled` or `einstein`, loaded with its module on first use."""
+    """A public name of `walled`, `diameters` or `einstein`, loaded with its module on first use."""
     if name not in __all__:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(import_module(".walled" if name == "search_walled" else ".einstein", __name__), name)
+    home = {"search_walled": ".walled", "search_diameters": ".diameters"}.get(name, ".einstein")
+    return getattr(import_module(home, __name__), name)

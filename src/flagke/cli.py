@@ -5,10 +5,12 @@ A job can be given as a JSON file (--job) with individual flags overriding
 its fields; reports are printed as deterministic JSON.  Mathematical
 negatives ("no Einstein metric here") exit 0; only malformed input or
 internal failures exit nonzero.  The exact commands (roots, flag-info,
-futaki, check-segment) load no numpy unless given a --float direction; the
-walled search (search with degrees other than (1, 1)) runs in the exact
-module `walled` and loads none either.  solve, verify and the diameter
-search import the float layer `einstein`, and numpy with it, when they run.
+futaki, check-segment) load no numpy unless given a --float direction.  The
+two searches run in the exact modules `walled` (degrees other than (1, 1))
+and `diameters` (the diameters) and load none either, except for the float
+verdict of a diameter at an irrational zero.  solve and verify import the
+float layer `einstein`, and numpy with it, when they run.  A report cut off
+by a reader that closes the pipe early exits 1, with no traceback.
 A solve report states the tolerances of `einstein.PROFILE_CHECKS`, the
 table of verify checks, and verify holds each check to its row's.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -387,7 +390,7 @@ def _run_search(job: JobSpec) -> Dict:
                 for c in candidates
             ],
         }
-    from .einstein import search_diameters
+    from .diameters import search_diameters
 
     result = search_diameters(base)
     return {
@@ -547,23 +550,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        job = _job_from_args(args)
-        report = run(job)
+        code, report = 0, run(_job_from_args(args))
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
-        json.dump({"error": str(exc)}, sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 2
+        code, report = 2, {"error": str(exc)}
     except OSError as exc:
-        json.dump({"error": "i/o failure: %s" % exc}, sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 1
+        code, report = 1, {"error": "i/o failure: %s" % exc}
     except FlagkeError as exc:
-        json.dump({"error": "internal: %s" % exc}, sys.stdout, indent=2, sort_keys=True)
+        code, report = 1, {"error": "internal: %s" % exc}
+    try:
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed early: no more output, and none at exit ("Note on SIGPIPE", `signal`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    print()
-    return 0
+    return code
 
 
 if __name__ == "__main__":

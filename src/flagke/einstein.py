@@ -22,9 +22,9 @@ inverse-square-root behaviour of the integrand at an end is removed
 analytically by the substitution s = w^2 applied to the exactly deflated
 polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
 segment (Z2, -Z, m2, m1), so one end chart serves both ends and all numeric
-integrands here are smooth.  The diameter search looks for directions whose
-verdict is a yes; the walled search is exact and lives in `walled`, which
-loads no numpy.  The verify checks of a solved profile, each with the value
+integrands here are smooth.  The two searches, for directions whose verdict
+is a yes, are exact and live in `diameters` and `walled`, which load no
+numpy.  The verify checks of a solved profile, each with the value
 it reads and its tolerance, are the rows of PROFILE_CHECKS.  The float twins
 of `polys`' helpers live here too, and `flagke` loads this module only on
 first use of one of its names.
@@ -40,14 +40,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
-from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
-                   _unpainted_vector, ricci_invariant, sphere_in_chamber)
-from .model import (FUTAKI_FLOAT_TOL, PARAMETRIZATION_TOL, CenterLine, KEVerdict, _homogenized_obstruction,
-                    isotropy_modules, ke_verdict, make_base)
+from .diameters import search_diameters  # noqa: F401  (benchmarks/workloads.py takes it from here)
+from .flag import FLOAT_WALL_TOL, ricci_invariant, sphere_in_chamber  # noqa: F401  (benchmarks take the last from here)
+from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, isotropy_modules
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
 from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
 from .records import Record
-from .rootsys import CartanVector, Root
+from .rootsys import Root
 from .scalars import Scalar, scalar_is_zero
 from .walled import search_walled  # noqa: F401  (benchmarks/workloads.py takes it from here)
 
@@ -64,18 +63,6 @@ PROFILE_GAUSS_ORDER = 16
 NEWTON_RTOL = 4 * np.finfo(float).eps
 NEWTON_MAX_ITER = 80
 NEWTON_GAP = 64 * np.finfo(float).eps
-# diameter search: the latitude circles over (0, pi) of a 3-dimensional
-# center, whose northern half is scanned; an eigenvalue this close to the
-# unit circle is a zero of its circle (rounding splits a double zero by about
-# sqrt(eps)); Newton steps that polish the zeros
-SEARCH_LATITUDES = 30
-SEARCH_UNIT_TOL = 1e-6
-SEARCH_NEWTON_STEPS = 4
-# a float zero is tried as the rational direction with denominators up to
-# this, when every coordinate is within the tolerance of it: rounding splits
-# a double zero, and moves it, by about sqrt(eps) = 1.5e-8
-RATIONALIZE_MAX_DEN = 10 ** 6
-RATIONALIZE_TOL = 1e-7
 # a float coefficient below this share of the largest one is a zero of the order test
 FLOAT_ORDER_RTOL = 1e-9
 
@@ -868,243 +855,3 @@ def verify_profile(sp: SegmentPolynomial, profile: ProfileSolution, n_check: int
         # a stable report key (CLI, benchmarks); the second route is tanh-sinh
         "delta_ode_gap": abs(profile_delta_tanh_sinh(sp) - profile.delta),
     }
-
-
-# ---------------------------------------------------------------------------
-# searches
-
-
-class DiameterCandidate(Record):
-    """A zero of the obstruction on the sphere, with its verdict for degrees (1, 1)."""
-
-    _fields = ("z_values", "verdict", "confirmed_exact")
-
-    def __init__(self, z_values: Tuple[Scalar, ...], verdict: KEVerdict, confirmed_exact: bool):
-        self.__dict__.update(z_values=z_values, verdict=verdict, confirmed_exact=confirmed_exact)
-
-    @property
-    def ke_ok(self) -> bool:
-        return self.verdict.ok
-
-
-class DiameterSearchResult(Record):
-    _fields = ("hypothesis", "candidates")
-
-    def __init__(self, hypothesis: SphereCheck, candidates: Tuple[DiameterCandidate, ...]):
-        self.__dict__.update(hypothesis=hypothesis, candidates=candidates)
-
-
-def search_diameters(base: CenterLine) -> DiameterSearchResult:
-    """Zeros of the obstruction on the sphere E(Z, Z) = period_scale^2 of the center, m1 = m2 = 1.
-
-    The sphere-in-chamber hypothesis is evaluated exactly and reported; the
-    search runs regardless, since the hypothesis is sufficient but not
-    necessary for admissible diameters.  A 2-dimensional center is one scan
-    circle, in center coordinates (the unpainted values); a 3-dimensional
-    one is the northern half, latitude phi <= pi/2, of SEARCH_LATITUDES
-    latitude circles.  For m1 = m2 the obstruction is odd, F(-Z) = -F(Z),
-    so every southern zero is the antipode of a northern one, the same
-    direction up to sign, which `_direction_key` merges.  Every zero of
-    every circle comes from `_circle_zeros`.  The exact work is done in the
-    center's integer frame: a float zero is rationalized straight to a
-    primitive integer center vector Q (`_integer_direction`), tested by the
-    sign of `_homogenized_obstruction`, and only where that vanishes built
-    as an exact vector, normalized and given a verdict.  The two directions
-    of a 1-dimensional center are Q = (1,) and (-1,).
-    """
-    flag, j = base.flag, base.j
-    d = flag.center_dim
-    if d < 1 or d > 3:
-        raise InputError("diameter search supports center dimension 1..3, got %d" % d)
-    zk = ricci_invariant(flag, j)
-    hypothesis = sphere_in_chamber(flag, j, zk=zk)
-    modules, gram = _center_modules(flag, j, zk), _center_gram(flag)
-
-    candidates: List[DiameterCandidate] = []
-    seen: set = set()
-
-    def consider_exact(q: Sequence[int]) -> bool:
-        """Add the direction of the integer center vector q if the obstruction vanishes there; True if added."""
-        if _homogenized_obstruction(gram, modules, q, base.period_scale) != 0:
-            return False
-        cand_base = make_base(flag, j, _unpainted_vector(flag, q, [0] * d, 1, None), period_scale=base.period_scale)
-        key = _direction_key([float(v) for v in cand_base.z.values])
-        if key in seen:
-            return False
-        verdict = ke_verdict(cand_base, zk, 1, 1)
-        if not verdict.futaki.vanishes:
-            return False
-        seen.add(key)
-        candidates.append(DiameterCandidate(cand_base.z.values, verdict, confirmed_exact=True))
-        return True
-
-    def consider_float(coords: np.ndarray) -> None:
-        values = np.zeros(flag.rs.rank)
-        values[list(flag.unpainted)] = coords
-        key = _direction_key(values)
-        if key in seen:
-            return
-        q = _integer_direction(coords)
-        if q is not None and consider_exact(q):
-            return
-        seen.add(key)
-        zf = CartanVector(tuple(float(v) for v in values))
-        base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
-        candidates.append(DiameterCandidate(zf.values, ke_verdict(base_f, zk, 1, 1), confirmed_exact=False))
-
-    if d == 1:
-        consider_exact([1])
-        consider_exact([-1])
-    else:
-        onb = [float(base.period_scale) * u for u in _orthonormal_center_basis(gram)]
-        if d == 2:
-            b1, b2, offset = onb[0][None], onb[1][None], np.zeros((1, d))
-        else:
-            phi = _search_latitudes()[:, None]
-            b1, b2, offset = np.sin(phi) * onb[0], np.sin(phi) * onb[1], np.cos(phi) * onb[2]
-        obstruction = _diameter_obstruction(flag, j, zk)
-
-        def directions(circle: np.ndarray, theta: np.ndarray) -> np.ndarray:
-            return np.cos(theta)[:, None] * b1[circle] + np.sin(theta)[:, None] * b2[circle] + offset[circle]
-
-        zeros = _circle_zeros(lambda c, t: obstruction(directions(c, t)), len(b1), len(j.positive))
-        for coords in directions(*zeros):
-            consider_float(coords)
-
-    order = {True: 0, False: 1}
-    candidates.sort(key=lambda c: (order[c.confirmed_exact], tuple(float(v) for v in c.z_values)))
-    return DiameterSearchResult(hypothesis=hypothesis, candidates=tuple(candidates))
-
-
-def _search_latitudes() -> np.ndarray:
-    """The northern latitudes, phi <= pi/2, of SEARCH_LATITUDES circles spaced evenly in phi over (0, pi).
-
-    An odd count keeps the equator, phi = pi/2 exactly.
-    """
-    return np.linspace(0.0, math.pi, SEARCH_LATITUDES + 2)[1:(SEARCH_LATITUDES + 3) // 2]
-
-
-def _diameter_obstruction(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
-    """The m1 = m2 = 1 obstruction of center directions, batched: z (n, d) -> (n,), in center coordinates.
-
-    Roots with one restriction to the center form one module with one
-    alpha(Zk) (`_center_modules`).  The integrand y * prod (alpha(Zk) - y
-    alpha(Z)) has degree |R_m+| + 1 in y, which ceil((|R_m+| + 2)/2)
-    Gauss-Legendre nodes integrate exactly: a directions x nodes product,
-    accumulated one module at a time so that memory stays at one
-    directions x nodes array.
-    """
-    table, at_zk, z_den = _center_modules(flag, j, zk)
-    coords = np.array(list(table), dtype=float)
-    a = np.array([x / z_den for x in at_zk])
-    mult = np.array([len(roots) for roots in table.values()])
-    gx, gw = _gauss_rule((len(j.positive) + 3) // 2)
-
-    def at(z: np.ndarray) -> np.ndarray:
-        out = np.ones((len(z), len(gx)))
-        for ai, ki, di in zip(a, (z @ coords.T).T, mult):
-            out *= (ai - np.outer(ki, gx)) ** di
-        return out @ (gw * gx)
-
-    return at
-
-
-def _circle_zeros(values_at, n_circles: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every zero of F on each circle, as arrays (circle, theta) in (circle, theta from 0) order.
-
-    values_at(circle, theta) evaluates F at the angles theta of the circles
-    `circle`, batched; on each circle F is a trigonometric polynomial of
-    degree at most `degree`.  Its DFT coefficients c_k from M = 2 degree + 1
-    equispaced samples make w^degree F(w) a polynomial in w = e^(i theta),
-    whose unit-modulus roots, the eigenvalues of its companion matrix
-    (Boyd, J. Eng. Math. 56, 2006), are the zeros of F.  The matrices are
-    those np.roots builds, stacked over the circles of one trimmed degree
-    and handed to one np.linalg.eigvals call, which gives np.roots' roots
-    bit for bit.  Coefficients at rounding level are dropped from the top
-    first: the degree bound need not be attained (the obstruction keeps only odd powers of y, so for even
-    |R_m+| its top coefficient is pure rounding).  The zeros of all
-    circles are polished together by Newton steps on values_at with the
-    interpolant's exact derivative, and those with |F| <= FUTAKI_FLOAT_TOL
-    are returned.  A circle whose samples are all exactly 0 returns its M
-    sample angles.
-    """
-    m = 2 * degree + 1
-    nodes = 2 * math.pi * np.arange(m) / m
-    samples = values_at(np.repeat(np.arange(n_circles), m), np.tile(nodes, n_circles)).reshape(n_circles, m)
-    k = np.arange(-degree, degree + 1)
-    coeffs = samples @ np.exp(-1j * np.outer(nodes, k)) / m  # c_k, k = -degree .. degree
-    found = [nodes if not samples[c].any() else None for c in range(n_circles)]
-    by_degree: Dict[int, List[int]] = {}  # the other circles by their trimmed degree
-    for c in range(n_circles):
-        if found[c] is None:
-            big = np.abs(coeffs[c]) > 8 * m * np.finfo(float).eps * np.abs(coeffs[c]).max()
-            by_degree.setdefault(int(np.abs(k[big]).max()), []).append(c)
-    for top, group in by_degree.items():
-        roots = np.zeros((len(group), 0))  # a nonzero constant has no zero
-        if top:
-            p = coeffs[group, degree - top:degree + top + 1][:, ::-1]  # w^top F(w), highest power first
-            companion = np.zeros((len(group), 2 * top, 2 * top), dtype=complex)
-            companion[:, np.arange(1, 2 * top), np.arange(2 * top - 1)] = 1.0
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            roots = np.linalg.eigvals(companion)
-        for c, r in zip(group, roots):
-            found[c] = np.angle(r[np.abs(np.abs(r) - 1.0) <= SEARCH_UNIT_TOL])
-    circles = [np.full(len(f), c) for c, f in enumerate(found)]
-    circle, theta = np.concatenate(circles), np.concatenate(found)
-    slope = coeffs[circle] * (1j * k)
-    for _ in range(SEARCH_NEWTON_STEPS):
-        df = np.real(np.sum(slope * np.exp(1j * np.outer(theta, k)), axis=1))
-        theta = theta - np.divide(values_at(circle, theta), df, out=np.zeros_like(df), where=df != 0)
-    keep = np.abs(values_at(circle, theta)) <= FUTAKI_FLOAT_TOL
-    circle, theta = circle[keep], np.mod(theta[keep], 2 * math.pi)
-    theta[theta == 2 * math.pi] = 0.0  # a tiny negative angle wraps to 2 pi in rounding
-    order = np.lexsort((theta, circle))
-    return circle[order], theta[order]
-
-
-def _direction_key(values: Sequence[float]) -> Tuple[int, ...]:
-    arr = np.array([float(v) for v in values])
-    scale = np.max(np.abs(arr))
-    if scale == 0:
-        return (0,) * len(arr)
-    arr = arr / scale
-    lead = next(x for x in arr if abs(x) > 1e-9)
-    if lead < 0:
-        arr = -arr
-    return tuple(int(round(x * 10 ** 7)) for x in arr)
-
-
-def _orthonormal_center_basis(gram: List[List[int]]) -> List[np.ndarray]:
-    """An E-orthonormal basis of the center in center coordinates, by Gram-Schmidt on the unit vectors.
-
-    ``gram`` is the integer center Gram matrix (`flag._center_gram`).
-    """
-    gram = np.array(gram, dtype=float)
-    out: List[np.ndarray] = []
-    for v in np.eye(len(gram)):
-        for u in out:
-            v = v - (u @ gram @ v) * u
-        out.append(v / math.sqrt(float(v @ gram @ v)))
-    return out
-
-
-def _integer_direction(coords: np.ndarray) -> Optional[List[int]]:
-    """The primitive integer center vector Q of a float direction, given by its center coordinates, if close.
-
-    The coordinates over their largest magnitude are rationalized with
-    denominators up to RATIONALIZE_MAX_DEN; when each is within
-    RATIONALIZE_TOL, Q is those rationals over their common denominator,
-    divided by the gcd of its entries.  None when the direction is zero or
-    not that close to a rational one.
-    """
-    scale = np.max(np.abs(coords))
-    if scale == 0:
-        return None
-    coeffs = (coords / scale).tolist()
-    rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
-    if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > RATIONALIZE_TOL:
-        return None
-    den = math.lcm(*(r.denominator for r in rat))
-    q = [r.numerator * (den // r.denominator) for r in rat]
-    g = math.gcd(*q)
-    return [x // g for x in q]

@@ -402,44 +402,6 @@ def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
     return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
 
 
-def _homogenized_obstruction(gram: List[List[int]], modules, q: Sequence[int], period_scale: Fraction) -> Fraction:
-    """F_h(Q), the m1 = m2 = 1 obstruction at the direction of a nonzero integer center vector Q, homogenized.
-
-    Q is given by its center coordinates, its values at the unpainted nodes,
-    ``modules`` is `flag._center_modules` of (flag, j, Zk) and ``gram`` the
-    integer center Gram matrix M_c (`flag._center_gram`), both built once
-    by the caller.  With c_i(Q)
-    the coefficient of y^i in prod alpha(Zk - y Q), e = E(Q, Q) /
-    period_scale^2 and J the largest odd i <= |R_m+|,
-
-        F_h(Q) = sum over odd i of 2/(i+2) c_i(Q) e^((J-i)/2) = e^(J/2) F(Q / sqrt(e)),
-
-    where F(Q / sqrt(e)) is the obstruction `futaki` gives at Q normalized to
-    E(Z, Z) = period_scale^2.  So F_h(Q) is rational, has the sign of that
-    obstruction and vanishes exactly when it does, and no square root is
-    taken.  F_h is odd and homogeneous of degree J, F_h(lambda Q) =
-    lambda^J F_h(Q), so the scale of Q does not move its zeros.  A center
-    module with restriction rho has alpha(Zk) = at_zk / z_den and alpha(Q) =
-    rho . Q, so its factor is (at_zk - y z_den rho . Q) / z_den, an integer
-    pair over z_den; E(Q, Q) = Q^T M_c Q.  The sum is formed in integers, over one positive
-    denominator.
-    """
-    table, at_zk, z_den = modules
-    factors: Dict[tuple, int] = {}
-    for rho, roots, a in zip(table, table.values(), at_zk):
-        key = (a, 0, z_den * sum(map(mul, rho, q)), 0)
-        factors[key] = factors.get(key, 0) + len(roots)
-    us, _ = int_linear_product(factors, None)
-    weights, scale = _integral_weights(len(us), 1, 1)
-    # e = e_num / e_den in integers
-    e_num = linalg.form(gram, q, q) * period_scale.denominator ** 2
-    e_den = period_scale.numerator ** 2
-    top = (len(us) - 2) // 2  # (J - 1) / 2
-    # times e_den^top, the term of odd i = 2k + 1 carries e_num^(top-k) e_den^k
-    total = sum(weights[i] * us[i] * e_num ** (top - k) * e_den ** k for k, i in enumerate(range(1, len(us), 2)))
-    return Fraction(total, scale * z_den ** (len(us) - 1) * e_den ** top)
-
-
 class KEVerdict(Record):
     """Whether the direction of ``base`` carries a Kahler-Einstein metric with degrees (m1, m2).
 

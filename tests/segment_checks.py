@@ -23,10 +23,12 @@ of the unpainted-coordinate frame of `flag.build_flag` and the searches;
 the flags these oracles are run on; the reflection check of every pair
 of roots, the oracle of the simple-reflection check of `rootsys._validate`;
 the pair product of linear factors, the oracle of the one-list forms of
-`polys.int_linear_product`; the homogenized obstruction over the isotropy
-modules of an exact center vector, the oracle of the integer-frame
-`model._homogenized_obstruction`; and the per-circle np.roots loop, the
-oracle of `einstein._circle_zeros`' stacked eigenvalue call.
+`polys.int_linear_product`; the homogenized obstruction F_h of an integer
+center vector, the oracle of the plane forms of `diameters._plane_form`,
+and the same over the isotropy modules of an exact center vector, its own
+oracle; the float scan of one circle that `diameters.search_diameters`
+replaced, the oracle of its 2-dimensional searches; and the per-circle
+np.roots loop, the oracle of the scan's stacked eigenvalue call.
 """
 
 import itertools
@@ -39,9 +41,10 @@ import numpy as np
 from flagke import einstein as ein
 from flagke import linalg
 from flagke.errors import InputError, InternalError
-from flagke.flag import FLOAT_WALL_TOL, SphereCheck, _center_gram, ricci_invariant
+from flagke.diameters import DiameterCandidate
+from flagke.flag import FLOAT_WALL_TOL, SphereCheck, _center_gram, _center_modules, _unpainted_vector, ricci_invariant
 from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
-                          _projective_space_test, isotropy_modules, ke_verdict)
+                          _projective_space_test, isotropy_modules, ke_verdict, make_base)
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import exact_sqrt, scalar_is_zero, scalar_sign
@@ -563,7 +566,7 @@ def root_subset_walled(base, m1, m2):
                 for c, b in zip(coeffs, basis):
                     vals = [x + c * y for x, y in zip(vals, b.values)]
                 z = CartanVector(tuple(vals))
-                key = ein._direction_key([float(v) for v in z.values])
+                key = direction_key([float(v) for v in z.values])
                 if key in seen:
                     continue
                 seen.add(key)
@@ -752,8 +755,50 @@ def pair_linear_product(modules, r):
     return us, vs
 
 
+def homogenized_obstruction(gram, modules, q, period_scale):
+    """F_h(Q), the m1 = m2 = 1 obstruction at the direction of a nonzero integer center vector Q, homogenized.
+
+    The integer-frame value that `diameters._plane_form` expands on a plane,
+    at one vector, exactly: its oracle, and the exact test of the float scan
+    (`scan_search_diameters`).
+
+    Q is given by its center coordinates, its values at the unpainted nodes,
+    ``modules`` is `flag._center_modules` of (flag, j, Zk) and ``gram`` the
+    integer center Gram matrix M_c (`flag._center_gram`), both built once
+    by the caller.  With c_i(Q)
+    the coefficient of y^i in prod alpha(Zk - y Q), e = E(Q, Q) /
+    period_scale^2 and J the largest odd i <= |R_m+|,
+
+        F_h(Q) = sum over odd i of 2/(i+2) c_i(Q) e^((J-i)/2) = e^(J/2) F(Q / sqrt(e)),
+
+    where F(Q / sqrt(e)) is the obstruction `model.futaki` gives at Q normalized to
+    E(Z, Z) = period_scale^2.  So F_h(Q) is rational, has the sign of that
+    obstruction and vanishes exactly when it does, and no square root is
+    taken.  F_h is odd and homogeneous of degree J, F_h(lambda Q) =
+    lambda^J F_h(Q), so the scale of Q does not move its zeros.  A center
+    module with restriction rho has alpha(Zk) = at_zk / z_den and alpha(Q) =
+    rho . Q, so its factor is (at_zk - y z_den rho . Q) / z_den, an integer
+    pair over z_den; E(Q, Q) = Q^T M_c Q.  The sum is formed in integers, over one positive
+    denominator.
+    """
+    table, at_zk, z_den = modules
+    factors = {}
+    for rho, roots, a in zip(table, table.values(), at_zk):
+        key = (a, 0, z_den * sum(map(mul, rho, q)), 0)
+        factors[key] = factors.get(key, 0) + len(roots)
+    us, _ = int_linear_product(factors, None)
+    weights, scale = _integral_weights(len(us), 1, 1)
+    # e = e_num / e_den in integers
+    e_num = linalg.form(gram, q, q) * period_scale.denominator ** 2
+    e_den = period_scale.numerator ** 2
+    top = (len(us) - 2) // 2  # (J - 1) / 2
+    # times e_den^top, the term of odd i = 2k + 1 carries e_num^(top-k) e_den^k
+    total = sum(weights[i] * us[i] * e_num ** (top - k) * e_den ** k for k, i in enumerate(range(1, len(us), 2)))
+    return Fraction(total, scale * z_den ** (len(us) - 1) * e_den ** top)
+
+
 def isotropy_homogenized_obstruction(flag, j, zk, q, period_scale):
-    """F_h(q) of `model._homogenized_obstruction` at an exact rational center vector q, over its isotropy modules.
+    """F_h(q) of `homogenized_obstruction` at an exact rational center vector q, over its isotropy modules.
 
     The coefficients c_i(q) of prod alpha(Zk - y q) come from the integer
     product over `model.isotropy_modules` under (Zk, q), which reads q's own
@@ -770,31 +815,210 @@ def isotropy_homogenized_obstruction(flag, j, zk, q, period_scale):
     return Fraction(total, scale * den ** len(j.positive) * e.denominator ** top)
 
 
+# the float scan that `diameters.search_diameters` replaced: the latitude circles gave way to planes, and a
+# d = 2 search scans its one circle; a float zero is tried as the rational direction with denominators up to
+# RATIONALIZE_MAX_DEN when every coordinate is within RATIONALIZE_TOL of it
+SCAN_UNIT_TOL = 1e-6
+SCAN_NEWTON_STEPS = 4
+RATIONALIZE_MAX_DEN = 10 ** 6
+RATIONALIZE_TOL = 1e-7
+
+
+def scan_search_diameters(base):
+    """The candidates of the float scan of a 2-dimensional center, the oracle of `diameters.search_diameters`.
+
+    The circle E(Z, Z) = period_scale^2 of the center, in an E-orthonormal
+    basis (`orthonormal_center_basis`), is sampled by `circle_zeros`; each
+    zero is rationalized (`integer_direction`) and given its exact verdict
+    where `homogenized_obstruction` vanishes, and a float verdict
+    otherwise.  Zeros that are the same direction up to sign are merged by
+    `direction_key`.  Exact candidates come first, then float ones, each in
+    the order of their float values.
+    """
+    flag, j = base.flag, base.j
+    if flag.center_dim != 2:
+        raise InputError("the scan oracle covers a 2-dimensional center")
+    zk = ricci_invariant(flag, j)
+    modules, gram = _center_modules(flag, j, zk), _center_gram(flag)
+    candidates, seen = [], set()
+
+    def consider_exact(q):
+        if homogenized_obstruction(gram, modules, q, base.period_scale) != 0:
+            return False
+        cand_base = make_base(flag, j, _unpainted_vector(flag, q, [0, 0], 1, None), period_scale=base.period_scale)
+        key = direction_key([float(v) for v in cand_base.z.values])
+        if key in seen:
+            return False
+        verdict = ke_verdict(cand_base, zk, 1, 1)
+        seen.add(key)
+        candidates.append(DiameterCandidate(cand_base.z.values, verdict, confirmed_exact=True))
+        return True
+
+    def consider_float(coords):
+        values = np.zeros(flag.rs.rank)
+        values[list(flag.unpainted)] = coords
+        key = direction_key(values)
+        if key in seen:
+            return
+        q = integer_direction(coords)
+        if q is not None and consider_exact(q):
+            return
+        seen.add(key)
+        zf = CartanVector(tuple(float(v) for v in values))
+        base_f = CenterLine(flag=flag, j=j, z=zf, period_scale=base.period_scale)
+        candidates.append(DiameterCandidate(zf.values, ke_verdict(base_f, zk, 1, 1), confirmed_exact=False))
+
+    b1, b2 = (float(base.period_scale) * u for u in orthonormal_center_basis(gram))
+    obstruction = diameter_obstruction(flag, j, zk)
+    directions = lambda circle, theta: np.outer(np.cos(theta), b1) + np.outer(np.sin(theta), b2)  # noqa: E731
+    for coords in directions(*circle_zeros(lambda c, t: obstruction(directions(c, t)), 1, len(j.positive))):
+        consider_float(coords)
+    candidates.sort(key=lambda c: (not c.confirmed_exact, tuple(float(v) for v in c.z_values)))
+    return tuple(candidates)
+
+
+def diameter_obstruction(flag, j, zk):
+    """The m1 = m2 = 1 obstruction of center directions, batched: z (n, d) -> (n,), in center coordinates.
+
+    Roots with one restriction to the center form one module with one
+    alpha(Zk) (`flag._center_modules`).  The integrand y * prod (alpha(Zk) -
+    y alpha(Z)) has degree |R_m+| + 1 in y, which ceil((|R_m+| + 2)/2)
+    Gauss-Legendre nodes integrate exactly.
+    """
+    table, at_zk, z_den = _center_modules(flag, j, zk)
+    coords = np.array(list(table), dtype=float)
+    a = np.array([x / z_den for x in at_zk])
+    mult = np.array([len(roots) for roots in table.values()])
+    gx, gw = ein._gauss_rule((len(j.positive) + 3) // 2)
+
+    def at(z):
+        out = np.ones((len(z), len(gx)))
+        for ai, ki, di in zip(a, (z @ coords.T).T, mult):
+            out *= (ai - np.outer(ki, gx)) ** di
+        return out @ (gw * gx)
+
+    return at
+
+
+def circle_zeros(values_at, n_circles, degree):
+    """Every zero of F on each circle, as arrays (circle, theta) in (circle, theta from 0) order.
+
+    values_at(circle, theta) evaluates F at the angles theta of the circles
+    `circle`, batched; on each circle F is a trigonometric polynomial of
+    degree at most `degree`.  Its DFT coefficients c_k from M = 2 degree + 1
+    equispaced samples make w^degree F(w) a polynomial in w = e^(i theta),
+    whose unit-modulus roots, the eigenvalues of its companion matrix
+    (Boyd, J. Eng. Math. 56, 2006), are the zeros of F.  The matrices are
+    those np.roots builds, stacked over the circles of one trimmed degree
+    and handed to one np.linalg.eigvals call.  Coefficients at rounding
+    level are dropped from the top first.  The zeros of all circles are
+    polished together by Newton steps, and those with |F| <=
+    FUTAKI_FLOAT_TOL are returned.  A circle whose samples are all exactly
+    0 returns its M sample angles.
+    """
+    m = 2 * degree + 1
+    nodes = 2 * math.pi * np.arange(m) / m
+    samples = values_at(np.repeat(np.arange(n_circles), m), np.tile(nodes, n_circles)).reshape(n_circles, m)
+    k = np.arange(-degree, degree + 1)
+    coeffs = samples @ np.exp(-1j * np.outer(nodes, k)) / m  # c_k, k = -degree .. degree
+    found = [nodes if not samples[c].any() else None for c in range(n_circles)]
+    by_degree = {}  # the other circles by their trimmed degree
+    for c in range(n_circles):
+        if found[c] is None:
+            big = np.abs(coeffs[c]) > 8 * m * np.finfo(float).eps * np.abs(coeffs[c]).max()
+            by_degree.setdefault(int(np.abs(k[big]).max()), []).append(c)
+    for top, group in by_degree.items():
+        roots = np.zeros((len(group), 0))  # a nonzero constant has no zero
+        if top:
+            p = coeffs[group, degree - top:degree + top + 1][:, ::-1]  # w^top F(w), highest power first
+            companion = np.zeros((len(group), 2 * top, 2 * top), dtype=complex)
+            companion[:, np.arange(1, 2 * top), np.arange(2 * top - 1)] = 1.0
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots = np.linalg.eigvals(companion)
+        for c, r in zip(group, roots):
+            found[c] = np.angle(r[np.abs(np.abs(r) - 1.0) <= SCAN_UNIT_TOL])
+    return _polished_zeros(values_at, coeffs, k, found)
+
+
+def _polished_zeros(values_at, coeffs, k, found):
+    """The zeros `found` per circle, Newton-polished on values_at and kept where |F| <= FUTAKI_FLOAT_TOL, sorted."""
+    circle = np.concatenate([np.full(len(f), c) for c, f in enumerate(found)])
+    theta = np.concatenate(found)
+    slope = coeffs[circle] * (1j * k)
+    for _ in range(SCAN_NEWTON_STEPS):
+        df = np.real(np.sum(slope * np.exp(1j * np.outer(theta, k)), axis=1))
+        theta = theta - np.divide(values_at(circle, theta), df, out=np.zeros_like(df), where=df != 0)
+    keep = np.abs(values_at(circle, theta)) <= FUTAKI_FLOAT_TOL
+    circle, theta = circle[keep], np.mod(theta[keep], 2 * math.pi)
+    theta[theta == 2 * math.pi] = 0.0  # a tiny negative angle wraps to 2 pi in rounding
+    order = np.lexsort((theta, circle))
+    return circle[order], theta[order]
+
+
 def circle_zeros_by_np_roots(values_at, n_circles, degree):
-    """`einstein._circle_zeros` with one np.roots call per circle, as the oracle of its stacked eigenvalues."""
+    """`circle_zeros` with one np.roots call per circle, as the oracle of its stacked eigenvalues."""
     m = 2 * degree + 1
     nodes = 2 * math.pi * np.arange(m) / m
     samples = values_at(np.repeat(np.arange(n_circles), m), np.tile(nodes, n_circles)).reshape(n_circles, m)
     k = np.arange(-degree, degree + 1)
     coeffs = samples @ np.exp(-1j * np.outer(nodes, k)) / m
-    circles, thetas = [], []
+    found = []
     for c in range(n_circles):
         if not samples[c].any():
-            found = nodes
+            found.append(nodes)
         else:
             big = np.abs(coeffs[c]) > 8 * m * np.finfo(float).eps * np.abs(coeffs[c]).max()
             top = int(np.abs(k[big]).max())
             roots = np.roots(coeffs[c, degree - top:degree + top + 1][::-1])
-            found = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= ein.SEARCH_UNIT_TOL])
-        circles.append(np.full(len(found), c))
-        thetas.append(found)
-    circle, theta = np.concatenate(circles), np.concatenate(thetas)
-    slope = coeffs[circle] * (1j * k)
-    for _ in range(ein.SEARCH_NEWTON_STEPS):
-        df = np.real(np.sum(slope * np.exp(1j * np.outer(theta, k)), axis=1))
-        theta = theta - np.divide(values_at(circle, theta), df, out=np.zeros_like(df), where=df != 0)
-    keep = np.abs(values_at(circle, theta)) <= FUTAKI_FLOAT_TOL
-    circle, theta = circle[keep], np.mod(theta[keep], 2 * math.pi)
-    theta[theta == 2 * math.pi] = 0.0
-    order = np.lexsort((theta, circle))
-    return circle[order], theta[order]
+            found.append(np.angle(roots[np.abs(np.abs(roots) - 1.0) <= SCAN_UNIT_TOL]))
+    return _polished_zeros(values_at, coeffs, k, found)
+
+
+def direction_key(values):
+    """A float direction up to sign and scale, rounded to 7 digits: the largest magnitude 1, the first entry above
+    1e-9 positive."""
+    arr = np.array([float(v) for v in values])
+    scale = np.max(np.abs(arr))
+    if scale == 0:
+        return (0,) * len(arr)
+    arr = arr / scale
+    lead = next(x for x in arr if abs(x) > 1e-9)
+    if lead < 0:
+        arr = -arr
+    return tuple(int(round(x * 10 ** 7)) for x in arr)
+
+
+def orthonormal_center_basis(gram):
+    """An E-orthonormal basis of the center in center coordinates, by Gram-Schmidt on the unit vectors.
+
+    ``gram`` is the integer center Gram matrix (`flag._center_gram`).
+    """
+    gram = np.array(gram, dtype=float)
+    out = []
+    for v in np.eye(len(gram)):
+        for u in out:
+            v = v - (u @ gram @ v) * u
+        out.append(v / math.sqrt(float(v @ gram @ v)))
+    return out
+
+
+def integer_direction(coords):
+    """The primitive integer center vector Q of a float direction, given by its center coordinates, if close.
+
+    The coordinates over their largest magnitude are rationalized with
+    denominators up to RATIONALIZE_MAX_DEN; when each is within
+    RATIONALIZE_TOL, Q is those rationals over their common denominator,
+    divided by the gcd of its entries.  None when the direction is zero or
+    not that close to a rational one.
+    """
+    scale = np.max(np.abs(coords))
+    if scale == 0:
+        return None
+    coeffs = (coords / scale).tolist()
+    rat = [Fraction(c).limit_denominator(RATIONALIZE_MAX_DEN) for c in coeffs]
+    if max(abs(float(r) - c) for r, c in zip(rat, coeffs)) > RATIONALIZE_TOL:
+        return None
+    den = math.lcm(*(r.denominator for r in rat))
+    q = [r.numerator * (den // r.denominator) for r in rat]
+    g = math.gcd(*q)
+    return [x // g for x in q]

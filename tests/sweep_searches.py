@@ -24,7 +24,8 @@ and last steps invert times far below a panel's width in t.  A command
 line that occurs twice is run once.
 ``--compare`` sorts the runs of two such files into identical ones,
 ones that differ only in floats within FLOAT_RTOL, and changed ones, and
-lists the last two kinds; it exits with 1 when a run changed.  Floats are compared relative to the larger
+lists the last two kinds; it exits with 1 when a run changed, or when the reader of its output
+closes the pipe early.  Floats are compared relative to the larger
 magnitude, or absolutely below 1: the float obstruction of a float
 candidate is a zero at rounding level, whose relative change means
 nothing.  Run ``--out`` on the source tree to be swept: a second checkout's
@@ -37,6 +38,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import sys
 
 GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4",
@@ -203,4 +205,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader such as `head` closed the pipe: no traceback ("Note on SIGPIPE", `signal`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -14,6 +14,7 @@ import pytest
 
 from flagke import einstein as ein
 from flagke.cli import JobSpec, run
+from flagke.diameters import search_diameters
 from flagke.flag import build_flag, default_complex_structure, ricci_invariant, sphere_in_chamber
 from flagke.model import CenterLine, check_parametrization, futaki, make_base
 from flagke.rootsys import (
@@ -136,10 +137,10 @@ def test_criterion_3_first_integral_polynomial_identity():
 
 @pytest.fixture(scope="module")
 def searched_configuration():
-    """The Einstein configuration located by sign-change bracketing."""
+    """The Einstein configuration located by the exact diameter search."""
     flag, j = _flag_j("A2xA2", (1, 3))
     probe = make_base(flag, j, flag.center_basis[0])
-    result = ein.search_diameters(probe)
+    result = search_diameters(probe)
     winners = [c for c in result.candidates if c.ke_ok and c.confirmed_exact]
     assert winners, "search found no exact Einstein diameter"
     cand = winners[0]

@@ -582,16 +582,30 @@ sys.stdout.write(json.dumps([code, loaded, flagke.profile_solve.__module__]))
     ["flag-info", "--group", "E8", "--painted", "2"],
     ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "1", "--m2", "2"],
     ["check-segment"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1"],
-], ids=["import", "roots", "flag-info", "futaki", "check-segment"])
+    ["search"] + _A2XA2,
+], ids=["import", "roots", "flag-info", "futaki", "check-segment", "diameter search"])
 def test_exact_commands_leave_numpy_and_the_float_layer_unloaded(argv):
     # the exact layers import no numpy; einstein, and numpy with it, loads on first use of its names.  The
-    # records generate no code, so neither dataclasses nor the inspect module it pulls in is loaded either
+    # diameter search of A2 x A2 [1, 3] runs in `diameters` and finds one zero, an exact one, so it needs no
+    # float verdict.  The records generate no code, so neither dataclasses nor the inspect module it pulls in
+    # is loaded either
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE] + argv, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     code, loaded, home = json.loads(proc.stdout)
     assert (code, loaded, home) == (None if not argv else 0, [], "flagke.einstein")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # `flagke roots --group E8 | head -1`: the reader is gone before the report is written, and the CLI exits
+    # 1 with nothing on stderr
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.Popen([sys.executable, "-m", "flagke.cli", "roots", "--group", "E8"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err.decode()) == (1, "")
 
 
 def test_walled_search_leaves_numpy_and_the_float_layer_unloaded(tmp_path, capsys):

@@ -15,12 +15,12 @@ from scipy.optimize import brentq
 
 from flagke import einstein as ein
 from flagke import flag as flag_module
-from flagke import linalg, model, walled
+from flagke import diameters, linalg, model, walled
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
 from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
                          sphere_in_chamber)
-from flagke.model import (FUTAKI_FLOAT_TOL, CenterLine, _homogenized_obstruction, futaki, ke_endpoints, ke_verdict,
+from flagke.model import (FUTAKI_FLOAT_TOL, CenterLine, futaki, ke_endpoints, ke_verdict,
                           make_base)
 from flagke.polys import int_linear_product, int_taylor_shift, p_eval, pair_scalar, pair_sign
 from flagke.rootsys import (
@@ -39,11 +39,16 @@ from segment_checks import (
     CENTER_FLAGS,
     center_flags,
     chart_integrand,
+    RATIONALIZE_TOL,
+    circle_zeros,
     circle_zeros_by_np_roots,
+    diameter_obstruction,
     first_integral_identity_numerator,
     fraction_solve,
     general_basis_center,
+    homogenized_obstruction,
     int_shifted_antiderivative,
+    integer_direction,
     isotropy_homogenized_obstruction,
     p_antideriv,
     p_deriv,
@@ -55,6 +60,7 @@ from segment_checks import (
     ricci_tangential,
     root_subset_walled,
     scaled_ricci_control,
+    scan_search_diameters,
     unit_norm_solutions,
     value_table,
 )
@@ -829,13 +835,13 @@ def test_center_frame_matches_the_general_basis_oracle(text, flags):
 def test_search_diameters_d1_no_candidates():
     flag, j = _flag_j("A2", (1,))
     base = make_base(flag, j, flag.center_basis[0])
-    res = ein.search_diameters(base)
+    res = diameters.search_diameters(base)
     assert flag.center_dim == 1
     assert res.candidates == ()
 
 
 def test_search_diameters_finds_exact_product_zero(ke_base):
-    res = ein.search_diameters(ke_base)
+    res = diameters.search_diameters(ke_base)
     assert not res.hypothesis.ok
     winners = [c for c in res.candidates if c.ke_ok]
     assert len(winners) == 1
@@ -850,34 +856,38 @@ def test_search_diameters_finds_exact_product_zero(ke_base):
 def test_search_diameters_full_flag_zeros_inadmissible():
     flag, j = _flag_j("A2")
     base = make_base(flag, j, coroot_vector(flag.rs, flag.rs.simple_roots()[0]))
-    res = ein.search_diameters(base)
+    res = diameters.search_diameters(base)
     assert res.candidates  # the symmetric zero is found...
     assert all(not c.ke_ok for c in res.candidates)  # ...but exits the chamber
 
 
 def test_search_diameters_three_dimensional_center():
-    # the zero locus is a curve on the 2-sphere; the latitude scan samples it
+    # the zero locus is a curve on the 2-sphere; the 13 planes of the search meet it
     flag, j = _flag_j("A1xA1xA1")
     base = make_base(flag, j, flag.center_basis[0])
-    with_default = ein.search_diameters(base)
+    with_default = diameters.search_diameters(base)
     assert flag.center_dim == 3
     assert with_default.candidates  # crossings exist away from the walls
     # per the sign analysis, none of the sampled zeros is chamber-admissible
     assert all(not c.ke_ok for c in with_default.candidates)
 
 
-def test_search_diameters_triple_product_exact_zeros(ke_profile, monkeypatch):
-    # on the triple product the zero locus is a surface containing the three
-    # pairwise-difference directions; all three rationalize and recertify,
-    # and the inert factor cancels from u, reproducing the pair profile.
-    # They lie at polar angles pi/4, pi/2 and 3pi/4: on the latitudes
-    # k pi/16 of 15 circles, but on none of the default k pi/31
-    monkeypatch.setattr(ein, "SEARCH_LATITUDES", 15)
+def test_search_diameters_triple_product_exact_zeros(ke_profile):
+    # on the triple product the zero locus is a curve through the three pairwise-difference directions;
+    # each lies on four of the planes n.Q = 0 and is found exactly, once, and the inert factor cancels from
+    # u, reproducing the pair profile.  The other three zeros the planes meet are irrational
     flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
     base = make_base(flag, j, flag.center_basis[0])
-    res = ein.search_diameters(base)
-    exact_ke = [c for c in res.candidates if c.ke_ok and c.confirmed_exact]
+    res = diameters.search_diameters(base)
+    assert len(res.candidates) == 6 and all(c.ke_ok for c in res.candidates)
+    exact_ke = [c for c in res.candidates if c.confirmed_exact]
     assert len(exact_ke) == 3
+    directions = set()
+    for c in exact_ke:
+        coords = [float(c.z_values[i]) for i in flag.unpainted]
+        lead = next(x for x in coords if x)
+        directions.add(tuple(round(x / lead) for x in coords))
+    assert directions == {(1, -1, 0), (1, 0, -1), (0, 1, -1)}
     c = exact_ke[0]
     b = CenterLine(flag=flag, j=j, z=CartanVector(c.z_values))
     sp = ein.build_segment_polynomial(b, 1, 1)
@@ -937,7 +947,7 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
     vanishing = 0
     for flag, j, q, tau in _homogenized_cases(60):
         zk = ricci_invariant(flag, j)
-        fh = _homogenized_obstruction(_center_gram(flag), _center_modules(flag, j, zk), q, tau)
+        fh = homogenized_obstruction(_center_gram(flag), _center_modules(flag, j, zk), q, tau)
         z = _center_vector_of(flag, q)
         rep = futaki(flag, j, make_base(flag, j, z, period_scale=tau).z, 1, 1, zk=zk)
         assert isinstance(fh, Fraction)
@@ -953,7 +963,7 @@ def test_homogenized_obstruction_decides_the_exact_futaki_sign():
 def test_homogenized_obstruction_on_the_cp2_product():
     flag, j = _flag_j("A2xA2", (1, 3))
     modules = _center_modules(flag, j, ricci_invariant(flag, j))
-    at = lambda *q: _homogenized_obstruction(_center_gram(flag), modules, q, Fraction(1))
+    at = lambda *q: homogenized_obstruction(_center_gram(flag), modules, q, Fraction(1))
     assert at(1, -1) == 0
     assert at(2, -1) < 0
     assert at(-2, 1) > 0  # F_h is odd
@@ -982,40 +992,52 @@ def test_homogenized_obstruction_matches_the_isotropy_module_oracle(text):
                 for _ in range(3):
                     q = [gen.randint(-5, 5) for _ in range(d)]
                     q[gen.randrange(d)] = gen.choice([-3, -2, -1, 1, 2, 3])
-                    fh = _homogenized_obstruction(gram, modules, q, tau)
+                    fh = homogenized_obstruction(gram, modules, q, tau)
                     assert fh == isotropy_homogenized_obstruction(flag, j, zk, _center_vector_of(flag, q), tau)
-                    assert _homogenized_obstruction(gram, modules, [-x for x in q], tau) == -fh
-                    assert _homogenized_obstruction(gram, modules, [2 * x for x in q], tau) == 2 ** (n - 1 + n % 2) * fh
+                    assert homogenized_obstruction(gram, modules, [-x for x in q], tau) == -fh
+                    assert homogenized_obstruction(gram, modules, [2 * x for x in q], tau) == 2 ** (n - 1 + n % 2) * fh
 
 
-_PREFILTER_FLAGS = [("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", (0,)), ("G2", ()), ("A3", (1,)),
-                    ("B3", (0,))]
+# flags with a 1-, 2- and 3-dimensional center for the plane forms
+_PLANE_FLAGS = [("A2", (1,)), ("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", (0,)), ("G2", ()),
+                ("A3", (1,)), ("B3", (0,))]
 
 
-@pytest.mark.parametrize("text, painted", _PREFILTER_FLAGS)
-def test_homogenized_prefilter_keeps_every_candidate(text, painted, monkeypatch):
-    # with the prefilter passing every direction, each rational direction is normalized and
-    # given its exact verdict, as before the prefilter existed
+@pytest.mark.parametrize("text, painted", _PLANE_FLAGS)
+def test_plane_form_is_a_positive_multiple_of_the_homogenized_obstruction(text, painted):
+    # on each line or plane of the search, at tau in {1, 1/3}, the form at integer s is one positive constant
+    # times the oracle's F_h(s Q1 + Q2), and its top coefficient that constant times F_h(Q1): a degree below J
+    # is a zero at Q1.  The form has J + 1 primitive integer coefficients
     flag, j = _flag_j(text, painted)
-    base = make_base(flag, j, flag.center_basis[0])
-    got = ein.search_diameters(base)
-    monkeypatch.setattr(ein, "_homogenized_obstruction", lambda *args: Fraction(0))
-    want = ein.search_diameters(base)
-    assert got == want
+    modules, gram = _center_modules(flag, j, ricci_invariant(flag, j)), _center_gram(flag)
+    n = len(j.positive)
+    for tau in (Fraction(1), Fraction(1, 3)):
+        for q1, q2 in diameters._planes(flag.center_dim):
+            form = diameters._plane_form(gram, modules, q1, q2, tau)
+            assert len(form) == n + n % 2 and math.gcd(*form) == 1
+            pairs = [(form[-1], homogenized_obstruction(gram, modules, q1, tau))]
+            for s in range(-3, 4):
+                q = [s * x + y for x, y in zip(q1, q2)]
+                if any(q):
+                    pairs.append((p_eval(form, Fraction(s)), homogenized_obstruction(gram, modules, q, tau)))
+            ratios = {value / fh for value, fh in pairs if fh}
+            assert all((value == 0) == (fh == 0) for value, fh in pairs), (q1, q2)
+            assert len(ratios) == 1 and ratios.pop() > 0, (q1, q2)
 
 
-@pytest.mark.parametrize("text, painted, calls", [("A2xA2xA2", (1, 3, 5), 0), ("A2xA2", (1, 3), 1)])
-def test_search_diameters_normalizes_only_exact_zeros(text, painted, calls, monkeypatch):
+@pytest.mark.parametrize("text, painted, exact", [("A2xA2xA2", (1, 3, 5), 3), ("A2xA2", (1, 3), 1)])
+def test_search_diameters_normalizes_each_zero_once(text, painted, exact, monkeypatch):
+    # make_base runs once per candidate, on no other direction: 3 of the 6 zeros of A2 x A2 x A2 are exact
     flag, j = _flag_j(text, painted)
     base = make_base(flag, j, flag.center_basis[0])
     seen = []
-    monkeypatch.setattr(ein, "make_base", lambda *args, **kw: seen.append(args) or make_base(*args, **kw))
-    res = ein.search_diameters(base)
-    assert len(seen) == calls == sum(c.confirmed_exact for c in res.candidates)
+    monkeypatch.setattr(diameters, "make_base", lambda *args, **kw: seen.append(args) or make_base(*args, **kw))
+    res = diameters.search_diameters(base)
+    assert len(seen) == len(res.candidates) and sum(c.confirmed_exact for c in res.candidates) == exact
 
 
 def _scan_oracle(values_at, n_circles, degree, n_grid=720):
-    """The 720-point sign-change scan that `_circle_zeros` replaced, with brentq, as the oracle.
+    """The 720-point sign-change scan that `circle_zeros` replaced, with brentq, as its oracle.
 
     A grid node with |F| <= FUTAKI_FLOAT_TOL is a zero; a sign change
     between two nodes is bracketed afresh at the computed end and refined
@@ -1039,19 +1061,20 @@ def _scan_oracle(values_at, n_circles, degree, n_grid=720):
     return np.array([c for c, _ in out], dtype=int), np.array([t for _, t in out])
 
 
-@pytest.mark.parametrize("text, painted", [("A2xA2", (1, 3)), ("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", ()), ("A2", ())])
-def test_circle_zeros_match_the_scan_oracle(text, painted, monkeypatch):
+@pytest.mark.parametrize("text, painted", [("A2xA2", (1, 3)), ("A2", ()), ("F4", (0, 1)), ("E6", (0, 1, 2, 3))])
+def test_exact_search_matches_the_float_scan_oracle(text, painted):
+    # on a 2-dimensional center the exact search and the float scan of one circle that it replaced find the
+    # same zeros: the exact ones bit for bit, the float ones within 1e-12, with the same verdicts
     flag, j = _flag_j(text, painted)
     base = make_base(flag, j, flag.center_basis[0])
-    got = ein.search_diameters(base).candidates
-    monkeypatch.setattr(ein, "_circle_zeros", _scan_oracle)
-    want = ein.search_diameters(base).candidates
+    got, want = diameters.search_diameters(base).candidates, scan_search_diameters(base)
     assert len(got) == len(want) > 0
-    assert [c.z_values for c in got if c.confirmed_exact] == [c.z_values for c in want if c.confirmed_exact]
-    floats = [c.z_values for c in want if not c.confirmed_exact]
-    for c in got:
-        if not c.confirmed_exact:
-            assert min(max(abs(x - y) for x, y in zip(c.z_values, w)) for w in floats) <= 1e-12
+    assert [c.confirmed_exact for c in got] == [c.confirmed_exact for c in want]
+    for c, w in zip(got, want):
+        if c.confirmed_exact:
+            assert c.z_values == w.z_values
+        else:
+            assert max(abs(x - y) for x, y in zip(c.z_values, w.z_values)) <= 1e-12
     assert [c.ke_ok for c in got] == [c.ke_ok for c in want]
 
 
@@ -1065,7 +1088,7 @@ def _circle_distance(x, y):
 
 def test_circle_zeros_finds_a_double_zero_off_the_grid():
     f = _on_one_circle(lambda th: 1.0 - np.cos(th - 0.1234))
-    circle, theta = ein._circle_zeros(f, 1, 1)
+    circle, theta = circle_zeros(f, 1, 1)
     assert len(theta) > 0 and all(c == 0 for c in circle)
     assert max(_circle_distance(t, 0.1234) for t in theta) <= 1e-7
     assert len(_scan_oracle(f, 1, 1)[1]) == 0
@@ -1074,7 +1097,7 @@ def test_circle_zeros_finds_a_double_zero_off_the_grid():
 def test_circle_zeros_separates_two_zeros_closer_than_a_grid_step():
     half = 0.5e-3
     f = _on_one_circle(lambda th: np.cos(th - 0.3) - math.cos(half))
-    _, theta = ein._circle_zeros(f, 1, 1)
+    _, theta = circle_zeros(f, 1, 1)
     assert len(theta) == 2
     assert _circle_distance(theta[0], 0.3 - half) <= 1e-12 and _circle_distance(theta[1], 0.3 + half) <= 1e-12
     assert len(_scan_oracle(f, 1, 1)[1]) == 0
@@ -1083,7 +1106,7 @@ def test_circle_zeros_separates_two_zeros_closer_than_a_grid_step():
 def test_circle_zeros_finds_a_zero_at_theta_zero():
     # sin(th)(2 + cos(3 th)): simple zeros at 0 and pi only, degree 4
     f = _on_one_circle(lambda th: np.sin(th) * (2.0 + np.cos(3 * th)))
-    _, theta = ein._circle_zeros(f, 1, 4)
+    _, theta = circle_zeros(f, 1, 4)
     assert len(theta) == 2
     assert _circle_distance(theta[0], 0.0) <= 1e-15 and _circle_distance(theta[1], math.pi) <= 1e-15
 
@@ -1091,7 +1114,7 @@ def test_circle_zeros_finds_a_zero_at_theta_zero():
 def test_circle_zeros_orders_circles_and_hands_over_a_vanishing_circle():
     # circle 0 vanishes identically, circle 1 is cos(th): its M = 3 nodes, then pi/2 and 3 pi/2
     f = lambda circle, theta: np.where(circle == 1, np.cos(theta), 0.0)
-    circle, theta = ein._circle_zeros(f, 2, 1)
+    circle, theta = circle_zeros(f, 2, 1)
     assert circle.tolist() == [0, 0, 0, 1, 1]
     assert np.array_equal(theta[:3], 2 * math.pi * np.arange(3) / 3)
     assert abs(theta[3] - math.pi / 2) <= 1e-15 and abs(theta[4] - 3 * math.pi / 2) <= 1e-15
@@ -1123,7 +1146,7 @@ def test_circle_zeros_stacked_eigenvalues_match_the_np_roots_oracle(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
     for seed in range(4):
         values_at = _seeded_trig_circles(5, [3, 5, -1, 3, 0, 5, 5], seed)
-        got = ein._circle_zeros(values_at, 7, 5)
+        got = circle_zeros(values_at, 7, 5)
         want = circle_zeros_by_np_roots(values_at, 7, 5)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert set(got[0].tolist()) >= {0, 1, 2, 3, 5, 6} and 4 not in got[0]
@@ -1132,33 +1155,33 @@ def test_circle_zeros_stacked_eigenvalues_match_the_np_roots_oracle(monkeypatch)
 
 @pytest.mark.parametrize("text, painted", [("A2xA2xA2", (1, 3, 5)), ("A1xA1xA1", ()), ("G2xA2", (2,))])
 @pytest.mark.parametrize("tau", [Fraction(1), Fraction(1, 3)])
-def test_northern_scan_matches_a_scan_of_every_latitude(text, painted, tau, monkeypatch):
-    # F(-Z) = -F(Z) for m1 = m2 = 1: the southern circles add only antipodes of northern zeros.
-    # 15 latitudes keep the equator, whose zeros come in antipodal pairs on the one circle
-    monkeypatch.setattr(ein, "SEARCH_LATITUDES", 15)
+def test_float_candidates_lie_between_two_exact_sign_changes(text, painted, tau):
+    # each float candidate is a root s of a plane's form, rounded, and the oracle F_h has opposite exact signs
+    # at the directions t Q1 + Q2 of the floats t on either side of s
     flag, j = _flag_j(text, painted)
-    base = make_base(flag, j, flag.center_basis[0], period_scale=tau)
-    got = ein.search_diameters(base).candidates
-    every = lambda: np.linspace(0.0, math.pi, ein.SEARCH_LATITUDES + 2)[1:-1]
-    monkeypatch.setattr(ein, "_search_latitudes", every)
-    want = ein.search_diameters(base).candidates
-    assert len(got) == len(want) > 0
-    assert [(c.confirmed_exact, c.ke_ok) for c in got] == [(c.confirmed_exact, c.ke_ok) for c in want]
-    for c, w in zip(got, want):
-        if c.confirmed_exact:
-            assert c.z_values == w.z_values
-        else:
-            assert max(abs(x - y) for x, y in zip(c.z_values, w.z_values)) <= 1e-12
+    modules, gram = _center_modules(flag, j, ricci_invariant(flag, j)), _center_gram(flag)
+    floats = 0
+    for q1, q2 in diameters._planes(flag.center_dim):
+        for s in diameters._real_roots(diameters._plane_form(gram, modules, q1, q2, tau)):
+            if isinstance(s, float):
+                floats += 1
+                signs = []
+                for t in (math.nextafter(s, -math.inf), math.nextafter(s, math.inf)):
+                    u, v = t.as_integer_ratio()
+                    signs.append(scalar_sign(homogenized_obstruction(gram, modules, [u * x + v * y for x, y in
+                                                                                    zip(q1, q2)], tau)))
+                assert signs[0] == -signs[1] != 0, (q1, q2, s)
+    res = diameters.search_diameters(make_base(flag, j, flag.center_basis[0], period_scale=tau))
+    assert floats == sum(not c.confirmed_exact for c in res.candidates) > 0
 
 
-def test_d3_search_counts_one_eigenvalue_call_and_no_exact_work_at_irrational_zeros(monkeypatch):
-    # on A2 x A2 x A2 [1, 3, 5] the 18 zeros are irrational: each is tested by one integer F_h, and
-    # none is built as an exact vector or normalized; their float verdicts, the obstruction and the
-    # segment, evaluate no root one at a time, and the center Gram matrix is built twice: by the
-    # sphere test, and once for the orthonormal center basis and every F_h
+def test_d3_search_builds_one_form_per_plane_and_no_float_scan(monkeypatch):
+    # on A2 x A2 x A2 [1, 3, 5]: one form on each of the 13 planes, the roots of each isolated once, the 6 zeros
+    # normalized once each (3 exact), and no eigenvalue call or root-by-root evaluation; the center Gram matrix
+    # is built by the sphere test, once for every form, and by make_base for each exact zero
     flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
     base = make_base(flag, j, flag.center_basis[0])
-    counts = {"eigvals": 0, "roots": 0, "make_base": 0, "exact vectors": 0, "F_h": 0, "evaluate": 0, "gram": 0}
+    counts = {"eigvals": 0, "forms": 0, "roots": 0, "make_base": 0, "evaluate": 0, "gram": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kw):
@@ -1166,36 +1189,85 @@ def test_d3_search_counts_one_eigenvalue_call_and_no_exact_work_at_irrational_ze
             return fn(*args, **kw)
         return wrapped
 
-    from_split, gram = CartanVector.from_split.__func__, flag_module._center_gram
+    gram = flag_module._center_gram
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
-    monkeypatch.setattr(np, "roots", counting("roots", np.roots))
-    monkeypatch.setattr(ein, "make_base", counting("make_base", make_base))
-    monkeypatch.setattr(ein, "_homogenized_obstruction", counting("F_h", _homogenized_obstruction))
-    monkeypatch.setattr(CartanVector, "from_split", classmethod(counting("exact vectors", from_split)))
-    for module in (model, flag_module, ein):
+    monkeypatch.setattr(diameters, "_plane_form", counting("forms", diameters._plane_form))
+    monkeypatch.setattr(diameters, "_real_roots", counting("roots", diameters._real_roots))
+    monkeypatch.setattr(diameters, "make_base", counting("make_base", make_base))
+    for module in (model, flag_module, diameters):
         if hasattr(module, "evaluate"):
             monkeypatch.setattr(module, "evaluate", counting("evaluate", module.evaluate))
         monkeypatch.setattr(module, "_center_gram", counting("gram", gram))
-    res = ein.search_diameters(base)
-    assert len(res.candidates) == 18 and all(c.ke_ok and not c.confirmed_exact for c in res.candidates)
-    assert counts == {"eigvals": 1, "roots": 0, "make_base": 0, "exact vectors": 1, "F_h": 18, "evaluate": 0,
-                      "gram": 2}
+    res = diameters.search_diameters(base)
+    assert len(res.candidates) == 6 and all(c.ke_ok for c in res.candidates)
+    assert counts == {"eigvals": 0, "forms": 13, "roots": 13, "make_base": 6, "evaluate": 0, "gram": 5}
+
+
+def _rational_root_product(roots):
+    """Ascending integer coefficients of prod (den x - num) over the given Fractions."""
+    out = [1]
+    for r in roots:
+        out = [r.denominator * y - r.numerator * x for x, y in zip(out + [0], [0] + out)]
+    return out
+
+
+def _real_roots_cases(seed=2024):
+    """Seeded integer polynomials, ascending, for the root finder: each kind of root it must meet, then random ones."""
+    gen = random.Random(seed)
+    big = 10 ** 20
+    yield _rational_root_product([Fraction(1, 3)] * 2 + [Fraction(-2)] * 3 + [Fraction(5, 7)])  # repeated roots
+    yield _rational_root_product([Fraction(gen.randint(-2 ** 21, 2 ** 21), gen.randint(2 ** 19, 2 ** 20))
+                                  for _ in range(5)])  # denominators up to 2^20
+    yield [big - 2, -2 * big, big]  # (x - 1)^2 - 2e-20: two roots 2.8e-10 apart
+    # (x^2 - 2)(470832 x - 665857), a rational root 1.6e-12 above sqrt(2), padded: a degree drop
+    yield [1331714, -941664, -665857, 470832, 0, 0]
+    yield [0, 0, 0, -5, 1]  # s = 0, three times
+    yield [1, 0, 0, 0, 1]  # no real root
+    yield [1, 1, 1]
+    for _ in range(8):
+        yield [gen.randint(-50, 50) for _ in range(gen.randint(2, 9))] + [gen.randint(1, 9)]
+
+
+def test_real_roots_match_sympy():
+    # sympy's exact real roots are the oracle: each distinct root once, in order, a rational one as itself
+    # and any other as its correctly rounded float
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in _real_roots_cases():
+        poly = sympy.Poly(list(reversed(p)), x)
+        want = []
+        for r in sorted(set(poly.real_roots())):
+            want.append(Fraction(int(r.p), int(r.q)) if r.is_Rational else float(r.evalf(40)))
+        got = diameters._real_roots(p)
+        assert got == want and [type(g) for g in got] == [type(w) for w in want], p
+
+
+def test_search_reports_q1_and_q2_of_a_plane_where_the_form_vanishes(monkeypatch):
+    # a plane on which F_h vanishes identically (no sweep flag has one): its Q1 and Q2 are reported as exact
+    # directions, each with its exact verdict, and the search does not fail
+    flag, j = _flag_j("A2xA2", (1, 3))
+    base = make_base(flag, j, flag.center_basis[0])
+    monkeypatch.setattr(diameters, "_plane_form", lambda gram, modules, q1, q2, tau: [0] * 4)
+    res = diameters.search_diameters(base)
+    assert [c.confirmed_exact and c.verdict.futaki.exact for c in res.candidates] == [True, True]
+    signs = sorted(tuple(scalar_sign(c.z_values[i]) for i in flag.unpainted) for c in res.candidates)
+    assert signs == [(0, 1), (1, 0)]
 
 
 def test_integer_direction_is_primitive_and_within_the_rationalize_tolerance():
-    assert ein._integer_direction(np.array([0.5, -1.0, 0.25])) == [2, -4, 1]
-    assert ein._integer_direction(np.array([-3.0, 6.0])) == [-1, 2]
-    assert ein._integer_direction(np.array([1 / 3, 0.0, 2 / 3])) == [1, 0, 2]
-    assert ein._integer_direction(np.zeros(2)) is None
-    off = 1 / 3 + 2 * ein.RATIONALIZE_TOL
-    assert ein._integer_direction(np.array([1.0, off])) is None  # no denominator up to 1e6 is that close
-    assert ein._integer_direction(np.array([1.0, 1 / 3 + ein.RATIONALIZE_TOL / 2])) == [3, 1]
+    assert integer_direction(np.array([0.5, -1.0, 0.25])) == [2, -4, 1]
+    assert integer_direction(np.array([-3.0, 6.0])) == [-1, 2]
+    assert integer_direction(np.array([1 / 3, 0.0, 2 / 3])) == [1, 0, 2]
+    assert integer_direction(np.zeros(2)) is None
+    off = 1 / 3 + 2 * RATIONALIZE_TOL
+    assert integer_direction(np.array([1.0, off])) is None  # no denominator up to 1e6 is that close
+    assert integer_direction(np.array([1.0, 1 / 3 + RATIONALIZE_TOL / 2])) == [3, 1]
 
 
 @pytest.mark.parametrize("text, painted", [("A2xA3", (1, 3, 4)), ("A2xA2xA2", (1, 3, 5)), ("B3xB3", (1, 4))])
 def test_diameter_obstruction_matches_the_float_futaki(text, painted):
     flag, j = _flag_j(text, painted)
-    obstruction = ein._diameter_obstruction(flag, j, ricci_invariant(flag, j))
+    obstruction = diameter_obstruction(flag, j, ricci_invariant(flag, j))
     gen = np.random.default_rng(7)
     basis = np.array([[float(v) for v in b.values] for b in flag.center_basis])
     coords = gen.normal(size=(5, len(basis)))
@@ -1211,7 +1283,7 @@ def test_search_diameters_scans_the_sphere_of_the_period_scale(text, painted):
     # every candidate lies on E(Z, Z) = tau^2, where exact zeros are normalized, and a float one is a zero there
     flag, j = _flag_j(text, painted)
     tau = Fraction(1, 3)
-    res = ein.search_diameters(make_base(flag, j, flag.center_basis[0], period_scale=tau))
+    res = diameters.search_diameters(make_base(flag, j, flag.center_basis[0], period_scale=tau))
     assert res.candidates
     for c in res.candidates:
         z = CartanVector(tuple(float(v) for v in c.z_values))
@@ -1224,7 +1296,7 @@ def test_search_diameters_rejects_large_centers():
     flag, j = _flag_j("A1xA1xA1xA1")
     base = make_base(flag, j, flag.center_basis[0])
     with pytest.raises(InputError):
-        ein.search_diameters(base)
+        diameters.search_diameters(base)
 
 
 def test_search_walled_su2_product_rejected_by_norm():
@@ -1465,7 +1537,7 @@ def test_asymmetric_product_numeric_zero_diameter():
     # the candidate is reported as a numeric zero and solved on the float path
     flag, j = _flag_j("A2xA3", (1, 3, 4))
     base = make_base(flag, j, flag.center_basis[0])
-    res = ein.search_diameters(base)
+    res = diameters.search_diameters(base)
     winners = [c for c in res.candidates if c.ke_ok]
     assert winners
     cand = winners[0]

@@ -12,7 +12,7 @@ from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector
 from segment_checks import chart_lists, p_add, p_mul
 
-# a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
+# a float winner on A2xA2xA2 [1, 3, 5], found by the former latitude scan
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
 
 

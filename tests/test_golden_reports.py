@@ -34,7 +34,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 FLOAT_TOL = 1e-13
 
 A2XA2_ARGS = ["--group", "A2xA2", "--painted", "1,3", "--z", "1,0,-1,0", "--m1", "1", "--m2", "1"]
-# a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
+# a float winner on A2xA2xA2 [1, 3, 5], found by the former latitude scan
 D3_WINNER_Z = [-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0]
 
 

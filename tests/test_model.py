@@ -9,7 +9,7 @@ import pytest
 from flagke.errors import InputError
 from flagke import linalg
 from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
-from flagke.einstein import search_diameters
+from flagke.diameters import search_diameters
 from flagke.model import (FutakiReport, analyze_segment, check_parametrization, futaki, isotropy_modules, ke_endpoints,
                           make_base)
 from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing

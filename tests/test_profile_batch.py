@@ -33,7 +33,7 @@ from segment_checks import (chart_lists, evaluation_bound, exact_poly_at, fp_fpp
                             half_tables, int_shifted_antiderivative, p_antideriv, p_deriv, p_mul, p_to_float, pair_poly,
                             powers_by_loop, two_table_f_of_t, two_table_t_of_f, verify_rounding)
 
-# a float winner of search_diameters on A2xA2xA2 [1, 3, 5]
+# a float winner on A2xA2xA2 [1, 3, 5], found by the former latitude scan
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
 
 
