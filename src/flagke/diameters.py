@@ -284,15 +284,16 @@ def _square_free(p: List[int]) -> List[int]:
 def _gcd(a: List[int], b: List[int], prime: int) -> List[int]:
     """A gcd of a and b, b[-1] != 0, by pseudo-remainders, each divided by the gcd of its entries.
 
-    The remainders are taken mod the prime, or in integers when it is 0.
+    The remainders are taken mod the prime, or in integers when it is 0,
+    where the gcd returned is primitive.
     """
     while b:
+        g = math.gcd(*b)
+        b = [x // g for x in b]
         while len(a) >= len(b):
-            c = a[-1]
-            a = [b[-1] * x - c * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)][:-1]
+            a = [b[-1] * x - a[-1] * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)][:-1]
             a = [x % prime for x in a] if prime else a
             while a and not a[-1]:
                 a = a[:-1]
-        g = math.gcd(*a)
-        a, b = b, [x // g for x in a]
+        a, b = b, a
     return a

@@ -1216,6 +1216,7 @@ def _real_roots_cases(seed=2024):
     gen = random.Random(seed)
     big = 10 ** 20
     yield _rational_root_product([Fraction(1, 3)] * 2 + [Fraction(-2)] * 3 + [Fraction(5, 7)])  # repeated roots
+    yield [125, -450, 405]  # 5 (9x - 5)^2: p' = 90 (9x - 5) has content, which the square-free part must not keep
     yield _rational_root_product([Fraction(gen.randint(-2 ** 21, 2 ** 21), gen.randint(2 ** 19, 2 ** 20))
                                   for _ in range(5)])  # denominators up to 2^20
     yield [big - 2, -2 * big, big]  # (x - 1)^2 - 2e-20: two roots 2.8e-10 apart
