@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from itertools import accumulate
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import linalg
 from .errors import InputError
 from .flag import SphereCheck, _center_gram, _center_modules, _unpainted_vector, ricci_invariant, sphere_in_chamber
 from .model import CenterLine, KEVerdict, _integral_weights, ke_verdict, make_base
-from .polys import int_taylor_shift
 from .records import Record
 from .rootsys import CartanVector
 from .scalars import Scalar
@@ -84,8 +84,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
         raise InputError("diameter search supports center dimension 1..3, got %d" % d)
     zk = ricci_invariant(flag, j)
     modules, gram = _center_modules(flag, j, zk), _center_gram(flag)
-    exact: Dict[tuple, tuple] = {}  # the primitive Q of each exact direction, keyed up to sign
-    floats = []
+    exact, floats = {}, []  # the primitive Q of each exact direction, keyed up to sign; the float ones
 
     def add_exact(q: List[int]) -> None:
         if any(q):
@@ -167,15 +166,17 @@ def _real_roots(p: List[int]) -> List[Union[Fraction, float]]:
     the bisection, or the simplest rational of a root's final interval when
     it is a root.  Every other root is its correctly rounded float.  The
     roots are those of the square-free part (`_square_free`); the positive
-    ones of p(+-2^e x), 2^e above every root (Fujiwara's bound), are
+    ones of p(+-2^e x), with 2^e above twice the largest |a_i / a_n|^(1/(n-i))
+    over the coefficients of sign opposite to the leading one, a bound on
+    the positive roots (Kioustelidis, J. Comput. Appl. Math. 16, 1986), are
     isolated in (0, 1) (`_isolate`) and refined (`_refine`).
     """
     nonzero = [i for i, c in enumerate(p) if c]
     p = _square_free(p[nonzero[0]:nonzero[-1] + 1])
     roots: List[Union[Fraction, float]] = [Fraction(0)] * (nonzero[0] > 0)
-    n, lead = len(p) - 1, abs(p[-1]).bit_length()
-    e = max([0] + [1 - (lead - abs(c).bit_length() - 1) // (n - i) for i, c in enumerate(p[:-1]) if c])
+    n, b = len(p) - 1, p[-1].bit_length()
     for sign in (1, -1):
+        e = max([0] + [2 + (c.bit_length() - b) // (n - i) for i, c in enumerate(p) if c * p[-1] * sign ** (n - i) < 0])
         for c, k, s in _isolate([x * sign ** i << e * i for i, x in enumerate(p)]):
             lo, hi = sorted(Fraction(sign * x << e, 1 << k) for x in (c, c + 1))
             roots.append(_refine(p, lo, hi, sign * s) if s else Fraction(sign * c << e, 1 << k))
@@ -186,24 +187,36 @@ def _isolate(q: List[int]) -> List[Tuple[int, int, int]]:
     """The roots of a square-free integer q in (0, 1), q(0) != 0: (c, k, s) for each, by Descartes bisection.
 
     s = 0 is the root c / 2^k; otherwise the root is the one in (c / 2^k,
-    (c + 1) / 2^k), and q has the sign s just right of c / 2^k.  Each
-    interval is mapped to (0, 1) by a positive multiple of q, whose roots
-    there are bounded by the sign variations of (x + 1)^n q(1 / (x + 1));
-    with more than one, the halves are 2^n q(x / 2) and its shift by 1.
+    (c + 1) / 2^k), and q has the sign s just right of c / 2^k.  A node
+    (r, c, k) holds that interval as r(y) = (y + 1)^n q_I(1 / (y + 1)), up
+    to a positive factor, where q_I(x) = q((c + x) / 2^k): the positive
+    roots of r are the roots in the interval, and their number is bounded
+    by the sign variations of r (Descartes); the sign of q_I near 0 is that
+    of the top nonzero coefficient of r.  A node with more than one is
+    bisected: its halves are r(2y + 1), whose constant term vanishes at a
+    root on the midpoint, and (y + 2)^n r(y / (y + 2)), one Taylor shift
+    by 1 each.
     """
-    out, todo = [], [(q, 0, 0)]
+    out, todo = [], [(_shift(q[::-1]), 0, 0)]
     while todo:
-        q, c, k = todo.pop()
-        if not q[0]:
-            out.append((c, k, 0))
-            q = q[1:]
-        signs = [x > 0 for x in int_taylor_shift(q[::-1], 1) if x]
+        r, c, k = todo.pop()
+        signs = [x > 0 for x in r if x]
         count = sum(map(bool.__ne__, signs, signs[1:]))
         if count == 1:
-            out.append((c, k, 1 if q[0] > 0 else -1))
+            out.append((c, k, 1 if signs[-1] else -1))
         elif count:
-            half = [x << len(q) - 1 - i for i, x in enumerate(q)]
-            todo += [(int_taylor_shift(half, 1), 2 * c + 1, k + 1), (half, 2 * c, k + 1)]
+            left = [x << i for i, x in enumerate(_shift(r))]
+            right = [x << i for i, x in enumerate(_shift(r[::-1]))][::-1]
+            out += [(2 * c + 1, k + 1, 0)] * (not left[0])
+            todo += [(right, 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+    return out
+
+
+def _shift(cs: List[int]) -> List[int]:
+    """The coefficients of sum c_n (x + 1)^n: `polys.int_taylor_shift` by 1, each of its passes one C-level sum."""
+    out = list(cs)
+    for i in range(len(out) - 1):  # out[j] += out[j + 1] for j from the top down to i: suffix sums of out[i:]
+        out[i:] = list(accumulate(reversed(out[i:])))[::-1]
     return out
 
 
@@ -253,15 +266,12 @@ def _at(p: List[int], u: int, v: int) -> Tuple[int, int]:
 
 def _simplest(a: Fraction, b: Fraction) -> Fraction:
     """The rational of least denominator in [a, b], a < b, from the continued fractions of the two ends."""
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    while True:
-        n = an // ad
-        if n * ad == an or (n + 1) * bd <= bn:
-            n += n * ad != an
-            return Fraction(n * h1 + h0, n * k1 + k0)
+    (an, ad), (bn, bd), (h0, h1, k0, k1) = a.as_integer_ratio(), b.as_integer_ratio(), (0, 1, 1, 0)
+    while (n := an // ad) * ad != an and (n + 1) * bd > bn:  # a and b share the partial quotient n
         h0, h1, k0, k1 = h1, n * h1 + h0, k1, n * k1 + k0
         an, ad, bn, bd = bd, bn - n * bd, ad, an - n * ad
+    n += n * ad != an
+    return Fraction(n * h1 + h0, n * k1 + k0)
 
 
 def _square_free(p: List[int]) -> List[int]:
