@@ -28,7 +28,7 @@ import math
 from itertools import accumulate
 from fractions import Fraction
 from operator import mul
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import linalg
 from .errors import InputError
@@ -38,8 +38,9 @@ from .records import Record
 from .rootsys import CartanVector
 from .scalars import Scalar
 
-# the prime of the square-free test: gcd(p, p') mod it has degree 0 for most forms
-_PRIME = 2 ** 31 - 1
+# the depth of Descartes bisection, in halvings of (0, 1), past which the roots are found on the square-free
+# part: the isolating ends stay exact floats, and only a multiple root or two roots this close go deeper
+_DEPTH = 53
 
 
 class DiameterCandidate(Record):
@@ -159,32 +160,36 @@ def _plane_form(gram, modules, q1, q2, period_scale: Fraction) -> List[int]:
     return [x // g for x in acc] if g else acc
 
 
-def _real_roots(p: List[int]) -> List[Union[Fraction, float]]:
+def _real_roots(p: List[int], depth: float = _DEPTH) -> List[Union[Fraction, float]]:
     """The distinct real roots of a nonzero integer polynomial, ascending coefficients, in increasing order.
 
     A rational root that the search meets is a Fraction: s = 0, a point of
     the bisection, or the simplest rational of a root's final interval when
     it is a root.  Every other root is its correctly rounded float.  The
-    roots are those of the square-free part (`_square_free`); the positive
-    ones of p(+-2^e x), with 2^e above twice the largest |a_i / a_n|^(1/(n-i))
-    over the coefficients of sign opposite to the leading one, a bound on
-    the positive roots (Kioustelidis, J. Comput. Appl. Math. 16, 1986), are
-    isolated in (0, 1) (`_isolate`) and refined (`_refine`).
+    positive roots of p(+-2^e x), with 2^e above twice the largest
+    |a_i / a_n|^(1/(n-i)) over the coefficients of sign opposite to the
+    leading one, a bound on the positive roots (Kioustelidis, J. Comput.
+    Appl. Math. 16, 1986), are isolated in (0, 1) (`_isolate`) and refined
+    (`_refine`).  Bisection deeper than ``depth`` means a multiple root or
+    two very close ones, and the roots are then those of the square-free
+    part (`_square_free`), isolated to any depth.
     """
     nonzero = [i for i, c in enumerate(p) if c]
-    p = _square_free(p[nonzero[0]:nonzero[-1] + 1])
-    roots: List[Union[Fraction, float]] = [Fraction(0)] * (nonzero[0] > 0)
+    p, roots = p[nonzero[0]:nonzero[-1] + 1], [Fraction(0)] * (nonzero[0] > 0)
     n, b = len(p) - 1, p[-1].bit_length()
     for sign in (1, -1):
         e = max([0] + [2 + (c.bit_length() - b) // (n - i) for i, c in enumerate(p) if c * p[-1] * sign ** (n - i) < 0])
-        for c, k, s in _isolate([x * sign ** i << e * i for i, x in enumerate(p)]):
+        leaves = _isolate([x * sign ** i << e * i for i, x in enumerate(p)], depth)
+        if leaves is None:
+            return sorted(roots[:nonzero[0] > 0] + _real_roots(_square_free(p), math.inf))
+        for c, k, s in leaves:
             lo, hi = sorted(Fraction(sign * x << e, 1 << k) for x in (c, c + 1))
             roots.append(_refine(p, lo, hi, sign * s) if s else Fraction(sign * c << e, 1 << k))
     return sorted(roots)
 
 
-def _isolate(q: List[int]) -> List[Tuple[int, int, int]]:
-    """The roots of a square-free integer q in (0, 1), q(0) != 0: (c, k, s) for each, by Descartes bisection.
+def _isolate(q: List[int], depth: float) -> Optional[List[Tuple[int, int, int]]]:
+    """The roots of an integer q in (0, 1), q(0) != 0: (c, k, s) for each, by Descartes bisection; None past depth.
 
     s = 0 is the root c / 2^k; otherwise the root is the one in (c / 2^k,
     (c + 1) / 2^k), and q has the sign s just right of c / 2^k.  A node
@@ -204,6 +209,8 @@ def _isolate(q: List[int]) -> List[Tuple[int, int, int]]:
         count = sum(map(bool.__ne__, signs, signs[1:]))
         if count == 1:
             out.append((c, k, 1 if signs[-1] else -1))
+        elif count and k == depth:
+            return None
         elif count:
             left = [x << i for i, x in enumerate(_shift(r))]
             right = [x << i for i, x in enumerate(_shift(r[::-1]))][::-1]
@@ -275,34 +282,21 @@ def _simplest(a: Fraction, b: Fraction) -> Fraction:
 
 
 def _square_free(p: List[int]) -> List[int]:
-    """p over gcd(p, p'), with the roots of p once each.
-
-    gcd(p, p') mod a prime that does not divide the leading coefficient
-    has at least the degree of the integer gcd, so a constant there settles
-    it.  Otherwise the gcd is the last primitive pseudo-remainder.
-    """
-    dp = [i * c for i, c in enumerate(p)][1:]
-    if p[-1] % _PRIME and len(_gcd([x % _PRIME for x in p], [x % _PRIME for x in dp], _PRIME)) == 1:
-        return p
-    g, out = _gcd(p, dp, 0), []
+    """p over gcd(p, p'), the last primitive pseudo-remainder (`_gcd`), with the roots of p once each."""
+    g, out = _gcd(p, [i * c for i, c in enumerate(p)][1:]), []
     while len(p) >= len(g):
         out.append(p[-1] // g[-1])
         p = [x - out[-1] * y for x, y in zip(p, [0] * (len(p) - len(g)) + g)][:-1]
     return out[::-1]
 
 
-def _gcd(a: List[int], b: List[int], prime: int) -> List[int]:
-    """A gcd of a and b, b[-1] != 0, by pseudo-remainders, each divided by the gcd of its entries.
-
-    The remainders are taken mod the prime, or in integers when it is 0,
-    where the gcd returned is primitive.
-    """
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    """A primitive gcd of integer a and b, b[-1] != 0, by pseudo-remainders, each divided by the gcd of its entries."""
     while b:
         g = math.gcd(*b)
         b = [x // g for x in b]
         while len(a) >= len(b):
             a = [b[-1] * x - a[-1] * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)][:-1]
-            a = [x % prime for x in a] if prime else a
             while a and not a[-1]:
                 a = a[:-1]
         a, b = b, a

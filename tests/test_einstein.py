@@ -1220,6 +1220,8 @@ def _real_roots_cases(seed=2024):
     yield _rational_root_product([Fraction(gen.randint(-2 ** 21, 2 ** 21), gen.randint(2 ** 19, 2 ** 20))
                                   for _ in range(5)])  # denominators up to 2^20
     yield [big - 2, -2 * big, big]  # (x - 1)^2 - 2e-20: two roots 2.8e-10 apart
+    # (3x - 1)^2 - 2e-34: two roots 9.4e-18 apart, not split by 53 bisections, so found on the square-free part
+    yield [10 ** 34 - 2, -6 * 10 ** 34, 9 * 10 ** 34]
     # (x^2 - 2)(470832 x - 665857), a rational root 1.6e-12 above sqrt(2), padded: a degree drop
     yield [1331714, -941664, -665857, 470832, 0, 0]
     yield [0, 0, 0, -5, 1]  # s = 0, three times
