@@ -163,10 +163,10 @@ def _plane_form(gram, modules, q1, q2, period_scale: Fraction) -> List[int]:
 def _real_roots(p: List[int], depth: float = _DEPTH) -> List[Union[Fraction, float]]:
     """The distinct real roots of a nonzero integer polynomial, ascending coefficients, in increasing order.
 
-    A rational root that the search meets is a Fraction: s = 0, a point of
-    the bisection, or the simplest rational of a root's final interval when
-    it is a root.  Every other root is its correctly rounded float.  The
-    positive roots of p(+-2^e x), with 2^e above twice the largest
+    A rational root is a Fraction: s = 0, a point of the bisection, or a
+    root found in its final interval by the rational root theorem.  Every
+    other root is its correctly rounded float.  The positive roots of
+    p(+-2^e x), with 2^e above twice the largest
     |a_i / a_n|^(1/(n-i)) over the coefficients of sign opposite to the
     leading one, a bound on the positive roots (Kioustelidis, J. Comput.
     Appl. Math. 16, 1986), are isolated in (0, 1) (`_isolate`) and refined
@@ -238,8 +238,10 @@ def _refine(p: List[int], lo: Fraction, hi: Fraction, s: int) -> Union[Fraction,
     midpoint then says which one the root rounds to.  g is a Newton step on
     exact values of p and p' while that step at least halves the one
     before, one float past a converged guess, and the midpoint otherwise.
-    The simplest rational between the last two floats is returned when it
-    is a root.
+    A rational root a / b in lowest terms has b | p_n (the rational root
+    theorem), so it is k / |p_n| for an integer k between the last two
+    floats: those k are bisected on exact signs until one is left, which is
+    returned when it is a root.
     """
     lo, hi = float(lo), float(hi)
     g, last = (lo + hi) / 2, math.inf
@@ -256,10 +258,16 @@ def _refine(p: List[int], lo: Fraction, hi: Fraction, s: int) -> Union[Fraction,
             g, last = math.nextafter(g, hi if g == lo else lo), math.inf
         else:
             g, last = (h, abs(h - g)) if abs(h - g) < last / 2 else (math.nan, last)
-    m = (Fraction(lo) + Fraction(hi)) / 2
-    at = _at(p, *m.as_integer_ratio())[0]
-    r = _simplest(Fraction(lo), Fraction(hi)) if at else m
-    return r if not _at(p, *r.as_integer_ratio())[0] else hi if at * s > 0 else lo
+    n, (a, b), (c, d) = abs(p[-1]), lo.as_integer_ratio(), hi.as_integer_ratio()
+    k_lo, k_hi = a * n // b + 1, -(-c * n // d) - 1  # the k with lo < k / n < hi
+    while k_lo <= k_hi:
+        k = (k_lo + k_hi) // 2
+        at = _at(p, k, n)[0]
+        if not at:
+            return Fraction(k, n)
+        k_lo, k_hi = (k + 1, k_hi) if at * s > 0 else (k_lo, k - 1)
+    at = _at(p, *((Fraction(lo) + Fraction(hi)) / 2).as_integer_ratio())[0]  # not 0: the midpoint is no root
+    return hi if at * s > 0 else lo
 
 
 def _at(p: List[int], u: int, v: int) -> Tuple[int, int]:
@@ -269,16 +277,6 @@ def _at(p: List[int], u: int, v: int) -> Tuple[int, int]:
         w *= v
         at, slope = at * u + c * w, slope * u + at
     return at, slope
-
-
-def _simplest(a: Fraction, b: Fraction) -> Fraction:
-    """The rational of least denominator in [a, b], a < b, from the continued fractions of the two ends."""
-    (an, ad), (bn, bd), (h0, h1, k0, k1) = a.as_integer_ratio(), b.as_integer_ratio(), (0, 1, 1, 0)
-    while (n := an // ad) * ad != an and (n + 1) * bd > bn:  # a and b share the partial quotient n
-        h0, h1, k0, k1 = h1, n * h1 + h0, k1, n * k1 + k0
-        an, ad, bn, bd = bd, bn - n * bd, ad, an - n * ad
-    n += n * ad != an
-    return Fraction(n * h1 + h0, n * k1 + k0)
 
 
 def _square_free(p: List[int]) -> List[int]:

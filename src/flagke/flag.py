@@ -13,6 +13,7 @@ test of diameter segments, all in exact arithmetic.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from fractions import Fraction
 from operator import mul, neg
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -29,21 +30,28 @@ FLOAT_WALL_TOL = 1e-9
 
 
 class FlagData(Record):
+    """The split of R by a painted set, with the center basis.
+
+    It also keeps, uncompared, ``unpainted``: the unpainted nodes in order.
+    The center basis is their unit vectors, so the coordinates of a center
+    vector are its values at these nodes.
+    """
+
     _fields = ("rs", "painted", "r_k", "r_m", "center_basis")
 
     def __init__(self, rs: RootSystem, painted: FrozenSet[int], r_k: Tuple[Root, ...], r_m: Tuple[Root, ...],
                  center_basis: Tuple[CartanVector, ...]):
-        self.__dict__.update(rs=rs, painted=painted, r_k=r_k, r_m=r_m, center_basis=center_basis)
+        self.__dict__.update(rs=rs, painted=painted, r_k=r_k, r_m=r_m, center_basis=center_basis,
+                             unpainted=tuple(i for i in range(rs.rank) if i not in painted))
 
     @property
     def center_dim(self) -> int:
         return len(self.center_basis)
 
-    @property
-    def unpainted(self) -> Tuple[int, ...]:
-        """The unpainted nodes in order; the center basis is their unit vectors, so the coordinates of a
-        center vector are its values at these nodes."""
-        return tuple(i for i in range(self.rs.rank) if i not in self.painted)
+    @cached_property
+    def r_m_plus(self) -> Tuple[Root, ...]:
+        """The roots of R_m positive in the standard simple-root order, in the order of R_m; `build_flag` sets it."""
+        return tuple(r for r in self.r_m if r.is_positive)
 
     def r_m_set(self) -> frozenset:
         return frozenset(r.coords for r in self.r_m)
@@ -86,39 +94,45 @@ class ChamberPosition(Record):
 
 
 def build_flag(rs: RootSystem, painted: Sequence[int]) -> FlagData:
-    """Split R into R_K and R_m and compute the center of k.
+    """Split R into R_K, R_m and R_m+ and compute the center of k.
 
     In the values representation (values[i] = alpha_i(H)) the center {H :
     alpha(H) = 0 for all painted alpha} is the coordinate subspace of the
-    unpainted nodes; its basis is their unit vectors, in node order.
+    unpainted nodes; its basis is their unit vectors, in node order.  A root
+    is in R_m when its support meets the unpainted nodes, one AND of
+    bitmasks (`RootSystem.root_masks`), and in R_m+ when it is also positive.
     """
     painted_set = frozenset(int(i) for i in painted)
+    rank = rs.rank
     for i in painted_set:
-        if not 0 <= i < rs.rank:
+        if not 0 <= i < rank:
             raise InputError("painted index %d out of range" % i)
-    unpainted = [i for i in range(rs.rank) if i not in painted_set]
-    r_k, r_m = [], []
-    for r in rs.roots:
-        (r_m if any(map(r.coords.__getitem__, unpainted)) else r_k).append(r)
-    basis = [CartanVector.from_split([int(k == i) for k in range(rs.rank)], [0] * rs.rank, 1, None) for i in unpainted]
-    return FlagData(
-        rs=rs,
-        painted=painted_set,
-        r_k=tuple(r_k),
-        r_m=tuple(r_m),
-        center_basis=tuple(basis),
-    )
+    unpainted = [i for i in range(rank) if i not in painted_set]
+    mask = sum(1 << i for i in unpainted)
+    r_k, r_m, r_m_plus = [], [], []
+    for r, (support, positive) in zip(rs.roots, rs.root_masks):
+        if support & mask:
+            r_m.append(r)
+            if positive:
+                r_m_plus.append(r)
+        else:
+            r_k.append(r)
+    zeros = [0] * rank
+    basis = [CartanVector.from_split(zeros[:i] + [1] + zeros[i + 1:], zeros, 1, None) for i in unpainted]
+    flag = FlagData(rs=rs, painted=painted_set, r_k=tuple(r_k), r_m=tuple(r_m), center_basis=tuple(basis))
+    flag.__dict__["r_m_plus"] = tuple(r_m_plus)
+    return flag
 
 
 def default_complex_structure(flag: FlagData) -> InvariantComplexStructure:
-    """R_m+ = roots of R_m positive in the standard simple-root order.
+    """R_m+ = roots of R_m positive in the standard simple-root order (`FlagData.r_m_plus`).
 
     It needs no check, and is marked valid on ``flag``: a root of R_m+ has
     a positive unpainted coefficient, and adding a root of R_K (no unpainted
     coefficient) or of R_m+ (nonnegative ones) keeps that coefficient
     positive, so a sum that is a root is a positive root of R_m.
     """
-    j = InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
+    j = InvariantComplexStructure(flag.r_m_plus)
     j.__dict__["valid_on"] = flag
     return j
 

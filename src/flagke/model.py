@@ -33,8 +33,8 @@ from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_
                    ricci_invariant)
 from .polys import int_linear_product, pair_scalar, pair_sign
 from .records import Record
-from .rootsys import CartanVector, Root, killing
-from .scalars import Quad, Scalar, exact_sqrt, is_exact, scalar_is_zero, scalar_sign
+from .rootsys import CartanVector, Root
+from .scalars import Scalar, scalar_is_zero, scalar_sign, sqrt_parts
 
 # check_parametrization: the bound on each boundary, symmetry and curvature check
 PARAMETRIZATION_TOL = 1e-4
@@ -46,12 +46,12 @@ class CenterLine(Record):
     """Flag data plus a choice of unit direction Z in the center of k.
 
     ``z`` is normalized so that E(Z, Z) equals ``period_scale`` squared
-    (default 1).  For a rational input direction `make_base` builds Z as
-    lambda q, q the input's integer ray and lambda = period_scale /
-    sqrt(E(q, q)) a rational or a pure radical, and keeps it split in
-    integers (`CartanVector.from_split`), so the verdict runs on integers
-    and its values, in an exact quadratic extension, are built only when
-    read.  ``j`` is a valid complex structure: `make_base` checks it,
+    (default 1).  For an exact input direction `make_base` builds Z as
+    lambda q, q the input's integer split (u + v sqrt(R)) and lambda =
+    period_scale / sqrt(E(q, q)) a rational or a pure radical, and keeps it
+    split in integers (`CartanVector.from_split`), so the verdict runs on
+    integers and its values, in an exact quadratic extension, are built
+    only when read.  ``j`` is a valid complex structure: `make_base` checks it,
     `default_complex_structure` returns one that is parabolic by
     construction, and the segment classification relies on it (a wall-free
     end skips the closure test), so build a CenterLine directly only from
@@ -74,11 +74,15 @@ def make_base(
 ) -> CenterLine:
     """Normalize a nonzero center direction to E(Z, Z) = period_scale**2.
 
-    A rational direction x = u / den gives E(u, u) = u^T M_c u on the
-    integer center Gram matrix M_c (`flag._center_gram`) and Z = lambda u
-    with lambda = period_scale / sqrt(E(u, u)), held split in integers.
-    Other directions are normalized by `killing`; a float direction whose
-    squared norm is not a finite positive float is an input error.
+    An exact direction x = (u + v sqrt(R)) / den, split in integers as in
+    `polys.split_exact`, has E(x, x) = (u^T M_c u + R v^T M_c v + 2 u^T M_c v
+    sqrt(R)) / den^2 on the integer center Gram matrix M_c
+    (`flag._center_gram`); a nonzero sqrt(R) part is an input error.  Z is
+    lambda (u + v sqrt(R)) with lambda = period_scale / sqrt(u^T M_c u + R
+    v^T M_c v), held split in integers (`CartanVector.from_split`).  A float
+    direction is normalized by E(x, x) = x^T M x summed as `rootsys.killing`
+    sums it, term for term; one whose squared norm is not a finite positive
+    float is an input error.
 
     It checks, raising InputError, that period_scale is positive, that j is
     a valid complex structure on the flag and that the direction is nonzero
@@ -89,23 +93,54 @@ def make_base(
     if period_scale <= 0:
         raise InputError("period scale must be positive")
     require_complex_structure(flag, j)
-    if z_direction.is_zero:
+    if z_direction.kind == "float":
+        return _float_base(flag, j, z_direction, period_scale, tol)
+    u, v, _, r = z_direction.split
+    if not any(u) and not any(v):
         raise InputError("zero direction for Z")
     for i in sorted(flag.painted):
-        if scalar_sign(z_direction.values[i], tol) != 0:
+        if u[i] or v[i]:
             raise InputError("direction not in the center of k: alpha_%d(Z) != 0" % i)
-    if z_direction.kind == "rational":  # E(u, u) of x = u / den on the integer center Gram matrix; Z = lambda u
-        u = z_direction.split[0]
-        q = [u[i] for i in flag.unpainted]
-        norm_sq, z_direction = linalg.form(_center_gram(flag), q, q), CartanVector.from_split(u, [0] * len(u), 1, None)
-    else:
-        norm_sq = killing(flag.rs, z_direction, z_direction)
-    if isinstance(norm_sq, Quad):
-        raise InputError("pass an unnormalized rational (or float) direction")
-    if not is_exact(norm_sq) and not 0 < norm_sq < math.inf:
+    gram = _center_gram(flag)
+    uc = [u[i] for i in flag.unpainted]
+    norm, R = linalg.form(gram, uc, uc), 0
+    if r is not None:  # the sqrt(R) part of E(x, x) den^2 is 2 u^T M_c v
+        vc = [v[i] for i in flag.unpainted]
+        if linalg.form(gram, uc, vc):
+            raise InputError("pass an unnormalized rational (or float) direction")
+        R = r.numerator * r.denominator
+        norm += R * linalg.form(gram, vc, vc)
+    tau = Fraction(period_scale)
+    s, d, e = sqrt_parts(tau.numerator ** 2, tau.denominator ** 2 * norm)  # lambda = s sqrt(d) / e
+    if d == 1:
+        z = CartanVector.from_split([s * x for x in u], [s * y for y in v], e, r)
+    else:  # Z = s (u sqrt(d) + v sqrt(d R)) / e, in Q(sqrt(d)) when d R is a square t^2
+        t = math.isqrt(d * R)
+        if t * t != d * R:
+            raise InputError("direction and its norm lie in two quadratic fields; pass a rational direction")
+        z = CartanVector.from_split([s * t * y for y in v], [s * x for x in u], e, Fraction(d))
+    return CenterLine(flag=flag, j=j, z=z, period_scale=tau)
+
+
+def _float_base(flag: FlagData, j: InvariantComplexStructure, x: CartanVector, period_scale: Fraction,
+                tol: float) -> CenterLine:
+    """`make_base` of a float direction: E(x, x) in `rootsys.killing`'s order of terms, so bit for bit its float."""
+    values = x.values
+    if x.is_zero:
+        raise InputError("zero direction for Z")
+    for i in sorted(flag.painted):
+        if scalar_sign(values[i], tol) != 0:
+            raise InputError("direction not in the center of k: alpha_%d(Z) != 0" % i)
+    norm_sq = 0
+    for vi, row in zip(values, flag.rs.gram):
+        acc = 0
+        for m, vj in zip(row, values):
+            if m:
+                acc = acc + m * vj
+        norm_sq = norm_sq + vi * acc
+    if not 0 < norm_sq < math.inf:
         raise InputError("float direction has squared norm %r; rescale it" % (norm_sq,))
-    z = z_direction.scale(exact_sqrt(Fraction(period_scale) ** 2 / norm_sq) if is_exact(norm_sq)
-                          else float(period_scale) / float(norm_sq) ** 0.5)
+    z = x.scale(float(period_scale) / float(norm_sq) ** 0.5)
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 
@@ -392,14 +427,15 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
                         product=product)
 
 
-def _integral_weights(n: int, m1: int, m2: int) -> Tuple[List[int], int]:
-    """Integer weights w_i and a scale with integral_{-m1}^{m2} y^(i+1) dy = w_i / scale, i < n.
+@functools.lru_cache(maxsize=None)
+def _integral_weights(n: int, m1: int, m2: int) -> Tuple[Tuple[int, ...], int]:
+    """Integer weights w_i and a scale with integral_{-m1}^{m2} y^(i+1) dy = w_i / scale, i < n; built once.
 
     The integral is (m2^(i+2) - (-m1)^(i+2)) / (i+2); scale = lcm(1..n+1)
     makes every weight an integer.
     """
     scale = math.lcm(*range(1, n + 2))
-    return [(m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)], scale
+    return tuple((m2 ** (i + 2) - (-m1) ** (i + 2)) * (scale // (i + 2)) for i in range(n)), scale
 
 
 class KEVerdict(Record):

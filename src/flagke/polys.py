@@ -44,6 +44,9 @@ def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Op
     same field as r, whose product with r is a rational square, is rescaled
     to r (`scalars.rescale_sqrt`).
     """
+    if not any(isinstance(x, Quad) for x in values):  # all rational: one lcm, no Fraction built
+        den = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], [0] * len(values), den, None
     r: Optional[Fraction] = None
     parts = []
     for x in values:

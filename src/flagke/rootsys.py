@@ -313,6 +313,15 @@ class RootSystem(Record):
         den = math.lcm(*(x.denominator for row in self.gram_inverse for x in row))
         return tuple(tuple(int(x * den) for x in row) for row in self.gram_inverse), den
 
+    @cached_property
+    def root_masks(self) -> Tuple[Tuple[int, bool], ...]:
+        """(support, positive) for each root, in the order of ``roots``: the support as a bitmask of nodes.
+
+        A root lies in R_m of a flag exactly when its support meets the mask of
+        the unpainted nodes (`flag.build_flag`).
+        """
+        return tuple((sum(1 << i for i, c in enumerate(r.coords) if c), r.is_positive) for r in self.roots)
+
     def dual_pairing(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
         """E*(a, b) = a^T M^{-1} b for covectors in simple-root coordinates."""
         dual, den = self.dual_form

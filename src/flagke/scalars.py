@@ -45,23 +45,18 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def exact_sqrt(q: Union[int, Fraction]) -> Union[Fraction, "Quad"]:
-    """Exact square root of a nonnegative rational.
+def sqrt_parts(num: int, den: int) -> tuple[int, int, int]:
+    """(s, d, e) with sqrt(num / den) = (s / e) sqrt(d), for integers num >= 0 and den > 0, in integers.
 
-    Returns a ``Fraction`` when q is a perfect square, otherwise a ``Quad``
-    representing sqrt(q) in Q(sqrt(d)) with d the square-free-reduced radicand.
+    s / e is in lowest terms and d is the square-free-reduced radicand of
+    `_square_free_split`, 1 when num / den is a rational square:
+    sqrt(num / den) = sqrt(num den) / den in lowest terms.
     """
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    # sqrt(p/q) = sqrt(p*q) / q
-    m = q.numerator * q.denominator
-    s, d = _square_free_split(m)
-    if d == 1:
-        return Fraction(s, q.denominator)
-    return Quad(Fraction(0), Fraction(s, q.denominator), Fraction(d))
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    s, d = _square_free_split(num * den)
+    g = math.gcd(s, den)
+    return s // g, d, den // g
 
 
 def rescale_sqrt(b: Fraction, r: Fraction, r_to: Fraction) -> Fraction:
@@ -236,10 +231,6 @@ class Quad:
 
     def __repr__(self) -> str:
         return "%s + %s*sqrt(%s)" % (self.a, self.b, self.r)
-
-
-def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction, Quad))
 
 
 def scalar_is_zero(x: Scalar) -> bool:

@@ -110,17 +110,21 @@ def _line_walls(modules, s: List[int], v: List[int], den: int):
     scaled coordinates Y of the line.  On the line rho(Y) den = rho.s +
     t rho.v, both integers.  A plane with rho.v = 0 holds the whole line or
     none of it.  Any other plane meets the line at the one rational t =
-    (value den - rho.s) / rho.v.  So each module costs two integer dot
-    products per line, and a point one lookup of its t; an irrational point,
-    t None, meets none of those planes and has the line's count alone.
+    (value den - rho.s) / rho.v, keyed by that integer pair in lowest terms
+    with a positive second entry, as `_unit_norm_points` gives a rational
+    t.  So each module costs two integer dot products per line, and a point
+    one lookup of its t; an irrational point, t None, meets none of those
+    planes and has the line's count alone.
     """
     on_line = [0, 0]
-    meets: Dict[Fraction, List[int]] = {}
+    meets: Dict[Tuple[int, int], List[int]] = {}
     for rho, mult, values in modules:
         at_s, slope = sum(map(mul, rho, s)), sum(map(mul, rho, v))
         for end, value in enumerate(values):
             if slope:
-                meets.setdefault(Fraction(value * den - at_s, slope), [0, 0])[end] += mult
+                num = value * den - at_s
+                g = math.gcd(num, slope) if slope > 0 else -math.gcd(num, slope)
+                meets.setdefault((num // g, slope // g), [0, 0])[end] += mult
             elif at_s == value * den:
                 on_line[end] += mult
     return lambda t: list(map(add, on_line, meets.get(t, (0, 0))))
@@ -151,7 +155,8 @@ def _unit_norm_points(s: List[int], v: List[int], den: int, gram, ps2: Fraction)
     t = (-b +- k sqrt(R)) / a, where b^2 - a c = k^2 R with R square-free
     (`scalars._square_free_split`).  A point is (u + w sqrt(R)) / d with
     every entry divided by the gcd of them all, and r = R; a rational one
-    has w = 0 and r None, and its t is a Fraction, which is None for an
+    has w = 0 and r None, and its t is the integer pair (numerator,
+    denominator) in lowest terms, a positive denominator; t is None for an
     irrational one.  The point of the larger t comes first; a tangent line
     has one.
     """
@@ -163,7 +168,8 @@ def _unit_norm_points(s: List[int], v: List[int], den: int, gram, ps2: Fraction)
     k, big_r = _square_free_split(disc)
     for sign in ((1, -1) if disc else (1,)):
         if big_r == 1:
-            t, r, w = Fraction(sign * k - b, a), None, [0] * len(v)
+            g = math.gcd(sign * k - b, a)
+            t, r, w = ((sign * k - b) // g, a // g), None, [0] * len(v)
             u = [a * x + (sign * k - b) * y for x, y in zip(s, v)]
         else:
             t, r, w = None, Fraction(big_r), [sign * k * y for y in v]

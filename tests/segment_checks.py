@@ -12,7 +12,11 @@ their evaluation carried to (f', f''), and the five-pass route to
 (f', f''), the references of `SegmentPolynomial.fp_fpp`; the loop of
 products, the oracle of `einstein._power_table`;
 the pairwise closure scan of a complex structure, the oracle of
-`flag.validate_complex_structure`; the per-root segment classification, the oracle of
+`flag.validate_complex_structure`; the root-by-root split of a flag and its
+default complex structure, the oracles of the mask split of `flag.build_flag`
+and `flag.default_complex_structure`; the normalization by `rootsys.killing`
+with the exact square root it takes, the oracle of `model.make_base`;
+the per-root segment classification, the oracle of
 `model.analyze_segment`, with its own closure test at every end, and the
 per-root module table of float vectors, the oracle of `model.isotropy_modules`; the walled search over root subsets, the
 oracle of `walled.search_walled`; the Fraction Gauss-Jordan elimination
@@ -42,12 +46,13 @@ from flagke import einstein as ein
 from flagke import linalg
 from flagke.errors import InputError, InternalError
 from flagke.diameters import DiameterCandidate
-from flagke.flag import FLOAT_WALL_TOL, SphereCheck, _center_gram, _center_modules, _unpainted_vector, ricci_invariant
+from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
+                         _unpainted_vector, require_complex_structure, ricci_invariant)
 from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
                           _projective_space_test, isotropy_modules, ke_verdict, make_base)
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
-from flagke.scalars import exact_sqrt, scalar_is_zero, scalar_sign
+from flagke.scalars import Quad, scalar_is_zero, scalar_sign, sqrt_parts
 from flagke.walled import WalledCandidate
 
 
@@ -499,6 +504,60 @@ def closure_violation(flag, j, walls):
     return None
 
 
+def exact_sqrt(q):
+    """The exact square root of a nonnegative rational: a Fraction, or a Quad in Q(sqrt(d)) (`scalars.sqrt_parts`)."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("negative radicand")
+    s, d, e = sqrt_parts(q.numerator, q.denominator)
+    return Fraction(s, e) if d == 1 else Quad(Fraction(0), Fraction(s, e), Fraction(d))
+
+
+def per_root_build_flag(rs, painted):
+    """`flag.build_flag` with each root tested for an unpainted coordinate, root by root."""
+    painted_set = frozenset(int(i) for i in painted)
+    for i in painted_set:
+        if not 0 <= i < rs.rank:
+            raise InputError("painted index %d out of range" % i)
+    unpainted = [i for i in range(rs.rank) if i not in painted_set]
+    r_k, r_m = [], []
+    for r in rs.roots:
+        (r_m if any(map(r.coords.__getitem__, unpainted)) else r_k).append(r)
+    basis = [CartanVector.from_split([int(k == i) for k in range(rs.rank)], [0] * rs.rank, 1, None) for i in unpainted]
+    return FlagData(rs=rs, painted=painted_set, r_k=tuple(r_k), r_m=tuple(r_m), center_basis=tuple(basis))
+
+
+def per_root_complex_structure(flag):
+    """`flag.default_complex_structure`: the roots of R_m, each tested for positivity."""
+    return InvariantComplexStructure(tuple(r for r in flag.r_m if r.is_positive))
+
+
+def killing_make_base(flag, j, z_direction, period_scale=Fraction(1), tol=1e-12):
+    """`model.make_base` by `rootsys.killing` on the values: Z = x sqrt(period_scale^2 / E(x, x)), values-form.
+
+    The oracle of the integer split: an exact E(x, x) is a Fraction or a
+    Quad, the latter an input error, and a float one is killing's float.
+    """
+    if period_scale <= 0:
+        raise InputError("period scale must be positive")
+    require_complex_structure(flag, j)
+    if z_direction.is_zero:
+        raise InputError("zero direction for Z")
+    for i in sorted(flag.painted):
+        if scalar_sign(z_direction.values[i], tol) != 0:
+            raise InputError("direction not in the center of k: alpha_%d(Z) != 0" % i)
+    norm_sq = killing(flag.rs, z_direction, z_direction)
+    if isinstance(norm_sq, Quad):
+        raise InputError("pass an unnormalized rational (or float) direction")
+    exact = isinstance(norm_sq, (int, Fraction))
+    if not exact and not 0 < norm_sq < math.inf:
+        raise InputError("float direction has squared norm %r; rescale it" % (norm_sq,))
+    values = z_direction.values
+    lam = exact_sqrt(Fraction(period_scale) ** 2 / norm_sq) if exact else float(period_scale) / float(norm_sq) ** 0.5
+    z = CartanVector(tuple(lam * a for a in values))
+    return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
+
+
 def per_root_isotropy_modules(j, x, z):
     """`model.isotropy_modules` on a float X or Z, root by root through `rootsys.evaluate`."""
     table = {}
@@ -582,7 +641,7 @@ def unit_norm_solutions(sol, null, gram, ps2):
     """The points of E(Z, Z) = ps2 on the point sol, or on the line sol + s null[0], as Fractions and Quads.
 
     ``gram`` is the Gram matrix of the coordinates.  On a line the sphere is
-    a s^2 + b s + c = 0, solved by `scalars.exact_sqrt` of the discriminant
+    a s^2 + b s + c = 0, solved by `exact_sqrt` of the discriminant
     in Quad arithmetic; the point of the larger s comes first.  The oracle
     of `walled._unit_norm_points`.
     """

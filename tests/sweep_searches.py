@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/sweep_searches.py --out sweep.json
     python tests/sweep_searches.py --compare before.json after.json
 
-``--out`` writes the report of 3 159 runs, keyed by their command line: the
+``--out`` writes the report of 4 656 runs, keyed by their command line: the
 diameter search on every flag with a 2- or 3-dimensional center of the 25
 sweep groups, and the walled search on every flag of the groups up to rank
 3 at the degrees of WALLED_DEGREES and on the unpainted rank-4 flags of
@@ -12,10 +12,11 @@ then `flag-info` (Zk, its chamber position and the sphere check) on every
 flag of the 25 groups and on the exceptional flags of FLAG_INFO_EXTRA;
 `roots` on the 25 groups and on E6, E7 and E8; `check-segment` at the
 degrees of SEGMENT_DEGREES, exact and with --float, along the first center
-basis vector of every flag of the walled-search groups; and exact `futaki`
-and `check-segment` at the degrees of DIRECTION_DEGREES along the
-non-unit directions of `center_directions`, on every flag of the
-walled-search groups and on the exceptional flags of DIRECTION_EXTRA; and
+basis vector of every flag of the walled-search groups; and `futaki` and
+`check-segment` at the degrees of DIRECTION_DEGREES along the non-unit
+directions of `center_directions`, exact at the period scales 1 and 1/3
+and with --float (DIRECTION_VARIANTS), on every flag of the walled-search
+groups and on the exceptional flags of DIRECTION_EXTRA; and
 `solve` and `verify`, exact and with --float, at both period scales, on the
 antisymmetric diameters Z = e_i - e_(n+i) of G x G for G in
 DIAMETER_GROUPS, with every node but i and n + i painted, the runs that
@@ -52,6 +53,8 @@ FLAG_INFO_EXTRA = [("E6", (0, 2, 3, 4)), ("E7", (0, 1, 2, 3)), ("E8", (0, 1, 2, 
 SEGMENT_DEGREES = [(1, 1), (1, 2), (2, 1)]
 DIRECTION_DEGREES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 DIRECTION_EXTRA = FLAG_INFO_EXTRA[:3]
+# the runs along non-unit directions: exact at period scales 1 and 1/3, and with a float direction
+DIRECTION_VARIANTS = [[], ["--tau", "1/3"], ["--float"]]
 DIAMETER_GROUPS = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 FLOAT_RTOL = 1e-12
 # solve runs at fine grids: (arguments, grid); up to 65 536 points, the CLI's largest grid
@@ -111,11 +114,11 @@ def sweep_argvs():
         for (m1, m2), arithmetic in itertools.product(SEGMENT_DEGREES, ([], ["--float"])):
             out.append(["check-segment", "--group", group, "--painted", ",".join(map(str, painted)), "--z", z,
                         "--m1", str(m1), "--m2", str(m2)] + arithmetic)
-    for group, painted in walled + DIRECTION_EXTRA:
+    for variant, (group, painted) in itertools.product(DIRECTION_VARIANTS, walled + DIRECTION_EXTRA):
         for z, (m1, m2), mode in itertools.product(center_directions(LieAlgebraSpec.parse(group).rank, painted),
                                                    DIRECTION_DEGREES, ("futaki", "check-segment")):
             out.append([mode, "--group", group, "--painted", ",".join(map(str, painted)), "--z", z,
-                        "--m1", str(m1), "--m2", str(m2)])
+                        "--m1", str(m1), "--m2", str(m2)] + variant)
     for group in DIAMETER_GROUPS:
         n = LieAlgebraSpec.parse(group).rank
         for i, mode, arithmetic, tau in itertools.product(range(n), ("solve", "verify"), ([], ["--float"]), TAUS):

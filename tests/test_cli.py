@@ -637,9 +637,9 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     everything = sweep.sweep_argvs()
     assert all(argv in everything for argv in argvs)
     modes = [argv[0] for argv in everything]
-    assert len(everything) == len(set(map(tuple, everything))) == 3159 and modes.count("search") == 1410
-    assert (modes.count("flag-info"), modes.count("roots"), modes.count("futaki")) == (365, 28, 396)
-    assert modes.count("check-segment") == 675 and sum("--float" in argv for argv in everything) == 323
+    assert len(everything) == len(set(map(tuple, everything))) == 4656 and modes.count("search") == 1410
+    assert (modes.count("flag-info"), modes.count("roots"), modes.count("futaki")) == (365, 28, 1188)
+    assert modes.count("check-segment") == 1380 and sum("--float" in argv for argv in everything) == 1028
     assert modes.count("solve") == 145 and modes.count("verify") == 140
     assert ["solve", "--group", "A2xA2", "--painted", "0,2", "--z", "0,1,0,-1", "--m1", "1", "--m2", "1", "--grid",
             "9794"] in everything
@@ -648,6 +648,9 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
     assert sweep.center_directions(4, (0,)) == ["0,1,1,1", "0,1,-1,1"] and sweep.center_directions(2, (1,)) == ["1,0"]
     assert ["futaki", "--group", "E8", "--painted", "0,1,2,3,4", "--z", "0,0,0,0,0,1,-1,1", "--m1", "2", "--m2",
             "2"] in everything
+    assert ["check-segment", "--group", "B3", "--painted", "", "--z", "1,-1,1", "--m1", "1", "--m2", "2", "--tau",
+            "1/3"] in everything
+    assert ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "2", "--m2", "2", "--float"] in everything
     monkeypatch.setattr(sweep, "sweep_argvs", lambda: argvs)
     path = tmp_path / "sweep.json"
     assert sweep.main(["--out", str(path)]) == 0

@@ -32,7 +32,7 @@ from flagke.rootsys import (
     evaluate,
     killing,
 )
-from flagke.scalars import Quad, exact_sqrt, scalar_is_zero, scalar_sign
+from flagke.scalars import Quad, scalar_is_zero, scalar_sign
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from sweep_searches import paintings
 from segment_checks import (
@@ -43,6 +43,7 @@ from segment_checks import (
     circle_zeros,
     circle_zeros_by_np_roots,
     diameter_obstruction,
+    exact_sqrt,
     first_integral_identity_numerator,
     fraction_solve,
     general_basis_center,
@@ -1227,6 +1228,11 @@ def _real_roots_cases(seed=2024):
     yield [0, 0, 0, -5, 1]  # s = 0, three times
     yield [1, 0, 0, 0, 1]  # no real root
     yield [1, 1, 1]
+    # rational roots whose denominators reach past 2^26: simpler rationals than the root share its last float gap
+    yield [418, -550389359895437384265795789061]  # 7.59e-28
+    yield [-(2 ** 30 + 1), 2 ** 30 + 3]  # 0.9999999981...
+    a, b = 2 ** 30 + 1, 2 ** 30 + 3
+    yield [2 * a, -2 * b, -a, b]  # (x^2 - 2)(b x - a): the same root between -sqrt(2) and sqrt(2)
     for _ in range(8):
         yield [gen.randint(-50, 50) for _ in range(gen.randint(2, 9))] + [gen.randint(1, 9)]
 
@@ -1621,7 +1627,8 @@ def _check_unit_norm_points(s, v, den, gram, ps2, got):
     for t, (u, w, d, r) in got:
         assert d > 0 and math.gcd(*u, *w, d) == 1 and (r is None) == (not any(w))
         if t is not None:
-            assert [Fraction(x + t * y, den) for x, y in zip(s, v)] == [Fraction(x, d) for x in u]
+            assert t[1] > 0 and math.gcd(*t) == 1
+            assert [Fraction(x + Fraction(*t) * y, den) for x, y in zip(s, v)] == [Fraction(x, d) for x in u]
 
 
 def test_search_walled_underdetermined_line_path_runs():

@@ -22,7 +22,10 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
 )
-from segment_checks import CENTER_FLAGS, center_flags, fraction_solve, pairwise_closure
+from segment_checks import (CENTER_FLAGS, center_flags, fraction_solve, pairwise_closure, per_root_build_flag,
+                            per_root_complex_structure)
+from sweep_searches import GROUPS as SWEEP_GROUPS
+from test_rootsys import RANK_8_SPECS
 
 with open(os.path.join(os.path.dirname(__file__), "rootsys_golden.json")) as _fh:
     GOLDEN_SPECS = sorted(json.load(_fh))
@@ -115,6 +118,24 @@ def test_ricci_criterion_matches_the_pairwise_closure_scan():
                     decisive["halving"] += 1
     assert (structures, valid) == (5136, 318)
     assert all(decisive.values()), decisive
+
+
+def test_mask_split_matches_the_per_root_split():
+    # on every flag of the rank-8 specs and the sweep groups: R_K, R_m and R_m+ by support masks are the
+    # per-root split, in order; unpainted and R_m+ are kept off the flag's equality and repr
+    flags = 0
+    for text in sorted(set(RANK_8_SPECS) | set(SWEEP_GROUPS)):
+        system = rs(text)
+        for k in range(system.rank + 1):
+            for painted in itertools.combinations(range(system.rank), k):
+                flag, want = build_flag(system, painted), per_root_build_flag(system, painted)
+                assert flag == want and flag.r_k == want.r_k and flag.r_m == want.r_m, (text, painted)
+                assert flag.unpainted == tuple(i for i in range(system.rank) if i not in painted)
+                j = default_complex_structure(flag)
+                assert j == per_root_complex_structure(want) and j.positive == want.r_m_plus and j.valid_on is flag
+                flags += 1
+    assert flags == 2682
+    assert "unpainted" not in repr(flag) and "r_m_plus" not in repr(flag)
 
 
 def test_ricci_invariant_examples():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,12 @@ from flagke.errors import InputError
 from flagke import linalg
 from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
 from flagke.diameters import search_diameters
-from flagke.model import (FutakiReport, analyze_segment, check_parametrization, futaki, isotropy_modules, ke_endpoints,
-                          make_base)
+from flagke.model import (FutakiReport, _integral_weights, analyze_segment, check_parametrization, futaki,
+                          isotropy_modules, ke_endpoints, make_base)
 from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing
-from flagke.scalars import Quad, exact_sqrt
-from segment_checks import per_root_isotropy_modules, per_root_segment
+from flagke.scalars import Quad
+from segment_checks import (exact_sqrt, killing_make_base, per_root_build_flag, per_root_complex_structure,
+                            per_root_isotropy_modules, per_root_segment)
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from sweep_searches import paintings
 
@@ -92,6 +94,139 @@ def test_integer_center_norm_matches_killing_on_sweep_flags(tau):
             assert isinstance(norm, float)
             z = make_base(flag, j, floats, period_scale=tau).z
             assert z.values == floats.scale(float(tau) / norm ** 0.5).values and z.kind == "float"
+
+def _outcome(make, flag, j, x, tau):
+    """("ok", base) or ("error", exception type, message) of one make_base route."""
+    try:
+        return "ok", make(flag, j, x, period_scale=tau)
+    except (InputError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+
+
+def _directions(rng, flag):
+    """Seeded center directions of a flag: (kind, vector), rational, quadratic and float, exact in two forms."""
+    rank = flag.rs.rank
+    q = [0] * rank
+    while not any(q):
+        q = [rng.randint(-2, 2) if i in flag.unpainted else 0 for i in range(rank)]
+    s = rng.choice((Fraction(1), Fraction(2, 3), Fraction(-5, 2)))
+    out = [("rational", CartanVector(tuple(s * x for x in q))),
+           ("rational", CartanVector.from_split([x * s.numerator for x in q], [0] * rank, s.denominator, None))]
+    j = default_complex_structure(flag)
+    for tau in (Fraction(1), Fraction(1, 3)):  # the normalized Z of q, split and as values
+        z = make_base(flag, j, CartanVector(tuple(map(Fraction, q))), period_scale=tau).z
+        out += [(z.kind, z), (z.kind, CartanVector(z.values))]
+    floats = [float(x) + (1e-13 * rng.choice((1, -1)) if i in flag.painted else 0.0) for i, x in enumerate(q)]
+    return out + [("float", CartanVector(tuple(float(x) for x in q))), ("float", CartanVector(tuple(floats)))]
+
+
+def test_make_base_matches_the_killing_route():
+    # on every flag of the sweep groups, at a seeded period scale of 1 or 1/3: the integer split gives killing's Z,
+    # equal in value and kind, a float Z bit for bit, and an exact Z split in integers
+    rng = random.Random(3)
+    kinds = {"rational": 0, "quadratic": 0, "float": 0}
+    for group in SWEEP_GROUPS:
+        system = rs(group)
+        for painted in paintings(group):
+            flag = build_flag(system, painted)
+            if not flag.center_dim:
+                continue
+            j, tau = default_complex_structure(flag), rng.choice((Fraction(1), Fraction(1, 3)))
+            for kind, x in _directions(rng, flag):
+                got, want = (_outcome(make, flag, j, x, tau) for make in (make_base, killing_make_base))
+                assert got[0] == want[0] == "ok" and x.kind == kind, (group, painted, x)
+                z, oracle = got[1].z, want[1].z
+                assert z == oracle and z.kind == oracle.kind and got[1].period_scale == tau
+                if kind == "float":
+                    assert [v.hex() for v in z.values] == [v.hex() for v in oracle.values]
+                else:
+                    assert z._split is not None
+                kinds[kind] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_make_base_errors_match_the_killing_route():
+    # a zero, off-center, irrational-norm or non-finite float direction and a period scale <= 0 raise the same
+    # InputError on both routes
+    rng = random.Random(5)
+    seen = set()
+    for group in ["A2", "B3", "G2", "A1xA2", "A2xA2", "B2xG2"]:
+        system = rs(group)
+        for painted in paintings(group):
+            flag = build_flag(system, painted)
+            if not flag.center_dim:
+                continue
+            j = default_complex_structure(flag)
+            rank = system.rank
+            directions = _directions(rng, flag)
+            z = next((x for kind, x in directions if kind == "quadratic"), None)
+            cases = [(CartanVector((Fraction(0),) * rank), 1), (CartanVector.from_split([0] * rank, [0] * rank, 1, None), 1),
+                     (CartanVector((0.0,) * rank), 1), (directions[0][1], 0), (directions[-1][1], Fraction(-1, 3)),
+                     (CartanVector(tuple(1e200 * v for v in directions[-2][1].values)), 1)]
+            if painted:
+                off = [Fraction(int(i == painted[0])) for i in range(rank)]
+                cases += [(directions[0][1] + CartanVector(tuple(off)), 1),
+                          (CartanVector(tuple(float(v) + 1e-9 * float(o) for v, o in zip(directions[0][1].values, off))), 1)]
+            if z is not None:  # Z + q has the sqrt(R) part 2 E(Z, q) of its norm, nonzero unless Z and q are orthogonal
+                cases += [(z + directions[0][1], 1), (CartanVector((z + directions[0][1]).values), Fraction(1, 3))]
+            for x, tau in cases:
+                got, want = (_outcome(make, flag, j, x, tau) for make in (make_base, killing_make_base))
+                assert got[0] == want[0]
+                if got[0] == "error":
+                    assert got[1:] == want[1:] and got[1] is InputError, (group, painted, x, got, want)
+                    seen.add(got[2].split(":")[0].split(" has ")[0])
+                else:
+                    assert got[1].z == want[1].z
+    assert seen == {"period scale must be positive", "zero direction for Z", "direction not in the center of k",
+                    "float direction", "pass an unnormalized rational (or float) direction"}, seen
+
+
+def test_make_base_on_radicands_of_one_field_and_of_two():
+    # (1, sqrt(8)) on A1 x A1 has E = 18 and Z = (sqrt(2)/6, 2/3), split over sqrt(2); (1, sqrt(2)) has E = 6, and Z
+    # would need sqrt(2) and sqrt(3) at once: an input error, where killing's route fails on mixed radicands
+    flag, j = _flag_j("A1xA1")
+    x = CartanVector((Fraction(1), Quad(Fraction(0), Fraction(1), Fraction(8))))
+    z = make_base(flag, j, x).z
+    assert z.values == (Quad(Fraction(0), Fraction(1, 6), Fraction(2)), Fraction(2, 3)) == killing_make_base(flag, j, x).z.values
+    assert z._split is not None and z.kind == "quadratic" and killing(flag.rs, z, z) == 1
+    y = CartanVector((Fraction(1), Quad(Fraction(0), Fraction(1), Fraction(2))))
+    with pytest.raises(InputError, match="two quadratic fields"):
+        make_base(flag, j, y)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        killing_make_base(flag, j, y)
+
+
+def test_make_base_calls_no_killing():
+    # make_base normalizes exact and float directions without rootsys.killing, by any route
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is killing.__code__:
+            calls.append(frame)
+
+    flag, j = _flag_j("B2xG2", (1,))
+    directions = _directions(random.Random(1), flag)
+    sys.setprofile(profile)
+    try:
+        for _, x in directions:
+            make_base(flag, j, x, period_scale=Fraction(1, 3))
+        killing(flag.rs, flag.center_basis[0], flag.center_basis[0])  # the profile sees a call
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 1 and len(directions) == 8
+
+
+def test_integral_weights_are_built_once_over_a_d3_search():
+    # the 13 plane forms and the exact verdicts of the A2^3 [1, 3, 5] search share one set of weights
+    flag, j = _flag_j("A2xA2xA2", (1, 3, 5))
+    base = make_base(flag, j, flag.center_basis[0])
+    _integral_weights.cache_clear()
+    res = search_diameters(base)
+    assert res.candidates and _integral_weights.cache_info().misses <= 1
+    weights, scale = _integral_weights(4, 1, 2)
+    assert isinstance(weights, tuple) and [Fraction(w, scale) for w in weights] == [
+        Fraction(2 ** (i + 2) - (-1) ** (i + 2), i + 2) for i in range(4)]
+
 
 def test_make_base_rejects_a_repeated_root():
     # a root named twice would enter the obstruction twice; the set of roots alone is a valid structure

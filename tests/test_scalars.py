@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from flagke.polys import pair_scalar, split_exact
-from flagke.scalars import Quad, exact_sqrt, format_scalar, scalar_is_zero, scalar_sign
+from flagke.scalars import Quad, format_scalar, scalar_is_zero, scalar_sign, sqrt_parts
+from segment_checks import exact_sqrt
 
 
 def test_exact_sqrt_perfect_squares():
