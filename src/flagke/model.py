@@ -104,7 +104,7 @@ def make_base(
     gram = _center_gram(flag)
     uc = [u[i] for i in flag.unpainted]
     norm, R = linalg.form(gram, uc, uc), 0
-    if r is not None:  # the sqrt(R) part of E(x, x) den^2 is 2 u^T M_c v
+    if any(v):  # the sqrt(R) part of E(x, x) den^2 is 2 u^T M_c v
         vc = [v[i] for i in flag.unpainted]
         if linalg.form(gram, uc, vc):
             raise InputError("pass an unnormalized rational (or float) direction")

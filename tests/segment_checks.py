@@ -46,8 +46,8 @@ from flagke import einstein as ein
 from flagke import linalg
 from flagke.errors import InputError, InternalError
 from flagke.diameters import DiameterCandidate
-from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram, _center_modules,
-                         _unpainted_vector, require_complex_structure, ricci_invariant)
+from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram,
+                         _center_modules, _unpainted_vector, require_complex_structure, ricci_invariant)
 from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
                           _projective_space_test, isotropy_modules, ke_verdict, make_base)
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
@@ -552,9 +552,8 @@ def killing_make_base(flag, j, z_direction, period_scale=Fraction(1), tol=1e-12)
     exact = isinstance(norm_sq, (int, Fraction))
     if not exact and not 0 < norm_sq < math.inf:
         raise InputError("float direction has squared norm %r; rescale it" % (norm_sq,))
-    values = z_direction.values
     lam = exact_sqrt(Fraction(period_scale) ** 2 / norm_sq) if exact else float(period_scale) / float(norm_sq) ** 0.5
-    z = CartanVector(tuple(lam * a for a in values))
+    z = CartanVector(tuple(lam * a for a in z_direction.values))
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 

@@ -650,7 +650,8 @@ def test_sweep_tool_writes_and_compares_search_runs(tmp_path, monkeypatch, capsy
             "2"] in everything
     assert ["check-segment", "--group", "B3", "--painted", "", "--z", "1,-1,1", "--m1", "1", "--m2", "2", "--tau",
             "1/3"] in everything
-    assert ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "2", "--m2", "2", "--float"] in everything
+    assert ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "2", "--m2", "2",
+            "--float"] in everything
     monkeypatch.setattr(sweep, "sweep_argvs", lambda: argvs)
     path = tmp_path / "sweep.json"
     assert sweep.main(["--out", str(path)]) == 0

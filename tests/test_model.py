@@ -160,15 +160,17 @@ def test_make_base_errors_match_the_killing_route():
             rank = system.rank
             directions = _directions(rng, flag)
             z = next((x for kind, x in directions if kind == "quadratic"), None)
-            cases = [(CartanVector((Fraction(0),) * rank), 1), (CartanVector.from_split([0] * rank, [0] * rank, 1, None), 1),
-                     (CartanVector((0.0,) * rank), 1), (directions[0][1], 0), (directions[-1][1], Fraction(-1, 3)),
-                     (CartanVector(tuple(1e200 * v for v in directions[-2][1].values)), 1)]
+            x, floats = directions[0][1], directions[-2][1]
+            zeros = [0] * rank
+            cases = [(CartanVector((Fraction(0),) * rank), 1), (CartanVector.from_split(zeros, zeros, 1, None), 1),
+                     (CartanVector((0.0,) * rank), 1), (x, 0), (directions[-1][1], Fraction(-1, 3)),
+                     (CartanVector(tuple(1e200 * v for v in floats.values)), 1)]
             if painted:
-                off = [Fraction(int(i == painted[0])) for i in range(rank)]
-                cases += [(directions[0][1] + CartanVector(tuple(off)), 1),
-                          (CartanVector(tuple(float(v) + 1e-9 * float(o) for v, o in zip(directions[0][1].values, off))), 1)]
+                off = CartanVector(tuple(Fraction(int(i == painted[0])) for i in range(rank)))
+                moved = tuple(v + 1e-9 * float(o) for v, o in zip(floats.values, off.values))
+                cases += [(x + off, 1), (CartanVector(moved), 1)]
             if z is not None:  # Z + q has the sqrt(R) part 2 E(Z, q) of its norm, nonzero unless Z and q are orthogonal
-                cases += [(z + directions[0][1], 1), (CartanVector((z + directions[0][1]).values), Fraction(1, 3))]
+                cases += [(z + x, 1), (CartanVector((z + x).values), Fraction(1, 3))]
             for x, tau in cases:
                 got, want = (_outcome(make, flag, j, x, tau) for make in (make_base, killing_make_base))
                 assert got[0] == want[0]
@@ -187,8 +189,12 @@ def test_make_base_on_radicands_of_one_field_and_of_two():
     flag, j = _flag_j("A1xA1")
     x = CartanVector((Fraction(1), Quad(Fraction(0), Fraction(1), Fraction(8))))
     z = make_base(flag, j, x).z
-    assert z.values == (Quad(Fraction(0), Fraction(1, 6), Fraction(2)), Fraction(2, 3)) == killing_make_base(flag, j, x).z.values
+    want = (Quad(Fraction(0), Fraction(1, 6), Fraction(2)), Fraction(2, 3))
+    assert z.values == want == killing_make_base(flag, j, x).z.values
     assert z._split is not None and z.kind == "quadratic" and killing(flag.rs, z, z) == 1
+    # a rational direction split over a radicand, as a difference of two quadratic vectors can be, is rational
+    for x in (CartanVector.from_split([1, 0], [0, 0], 1, Fraction(3)), (z + CartanVector((1, 0))) - z):
+        assert make_base(flag, j, x).z == killing_make_base(flag, j, x).z == make_base(flag, j, CartanVector((1, 0))).z
     y = CartanVector((Fraction(1), Quad(Fraction(0), Fraction(1), Fraction(2))))
     with pytest.raises(InputError, match="two quadratic fields"):
         make_base(flag, j, y)

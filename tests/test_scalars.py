@@ -29,6 +29,18 @@ def test_exact_sqrt_square_part_extracted():
     assert exact_sqrt(Fraction(49)) == 7
 
 
+def test_sqrt_parts_in_integers():
+    # sqrt(num / den) = (s / e) sqrt(d) with s / e in lowest terms and d square-free, the parts of exact_sqrt
+    assert sqrt_parts(8, 1) == (2, 2, 1) and sqrt_parts(9, 16) == (3, 1, 4) and sqrt_parts(0, 5) == (0, 1, 1)
+    assert sqrt_parts(2, 4) == (1, 2, 2) and sqrt_parts(12, 27) == (2, 1, 3)
+    for num in range(60):
+        for den in range(1, 60):
+            s, d, e = sqrt_parts(num, den)
+            assert num * e * e == s * s * d * den and math.gcd(s, e) == 1 and e > 0
+            assert all(d % (p * p) for p in range(2, 12))
+            assert exact_sqrt(Fraction(num, den)) == (Fraction(s, e) if d == 1 else Quad(0, Fraction(s, e), d))
+
+
 def test_quad_field_operations():
     x = Quad(Fraction(1), Fraction(1), Fraction(2))  # 1 + sqrt(2)
     y = Quad(Fraction(3), Fraction(-1), Fraction(2))
