@@ -95,6 +95,7 @@ def test_integer_center_norm_matches_killing_on_sweep_flags(tau):
             z = make_base(flag, j, floats, period_scale=tau).z
             assert z.values == floats.scale(float(tau) / norm ** 0.5).values and z.kind == "float"
 
+
 def _outcome(make, flag, j, x, tau):
     """("ok", base) or ("error", exception type, message) of one make_base route."""
     try:
@@ -171,11 +172,11 @@ def test_make_base_errors_match_the_killing_route():
                 cases += [(x + off, 1), (CartanVector(moved), 1)]
             if z is not None:  # Z + q has the sqrt(R) part 2 E(Z, q) of its norm, nonzero unless Z and q are orthogonal
                 cases += [(z + x, 1), (CartanVector((z + x).values), Fraction(1, 3))]
-            for x, tau in cases:
-                got, want = (_outcome(make, flag, j, x, tau) for make in (make_base, killing_make_base))
+            for y, tau in cases:
+                got, want = (_outcome(make, flag, j, y, tau) for make in (make_base, killing_make_base))
                 assert got[0] == want[0]
                 if got[0] == "error":
-                    assert got[1:] == want[1:] and got[1] is InputError, (group, painted, x, got, want)
+                    assert got[1:] == want[1:] and got[1] is InputError, (group, painted, y, got, want)
                     seen.add(got[2].split(":")[0].split(" has ")[0])
                 else:
                     assert got[1].z == want[1].z
