@@ -91,11 +91,9 @@ __all__ = [
     "make_base",
     "profile_solve",
     "ricci_invariant",
-    "ricci_normal_state",
     "search_diameters",
     "search_walled",
     "sphere_in_chamber",
-    "tangential_residuals_state",
     "u_eval",
     "validate_complex_structure",
     "verify_profile",

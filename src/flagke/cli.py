@@ -28,6 +28,7 @@ from .errors import DegreeMismatchError, FlagkeError, InputError, NoKahlerEinste
 from .flag import (
     FlagData,
     InvariantComplexStructure,
+    SphereCheck,
     build_flag,
     chamber_position,
     default_complex_structure,
@@ -178,13 +179,17 @@ def _run_flag_info(job: JobSpec) -> Dict:
     }
     if j.positive:
         chk = sphere_in_chamber(flag, j, zk=zk)
-        out["sphere_in_chamber"] = {
-            "ok": chk.ok,
-            "min_wall_distance_sq": str(chk.min_distance_sq),
-            "min_wall_distance_sq_center": str(chk.min_distance_sq_center),
-            "binding_root": list(chk.binding_root.coords),
-        }
+        out["sphere_in_chamber"] = dict(_sphere_report(chk), binding_root=list(chk.binding_root.coords))
     return out
+
+
+def _sphere_report(chk: SphereCheck) -> Dict:
+    """The fields of a sphere-in-chamber check that flag-info and the diameter search both report."""
+    return {
+        "ok": chk.ok,
+        "min_wall_distance_sq": str(chk.min_distance_sq),
+        "min_wall_distance_sq_center": str(chk.min_distance_sq_center),
+    }
 
 
 def _degrees(job: JobSpec) -> tuple:
@@ -397,11 +402,7 @@ def _run_search(job: JobSpec) -> Dict:
         "mode": "search",
         "kind": "diameters",
         "config": _echo(job, spec),
-        "sphere_in_chamber": {
-            "ok": result.hypothesis.ok,
-            "min_wall_distance_sq": str(result.hypothesis.min_distance_sq),
-            "min_wall_distance_sq_center": str(result.hypothesis.min_distance_sq_center),
-        },
+        "sphere_in_chamber": _sphere_report(result.hypothesis),
         "candidates": [
             {
                 "z": [_fmt(v) for v in c.z_values],

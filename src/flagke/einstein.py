@@ -51,7 +51,7 @@ from .scalars import Scalar, scalar_is_zero
 from .walled import search_walled  # noqa: F401  (benchmarks/workloads.py takes it from here)
 
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel;
-# quad_error_estimate checks the panel count by the panels' Legendre tails
+# the report's quad_error_estimate checks the panel count by the panels' Legendre tails
 PROFILE_PANELS = 64
 PROFILE_GAUSS_ORDER = 16
 # profile inversion: a Newton step this small relative to w, or to the
@@ -678,10 +678,6 @@ class ProfileMap:
         """The inverse of t_of_f, for a float or an array of times."""
         return self._by_chart(t, self.delta, self.fd, self.t_split, lambda x, right: self._w_of_t(x, right) ** 2)
 
-    def quad_error_estimate(self) -> float:
-        """The table's error: its panels' Legendre tails and the rounding of its cumulative sums."""
-        return self.error
-
 
 def _chart_values(sp: SegmentPolynomial, x: np.ndarray) -> List[np.ndarray]:
     """-2q/p of the left and the right end chart at the same distances x from their ends, from one power table."""
@@ -733,7 +729,7 @@ def profile_solve(sp: SegmentPolynomial, grid_size: int = 512) -> ProfileSolutio
         "fpp0": float(fpp[0]),
         "fpp_delta": float(fpp[-1]),
         "max_ode_residual": float(np.max(np.abs(ode_res))) if ode_res.size else 0.0,
-        "quad_error_estimate": pmap.quad_error_estimate(),
+        "quad_error_estimate": pmap.error,
     }
     if not abs(diagnostics["fpp0"] - 1.0) < 1e-6:
         raise InternalError("f''(0) limit drifted from 1")
@@ -776,22 +772,14 @@ def _normal(fp, fpp, s1, s2):
     return -fppp / fp + fpp * s1 + 0.5 * (fp * fp) * s2
 
 
-def tangential_residuals_state(sp: SegmentPolynomial, f, fp, fpp) -> np.ndarray:
-    """r_alpha/g_alpha - 1, modules on the last axis, for states of any shape.
-
-    Every root of a module has its module's residual, so maxima over modules
-    are maxima over R_m+.
-    """
-    return _tangential(sp, f, _ricci_q(fp, fpp, sp.log_deriv_sums(f)[0]))
-
-
-def ricci_normal_state(sp: SegmentPolynomial, f, fp, fpp):
-    """r(xi, xi) from the state (f, f', f''), floats or arrays of one shape."""
-    return _normal(fp, fpp, *sp.log_deriv_sums(f))
-
-
 def ricci_residuals_state(sp: SegmentPolynomial, f, fp, fpp):
-    """`tangential_residuals_state` and `ricci_normal_state` of one state, from one pass of `log_deriv_sums`."""
+    """(r_alpha/g_alpha - 1, r(xi, xi)) of states (f, f', f''), floats or arrays of one shape, from one pass of
+    `log_deriv_sums`.
+
+    The tangential residuals have the modules on the last axis.  Every root
+    of a module has its module's residual, so maxima over modules are
+    maxima over R_m+.
+    """
     s1, s2 = sp.log_deriv_sums(f)
     return _tangential(sp, f, _ricci_q(fp, fpp, s1)), _normal(fp, fpp, s1, s2)
 

@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
-from .polys import split_exact
 from .records import Record
 from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
 from .scalars import scalar_sign
@@ -277,10 +276,10 @@ def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVect
     The center basis is the unit vectors of the unpainted nodes, so the key
     rho of a module, a root's restriction to the center, is its tuple of
     unpainted coordinates.  Zk lies in the center, so a module has one
-    alpha(Zk) = at_zk[i] / z_den, integers over one denominator
-    (`polys.split_exact`), in table order.
+    alpha(Zk) = at_zk[i] / z_den, integers over the denominator of Zk's
+    split (`CartanVector.split`), in table order.
     """
-    z_int, _, z_den, _ = split_exact(zk.values)
+    z_int, _, z_den, _ = zk.split
     table: Dict[tuple, List[Root]] = {}
     for alpha in j.positive:
         table.setdefault(tuple(alpha.coords[i] for i in flag.unpainted), []).append(alpha)

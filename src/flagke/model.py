@@ -22,9 +22,10 @@ profile check `check_parametrization` works on plain floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -84,14 +85,17 @@ def make_base(
     sums it, term for term; one whose squared norm is not a finite positive
     float is an input error.
 
-    It checks, raising InputError, that period_scale is positive, that j is
-    a valid complex structure on the flag and that the direction is nonzero
-    and in the center of k.  The check of j is `require_complex_structure`'s,
-    which skips a j already known valid on this flag object: one that
-    `default_complex_structure` built for it, or that passed the check on it.
+    It checks, raising InputError, that period_scale is positive, that tol
+    is a finite number >= 0, that j is a valid complex structure on the flag
+    and that the direction is nonzero and in the center of k.  The check of
+    j is `require_complex_structure`'s, which skips a j already known valid
+    on this flag object: one that `default_complex_structure` built for it,
+    or that passed the check on it.
     """
     if period_scale <= 0:
         raise InputError("period scale must be positive")
+    if not 0 <= tol < math.inf:
+        raise InputError("tolerance must be a finite number >= 0, got %r" % (tol,))
     require_complex_structure(flag, j)
     if z_direction.kind == "float":
         return _float_base(flag, j, z_direction, period_scale, tol)
@@ -275,87 +279,54 @@ def _projective_space_test(flag: FlagData, walls: Tuple[Root, ...]) -> List[str]
     Builds the closed subsystem R_K u W, extracts its simple system, and
     checks the textbook characterization: exactly one component meets the
     walls, it is a simple-laced path (type A) of length |W|/2, and removing
-    one terminal node lands on painted roots only.
+    one terminal node lands on painted roots only.  The pairings are the
+    integers a^T D b of `RootSystem.dual_form` (M^-1 = D / den): den > 0 only
+    rescales them, so adjacency, root lengths and single bonds read the same.
     """
     if not walls:
         return []
-    rs = flag.rs
+    dual, _ = flag.rs.dual_form
     wall_pos = sorted({r.coords for r in walls if r.is_positive})
-    sub_pos = sorted({r.coords for r in flag.r_k if r.is_positive} | set(wall_pos))
-    sub_set = set(sub_pos)
-
+    sub = {r.coords for r in flag.r_k if r.is_positive} | set(wall_pos)
     # simple roots of the subsystem: positive roots that are not sums of two
-    sums = set()
-    for i, a in enumerate(sub_pos):
-        for b in sub_pos[i:]:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in sub_set:
-                sums.add(s)
-    nodes = [c for c in sub_pos if c not in sums]
-
-    # Dynkin adjacency from exact Cartan integers
-    m = len(nodes)
-    pair: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(m):
-        for k in range(m):
-            pair[i, k] = rs.dual_pairing(nodes[i], nodes[k])
-    adj = [[k for k in range(m) if k != i and pair[i, k] != 0] for i in range(m)]
-
-    comp_id = [-1] * m
-    n_comp = 0
-    for i in range(m):
-        if comp_id[i] != -1:
-            continue
-        stack = [i]
-        comp_id[i] = n_comp
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp_id[v] == -1:
-                    comp_id[v] = n_comp
-                    stack.append(v)
-        n_comp += 1
-
-    painted_coords = {tuple(int(t == i) for t in range(rs.rank)) for i in flag.painted}
-    wall_set = set(wall_pos)
-    failures: List[str] = []
-    meet = sorted({comp_id[i] for i in range(m) if nodes[i] in wall_set})
+    nodes = sorted(sub - {tuple(map(add, a, b)) for a, b in itertools.combinations(sub, 2)})
+    pair = {(a, b): linalg.form(dual, a, b) for a in nodes for b in nodes}
+    adj = {a: [b for b in nodes if b != a and pair[a, b]] for a in nodes}
+    comp: Dict[tuple, frozenset] = {}
+    for a in nodes:  # merge a with the components of its neighbours labelled so far
+        merged = frozenset([a]).union(*(comp[b] for b in adj[a] if b in comp))
+        comp.update(dict.fromkeys(merged, merged))
+    wall_nodes = [a for a in wall_pos if a in comp]
+    meet = {comp[a] for a in wall_nodes}
     if len(meet) != 1:
-        failures.append("wall roots spread over %d simple components" % len(meet))
-        return failures
-    comp_nodes = [i for i in range(m) if comp_id[i] == meet[0]]
-    for i in range(m):
-        if comp_id[i] != meet[0] and nodes[i] not in painted_coords:
-            failures.append("non-painted simple root %s outside the wall component" % (nodes[i],))
-
-    if len(comp_nodes) != len(wall_pos):
-        failures.append("wall component has %d nodes, expected %d" % (len(comp_nodes), len(wall_pos)))
-    # type A: connected path, single bonds, equal lengths
-    degs = {i: len([v for v in adj[i] if comp_id[v] == meet[0]]) for i in comp_nodes}
-    if any(d > 2 for d in degs.values()):
+        return ["wall roots spread over %d simple components" % len(meet)]
+    # Two clauses of the textbook test cannot fire past this point, so none is
+    # written.  (1) No non-painted node lies outside the wall component: a
+    # positive root of R_K other than a painted simple root is a sum of two
+    # positive roots of R_K, so every node is a painted simple root or a wall
+    # node, and the wall nodes lie in the one component of ``meet``.  Hence
+    # the non-painted nodes are the wall nodes.  (2) No wall root escapes the
+    # span of that component C: a wall root w is a sum of nodes, those outside
+    # C painted simple roots alpha_q, and its support is connected in the
+    # Dynkin diagram and meets that of C (w is not in R_K).  If some q in it
+    # lay outside the support of C, an edge i - q with i in the support of C
+    # would give a node c of C with c_i > 0 and c_q = 0, so (c, alpha_q) < 0
+    # and alpha_q would be adjacent to c, in C.
+    (nodes_w,) = meet
+    failures: List[str] = []
+    if len(nodes_w) != len(wall_pos):
+        failures.append("wall component has %d nodes, expected %d" % (len(nodes_w), len(wall_pos)))
+    # type A: connected path, single bonds, equal lengths; a neighbour is in the same component
+    if any(len(adj[a]) > 2 for a in nodes_w):
         failures.append("wall component branches; not a path")
-    lengths = {pair[i, i] for i in comp_nodes}
-    if len(lengths) != 1:
+    if len({pair[a, a] for a in nodes_w}) != 1:
         failures.append("wall component has roots of two lengths")
-    for i in comp_nodes:
-        for k in adj[i]:
-            if comp_id[k] == meet[0]:
-                n_ik = 2 * pair[i, k] / pair[k, k]
-                n_ki = 2 * pair[k, i] / pair[i, i]
-                if n_ik * n_ki != 1:
-                    failures.append("multiple bond inside wall component")
-    unpainted = [i for i in comp_nodes if nodes[i] not in painted_coords]
-    if len(unpainted) != 1:
-        failures.append("expected exactly one non-painted node, found %d" % len(unpainted))
-    elif degs[unpainted[0]] > 1:
+    failures += ["multiple bond inside wall component"
+                 for a in nodes_w for b in adj[a] if 4 * pair[a, b] ** 2 != pair[a, a] * pair[b, b]]
+    if len(wall_nodes) != 1:
+        failures.append("expected exactly one non-painted node, found %d" % len(wall_nodes))
+    elif len(adj[wall_nodes[0]]) > 1:
         failures.append("non-painted node is not terminal in the path")
-    # every wall root must lie in the Z-span of the component
-    comp_support = set()
-    for i in comp_nodes:
-        comp_support.update(t for t, c in enumerate(nodes[i]) if c != 0)
-    for w in wall_pos:
-        if not {t for t, c in enumerate(w) if c != 0} <= comp_support:
-            failures.append("wall root %s escapes the component span" % (w,))
     return failures
 
 

@@ -16,8 +16,10 @@ the pairwise closure scan of a complex structure, the oracle of
 default complex structure, the oracles of the mask split of `flag.build_flag`
 and `flag.default_complex_structure`; the normalization by `rootsys.killing`
 with the exact square root it takes, the oracle of `model.make_base`;
-the per-root segment classification, the oracle of
-`model.analyze_segment`, with its own closure test at every end, and the
+the projective-space test on Fraction pairings with a depth-first component
+search, the oracle of `model._projective_space_test`; the per-root segment
+classification, the oracle of `model.analyze_segment`, with its own closure
+and projective-space tests at every end, and the
 per-root module table of float vectors, the oracle of `model.isotropy_modules`; the walled search over root subsets, the
 oracle of `walled.search_walled`; the Fraction Gauss-Jordan elimination
 it and the next two solve by, the oracle of the integer `linalg.solve`;
@@ -49,7 +51,7 @@ from flagke.diameters import DiameterCandidate
 from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram,
                          _center_modules, _unpainted_vector, require_complex_structure, ricci_invariant)
 from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
-                          _projective_space_test, isotropy_modules, ke_verdict, make_base)
+                          isotropy_modules, ke_verdict, make_base)
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import Quad, scalar_is_zero, scalar_sign, sqrt_parts
@@ -186,7 +188,7 @@ def ricci_tangential(sp, profile, alpha, t):
 
 def ricci_normal(profile, sp, t):
     """r(xi, xi) at one time t by the closed form with f''' from the differentiated flow."""
-    return ein.ricci_normal_state(sp, *ein._state_at(sp, profile, t))
+    return ein.ricci_residuals_state(sp, *ein._state_at(sp, profile, t))[1]
 
 
 def fp_fpp_by_passes(sp, f):
@@ -565,6 +567,99 @@ def per_root_isotropy_modules(j, x, z):
     return table, None, None
 
 
+def fraction_projective_space_test(flag, walls):
+    """`model._projective_space_test` on Fraction pairings, with a depth-first component search.
+
+    Builds the closed subsystem R_K u W, extracts its simple system by
+    testing every pairwise sum, pairs its nodes by `RootSystem.dual_pairing`
+    and checks the textbook characterization: exactly one component meets
+    the walls, it is a simple-laced path (type A) of length |W|/2, and
+    removing one terminal node lands on painted roots only.  It keeps the
+    clause on a non-painted simple root outside the wall component, which
+    the model drops as unreachable.
+    """
+    if not walls:
+        return []
+    rs = flag.rs
+    wall_pos = sorted({r.coords for r in walls if r.is_positive})
+    sub_pos = sorted({r.coords for r in flag.r_k if r.is_positive} | set(wall_pos))
+    sub_set = set(sub_pos)
+
+    # simple roots of the subsystem: positive roots that are not sums of two
+    sums = set()
+    for i, a in enumerate(sub_pos):
+        for b in sub_pos[i:]:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in sub_set:
+                sums.add(s)
+    nodes = [c for c in sub_pos if c not in sums]
+
+    # Dynkin adjacency from exact Cartan integers
+    m = len(nodes)
+    pair = {}
+    for i in range(m):
+        for k in range(m):
+            pair[i, k] = rs.dual_pairing(nodes[i], nodes[k])
+    adj = [[k for k in range(m) if k != i and pair[i, k] != 0] for i in range(m)]
+
+    comp_id = [-1] * m
+    n_comp = 0
+    for i in range(m):
+        if comp_id[i] != -1:
+            continue
+        stack = [i]
+        comp_id[i] = n_comp
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if comp_id[v] == -1:
+                    comp_id[v] = n_comp
+                    stack.append(v)
+        n_comp += 1
+
+    painted_coords = {tuple(int(t == i) for t in range(rs.rank)) for i in flag.painted}
+    wall_set = set(wall_pos)
+    failures = []
+    meet = sorted({comp_id[i] for i in range(m) if nodes[i] in wall_set})
+    if len(meet) != 1:
+        failures.append("wall roots spread over %d simple components" % len(meet))
+        return failures
+    comp_nodes = [i for i in range(m) if comp_id[i] == meet[0]]
+    for i in range(m):
+        if comp_id[i] != meet[0] and nodes[i] not in painted_coords:
+            failures.append("non-painted simple root %s outside the wall component" % (nodes[i],))
+
+    if len(comp_nodes) != len(wall_pos):
+        failures.append("wall component has %d nodes, expected %d" % (len(comp_nodes), len(wall_pos)))
+    # type A: connected path, single bonds, equal lengths
+    degs = {i: len([v for v in adj[i] if comp_id[v] == meet[0]]) for i in comp_nodes}
+    if any(d > 2 for d in degs.values()):
+        failures.append("wall component branches; not a path")
+    lengths = {pair[i, i] for i in comp_nodes}
+    if len(lengths) != 1:
+        failures.append("wall component has roots of two lengths")
+    for i in comp_nodes:
+        for k in adj[i]:
+            if comp_id[k] == meet[0]:
+                n_ik = 2 * pair[i, k] / pair[k, k]
+                n_ki = 2 * pair[k, i] / pair[i, i]
+                if n_ik * n_ki != 1:
+                    failures.append("multiple bond inside wall component")
+    unpainted = [i for i in comp_nodes if nodes[i] not in painted_coords]
+    if len(unpainted) != 1:
+        failures.append("expected exactly one non-painted node, found %d" % len(unpainted))
+    elif degs[unpainted[0]] > 1:
+        failures.append("non-painted node is not terminal in the path")
+    # every wall root must lie in the Z-span of the component
+    comp_support = set()
+    for i in comp_nodes:
+        comp_support.update(t for t, c in enumerate(nodes[i]) if c != 0)
+    for w in wall_pos:
+        if not {t for t, c in enumerate(w) if c != 0} <= comp_support:
+            failures.append("wall root %s escapes the component span" % (w,))
+    return failures
+
+
 def per_root_segment(base, z1, length):
     """`model.analyze_segment` with alpha(Z1) and alpha(Z2) evaluated and signed root by root."""
     flag, j = base.flag, base.j
@@ -583,7 +678,7 @@ def per_root_segment(base, z1, length):
     )
     degree_failures, projection_failures = [], []
     for tag, w in zip(("endpoint 1", "endpoint 2"), walls):
-        degree_failures += ["%s %s" % (tag, f) for f in _projective_space_test(flag, w)]
+        degree_failures += ["%s %s" % (tag, f) for f in fraction_projective_space_test(flag, w)]
         bad = closure_violation(flag, j, frozenset(r.coords for r in w))
         if bad is not None:
             projection_failures.append("%s holomorphic projection fails at %s + %s" % (tag, bad[0], bad[1]))

@@ -158,8 +158,8 @@ def test_criterion_4_profile_solver_on_searched_configuration(searched_configura
     max_norm = 0.0
     for i in range(1, len(profile.t) - 1):
         f, fp, fpp = profile.f[i], profile.fp[i], profile.fpp[i]
-        max_tan = max(max_tan, float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp)))))
-        max_norm = max(max_norm, abs(ein.ricci_normal_state(sp, f, fp, fpp) - 1.0))
+        max_tan = max(max_tan, float(np.max(np.abs(ein.ricci_residuals_state(sp, f, fp, fpp)[0]))))
+        max_norm = max(max_norm, abs(ein.ricci_residuals_state(sp, f, fp, fpp)[1] - 1.0))
 
     pv = check_parametrization(profile.t, profile.f, profile.delta, float(sp.f_delta))
     elapsed = time.perf_counter() - t0
@@ -210,7 +210,7 @@ def test_criterion_6_negative_controls(searched_configuration):
     max_tan = 0.0
     for i in range(1, len(profile.t) - 1):
         f, fp, fpp = profile.f[i], profile.fp[i], profile.fpp[i]
-        max_tan = max(max_tan, float(np.max(np.abs(ein.tangential_residuals_state(sp_scaled, f, fp, fpp)))))
+        max_tan = max(max_tan, float(np.max(np.abs(ein.ricci_residuals_state(sp_scaled, f, fp, fpp)[0]))))
     broke = max_tan > 1e-3
 
     # (b) the product diameter is rejected with an exact wall diagnostic

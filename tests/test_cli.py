@@ -122,8 +122,8 @@ def test_solve_writes_profile_table(tmp_path, capsys, ke_base):
     assert np.isnan(data[0, 4:]).all() and np.isnan(data[-1, 4:]).all()
     for i in range(1, 47):
         f, fp, fpp = float(prof.f[i]), float(prof.fp[i]), float(prof.fpp[i])
-        assert abs(data[i, 4] - float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp))))) <= 1e-13
-        assert abs(data[i, 5] - (ein.ricci_normal_state(sp, f, fp, fpp) - 1.0)) <= 1e-13
+        assert abs(data[i, 4] - float(np.max(np.abs(ein.ricci_residuals_state(sp, f, fp, fpp)[0])))) <= 1e-13
+        assert abs(data[i, 5] - (ein.ricci_residuals_state(sp, f, fp, fpp)[1] - 1.0)) <= 1e-13
 
 
 def test_verify_mode_all_pass(capsys):

@@ -93,7 +93,10 @@ def command_lines(draw):
 
 
 def _check_run(argv, job, tmp_path):
-    """Run main in process and check that it ends in one JSON object with exit 0, or 2 with an error."""
+    """Run main in process and check that it ends in one JSON object with exit 0, or 2 with an error.
+
+    Returns the report, or None after an argparse usage error.
+    """
     if job is not None:
         path = tmp_path / "job.json"
         path.write_text(job)
@@ -104,13 +107,14 @@ def _check_run(argv, job, tmp_path):
             code = main(argv)
         except SystemExit as exc:  # argparse's usage error, on stderr
             assert exc.code == 2 and out.getvalue() == "" and "usage:" in err.getvalue(), argv
-            return
+            return None
     assert code in (0, 2), (argv, job, out.getvalue())
     report = json.loads(out.getvalue())
     assert isinstance(report, dict), argv
     assert ("error" in report) == (code == 2), (argv, job, report)
     if code == 2:
         assert list(report) == ["error"] and isinstance(report["error"], str), (argv, report)
+    return report
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
@@ -120,10 +124,22 @@ def test_cli_fuzz_ends_in_a_json_report_or_error(command, tmp_path):
     _check_run(*command, tmp_path)
 
 
-# `search` on a 0-dimensional center exited 1 with an IndexError, for the diameter and the walled search
-@pytest.mark.parametrize("argv, job", [
-    (["search", "--group=A1", "--painted=0"], None),
-    (["search", "--group=A1", "--painted=0", "--m1=2", "--m2=1"], None),
+# a float futaki run on A2xA2, for the runs with a bad --tol
+BAD_TOL = ["futaki", "--group=A2xA2", "--painted=1,3", "--m1=1", "--m2=1", "--float"]
+
+
+# `search` on a 0-dimensional center exited 1 with an IndexError, for the diameter and the walled search;
+# a negative or nan tolerance reported a direction in the center as off-center, and an infinite one let
+# an off-center float direction through
+@pytest.mark.parametrize("argv, job, error", [
+    (["search", "--group=A1", "--painted=0"], None, None),
+    (["search", "--group=A1", "--painted=0", "--m1=2", "--m2=1"], None, None),
+    (BAD_TOL + ["--z=1,0,-1,0", "--tol=-1"], None, "tolerance must be a finite number >= 0, got -1.0"),
+    (BAD_TOL + ["--z=1,0,-1,0", "--tol=nan"], None, "tolerance must be a finite number >= 0, got nan"),
+    (BAD_TOL + ["--z=1,1e-3,-1,0", "--tol=inf"], None, "tolerance must be a finite number >= 0, got inf"),
+    (BAD_TOL + ["--z=1,0,-1,0"], json.dumps({"tol": -1.0}), "tolerance must be a finite number >= 0, got -1.0"),
 ])
-def test_cli_regressions(argv, job, tmp_path):
-    _check_run(argv, job, tmp_path)
+def test_cli_regressions(argv, job, error, tmp_path):
+    report = _check_run(argv, job, tmp_path)
+    if error is not None:
+        assert report == {"error": error}

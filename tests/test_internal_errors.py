@@ -65,6 +65,29 @@ def test_every_top_level_name_outside_all_has_a_caller():
     assert not unused, "no caller in src/flagke, benchmarks or demos: %s" % ", ".join(unused)
 
 
+def test_every_module_level_import_is_read():
+    # an import that its module never reads is a leftover of moved or deleted
+    # code; names in __all__, lines marked noqa and __future__ imports are exempt
+    unread = []
+    for path, tree in _parse(sorted(glob.glob(os.path.join(SRC, "*.py")))):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    unread.append("%s:%d %s" % (os.path.basename(path), node.lineno, name))
+    assert not unread, "imported but never read: %s" % ", ".join(unread)
+
+
 def _called_name(node):
     """The name a call or a function reference uses: f, or the attribute of obj.f."""
     return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,12 +13,13 @@ from flagke.errors import InputError
 from flagke import linalg
 from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
 from flagke.diameters import search_diameters
-from flagke.model import (FutakiReport, _integral_weights, analyze_segment, check_parametrization, futaki,
-                          isotropy_modules, ke_endpoints, make_base)
-from flagke.rootsys import CartanVector, LieAlgebraSpec, Root, build_root_system, coroot_vector, evaluate, killing
+from flagke.model import (FutakiReport, _integral_weights, _projective_space_test, analyze_segment,
+                          check_parametrization, futaki, isotropy_modules, ke_endpoints, make_base)
+from flagke.rootsys import (CartanVector, LieAlgebraSpec, Root, RootSystem, build_root_system, coroot_vector, evaluate,
+                            killing)
 from flagke.scalars import Quad
-from segment_checks import (exact_sqrt, killing_make_base, per_root_build_flag, per_root_complex_structure,
-                            per_root_isotropy_modules, per_root_segment)
+from segment_checks import (exact_sqrt, fraction_projective_space_test, killing_make_base, per_root_build_flag,
+                            per_root_complex_structure, per_root_isotropy_modules, per_root_segment)
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from sweep_searches import paintings
 
@@ -367,6 +370,52 @@ def test_projective_space_test_through_full_wall():
     assert seg.candidate.m1 == len(j.positive) + 1
     assert seg.candidate.m2 == 1
     assert seg.chamber_ok and seg.degrees_ok and seg.projection_ok
+
+
+def test_projective_space_test_matches_the_fraction_oracle():
+    # seeded random wall sets, one to five roots of R_m+ each, on every flag of the sweep groups and E6 with a
+    # center; the integer test must give the oracle's failure list, and the oracle reaches each clause it keeps
+    # but the two the model proves unreachable (see `_projective_space_test`)
+    rng = random.Random(34)
+    kinds = collections.Counter()
+    for text in SWEEP_GROUPS + ["E6"]:
+        system = rs(text)
+        flags = [build_flag(system, p) for p in paintings(text) if len(p) < system.rank]
+        for _ in range(60):
+            flag = rng.choice(flags)
+            positive = default_complex_structure(flag).positive
+            chosen = rng.sample(positive, rng.randint(1, min(5, len(positive))))
+            walls = tuple(sorted(r for a in chosen for r in (a, -a)))
+            got, want = _projective_space_test(flag, walls), fraction_projective_space_test(flag, walls)
+            assert got == want, (text, flag.painted, walls)
+            kinds.update(re.sub(r"\(.*?\)|\d+", "#", f) for f in want)
+    assert set(kinds) == {"wall roots spread over # simple components", "wall component has # nodes, expected #",
+                          "wall component branches; not a path", "wall component has roots of two lengths",
+                          "multiple bond inside wall component", "expected exactly one non-painted node, found #",
+                          "non-painted node is not terminal in the path"}, kinds
+
+
+def test_walled_segments_are_classified_without_fraction_pairings(monkeypatch):
+    # the projective-space test pairs roots on the integer dual form, never through RootSystem.dual_pairing
+    def no_pairing(self, a, b):
+        raise AssertionError("RootSystem.dual_pairing called")
+
+    monkeypatch.setattr(RootSystem, "dual_pairing", no_pairing)
+    walled, failed = 0, 0
+    for text in ("A2", "B2", "G2", "B3", "A1xA2", "A3", "A2xA2"):
+        rank = rs(text).rank
+        origin = CartanVector((Fraction(0),) * rank)
+        for painted in (p for k in range(rank) for p in itertools.combinations(range(rank), k)):
+            flag, j = _flag_j(text, painted)
+            zk = ricci_invariant(flag, j)
+            for b in flag.center_basis:
+                for direction in (b, -b):  # from the origin, every root of R_m+ that Z moves is a wall there
+                    base = make_base(flag, j, direction)
+                    for z1 in (origin, zk + base.z, zk + base.z.scale(2)):
+                        seg = analyze_segment(base, z1, 3)
+                        walled += bool(seg.candidate.w1 or seg.candidate.w2)
+                        failed += not seg.degrees_ok
+    assert walled > 0 and failed > 0, (walled, failed)
 
 
 def test_projection_failure_detected():

@@ -155,12 +155,12 @@ def _oracle_verify(sp, profile, n_check):
     out = dict.fromkeys(["max_tangential_residual", "max_normal_residual", "normal_two_route_gap", "roundtrip_error"], 0.0)
     for t in np.linspace(0.0, profile.delta, n_check + 2)[1:-1]:
         f, fp, fpp = state(t)
-        rn = ein.ricci_normal_state(sp, f, fp, fpp)
+        rn = ein.ricci_residuals_state(sp, f, fp, fpp)[1]
         h = min(profile.delta / 400.0, t / 3.0, (profile.delta - t) / 3.0)
         qs = [fpp - (fp * fp) * sp.log_deriv_sums(f)[0] / 2.0] + [q_of(t + h * x) for x in ein._STENCIL[1:]]
         rn_fd = -(qs[1] - 8 * qs[2] + 8 * qs[3] - qs[4]) / (12 * h) / fp
         checks.append((f, fp, qs, h))
-        tan = float(np.max(np.abs(ein.tangential_residuals_state(sp, f, fp, fpp))))
+        tan = float(np.max(np.abs(ein.ricci_residuals_state(sp, f, fp, fpp)[0])))
         for key, value in [
             ("max_tangential_residual", tan),
             ("max_normal_residual", abs(rn - 1.0)),
@@ -458,11 +458,14 @@ def test_panel_powers_are_the_loop_of_products_bit_for_bit(case):
 
 def test_verify_and_the_residual_columns_take_one_pass_of_the_log_derivative_sums(case, monkeypatch):
     """verify_profile sums k/(a - k f) once, over all 64 checks and their stencil points, and the CLI's residual
-    columns once over the interior grid; `ricci_residuals_state` is the two public residuals bit for bit."""
+    columns once over the interior grid; `ricci_residuals_state` is, bit for bit, each residual from a pass of its
+    own."""
     sp, profile = case
-    state = (profile.f[1:-1], profile.fp[1:-1], profile.fpp[1:-1])
+    f, fp, fpp = state = (profile.f[1:-1], profile.fp[1:-1], profile.fpp[1:-1])
     both = ein.ricci_residuals_state(sp, *state)
-    for got, want in zip(both, (ein.tangential_residuals_state(sp, *state), ein.ricci_normal_state(sp, *state))):
+    apart = (ein._tangential(sp, f, ein._ricci_q(fp, fpp, sp.log_deriv_sums(f)[0])),
+             ein._normal(fp, fpp, *sp.log_deriv_sums(f)))
+    for got, want in zip(both, apart):
         assert got.tobytes() == want.tobytes()
     sizes = []
     sums = ein.SegmentPolynomial.log_deriv_sums
