@@ -575,8 +575,8 @@ def fraction_projective_space_test(flag, walls):
     and checks the textbook characterization: exactly one component meets
     the walls, it is a simple-laced path (type A) of length |W|/2, and
     removing one terminal node lands on painted roots only.  It keeps the
-    clause on a non-painted simple root outside the wall component, which
-    the model drops as unreachable.
+    two clauses the model drops as unreachable: a non-painted simple root
+    outside the wall component, and a wall root outside the component's span.
     """
     if not walls:
         return []
