@@ -480,7 +480,8 @@ def _make_parser() -> argparse.ArgumentParser:
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     """JobSpec's defaults, overridden by the job file's fields, then by the flags that are given.
 
-    Every field is passed to JobSpec by name; one that neither source gives is None, its default.
+    Every field is passed to JobSpec by name; one that neither source gives is None, its default.  A
+    flag-info job given a direction option by either source is bad input: it would go unread.
     """
     data: Dict = {}
     if args.job:
@@ -500,6 +501,9 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         for name, (_, convert) in _FIELDS.items():
             if source.get(name) is not None:
                 given[name] = source[name] if convert is None else _convert(name, source[name], convert)
+    unread = [option for name, option in _DIRECTION_OPTIONS.items() if name in given]
+    if args.mode == "flag-info" and unread:
+        raise InputError("flag-info reads no direction options; given: %s" % ", ".join(unread))
     g = given.get
     job = JobSpec(args.mode, group=g("group"), painted=g("painted"), complex_structure=g("complex_structure"),
                   z_direction=g("z_direction"), m1=g("m1"), m2=g("m2"), tau=g("tau"), tol=g("tol"), grid=g("grid"),
@@ -531,6 +535,9 @@ def _group_name(group) -> str:
     return str(group)
 
 
+# the JobSpec fields of a direction and its segment, which flag-info does not read, with their options
+_DIRECTION_OPTIONS = {"z_direction": "--z", "tau": "--tau", "tol": "--tol", "arithmetic": "--float/--exact",
+                      "m1": "--m1", "m2": "--m2", "grid": "--grid", "out": "--out"}
 # JobSpec field: (its command-line flag, the conversion of its value, or None)
 _FIELDS = {
     "group": ("group", _group_name),

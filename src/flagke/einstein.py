@@ -337,7 +337,7 @@ class SegmentPolynomial:
             sp = SegmentPolynomial(*verdict.futaki.table, m1, m2, verdict.futaki.product)
         else:
             zk = ricci_invariant(base.flag, base.j) if verdict is None else verdict.zk
-            sp = SegmentPolynomial(*isotropy_modules(base.j, zk, base.z), m1, m2)
+            sp = SegmentPolynomial(*isotropy_modules(base.flag, base.j, zk, base.z), m1, m2)
         if validate_degrees:
             n, tol = (2, 0) if sp.exact else (1, FLOAT_WALL_TOL)  # a key: n parts of alpha(Zk), then of alpha(Z)
             walls = [[r.coords for key, roots in sp.modules.items()

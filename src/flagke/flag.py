@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -61,7 +61,10 @@ class InvariantComplexStructure(Record):
 
     It also keeps, uncompared, the flag it is known to be valid on, or None:
     the flag `default_complex_structure` built it for, or the last flag on
-    which it passed `require_complex_structure`.
+    which it passed `require_complex_structure`; and the values that depend
+    on a flag as well, each with the flag object it was built for
+    (`_kept_on`): its Ricci element and the classes of R_m+ by restriction
+    to the center.
     """
 
     _fields = ("positive",)
@@ -190,12 +193,25 @@ def require_complex_structure(flag: FlagData, j: InvariantComplexStructure) -> N
     j.__dict__["valid_on"] = flag
 
 
+def _kept_on(flag: FlagData, j: InvariantComplexStructure, name: str, build):
+    """build(flag, j), kept on j under ``name`` with the flag object it was built for; another flag builds anew."""
+    kept = j.__dict__.get(name)
+    if kept is None or kept[0] is not flag:
+        kept = j.__dict__[name] = (flag, build(flag, j))
+    return kept[1]
+
+
 def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVector:
     """Z_kappa = sum over alpha in R_m+ of the coroot H_alpha; exact rational.
 
     H_alpha = M^{-1} alpha is linear in alpha, so this is the one coroot
-    vector of the summed root coordinates.
+    vector of the summed root coordinates.  It is built once per (flag, j)
+    and kept on j (`_kept_on`), so every caller shares one vector.
     """
+    return _kept_on(flag, j, "ricci_invariant", _ricci_element)
+
+
+def _ricci_element(flag: FlagData, j: InvariantComplexStructure) -> CartanVector:
     return coroot_vector(flag.rs, Root(tuple(sum(c) for c in zip(*(alpha.coords for alpha in j.positive)))))
 
 
@@ -273,22 +289,53 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
 def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVector):
     """The roots of R_m+ by their restriction to the center, in R_m+ order: (table, at_zk, z_den).
 
-    The center basis is the unit vectors of the unpainted nodes, so the key
-    rho of a module, a root's restriction to the center, is its tuple of
-    unpainted coordinates.  Zk lies in the center, so a module has one
+    The table maps each restriction rho of `_restriction_classes` to its
+    roots, in a fresh list.  Zk lies in the center, so a module has one
     alpha(Zk) = at_zk[i] / z_den, integers over the denominator of Zk's
     split (`CartanVector.split`), in table order.
     """
     z_int, _, z_den, _ = zk.split
-    table: Dict[tuple, List[Root]] = {}
-    for alpha in j.positive:
-        table.setdefault(tuple(alpha.coords[i] for i in flag.unpainted), []).append(alpha)
-    return table, [sum(map(mul, roots[0].coords, z_int)) for roots in table.values()], z_den
+    classes = _restriction_classes(flag, j)
+    return ({rho: list(roots) for rho, roots, _ in classes},
+            [sum(map(mul, roots[0].coords, z_int)) for _, roots, _ in classes], z_den)
 
 
-def _center_gram(flag: FlagData) -> List[List[int]]:
-    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
-    return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]
+def _restriction_classes(flag: FlagData, j: InvariantComplexStructure) -> Tuple[tuple, ...]:
+    """The roots of R_m+ grouped by their restriction to the center: (rho, roots, positions) in R_m+ order.
+
+    The center basis is the unit vectors of the unpainted nodes, so a
+    root's restriction rho, its T-root (Alekseevsky-Perelomov, Funct. Anal.
+    Appl. 20, 1986), is its tuple of unpainted coordinates.  Each class
+    holds its roots and their indices in R_m+, both in R_m+ order, and the
+    classes come in the order of their first roots.  Every value that
+    depends on a center vector alone, alpha(Zk), alpha(Z) and the isotropy
+    modules (`model.isotropy_modules`), is one value per class.  The
+    grouping (`_group_by_restriction`) runs once per (flag, j) and is kept
+    on j (`_kept_on`).
+    """
+    return _kept_on(flag, j, "restriction_classes", _group_by_restriction)
+
+
+def _group_by_restriction(flag: FlagData, j: InvariantComplexStructure) -> Tuple[tuple, ...]:
+    u, positive = flag.unpainted, j.positive
+    # a root's unpainted coordinates as a tuple: itemgetter gives one for two or more indices, a slice for one
+    rho = itemgetter(*u) if len(u) > 1 else itemgetter(slice(u[0], u[0] + 1)) if u else (lambda coords: ())
+    groups: Dict[tuple, List[int]] = {}
+    for i, alpha in enumerate(positive):
+        groups.setdefault(rho(alpha.coords), []).append(i)
+    return tuple((key, tuple(map(positive.__getitem__, idx)), tuple(idx)) for key, idx in groups.items())
+
+
+def _center_gram(flag: FlagData) -> Tuple[Tuple[int, ...], ...]:
+    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes.
+
+    Built once per flag and kept on it.
+    """
+    gram = flag.__dict__.get("center_gram")
+    if gram is None:
+        gram = flag.__dict__["center_gram"] = tuple(tuple(flag.rs.gram[i][k] for k in flag.unpainted)
+                                                    for i in flag.unpainted)
+    return gram
 
 
 def _unpainted_vector(flag: FlagData, u: Sequence[int], w: Sequence[int], den: int,

@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
-from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, require_complex_structure,
-                   ricci_invariant)
+from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, _restriction_classes,
+                   require_complex_structure, ricci_invariant)
 from .polys import int_linear_product, pair_scalar, pair_sign
 from .records import Record
 from .rootsys import CartanVector, Root
@@ -171,30 +171,46 @@ class AdmissibleSegment(Record):
         return self.chamber_ok and self.degrees_ok and self.projection_ok
 
 
-def isotropy_modules(j: InvariantComplexStructure, x: CartanVector, z: CartanVector):
+def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVector, z: CartanVector):
     """The isotropy modules of R_m+ under the pair (X, Z): ({key: roots}, den, r).
 
     Roots with equal (alpha(X), alpha(Z)) form one module; the keys are in
-    the order of R_m+.  Exact X and Z, rational or in one field Q(sqrt r),
-    are read as integer vectors over one denominator den
-    (`CartanVector.split`), so that the key (x0, x1, z0, z1) means
-    alpha(X) = (x0 + x1 sqrt(R))/den and alpha(Z) = (z0 + z1 sqrt(R))/den,
-    with R and r as in `polys.split_exact`.  A part that is zero on every
-    coordinate, such as x1 of a rational Zk or z0 of a normalized direction,
-    is 0 in every key without a dot product.  On a float X or Z the key is
-    the pair (alpha(X), alpha(Z)) as `rootsys.evaluate` gives it
-    (`_root_values`), and den is None.
+    the order of R_m+, and so are the roots of each module.  Exact X and Z,
+    rational or in one field Q(sqrt r), are read as integer vectors over one
+    denominator den (`CartanVector.split`), so that the key (x0, x1, z0, z1)
+    means alpha(X) = (x0 + x1 sqrt(R))/den and alpha(Z) = (z0 + z1 sqrt(R))/den,
+    with R and r as in `polys.split_exact`.  When both lie in the center of
+    k, as Zk, a direction and the endpoints Zk + cZ do, a root's values
+    depend only on its restriction rho to the center, so each class of
+    `flag._restriction_classes` takes its key from d-length dot products
+    rho.x over the unpainted nodes, and classes with equal keys merge into
+    one module: the modules are unions of center modules.  An exact vector
+    off the center takes one class per root over all its coordinates.  A
+    part that is zero on every coordinate, such as x1 of a rational Zk or z0
+    of a normalized direction, is 0 in every key without a dot product.  On
+    a float X or Z the key is the pair (alpha(X), alpha(Z)) as
+    `rootsys.evaluate` gives it (`_root_values`), root by root, and den is
+    None.
     """
-    table: Dict[tuple, List[Root]] = {}
-    coords = [alpha.coords for alpha in j.positive]
     if x.kind == "float" or z.kind == "float":
-        columns, den, r = [_root_values(coords, h) for h in (x, z)], None, None
+        table: Dict[tuple, List[Root]] = {}
+        coords = [alpha.coords for alpha in j.positive]
+        for alpha, key in zip(j.positive, zip(*[_root_values(coords, h) for h in (x, z)])):
+            table.setdefault(key, []).append(alpha)
+        return table, None, None
+    *parts, den, r = x.joint_split(z)
+    if any(any(map(w.__getitem__, flag.painted)) for w in parts):
+        classes = [(alpha.coords, (alpha,), (i,)) for i, alpha in enumerate(j.positive)]
     else:
-        *parts, den, r = x.joint_split(z)
-        columns = [[sum(map(mul, c, w)) for c in coords] if any(w) else [0] * len(coords) for w in parts]
-    for alpha, key in zip(j.positive, zip(*columns)):
-        table.setdefault(key, []).append(alpha)
-    return table, den, r
+        classes = _restriction_classes(flag, j)
+        parts = [[w[i] for i in flag.unpainted] for w in parts]
+    columns = [[sum(map(mul, rho, w)) for rho, _, _ in classes] if any(w) else [0] * len(classes) for w in parts]
+    groups: Dict[tuple, list] = {}
+    for c, key in zip(classes, zip(*columns)):
+        groups.setdefault(key, []).append(c)
+    positive = j.positive
+    return {key: list(cs[0][1]) if len(cs) == 1 else [positive[i] for i in sorted(i for c in cs for i in c[2])]
+            for key, cs in groups.items()}, den, r
 
 
 def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:
@@ -225,14 +241,14 @@ def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> Admis
         raise InputError("segment length must be positive")
     flag, j = base.flag, base.j
     z2 = z1 - base.z.scale(length)
-    table, den, rad = isotropy_modules(j, z1, z2)
+    table, den, rad = isotropy_modules(flag, j, z1, z2)
     signs = {key: tuple(scalar_sign(x, FLOAT_WALL_TOL) for x in key) if den is None else
              (pair_sign(key[0], key[1], rad), pair_sign(key[2], key[3], rad)) for key in table}
     # roots outside the chamber: True when negative at an end, False when vanishing at both
     outside = {alpha: min(s) < 0 for key, s in signs.items() if min(s) < 0 or max(s) == 0 for alpha in table[key]}
     failures = [("chamber: alpha=%s negative at an endpoint" if outside[alpha] else
                  "chamber: alpha=%s vanishes on the whole segment") % (alpha.coords,)
-                for alpha in j.positive if alpha in outside]
+                for alpha in j.positive if alpha in outside] if outside else []
     chamber_ok = not failures
 
     # a wall of one end is a module vanishing there and positive at the other
@@ -389,7 +405,7 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
         bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
         vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
         return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
-    modules, den, r = table = isotropy_modules(j, zk, z)
+    modules, den, r = table = isotropy_modules(flag, j, zk, z)
     us, vs = product = int_linear_product({key: len(roots) for key, roots in modules.items()}, r)
     weights, scale = _integral_weights(len(us), m1, m2)
     total = scale * den ** len(j.positive)

@@ -42,24 +42,29 @@ def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Op
     r.numerator * r.denominator, so sqrt(r) = sqrt(R) / r.denominator; r is
     None and every v_i is 0 when all values are rational.  A radicand of the
     same field as r, whose product with r is a rational square, is rescaled
-    to r (`scalars.rescale_sqrt`).
+    to r (`scalars.rescale_sqrt`).  Each value becomes two reduced
+    fractions, a and b / r.denominator with x = a + b sqrt(R), as integer
+    pairs; when every Quad has the radicand r they take one gcd each and no
+    Fraction is built.
     """
     if not any(isinstance(x, Quad) for x in values):  # all rational: one lcm, no Fraction built
         den = math.lcm(*(x.denominator for x in values))
         return [x.numerator * (den // x.denominator) for x in values], [0] * len(values), den, None
-    r: Optional[Fraction] = None
-    parts = []
-    for x in values:
-        if isinstance(x, Quad):
-            if r is None:
-                r = x.r
-            parts.append((x.a, rescale_sqrt(x.b, x.r, r) / r.denominator))
-        else:
-            parts.append((Fraction(x), ZERO))
-    den = math.lcm(*(p.denominator for pair in parts for p in pair))
-    u = [p.numerator * (den // p.denominator) for p, _ in parts]
-    v = [q.numerator * (den // q.denominator) for _, q in parts]
-    return u, v, den, r
+    r = next(x.r for x in values if isinstance(x, Quad))
+    rd = r.denominator
+    if any(isinstance(x, Quad) and x.r != r for x in values):
+        parts = [(x.a, rescale_sqrt(x.b, x.r, r) / rd) if isinstance(x, Quad) else (Fraction(x), ZERO) for x in values]
+        pairs = [(p.numerator, p.denominator, q.numerator, q.denominator) for p, q in parts]
+    else:  # b / rd in lowest terms: b = p / q is, so only gcd(p, rd) cancels
+        pairs = []
+        for x in values:
+            if isinstance(x, Quad):
+                g = math.gcd(x.b.numerator, rd)
+                pairs.append((x.a.numerator, x.a.denominator, x.b.numerator // g, x.b.denominator * (rd // g)))
+            else:
+                pairs.append((x.numerator, x.denominator, 0, 1))
+    den = math.lcm(*(d for _, d1, _, d2 in pairs for d in (d1, d2)))
+    return [a * (den // d) for a, d, _, _ in pairs], [b * (den // d) for _, _, b, d in pairs], den, r
 
 
 def pair_scalar(u: int, v: int, den: int, r: Optional[Fraction]) -> Scalar:

@@ -300,6 +300,11 @@ class RootSystem(Record):
         return tuple(r for r in self.roots if r.is_positive)
 
     def root_set(self) -> frozenset:
+        """The coordinate tuples of the roots, built on the first call and kept."""
+        return self._root_set
+
+    @cached_property
+    def _root_set(self) -> frozenset:
         return frozenset(r.coords for r in self.roots)
 
     def simple_roots(self) -> Tuple[Root, ...]:
@@ -321,11 +326,6 @@ class RootSystem(Record):
         the unpainted nodes (`flag.build_flag`).
         """
         return tuple((sum(1 << i for i, c in enumerate(r.coords) if c), r.is_positive) for r in self.roots)
-
-    def dual_pairing(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        """E*(a, b) = a^T M^{-1} b for covectors in simple-root coordinates."""
-        dual, den = self.dual_form
-        return Fraction(linalg.form(dual, a, b), den)
 
 
 # ---------------------------------------------------------------------------

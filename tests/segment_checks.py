@@ -16,8 +16,8 @@ the pairwise closure scan of a complex structure, the oracle of
 default complex structure, the oracles of the mask split of `flag.build_flag`
 and `flag.default_complex_structure`; the normalization by `rootsys.killing`
 with the exact square root it takes, the oracle of `model.make_base`;
-the projective-space test on Fraction pairings with a depth-first component
-search, the oracle of `model._projective_space_test`; the per-root segment
+the Fraction pairing of the dual form and the projective-space test on it,
+with a depth-first component search, the oracle of `model._projective_space_test`; the per-root segment
 classification, the oracle of `model.analyze_segment`, with its own closure
 and projective-space tests at every end, and the
 per-root module table of float vectors, the oracle of `model.isotropy_modules`; the walled search over root subsets, the
@@ -54,7 +54,7 @@ from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, Segme
                           isotropy_modules, ke_verdict, make_base)
 from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
-from flagke.scalars import Quad, scalar_is_zero, scalar_sign, sqrt_parts
+from flagke.scalars import Quad, rescale_sqrt, scalar_is_zero, scalar_sign, sqrt_parts
 from flagke.walled import WalledCandidate
 
 
@@ -559,6 +559,38 @@ def killing_make_base(flag, j, z_direction, period_scale=Fraction(1), tol=1e-12)
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 
+def per_root_center_modules(flag, j, zk):
+    """`flag._center_modules` root by root: roots keyed by their unpainted coordinates, alpha(Zk) off each first root."""
+    z_int, _, z_den, _ = zk.split
+    table = {}
+    for alpha in j.positive:
+        table.setdefault(tuple(alpha.coords[i] for i in flag.unpainted), []).append(alpha)
+    return table, [sum(map(mul, roots[0].coords, z_int)) for roots in table.values()], z_den
+
+
+def fraction_split_exact(values):
+    """`polys.split_exact` through one rescaled Fraction per coordinate, the oracle of its integer pairs.
+
+    Every Quad's sqrt part is rescaled to the first Quad's radicand r
+    (`scalars.rescale_sqrt`) and divided by r.denominator as a Fraction;
+    the common denominator is the lcm of all the reduced denominators.
+    """
+    if not any(isinstance(x, Quad) for x in values):
+        den = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], [0] * len(values), den, None
+    r, parts = None, []
+    for x in values:
+        if isinstance(x, Quad):
+            if r is None:
+                r = x.r
+            parts.append((x.a, rescale_sqrt(x.b, x.r, r) / r.denominator))
+        else:
+            parts.append((Fraction(x), ZERO))
+    den = math.lcm(*(p.denominator for pair in parts for p in pair))
+    return ([p.numerator * (den // p.denominator) for p, _ in parts],
+            [q.numerator * (den // q.denominator) for _, q in parts], den, r)
+
+
 def per_root_isotropy_modules(j, x, z):
     """`model.isotropy_modules` on a float X or Z, root by root through `rootsys.evaluate`."""
     table = {}
@@ -567,11 +599,33 @@ def per_root_isotropy_modules(j, x, z):
     return table, None, None
 
 
+def per_root_exact_isotropy_modules(j, x, z):
+    """`model.isotropy_modules` on exact X and Z, root by root over all coordinates of their joint split.
+
+    Each root's key is its integer dot products with the four parts
+    (x0, x1, z0, z1) over one denominator; a part zero on every coordinate
+    is 0 in every key.  Keys and the roots under each are in R_m+ order.
+    """
+    *parts, den, r = x.joint_split(z)
+    coords = [alpha.coords for alpha in j.positive]
+    columns = [[sum(map(mul, c, w)) for c in coords] if any(w) else [0] * len(coords) for w in parts]
+    table = {}
+    for alpha, key in zip(j.positive, zip(*columns)):
+        table.setdefault(key, []).append(alpha)
+    return table, den, r
+
+
+def dual_pairing(rs, a, b):
+    """E*(a, b) = a^T M^-1 b for covectors a, b in simple-root coordinates, a Fraction off `RootSystem.dual_form`."""
+    dual, den = rs.dual_form
+    return Fraction(linalg.form(dual, a, b), den)
+
+
 def fraction_projective_space_test(flag, walls):
     """`model._projective_space_test` on Fraction pairings, with a depth-first component search.
 
     Builds the closed subsystem R_K u W, extracts its simple system by
-    testing every pairwise sum, pairs its nodes by `RootSystem.dual_pairing`
+    testing every pairwise sum, pairs its nodes by `dual_pairing`
     and checks the textbook characterization: exactly one component meets
     the walls, it is a simple-laced path (type A) of length |W|/2, and
     removing one terminal node lands on painted roots only.  It keeps the
@@ -599,7 +653,7 @@ def fraction_projective_space_test(flag, walls):
     pair = {}
     for i in range(m):
         for k in range(m):
-            pair[i, k] = rs.dual_pairing(nodes[i], nodes[k])
+            pair[i, k] = dual_pairing(rs, nodes[i], nodes[k])
     adj = [[k for k in range(m) if k != i and pair[i, k] != 0] for i in range(m)]
 
     comp_id = [-1] * m
@@ -821,7 +875,7 @@ def per_root_sphere_in_chamber(flag, j):
     """`flag.sphere_in_chamber` root by root, in Fraction arithmetic.
 
     For every root of R_m+: alpha(Zk), the full dual norm |alpha|^2 from
-    `RootSystem.dual_pairing`, and the norm restricted to the center from
+    `dual_pairing`, and the norm restricted to the center from
     the inverse Gram matrix of the center basis; the binding root is the
     first strict minimizer of the full variant.
     """
@@ -831,7 +885,7 @@ def per_root_sphere_in_chamber(flag, j):
     best = best_center = binding = None
     for alpha in j.positive:
         az = Fraction(evaluate(alpha, zk))
-        full = az * az / rs.dual_pairing(alpha.coords, alpha.coords)
+        full = az * az / dual_pairing(rs, alpha.coords, alpha.coords)
         rhs = [Fraction(evaluate(alpha, b)) for b in flag.center_basis]
         norm_center = sum((ri * gij * rj for ri, row in zip(rhs, gram_c_inv) for gij, rj in zip(row, rhs)),
                           Fraction(0))
@@ -957,7 +1011,7 @@ def isotropy_homogenized_obstruction(flag, j, zk, q, period_scale):
     product over `model.isotropy_modules` under (Zk, q), which reads q's own
     denominator; e = E(q, q) / period_scale^2 is a reduced Fraction.
     """
-    table, den, _ = isotropy_modules(j, zk, q)
+    table, den, _ = isotropy_modules(flag, j, zk, q)
     us, _ = int_linear_product({key: len(roots) for key, roots in table.items()}, None)
     weights, scale = _integral_weights(len(us), 1, 1)
     qc = [q.values[i] for i in flag.unpainted]

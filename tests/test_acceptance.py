@@ -25,7 +25,8 @@ from flagke.rootsys import (
     evaluate,
 )
 from flagke.scalars import Quad
-from segment_checks import first_integral_identity_numerator, ricci_normal, scaled_ricci_control, value_table
+from segment_checks import (dual_pairing, first_integral_identity_numerator, ricci_normal, scaled_ricci_control,
+                            value_table)
 
 
 def rs(text):
@@ -275,7 +276,7 @@ def test_criterion_7b_some_higher_rank_full_flag_passes():
         flag, j = _flag_j(text)
         chk = sphere_in_chamber(flag, j)
         zk = ricci_invariant(flag, j)
-        norms = {a: flag.rs.dual_pairing(a.coords, a.coords) for a in flag.rs.simple_roots()}
+        norms = {a: dual_pairing(flag.rs, a.coords, a.coords) for a in flag.rs.simple_roots()}
         h_dual, lacing = _DUAL_COXETER_AND_LACING[text[0]](int(text[1:]))
         expected = Fraction(1, lacing * h_dual)
         shortest = min(norms.values())

@@ -126,11 +126,13 @@ def test_cli_fuzz_ends_in_a_json_report_or_error(command, tmp_path):
 
 # a float futaki run on A2xA2, for the runs with a bad --tol
 BAD_TOL = ["futaki", "--group=A2xA2", "--painted=1,3", "--m1=1", "--m2=1", "--float"]
+FLAG_INFO = ["flag-info", "--group=A2xA2", "--painted=1,3"]
+NO_DIRECTION = "flag-info reads no direction options; given: "
 
 
 # `search` on a 0-dimensional center exited 1 with an IndexError, for the diameter and the walled search;
 # a negative or nan tolerance reported a direction in the center as off-center, and an infinite one let
-# an off-center float direction through
+# an off-center float direction through; flag-info accepted the options of a direction and read none of them
 @pytest.mark.parametrize("argv, job, error", [
     (["search", "--group=A1", "--painted=0"], None, None),
     (["search", "--group=A1", "--painted=0", "--m1=2", "--m2=1"], None, None),
@@ -138,6 +140,13 @@ BAD_TOL = ["futaki", "--group=A2xA2", "--painted=1,3", "--m1=1", "--m2=1", "--fl
     (BAD_TOL + ["--z=1,0,-1,0", "--tol=nan"], None, "tolerance must be a finite number >= 0, got nan"),
     (BAD_TOL + ["--z=1,1e-3,-1,0", "--tol=inf"], None, "tolerance must be a finite number >= 0, got inf"),
     (BAD_TOL + ["--z=1,0,-1,0"], json.dumps({"tol": -1.0}), "tolerance must be a finite number >= 0, got -1.0"),
+    (FLAG_INFO + ["--z=1,0,-1,0", "--float", "--tol=-1"], None, NO_DIRECTION + "--z, --tol, --float/--exact"),
+    (FLAG_INFO + ["--tau=1/3", "--m1=1", "--m2=2"], None, NO_DIRECTION + "--tau, --m1, --m2"),
+    (FLAG_INFO + ["--exact", "--grid=64", "--out=profile.csv"], None, NO_DIRECTION + "--float/--exact, --grid, --out"),
+    (FLAG_INFO, json.dumps({"z_direction": [1, 0, -1, 0], "m1": 1, "arithmetic": "exact"}),
+     NO_DIRECTION + "--z, --float/--exact, --m1"),
+    (FLAG_INFO + ["--tol=1e-6"], json.dumps({"tau": "1", "grid": 9, "out": "x.csv"}),
+     NO_DIRECTION + "--tau, --tol, --grid, --out"),
 ])
 def test_cli_regressions(argv, job, error, tmp_path):
     report = _check_run(argv, job, tmp_path)

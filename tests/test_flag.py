@@ -22,8 +22,8 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
 )
-from segment_checks import (CENTER_FLAGS, center_flags, fraction_solve, pairwise_closure, per_root_build_flag,
-                            per_root_complex_structure)
+from segment_checks import (CENTER_FLAGS, center_flags, dual_pairing, fraction_solve, pairwise_closure,
+                            per_root_build_flag, per_root_complex_structure)
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from test_rootsys import RANK_8_SPECS
 
@@ -287,7 +287,7 @@ def test_dual_form_products_equal_the_fraction_inverse_products(text):
         if b.is_positive:
             for a in system.positive_roots:
                 pairing = sum((Fraction(x) * h for x, h in zip(a.coords, h_b)), Fraction(0))
-                value = system.dual_pairing(a.coords, b.coords)
+                value = dual_pairing(system, a.coords, b.coords)
                 assert (value, repr(value)) == (pairing, repr(pairing))
     flag = build_flag(system, [])
     j = default_complex_structure(flag)

@@ -39,15 +39,20 @@ def _parse(paths):
 def test_every_top_level_name_outside_all_has_a_caller():
     # a function or class of the package that is neither exported nor used by
     # the package, the benchmark or the demos is dead code, or a test helper
-    # that belongs under tests/
+    # that belongs under tests/; so is a method or property of its classes,
+    # dunders aside, whose name the package, the benchmark and the demos never read
     import flagke
 
     root = os.path.join(SRC, os.pardir, os.pardir)
-    defined = {}
+    defined, methods = {}, {}
     for path, tree in _parse(glob.glob(os.path.join(SRC, "*.py"))):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = "%s:%d" % (os.path.basename(path), node.lineno)
+            if isinstance(node, ast.ClassDef):
+                methods.update(("%s.%s" % (node.name, m.name), "%s:%d" % (os.path.basename(path), m.lineno))
+                               for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               and not (m.name.startswith("__") and m.name.endswith("__")))
     # the package's module __getattr__ (PEP 562) is called by the interpreter
     assert defined.pop("__getattr__").startswith("__init__.py:")
     used = set()
@@ -62,6 +67,7 @@ def test_every_top_level_name_outside_all_has_a_caller():
                 used.add(n.name)
     unused = sorted("%s (%s)" % (name, where) for name, where in defined.items()
                     if name not in flagke.__all__ and name not in used)
+    unused += sorted("%s (%s)" % (name, where) for name, where in methods.items() if name.split(".")[1] not in used)
     assert not unused, "no caller in src/flagke, benchmarks or demos: %s" % ", ".join(unused)
 
 

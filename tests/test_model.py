@@ -11,15 +11,19 @@ import pytest
 
 from flagke.errors import InputError
 from flagke import linalg
-from flagke.flag import InvariantComplexStructure, _center_gram, build_flag, default_complex_structure, ricci_invariant
+from flagke import flag as flag_module
+from flagke.flag import (InvariantComplexStructure, _center_gram, _center_modules, _restriction_classes, build_flag,
+                         default_complex_structure, require_complex_structure, ricci_invariant, sphere_in_chamber)
 from flagke.diameters import search_diameters
 from flagke.model import (FutakiReport, _integral_weights, _projective_space_test, analyze_segment,
-                          check_parametrization, futaki, isotropy_modules, ke_endpoints, make_base)
+                          check_parametrization, futaki, isotropy_modules, ke_endpoints, ke_verdict, make_base)
 from flagke.rootsys import (CartanVector, LieAlgebraSpec, Root, RootSystem, build_root_system, coroot_vector, evaluate,
                             killing)
 from flagke.scalars import Quad
+from flagke.walled import search_walled
 from segment_checks import (exact_sqrt, fraction_projective_space_test, killing_make_base, per_root_build_flag,
-                            per_root_complex_structure, per_root_isotropy_modules, per_root_segment)
+                            per_root_center_modules, per_root_complex_structure, per_root_exact_isotropy_modules,
+                            per_root_isotropy_modules, per_root_segment)
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from sweep_searches import paintings
 
@@ -353,11 +357,96 @@ def test_float_isotropy_modules_match_the_per_root_oracle(text, painted, searche
     assert len(found) > 0 or not searched
     assert all(y.kind == "float" for _, y in pairs)
     for x, y in pairs:
-        got, want = isotropy_modules(j, x, y), per_root_isotropy_modules(j, x, y)
+        got, want = isotropy_modules(flag, j, x, y), per_root_isotropy_modules(j, x, y)
         assert got[1:] == want[1:] == (None, None)
         assert list(got[0].items()) == list(want[0].items())
         for a, b in zip(got[0], want[0]):
             assert [(type(v), repr(v)) for v in a] == [(type(v), repr(v)) for v in b]
+
+
+def test_exact_isotropy_modules_match_the_per_root_oracle():
+    # seeded flags of the sweep groups and E6-E8 with 1-3 unpainted nodes; under (Zk, Zk), which merges the
+    # classes of equal alpha(Zk), (Zk, q) for an integer center vector q, (Zk, Z) for its normalized Z (rational
+    # or quadratic), the Einstein endpoints (Z1, Z2) at random degrees, and (X, Z) for an integer X off the
+    # center: the tables of the center classes are the per-root ones (keys, their order, the roots of each in
+    # R_m+ order, den and r), some merged modules interleave the roots of their classes, and _center_modules
+    # is the per-root one
+    rng = random.Random(35)
+    counts = collections.Counter()
+    for _ in range(210):
+        text = rng.choice(SWEEP_GROUPS + ["E6", "E7", "E8"])
+        rank = rs(text).rank
+        unpainted = rng.sample(range(rank), rng.randint(1, min(3, rank - 1)))
+        flag, j = _flag_j(text, [i for i in range(rank) if i not in unpainted])
+        zk = ricci_invariant(flag, j)
+        q = [0] * rank
+        while not any(q):
+            q = [rng.randint(-2, 2) if i in unpainted else 0 for i in range(rank)]
+        q = CartanVector(tuple(map(Fraction, q)))
+        z = make_base(flag, j, q, period_scale=rng.choice([Fraction(1), Fraction(1, 3)])).z
+        off = list(q.values)  # q moved off the center at one painted node
+        off[rng.choice(sorted(flag.painted))] += rng.choice([1, -1])
+        pairs = [(zk, zk), (zk, q), (zk, z), ke_endpoints(zk, z, rng.randint(1, 3), rng.randint(1, 3)),
+                 (CartanVector(tuple(off)), z)]
+        classes = _restriction_classes(flag, j)
+        for x, y in pairs:
+            got, want = isotropy_modules(flag, j, x, y), per_root_exact_isotropy_modules(j, x, y)
+            assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:], (text, flag.painted)
+            counts["cases"] += 1
+            counts[y.kind] += 1
+            if any(x.values[i] for i in flag.painted):
+                counts["off center"] += 1
+            elif len(got[0]) < len(classes):
+                counts["merged"] += 1
+                # a merged module's roots in R_m+ order, not class after class
+                counts["interleaved"] += any(roots != [a for _, c, _ in classes for a in c if a in roots]
+                                             for roots in got[0].values())
+        table, at_zk, z_den = _center_modules(flag, j, zk)
+        want = per_root_center_modules(flag, j, zk)
+        assert (list(table.items()), at_zk, z_den) == (list(want[0].items()),) + want[1:]
+    kinds = ("rational", "quadratic", "off center", "merged", "interleaved")
+    assert counts["cases"] >= 1000 and min(counts[k] for k in kinds) > 0, counts
+
+
+def test_one_grouping_and_one_ricci_element_per_structure(monkeypatch):
+    # futaki then analyze_segment, and ke_verdict with its segment, group R_m+ by restriction once and build
+    # Zk once per (flag, j); so does a walled search for all its points; j revalidated on a second flag
+    # object groups and builds again
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(flag_module, "_group_by_restriction", counting("grouping", flag_module._group_by_restriction))
+    monkeypatch.setattr(flag_module, "coroot_vector", counting("zk", flag_module.coroot_vector))
+    flag, j = _flag_j("A2xA2", (1, 3))
+    base = make_base(flag, j, CartanVector((Fraction(1), Fraction(0), Fraction(-1), Fraction(0))))
+    rep = futaki(flag, j, base.z, 1, 1)
+    z1, _ = ke_endpoints(ricci_invariant(flag, j), base.z, 1, 1)
+    assert rep.vanishes and analyze_segment(base, z1, Fraction(2)).overall_ok
+    assert counts == {"grouping": 1, "zk": 1}, counts
+    counts.clear()
+    flag, j = _flag_j("E6", (0, 2, 3, 4))
+    base = make_base(flag, j, flag.center_basis[0] - flag.center_basis[1])
+    verdict = ke_verdict(base, ricci_invariant(flag, j), 1, 2)
+    assert verdict.segment is not None and sphere_in_chamber(flag, j).min_distance_sq > 0
+    assert counts == {"grouping": 1, "zk": 1}, counts
+    counts.clear()
+    flag, j = _flag_j("A2", (1,))
+    found = search_walled(make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3)), 3, 1)
+    assert [c.z_values for c in found] == [(Fraction(-1, 6), Fraction(0))]
+    assert counts == {"grouping": 1, "zk": 1}, counts
+    zk = ricci_invariant(flag, j)
+    table = _center_modules(flag, j, zk)[0]
+    counts.clear()
+    other = build_flag(flag.rs, [1])
+    require_complex_structure(other, j)
+    assert j.valid_on is other and ricci_invariant(other, j) == zk and ricci_invariant(other, j) is not zk
+    assert _center_modules(other, j, ricci_invariant(other, j))[0] == table
+    assert counts == {"grouping": 1, "zk": 1}, counts
 
 
 def test_projective_space_test_through_full_wall():
@@ -395,12 +484,10 @@ def test_projective_space_test_matches_the_fraction_oracle():
                           "non-painted node is not terminal in the path"}, kinds
 
 
-def test_walled_segments_are_classified_without_fraction_pairings(monkeypatch):
-    # the projective-space test pairs roots on the integer dual form, never through RootSystem.dual_pairing
-    def no_pairing(self, a, b):
-        raise AssertionError("RootSystem.dual_pairing called")
-
-    monkeypatch.setattr(RootSystem, "dual_pairing", no_pairing)
+def test_walled_segments_are_classified_without_fraction_pairings():
+    # the projective-space test pairs roots on the integer dual form; the package has no Fraction pairing
+    # (the one the oracles use is segment_checks.dual_pairing)
+    assert not hasattr(RootSystem, "dual_pairing")
     walled, failed = 0, 0
     for text in ("A2", "B2", "G2", "B3", "A1xA2", "A3", "A2xA2"):
         rank = rs(text).rank

@@ -21,7 +21,7 @@ from flagke.rootsys import (
     evaluate,
     killing,
 )
-from segment_checks import all_pairs_reflection_closed, invert
+from segment_checks import all_pairs_reflection_closed, dual_pairing, invert
 
 RANK_8_SPECS = (["A%d" % r for r in range(1, 9)] + ["B%d" % r for r in range(2, 9)] + ["C%d" % r for r in range(2, 9)]
                 + ["D%d" % r for r in range(2, 9)] + ["G2", "F4", "E6", "E7", "E8"])
@@ -183,7 +183,7 @@ def test_long_root_norm_is_inverse_dual_coxeter(text, dual_coxeter):
     # with E the trace form of the adjoint representation, long roots satisfy
     # |alpha|^2 = 1/g*; an identity independent of how the roots were built
     system = rs(text)
-    norms = {system.dual_pairing(r.coords, r.coords) for r in system.roots}
+    norms = {dual_pairing(system, r.coords, r.coords) for r in system.roots}
     assert max(norms) == Fraction(1, dual_coxeter)
     assert len(norms) <= 2  # at most two root lengths
 

@@ -1,11 +1,13 @@
+import collections
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from flagke.polys import pair_scalar, split_exact
 from flagke.scalars import Quad, format_scalar, scalar_is_zero, scalar_sign, sqrt_parts
-from segment_checks import exact_sqrt
+from segment_checks import exact_sqrt, fraction_split_exact
 
 
 def test_exact_sqrt_perfect_squares():
@@ -86,6 +88,34 @@ def test_quad_radicands_past_the_trial_limit_share_their_field():
     assert r == big.r and [pair_scalar(x, y, den, r) for x, y in zip(u, v)] == [big, small, Fraction(1, 3)]
     with pytest.raises(ValueError, match="mixed radicands"):
         split_exact([small, exact_sqrt(20023)])
+
+
+def test_split_exact_matches_the_fraction_oracle():
+    # seeded vectors of rationals and Quads of one radicand (the integer-pair path), of two radicands of one
+    # field (the rescaled path) and of rationals alone; radicands with a denominator, sqrt parts sharing
+    # factors with it, and int, Fraction and Quad entries: the same integers, denominator and r
+    rng = random.Random(35)
+    radicands = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3), Fraction(6, 5), Fraction(15, 4)]
+    paths = collections.Counter()
+
+    def rational():
+        return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-30, 30), rng.randint(1, 36))])
+
+    for _ in range(600):
+        r = rng.choice(radicands)
+        # one field: r itself, or r times a rational square above 1
+        squares = [Fraction(3, 2), Fraction(2), Fraction(5, 3), Fraction(3)]
+        field = [r, r * rng.choice(squares) ** 2] if rng.random() < 0.3 else [r]
+        values = []
+        for _ in range(rng.randint(1, 8)):
+            b = Fraction(rng.randint(-30, 30), rng.randint(1, 36)) * rng.choice([1, r.denominator, 6])
+            values.append(Quad(rational(), b, rng.choice(field)) if b and rng.random() < 0.6 else rational())
+        quads = {x.r for x in values if isinstance(x, Quad)}
+        paths["rational" if not quads else "one radicand" if len(quads) == 1 else "rescaled"] += 1
+        got, want = split_exact(values), fraction_split_exact(values)
+        assert got == want and [type(x) for x in got[:3]] == [type(x) for x in want[:3]], values
+        assert all(type(x) is int for x in got[0] + got[1]) and type(got[2]) is int
+    assert min(paths.values()) >= 50, paths
 
 
 def test_quad_arithmetic_keeps_the_smaller_radicand():
