@@ -6,8 +6,10 @@ as R = R_K + R_m with R_K the roots supported on painted indices.  An
 invariant complex structure is a choice of positive half R_m+ of R_m closed
 under addition of R_K and of itself (a parabolic choice).  The module also
 computes the center of k, wall roots, chamber membership, the Ricci
-element Z_kappa = sum of coroots over R_m+, and the exact sphere-in-chamber
-test of diameter segments, all in exact arithmetic.
+element Z_kappa = sum of coroots over R_m+, the classes of R_m+ by
+restriction to the center, and the exact sphere-in-chamber test of diameter
+segments, all in exact arithmetic.  Z_kappa and the classes are built once
+per (flag, structure) and kept on the structure.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ their isotropy modules (`isotropy_modules`): the obstruction and the
 segment polynomial read one table, of (Zk, Z), and the segment
 classification one of its endpoints.  On exact input Z, Zk and the endpoints
 are integer vectors over one denominator (`CartanVector.from_split`), so
-the modules are keyed, multiplied and signed in integers.
+the modules are keyed, multiplied and signed in integers; all of them lie in
+the center of k, so a table is keyed once per restriction class of R_m+
+(`flag._restriction_classes`), not once per root.
 
 The verdict for degrees (m1, m2) puts together the Einstein endpoints
 Z1 = m1 Z + Zk and Z2 = -m2 Z + Zk, the obstruction integral
