@@ -176,8 +176,8 @@ class AdmissibleSegment(Record):
 def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVector, z: CartanVector):
     """The isotropy modules of R_m+ under the pair (X, Z): ({key: roots}, den, r).
 
-    Roots with equal (alpha(X), alpha(Z)) form one module; the keys are in
-    the order of R_m+, and so are the roots of each module.  Exact X and Z,
+    Roots with equal (alpha(X), alpha(Z)) form one module, a tuple of roots;
+    the keys are in the order of R_m+, and so are the roots of each module.  Exact X and Z,
     rational or in one field Q(sqrt r), are read as integer vectors over one
     denominator den (`CartanVector.split`), so that the key (x0, x1, z0, z1)
     means alpha(X) = (x0 + x1 sqrt(R))/den and alpha(Z) = (z0 + z1 sqrt(R))/den,
@@ -186,33 +186,34 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
     depend only on its restriction rho to the center, so each class of
     `flag._restriction_classes` takes its key from d-length dot products
     rho.x over the unpainted nodes, and classes with equal keys merge into
-    one module: the modules are unions of center modules.  An exact vector
-    off the center takes one class per root over all its coordinates.  A
+    one module: the modules are unions of center modules, shared with the
+    classes when no merge happens.  An exact vector off the center takes one
+    class per root over all its coordinates.  A
     part that is zero on every coordinate, such as x1 of a rational Zk or z0
     of a normalized direction, is 0 in every key without a dot product.  On
     a float X or Z the key is the pair (alpha(X), alpha(Z)) as
     `rootsys.evaluate` gives it (`_root_values`), root by root, and den is
     None.
     """
-    if x.kind == "float" or z.kind == "float":
-        table: Dict[tuple, List[Root]] = {}
-        coords = [alpha.coords for alpha in j.positive]
-        for alpha, key in zip(j.positive, zip(*[_root_values(coords, h) for h in (x, z)])):
-            table.setdefault(key, []).append(alpha)
-        return table, None, None
-    *parts, den, r = x.joint_split(z)
-    if any(any(map(w.__getitem__, flag.painted)) for w in parts):
-        classes = [(alpha.coords, (alpha,), (i,)) for i, alpha in enumerate(j.positive)]
-    else:
+    positive, den, r = j.positive, None, None
+    exact = x.kind != "float" and z.kind != "float"
+    if exact:
+        *parts, den, r = x.joint_split(z)
+    if exact and not any(any(map(w.__getitem__, flag.painted)) for w in parts):
         classes = _restriction_classes(flag, j)
         parts = [[w[i] for i in flag.unpainted] for w in parts]
-    columns = [[sum(map(mul, rho, w)) for rho, _, _ in classes] if any(w) else [0] * len(classes) for w in parts]
-    groups: Dict[tuple, list] = {}
-    for c, key in zip(classes, zip(*columns)):
-        groups.setdefault(key, []).append(c)
-    positive = j.positive
-    return {key: list(cs[0][1]) if len(cs) == 1 else [positive[i] for i in sorted(i for c in cs for i in c[2])]
-            for key, cs in groups.items()}, den, r
+    else:  # one class per root: a float vector, or an exact one off the center
+        classes = [(alpha.coords, (alpha,), (i,)) for i, alpha in enumerate(positive)]
+    coords = [rho for rho, _, _ in classes]
+    keys = list(zip(*[[sum(map(mul, rho, w)) for rho in coords] if any(w) else [0] * len(coords) for w in parts]
+                     if exact else [_root_values(coords, h) for h in (x, z)]))
+    table = dict(zip(keys, [roots for _, roots, _ in classes]))
+    if len(table) < len(keys):  # classes of one key merge, their roots back in R_m+ order
+        positions: Dict[tuple, List[int]] = {}
+        for key, (_, _, idx) in zip(keys, classes):
+            positions.setdefault(key, []).extend(idx)
+        table = {key: tuple(map(positive.__getitem__, sorted(idx))) for key, idx in positions.items()}
+    return table, den, r
 
 
 def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:

@@ -596,7 +596,7 @@ def per_root_isotropy_modules(j, x, z):
     table = {}
     for alpha in j.positive:
         table.setdefault((evaluate(alpha, x), evaluate(alpha, z)), []).append(alpha)
-    return table, None, None
+    return {key: tuple(roots) for key, roots in table.items()}, None, None
 
 
 def per_root_exact_isotropy_modules(j, x, z):
@@ -612,7 +612,7 @@ def per_root_exact_isotropy_modules(j, x, z):
     table = {}
     for alpha, key in zip(j.positive, zip(*columns)):
         table.setdefault(key, []).append(alpha)
-    return table, den, r
+    return {key: tuple(roots) for key, roots in table.items()}, den, r
 
 
 def dual_pairing(rs, a, b):
