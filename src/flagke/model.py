@@ -176,24 +176,24 @@ class AdmissibleSegment(Record):
 def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVector, z: CartanVector):
     """The isotropy modules of R_m+ under the pair (X, Z): ({key: roots}, den, r).
 
-    Roots with equal (alpha(X), alpha(Z)) form one module, a tuple of roots;
-    the keys are in the order of R_m+, and so are the roots of each module.  Exact X and Z,
-    rational or in one field Q(sqrt r), are read as integer vectors over one
-    denominator den (`CartanVector.split`), so that the key (x0, x1, z0, z1)
-    means alpha(X) = (x0 + x1 sqrt(R))/den and alpha(Z) = (z0 + z1 sqrt(R))/den,
-    with R and r as in `polys.split_exact`.  When both lie in the center of
-    k, as Zk, a direction and the endpoints Zk + cZ do, a root's values
-    depend only on its restriction rho to the center, so each class of
-    `flag._restriction_classes` takes its key from d-length dot products
-    rho.x over the unpainted nodes, and classes with equal keys merge into
-    one module: the modules are unions of center modules, shared with the
-    classes when no merge happens.  An exact vector off the center takes one
-    class per root over all its coordinates.  A
-    part that is zero on every coordinate, such as x1 of a rational Zk or z0
-    of a normalized direction, is 0 in every key without a dot product.  On
-    a float X or Z the key is the pair (alpha(X), alpha(Z)) as
-    `rootsys.evaluate` gives it (`_root_values`), root by root, and den is
-    None.
+    Roots with equal (alpha(X), alpha(Z)) form one module, a tuple of
+    roots; the keys are in the order of R_m+, and so are the roots of each
+    module.  Exact X and Z, rational or in one field Q(sqrt r), are read as
+    integer vectors over one denominator den (`CartanVector.split`), so that
+    the key (x0, x1, z0, z1) means alpha(X) = (x0 + x1 sqrt(R))/den and
+    alpha(Z) = (z0 + z1 sqrt(R))/den, with R and r as in `polys.split_exact`.
+    When both lie in the center of k, as Zk, a direction and the endpoints
+    Zk + cZ do, a root's values depend only on its restriction rho to the
+    center, so each class of `flag._restriction_classes` takes its key from
+    d-length dot products rho.x over the unpainted nodes, and classes with
+    equal keys merge into one module: the modules are unions of center
+    modules, and a class that merges with none is its module, shared.  An
+    exact vector off the center takes one class per root over all its
+    coordinates.  A part that is zero on every coordinate, such as x1 of a
+    rational Zk or z0 of a normalized direction, is 0 in every key without a
+    dot product.  On a float X or Z the key is the pair (alpha(X), alpha(Z))
+    as `rootsys.evaluate` gives it (`_root_values`), root by root, and den
+    is None.
     """
     positive, den, r = j.positive, None, None
     exact = x.kind != "float" and z.kind != "float"
@@ -205,8 +205,11 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
     else:  # one class per root: a float vector, or an exact one off the center
         classes = [(alpha.coords, (alpha,), (i,)) for i, alpha in enumerate(positive)]
     coords = [rho for rho, _, _ in classes]
-    keys = list(zip(*[[sum(map(mul, rho, w)) for rho in coords] if any(w) else [0] * len(coords) for w in parts]
-                     if exact else [_root_values(coords, h) for h in (x, z)]))
+    if exact:
+        columns = [[sum(map(mul, rho, w)) for rho in coords] if any(w) else [0] * len(coords) for w in parts]
+    else:
+        columns = [_root_values(coords, h) for h in (x, z)]
+    keys = list(zip(*columns))
     table = dict(zip(keys, [roots for _, roots, _ in classes]))
     if len(table) < len(keys):  # classes of one key merge, their roots back in R_m+ order
         positions: Dict[tuple, List[int]] = {}
