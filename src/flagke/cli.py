@@ -178,7 +178,7 @@ def _run_flag_info(job: JobSpec) -> Dict:
         "ricci_invariant_position": chamber_position(flag, j, zk).position,
     }
     if j.positive:
-        chk = sphere_in_chamber(flag, j, zk=zk)
+        chk = sphere_in_chamber(flag, j)
         out["sphere_in_chamber"] = dict(_sphere_report(chk), binding_root=list(chk.binding_root.coords))
     return out
 
@@ -203,7 +203,7 @@ def _run_futaki(job: JobSpec) -> Dict:
     m1, m2 = _degrees(job)
     base = _base_from_job(job, flag, j)
     zk = ricci_invariant(flag, j)
-    rep = futaki(flag, j, base.z, m1, m2, zk=zk)
+    rep = futaki(flag, j, base.z, m1, m2)
     return {
         "mode": "futaki",
         "config": _echo(job, spec),

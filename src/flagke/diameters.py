@@ -109,7 +109,7 @@ def search_diameters(base: CenterLine) -> DiameterSearchResult:
     out = [candidate(_unpainted_vector(flag, q, [0] * d, 1, None), True) for q in exact.values()]
     out += [candidate(CartanVector(tuple(z.get(i, 0.0) for i in range(flag.rs.rank))), False) for z in floats]
     out.sort(key=lambda c: (not c.confirmed_exact, tuple(float(v) for v in c.z_values)))
-    return DiameterSearchResult(sphere_in_chamber(flag, j, zk=zk), tuple(out))
+    return DiameterSearchResult(sphere_in_chamber(flag, j), tuple(out))
 
 
 def _planes(d: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

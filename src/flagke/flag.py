@@ -251,12 +251,11 @@ class SphereCheck(Record):
                              binding_root=binding_root)
 
 
-def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional[CartanVector] = None) -> SphereCheck:
+def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure) -> SphereCheck:
     """min over R_m+ of alpha(Zk)^2 / |alpha|^2, exactly, both norm variants.
 
     The restricted variant measures the distance inside the center of k,
-    where the sphere actually lives; both minima agree on a full flag.
-    ``zk`` is the Ricci element of (flag, j) when the caller has it.  A
+    where the sphere actually lives; both minima agree on a full flag.  A
     center module (`_center_modules`) has one alpha(Zk) and one restricted
     norm, each formed once; |alpha|^2 comes per root from the integer dual
     form `RootSystem.dual_form`.  Everything is an integer up to the two
@@ -265,7 +264,7 @@ def sphere_in_chamber(flag: FlagData, j: InvariantComplexStructure, zk: Optional
     """
     if not j.positive:
         raise InputError("flag has no transverse roots; paint fewer simple roots")
-    zk = ricci_invariant(flag, j) if zk is None else zk
+    zk = ricci_invariant(flag, j)
     table, at_zk, z_den = _center_modules(flag, j, zk)
     # |alpha|^2 = alpha^T M^-1 alpha, with M^-1 = dual / dual_den
     dual, dual_den = flag.rs.dual_form
@@ -328,16 +327,9 @@ def _group_by_restriction(flag: FlagData, j: InvariantComplexStructure) -> Tuple
     return tuple((key, tuple(map(positive.__getitem__, idx)), tuple(idx)) for key, idx in groups.items())
 
 
-def _center_gram(flag: FlagData) -> Tuple[Tuple[int, ...], ...]:
-    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes.
-
-    Built once per flag and kept on it.
-    """
-    gram = flag.__dict__.get("center_gram")
-    if gram is None:
-        gram = flag.__dict__["center_gram"] = tuple(tuple(flag.rs.gram[i][k] for k in flag.unpainted)
-                                                    for i in flag.unpainted)
-    return gram
+def _center_gram(flag: FlagData) -> List[List[int]]:
+    """E on the center in center coordinates: the integer submatrix of M on the unpainted nodes."""
+    return [[flag.rs.gram[i][k] for k in flag.unpainted] for i in flag.unpainted]
 
 
 def _unpainted_vector(flag: FlagData, u: Sequence[int], w: Sequence[int], den: int,

@@ -379,8 +379,7 @@ class FutakiReport(Record):
                              product=product)
 
 
-def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int,
-           zk: Optional[CartanVector] = None) -> FutakiReport:
+def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int) -> FutakiReport:
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
@@ -390,12 +389,11 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
     only one that loads numpy, the integrand's coefficients are the
     `einstein.p_linear_product_float` chain over R_m+, with each alpha(Zk)
     the float of its exact value, read off the integer split of Zk, and a
-    crude roundoff bound accompanies the value.  ``zk`` is the Ricci element
-    of (flag, j) when the caller has it.
+    crude roundoff bound accompanies the value.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
-    zk = ricci_invariant(flag, j) if zk is None else zk
+    zk = ricci_invariant(flag, j)
     if z.kind == "float":
         import numpy as np
 
@@ -485,7 +483,7 @@ class KEVerdict(Record):
 
 def ke_verdict(base: CenterLine, zk: CartanVector, m1: int, m2: int) -> KEVerdict:
     """The Kahler-Einstein verdict of base's direction; zk is the Ricci element of (base.flag, base.j)."""
-    return KEVerdict(base, zk, m1, m2, futaki(base.flag, base.j, base.z, m1, m2, zk=zk))
+    return KEVerdict(base, zk, m1, m2, futaki(base.flag, base.j, base.z, m1, m2))
 
 
 # ---------------------------------------------------------------------------

@@ -44,25 +44,22 @@ def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Op
     same field as r, whose product with r is a rational square, is rescaled
     to r (`scalars.rescale_sqrt`).  Each value becomes two reduced
     fractions, a and b / r.denominator with x = a + b sqrt(R), as integer
-    pairs; when every Quad has the radicand r they take one gcd each and no
-    Fraction is built.
+    pairs: b is reduced, so one gcd with r.denominator reduces b /
+    r.denominator, and no Fraction is built for it.
     """
     if not any(isinstance(x, Quad) for x in values):  # all rational: one lcm, no Fraction built
         den = math.lcm(*(x.denominator for x in values))
         return [x.numerator * (den // x.denominator) for x in values], [0] * len(values), den, None
     r = next(x.r for x in values if isinstance(x, Quad))
     rd = r.denominator
-    if any(isinstance(x, Quad) and x.r != r for x in values):
-        parts = [(x.a, rescale_sqrt(x.b, x.r, r) / rd) if isinstance(x, Quad) else (Fraction(x), ZERO) for x in values]
-        pairs = [(p.numerator, p.denominator, q.numerator, q.denominator) for p, q in parts]
-    else:  # b / rd in lowest terms: b = p / q is, so only gcd(p, rd) cancels
-        pairs = []
-        for x in values:
-            if isinstance(x, Quad):
-                g = math.gcd(x.b.numerator, rd)
-                pairs.append((x.a.numerator, x.a.denominator, x.b.numerator // g, x.b.denominator * (rd // g)))
-            else:
-                pairs.append((x.numerator, x.denominator, 0, 1))
+    pairs = []
+    for x in values:
+        if isinstance(x, Quad):
+            b = rescale_sqrt(x.b, x.r, r)
+            g = math.gcd(b.numerator, rd)
+            pairs.append((x.a.numerator, x.a.denominator, b.numerator // g, b.denominator * (rd // g)))
+        else:
+            pairs.append((x.numerator, x.denominator, 0, 1))
     den = math.lcm(*(d for _, d1, _, d2 in pairs for d in (d1, d2)))
     return [a * (den // d) for a, d, _, _ in pairs], [b * (den // d) for _, _, b, d in pairs], den, r
 
@@ -109,17 +106,31 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
     sum (u_n + v_n sqrt(R)) x^n.  When every a1 and k1 is 0 the product is
     one integer list in x.  When every a1 and k0 is 0, as for a rational Zk
     against a normalized direction, it is one list c in t = sqrt(R) x, and
-    c_n R^(n // 2) goes to u_n for even n and to v_n for odd n.  Otherwise
-    each factor is one pass of integer multiply-adds over the pairs.
+    c_n R^(n // 2) goes to u_n for even n and to v_n for odd n; there the
+    factors with k = 0 are one constant, and the others are multiplied in
+    two at a time.  Otherwise each factor is one pass of integer
+    multiply-adds over the pairs.
     """
     R = 0 if r is None else r.numerator * r.denominator
     rational = all(a1 == k1 == 0 for _, a1, _, k1 in modules)
     if rational or all(a1 == k0 == 0 for _, a1, k0, _ in modules):
-        cs = [1]
+        # a factor a0 - k x with k = 0 is a constant, taken into cs[0] at the start; the others go
+        # in two at a time, (a - k x)(b - l x) = ab - (al + bk) x + kl x^2 in one pass
+        cs, factors, constants = [1], [], 0
         for (a0, _, k0, k1), d in modules.items():
             k = k0 if rational else k1
-            for _ in range(d):
-                cs = [a0 * x - k * y for x, y in zip(cs + [0], [0] + cs)]
+            if k:
+                factors += [(a0, k)] * d
+            else:
+                cs[0] *= a0 ** d
+                constants += d
+        for (a, k), (b, l) in zip(factors[::2], factors[1::2]):
+            p, q, s = a * b, a * l + b * k, k * l
+            cs = [p * x - q * y + s * z for x, y, z in zip(cs + [0, 0], [0] + cs + [0], [0, 0] + cs)]
+        if len(factors) % 2:
+            a, k = factors[-1]
+            cs = [a * x - k * y for x, y in zip(cs + [0], [0] + cs)]
+        cs += [0] * constants  # the degree is that of the factors; the list keeps one entry per factor
         if rational:
             return cs, [0] * len(cs)
         us, vs, power = [0] * len(cs), [0] * len(cs), 1

@@ -300,11 +300,6 @@ class RootSystem(Record):
         return tuple(r for r in self.roots if r.is_positive)
 
     def root_set(self) -> frozenset:
-        """The coordinate tuples of the roots, built on the first call and kept."""
-        return self._root_set
-
-    @cached_property
-    def _root_set(self) -> frozenset:
         return frozenset(r.coords for r in self.roots)
 
     def simple_roots(self) -> Tuple[Root, ...]:

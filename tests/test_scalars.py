@@ -91,9 +91,9 @@ def test_quad_radicands_past_the_trial_limit_share_their_field():
 
 
 def test_split_exact_matches_the_fraction_oracle():
-    # seeded vectors of rationals and Quads of one radicand (the integer-pair path), of two radicands of one
-    # field (the rescaled path) and of rationals alone; radicands with a denominator, sqrt parts sharing
-    # factors with it, and int, Fraction and Quad entries: the same integers, denominator and r
+    # seeded vectors of rationals and Quads of one radicand, of two radicands of one field (rescaled to
+    # the first) and of rationals alone; radicands with a denominator, sqrt parts sharing factors with
+    # it, and int, Fraction and Quad entries: the same integers, denominator and r
     rng = random.Random(35)
     radicands = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3), Fraction(6, 5), Fraction(15, 4)]
     paths = collections.Counter()
