@@ -297,18 +297,18 @@ def _center_modules(flag: FlagData, j: InvariantComplexStructure, zk: CartanVect
     """
     z_int, _, z_den, _ = zk.split
     classes = _restriction_classes(flag, j)
-    return ({rho: list(roots) for rho, roots, _ in classes},
-            [sum(map(mul, roots[0].coords, z_int)) for _, roots, _ in classes], z_den)
+    return ({rho: list(roots) for rho, roots in classes},
+            [sum(map(mul, roots[0].coords, z_int)) for _, roots in classes], z_den)
 
 
-def _restriction_classes(flag: FlagData, j: InvariantComplexStructure) -> Tuple[tuple, ...]:
-    """The roots of R_m+ grouped by their restriction to the center: (rho, roots, positions) in R_m+ order.
+def _restriction_classes(flag: FlagData, j: InvariantComplexStructure) -> Tuple[Tuple[tuple, Tuple[Root, ...]], ...]:
+    """The roots of R_m+ grouped by their restriction to the center: (rho, roots) in R_m+ order.
 
     The center basis is the unit vectors of the unpainted nodes, so a
     root's restriction rho, its T-root (Alekseevsky-Perelomov, Funct. Anal.
     Appl. 20, 1986), is its tuple of unpainted coordinates.  Each class
-    holds its roots and their indices in R_m+, both in R_m+ order, and the
-    classes come in the order of their first roots.  Every value that
+    holds its roots in R_m+ order, and the classes come in the order of
+    their first roots.  Every value that
     depends on a center vector alone, alpha(Zk), alpha(Z) and the isotropy
     modules (`model.isotropy_modules`), is one value per class.  The
     grouping (`_group_by_restriction`) runs once per (flag, j) and is kept
@@ -317,14 +317,14 @@ def _restriction_classes(flag: FlagData, j: InvariantComplexStructure) -> Tuple[
     return _kept_on(flag, j, "restriction_classes", _group_by_restriction)
 
 
-def _group_by_restriction(flag: FlagData, j: InvariantComplexStructure) -> Tuple[tuple, ...]:
-    u, positive = flag.unpainted, j.positive
+def _group_by_restriction(flag: FlagData, j: InvariantComplexStructure) -> Tuple[Tuple[tuple, Tuple[Root, ...]], ...]:
+    u = flag.unpainted
     # a root's unpainted coordinates as a tuple: itemgetter gives one for two or more indices, a slice for one
     rho = itemgetter(*u) if len(u) > 1 else itemgetter(slice(u[0], u[0] + 1)) if u else (lambda coords: ())
-    groups: Dict[tuple, List[int]] = {}
-    for i, alpha in enumerate(positive):
-        groups.setdefault(rho(alpha.coords), []).append(i)
-    return tuple((key, tuple(map(positive.__getitem__, idx)), tuple(idx)) for key, idx in groups.items())
+    groups: Dict[tuple, List[Root]] = {}
+    for alpha in j.positive:
+        groups.setdefault(rho(alpha.coords), []).append(alpha)
+    return tuple((key, tuple(roots)) for key, roots in groups.items())
 
 
 def _center_gram(flag: FlagData) -> List[List[int]]:

@@ -203,19 +203,20 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
         classes = _restriction_classes(flag, j)
         parts = [[w[i] for i in flag.unpainted] for w in parts]
     else:  # one class per root: a float vector, or an exact one off the center
-        classes = [(alpha.coords, (alpha,), (i,)) for i, alpha in enumerate(positive)]
-    coords = [rho for rho, _, _ in classes]
+        classes = [(alpha.coords, (alpha,)) for alpha in positive]
+    coords = [rho for rho, _ in classes]
     if exact:
         columns = [[sum(map(mul, rho, w)) for rho in coords] if any(w) else [0] * len(coords) for w in parts]
     else:
         columns = [_root_values(coords, h) for h in (x, z)]
     keys = list(zip(*columns))
-    table = dict(zip(keys, [roots for _, roots, _ in classes]))
-    if len(table) < len(keys):  # classes of one key merge, their roots back in R_m+ order
-        positions: Dict[tuple, List[int]] = {}
-        for key, (_, _, idx) in zip(keys, classes):
-            positions.setdefault(key, []).extend(idx)
-        table = {key: tuple(map(positive.__getitem__, sorted(idx))) for key, idx in positions.items()}
+    table = dict(zip(keys, [roots for _, roots in classes]))
+    if len(table) < len(keys):  # classes of one key merge, their roots in R_m+ order
+        key_of = {alpha: key for key, (_, roots) in zip(keys, classes) for alpha in roots}
+        merged: Dict[tuple, List[Root]] = {}
+        for alpha in positive:
+            merged.setdefault(key_of[alpha], []).append(alpha)
+        table = {key: tuple(roots) for key, roots in merged.items()}
     return table, den, r
 
 

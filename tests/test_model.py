@@ -399,7 +399,7 @@ def test_exact_isotropy_modules_match_the_per_root_oracle():
             elif len(got[0]) < len(classes):
                 counts["merged"] += 1
                 # a merged module's roots in R_m+ order, not class after class
-                counts["interleaved"] += any(roots != tuple(a for _, c, _ in classes for a in c if a in roots)
+                counts["interleaved"] += any(roots != tuple(a for _, c in classes for a in c if a in roots)
                                              for roots in got[0].values())
         table, at_zk, z_den = _center_modules(flag, j, zk)
         want = per_root_center_modules(flag, j, zk)
