@@ -8,8 +8,7 @@ under addition of R_K and of itself (a parabolic choice).  The module also
 computes the center of k, wall roots, chamber membership, the Ricci
 element Z_kappa = sum of coroots over R_m+, the classes of R_m+ by
 restriction to the center, and the exact sphere-in-chamber test of diameter
-segments, all in exact arithmetic.  Z_kappa and the classes are built once
-per (flag, structure) and kept on the structure.
+segments, all in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -63,10 +62,9 @@ class InvariantComplexStructure(Record):
 
     It also keeps, uncompared, the flag it is known to be valid on, or None:
     the flag `default_complex_structure` built it for, or the last flag on
-    which it passed `require_complex_structure`; and the values that depend
-    on a flag as well, each with the flag object it was built for
-    (`_kept_on`): its Ricci element and the classes of R_m+ by restriction
-    to the center.
+    which it passed `require_complex_structure`; and its Ricci element and
+    restriction classes, each with the flag object it was built for
+    (`_kept_on`).
     """
 
     _fields = ("positive",)
@@ -207,8 +205,8 @@ def ricci_invariant(flag: FlagData, j: InvariantComplexStructure) -> CartanVecto
     """Z_kappa = sum over alpha in R_m+ of the coroot H_alpha; exact rational.
 
     H_alpha = M^{-1} alpha is linear in alpha, so this is the one coroot
-    vector of the summed root coordinates.  It is built once per (flag, j)
-    and kept on j (`_kept_on`), so every caller shares one vector.
+    vector of the summed root coordinates, built once per (flag, j) and kept
+    on j (`_kept_on`).
     """
     return _kept_on(flag, j, "ricci_invariant", _ricci_element)
 
@@ -308,9 +306,7 @@ def _restriction_classes(flag: FlagData, j: InvariantComplexStructure) -> Tuple[
     root's restriction rho, its T-root (Alekseevsky-Perelomov, Funct. Anal.
     Appl. 20, 1986), is its tuple of unpainted coordinates.  Each class
     holds its roots in R_m+ order, and the classes come in the order of
-    their first roots.  Every value that
-    depends on a center vector alone, alpha(Zk), alpha(Z) and the isotropy
-    modules (`model.isotropy_modules`), is one value per class.  The
+    their first roots.  A center vector takes one value on each class.  The
     grouping (`_group_by_restriction`) runs once per (flag, j) and is kept
     on j (`_kept_on`).
     """

@@ -9,9 +9,8 @@ their isotropy modules (`isotropy_modules`): the obstruction and the
 segment polynomial read one table, of (Zk, Z), and the segment
 classification one of its endpoints.  On exact input Z, Zk and the endpoints
 are integer vectors over one denominator (`CartanVector.from_split`), so
-the modules are keyed, multiplied and signed in integers; all of them lie in
-the center of k, so a table is keyed once per restriction class of R_m+
-(`flag._restriction_classes`), not once per root.
+the modules are keyed, multiplied and signed in integers, once per
+restriction class of R_m+ (`flag._restriction_classes`).
 
 The verdict for degrees (m1, m2) puts together the Einstein endpoints
 Z1 = m1 Z + Zk and Z2 = -m2 Z + Zk, the obstruction integral
@@ -182,18 +181,14 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
     integer vectors over one denominator den (`CartanVector.split`), so that
     the key (x0, x1, z0, z1) means alpha(X) = (x0 + x1 sqrt(R))/den and
     alpha(Z) = (z0 + z1 sqrt(R))/den, with R and r as in `polys.split_exact`.
-    When both lie in the center of k, as Zk, a direction and the endpoints
-    Zk + cZ do, a root's values depend only on its restriction rho to the
-    center, so each class of `flag._restriction_classes` takes its key from
-    d-length dot products rho.x over the unpainted nodes, and classes with
-    equal keys merge into one module: the modules are unions of center
-    modules, and a class that merges with none is its module, shared.  An
-    exact vector off the center takes one class per root over all its
-    coordinates.  A part that is zero on every coordinate, such as x1 of a
-    rational Zk or z0 of a normalized direction, is 0 in every key without a
-    dot product.  On a float X or Z the key is the pair (alpha(X), alpha(Z))
-    as `rootsys.evaluate` gives it (`_root_values`), root by root, and den
-    is None.
+    When both lie in the center of k, as Zk, directions and endpoints do,
+    each class of `flag._restriction_classes` is keyed by d-length dot
+    products over the unpainted nodes, and classes with equal keys merge;
+    otherwise each root is its own class.  A part that is zero on every
+    coordinate, such as x1 of a rational Zk or z0 of a normalized direction,
+    is 0 in every key without a dot product.  On a float X or Z the key is
+    the pair (alpha(X), alpha(Z)) as `rootsys.evaluate` gives it
+    (`_root_values`), and den is None.
     """
     positive, den, r = j.positive, None, None
     exact = x.kind != "float" and z.kind != "float"

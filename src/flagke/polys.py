@@ -42,10 +42,7 @@ def split_exact(values: Sequence[Scalar]) -> Tuple[List[int], List[int], int, Op
     r.numerator * r.denominator, so sqrt(r) = sqrt(R) / r.denominator; r is
     None and every v_i is 0 when all values are rational.  A radicand of the
     same field as r, whose product with r is a rational square, is rescaled
-    to r (`scalars.rescale_sqrt`).  Each value becomes two reduced
-    fractions, a and b / r.denominator with x = a + b sqrt(R), as integer
-    pairs: b is reduced, so one gcd with r.denominator reduces b /
-    r.denominator, and no Fraction is built for it.
+    to r (`scalars.rescale_sqrt`); one gcd reduces its b / r.denominator.
     """
     if not any(isinstance(x, Quad) for x in values):  # all rational: one lcm, no Fraction built
         den = math.lcm(*(x.denominator for x in values))
@@ -114,8 +111,6 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
     R = 0 if r is None else r.numerator * r.denominator
     rational = all(a1 == k1 == 0 for _, a1, _, k1 in modules)
     if rational or all(a1 == k0 == 0 for _, a1, k0, _ in modules):
-        # a factor a0 - k x with k = 0 is a constant, taken into cs[0] at the start; the others go
-        # in two at a time, (a - k x)(b - l x) = ab - (al + bk) x + kl x^2 in one pass
         cs, factors, constants = [1], [], 0
         for (a0, _, k0, k1), d in modules.items():
             k = k0 if rational else k1
@@ -126,11 +121,12 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
                 constants += d
         for (a, k), (b, l) in zip(factors[::2], factors[1::2]):
             p, q, s = a * b, a * l + b * k, k * l
+            # (a - k x)(b - l x) = ab - (al + bk) x + kl x^2
             cs = [p * x - q * y + s * z for x, y, z in zip(cs + [0, 0], [0] + cs + [0], [0, 0] + cs)]
         if len(factors) % 2:
             a, k = factors[-1]
             cs = [a * x - k * y for x, y in zip(cs + [0], [0] + cs)]
-        cs += [0] * constants  # the degree is that of the factors; the list keeps one entry per factor
+        cs += [0] * constants  # one entry per factor, as one pass per factor gives
         if rational:
             return cs, [0] * len(cs)
         us, vs, power = [0] * len(cs), [0] * len(cs), 1
