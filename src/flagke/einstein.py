@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from .diameters import search_diameters  # noqa: F401  (benchmarks/workloads.py takes it from here)
-from .flag import FLOAT_WALL_TOL, ricci_invariant, sphere_in_chamber  # noqa: F401  (benchmarks take the last from here)
-from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, isotropy_modules
+from .flag import ricci_invariant, sphere_in_chamber  # noqa: F401  (benchmarks take the last from here)
+from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, isotropy_modules, segment_walls
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
 from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
 from .records import Record
@@ -186,11 +186,9 @@ class SegmentPolynomial:
     """P(v) = prod alpha(Z1 - v Z), Z1 = Zk + m1 Z, with its antiderivative and end charts.
 
     ``modules``, ``den`` and ``r`` are the table that `model.futaki` reads,
-    `model.isotropy_modules` under (Zk, Z): each key gives (alpha(Zk),
-    alpha(Z)), as integer parts over den in the field of r or as floats when
-    den is None, and maps to the roots of R_m+ taking it, an isotropy module
-    whose size is its multiplicity; ``zk_k_f`` is its alpha(Zk) and alpha(Z)
-    as float arrays when the caller has them.  With the obstruction's product
+    `model.isotropy_modules` under (Zk, Z), each module's size its
+    multiplicity; ``zk_k_f`` is its alpha(Zk) and alpha(Z) as float arrays
+    when the caller has them.  With the obstruction's product
     E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1).
 
     P is held once, as coefficient parts over one denominator D.  On exact
@@ -322,14 +320,12 @@ class SegmentPolynomial:
                   verdict: Optional[KEVerdict] = None) -> "SegmentPolynomial":
         """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
 
-        It reads the table of `model.isotropy_modules` under (Zk, Z), the one
+        It reads the (Zk, Z) table of `model.isotropy_modules` that
         `model.futaki` reads: an exact ``verdict`` of base's direction lends
         the table and product its obstruction integrated, and any other
         verdict its Ricci element.  ``validate_degrees`` is
-        `build_segment_polynomial`'s check that the walls give the degrees
-        (m1, m2): a module is a wall of the end where alpha(Zk + m Z)
-        vanishes, m = m1 at Z1 and m = -m2 at Z2, in both integer parts of an
-        exact key and within FLOAT_WALL_TOL on a float one.
+        `build_segment_polynomial`'s check that the walls of
+        `model.segment_walls` at c = m1, -m2 give the degrees (m1, m2).
         """
         if m1 < 1 or m2 < 1:
             raise InputError("degrees must be >= 1")
@@ -339,17 +335,12 @@ class SegmentPolynomial:
             zk = ricci_invariant(base.flag, base.j) if verdict is None else verdict.zk
             sp = SegmentPolynomial(*isotropy_modules(base.flag, base.j, zk, base.z), m1, m2)
         if validate_degrees:
-            n, tol = (2, 0) if sp.exact else (1, FLOAT_WALL_TOL)  # a key: n parts of alpha(Zk), then of alpha(Z)
-            walls = [[r.coords for key, roots in sp.modules.items()
-                      if all(abs(x + m * z) <= tol for x, z in zip(key[:n], key[n:])) for r in roots]
-                     for m in (m1, -m2)]
+            walls = [[a.coords for a in w if a.is_positive] for w in segment_walls(sp.modules, sp.den, sp.r, m1, -m2)[1]]
             computed = (len(walls[0]) + 1, len(walls[1]) + 1)
             if computed != (m1, m2):
-                raise DegreeMismatchError(
-                    "wall order %s disagrees with declared degrees %s" % (computed, (m1, m2)),
-                    details={"computed": computed, "declared": (m1, m2),
-                             "walls_at_z1": walls[0], "walls_at_z2": walls[1]},
-                )
+                raise DegreeMismatchError("wall order %s disagrees with declared degrees %s" % (computed, (m1, m2)),
+                                          details={"computed": computed, "declared": (m1, m2),
+                                                   "walls_at_z1": walls[0], "walls_at_z2": walls[1]})
         return sp
 
     def reversed(self) -> "SegmentPolynomial":

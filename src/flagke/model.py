@@ -5,12 +5,12 @@ unit direction Z inside the center of k.  Candidate segments Z1 - [0, C] * Z
 are then classified exactly: the chamber condition, the endpoint wall sets
 and degrees, the projective-space test at each singular endpoint, and the
 holomorphic-projection closure condition.  The roots of R_m+ enter through
-their isotropy modules (`isotropy_modules`): the obstruction and the
-segment polynomial read one table, of (Zk, Z), and the segment
-classification one of its endpoints.  On exact input Z, Zk and the endpoints
-are integer vectors over one denominator (`CartanVector.from_split`), so
-the modules are keyed, multiplied and signed in integers, once per
-restriction class of R_m+ (`flag._restriction_classes`).
+their isotropy modules (`isotropy_modules`), keyed (X, Z) with the ends at
+X + c Z: a verdict reads one table, of (Zk, Z).  On exact input Z, Zk and
+the endpoints are integer vectors over one denominator
+(`CartanVector.from_split`), so the modules are keyed, multiplied and
+signed in integers, once per restriction class of R_m+
+(`flag._restriction_classes`).
 
 The verdict for degrees (m1, m2) puts together the Einstein endpoints
 Z1 = m1 Z + Zk and Z2 = -m2 Z + Zk, the obstruction integral
@@ -173,22 +173,19 @@ class AdmissibleSegment(Record):
 
 
 def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVector, z: CartanVector):
-    """The isotropy modules of R_m+ under the pair (X, Z): ({key: roots}, den, r).
+    """The isotropy modules of R_m+ under (X, Z): ({key: roots}, den, r), signed at X + c Z by `segment_walls`.
 
-    Roots with equal (alpha(X), alpha(Z)) form one module, a tuple of
-    roots; the keys are in the order of R_m+, and so are the roots of each
-    module.  Exact X and Z, rational or in one field Q(sqrt r), are read as
-    integer vectors over one denominator den (`CartanVector.split`), so that
+    Roots with equal (alpha(X), alpha(Z)) form one module, a tuple; keys
+    and roots are in R_m+ order.  Exact X and Z, rational or in one field
+    Q(sqrt r), are split over one denominator den (`CartanVector.split`):
     the key (x0, x1, z0, z1) means alpha(X) = (x0 + x1 sqrt(R))/den and
-    alpha(Z) = (z0 + z1 sqrt(R))/den, with R and r as in `polys.split_exact`.
-    When both lie in the center of k, as Zk, directions and endpoints do,
-    each class of `flag._restriction_classes` is keyed by d-length dot
-    products over the unpainted nodes, and classes with equal keys merge;
-    otherwise each root is its own class.  A part that is zero on every
-    coordinate, such as x1 of a rational Zk or z0 of a normalized direction,
-    is 0 in every key without a dot product.  On a float X or Z the key is
-    the pair (alpha(X), alpha(Z)) as `rootsys.evaluate` gives it
-    (`_root_values`), and den is None.
+    alpha(Z) = (z0 + z1 sqrt(R))/den, R and r as in `polys.split_exact`.
+    When both lie in the center of k, each class of
+    `flag._restriction_classes` is keyed by dot products over the unpainted
+    nodes, and classes with equal keys merge; otherwise each root is its
+    own class.  A part zero on every coordinate, such as x1 of a rational
+    Zk, is 0 in every key without a dot product.  On a float X or Z the key
+    is (alpha(X), alpha(Z)) as `rootsys.evaluate` gives it, and den is None.
     """
     positive, den, r = j.positive, None, None
     exact = x.kind != "float" and z.kind != "float"
@@ -230,34 +227,45 @@ def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:
     return [pair_scalar(sum(map(mul, cs, u)), sum(map(mul, cs, v)), den, r) for cs in coords]
 
 
+def segment_walls(modules: dict, den: Optional[int], r: Optional[Fraction], a: int, b: int):
+    """The signs of a table's modules, keyed (X, Z), at X + c Z, c = a, b, and each end's walls.
+
+    Exact keys are signed in integers, float keys within FLOAT_WALL_TOL.  A
+    wall of an end is a module vanishing there and positive at the other:
+    its roots and their negatives, sorted.
+    """
+    signs = {key: (pair_sign(key[0] + a * key[2], key[1] + a * key[3], r),
+                   pair_sign(key[0] + b * key[2], key[1] + b * key[3], r)) if den else
+             tuple(scalar_sign(key[0] + c * key[1] if c else key[0], FLOAT_WALL_TOL) for c in (a, b)) for key in modules}
+    walls = tuple(tuple(sorted(root for key, s in signs.items() if s[end] == 0 < s[1 - end]
+                               for alpha in modules[key] for root in (alpha, -alpha))) for end in (0, 1))
+    return signs, walls
+
+
 def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> AdmissibleSegment:
-    """Classify the segment from Z1 to Z2 = Z1 - C*Z.
+    """Classify the segment from Z1 to Z2 = Z1 - C*Z on one table, of (Z1, C*Z), its ends at c = 0, -1.
 
     All verdicts are exact on exact inputs; a float value within
-    FLOAT_WALL_TOL of zero is a wall.  A root vanishing at both endpoints
-    would vanish on the whole segment, which the chamber test reports as a
-    failure rather than a wall.  Roots with equal (alpha(Z1), alpha(Z2))
-    form one isotropy module, signed once at each end.
+    FLOAT_WALL_TOL of zero is a wall.  A root vanishing at both ends is a
+    chamber failure, not a wall.
     """
     if scalar_sign(length, FLOAT_WALL_TOL) <= 0:
         raise InputError("segment length must be positive")
-    flag, j = base.flag, base.j
-    z2 = z1 - base.z.scale(length)
-    table, den, rad = isotropy_modules(flag, j, z1, z2)
-    signs = {key: tuple(scalar_sign(x, FLOAT_WALL_TOL) for x in key) if den is None else
-             (pair_sign(key[0], key[1], rad), pair_sign(key[2], key[3], rad)) for key in table}
+    cz = base.z.scale(length)
+    return _classify(base.flag, base.j, isotropy_modules(base.flag, base.j, z1, cz), (0, -1), z1, length, z1 - cz)
+
+
+def _classify(flag: FlagData, j: InvariantComplexStructure, table: tuple, ends: tuple, z1: CartanVector,
+              length: Scalar, z2: CartanVector) -> AdmissibleSegment:
+    """`analyze_segment` on a table, its ends at c in ``ends``."""
+    signs, walls = segment_walls(*table, *ends)
     # roots outside the chamber: True when negative at an end, False when vanishing at both
-    outside = {alpha: min(s) < 0 for key, s in signs.items() if min(s) < 0 or max(s) == 0 for alpha in table[key]}
+    outside = {alpha: min(s) < 0 for key, s in signs.items() if min(s) < 0 or max(s) == 0 for alpha in table[0][key]}
     failures = [("chamber: alpha=%s negative at an endpoint" if outside[alpha] else
                  "chamber: alpha=%s vanishes on the whole segment") % (alpha.coords,)
                 for alpha in j.positive if alpha in outside] if outside else []
     chamber_ok = not failures
 
-    # a wall of one end is a module vanishing there and positive at the other
-    walls = tuple(
-        tuple(sorted(r for key, s in signs.items() if s[end] == 0 < s[1 - end] for a in table[key] for r in (a, -a)))
-        for end in (0, 1)
-    )
     degree_failures: List[str] = []
     projection_failures: List[str] = []
     for tag, w in zip(("endpoint 1", "endpoint 2"), walls):
@@ -363,8 +371,8 @@ class FutakiReport(Record):
     """The obstruction integral; an exact one keeps the module table and product it integrated.
 
     Those are `isotropy_modules`' (table, den, r) under (Zk, Z) and its
-    `int_linear_product`, for the segment polynomial; they are not fields,
-    so they take no part in equality, hashing or repr.
+    `int_linear_product`, read by the segment and its polynomial; not
+    fields, they are not compared, hashed or shown.
     """
 
     _fields = ("value", "vanishes", "exact", "tol", "error_bound")
@@ -379,10 +387,10 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
     On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
-    integers over the isotropy modules of `isotropy_modules` under (Zk, Z);
-    one Fraction or Quad is built, for the value, and the report keeps the
-    table and its product for the segment polynomial.  On the float path, the
-    only one that loads numpy, the integrand's coefficients are the
+    integers over the (Zk, Z) table of `isotropy_modules`; one Fraction or
+    Quad is built, for the value, and the report keeps the table and its
+    product.  On the float path, the only one that loads numpy, the
+    integrand's coefficients are the
     `einstein.p_linear_product_float` chain over R_m+, with each alpha(Zk)
     the float of its exact value, read off the integer split of Zk, and a
     crude roundoff bound accompanies the value.
@@ -445,9 +453,10 @@ class KEVerdict(Record):
 
     @functools.cached_property
     def segment(self) -> AdmissibleSegment:
-        length = self.m1 + self.m2
-        return analyze_segment(self.base, self.endpoints[0],
-                               float(length) if self.base.z.kind == "float" else Fraction(length))
+        base, z1 = self.base, self.endpoints[0]
+        length = (float if base.z.kind == "float" else Fraction)(self.m1 + self.m2)
+        table = self.futaki.table or isotropy_modules(base.flag, base.j, self.zk, base.z)
+        return _classify(base.flag, base.j, table, (self.m1, -self.m2), z1, length, z1 - base.z.scale(length))
 
     @property
     def degrees(self) -> Tuple[int, int]:

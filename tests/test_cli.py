@@ -58,8 +58,8 @@ def test_futaki_mode_values(capsys):
 
 
 def test_solve_builds_one_module_table_product(capsys, monkeypatch):
-    """A solve multiplies the (Zk, Z) table once: the segment polynomial reads the table and product that the
-    verdict's obstruction integrated, and the other table is the (Z1, Z2) one of the segment's admissibility."""
+    """A solve builds and multiplies the (Zk, Z) table once: the segment's admissibility and the segment polynomial
+    read the table, and the polynomial the product, that the verdict's obstruction integrated."""
     from flagke import model
 
     calls = {"int_linear_product": 0, "isotropy_modules": 0}
@@ -76,7 +76,7 @@ def test_solve_builds_one_module_table_product(capsys, monkeypatch):
     code, rep = _capture(capsys, ["solve", "--group", "E6xE6", "--painted", painted, "--z", "0,0,0,1,0,0,0,0,0,-1,0,0",
                                   "--m1", "1", "--m2", "1", "--grid", "64"])
     assert code == 0 and rep["verdict"] == "kahler_einstein"
-    assert calls == {"int_linear_product": 1, "isotropy_modules": 2}  # 2 and 3 when the segment built its own
+    assert calls == {"int_linear_product": 1, "isotropy_modules": 1}  # 2 each when the polynomial built its own
 
 
 def test_check_segment_reports_degree_mismatch(capsys):

@@ -9,12 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flagke.errors import InputError
+from flagke.errors import DegreeMismatchError, InputError
 from flagke import linalg
 from flagke import flag as flag_module
+from flagke import model as model_module
 from flagke.flag import (InvariantComplexStructure, _center_gram, _center_modules, _restriction_classes, build_flag,
                          default_complex_structure, require_complex_structure, ricci_invariant, sphere_in_chamber)
 from flagke.diameters import search_diameters
+from flagke.einstein import build_segment_polynomial
 from flagke.model import (FutakiReport, _integral_weights, _projective_space_test, analyze_segment,
                           check_parametrization, futaki, isotropy_modules, ke_endpoints, ke_verdict, make_base)
 from flagke.rootsys import (CartanVector, LieAlgebraSpec, Root, RootSystem, build_root_system, coroot_vector, evaluate,
@@ -288,6 +290,10 @@ def test_analyze_segment_exits_chamber():
     assert not seg.chamber_ok
     assert not seg.overall_ok
     assert any("negative" in f for f in seg.failures)
+    # from a wall the other way: a root vanishing at one end and negative at the other is no wall
+    rev = make_base(flag, j, h2 - h1)
+    seg = analyze_segment(rev, zk + base.z, 1)
+    assert seg == per_root_segment(rev, zk + base.z, 1) and seg.candidate.w1 == () and not seg.chamber_ok
 
 
 def test_analyze_segment_swap_symmetry():
@@ -310,9 +316,12 @@ def test_analyze_segment_swap_symmetry():
 
 
 def test_analyze_segment_matches_the_per_root_oracle():
-    # every flag of each group, the center-basis directions and their negatives, exact and float,
-    # at the Einstein endpoints Z1 = Zk + m1 Z of four degree pairs
-    counts = {"rows": 0, "walls": 0, "failures": 0, "wall_free_ends": 0}
+    # every flag of each group, the center-basis directions and their negatives, exact at the period scales 1 and
+    # 1/3 and float, at the Einstein endpoints Z1 = Zk + m1 Z of four degree pairs: analyze_segment on its
+    # (Z1, C Z) table and the verdict's segment on the (Zk, Z) table of its obstruction are the oracle's, field
+    # for field; on exact ends build_segment_polynomial raises DegreeMismatchError exactly when the verdict's
+    # walls miss the degrees, with the verdict's computed degrees
+    counts = collections.Counter()
     for text in ("A1xA1", "A2", "B2", "G2", "A2xA2", "A1xA1xA1", "B3"):
         rank = rs(text).rank
         for painted in (p for k in range(rank) for p in itertools.combinations(range(rank), k)):
@@ -320,40 +329,63 @@ def test_analyze_segment_matches_the_per_root_oracle():
             zk = ricci_invariant(flag, j)
             for b in flag.center_basis:
                 for d in (b.values, tuple(-v for v in b.values)):
-                    for direction in (CartanVector(d), CartanVector(tuple(float(v) for v in d))):
-                        base = make_base(flag, j, direction)
+                    for direction, tau in ((CartanVector(d), Fraction(1)), (CartanVector(d), Fraction(1, 3)),
+                                           (CartanVector(tuple(float(v) for v in d)), Fraction(1))):
+                        base = make_base(flag, j, direction, period_scale=tau)
                         for m1, m2 in ((1, 1), (1, 2), (2, 2), (3, 1)):
                             z1 = zk + base.z.scale(m1)
                             length = float(m1 + m2) if base.z.kind == "float" else Fraction(m1 + m2)
-                            got, want = analyze_segment(base, z1, length), per_root_segment(base, z1, length)
-                            assert (got.chamber_ok, got.degrees_ok, got.projection_ok, got.failures) == (
-                                want.chamber_ok, want.degrees_ok, want.projection_ok, want.failures)
-                            c, w = got.candidate, want.candidate
-                            assert (c.w1, c.w2, c.m1, c.m2) == (w.w1, w.w2, w.m1, w.m2)
+                            want = per_root_segment(base, z1, length)
+                            verdict = ke_verdict(base, zk, m1, m2)
+                            assert analyze_segment(base, z1, length) == want
+                            assert verdict.segment == want
+                            c = want.candidate
                             counts["rows"] += 1
+                            counts[base.z.kind] += 1
                             counts["walls"] += bool(c.w1 or c.w2)
                             counts["wall_free_ends"] += (not c.w1) + (not c.w2)
-                            counts["failures"] += bool(got.failures)
+                            counts["failures"] += bool(want.failures)
+                            if base.z.kind == "float":
+                                continue
+                            try:
+                                build_segment_polynomial(base, m1, m2)
+                                assert verdict.degrees_match
+                            except DegreeMismatchError as exc:
+                                assert not verdict.degrees_match and exc.details["computed"] == verdict.degrees
+                                counts["mismatch"] += 1
     # the oracle tests the closure at a wall-free end, where analyze_segment relies on j's validation
-    assert counts["walls"] > 0 and counts["failures"] > 0 and counts["wall_free_ends"] > 0, counts
+    kinds = ("rational", "quadratic", "float", "walls", "failures", "wall_free_ends", "mismatch")
+    assert min(counts[k] for k in kinds) > 0 and counts["mismatch"] < counts["rows"] - counts["float"], counts
+    # a length in Z's own field: Z is quadratic on B2 with nothing painted, and so is the segment's far end
+    flag, j = _flag_j("B2")
+    base = make_base(flag, j, CartanVector((Fraction(1), Fraction(1))))
+    zk, r = ricci_invariant(flag, j), base.z.split[3]
+    length = 3 * Quad(Fraction(1), Fraction(1, 2), r)
+    assert base.z.kind == "quadratic" and analyze_segment(base, zk, length) == per_root_segment(base, zk, length)
+    # an exact end within FLOAT_WALL_TOL of a wall, on a float segment, is signed exactly: no wall
+    flag, j = _flag_j("A2")
+    base, z1 = make_base(flag, j, CartanVector((-1.0, 1.0))), CartanVector((Fraction(1, 10 ** 12), Fraction(3)))
+    want = per_root_segment(base, z1, 0.5)
+    assert want.overall_ok and analyze_segment(base, z1, 0.5) == want
 
 
 @pytest.mark.parametrize("text, painted, searched", [("A2xA2xA2", (1, 3, 5), True), ("A1xA1xA1", (), True),
                                                      ("G2xA2", (2,), True), ("A3", (), False), ("B3", (), False)])
 def test_float_isotropy_modules_match_the_per_root_oracle(text, painted, searched):
-    # the tables that SegmentPolynomial.from_base (Zk, Z) and analyze_segment (Z1, Z2) read: at the float
-    # candidates of the diameter search, and at the float check-segment directions, the center basis and
-    # its negatives at four degree pairs; equal keys in R_m+ order, of the types evaluate gives.  On the
-    # full flags of A3 and B3 a root has up to three nonzero terms, whose float sum depends on their order
+    # the tables keyed (X, Z), with their ends at X + c Z: (Zk, Z) of a verdict and its segment polynomial, and
+    # (Z1, C Z) of analyze_segment: at the float candidates of the diameter search, and at the float
+    # check-segment directions, the center basis and its negatives at four degree pairs; equal keys in R_m+
+    # order, of the types evaluate gives.  On the full flags of A3 and B3 a root has up to three nonzero
+    # terms, whose float sum depends on their order
     flag, j = _flag_j(text, painted)
     zk = ricci_invariant(flag, j)
     found = [CartanVector(c.z_values) for c in search_diameters(make_base(flag, j, flag.center_basis[0])).candidates
              if not c.confirmed_exact] if searched else []
-    pairs = [(zk, z) for z in found] + [ke_endpoints(zk, z, 1, 1) for z in found]
+    pairs = [(zk, z) for z in found] + [(zk + z, z.scale(2)) for z in found]
     for b in flag.center_basis:
         for sign in (1, -1):
             z = make_base(flag, j, CartanVector(tuple(sign * float(v) for v in b.values))).z
-            pairs += [(zk, z)] + [ke_endpoints(zk, z, m1, m2) for m1, m2 in ((1, 1), (1, 2), (2, 2), (3, 1))]
+            pairs += [(zk, z)] + [(zk + z.scale(m1), z.scale(m1 + m2)) for m1, m2 in ((1, 1), (1, 2), (2, 2), (3, 1))]
     assert len(found) > 0 or not searched
     assert all(y.kind == "float" for _, y in pairs)
     for x, y in pairs:
@@ -411,7 +443,8 @@ def test_exact_isotropy_modules_match_the_per_root_oracle():
 def test_one_grouping_and_one_ricci_element_per_structure(monkeypatch):
     # futaki then analyze_segment, and ke_verdict with its segment, group R_m+ by restriction once and build
     # Zk once per (flag, j); so does a walled search for all its points; j revalidated on a second flag
-    # object groups and builds again
+    # object groups and builds again.  An exact verdict read through its segment builds one module table, the
+    # (Zk, Z) table of its obstruction, and analyze_segment one, of (Z1, C Z)
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -422,23 +455,25 @@ def test_one_grouping_and_one_ricci_element_per_structure(monkeypatch):
 
     monkeypatch.setattr(flag_module, "_group_by_restriction", counting("grouping", flag_module._group_by_restriction))
     monkeypatch.setattr(flag_module, "coroot_vector", counting("zk", flag_module.coroot_vector))
+    monkeypatch.setattr(model_module, "isotropy_modules", counting("tables", model_module.isotropy_modules))
     flag, j = _flag_j("A2xA2", (1, 3))
     base = make_base(flag, j, CartanVector((Fraction(1), Fraction(0), Fraction(-1), Fraction(0))))
     rep = futaki(flag, j, base.z, 1, 1)
     z1, _ = ke_endpoints(ricci_invariant(flag, j), base.z, 1, 1)
+    assert counts == {"grouping": 1, "zk": 1, "tables": 1}, counts
     assert rep.vanishes and analyze_segment(base, z1, Fraction(2)).overall_ok
-    assert counts == {"grouping": 1, "zk": 1}, counts
+    assert counts == {"grouping": 1, "zk": 1, "tables": 2}, counts
     counts.clear()
     flag, j = _flag_j("E6", (0, 2, 3, 4))
     base = make_base(flag, j, flag.center_basis[0] - flag.center_basis[1])
     verdict = ke_verdict(base, ricci_invariant(flag, j), 1, 2)
-    assert verdict.segment is not None and sphere_in_chamber(flag, j).min_distance_sq > 0
-    assert counts == {"grouping": 1, "zk": 1}, counts
+    assert verdict.futaki.exact and verdict.segment is not None and sphere_in_chamber(flag, j).min_distance_sq > 0
+    assert counts == {"grouping": 1, "zk": 1, "tables": 1}, counts
     counts.clear()
     flag, j = _flag_j("A2", (1,))
     found = search_walled(make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3)), 3, 1)
     assert [c.z_values for c in found] == [(Fraction(-1, 6), Fraction(0))]
-    assert counts == {"grouping": 1, "zk": 1}, counts
+    assert counts == {"grouping": 1, "zk": 1, "tables": 1}, counts  # the one point's verdict and segment
     zk = ricci_invariant(flag, j)
     table = _center_modules(flag, j, zk)[0]
     counts.clear()
