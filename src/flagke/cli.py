@@ -4,12 +4,10 @@ Subcommands: roots, flag-info, futaki, check-segment, solve, verify, search.
 A job can be given as a JSON file (--job) with individual flags overriding
 its fields; reports are printed as deterministic JSON.  Mathematical
 negatives ("no Einstein metric here") exit 0; only malformed input or
-internal failures exit nonzero.  The exact commands (roots, flag-info,
-futaki, check-segment) load no numpy unless given a --float direction.  The
-two searches run in the exact modules `walled` (degrees other than (1, 1))
-and `diameters` (the diameters) and load none either, except for the float
-verdict of a diameter at an irrational zero.  solve and verify import the
-float layer `einstein`, and numpy with it, when they run.  A report cut off
+internal failures exit nonzero.  numpy loads only with the float layer
+`einstein`, which solve and verify import when they run: roots, flag-info,
+futaki and check-segment, --float too, and the searches, run in `walled`
+(degrees other than (1, 1)) and `diameters`, load none.  A report cut off
 by a reader that closes the pipe early exits 1, with no traceback.
 A solve report states the tolerances of `einstein.PROFILE_CHECKS`, the
 table of verify checks, and verify holds each check to its row's.

@@ -17,15 +17,14 @@ with bisection (Collins-Akritas 1976; Rouillier-Zimmermann, J. Comput.
 Appl. Math. 162, 2004) and refined on exact integer signs (`_real_roots`).
 A rational root is an exact direction, normalized and given its exact
 verdict; every other root is rounded to a float direction, between two
-exact sign changes, with a float verdict.  The module imports no numpy: a
-search loads it only for the float verdict of an irrational zero.
+exact sign changes, with a float verdict, which `model` forms without
+numpy too: a search loads none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from itertools import accumulate
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Tuple, Union
@@ -34,6 +33,7 @@ from . import linalg
 from .errors import InputError
 from .flag import SphereCheck, _center_gram, _center_modules, _unpainted_vector, ricci_invariant, sphere_in_chamber
 from .model import CenterLine, KEVerdict, _integral_weights, ke_verdict, make_base
+from .polys import int_taylor_shift
 from .records import Record
 from .rootsys import CartanVector
 from .scalars import Scalar
@@ -202,7 +202,7 @@ def _isolate(q: List[int], depth: float) -> Optional[List[Tuple[int, int, int]]]
     root on the midpoint, and (y + 2)^n r(y / (y + 2)), one Taylor shift
     by 1 each.
     """
-    out, todo = [], [(_shift(q[::-1]), 0, 0)]
+    out, todo = [], [(int_taylor_shift(q[::-1], 1), 0, 0)]
     while todo:
         r, c, k = todo.pop()
         signs = [x > 0 for x in r if x]
@@ -212,18 +212,10 @@ def _isolate(q: List[int], depth: float) -> Optional[List[Tuple[int, int, int]]]
         elif count and k == depth:
             return None
         elif count:
-            left = [x << i for i, x in enumerate(_shift(r))]
-            right = [x << i for i, x in enumerate(_shift(r[::-1]))][::-1]
+            left = [x << i for i, x in enumerate(int_taylor_shift(r, 1))]
+            right = [x << i for i, x in enumerate(int_taylor_shift(r[::-1], 1))][::-1]
             out += [(2 * c + 1, k + 1, 0)] * (not left[0])
             todo += [(right, 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
-    return out
-
-
-def _shift(cs: List[int]) -> List[int]:
-    """The coefficients of sum c_n (x + 1)^n: `polys.int_taylor_shift` by 1, each of its passes one C-level sum."""
-    out = list(cs)
-    for i in range(len(out) - 1):  # out[j] += out[j + 1] for j from the top down to i: suffix sums of out[i:]
-        out[i:] = list(accumulate(reversed(out[i:])))[::-1]
     return out
 
 

@@ -44,7 +44,7 @@ from .diameters import search_diameters  # noqa: F401  (benchmarks/workloads.py 
 from .flag import ricci_invariant, sphere_in_chamber  # noqa: F401  (benchmarks take the last from here)
 from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, isotropy_modules, segment_walls
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
-from .polys import int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
+from .polys import float_linear_product, int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
 from .records import Record
 from .rootsys import Root
 from .scalars import Scalar, scalar_is_zero
@@ -93,22 +93,6 @@ def _power_table(x, n: int) -> np.ndarray:
     for k in range(1, n):  # one product per row: np.multiply.accumulate runs one column at a time, 3x slower
         np.multiply(rows[k - 1], x, out=rows[k])
     return out
-
-
-def p_linear_product_float(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Ascending float coefficients of prod (a_i - k_i x), trimmed.
-
-    One np.convolve per factor, in the order given; each coefficient is the
-    same two-product sum as an exact product's in float arithmetic, so the
-    chain matches the Fraction product of the floats bit for bit.
-    """
-    poly = np.ones(1)
-    for ai, ki in zip(a, k):
-        poly = np.convolve(poly, [ai, -ki])
-    n = len(poly)
-    while n and poly[n - 1] == 0:  # np.trim_zeros costs more than a scan step
-        n -= 1
-    return poly[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +169,7 @@ class EndChart:
 class SegmentPolynomial:
     """P(v) = prod alpha(Z1 - v Z), Z1 = Zk + m1 Z, with its antiderivative and end charts.
 
-    ``modules``, ``den`` and ``r`` are the table that `model.futaki` reads,
+    ``modules``, ``den`` and ``r`` are the table that `model.futaki` keeps,
     `model.isotropy_modules` under (Zk, Z), each module's size its
     multiplicity; ``zk_k_f`` is its alpha(Zk) and alpha(Z) as float arrays
     when the caller has them.  With the obstruction's product
@@ -196,7 +180,7 @@ class SegmentPolynomial:
     ``product`` when the caller has it), kept as ``product``, and P's parts
     are its two integer lists Taylor shifted (`polys.int_taylor_shift`), the
     coefficient u_n + v_n sqrt(R) over D = den^N, N = |R_m+|; on float keys
-    P is one float list over D = 1.  Q(x) = integral_0^x P(v)(v - m1) dv
+    P is one float list over D = 1 (`polys.float_linear_product`).  Q(x) = integral_0^x P(v)(v - m1) dv
     has the numerators c_(n-1) - m1 c_n at x^(n+1), over D (n+1).  Every
     float array is rounded once from these parts (`polys.pair_float`), and
     ``coeffs`` and ``q_coeffs``, the exact coefficient lists (Fraction or
@@ -224,7 +208,8 @@ class SegmentPolynomial:
             parts, scale = [int_taylor_shift(c, -m1) for c in self.product], den ** sum(d)
         else:
             self.a_f = self.zk_f + m1 * self.k_f
-            parts, scale = [p_linear_product_float(np.repeat(self.a_f, d), np.repeat(self.k_f, d)).tolist()], 1
+            factors = [(a, k) for a, k, n in zip(self.a_f.tolist(), self.k_f.tolist(), d) for _ in range(n)]
+            parts, scale = [float_linear_product(factors)], 1
         # P: c_n over D; Q: c_(n-1) - m1 c_n at x^(n+1) over D (n+1)
         self._p = _trimmed(parts)
         self._q = _trimmed([[0] + [a - m1 * b for a, b in zip([0] + c, c + [0])] for c in self._p])
@@ -321,19 +306,19 @@ class SegmentPolynomial:
         """The segment polynomial of the Einstein endpoints Z1 = Zk + m1 Z, Z2 = Zk - m2 Z.
 
         It reads the (Zk, Z) table of `model.isotropy_modules` that
-        `model.futaki` reads: an exact ``verdict`` of base's direction lends
-        the table and product its obstruction integrated, and any other
-        verdict its Ricci element.  ``validate_degrees`` is
-        `build_segment_polynomial`'s check that the walls of
-        `model.segment_walls` at c = m1, -m2 give the degrees (m1, m2).
+        `model.futaki` reads: a ``verdict`` of base's direction lends the
+        table its obstruction integrated, an exact one its product too.
+        ``validate_degrees`` is `build_segment_polynomial`'s check that the
+        walls of `model.segment_walls` at c = m1, -m2 give the degrees
+        (m1, m2).
         """
         if m1 < 1 or m2 < 1:
             raise InputError("degrees must be >= 1")
-        if verdict is not None and verdict.futaki.table is not None:
-            sp = SegmentPolynomial(*verdict.futaki.table, m1, m2, verdict.futaki.product)
+        if verdict is None:
+            sp = SegmentPolynomial(*isotropy_modules(base.flag, base.j, ricci_invariant(base.flag, base.j), base.z),
+                                   m1, m2)
         else:
-            zk = ricci_invariant(base.flag, base.j) if verdict is None else verdict.zk
-            sp = SegmentPolynomial(*isotropy_modules(base.flag, base.j, zk, base.z), m1, m2)
+            sp = SegmentPolynomial(*verdict.futaki.table, m1, m2, verdict.futaki.product)
         if validate_degrees:
             walls = [[a.coords for a in w if a.is_positive] for w in segment_walls(sp.modules, sp.den, sp.r, m1, -m2)[1]]
             computed = (len(walls[0]) + 1, len(walls[1]) + 1)

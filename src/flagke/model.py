@@ -16,8 +16,8 @@ The verdict for degrees (m1, m2) puts together the Einstein endpoints
 Z1 = m1 Z + Zk and Z2 = -m2 Z + Zk, the obstruction integral
 integral_{-m1}^{m2} y prod alpha(Zk - y Z) dy (`futaki`) and the
 admissibility of the segment between them (`ke_verdict`).  This module
-imports no numpy: only the float branch of `futaki` loads it.  The sampled
-profile check `check_parametrization` works on plain floats.
+imports no numpy, on any input.  The sampled profile check
+`check_parametrization` works on plain floats.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import linalg
 from .errors import InputError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, _restriction_classes,
                    require_complex_structure, ricci_invariant)
-from .polys import int_linear_product, pair_scalar, pair_sign
+from .polys import float_linear_product, int_linear_product, pair_scalar, pair_sign
 from .records import Record
 from .rootsys import CartanVector, Root
 from .scalars import Scalar, scalar_is_zero, scalar_sign, sqrt_parts
@@ -368,7 +368,7 @@ def ke_endpoints(zk: CartanVector, z: CartanVector, m1: int, m2: int) -> Tuple[C
 
 
 class FutakiReport(Record):
-    """The obstruction integral; an exact one keeps the module table and product it integrated.
+    """The obstruction integral, with the module table it integrated and, when exact, its product.
 
     Those are `isotropy_modules`' (table, den, r) under (Zk, Z) and its
     `int_linear_product`, read by the segment and its polynomial; not
@@ -386,34 +386,24 @@ class FutakiReport(Record):
 def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: int, m2: int) -> FutakiReport:
     """The obstruction integral over [-m1, m2], exact on exact inputs.
 
-    On exact inputs y * prod alpha(Zk - y Z) is expanded and integrated in
-    integers over the (Zk, Z) table of `isotropy_modules`; one Fraction or
-    Quad is built, for the value, and the report keeps the table and its
-    product.  On the float path, the only one that loads numpy, the
-    integrand's coefficients are the
-    `einstein.p_linear_product_float` chain over R_m+, with each alpha(Zk)
-    the float of its exact value, read off the integer split of Zk, and a
-    crude roundoff bound accompanies the value.
+    y * prod alpha(Zk - y Z) is expanded over the (Zk, Z) table of
+    `isotropy_modules`, which the report keeps.  Exact keys are multiplied
+    and integrated in integers, one Fraction or Quad built for the value,
+    and the report keeps the product too.  Float keys take each module's
+    factor once per root (`polys.float_linear_product`), alpha(Zk) rounded
+    once from its Fraction, and a crude roundoff bound comes with the value.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
-    zk = ricci_invariant(flag, j)
-    if z.kind == "float":
-        import numpy as np
-
-        from .einstein import p_linear_product_float
-
-        u, _, den, _ = zk.split  # Zk is rational: alpha(Zk) is one correctly rounded int / int
-        coords = np.array([a.coords for a in j.positive], dtype=float).reshape(len(j.positive), len(u))
-        at_zk = [sum(map(mul, a.coords, u)) / den for a in j.positive]
-        poly = p_linear_product_float(at_zk, coords @ np.array(z.values))
-        powers = np.arange(2, len(poly) + 2, dtype=float)
-        value = float(poly @ ((float(m2) ** powers - float(-m1) ** powers) / powers))
-        scale = float(np.abs(poly) @ (2.0 * float(max(m1, m2)) ** powers / powers))
-        bound = scale * (len(poly) + 1) * np.finfo(float).eps * 8
+    modules, den, r = table = isotropy_modules(flag, j, ricci_invariant(flag, j), z)
+    if den is None:  # float keys: alpha(Zk) a Fraction, rounded once, and alpha(Z)
+        poly = float_linear_product((float(a), k) for (a, k), roots in modules.items() for _ in roots)
+        value = sum((c * ((float(m2) ** p - float(-m1) ** p) / p) for p, c in enumerate(poly, 2)), 0.0)
+        scale = sum(abs(c) * (2.0 * float(max(m1, m2)) ** p / p) for p, c in enumerate(poly, 2))
+        bound = scale * (len(poly) + 1) * math.ulp(1.0) * 8
         vanishes = abs(value) <= max(FUTAKI_FLOAT_TOL, bound)
-        return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound)
-    modules, den, r = table = isotropy_modules(flag, j, zk, z)
+        return FutakiReport(value=value, vanishes=vanishes, exact=False, tol=FUTAKI_FLOAT_TOL, error_bound=bound,
+                            table=table)
     us, vs = product = int_linear_product({key: len(roots) for key, roots in modules.items()}, r)
     weights, scale = _integral_weights(len(us), m1, m2)
     total = scale * den ** len(j.positive)
@@ -453,10 +443,9 @@ class KEVerdict(Record):
 
     @functools.cached_property
     def segment(self) -> AdmissibleSegment:
-        base, z1 = self.base, self.endpoints[0]
+        base, (z1, z2) = self.base, self.endpoints
         length = (float if base.z.kind == "float" else Fraction)(self.m1 + self.m2)
-        table = self.futaki.table or isotropy_modules(base.flag, base.j, self.zk, base.z)
-        return _classify(base.flag, base.j, table, (self.m1, -self.m2), z1, length, z1 - base.z.scale(length))
+        return _classify(base.flag, base.j, self.futaki.table, (self.m1, -self.m2), z1, length, z2)
 
     @property
     def degrees(self) -> Tuple[int, int]:

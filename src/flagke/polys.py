@@ -10,14 +10,17 @@ P(x) = E(x - m1), an integer Taylor shift of both lists
 (`int_taylor_shift`).  Its signs, its floats and its exact coefficients are
 read off the integer pairs (`pair_sign`, `pair_float`, `pair_scalar`); the
 float layer, `einstein`, forms P's antiderivative and derivative on the
-pairs too.  These helpers import no numpy.
+pairs too.  A float obstruction's product is `float_linear_product`.  These
+helpers import no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import Quad, Scalar, rescale_sqrt
 
@@ -147,11 +150,33 @@ def int_linear_product(modules: Dict[Tuple[int, int, int, int], int], r: Optiona
     return us, vs
 
 
+def float_linear_product(factors: Iterable[Tuple[float, float]]) -> List[float]:
+    """Ascending float coefficients of prod (a - k x) over the factors (a, k), in the order given, trimmed.
+
+    One pass a c_n - k c_(n-1) per factor: a sum of two products, as
+    np.convolve forms it and as a Fraction chain of the floats rounds it,
+    bit for bit.
+    """
+    cs = [1.0]
+    for a, k in factors:
+        cs = [a * x - k * y for x, y in zip(cs + [0.0], [0.0] + cs)]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
 def int_taylor_shift(cs: Sequence[int], s: int) -> List[int]:
-    """The coefficients of sum c_n (x + s)^n, by Horner's rule in integers; the length is kept."""
-    if not any(cs):  # the sqrt(R) list of a rational product
+    """The coefficients of sum c_n (x + s)^n in integers; the length is kept.
+
+    A shift by 1 is n passes of suffix sums, each one C-level `accumulate`;
+    another s scales c_n by s^n, shifts by 1 and divides by s^n, exactly.
+    """
+    if not s or not any(cs):  # the sqrt(R) list of a rational product
         return list(cs)
-    out: List[int] = []
-    for c in reversed(cs):
-        out = [s * a + b for a, b in zip(out + [0], [c] + out)]  # out (x + s) + c
+    if s != 1:
+        powers = [s ** n for n in range(len(cs))]
+        return [c // w for c, w in zip(int_taylor_shift(list(map(mul, cs, powers)), 1), powers)]
+    out = list(cs)
+    for i in range(len(out) - 1):  # out[j] += out[j + 1] for j from the top down to i: suffix sums of out[i:]
+        out[i:] = list(accumulate(reversed(out[i:])))[::-1]
     return out

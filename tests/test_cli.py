@@ -58,8 +58,9 @@ def test_futaki_mode_values(capsys):
 
 
 def test_solve_builds_one_module_table_product(capsys, monkeypatch):
-    """A solve builds and multiplies the (Zk, Z) table once: the segment's admissibility and the segment polynomial
-    read the table, and the polynomial the product, that the verdict's obstruction integrated."""
+    """A solve builds the (Zk, Z) table once, and multiplies it in integers once on exact input: the segment's
+    admissibility and the segment polynomial read the table, and the polynomial the product, that the verdict's
+    obstruction integrated."""
     from flagke import model
 
     calls = {"int_linear_product": 0, "isotropy_modules": 0}
@@ -73,10 +74,16 @@ def test_solve_builds_one_module_table_product(capsys, monkeypatch):
         for module in (model, ein):
             monkeypatch.setattr(module, name, counting)
     painted = ",".join(str(k) for k in range(12) if k not in (3, 9))
-    code, rep = _capture(capsys, ["solve", "--group", "E6xE6", "--painted", painted, "--z", "0,0,0,1,0,0,0,0,0,-1,0,0",
-                                  "--m1", "1", "--m2", "1", "--grid", "64"])
+    argv = ["solve", "--group", "E6xE6", "--painted", painted, "--z", "0,0,0,1,0,0,0,0,0,-1,0,0", "--m1", "1", "--m2",
+            "1", "--grid", "64"]
+    code, rep = _capture(capsys, argv)
     assert code == 0 and rep["verdict"] == "kahler_einstein"
     assert calls == {"int_linear_product": 1, "isotropy_modules": 1}  # 2 each when the polynomial built its own
+    # a float verdict keeps its table too, and multiplies no integers
+    calls.update(dict.fromkeys(calls, 0))
+    code, rep = _capture(capsys, argv + ["--float"])
+    assert code == 0 and rep["verdict"] == "kahler_einstein"
+    assert calls == {"int_linear_product": 0, "isotropy_modules": 1}
 
 
 def test_check_segment_reports_degree_mismatch(capsys):
@@ -583,12 +590,16 @@ sys.stdout.write(json.dumps([code, loaded, flagke.profile_solve.__module__]))
     ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "1", "--m2", "2"],
     ["check-segment"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1"],
     ["search"] + _A2XA2,
-], ids=["import", "roots", "flag-info", "futaki", "check-segment", "diameter search"])
+    ["futaki", "--group", "A2", "--painted", "1", "--z", "1,0", "--m1", "1", "--m2", "2", "--float"],
+    ["check-segment"] + _A2XA2 + ["--z", "1,0,-1,0", "--m1", "1", "--m2", "1", "--float"],
+    ["search", "--group", "A2xA2xA2", "--painted", "1,3,5"],
+], ids=["import", "roots", "flag-info", "futaki", "check-segment", "diameter search", "futaki --float",
+        "check-segment --float", "diameter search, float zeros"])
 def test_exact_commands_leave_numpy_and_the_float_layer_unloaded(argv):
-    # the exact layers import no numpy; einstein, and numpy with it, loads on first use of its names.  The
-    # diameter search of A2 x A2 [1, 3] runs in `diameters` and finds one zero, an exact one, so it needs no
-    # float verdict.  The records generate no code, so neither dataclasses nor the inspect module it pulls in
-    # is loaded either
+    # the exact layers import no numpy, on float input too; einstein, and numpy with it, loads on first use of
+    # its names.  The diameter search of A2 x A2 [1, 3] finds one zero, an exact one; that of A2 x A2 x A2
+    # [1, 3, 5] finds irrational zeros, whose float verdicts run in `model` too.  The records generate no code,
+    # so neither dataclasses nor the inspect module it pulls in is loaded either
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE] + argv, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))

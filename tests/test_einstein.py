@@ -18,12 +18,11 @@ from flagke import einstein as ein
 from flagke import flag as flag_module
 from flagke import diameters, linalg, model, walled
 from flagke.errors import DegreeMismatchError, InputError, NoKahlerEinsteinError
-from flagke.einstein import p_linear_product_float
 from flagke.flag import (_center_gram, _center_modules, build_flag, default_complex_structure, ricci_invariant,
                          sphere_in_chamber)
 from flagke.model import (FUTAKI_FLOAT_TOL, CenterLine, futaki, ke_endpoints, ke_verdict,
                           make_base)
-from flagke.polys import int_linear_product, int_taylor_shift, p_eval, pair_scalar, pair_sign
+from flagke.polys import float_linear_product, int_linear_product, int_taylor_shift, p_eval, pair_scalar, pair_sign
 from flagke.rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -432,7 +431,7 @@ def test_linear_product_kernel_on_hand_built_factors():
     _assert_identical(p_linear_product(_multiplicities([(Fraction(0), Fraction(0)), factors[1]])), [])
     floats = [(0.5, -1.25), (Fraction(1, 3), 2.0), (0.5, -1.25)]
     a, k = (np.array([float(f[i]) for f in floats]) for i in range(2))
-    assert p_linear_product_float(a, k).tolist() == _per_root_product(tuple(floats))
+    assert float_linear_product(zip(a, k)) == _per_root_product(tuple(floats))
     with pytest.raises(ValueError, match="mixed radicands"):
         p_linear_product({factors[1]: 1, (Quad(Fraction(1), Fraction(1), Fraction(5)), Fraction(1)): 1})
 
@@ -446,7 +445,7 @@ def test_float_product_kernel_is_the_p_mul_chain_bit_for_bit():
         poly = [Fraction(1)]
         for ai, ki in zip(a, k):
             poly = p_mul(poly, [ai, -ki])
-        got = p_linear_product_float(np.array(a), np.array(k)).tolist()
+        got = float_linear_product(zip(a, k))
         assert got == [float(c) for c in p_trim(poly)]
 
 

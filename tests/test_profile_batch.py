@@ -27,7 +27,7 @@ from flagke.errors import InternalError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system
-from flagke.polys import int_taylor_shift, pair_scalar
+from flagke.polys import float_linear_product, int_taylor_shift, pair_scalar
 from flagke.scalars import Quad
 from segment_checks import (chart_lists, evaluation_bound, exact_poly_at, fp_fpp_by_passes, fp_fpp_rounding,
                             half_tables, int_shifted_antiderivative, p_antideriv, p_deriv, p_mul, p_to_float, pair_poly,
@@ -317,7 +317,7 @@ def _oracle_lists(sp):
     if not sp.exact:
         zk, k = ([key[i] for key in sp.modules] for i in (0, 1))
         a = (np.array(zk) + m1 * np.array(k)).tolist()
-        p = ein.p_linear_product_float(np.repeat(a, d), np.repeat(k, d)).tolist()
+        p = float_linear_product(zip(np.repeat(a, d).tolist(), np.repeat(k, d).tolist()))
         return p, p_antideriv(p_mul(p, [-Fraction(m1), Fraction(1)])), zk, k, a
     us, vs = (int_taylor_shift(c, -m1) for c in sp.product)
     den = sp.den ** sum(d)
