@@ -21,8 +21,9 @@ inverted through the quadrature t(f) = integral_0^f ds / sqrt(u(s)).  The
 inverse-square-root behaviour of the integrand at an end is removed
 analytically by the substitution s = w^2 applied to the exactly deflated
 polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
-segment (Z2, -Z, m2, m1), so one end chart serves both ends and all numeric
-integrands here are smooth.  The two searches, for directions whose verdict
+segment (Z2, -Z, m2, m1), so one end chart serves both ends, the two charts
+are evaluated as one table (`_chart_values`), and all numeric integrands
+here are smooth.  The two searches, for directions whose verdict
 is a yes, are exact and live in `diameters` and `walled`, which load no
 numpy.  The verify checks of a solved profile, each with the value
 it reads and its tolerance, are the rows of PROFILE_CHECKS.  The float twins
@@ -44,10 +45,10 @@ from .diameters import search_diameters  # noqa: F401  (benchmarks/workloads.py 
 from .flag import ricci_invariant, sphere_in_chamber  # noqa: F401  (benchmarks take the last from here)
 from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, isotropy_modules, segment_walls
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
-from .polys import float_linear_product, int_linear_product, int_taylor_shift, p_eval, pair_float, pair_scalar
+from .polys import float_linear_product, int_linear_product, int_taylor_shift, pair_float, pair_scalar
 from .records import Record
 from .rootsys import Root
-from .scalars import Scalar, scalar_is_zero
+from .scalars import Scalar
 from .walled import search_walled  # noqa: F401  (benchmarks/workloads.py takes it from here)
 
 # the profile tables: panels per end chart and Gauss-Legendre nodes per panel;
@@ -74,9 +75,8 @@ FLOAT_ORDER_RTOL = 1e-9
 def p_eval_float(coeffs: np.ndarray, x):
     """Horner evaluation of ascending float coefficients, numpy-vectorized, in place; a float x gives a float.
 
-    Only where no end chart exists: `SegmentPolynomial.u_float`'s direct
-    ratio and the float-key test of Q(m1+m2); the charts evaluate by
-    `EndChart.at`.
+    Only where no end chart exists: `u_eval`'s direct ratio and the
+    float-key test of Q(m1+m2); the charts evaluate by `_chart_values`.
     """
     out = np.zeros(np.shape(x))
     for c in coeffs[::-1].tolist():
@@ -124,12 +124,11 @@ class EndChart:
     with Q(x) = integral_0^x P(v)(v - m) dv, sliced from the segment's float
     arrays, and of p', rounded once from the numerators n p_n over the
     segment's denominator, as the rows of one zero-padded (3, n) matrix
-    ``rows``; ``p_f``, ``q_f`` and ``dp_f`` are views of its rows.  `at`
-    evaluates all three at once, as ``rows`` times the power table of its
-    points.  Near the end u = -2Q/P = -2 x q/p, and in the chart x = w^2 the
-    integrand of t is the smooth 2/sqrt(-2q/p).  The right end of a segment
-    is the left end of its reversed polynomial, so one chart type serves
-    both ends.
+    ``rows``; ``p_f``, ``q_f`` and ``dp_f`` are views of its rows.  Near the
+    end u = -2Q/P = -2 x q/p, and in the chart x = w^2 the integrand of t is
+    the smooth 2/sqrt(-2q/p).  The right end of a segment is the left end of
+    its reversed polynomial, so one chart type serves both ends, and the
+    segment stacks the rows of its two (`SegmentPolynomial.chart_table`).
     """
 
     def __init__(self, sp: "SegmentPolynomial", where: str = "0"):
@@ -146,24 +145,6 @@ class EndChart:
         n = max(map(len, cs))
         self.rows = np.array([list(c) + [0.0] * (n - len(c)) for c in cs], dtype=float)
         self.p_f, self.q_f, self.dp_f = (row[:len(c)] for row, c in zip(self.rows, cs))
-
-    def at(self, x, powers: Optional[np.ndarray] = None):
-        """(-2q/p, (p, q, p')) at distance x from the end, x a float or an array; a float gives a float -2q/p.
-
-        One product of ``rows`` with the powers x^0 .. x^(n-1), or with the
-        first n rows of ``powers``, the `_power_table` of x that a caller
-        shares between charts.  p must not vanish, and -2q/p = u/x must be
-        positive: 2/sqrt(-2q/p) at x = w^2 is the integrand of t.
-        """
-        n = self.rows.shape[1]
-        powers = _power_table(x, n) if powers is None else powers[:n]
-        p, q, dp = rows = (self.rows @ powers.reshape(n, -1)).reshape((3,) + np.shape(x))
-        if np.any(p == 0):
-            raise SingularConfigurationError("P vanishes at distance %g from the end" % _first(x, p == 0))
-        v = -2.0 * q / p
-        if np.any(v <= 0):
-            raise NoKahlerEinsteinError("first integral not positive on the open segment")
-        return _like(x, v), rows
 
 
 class SegmentPolynomial:
@@ -183,8 +164,8 @@ class SegmentPolynomial:
     P is one float list over D = 1 (`polys.float_linear_product`).  Q(x) = integral_0^x P(v)(v - m1) dv
     has the numerators c_(n-1) - m1 c_n at x^(n+1), over D (n+1).  Every
     float array is rounded once from these parts (`polys.pair_float`), and
-    ``coeffs`` and ``q_coeffs``, the exact coefficient lists (Fraction or
-    Quad; floats on float keys), are built only when read.  Attributes
+    ``coeffs``, P's exact coefficient list (Fraction or Quad; floats on
+    float keys), is built only when read.  Attributes
     ending in ``_f`` are float arrays for numerics, per module or per
     coefficient.  Instances are immutable after construction.
     """
@@ -270,11 +251,6 @@ class SegmentPolynomial:
         """P's coefficients, Fractions or Quads on exact keys, built on first read."""
         return self._coefficients(self._p, self._p_over, pair_scalar)
 
-    @functools.cached_property
-    def q_coeffs(self) -> list:
-        """Q's coefficients, Fractions or Quads on exact keys, built on first read."""
-        return self._coefficients(self._q, self._q_over, pair_scalar)
-
     @property
     def deflations(self) -> Tuple[EndChart, EndChart]:
         """The (left, right) end charts, built on demand.
@@ -297,6 +273,15 @@ class SegmentPolynomial:
         if isinstance(self._deflations, Exception):
             raise self._deflations.with_traceback(None)
         return self._deflations
+
+    @functools.cached_property
+    def chart_table(self) -> np.ndarray:
+        """The rows of both end charts as one zero-padded (6, n) table, the left end's p, q, p' above the right end's."""
+        charts = self.deflations
+        table = np.zeros((6, max(chart.rows.shape[1] for chart in charts)))
+        for i, chart in enumerate(charts):
+            table[3 * i:3 * i + 3, :chart.rows.shape[1]] = chart.rows
+        return table
 
     # -- constructors ------------------------------------------------------
 
@@ -343,36 +328,6 @@ class SegmentPolynomial:
 
     # -- pointwise data ------------------------------------------------------
 
-    def u_exact(self, f: Scalar) -> Scalar:
-        num = p_eval(self.q_coeffs, f)
-        den = p_eval(self.coeffs, f)
-        if scalar_is_zero(den):
-            raise SingularConfigurationError("P vanishes at f = %s" % (f,))
-        return -2 * num / den
-
-    def u_float(self, f):
-        """u(f) evaluated through the end charts, stable at walls.
-
-        Past the midpoint this is the reversed polynomial's u at m1+m2 - f:
-        each chart sees only its own half, since the other end's wall is a
-        pole of its deflated p.  Segment polynomials without a valid profile
-        (nonvanishing obstruction or mismatched walls) have no charts; they
-        fall back to the direct ratio, valid on the open interval away from
-        walls.  ``f`` may be a float or an array; a float gives a float.
-        """
-        f = np.asarray(f, dtype=float)
-        try:
-            ends = self._by_end(f)
-        except (NoKahlerEinsteinError, DegreeMismatchError):
-            den = p_eval_float(self.coeffs_f, f)
-            if (den == 0).any():
-                raise SingularConfigurationError("P vanishes at f = %g" % _first(f, den == 0))
-            return -2.0 * p_eval_float(self.q_coeffs_f, f) / den
-        out = np.empty_like(f)
-        for chart, on, x in ends:
-            out[on] = x * chart.at(x)[0]
-        return _like(f, out)
-
     def log_deriv_sums(self, f):
         """(s1, s2) with s1 = sum k/(a - k f), s2 = sum k^2/(a - k f)^2.
 
@@ -389,30 +344,21 @@ class SegmentPolynomial:
         return kg @ self.d_f, kg ** 2 @ self.d_f
 
     def fp_fpp(self, f):
-        """(f', f'') at f: sqrt(u) and the closed form u F - f + m1, from one evaluation of each chart.
+        """(f', f'') at f: sqrt(u) and the closed form u F - f + m1, from one evaluation of the chart table.
 
-        Each chart's `EndChart.at` gives u = x (-2q/p) and u F = q ((m - 1) p
-        + x p') / p^2 at its own points, at distance x from its end.  Stable
-        at both endpoints.  Past the midpoint both come from the right chart
-        at m1+m2 - f, and u F is minus the reversed segment's: the reversed
-        profile m1+m2 - f(delta - t) has f'' negated.  ``f`` may be a float
-        or an array; a float gives floats.
+        Each point reads the chart of its nearer end (`_chart_values`), at
+        distance x from that end: u = x (-2q/p) and u F = q ((m - 1) p + x p')
+        / p^2, m the end's degree.  Stable at both endpoints.  Past the
+        midpoint u F is minus the reversed segment's: the reversed profile
+        m1+m2 - f(delta - t) has f'' negated.  ``f`` may be a float or an
+        array; a float gives floats.
         """
         f = np.asarray(f, dtype=float)
-        u, uf = np.empty_like(f), np.empty_like(f)
-        ends = self._by_end(f)
-        for chart, on, x in ends:
-            v, (p, q, dp) = chart.at(x)
-            u[on], uf[on] = x * v, q * ((chart.m - 1) * p + x * dp) / (p * p)
-        fp, fpp = np.sqrt(np.maximum(u, 0.0)), np.where(ends[0][1], uf, -uf) - f + self.m1
+        x, right = _nearer_end(self, f)
+        v, (p, q, dp) = _chart_values(self, x, right)
+        uf = q * ((np.where(right, self.m2, self.m1) - 1) * p + x * dp) / (p * p)
+        fp, fpp = np.sqrt(np.maximum(x * v, 0.0)), np.where(right, -uf, uf) - f + self.m1
         return _like(f, fp), _like(f, fpp)
-
-    def _by_end(self, f: np.ndarray):
-        """(chart, mask, x) of each end chart: the points of f nearer its end, at distance x from it."""
-        fd = float(self.f_delta)
-        near_left = f <= fd / 2
-        left, right = self.deflations
-        return (left, near_left, f[near_left]), (right, ~near_left, fd - f[~near_left])
 
 
 def _trimmed(parts: List[list]) -> List[list]:
@@ -443,11 +389,52 @@ def build_segment_polynomial(base: CenterLine, m1: int, m2: int) -> SegmentPolyn
     return SegmentPolynomial.from_base(base, m1, m2, validate_degrees=True)
 
 
-def u_eval(sp: SegmentPolynomial, f: Scalar) -> Scalar:
-    """u(f) = -2 [int_0^f P(v)(v-m1) dv] / P(f); exact on exact inputs."""
-    if isinstance(f, float):
-        return sp.u_float(f)
-    return sp.u_exact(f)
+def u_eval(sp: SegmentPolynomial, f):
+    """u(f) = (f')^2 = -2 [int_0^f P(v)(v - m1) dv] / P(f) at floats f, a float or an array; a float gives a float.
+
+    Each point reads the chart of its nearer end, u = x (-2q/p), stable at
+    walls.  A segment polynomial without charts (its obstruction does not
+    vanish, or its walls do not give its degrees) has the direct ratio,
+    valid on the open interval away from walls.
+    """
+    f = np.asarray(f, dtype=float)
+    try:
+        sp.deflations
+    except (NoKahlerEinsteinError, DegreeMismatchError):
+        den = p_eval_float(sp.coeffs_f, f)
+        if (den == 0).any():
+            raise SingularConfigurationError("P vanishes at f = %g" % _first(f, den == 0))
+        return -2.0 * p_eval_float(sp.q_coeffs_f, f) / den
+    x, right = _nearer_end(sp, f)
+    return _like(f, x * _chart_values(sp, x, right)[0])
+
+
+def _nearer_end(sp: SegmentPolynomial, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, right) at the points f: the distance to the nearer end, and whether that end is the right one."""
+    fd = float(sp.f_delta)
+    right = f > fd / 2
+    return np.where(right, fd - f, f), right
+
+
+def _chart_values(sp: SegmentPolynomial, x, right=None):
+    """(-2q/p, (p, q, p')) of the end charts at distances x from their ends, one `chart_table` product for all.
+
+    With ``right`` None each point reads both charts, and each value has
+    the left end's row above the right end's; otherwise each point reads
+    its own chart, the right one where ``right`` holds.  x is a float or an
+    array.  p must not vanish, and -2q/p = u/x must be positive: 2/sqrt(-2q/p)
+    at x = w^2 is the integrand of t.
+    """
+    table = sp.chart_table
+    n = table.shape[1]
+    rows = (table @ _power_table(x, n).reshape(n, -1)).reshape((2, 3) + np.shape(x))
+    p, q, dp = rows.swapaxes(0, 1) if right is None else np.where(right, rows[1], rows[0])
+    if np.any(p == 0):
+        raise SingularConfigurationError("P vanishes at distance %g from the end" % _first(x, p == 0))
+    v = -2.0 * q / p
+    if np.any(v <= 0):
+        raise NoKahlerEinsteinError("first integral not positive on the open segment")
+    return v, (p, q, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +503,8 @@ class ProfileMap:
     over both end charts: PROFILE_PANELS panels uniform in w = sqrt(f) up
     to f_mid, then as many in w = sqrt(m1+m2-f), where dt/dw = g is smooth.
     ``cum`` and ``edges`` hold one row per chart; both charts have the same
-    edges, and one power table of their nodes and edges serves both
-    (`_chart_values`).  On a panel w = mid + half s with s
+    edges, so one product of the chart table with one power table of the
+    nodes and edges evaluates both (`_chart_values`).  On a panel w = mid + half s with s
     in [-1, 1], the interpolant of g at its PROFILE_GAUSS_ORDER nodes
     matches g to rounding; integrated exactly (`_panel_series`) it gives
     t(w) - t0 as a power series in s.  ``g_cols`` and ``t_cols`` hold both
@@ -542,7 +529,7 @@ class ProfileMap:
         self.mid, self.half = (self.w1 + self.w0) / 2, (self.w1 - self.w0) / 2
         gx, gw = _gauss_rule(order)
         w = np.concatenate([(self.mid[:n, None] + self.half[:n, None] * gx).ravel(), edges])
-        vals = 2.0 / np.sqrt(_chart_values(sp, w ** 2))
+        vals = 2.0 / np.sqrt(_chart_values(sp, w ** 2)[0])
         self.g0, self.g1 = vals[:, n * order:-1].ravel(), vals[:, n * order + 1:].ravel()
         vals = vals[:, :n * order].reshape(2 * n, order)
         self.cum = np.zeros((2, n + 1))
@@ -655,25 +642,18 @@ class ProfileMap:
         return self._by_chart(t, self.delta, self.fd, self.t_split, lambda x, right: self._w_of_t(x, right) ** 2)
 
 
-def _chart_values(sp: SegmentPolynomial, x: np.ndarray) -> List[np.ndarray]:
-    """-2q/p of the left and the right end chart at the same distances x from their ends, from one power table."""
-    charts = sp.deflations
-    powers = _power_table(x, max(chart.rows.shape[1] for chart in charts))
-    return [chart.at(x, powers)[0] for chart in charts]
-
-
 def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
     """delta = integral_0^(m1+m2) df/sqrt(u(f)) by tanh-sinh quadrature.
 
     Each half is integrated in x, the distance to its own end, through that
-    end's chart u = x (-2q/p); both halves share the nodes and one power
-    table of them.  The double-exponential nodes absorb the 1/sqrt(2x)
+    end's chart u = x (-2q/p); both halves share the nodes and one product
+    of the chart table with their power table.  The double-exponential nodes absorb the 1/sqrt(2x)
     singularity at the end.  It shares no table, variable or rule with
     ProfileMap, only the charts, so it cross-checks the quadrature of t(f).
     """
     half = float(sp.f_delta) / 2
     x = half * _TS_X
-    return sum(half * float(_TS_W @ (1.0 / np.sqrt(x * v))) for v in _chart_values(sp, x))
+    return sum(half * float(_TS_W @ (1.0 / np.sqrt(x * v))) for v in _chart_values(sp, x)[0])
 
 
 class ProfileSolution(Record):

@@ -24,15 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import Quad, Scalar, rescale_sqrt
 
-ZERO = Fraction(0)
-
-
-def p_eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
-    out: Scalar = ZERO
-    for c in reversed(list(a)):
-        out = out * x + c
-    return out
-
 
 # ---------------------------------------------------------------------------
 # products of linear factors

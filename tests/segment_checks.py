@@ -46,16 +46,26 @@ import numpy as np
 
 from flagke import einstein as ein
 from flagke import linalg
-from flagke.errors import InputError, InternalError
+from flagke.errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from flagke.diameters import DiameterCandidate
 from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram,
                          _center_modules, _unpainted_vector, require_complex_structure, ricci_invariant)
 from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
                           isotropy_modules, ke_verdict, make_base)
-from flagke.polys import ZERO, int_linear_product, pair_scalar, split_exact
+from flagke.polys import int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import Quad, rescale_sqrt, scalar_is_zero, scalar_sign, sqrt_parts
 from flagke.walled import WalledCandidate
+
+ZERO = Fraction(0)
+
+
+def p_eval(a, x):
+    """sum a_k x^k by Horner's rule, exact on Fraction and Quad coefficients and points."""
+    out = ZERO
+    for c in reversed(list(a)):
+        out = out * x + c
+    return out
 
 
 def p_trim(p):
@@ -114,9 +124,14 @@ def int_shifted_antiderivative(us, vs, den, r, m):
     return p_trim([ZERO] + [pair_scalar(x, y, den * (i + 1), r) for i, (x, y) in enumerate(zip(du, dv))])
 
 
+def q_coeffs(sp):
+    """Q's coefficients, Fractions or Quads on exact keys (floats on float keys), from the segment's integer parts."""
+    return sp._coefficients(sp._q, sp._q_over, pair_scalar)
+
+
 def chart_lists(sp):
     """The exact (p, q) = (P[m-1:], Q[m:]) of the left and the right end chart, from the segment's coefficient lists."""
-    return [(s.coeffs[s.m1 - 1:], s.q_coeffs[s.m1:]) for s in (sp, sp.reversed())]
+    return [(s.coeffs[s.m1 - 1:], q_coeffs(s)[s.m1:]) for s in (sp, sp.reversed())]
 
 
 def p_add(a, b):
@@ -149,7 +164,7 @@ def first_integral_identity_numerator(sp):
     numerator over 2 B^2 D is N = (A'B - A B') D - 2 A C B + 2 H B^2 D.  For a
     genuine first integral N is the zero polynomial, exactly.
     """
-    A = p_scale(sp.q_coeffs, Fraction(-2))
+    A = p_scale(q_coeffs(sp), Fraction(-2))
     B = list(sp.coeffs)
     C = p_scale(p_deriv(sp.coeffs), Fraction(-1))
     D = p_scale(B, Fraction(2))
@@ -191,8 +206,37 @@ def ricci_normal(profile, sp, t):
     return ein.ricci_residuals_state(sp, *ein._state_at(sp, profile, t))[1]
 
 
+def u_exact(sp, f):
+    """u(f) = -2 Q(f)/P(f) from the exact coefficient lists at an exact f: the reference of `einstein.u_eval`."""
+    num, den = p_eval(q_coeffs(sp), f), p_eval(sp.coeffs, f)
+    if scalar_is_zero(den):
+        raise SingularConfigurationError("P vanishes at f = %s" % (f,))
+    return -2 * num / den
+
+
+def u_float(sp, f):
+    """u(f) at floats f, a float or an array, from each end chart's rows by Horner: the reference of `einstein.u_eval`.
+
+    Each chart sees only its own half, u = x (-2q/p) at distance x from its
+    end, since the other end's wall is a pole of its deflated p.  A segment
+    polynomial without charts gives the direct ratio -2Q/P of its float
+    coefficients, valid on the open interval away from walls.
+    """
+    f = np.asarray(f, dtype=float)
+    try:
+        charts = sp.deflations
+    except (NoKahlerEinsteinError, DegreeMismatchError):
+        return -2.0 * ein.p_eval_float(sp.q_coeffs_f, f) / ein.p_eval_float(sp.coeffs_f, f)
+    fd = float(sp.f_delta)
+    out = np.empty_like(f)
+    for chart, near in zip(charts, (f <= fd / 2, f > fd / 2)):
+        x = f[near] if chart is charts[0] else fd - f[near]
+        out[near] = -2.0 * x * ein.p_eval_float(chart.q_f, x) / ein.p_eval_float(chart.p_f, x)
+    return float(out) if out.ndim == 0 else out
+
+
 def fp_fpp_by_passes(sp, f):
-    """(f', f'') at the floats f from five Horner passes: `SegmentPolynomial.u_float`, and p, q and p' again.
+    """(f', f'') at the floats f from five Horner passes: `u_float`, and p, q and p' again.
 
     The route that `SegmentPolynomial.fp_fpp` replaced on the solve path, the
     oracle of its one pass over each chart's p, q and p': f'' = u F - f + m1,
@@ -206,7 +250,7 @@ def fp_fpp_by_passes(sp, f):
         x = f[near] if sign > 0 else fd - f[near]
         pt, qt, dpt = (ein.p_eval_float(c, x) for c in (chart.p_f, chart.q_f, chart.dp_f))
         uf[near] = sign * (qt * ((chart.m - 1) * pt + x * dpt) / (pt * pt))
-    return np.sqrt(np.maximum(sp.u_float(f), 0.0)), uf - f + sp.m1
+    return np.sqrt(np.maximum(u_float(sp, f), 0.0)), uf - f + sp.m1
 
 
 # the unit roundoff of doubles, half of np.finfo(float).eps
@@ -337,9 +381,13 @@ def powers_by_loop(s, n):
     return out
 
 
-def chart_integrand(chart):
-    """dt/dw = 2/sqrt(-2q/p) at x = w^2 on an end chart, for a float or array w, as `einstein.ProfileMap` forms it."""
-    return lambda w: 2.0 / np.sqrt(chart.at(np.asarray(w, dtype=float) ** 2)[0])
+def chart_integrand(sp, side):
+    """dt/dw = 2/sqrt(-2q/p) at x = w^2 on the left (side 0) or right (side 1) end chart of sp, for a float or array w.
+
+    It reads the stacked chart table as `einstein.ProfileMap` does, so a
+    table over one chart has the bits of that chart's half of the map.
+    """
+    return lambda w: 2.0 / np.sqrt(ein._chart_values(sp, np.asarray(w, dtype=float) ** 2)[0][side])
 
 
 class HalfTable:
@@ -350,7 +398,8 @@ class HalfTable:
     only when every step is at the rounding level.
 
     Panels are uniform in w on [0, w_max], where x = w^2 is the distance
-    from the chart's end and the integrand dt/dw is smooth; g_edges holds it
+    from the end of chart ``side`` of sp (0 the left, 1 the right) and the
+    integrand dt/dw is smooth; g_edges holds it
     at the panel edges.  On a panel w = mid + half s with s in [-1, 1], and
     the interpolant of g at the panel's ``order`` Gauss nodes matches g to
     rounding; integrated exactly (`_panel_series`) it gives t(w) - cum[i] as
@@ -365,8 +414,8 @@ class HalfTable:
     (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
     """
 
-    def __init__(self, chart: ein.EndChart, w_max: float, n_panels: int, order: int):
-        self.g = chart_integrand(chart)
+    def __init__(self, sp: ein.SegmentPolynomial, side: int, w_max: float, n_panels: int, order: int):
+        self.g = chart_integrand(sp, side)
         self.edges = np.linspace(0.0, w_max, n_panels + 1)
         self.mid = (self.edges[1:] + self.edges[:-1]) / 2
         self.half = (self.edges[1:] - self.edges[:-1]) / 2
@@ -434,8 +483,8 @@ class HalfTable:
 def half_tables(sp):
     """The left and the right chart's `HalfTable` of a segment polynomial, on the panels of `einstein.ProfileMap`."""
     fm = float(sp.f_delta) / 2.0
-    return tuple(HalfTable(chart, math.sqrt(w_sq), ein.PROFILE_PANELS, ein.PROFILE_GAUSS_ORDER)
-                 for chart, w_sq in zip(sp.deflations, (fm, float(sp.f_delta) - fm)))
+    return tuple(HalfTable(sp, side, math.sqrt(w_sq), ein.PROFILE_PANELS, ein.PROFILE_GAUSS_ORDER)
+                 for side, w_sq in enumerate((fm, float(sp.f_delta) - fm)))
 
 
 def two_table_f_of_t(sp, tables, t):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flagke import einstein as ein
@@ -10,7 +11,7 @@ from flagke.errors import DegreeMismatchError, NoKahlerEinsteinError
 from flagke.flag import build_flag, default_complex_structure
 from flagke.model import make_base
 from flagke.rootsys import CartanVector, LieAlgebraSpec, build_root_system, coroot_vector
-from segment_checks import chart_lists, p_add, p_mul
+from segment_checks import chart_lists, evaluation_bound, exact_poly_at, p_add, p_mul, q_coeffs, u_exact, u_float
 
 # a float winner on A2xA2xA2 [1, 3, 5], found by the former latitude scan
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -55,14 +56,14 @@ def test_reversed_left_chart_is_composed_right_end(make):
     assert (rev.m1, rev.m2) == (sp.m2, sp.m1)
     p, q = chart_lists(rev)[0]
     p_right = p_compose_linear(sp.coeffs, sp.f_delta, Fraction(-1))
-    q_right = p_compose_linear(sp.q_coeffs, sp.f_delta, Fraction(-1))
+    q_right = p_compose_linear(q_coeffs(sp), sp.f_delta, Fraction(-1))
     assert p == p_right[sp.m2 - 1:]
     assert q == q_right[sp.m2:]
     right, chart = sp.deflations[1], rev.deflations[0]
     for key in ("p_f", "q_f", "dp_f"):
         assert getattr(right, key).tobytes() == getattr(chart, key).tobytes()
     twice = rev.reversed()
-    assert twice.coeffs == sp.coeffs and twice.q_coeffs == sp.q_coeffs
+    assert twice.coeffs == sp.coeffs and q_coeffs(twice) == q_coeffs(sp)
 
 
 @pytest.mark.parametrize("make", EXACT_CASES)
@@ -74,7 +75,7 @@ def test_reversed_negates_the_odd_product_coefficients(make, monkeypatch):
         rev = sp.reversed()
     fresh = ein.SegmentPolynomial(rev.modules, rev.den, rev.r, rev.m1, rev.m2)
     assert rev.product == fresh.product
-    assert (rev.coeffs, rev.q_coeffs) == (fresh.coeffs, fresh.q_coeffs)
+    assert (rev.coeffs, q_coeffs(rev)) == (fresh.coeffs, q_coeffs(fresh))
     for got, want in ((rev.zk_f, fresh.zk_f), (rev.k_f, fresh.k_f), (rev.a_f, fresh.a_f)):
         assert got.tobytes() == want.tobytes()  # alpha(Z) negated in floats is the float of -alpha(Z)
 
@@ -86,15 +87,54 @@ def test_reversed_float_winner_matches_composition():
     assert not sp.exact
     chart = sp.reversed().deflations[0]
     p_right = p_compose_linear(sp.coeffs, sp.f_delta, Fraction(-1))[sp.m2 - 1:]
-    q_right = p_compose_linear(sp.q_coeffs, sp.f_delta, Fraction(-1))[sp.m2:]
+    q_right = p_compose_linear(q_coeffs(sp), sp.f_delta, Fraction(-1))[sp.m2:]
     for got, want in ((chart.p_f.tolist(), p_right), (chart.q_f.tolist(), q_right)):
         assert len(got) == len(want)
         scale = max(abs(c) for c in want)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale
     twice = sp.reversed().reversed()
-    for got, want in ((twice.coeffs, sp.coeffs), (twice.q_coeffs, sp.q_coeffs)):
+    for got, want in ((twice.coeffs, sp.coeffs), (q_coeffs(twice), q_coeffs(sp))):
         scale = max(abs(c) for c in want)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale
+
+
+def _walled_a2_floats():
+    return _sp("A2", [1], [-1 / 6, 0.0], 3, 1, period_scale=Fraction(1, 3))
+
+
+@pytest.mark.parametrize("make", EXACT_CASES + [_walled_a2_floats, _float_d3_winner])
+def test_stacked_chart_table_is_each_chart_by_horner(make):
+    """One product of the (6, n) chart table gives each chart's p, q and p' within the rounding bound of its own rows
+    by Horner, at seeded distances from both ends up to the midpoint: both charts at every point, and each point at
+    its own end as `fp_fpp` and `u_eval` read it.
+
+    Exact and float keys; the walled (3, 1) segment has charts of 2 and 4
+    columns, so the table zero-pads its left rows.
+    """
+    sp = make()
+    left, right = sp.deflations
+    widths = [chart.rows.shape[1] for chart in (left, right)]
+    assert sp.chart_table.shape == (6, max(widths))
+    assert make is not _walled_a2 or widths == [2, 4]
+    half = float(sp.f_delta) / 2
+    rng = np.random.default_rng(9709039)
+    x = np.concatenate([half * rng.random(24), half * (1 - rng.random(8) * 1e-6), [half]])
+    f = np.concatenate([x, 2 * half - x])  # each distance from the left end, then from the right
+    near, own = ein._nearer_end(sp, f)
+    assert own.tolist() == (f > half).tolist()
+    for got, sides, points in ((ein._chart_values(sp, x), [0] * len(x) + [1] * len(x), np.tile(x, 2)),
+                               (ein._chart_values(sp, near, own), own.astype(int), near)):
+        v, rows = got
+        rows = np.asarray(rows).reshape(3, -1)
+        assert np.ravel(v).tobytes() == (-2.0 * rows[1] / rows[0]).tobytes()
+        for side, point, values in zip(sides, points.tolist(), rows.T):
+            chart = (left, right)[side]
+            for c, value in zip((chart.p_f, chart.q_f, chart.dp_f), values.tolist()):
+                bound = evaluation_bound(c, point, chart.rows.shape[1])
+                assert abs(Fraction(value) - exact_poly_at(c, point)) <= bound
+                assert abs(value - ein.p_eval_float(c, point)) <= 2 * bound
+    u = ein.u_eval(sp, f)
+    assert np.all(np.abs(u - u_float(sp, f)) <= 1e-13 * np.abs(u))
 
 
 def test_walled_profile_is_the_projective_space_metric():
@@ -121,7 +161,7 @@ def test_walled_segment_seen_from_its_walled_end_and_in_floats():
     sp = _walled_a2()
     mirror = _sp("A2", [1], [Fraction(1, 6), Fraction(0)], 1, 3, period_scale=Fraction(1, 3))
     rev = sp.reversed()
-    assert (mirror.m1, mirror.m2) == (1, 3) and (mirror.coeffs, mirror.q_coeffs) == (rev.coeffs, rev.q_coeffs)
+    assert (mirror.m1, mirror.m2) == (1, 3) and (mirror.coeffs, q_coeffs(mirror)) == (rev.coeffs, q_coeffs(rev))
     floats = _sp("A2", [1], [-1 / 6, 0.0], 3, 1, period_scale=Fraction(1, 3))
     assert not floats.exact
     prof = ein.profile_solve(floats)
@@ -131,7 +171,7 @@ def test_walled_segment_seen_from_its_walled_end_and_in_floats():
 
 def test_failed_chart_build_is_cached():
     # nonvanishing obstruction: the same exception object every time, and
-    # u_float falls back to the direct ratio
+    # u_eval, like its Horner reference, falls back to the direct ratio
     sp = _sp("A2xA2", [1, 3], [Fraction(1), Fraction(0), Fraction(1), Fraction(0)], 1, 1)
     with pytest.raises(NoKahlerEinsteinError) as first:
         sp.deflations
@@ -139,8 +179,9 @@ def test_failed_chart_build_is_cached():
         sp.deflations
     assert first.value is second.value
     for f in (Fraction(1, 7), Fraction(1), Fraction(3, 2), Fraction(19, 10)):
-        exact = float(sp.u_exact(f))
-        assert abs(sp.u_float(float(f)) - exact) < 1e-12 * max(1.0, abs(exact))
+        exact = float(u_exact(sp, f))
+        for u in (ein.u_eval(sp, float(f)), u_float(sp, float(f))):
+            assert abs(u - exact) < 1e-12 * max(1.0, abs(exact))
 
 
 def test_failed_degree_check_is_cached():

@@ -14,6 +14,7 @@ t(w) built from them.
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import mpmath
@@ -31,7 +32,7 @@ from flagke.polys import float_linear_product, int_taylor_shift, pair_scalar
 from flagke.scalars import Quad
 from segment_checks import (chart_lists, evaluation_bound, exact_poly_at, fp_fpp_by_passes, fp_fpp_rounding,
                             half_tables, int_shifted_antiderivative, p_antideriv, p_deriv, p_mul, p_to_float, pair_poly,
-                            powers_by_loop, two_table_f_of_t, two_table_t_of_f, verify_rounding)
+                            powers_by_loop, q_coeffs, two_table_f_of_t, two_table_t_of_f, verify_rounding)
 
 # a float winner on A2xA2xA2 [1, 3, 5], found by the former latitude scan
 D3_WINNER_Z = (-0.0898670954639291, 0.0, -0.31304222233559, 0.0, 0.37937906134639543, 0.0)
@@ -349,7 +350,7 @@ def test_sqrt_coefficient_floats_are_the_floats_of_the_quads():
     flag = build_flag(build_root_system(LieAlgebraSpec.parse("A2xA2")), [1, 3])
     base = make_base(flag, default_complex_structure(flag), CartanVector((Fraction(2), 0, Fraction(-1), 0)))
     sp = ein.SegmentPolynomial.from_base(base, 1, 1)
-    assert [sum(isinstance(c, Quad) for c in cs) for cs in (sp.coeffs, sp.q_coeffs)] == [4, 5]
+    assert [sum(isinstance(c, Quad) for c in cs) for cs in (sp.coeffs, q_coeffs(sp))] == [4, 5]
     _assert_floats_of_oracle_lists(sp, [ein.EndChart(sp), ein.EndChart(sp.reversed())])
     with pytest.raises(NoKahlerEinsteinError, match=r"Q\(m1\+m2\) = 0 \+ -19/1500\*sqrt\(5\)"):
         sp.deflations
@@ -402,37 +403,51 @@ def test_fp_fpp_within_the_rounding_bound_of_the_exact_chart_values(case):
     assert [type(x) for x in sp.fp_fpp(profile.f[100])] == [float, float]
 
 
-def _chart_of(rows):
-    """An end chart whose rows p, q and p' are the given (3, n) floats, for `EndChart.at` alone."""
-    chart = object.__new__(ein.EndChart)
-    chart.rows = rows
-    return chart
+def _stacked(left, right):
+    """A stand-in segment polynomial for `_chart_values` alone: its two charts' (3, n) float rows, stacked and padded."""
+    table = np.zeros((6, max(left.shape[1], right.shape[1])))
+    table[:3, :left.shape[1]], table[3:, :right.shape[1]] = left, right
+    return types.SimpleNamespace(chart_table=table)
 
 
 def test_chart_evaluation_is_within_the_rounding_bound_as_horner_is():
-    """`EndChart.at` and p_eval_float on random rows of degree 0 to 60, at x in [0, 2], each within gamma_2n sum
-    |c_k| x^k of the exact value; a float or a 0-d x gives a float -2q/p, an n-d x keeps its shape.
+    """`_chart_values` and p_eval_float on random rows of degree 0 to 60, at x in [0, 2], each within gamma_2n sum
+    |c_k| x^k of the exact value, n the chart's own width; at every point both charts, or each point's own chart, and
+    an n-d x keeps its shape.
 
-    p > 0 and q < 0 on x >= 0, so -2q/p is positive there and the chart
-    evaluates; p' has random signs.
+    The right chart is up to 3 columns narrower or wider than the left, and
+    the table zero-pads the narrower.  p > 0 and q < 0 on x >= 0, so -2q/p
+    is positive there and the charts evaluate; p' has random signs.
     """
     rng = np.random.default_rng(9709003)
+
+    def rows(n):
+        out = rng.uniform(0.5, 1.0, (3, n)) * 10.0 ** rng.integers(-3, 4, (3, n)) * [[1.0], [-1.0], [1.0]]
+        out[2] *= rng.choice([-1.0, 1.0], n)
+        return out
+
     for degree in range(61):
-        n = degree + 1
-        rows = rng.uniform(0.5, 1.0, (3, n)) * 10.0 ** rng.integers(-3, 4, (3, n)) * [[1.0], [-1.0], [1.0]]
-        rows[2] *= rng.choice([-1.0, 1.0], n)
-        chart = _chart_of(rows)
+        charts = [rows(degree + 1), rows(max(1, degree + 1 + int(rng.integers(-3, 4))))]
+        sp = _stacked(*charts)
         for x in (float(rng.uniform(0, 2)), np.array(rng.uniform(0, 2)), rng.uniform(0, 2, (1, 2))):
-            v, got = chart.at(x)
-            assert np.shape(v) == np.shape(x) and got.shape == (3,) + np.shape(x)
-            assert np.asarray(v).tobytes() == np.asarray(-2.0 * got[1] / got[0]).tobytes()
-            if np.ndim(x) == 0:
-                assert type(v) is float
-            for point, values in zip(np.ravel(x).tolist(), got.reshape(3, -1).T):
-                for c, value in zip(rows, values):
-                    exact, bound = exact_poly_at(c, point), evaluation_bound(c, point, n)
-                    assert abs(Fraction(float(value)) - exact) <= bound
-                    assert abs(Fraction(ein.p_eval_float(c, point)) - exact) <= bound
+            right = rng.random(np.shape(x)) < 0.5
+            for own in (None, right):
+                v, got = ein._chart_values(sp, x, own)
+                shape = ((2,) if own is None else ()) + np.shape(x)
+                assert np.shape(v) == shape and np.shape(got) == (3,) + shape
+                assert np.asarray(v).tobytes() == np.asarray(-2.0 * got[1] / got[0]).tobytes()
+                got = np.asarray(got).reshape(3, -1)
+                if own is None:
+                    sides = np.repeat([0, 1], np.size(x))
+                    points = np.tile(np.ravel(x), 2).tolist()
+                else:
+                    sides, points = np.ravel(own).astype(int), np.ravel(x).tolist()
+                for side, point, values in zip(sides, points, got.T):
+                    chart = charts[side]
+                    for c, value in zip(chart, values):
+                        exact, bound = exact_poly_at(c, point), evaluation_bound(c, point, chart.shape[1])
+                        assert abs(Fraction(float(value)) - exact) <= bound
+                        assert abs(Fraction(ein.p_eval_float(c, point)) - exact) <= bound
 
 
 def test_power_table_is_the_loop_of_products_bit_for_bit():
@@ -533,7 +548,7 @@ def test_in_place_horner_matches_out_of_place_bit_for_bit():
 
 def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch):
     """Once the map is built, f_of_t and t_of_f read only the panel series, and every inversion stops after one
-    Newton batch, at the certificate of its first step; verify_profile evaluates each chart twice, for (f', f'')
+    Newton batch, at the certificate of its first step; verify_profile evaluates the chart table twice, for (f', f'')
     and for tanh-sinh's delta, and integrates nothing on the table.
 
     The inversions: grids of 16, 9 794 and 65 536 points, `_sample_times` (a
@@ -543,8 +558,8 @@ def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch
     """
     sp, profile = case
     pmap = profile.map
-    at, powers, f_of_t = ein.EndChart.at, ein.ProfileMap._powers, ein.ProfileMap.f_of_t
-    calls = {"at": 0, "powers": 0}
+    charts, powers, f_of_t = ein._chart_values, ein.ProfileMap._powers, ein.ProfileMap.f_of_t
+    calls = {"charts": 0, "powers": 0}
     batches = []
 
     def counted(name, fn):
@@ -560,15 +575,15 @@ def test_inversion_evaluates_no_integrand_and_one_newton_batch(case, monkeypatch
         return out
 
     times = _sample_times(pmap)  # before counting: the oracle half tables it reads evaluate both charts
-    monkeypatch.setattr(ein.EndChart, "at", counted("at", at))
+    monkeypatch.setattr(ein, "_chart_values", counted("charts", charts))
     monkeypatch.setattr(ein.ProfileMap, "_powers", counted("powers", powers))
     monkeypatch.setattr(ein.ProfileMap, "f_of_t", counted_f_of_t)
     for grid in (16, 9794, 65536):
         pmap.f_of_t(np.linspace(0.0, pmap.delta, grid))
     pmap.t_of_f(pmap.f_of_t(times))
-    assert calls["at"] == 0
+    assert calls["charts"] == 0
     ein.verify_profile(sp, profile, n_check=64)
-    assert calls["at"] == 4  # (f', f'') at the checks and tanh-sinh's delta, one evaluation of each chart
+    assert calls["charts"] == 2  # (f', f'') at the checks and tanh-sinh's delta, one product of the chart table each
     assert batches == [1] * 5 and calls["powers"] == 7
 
 
