@@ -34,7 +34,7 @@ from .flag import (
     ricci_invariant,
     sphere_in_chamber,
 )
-from .model import CenterLine, FutakiReport, KEVerdict, check_parametrization, futaki, ke_verdict, make_base
+from .model import CenterLine, FutakiReport, KEVerdict, check_parametrization, ke_verdict, make_base
 from .rootsys import (
     CartanVector,
     LieAlgebraSpec,
@@ -197,18 +197,15 @@ def _degrees(job: JobSpec) -> tuple:
 
 
 def _run_futaki(job: JobSpec) -> Dict:
-    spec, rs, flag, j = _build_context(job)
-    m1, m2 = _degrees(job)
-    base = _base_from_job(job, flag, j)
-    zk = ricci_invariant(flag, j)
-    rep = futaki(flag, j, base.z, m1, m2)
+    spec, verdict = _verdict(job)
+    rep = verdict.futaki
     return {
         "mode": "futaki",
         "config": _echo(job, spec),
-        "m1": m1,
-        "m2": m2,
-        "z_unit": _vector_report(base.z),
-        "ricci_invariant": _vector_report(zk),
+        "m1": verdict.m1,
+        "m2": verdict.m2,
+        "z_unit": _vector_report(verdict.base.z),
+        "ricci_invariant": _vector_report(verdict.zk),
         "value": _fmt(rep.value),
         "value_float": float(rep.value),
         "vanishes": rep.vanishes,

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
 from .diameters import search_diameters  # noqa: F401  (benchmarks/workloads.py takes it from here)
 from .flag import ricci_invariant, sphere_in_chamber  # noqa: F401  (benchmarks take the last from here)
-from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, isotropy_modules, segment_walls
+from .model import PARAMETRIZATION_TOL, CenterLine, KEVerdict, _key_float, isotropy_modules, segment_walls
 from .model import futaki, ke_endpoints  # noqa: F401  (benchmarks/workloads.py takes these two from here)
 from .polys import float_linear_product, int_linear_product, int_taylor_shift, pair_float, pair_scalar
 from .records import Record
@@ -181,7 +181,7 @@ class SegmentPolynomial:
         d = [len(roots) for roots in self.modules.values()]
         self.d_f = np.array(d, dtype=float)
         n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
-        scalar = (lambda u, v: pair_float(u, v, den, r)) if self.exact else float
+        scalar = (lambda u, v: pair_float(u, v, den, r)) if self.exact else _key_float
         self.zk_f, self.k_f = zk_k_f or [np.array([scalar(*key[i:i + n]) for key in self.modules]) for i in (0, n)]
         if self.exact:
             self.a_f = np.array([scalar(key[0] + m1 * key[2], key[1] + m1 * key[3]) for key in self.modules])

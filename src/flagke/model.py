@@ -33,7 +33,7 @@ from . import linalg
 from .errors import InputError
 from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_gram, _restriction_classes,
                    require_complex_structure, ricci_invariant)
-from .polys import float_linear_product, int_linear_product, pair_scalar, pair_sign
+from .polys import float_linear_product, int_linear_product, pair_float, pair_scalar, pair_sign
 from .records import Record
 from .rootsys import CartanVector, Root
 from .scalars import Scalar, scalar_is_zero, scalar_sign, sqrt_parts
@@ -184,8 +184,10 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
     `flag._restriction_classes` is keyed by dot products over the unpainted
     nodes, and classes with equal keys merge; otherwise each root is its
     own class.  A part zero on every coordinate, such as x1 of a rational
-    Zk, is 0 in every key without a dot product.  On a float X or Z the key
-    is (alpha(X), alpha(Z)) as `rootsys.evaluate` gives it, and den is None.
+    Zk, is 0 in every key without a dot product.  On a float X or Z den is
+    None and the key is (alpha(X), alpha(Z)): a float vector's value as
+    `rootsys.evaluate` gives it, an exact one's as the integers (u, v, den, r)
+    of its split, meaning (u + v sqrt(R))/den, with no Fraction built.
     """
     positive, den, r = j.positive, None, None
     exact = x.kind != "float" and z.kind != "float"
@@ -213,10 +215,11 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
 
 
 def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:
-    """alpha(H) for the roots of coordinates ``coords``, the values `rootsys.evaluate` gives, with no per-root start.
+    """alpha(H) for the roots of coordinates ``coords``, with no per-root start.
 
-    An exact H gives them from its split, as Fractions (Quads in a field);
-    a float H as the float sum of the terms c v over the nonzero
+    An exact H gives the integers (u, v, den, r) of its split, which
+    `polys.pair_scalar` would take to the value `rootsys.evaluate` gives; a
+    float H gives the float sum of the terms c v over the nonzero
     coordinates c in order, which is evaluate's sum from Fraction(0) bit
     for bit.
     """
@@ -224,19 +227,32 @@ def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:
         values = h.values
         return [sum(c * v for c, v in zip(cs, values) if c) for cs in coords]
     u, v, den, r = h.split
-    return [pair_scalar(sum(map(mul, cs, u)), sum(map(mul, cs, v)), den, r) for cs in coords]
+    return [(sum(map(mul, cs, u)), sum(map(mul, cs, v)), den, r) for cs in coords]
+
+
+def _key_float(value) -> float:
+    """A float key's value as a float: itself, or an exact vector's (u, v, den, r) rounded once (`polys.pair_float`)."""
+    return pair_float(*value) if isinstance(value, tuple) else value
+
+
+def _float_key_sign(key: tuple, c: int) -> int:
+    """The sign of a float key (X, Z) at X + c Z within FLOAT_WALL_TOL, or exactly where c = 0 and X is exact."""
+    x, z = key
+    if c:
+        return scalar_sign(_key_float(x) + c * _key_float(z), FLOAT_WALL_TOL)
+    return pair_sign(x[0], x[1], x[3]) if isinstance(x, tuple) else scalar_sign(x, FLOAT_WALL_TOL)
 
 
 def segment_walls(modules: dict, den: Optional[int], r: Optional[Fraction], a: int, b: int):
     """The signs of a table's modules, keyed (X, Z), at X + c Z, c = a, b, and each end's walls.
 
-    Exact keys are signed in integers, float keys within FLOAT_WALL_TOL.  A
-    wall of an end is a module vanishing there and positive at the other:
-    its roots and their negatives, sorted.
+    Exact keys are signed in integers, float keys within FLOAT_WALL_TOL
+    (`_float_key_sign`).  A wall of an end is a module vanishing there and
+    positive at the other: its roots and their negatives, sorted.
     """
     signs = {key: (pair_sign(key[0] + a * key[2], key[1] + a * key[3], r),
                    pair_sign(key[0] + b * key[2], key[1] + b * key[3], r)) if den else
-             tuple(scalar_sign(key[0] + c * key[1] if c else key[0], FLOAT_WALL_TOL) for c in (a, b)) for key in modules}
+             (_float_key_sign(key, a), _float_key_sign(key, b)) for key in modules}
     walls = tuple(tuple(sorted(root for key, s in signs.items() if s[end] == 0 < s[1 - end]
                                for alpha in modules[key] for root in (alpha, -alpha))) for end in (0, 1))
     return signs, walls
@@ -281,18 +297,23 @@ def _classify(flag: FlagData, j: InvariantComplexStructure, table: tuple, ends: 
 
 
 def _projection_violation(flag: FlagData, j: InvariantComplexStructure, walls: frozenset):
-    """First pair (alpha, beta) violating (R_m+ \\ W) + (R_K u W) closure.
+    """First pair (alpha, beta) violating (R_m+ \\ W) + (R_K u W) closure, W an end's walls and their negatives.
 
-    With no walls this is the closure of R_m+ under R_K, which a validated
-    complex structure has, so an empty wall set returns None at once.
+    Only beta in W can violate it.  Take alpha in R_m+ \\ W and beta in R_K
+    with alpha + beta a root.  A validated complex structure closes R_m+
+    under R_K, so alpha + beta lies in R_m+; beta vanishes on the center, so
+    alpha + beta takes alpha's values at both ends, and W, a union of
+    modules, holds it exactly when it holds alpha.  So alpha + beta lies in
+    R_m+ \\ W, R_K never gives a violation, and the loop over W alone
+    reports the first pair of the loop over R_K, then W.  No walls give None.
     """
     if not walls:
         return None
     all_roots = flag.rs.root_set()
     pos_nonwall = frozenset(r.coords for r in j.positive) - walls
-    h_roots = [r.coords for r in flag.r_k] + sorted(walls)
+    wall_roots = sorted(walls)
     for a in sorted(pos_nonwall):
-        for b in h_roots:
+        for b in wall_roots:
             s = tuple(x + y for x, y in zip(a, b))
             if s in all_roots and s not in pos_nonwall:
                 return a, b
@@ -391,13 +412,13 @@ def futaki(flag: FlagData, j: InvariantComplexStructure, z: CartanVector, m1: in
     and integrated in integers, one Fraction or Quad built for the value,
     and the report keeps the product too.  Float keys take each module's
     factor once per root (`polys.float_linear_product`), alpha(Zk) rounded
-    once from its Fraction, and a crude roundoff bound comes with the value.
+    once from its integers, and a crude roundoff bound comes with the value.
     """
     if m1 < 1 or m2 < 1:
         raise InputError("degrees must be >= 1")
     modules, den, r = table = isotropy_modules(flag, j, ricci_invariant(flag, j), z)
-    if den is None:  # float keys: alpha(Zk) a Fraction, rounded once, and alpha(Z)
-        poly = float_linear_product((float(a), k) for (a, k), roots in modules.items() for _ in roots)
+    if den is None:  # float keys: alpha(Zk) the integers of its split, rounded once, and alpha(Z)
+        poly = float_linear_product((pair_float(*a), k) for (a, k), roots in modules.items() for _ in roots)
         value = sum((c * ((float(m2) ** p - float(-m1) ** p) / p) for p, c in enumerate(poly, 2)), 0.0)
         scale = sum(abs(c) * (2.0 * float(max(m1, m2)) ** p / p) for p, c in enumerate(poly, 2))
         bound = scale * (len(poly) + 1) * math.ulp(1.0) * 8

@@ -359,22 +359,25 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
 
     A root beta of height h plus alpha_i is a root iff q > 0 in the alpha_i
     string beta - p alpha_i, ..., beta + q alpha_i, where p - q = <beta, alpha_i^v>
-    and p is read off the roots of lower height, which are all known.
+    and p is read off the roots of lower height, which are all known.  Each
+    root found keeps its pairings <beta, alpha_j^v>, row j of the Cartan
+    matrix for alpha_j, and beta + alpha_i adds row i to beta's.
     """
     n = len(cartan)
     level = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found, out = set(level), list(level)
+    pairings, out = dict(zip(level, map(tuple, cartan))), list(level)
     while level:
         above = []
         for beta in level:
+            pair = pairings[beta]
             for i in range(n):
                 p, down = 0, list(beta)
                 down[i] -= 1
-                while tuple(down) in found:
+                while tuple(down) in pairings:
                     p, down[i] = p + 1, down[i] - 1
                 up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                if p > sum(c * row[i] for c, row in zip(beta, cartan)) and up not in found:
-                    found.add(up)
+                if p > pair[i] and up not in pairings:
+                    pairings[up] = tuple(map(add, pair, cartan[i]))
                     above.append(up)
         out += above
         level = above

@@ -538,11 +538,11 @@ def pairwise_closure(flag, j):
 
 
 def closure_violation(flag, j, walls):
-    """`model._projection_violation` without its shortcut for an empty wall set.
+    """`model._projection_violation` over R_K and the walls, and without its shortcut for an empty wall set.
 
     The first pair (alpha, beta) with alpha in R_m+ minus the walls, beta in
-    R_K or the walls, whose sum is a root outside R_m+ minus the walls; with
-    no walls, a failure of the closure of R_m+ under R_K.
+    R_K or the walls, in that order, whose sum is a root outside R_m+ minus
+    the walls; with no walls, a failure of the closure of R_m+ under R_K.
     """
     all_roots = flag.rs.root_set()
     pos_nonwall = frozenset(r.coords for r in j.positive) - walls

@@ -17,14 +17,16 @@ from flagke.flag import (InvariantComplexStructure, _center_gram, _center_module
                          default_complex_structure, require_complex_structure, ricci_invariant, sphere_in_chamber)
 from flagke.diameters import search_diameters
 from flagke.einstein import build_segment_polynomial
-from flagke.model import (AdmissibleSegment, FutakiReport, SegmentCandidate, _integral_weights, _projective_space_test,
+from flagke.model import (AdmissibleSegment, FutakiReport, SegmentCandidate, _integral_weights, _projection_violation,
+                          _projective_space_test,
                           analyze_segment, check_parametrization, futaki, isotropy_modules, ke_endpoints, ke_verdict,
                           make_base)
 from flagke.rootsys import (CartanVector, LieAlgebraSpec, Root, RootSystem, build_root_system, coroot_vector, evaluate,
                             killing)
+from flagke.polys import pair_scalar
 from flagke.scalars import Quad
 from flagke.walled import search_walled
-from segment_checks import (exact_sqrt, fraction_projective_space_test, killing_make_base, per_root_build_flag,
+from segment_checks import (closure_violation, exact_sqrt, fraction_projective_space_test, killing_make_base, per_root_build_flag,
                             per_root_center_modules, per_root_complex_structure, per_root_exact_isotropy_modules,
                             per_root_isotropy_modules, per_root_segment)
 from sweep_searches import GROUPS as SWEEP_GROUPS
@@ -380,8 +382,9 @@ def test_float_isotropy_modules_match_the_per_root_oracle(text, painted, searche
     # the tables keyed (X, Z), with their ends at X + c Z: (Zk, Z) of a verdict and its segment polynomial, and
     # (Z1, C Z) of analyze_segment: at the float candidates of the diameter search, and at the float
     # check-segment directions, the center basis and its negatives at four degree pairs; equal keys in R_m+
-    # order, of the types evaluate gives.  On the full flags of A3 and B3 a root has up to three nonzero
-    # terms, whose float sum depends on their order
+    # order, a float vector's values of the type evaluate gives, and an exact vector's the integers (u, v, den, r)
+    # of its split, no Fraction, which pair_scalar takes to evaluate's values.  On the full flags of A3 and B3 a
+    # root has up to three nonzero terms, whose float sum depends on their order
     flag, j = _flag_j(text, painted)
     zk = ricci_invariant(flag, j)
     found = [CartanVector(c.z_values) for c in search_diameters(make_base(flag, j, flag.center_basis[0])).candidates
@@ -396,8 +399,10 @@ def test_float_isotropy_modules_match_the_per_root_oracle(text, painted, searche
     for x, y in pairs:
         got, want = isotropy_modules(flag, j, x, y), per_root_isotropy_modules(j, x, y)
         assert got[1:] == want[1:] == (None, None)
-        assert list(got[0].items()) == list(want[0].items())
-        for a, b in zip(got[0], want[0]):
+        assert all(type(v) is float or list(map(type, v[:3])) == [int] * 3 for key in got[0] for v in key)
+        values = {tuple(pair_scalar(*v) if type(v) is tuple else v for v in key): roots for key, roots in got[0].items()}
+        assert list(values.items()) == list(want[0].items())
+        for a, b in zip(values, want[0]):
             assert [(type(v), repr(v)) for v in a] == [(type(v), repr(v)) for v in b]
 
 
@@ -522,6 +527,41 @@ def test_projective_space_test_matches_the_fraction_oracle():
                           "wall component branches; not a path", "wall component has roots of two lengths",
                           "multiple bond inside wall component", "expected exactly one non-painted node, found #",
                           "non-painted node is not terminal in the path"}, kinds
+
+
+def test_projection_violation_loops_over_the_walls_alone():
+    # _projection_violation pairs R_m+ \ W with the walls W alone, and segment_checks.closure_violation, the loop it
+    # replaced, with R_K and then W: both report the same first pair.  Seeded over the flags of the sweep groups and
+    # E6, each under the complex structure of a random chamber of its center: wall sets that are unions of
+    # restriction classes of R_m+ with their negatives, as every end's walls are, and the walls of segments from the
+    # origin and between the Einstein endpoints, chamber failures among them
+    rng = random.Random(39)
+    counts = collections.Counter()
+    for text in SWEEP_GROUPS + ["E6"]:
+        system = rs(text)
+        flags = [build_flag(system, p) for p in paintings(text) if len(p) < system.rank]
+        for _ in range(6):
+            flag = rng.choice(flags)
+            h = None
+            while h is None or any(evaluate(alpha, h) == 0 for alpha in flag.r_m):
+                h = CartanVector(tuple(map(Fraction, [0] * system.rank)))
+                for b in flag.center_basis:
+                    h = h + b.scale(rng.randint(-3, 3))
+            j = InvariantComplexStructure(tuple(alpha for alpha in flag.r_m if evaluate(alpha, h) > 0))
+            walls = [frozenset(r.coords for _, roots in _restriction_classes(flag, j) if rng.random() < 0.3
+                               for alpha in roots for r in (alpha, -alpha)) for _ in range(4)]
+            base = make_base(flag, j, flag.center_basis[rng.randrange(flag.center_dim)].scale(rng.choice([1, -1])))
+            origin = CartanVector((Fraction(0),) * system.rank)
+            for seg in (analyze_segment(base, origin, rng.randint(1, 3)),
+                        ke_verdict(base, ricci_invariant(flag, j), rng.randint(1, 3), rng.randint(1, 3)).segment):
+                walls += [frozenset(r.coords for r in w) for w in (seg.candidate.w1, seg.candidate.w2)]
+                counts["chamber_failures"] += bool(seg.candidate.w1 or seg.candidate.w2) and not seg.chamber_ok
+            for w in walls:
+                got = _projection_violation(flag, j, w)
+                assert got == closure_violation(flag, j, w), (text, flag.painted, sorted(w))
+                counts["walls"] += bool(w)
+                counts["violations"] += got is not None
+    assert counts["walls"] > 300 and counts["violations"] > 50 and counts["chamber_failures"] > 10, counts
 
 
 def test_walled_segments_are_classified_without_fraction_pairings():

@@ -311,12 +311,13 @@ def _oracle_lists(sp):
     """P, Q, alpha(Zk), alpha(Z) and alpha(Z1) of a segment as Fraction/Quad lists, or as floats on float keys.
 
     Exact: `pair_poly` and `int_shifted_antiderivative` of the Taylor-shifted
-    product and `pair_scalar` of the keys.  Float: P is the float chain
-    and Q the Fraction route `p_antideriv(p_mul(P, [-m1, 1]))`.
+    product and `pair_scalar` of the keys.  Float: alpha(Zk) is the
+    `pair_scalar` of its key's integers, P the float chain and Q the
+    Fraction route `p_antideriv(p_mul(P, [-m1, 1]))`.
     """
     m1, d = sp.m1, [len(roots) for roots in sp.modules.values()]
     if not sp.exact:
-        zk, k = ([key[i] for key in sp.modules] for i in (0, 1))
+        zk, k = [pair_scalar(*key[0]) for key in sp.modules], [key[1] for key in sp.modules]
         a = (np.array(zk) + m1 * np.array(k)).tolist()
         p = float_linear_product(zip(np.repeat(a, d).tolist(), np.repeat(k, d).tolist()))
         return p, p_antideriv(p_mul(p, [-Fraction(m1), Fraction(1)])), zk, k, a
