@@ -23,12 +23,12 @@ analytically by the substitution s = w^2 applied to the exactly deflated
 polynomials.  The right end of (Z1, Z, m1, m2) is the left end of the reversed
 segment (Z2, -Z, m2, m1), so one end chart serves both ends, the two charts
 are evaluated as one table (`_chart_values`), and all numeric integrands
-here are smooth.  The two searches, for directions whose verdict
-is a yes, are exact and live in `diameters` and `walled`, which load no
-numpy.  The verify checks of a solved profile, each with the value
-it reads and its tolerance, are the rows of PROFILE_CHECKS.  The float twins
-of `polys`' helpers live here too, and `flagke` loads this module only on
-first use of one of its names.
+here are smooth.  The two searches, for directions whose verdict is a yes,
+are exact and live in `diameters` and `walled`, which load no numpy.  The
+verify checks of a solved profile, each with the value it reads and its
+tolerance, are the rows of PROFILE_CHECKS.  The float twins of `polys`'
+helpers live here too, and `flagke` loads this module only on first use of
+one of its names.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ class SegmentPolynomial:
 
     @functools.cached_property
     def chart_table(self) -> np.ndarray:
-        """The rows of both end charts as one zero-padded (6, n) table, the left end's p, q, p' above the right end's."""
+        """Both end charts' rows as one zero-padded (6, n) table, the left end's p, q, p' above the right end's."""
         charts = self.deflations
         table = np.zeros((6, max(chart.rows.shape[1] for chart in charts)))
         for i, chart in enumerate(charts):
@@ -504,10 +504,10 @@ class ProfileMap:
     to f_mid, then as many in w = sqrt(m1+m2-f), where dt/dw = g is smooth.
     ``cum`` and ``edges`` hold one row per chart; both charts have the same
     edges, so one product of the chart table with one power table of the
-    nodes and edges evaluates both (`_chart_values`).  On a panel w = mid + half s with s
-    in [-1, 1], the interpolant of g at its PROFILE_GAUSS_ORDER nodes
-    matches g to rounding; integrated exactly (`_panel_series`) it gives
-    t(w) - t0 as a power series in s.  ``g_cols`` and ``t_cols`` hold both
+    nodes and edges evaluates both (`_chart_values`).  On a panel
+    w = mid + half s with s in [-1, 1], the interpolant of g at its
+    PROFILE_GAUSS_ORDER nodes matches g to rounding; integrated exactly
+    (`_panel_series`) it gives t(w) - t0 as a power series in s.  ``g_cols`` and ``t_cols`` hold both
     series' power coefficients, one column per panel, and after the build
     they are the map: no direction evaluates g again.  Per panel it also
     keeps w0, w1, t0, its width dt in t, g at its edges (g0, g1), the
@@ -647,8 +647,8 @@ def profile_delta_tanh_sinh(sp: SegmentPolynomial) -> float:
 
     Each half is integrated in x, the distance to its own end, through that
     end's chart u = x (-2q/p); both halves share the nodes and one product
-    of the chart table with their power table.  The double-exponential nodes absorb the 1/sqrt(2x)
-    singularity at the end.  It shares no table, variable or rule with
+    of the chart table with their power table.  The double-exponential
+    nodes absorb the 1/sqrt(2x) singularity at the end.  It shares no table, variable or rule with
     ProfileMap, only the charts, so it cross-checks the quadrature of t(f).
     """
     half = float(sp.f_delta) / 2

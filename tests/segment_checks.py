@@ -3,9 +3,11 @@
 The module table of hand-built values, the first-integral identity and the
 scaled-Ricci negative control, shared by `test_einstein.py` and
 `test_acceptance.py`, and the exact polynomial sum and scaling they are
-built from; the Fraction/Quad polynomial helpers and the exact end-chart
-lists, the oracles of the segment polynomial's integer coefficient parts
-and of its floats; the Ricci evaluations at one time; the rounding bounds
+built from; the Fraction/Quad polynomial helpers, with Horner's rule, Q's
+exact coefficient list and the exact end-chart lists, the oracles of the
+segment polynomial's integer coefficient parts and of its floats; u(f)
+exactly and from the end charts' rows by Horner, the references of
+`einstein.u_eval`; the Ricci evaluations at one time; the rounding bounds
 of the verify keys that divide by small numbers or cancel, the exact
 values of the end charts' float polynomials with the rounding bound of
 their evaluation carried to (f', f''), and the five-pass route to
@@ -19,7 +21,8 @@ with the exact square root it takes, the oracle of `model.make_base`;
 the Fraction pairing of the dual form and the projective-space test on it,
 with a depth-first component search, the oracle of `model._projective_space_test`; the per-root segment
 classification, the oracle of `model.analyze_segment`, with its own closure
-and projective-space tests at every end, and the
+test over R_K and the walls at every end (the oracle of
+`model._projection_violation`) and projective-space tests, and the
 per-root module table of float vectors, the oracle of `model.isotropy_modules`; the walled search over root subsets, the
 oracle of `walled.search_walled`; the Fraction Gauss-Jordan elimination
 it and the next two solve by, the oracle of the integer `linalg.solve`;
@@ -46,7 +49,8 @@ import numpy as np
 
 from flagke import einstein as ein
 from flagke import linalg
-from flagke.errors import DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError, SingularConfigurationError
+from flagke.errors import (DegreeMismatchError, InputError, InternalError, NoKahlerEinsteinError,
+                           SingularConfigurationError)
 from flagke.diameters import DiameterCandidate
 from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram,
                          _center_modules, _unpainted_vector, require_complex_structure, ricci_invariant)

@@ -26,9 +26,9 @@ from flagke.rootsys import (CartanVector, LieAlgebraSpec, Root, RootSystem, buil
 from flagke.polys import pair_scalar
 from flagke.scalars import Quad
 from flagke.walled import search_walled
-from segment_checks import (closure_violation, exact_sqrt, fraction_projective_space_test, killing_make_base, per_root_build_flag,
-                            per_root_center_modules, per_root_complex_structure, per_root_exact_isotropy_modules,
-                            per_root_isotropy_modules, per_root_segment)
+from segment_checks import (closure_violation, exact_sqrt, fraction_projective_space_test, killing_make_base,
+                            per_root_build_flag, per_root_center_modules, per_root_complex_structure,
+                            per_root_exact_isotropy_modules, per_root_isotropy_modules, per_root_segment)
 from sweep_searches import GROUPS as SWEEP_GROUPS
 from sweep_searches import paintings
 
@@ -400,7 +400,8 @@ def test_float_isotropy_modules_match_the_per_root_oracle(text, painted, searche
         got, want = isotropy_modules(flag, j, x, y), per_root_isotropy_modules(j, x, y)
         assert got[1:] == want[1:] == (None, None)
         assert all(type(v) is float or list(map(type, v[:3])) == [int] * 3 for key in got[0] for v in key)
-        values = {tuple(pair_scalar(*v) if type(v) is tuple else v for v in key): roots for key, roots in got[0].items()}
+        values = {tuple(pair_scalar(*v) if type(v) is tuple else v for v in key): roots
+                  for key, roots in got[0].items()}
         assert list(values.items()) == list(want[0].items())
         for a, b in zip(values, want[0]):
             assert [(type(v), repr(v)) for v in a] == [(type(v), repr(v)) for v in b]

@@ -405,7 +405,7 @@ def test_fp_fpp_within_the_rounding_bound_of_the_exact_chart_values(case):
 
 
 def _stacked(left, right):
-    """A stand-in segment polynomial for `_chart_values` alone: its two charts' (3, n) float rows, stacked and padded."""
+    """A stand-in segment polynomial for `_chart_values` alone: two charts' (3, n) float rows, stacked and padded."""
     table = np.zeros((6, max(left.shape[1], right.shape[1])))
     table[:3, :left.shape[1]], table[3:, :right.shape[1]] = left, right
     return types.SimpleNamespace(chart_table=table)
