@@ -139,7 +139,6 @@ class EndChart:
         lq = sp._low_order(sp._q, sp.q_coeffs_f)
         if lq < m:
             raise DegreeMismatchError("Q vanishes to order %d at %s, expected %d" % (lq, where, m))
-        self.m = m
         dp = [[n * c for n, c in enumerate(part[m - 1:])][1:] for part in sp._p]
         cs = sp.coeffs_f[m - 1:], sp.q_coeffs_f[m:], sp._coefficients(dp, sp._p_over, pair_float)
         n = max(map(len, cs))

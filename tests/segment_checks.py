@@ -250,10 +250,10 @@ def fp_fpp_by_passes(sp, f):
     f = np.asarray(f, dtype=float)
     fd = float(sp.f_delta)
     uf = np.empty_like(f)
-    for chart, near, sign in zip(sp.deflations, (f <= fd / 2, f > fd / 2), (1.0, -1.0)):
+    for chart, m, near, sign in zip(sp.deflations, (sp.m1, sp.m2), (f <= fd / 2, f > fd / 2), (1.0, -1.0)):
         x = f[near] if sign > 0 else fd - f[near]
         pt, qt, dpt = (ein.p_eval_float(c, x) for c in (chart.p_f, chart.q_f, chart.dp_f))
-        uf[near] = sign * (qt * ((chart.m - 1) * pt + x * dpt) / (pt * pt))
+        uf[near] = sign * (qt * ((m - 1) * pt + x * dpt) / (pt * pt))
     return np.sqrt(np.maximum(u_float(sp, f), 0.0)), uf - f + sp.m1
 
 
@@ -317,7 +317,7 @@ def fp_fpp_rounding(sp, f):
     for fv in np.asarray(f, dtype=float).tolist():
         right = fv > fd / 2
         chart = sp.deflations[right]
-        x, n, m = (fd - fv if right else fv), chart.rows.shape[1], chart.m
+        x, n, m = (fd - fv if right else fv), chart.rows.shape[1], (sp.m1, sp.m2)[right]
         P, Q, D = (exact_poly_at(c, x) for c in (chart.p_f, chart.q_f, chart.dp_f))
         e_p, e_q, e_d = (evaluation_bound(c, x, n) for c in (chart.p_f, chart.q_f, chart.dp_f))
         S = (m - 1) * P + Fraction(x) * D
