@@ -233,10 +233,10 @@ def _segment_report(verdict: KEVerdict) -> Dict:
         "z1": _vector_report(z1),
         "z2": _vector_report(z2),
         "walls_z1": [
-            {"root": list(r.coords), "alpha_z1": _fmt(evaluate(r, z1))} for r in seg.candidate.w1
+            {"root": list(r.coords), "alpha_z1": _fmt(evaluate(r, z1))} for r in seg.w1
         ],
         "walls_z2": [
-            {"root": list(r.coords), "alpha_z2": _fmt(evaluate(r, z2))} for r in seg.candidate.w2
+            {"root": list(r.coords), "alpha_z2": _fmt(evaluate(r, z2))} for r in seg.w2
         ],
         "chamber_ok": seg.chamber_ok,
         "degrees_ok": seg.degrees_ok,

@@ -151,8 +151,7 @@ class SegmentPolynomial:
 
     ``modules``, ``den`` and ``r`` are the table that `model.futaki` keeps,
     `model.isotropy_modules` under (Zk, Z), each module's size its
-    multiplicity; ``zk_k_f`` is its alpha(Zk) and alpha(Z) as float arrays
-    when the caller has them.  With the obstruction's product
+    multiplicity.  With the obstruction's product
     E(y) = prod alpha(Zk - y Z), P(x) = E(x - m1).
 
     P is held once, as coefficient parts over one denominator D.  On exact
@@ -170,7 +169,7 @@ class SegmentPolynomial:
     """
 
     def __init__(self, modules: Dict[tuple, Sequence[Root]], den: Optional[int], r: Optional[Fraction], m1: int,
-                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None, zk_k_f: Optional[tuple] = None):
+                 m2: int, product: Optional[Tuple[List[int], List[int]]] = None):
         self.modules = {key: tuple(roots) for key, roots in modules.items()}
         self.den, self.r = den, r
         self.m1, self.m2 = int(m1), int(m2)
@@ -181,7 +180,7 @@ class SegmentPolynomial:
         self.d_f = np.array(d, dtype=float)
         n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
         scalar = (lambda u, v: pair_float(u, v, den, r)) if self.exact else _key_float
-        self.zk_f, self.k_f = zk_k_f or [np.array([scalar(*key[i:i + n]) for key in self.modules]) for i in (0, n)]
+        self.zk_f, self.k_f = [np.array([scalar(*key[i:i + n]) for key in self.modules]) for i in (0, n)]
         if self.exact:
             self.a_f = np.array([scalar(key[0] + m1 * key[2], key[1] + m1 * key[3]) for key in self.modules])
             self.product = product or int_linear_product(dict(zip(self.modules, d)), r)
@@ -317,13 +316,14 @@ class SegmentPolynomial:
 
         The same table with its Z parts negated and the degrees swapped; its
         walls are those of this polynomial, swapped.  Its product is
-        E(-y), E's integer lists with the odd coefficients negated, and its
-        alpha(Zk) and alpha(Z) floats are these with alpha(Z) negated.
+        E(-y), E's integer lists with the odd coefficients negated.  Its
+        alpha(Z) floats, rounded from the negated keys, are these negated bit
+        for bit: `polys.pair_float` rounds -u and -v as it rounds u and v.
         """
         n = 2 if self.exact else 1  # a key: n parts of alpha(Zk), then of alpha(Z)
         modules = {key[:n] + tuple(-x for x in key[n:]): roots for key, roots in self.modules.items()}
         product = tuple([-c if k % 2 else c for k, c in enumerate(cs)] for cs in self.product) if self.exact else None
-        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1, product, (self.zk_f, -self.k_f))
+        return SegmentPolynomial(modules, self.den, self.r, self.m2, self.m1, product)
 
     # -- pointwise data ------------------------------------------------------
 

@@ -22,8 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import InputError
 from .records import Record
-from .rootsys import CartanVector, Root, RootSystem, coroot_vector, evaluate
-from .scalars import scalar_sign
+from .rootsys import CartanVector, Root, RootSystem, coroot_vector, root_values, value_sign
 
 # a float alpha(X) this close to zero puts X on the wall of alpha
 FLOAT_WALL_TOL = 1e-9
@@ -216,23 +215,17 @@ def _ricci_element(flag: FlagData, j: InvariantComplexStructure) -> CartanVector
 
 
 def wall_roots(flag: FlagData, x: CartanVector) -> Tuple[Root, ...]:
-    """Roots of R_m vanishing on X; X is regular iff this is empty."""
-    out = []
-    for alpha in flag.r_m:
-        if scalar_sign(evaluate(alpha, x), FLOAT_WALL_TOL) == 0:
-            out.append(alpha)
-    return tuple(out)
+    """Roots of R_m vanishing on X; X is regular iff this is empty.  Exact X is signed in integers."""
+    values = root_values([alpha.coords for alpha in flag.r_m], x)
+    return tuple(alpha for alpha, value in zip(flag.r_m, values) if value_sign(value, FLOAT_WALL_TOL) == 0)
 
 
 def chamber_position(flag: FlagData, j: InvariantComplexStructure, x: CartanVector) -> ChamberPosition:
-    """Locate X relative to the positive chamber {alpha > 0 on R_m+}."""
-    walls = []
-    for alpha in j.positive:
-        s = scalar_sign(evaluate(alpha, x), FLOAT_WALL_TOL)
-        if s < 0:
-            return ChamberPosition("outside")
-        if s == 0:
-            walls.extend([alpha, -alpha])
+    """Locate X relative to the positive chamber {alpha > 0 on R_m+}.  Exact X is signed in integers."""
+    signs = [value_sign(value, FLOAT_WALL_TOL) for value in root_values([alpha.coords for alpha in j.positive], x)]
+    if -1 in signs:
+        return ChamberPosition("outside")
+    walls = [root for alpha, s in zip(j.positive, signs) if s == 0 for root in (alpha, -alpha)]
     if walls:
         return ChamberPosition("boundary", tuple(sorted(walls)))
     return ChamberPosition("interior")

@@ -35,7 +35,7 @@ from .flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, _center_
                    require_complex_structure, ricci_invariant)
 from .polys import float_linear_product, int_linear_product, pair_float, pair_scalar, pair_sign
 from .records import Record
-from .rootsys import CartanVector, Root
+from .rootsys import CartanVector, Root, root_values, value_sign
 from .scalars import Scalar, scalar_is_zero, scalar_sign, sqrt_parts
 
 # check_parametrization: the bound on each boundary, symmetry and curvature check
@@ -149,22 +149,14 @@ def _float_base(flag: FlagData, j: InvariantComplexStructure, x: CartanVector, p
     return CenterLine(flag=flag, j=j, z=z, period_scale=Fraction(period_scale))
 
 
-class SegmentCandidate(Record):
-    """The segment from z1 to z2 = z1 - length Z, length C in multiples of Z, with its walls and degrees."""
-
-    _fields = ("z1", "length", "z2", "w1", "w2", "m1", "m2")
-
-    def __init__(self, z1: CartanVector, length: Scalar, z2: CartanVector, w1: Tuple[Root, ...], w2: Tuple[Root, ...],
-                 m1: int, m2: int):
-        self.__dict__.update(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=m1, m2=m2)
-
-
 class AdmissibleSegment(Record):
-    _fields = ("candidate", "chamber_ok", "degrees_ok", "projection_ok", "failures")
+    """A segment's walls w1, w2 at its ends, their degrees m1, m2, and its three tests with their failures."""
 
-    def __init__(self, candidate: SegmentCandidate, chamber_ok: bool, degrees_ok: bool, projection_ok: bool,
-                 failures: Tuple[str, ...]):
-        self.__dict__.update(candidate=candidate, chamber_ok=chamber_ok, degrees_ok=degrees_ok,
+    _fields = ("w1", "w2", "m1", "m2", "chamber_ok", "degrees_ok", "projection_ok", "failures")
+
+    def __init__(self, w1: Tuple[Root, ...], w2: Tuple[Root, ...], m1: int, m2: int, chamber_ok: bool,
+                 degrees_ok: bool, projection_ok: bool, failures: Tuple[str, ...]):
+        self.__dict__.update(w1=w1, w2=w2, m1=m1, m2=m2, chamber_ok=chamber_ok, degrees_ok=degrees_ok,
                              projection_ok=projection_ok, failures=failures)
 
     @property
@@ -202,7 +194,7 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
     if exact:
         columns = [[sum(map(mul, rho, w)) for rho in coords] if any(w) else [0] * len(coords) for w in parts]
     else:
-        columns = [_root_values(coords, h) for h in (x, z)]
+        columns = [root_values(coords, h) for h in (x, z)]
     keys = list(zip(*columns))
     table = dict(zip(keys, [roots for _, roots in classes]))
     if len(table) < len(keys):  # classes of one key merge, their roots in R_m+ order
@@ -212,22 +204,6 @@ def isotropy_modules(flag: FlagData, j: InvariantComplexStructure, x: CartanVect
             merged.setdefault(key_of[alpha], []).append(alpha)
         table = {key: tuple(roots) for key, roots in merged.items()}
     return table, den, r
-
-
-def _root_values(coords: List[Tuple[int, ...]], h: CartanVector) -> list:
-    """alpha(H) for the roots of coordinates ``coords``, with no per-root start.
-
-    An exact H gives the integers (u, v, den, r) of its split, which
-    `polys.pair_scalar` would take to the value `rootsys.evaluate` gives; a
-    float H gives the float sum of the terms c v over the nonzero
-    coordinates c in order, which is evaluate's sum from Fraction(0) bit
-    for bit.
-    """
-    if h.kind == "float":
-        values = h.values
-        return [sum(c * v for c, v in zip(cs, values) if c) for cs in coords]
-    u, v, den, r = h.split
-    return [(sum(map(mul, cs, u)), sum(map(mul, cs, v)), den, r) for cs in coords]
 
 
 def _key_float(value) -> float:
@@ -240,7 +216,7 @@ def _float_key_sign(key: tuple, c: int) -> int:
     x, z = key
     if c:
         return scalar_sign(_key_float(x) + c * _key_float(z), FLOAT_WALL_TOL)
-    return pair_sign(x[0], x[1], x[3]) if isinstance(x, tuple) else scalar_sign(x, FLOAT_WALL_TOL)
+    return value_sign(x, FLOAT_WALL_TOL)
 
 
 def segment_walls(modules: dict, den: Optional[int], r: Optional[Fraction], a: int, b: int):
@@ -267,13 +243,11 @@ def analyze_segment(base: CenterLine, z1: CartanVector, length: Scalar) -> Admis
     """
     if scalar_sign(length, FLOAT_WALL_TOL) <= 0:
         raise InputError("segment length must be positive")
-    cz = base.z.scale(length)
-    return _classify(base.flag, base.j, isotropy_modules(base.flag, base.j, z1, cz), (0, -1), z1, length, z1 - cz)
+    return _classify(base.flag, base.j, isotropy_modules(base.flag, base.j, z1, base.z.scale(length)), (0, -1))
 
 
-def _classify(flag: FlagData, j: InvariantComplexStructure, table: tuple, ends: tuple, z1: CartanVector,
-              length: Scalar, z2: CartanVector) -> AdmissibleSegment:
-    """`analyze_segment` on a table, its ends at c in ``ends``."""
+def _classify(flag: FlagData, j: InvariantComplexStructure, table: tuple, ends: tuple) -> AdmissibleSegment:
+    """`analyze_segment` on a table alone, its ends at c in ``ends``."""
     signs, walls = segment_walls(*table, *ends)
     # roots outside the chamber: True when negative at an end, False when vanishing at both
     outside = {alpha: min(s) < 0 for key, s in signs.items() if min(s) < 0 or max(s) == 0 for alpha in table[0][key]}
@@ -292,8 +266,8 @@ def _classify(flag: FlagData, j: InvariantComplexStructure, table: tuple, ends: 
     failures += degree_failures + projection_failures
 
     w1, w2 = walls
-    cand = SegmentCandidate(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=len(w1) // 2 + 1, m2=len(w2) // 2 + 1)
-    return AdmissibleSegment(cand, chamber_ok, not degree_failures, not projection_failures, tuple(failures))
+    return AdmissibleSegment(w1, w2, len(w1) // 2 + 1, len(w2) // 2 + 1, chamber_ok, not degree_failures,
+                             not projection_failures, tuple(failures))
 
 
 def _projection_violation(flag: FlagData, j: InvariantComplexStructure, walls: frozenset):
@@ -464,14 +438,13 @@ class KEVerdict(Record):
 
     @functools.cached_property
     def segment(self) -> AdmissibleSegment:
-        base, (z1, z2) = self.base, self.endpoints
-        length = (float if base.z.kind == "float" else Fraction)(self.m1 + self.m2)
-        return _classify(base.flag, base.j, self.futaki.table, (self.m1, -self.m2), z1, length, z2)
+        """The segment between the Einstein endpoints, read off the obstruction's table at c = m1, -m2."""
+        return _classify(self.base.flag, self.base.j, self.futaki.table, (self.m1, -self.m2))
 
     @property
     def degrees(self) -> Tuple[int, int]:
         """The degrees (m1, m2) that the walls of the segment give."""
-        return self.segment.candidate.m1, self.segment.candidate.m2
+        return self.segment.m1, self.segment.m2
 
     @property
     def degrees_match(self) -> bool:
@@ -540,17 +513,17 @@ def check_parametrization(t: Sequence[float], f: Sequence[float], delta: float, 
     h = float(t[1]) - float(t[0])
     if not h > 0:
         raise InputError("grid must be increasing")
+    # one-sided stencils of f' and f'' (with the h^4 end correction, odd derivatives vanishing) at each end; the
+    # right end is the left end of the samples reversed, where f' changes sign
+    (fp0, fpp0), (fpd, fppd) = [((4 * b - c - 3 * a) / (2 * h), (16 * (b - a) - (c - a)) / (6 * h * h))
+                                for a, b, c in (f[:3], f[:-4:-1])]
+    fpd = -fpd
     # evenness about 0 and delta: odd first derivative must vanish
-    fp0 = (4 * f[1] - f[2] - 3 * f[0]) / (2 * h)
-    fpd = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
     bound = tol * max(1.0, abs(length) / max(delta, 1e-30))
     symmetry_ok = abs(fp0) <= bound and abs(fpd) <= bound
     if not symmetry_ok:
         details.append("end derivatives f'(0)=%g f'(delta)=%g" % (fp0, fpd))
 
-    # second difference with the h^4 end correction (odd derivatives vanish)
-    fpp0 = (16 * (f[1] - f[0]) - (f[2] - f[0])) / (6 * h * h)
-    fppd = (16 * (f[-2] - f[-1]) - (f[-3] - f[-1])) / (6 * h * h)
     curvature_ok = abs(fpp0 - 1.0) <= tol and abs(fppd + 1.0) <= tol
     if not curvature_ok:
         details.append("end curvature f''(0)=%g f''(delta)=%g" % (fpp0, fppd))

@@ -41,9 +41,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError, InternalError
-from .polys import pair_scalar, split_exact
+from .polys import pair_scalar, pair_sign, split_exact
 from .records import Record
-from .scalars import Quad, Scalar
+from .scalars import Quad, Scalar, scalar_sign
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -464,6 +464,31 @@ def evaluate(root: Root, h: CartanVector) -> Scalar:
         if c:
             out = out + c * v
     return out
+
+
+def root_values(coords: Sequence[Tuple[int, ...]], h: CartanVector) -> list:
+    """alpha(H) for the roots of coordinates ``coords``, with no per-root start; signed by `value_sign`.
+
+    An exact H gives the integers (u, v, den, r) of its split, which
+    `polys.pair_scalar` would take to the value `evaluate` gives; a float H
+    gives the float sum of the terms c v over the nonzero coordinates c in
+    order, which is evaluate's sum from Fraction(0) bit for bit.  Roots of
+    another rank than H raise evaluate's InputError.
+    """
+    if h.kind == "float":
+        values = h.values
+        if coords and len(coords[0]) != len(values):
+            raise InputError("dimension mismatch")
+        return [sum(c * v for c, v in zip(cs, values) if c) for cs in coords]
+    u, v, den, r = h.split
+    if coords and len(coords[0]) != len(u):
+        raise InputError("dimension mismatch")
+    return [(sum(map(mul, cs, u)), sum(map(mul, cs, v)), den, r) for cs in coords]
+
+
+def value_sign(value, tol: float) -> int:
+    """The sign of a `root_values` value: an exact one's in integers (`polys.pair_sign`), a float within tol."""
+    return pair_sign(value[0], value[1], value[3]) if isinstance(value, tuple) else scalar_sign(value, tol)
 
 
 def killing(rs: RootSystem, h1: CartanVector, h2: CartanVector) -> Scalar:

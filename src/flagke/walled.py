@@ -95,7 +95,7 @@ def search_walled(base: CenterLine, m1: int, m2: int) -> Tuple[WalledCandidate, 
             z = _unpainted_vector(flag, *point)
             verdict = ke_verdict(CenterLine(flag=flag, j=j, z=z, period_scale=base.period_scale), zk, m1, m2)
             if verdict.ok:
-                seg = verdict.segment.candidate
+                seg = verdict.segment
                 w1, w2 = (tuple(a for a in j.positive if a in w) for w in (seg.w1, seg.w2))
                 out.append(WalledCandidate(w1, w2, z.values, verdict))
     out.sort(key=lambda c: tuple(float(v) for v in c.z_values))

@@ -54,8 +54,8 @@ from flagke.errors import (DegreeMismatchError, InputError, InternalError, NoKah
 from flagke.diameters import DiameterCandidate
 from flagke.flag import (FLOAT_WALL_TOL, FlagData, InvariantComplexStructure, SphereCheck, _center_gram,
                          _center_modules, _unpainted_vector, require_complex_structure, ricci_invariant)
-from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, SegmentCandidate, _integral_weights,
-                          isotropy_modules, ke_verdict, make_base)
+from flagke.model import (FUTAKI_FLOAT_TOL, AdmissibleSegment, CenterLine, _integral_weights, isotropy_modules,
+                          ke_verdict, make_base)
 from flagke.polys import int_linear_product, pair_scalar, split_exact
 from flagke.rootsys import CartanVector, LieAlgebraSpec, evaluate, killing
 from flagke.scalars import Quad, rescale_sqrt, scalar_is_zero, scalar_sign, sqrt_parts
@@ -790,9 +790,8 @@ def per_root_segment(base, z1, length):
         if bad is not None:
             projection_failures.append("%s holomorphic projection fails at %s + %s" % (tag, bad[0], bad[1]))
     w1, w2 = walls
-    cand = SegmentCandidate(z1=z1, length=length, z2=z2, w1=w1, w2=w2, m1=len(w1) // 2 + 1, m2=len(w2) // 2 + 1)
-    return AdmissibleSegment(cand, chamber_ok, not degree_failures, not projection_failures,
-                             tuple(failures + degree_failures + projection_failures))
+    return AdmissibleSegment(w1, w2, len(w1) // 2 + 1, len(w2) // 2 + 1, chamber_ok, not degree_failures,
+                             not projection_failures, tuple(failures + degree_failures + projection_failures))
 
 
 def root_subset_walled(base, m1, m2):

@@ -413,7 +413,7 @@ def test_reversed_structure_and_negated_direction_keep_every_verdict():
                 zk = ricci_invariant(flag, jj)
                 verdict = ke_verdict(base, zk, m1, m2)
                 sp = ein.SegmentPolynomial.from_base(base, m1, m2, verdict=verdict)
-                seg = verdict.segment.candidate
+                seg = verdict.segment
                 seen.append((repr(verdict.futaki.value), verdict.ok, verdict.admissible, verdict.degrees, seg.w1,
                              seg.w2, repr(sp.coeffs), repr(q_coeffs(sp))))
             assert seen[0] == seen[1], (group, painted, q, m1, m2, tau)
@@ -1345,6 +1345,25 @@ def test_search_walled_rejects_diameter_case():
     for m1, m2 in [(0, 3), (3, 0), (-1, 5)]:
         with pytest.raises(InputError, match="degrees must be >= 1"):
             walled.search_walled(base, m1, m2)
+
+
+def test_search_verdicts_form_no_endpoints(monkeypatch):
+    # a verdict reads its walls, degrees and tests off the obstruction's table at c = m1, -m2: reading them on every
+    # candidate of two diameter searches and a walled search forms no endpoint Z1 = Zk + m1 Z or Z2 = Zk - m2 Z
+    calls = []
+    monkeypatch.setattr(model, "ke_endpoints", lambda *args: calls.append(args) or ke_endpoints(*args))
+    verdicts = []
+    for text, painted in (("A2xA2xA2", (1, 3, 5)), ("A2xA2", (1, 3))):
+        flag, j = _flag_j(text, painted)
+        for c in diameters.search_diameters(make_base(flag, j, flag.center_basis[0])).candidates:
+            assert c.ke_ok == c.verdict.ok
+            verdicts.append(c.verdict)
+    flag, j = _flag_j("A2", (1,))
+    base = make_base(flag, j, flag.center_basis[0], period_scale=Fraction(1, 3))
+    verdicts += [c.verdict for c in walled.search_walled(base, 3, 1)]
+    read = [(v.ok, v.admissible, v.degrees) for v in verdicts]
+    assert read == [(True, True, (1, 1))] * 7 + [(True, True, (3, 1))]
+    assert calls == []
 
 
 def test_search_walled_matches_the_root_subset_oracle():

@@ -1,11 +1,15 @@
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from flagke.errors import InputError
 from flagke.flag import (
+    FLOAT_WALL_TOL,
+    ChamberPosition,
     build_flag,
     chamber_position,
     default_complex_structure,
@@ -22,6 +26,8 @@ from flagke.rootsys import (
     coroot_vector,
     evaluate,
 )
+from flagke.model import make_base
+from flagke.scalars import Quad, scalar_sign
 from segment_checks import (CENTER_FLAGS, center_flags, dual_pairing, fraction_solve, pairwise_closure,
                             per_root_build_flag, per_root_complex_structure)
 from sweep_searches import GROUPS as SWEEP_GROUPS
@@ -189,6 +195,87 @@ def test_float_walls_use_the_segment_wall_tolerance():
     pos = chamber_position(prod, default_complex_structure(prod), x)
     assert pos.position == "boundary"
     assert sorted(r.coords for r in pos.walls) == [(-1, 0), (1, 0)]
+
+
+def per_root_wall_roots(flag, x):
+    """`wall_roots` with each alpha(X) evaluated and signed root by root."""
+    return tuple(alpha for alpha in flag.r_m if scalar_sign(evaluate(alpha, x), FLOAT_WALL_TOL) == 0)
+
+
+def per_root_chamber_position(flag, j, x):
+    """`chamber_position` with each alpha(X) evaluated and signed root by root."""
+    signs = [scalar_sign(evaluate(alpha, x), FLOAT_WALL_TOL) for alpha in j.positive]
+    if any(s < 0 for s in signs):
+        return ChamberPosition("outside")
+    walls = tuple(sorted(r for alpha, s in zip(j.positive, signs) if s == 0 for r in (alpha, -alpha)))
+    return ChamberPosition("boundary", walls) if walls else ChamberPosition("interior")
+
+
+def _seeded_vectors(rng, flag, j):
+    """Rational, quadratic and float vectors: split ones, ones in the closed chamber and ones on a wall of R_m.
+
+    The flag has a center: at least one node is unpainted.
+    """
+    n = flag.rs.rank
+    yield ricci_invariant(flag, j)
+    q = [rng.randint(-2, 2) if i in flag.unpainted else 0 for i in range(n)]
+    q[flag.unpainted[0]] = q[flag.unpainted[0]] or 1
+    for tau in (Fraction(1), Fraction(1, 3)):
+        yield make_base(flag, j, CartanVector(tuple(map(Fraction, q))), period_scale=tau).z
+    r = rng.choice((Fraction(2), Fraction(8), Fraction(3, 2)))
+    draws = {
+        "rational": lambda lo: Fraction(rng.randint(lo, 4), rng.randint(1, 3)),
+        "quadratic": lambda lo: Quad.make(Fraction(rng.randint(lo, 3), 2), Fraction(rng.randint(max(lo, -1), 2), 3), r),
+        "float": lambda lo: rng.uniform(lo, 3.0),
+    }
+    for kind, draw in draws.items():
+        # on the closed positive Weyl chamber, some values zero: inside or on the boundary of R_m+'s chamber
+        zeros = set(rng.sample(range(n), rng.randint(0, n)))
+        values = [0 * draw(0) if i in zeros else draw(1) for i in range(n)]
+        if kind == "float":  # within FLOAT_WALL_TOL of the walls, and clear of them
+            values = [v + rng.choice((5e-12, -5e-12, 1e-7)) if i in zeros else v for i, v in enumerate(values)]
+        yield CartanVector(tuple(values))
+        # any signs, then moved onto the wall of one root of R_m
+        values = [draw(-3) for _ in range(n)]
+        yield CartanVector(tuple(values))
+        alpha = rng.choice(flag.r_m).coords
+        i = next(i for i, c in enumerate(alpha) if c)
+        values[i] = -sum(c * v for k, (c, v) in enumerate(zip(alpha, values)) if k != i) / alpha[i]
+        yield CartanVector(tuple(values))
+
+
+def test_chamber_position_and_wall_roots_match_the_per_root_oracle():
+    # seeded over the sweep groups and E6, random paintings and both structures: the positions and wall sets that
+    # root_values signs in integers (or in floats within FLOAT_WALL_TOL) are the per-root oracle's
+    rng = random.Random(40)
+    counts = {}
+    for text in SWEEP_GROUPS + ["E6"]:
+        system = rs(text)
+        for _ in range(2):
+            flag = build_flag(system, sorted(rng.sample(range(system.rank), rng.randint(0, system.rank - 1))))
+            j = default_complex_structure(flag)
+            for jj in (j, j.reversed()):
+                for x in _seeded_vectors(rng, flag, jj):
+                    pos = chamber_position(flag, jj, x)
+                    assert pos == per_root_chamber_position(flag, jj, x), (text, flag.painted, x)
+                    walls = wall_roots(flag, x)
+                    assert walls == per_root_wall_roots(flag, x), (text, flag.painted, x)
+                    for key in (x.kind, pos.position, "walls" if walls else "regular"):
+                        counts[key] = counts.get(key, 0) + 1
+    kinds = ("rational", "quadratic", "float", "interior", "boundary", "outside", "walls", "regular")
+    assert min(counts.get(k, 0) for k in kinds) >= 20, counts
+    # a vector of the wrong rank is evaluate's InputError: rational, split in integers, quadratic or float
+    flag = build_flag(rs("A2xA2"), [1, 3])
+    j = default_complex_structure(flag)
+    a2 = build_flag(rs("A2"), [])
+    for x in (CartanVector((Fraction(1),) * 3), ricci_invariant(a2, default_complex_structure(a2)),
+              CartanVector((Quad(0, 1, 2),) * 5), CartanVector((1.0,) * 5)):
+        with pytest.raises(InputError, match="^dimension mismatch$"):
+            evaluate(flag.r_m[0], x)
+        with pytest.raises(InputError, match="^dimension mismatch$"):
+            wall_roots(flag, x)
+        with pytest.raises(InputError, match="^dimension mismatch$"):
+            chamber_position(flag, j, x)
 
 
 def _all_flags_up_to_rank(max_rank):

@@ -17,8 +17,7 @@ from flagke.flag import (InvariantComplexStructure, _center_gram, _center_module
                          default_complex_structure, require_complex_structure, ricci_invariant, sphere_in_chamber)
 from flagke.diameters import search_diameters
 from flagke.einstein import build_segment_polynomial
-from flagke.model import (AdmissibleSegment, FutakiReport, SegmentCandidate, _integral_weights, _projection_violation,
-                          _projective_space_test,
+from flagke.model import (FutakiReport, _integral_weights, _projection_violation, _projective_space_test,
                           analyze_segment, check_parametrization, futaki, isotropy_modules, ke_endpoints, ke_verdict,
                           make_base)
 from flagke.rootsys import (CartanVector, LieAlgebraSpec, Root, RootSystem, build_root_system, coroot_vector, evaluate,
@@ -264,8 +263,8 @@ def test_analyze_segment_wall_example():
     base = make_base(flag, j, h1 - h2)
     zk = ricci_invariant(flag, j)
     seg = analyze_segment(base, zk + base.z, 2)
-    assert sorted(r.coords for r in seg.candidate.w1) == [(0, -1), (0, 1)]
-    assert seg.candidate.m1 == 2
+    assert sorted(r.coords for r in seg.w1) == [(0, -1), (0, 1)]
+    assert seg.m1 == 2
     assert seg.chamber_ok and seg.degrees_ok and seg.projection_ok and seg.overall_ok
 
 
@@ -277,10 +276,10 @@ def test_analyze_segment_interior_small():
     zk = ricci_invariant(flag, j)
     eps = Fraction(1, 10)
     seg = analyze_segment(base, zk + base.z.scale(eps), 2 * eps)
-    assert seg.candidate.m1 == seg.candidate.m2 == 1
+    assert seg.m1 == seg.m2 == 1
     assert seg.overall_ok
     # degrees are 1 on both ends iff both endpoints are regular
-    assert seg.candidate.w1 == () and seg.candidate.w2 == ()
+    assert seg.w1 == () and seg.w2 == ()
 
 
 def test_analyze_segment_exits_chamber():
@@ -296,7 +295,7 @@ def test_analyze_segment_exits_chamber():
     # from a wall the other way: a root vanishing at one end and negative at the other is no wall
     rev = make_base(flag, j, h2 - h1)
     seg = analyze_segment(rev, zk + base.z, 1)
-    assert seg == per_root_segment(rev, zk + base.z, 1) and seg.candidate.w1 == () and not seg.chamber_ok
+    assert seg == per_root_segment(rev, zk + base.z, 1) and seg.w1 == () and not seg.chamber_ok
 
 
 def test_analyze_segment_swap_symmetry():
@@ -312,9 +311,8 @@ def test_analyze_segment_swap_symmetry():
         zk = ricci_invariant(flag, j)
         z1 = zk + base.z
         seg = analyze_segment(base, z1, 2)
-        seg_rev = analyze_segment(rev, seg.candidate.z2, 2)
-        assert seg_rev.candidate.z2.values == z1.values
-        assert (seg.candidate.m1, seg.candidate.m2) == (seg_rev.candidate.m2, seg_rev.candidate.m1)
+        seg_rev = analyze_segment(rev, z1 - base.z.scale(2), 2)
+        assert (seg.m1, seg.m2) == (seg_rev.m2, seg_rev.m1)
         assert seg.overall_ok == seg_rev.overall_ok
 
 
@@ -341,16 +339,11 @@ def test_analyze_segment_matches_the_per_root_oracle():
                             want = per_root_segment(base, z1, length)
                             verdict = ke_verdict(base, zk, m1, m2)
                             assert analyze_segment(base, z1, length) == want
-                            # the verdict's z2 is its endpoint Z2, which on float input may differ from z1 - C Z in
-                            # the last bits; every other field is the oracle's
-                            c = want.candidate
-                            z2 = verdict.endpoints[1]
-                            assert verdict.segment == AdmissibleSegment(
-                                SegmentCandidate(c.z1, c.length, z2, c.w1, c.w2, c.m1, c.m2), *want._values()[1:])
+                            assert verdict.segment == want
                             counts["rows"] += 1
                             counts[base.z.kind] += 1
-                            counts["walls"] += bool(c.w1 or c.w2)
-                            counts["wall_free_ends"] += (not c.w1) + (not c.w2)
+                            counts["walls"] += bool(want.w1 or want.w2)
+                            counts["wall_free_ends"] += (not want.w1) + (not want.w2)
                             counts["failures"] += bool(want.failures)
                             if base.z.kind == "float":
                                 continue
@@ -502,8 +495,8 @@ def test_projective_space_test_through_full_wall():
     base = make_base(flag, j, -flag.center_basis[0], period_scale=Fraction(1, 4))
     origin = CartanVector(tuple(Fraction(0) for _ in range(flag.rs.rank)))
     seg = analyze_segment(base, origin, 4)
-    assert seg.candidate.m1 == len(j.positive) + 1
-    assert seg.candidate.m2 == 1
+    assert seg.m1 == len(j.positive) + 1
+    assert seg.m2 == 1
     assert seg.chamber_ok and seg.degrees_ok and seg.projection_ok
 
 
@@ -555,8 +548,8 @@ def test_projection_violation_loops_over_the_walls_alone():
             origin = CartanVector((Fraction(0),) * system.rank)
             for seg in (analyze_segment(base, origin, rng.randint(1, 3)),
                         ke_verdict(base, ricci_invariant(flag, j), rng.randint(1, 3), rng.randint(1, 3)).segment):
-                walls += [frozenset(r.coords for r in w) for w in (seg.candidate.w1, seg.candidate.w2)]
-                counts["chamber_failures"] += bool(seg.candidate.w1 or seg.candidate.w2) and not seg.chamber_ok
+                walls += [frozenset(r.coords for r in w) for w in (seg.w1, seg.w2)]
+                counts["chamber_failures"] += bool(seg.w1 or seg.w2) and not seg.chamber_ok
             for w in walls:
                 got = _projection_violation(flag, j, w)
                 assert got == closure_violation(flag, j, w), (text, flag.painted, sorted(w))
@@ -581,7 +574,7 @@ def test_walled_segments_are_classified_without_fraction_pairings():
                     base = make_base(flag, j, direction)
                     for z1 in (origin, zk + base.z, zk + base.z.scale(2)):
                         seg = analyze_segment(base, z1, 3)
-                        walled += bool(seg.candidate.w1 or seg.candidate.w2)
+                        walled += bool(seg.w1 or seg.w2)
                         failed += not seg.degrees_ok
     assert walled > 0 and failed > 0, (walled, failed)
 
@@ -600,7 +593,7 @@ def test_projection_failure_detected():
     base = make_base(flag, j, CartanVector((Fraction(1), Fraction(-2))))
     z1 = CartanVector((Fraction(1), Fraction(0)))  # on the wall of (0, 1)
     seg = analyze_segment(base, z1, Fraction(1, 10))
-    assert sorted(r.coords for r in seg.candidate.w1) == [(0, -1), (0, 1)]
+    assert sorted(r.coords for r in seg.w1) == [(0, -1), (0, 1)]
     assert not seg.projection_ok
     assert any("holomorphic" in f for f in seg.failures)
     assert not seg.chamber_ok  # projection failures only occur off-chamber
